@@ -59,13 +59,14 @@ def run_execution_experiment():
             exec_cost += oracle.plan_cost(
                 choice.shrunken_memo, inst.selectivities
             )
-        opt_seconds = (
+        plan_seconds = (
             engine.counters.optimize.total_seconds
             + engine.counters.recost.total_seconds
-            + engine.counters.selectivity.total_seconds
         )
+        opt_seconds = plan_seconds + engine.counters.selectivity.total_seconds
         rows.append({
             "technique": name,
+            "plan_s": plan_seconds,
             "opt_s": opt_seconds,
             "exec_s": exec_seconds,
             "total_s": opt_seconds + exec_seconds,
@@ -93,8 +94,11 @@ def test_table3_execution_experiment(experiments, benchmark):
     # it may tie).  Wall-clock ratios here are CPU-bound and stable.
     for name in ("OptOnce", "Ellipse0.9", "Ellipse0.7", "Ranges", "SCR2"):
         assert by_name[name]["opt_s"] < always["opt_s"], name
-    # Optimize-Once pays almost no optimization time...
-    assert once["opt_s"] < 0.1 * always["opt_s"]
+    # Optimize-Once pays almost no optimization time: one optimizer
+    # call.  The sVector computation is left out of this comparison —
+    # every technique pays it once per instance, so its share of
+    # ``opt_s`` says how fast the optimizer is, not how rarely it runs.
+    assert once["plan_s"] < 0.1 * always["plan_s"]
     # ...but executes the most work (estimated-cost proxy: noise-free).
     assert once["exec_cost"] >= max(r["exec_cost"] for r in rows) * 0.999
     # SCR saves the bulk of the optimization time vs Optimize-Always.

@@ -52,7 +52,7 @@ and break the decision-equivalence contract the differential suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -94,10 +94,14 @@ class ColumnarInstances:
     cost: "np.ndarray"      # (N,) C column
     plan_ids: "np.ndarray"  # (N,) PP column
     area: "np.ndarray"      # (N,) Π_i s_i (AREA candidate-order key)
+    #: The cache lineage the rows were read at; ``PlanCache.columnar``
+    #: extends only views of its current lineage.  Transient views
+    #: (built outside the cache) keep -1 and are never extended.
+    lineage: int = -1
 
     @classmethod
     def build(
-        cls, epoch: int, entries: Sequence["InstanceEntry"]
+        cls, epoch: int, entries: Sequence["InstanceEntry"], lineage: int = -1
     ) -> "ColumnarInstances":
         _require_numpy()
         entries = tuple(entries)
@@ -108,11 +112,13 @@ class ColumnarInstances:
                 epoch=epoch, entries=entries, sv=empty2, log_sv=empty2,
                 sub=empty1, cost=empty1,
                 plan_ids=np.empty(0, dtype=np.int64), area=empty1,
+                lineage=lineage,
             )
         sv = np.array([e.sv.values for e in entries], dtype=np.float64)
         return cls(
             epoch=epoch,
             entries=entries,
+            lineage=lineage,
             sv=sv,
             log_sv=np.log(sv),
             sub=np.array([e.suboptimality for e in entries], dtype=np.float64),
@@ -122,6 +128,24 @@ class ColumnarInstances:
             # axis: bit-identical to InstanceEntry.sv_product's loop.
             area=np.multiply.reduce(sv, axis=1),
         )
+
+    def extended(
+        self, epoch: int, entries: tuple["InstanceEntry", ...]
+    ) -> "ColumnarInstances":
+        """A new view over ``entries``, of which this view's rows are a
+        prefix: only the tail is columnarised (per-row values identical
+        to a full :meth:`build`); this view's arrays are not written."""
+        tail = ColumnarInstances.build(epoch, entries[len(self):])
+        if not len(tail):
+            return replace(self, epoch=epoch, entries=entries)
+        # Every array field is a row-aligned column, so a column added
+        # to the layout is extended without being listed here.
+        columns = {
+            f.name: np.concatenate((getattr(self, f.name), getattr(tail, f.name)))
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)
+        }
+        return replace(self, epoch=epoch, entries=entries, **columns)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -122,7 +122,7 @@ class ManageCache:
         ``plan_id`` is the plan the instance will anchor for future
         inference (the new plan, or the redundant-winner).
         """
-        signature = result.plan.signature()
+        signature = result.shrunken_memo.signature
         optimal_cost = result.cost
 
         if self.coalesce_identical:

@@ -80,7 +80,9 @@ class InstanceEntry:
         them.  Guarantee-bearing fields are otherwise write-once; a sweep
         may only *raise* pessimism through the caller's discipline (the
         caller passes the freshly measured optimal cost and the pointed
-        plan's measured sub-optimality there, both ≥ 1× reality)."""
+        plan's measured sub-optimality there, both ≥ 1× reality).  Both
+        fields are columnarised, so the caller must follow up with
+        :meth:`PlanCache.invalidate_views`."""
         self.optimal_cost = optimal_cost
         self.suboptimality = suboptimality
 
@@ -130,6 +132,11 @@ class PlanCache:
     #: (plan added/dropped, instance added).  Lock-free readers compare
     #: epochs to detect that a snapshot went stale.
     epoch: int = 0
+    #: Monotonic counter of every mutation that is *not* an append to the
+    #: instance list (``drop_plan``, ``adopt``, in-place cost rewrites via
+    #: ``invalidate_views``).  A columnar view may be extended with the
+    #: new tail rows only while the lineage it was built at is current.
+    lineage: int = 0
     #: Monotonic *usage* counter; bumped whenever any instance's ``U``
     #: changes.  Usage edits are advisory (they reorder LFU/USAGE scans
     #: but never move an anchor), so they deliberately do not bump
@@ -159,9 +166,24 @@ class PlanCache:
     on_plan_dropped: list = field(default_factory=list)
 
     def _mutated(self) -> None:
+        """Book an append-only mutation (plan or instance added).
+
+        The columnar view survives: its rows are still a valid prefix,
+        and :meth:`columnar` extends it instead of rebuilding.
+        """
         self.epoch += 1
         self._snapshot = None
+
+    def invalidate_views(self) -> None:
+        """Book a mutation that removed, reordered or rewrote entries.
+
+        Call after anything other than an append — including in-place
+        edits of columnarised fields (``InstanceEntry.refresh_cost``) —
+        so no outstanding view is mistaken for a prefix of the new list.
+        """
+        self.lineage += 1
         self._columnar = None
+        self._mutated()
 
     def snapshot(self) -> CacheSnapshot:
         """Copy-on-write snapshot of the instance list.
@@ -182,21 +204,44 @@ class PlanCache:
         The structure-of-arrays twin of :meth:`snapshot`: built from the
         same entries tuple (so ``columnar().entries is snapshot.entries``
         within an epoch), cached until the next structural mutation, and
-        rebuilt lazily by the first reader after one.  The vectorized
-        ``getPlan`` hot path probes these arrays; decisions still point
-        at the shared :class:`InstanceEntry` objects.
+        brought up to date lazily by the first reader after one.  The
+        vectorized ``getPlan`` hot path probes these arrays; decisions
+        still point at the shared :class:`InstanceEntry` objects.
+
+        After appends the previous view is *extended* with the tail rows
+        (a new view; the old one is untouched) instead of rebuilt from
+        all N entries.  An epoch change alone does not prove the history
+        was append-only — a lock-free reader can publish a view built
+        from a pre-drop snapshot — so extension requires that the view
+        was built at the current :attr:`lineage` and that its last row
+        is still at the same index: entries are never reordered or
+        re-inserted, so a surviving last row proves the whole prefix.
+        The lineage is read on both sides of the snapshot: a reader that
+        stalls between the two reads holds a stale value that a view
+        published meanwhile (by another reader, from pre-rewrite rows)
+        may carry too, and only the second read tells them apart.
         """
         from .columnar import ColumnarInstances
 
+        lineage = self.lineage
         snap = self.snapshot()
         view = self._columnar
         if (
-            view is None
-            or view.epoch != snap.epoch
-            or view.entries is not snap.entries
+            view is not None
+            and view.epoch == snap.epoch
+            and view.entries is snap.entries
         ):
-            view = ColumnarInstances.build(snap.epoch, snap.entries)
-            self._columnar = view
+            return view
+        rows = 0 if view is None else len(view)
+        if (
+            0 < rows <= len(snap.entries)
+            and view.lineage == lineage == self.lineage
+            and snap.entries[rows - 1] is view.entries[rows - 1]
+        ):
+            view = view.extended(snap.epoch, snap.entries)
+        else:
+            view = ColumnarInstances.build(snap.epoch, snap.entries, lineage)
+        self._columnar = view
         return view
 
     def touch(self, plan_id: int) -> None:
@@ -236,7 +281,7 @@ class PlanCache:
         self.evicted_never_hit += other.evicted_never_hit
         self.epoch = max(self.epoch, other.epoch)
         self.usage_version = max(self.usage_version, other.usage_version)
-        self._mutated()
+        self.invalidate_views()
         for entry in self._instances:
             for listener in self.on_instance_added:
                 listener(entry)
@@ -262,7 +307,9 @@ class PlanCache:
         return self._plans.get(plan_id)
 
     def add_plan(self, plan: PhysicalPlan, shrunken: ShrunkenMemo) -> CachedPlan:
-        signature = plan.signature()
+        # ``shrink`` already rendered the signature; rebuilding the
+        # recursive string here would repeat that work on every miss.
+        signature = shrunken.signature
         existing = self.find_plan(signature)
         if existing is not None:
             return existing
@@ -301,7 +348,7 @@ class PlanCache:
                     self.evicted_never_hit += 1
         self._instances = [i for i in self._instances if i.plan_id != plan_id]
         self.plans_dropped += 1
-        self._mutated()
+        self.invalidate_views()
         for listener in self.on_plan_dropped:
             listener(plan_id)
 

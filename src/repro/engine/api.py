@@ -189,7 +189,7 @@ class EngineAPI:
         if self.trace is not None:
             self.trace.api_call(
                 TraceEventKind.OPTIMIZE, self._instance_index, elapsed,
-                detail=result.plan.signature()[:80],
+                detail=result.shrunken_memo.signature[:80],
             )
         if self.instruments is not None:
             self._observe_call("optimize", start, elapsed)

@@ -652,8 +652,9 @@ def recost_sweep(
         if old_pointed > 0.0:
             corrections += abs(math.log(fresh_pointed / old_pointed))
     if result.refreshed:
-        # optimal_cost is columnarised; stale views must not survive.
-        cache._mutated()
+        # optimal_cost is columnarised and was rewritten in place: no
+        # outstanding view may survive or be extended.
+        cache.invalidate_views()
         result.mean_correction = corrections / result.refreshed
     obs = getattr(scr, "obs", None)
     if obs is not None and getattr(obs, "calibration", None) is not None:

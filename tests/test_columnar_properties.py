@@ -6,24 +6,32 @@ Three invariant families, all driven by Hypothesis:
   (point, anchor) pair is bit-identical to the scalar reference, so the
   vectorized row minimum equals the scalar per-instance minimum;
 * **view consistency** — after an arbitrary sequence of cache
-  operations (add plan / add instance / drop plan / retire), the
-  columnar view's arrays always mirror the snapshot's entry tuple
-  field for field, and copy-on-write hands out the same view object
-  between mutations;
+  operations (add plan / add instance / drop plan / retire / adopt /
+  recalibrate), the columnar view's arrays always mirror the snapshot's
+  entry tuple field for field and are byte-equal to a from-scratch
+  build, copy-on-write hands out the same view object between
+  mutations, appends *extend* the previous view without touching it,
+  and every non-append mutation forces a rebuild — including when a
+  racing reader publishes a view built from a pre-drop snapshot;
 * **batch ≡ sequential** — ``probe_batch`` returns exactly the
   decisions of a sequential ``probe`` loop over the same snapshot.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import adversarial_corner, compute_gl
-from repro.core.columnar import corner_gl_matrix, gl_matrix
+from repro.core.columnar import ColumnarInstances, corner_gl_matrix, gl_matrix
 from repro.core.get_plan import GetPlan
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
+from repro.obs.calibration import recost_sweep
 from repro.query.instance import (
     SelectivityVector,
     UncertainSelectivityVector,
@@ -149,10 +157,53 @@ cache_ops = st.lists(
         st.tuples(st.just("add_instance"), st.integers(0, 1_000_000)),
         st.tuples(st.just("drop_plan"), st.integers(0, 30)),
         st.tuples(st.just("retire"), st.integers(0, 200)),
+        st.tuples(st.just("adopt"), st.integers(0, 4)),
+        st.tuples(st.just("recalibrate"), st.integers(1, 50)),
         st.tuples(st.just("probe_view"), st.just(0)),
     ),
     min_size=1, max_size=40,
 )
+
+
+COLUMNS = tuple(
+    f.name for f in dataclasses.fields(ColumnarInstances)
+    if f.name not in ("epoch", "entries", "lineage")
+)
+
+
+def _column_bytes(view: ColumnarInstances) -> dict[str, bytes]:
+    return {name: getattr(view, name).tobytes() for name in COLUMNS}
+
+
+@contextmanager
+def _extension_tails():
+    """Record the tail length of every ``ColumnarInstances.extended``."""
+    tails: list[int] = []
+    original = ColumnarInstances.extended
+
+    def spy(self, epoch, entries):
+        tails.append(len(entries) - len(self))
+        return original(self, epoch, entries)
+
+    ColumnarInstances.extended = spy
+    try:
+        yield tails
+    finally:
+        ColumnarInstances.extended = original
+
+
+def _sweep(cache: PlanCache, scale: float):
+    """``SCR.recalibrate`` against a stand-in engine: every anchor's
+    pointed plan re-measures at a cost that depends on ``scale``."""
+    scr = SimpleNamespace(
+        cache=cache,
+        engine=SimpleNamespace(
+            recost=lambda memo, sv: scale * (50.0 + 1000.0 * sv[0]),
+            template=SimpleNamespace(name="t"),
+        ),
+        obs=None,
+    )
+    return recost_sweep(scr)
 
 
 def _assert_view_consistent(cache: PlanCache) -> None:
@@ -167,6 +218,12 @@ def _assert_view_consistent(cache: PlanCache) -> None:
         assert view.cost[i] == entry.optimal_cost
         assert int(view.plan_ids[i]) == entry.plan_id
         assert view.area[i] == entry.sv_product
+    # Extended or rebuilt, the view is byte-for-byte a from-scratch build.
+    fresh = ColumnarInstances.build(cache.epoch, tuple(cache.instances()))
+    assert _column_bytes(view) == _column_bytes(fresh)
+    for name in COLUMNS:
+        assert getattr(view, name).shape == getattr(fresh, name).shape
+        assert getattr(view, name).dtype == getattr(fresh, name).dtype
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,7 +250,24 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed):
             cache._mutated()
         return rng.choice(list(cache._plans))
 
+    def random_entry(plan_id: int, arg: int) -> InstanceEntry:
+        return InstanceEntry(
+            sv=SelectivityVector.from_sequence(
+                [10 ** rng.uniform(-4, 0) for _ in range(3)]
+            ),
+            plan_id=plan_id,
+            optimal_cost=float(arg % 997 + 1),
+            suboptimality=1.0 + (arg % 7) / 10.0,
+        )
+
+    # Every view ever handed out, with its bytes at that moment: later
+    # appends extend *copies*, so none of them may change.
+    held: list[tuple[ColumnarInstances, dict[str, bytes]]] = []
+
     for op, arg in ops:
+        before = cache.columnar()
+        held.append((before, _column_bytes(before)))
+        rewritten = False  # did the op do anything other than append?
         if op == "add_plan":
             plan = CachedPlan(
                 plan_id=cache._next_plan_id,
@@ -206,31 +280,47 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed):
             cache._by_signature[plan.signature] = plan.plan_id
             cache._next_plan_id += 1
             cache._mutated()
+        elif op == "adopt":
+            other = PlanCache()
+            other._next_plan_id = cache._next_plan_id
+            plan = CachedPlan(
+                plan_id=other._next_plan_id,
+                signature=f"s{next_sig[0]}",
+                plan=None,
+                shrunken_memo=_StubMemo(),
+            )
+            next_sig[0] += 1
+            other._plans[plan.plan_id] = plan
+            other._by_signature[plan.signature] = plan.plan_id
+            other._next_plan_id += 1
+            for i in range(arg):
+                other.add_instance(random_entry(plan.plan_id, i))
+            cache.adopt(other)
+            rewritten = True
+        elif op == "recalibrate":
+            rewritten = _sweep(cache, scale=float(arg)).refreshed > 0
         elif op == "add_instance":
-            plan_id = ensure_plan()
-            sv = SelectivityVector.from_sequence(
-                [10 ** rng.uniform(-4, 0) for _ in range(3)]
-            )
-            cache.add_instance(
-                InstanceEntry(
-                    sv=sv, plan_id=plan_id,
-                    optimal_cost=float(arg % 997 + 1),
-                    suboptimality=1.0 + (arg % 7) / 10.0,
-                )
-            )
+            cache.add_instance(random_entry(ensure_plan(), arg))
         elif op == "drop_plan":
             if cache._plans:
                 victim = sorted(cache._plans)[arg % len(cache._plans)]
                 cache.drop_plan(victim)
+                rewritten = True
         elif op == "retire":
             entries = list(cache.instances())
             if entries:
                 entries[arg % len(entries)].retired = True
         else:  # probe_view: exercise COW identity between mutations
-            before = cache.columnar()
             assert cache.columnar() is before
+        with _extension_tails() as tails:
+            after = cache.columnar()
+        if rewritten:
+            # Not an append: the next view is rebuilt, never extended.
+            assert tails == [] and after is not before
         _assert_view_consistent(cache)
     _assert_view_consistent(cache)
+    for view, frozen in held:
+        assert _column_bytes(view) == frozen
 
 
 def test_columnar_view_identity_is_stable_between_mutations():
@@ -250,6 +340,171 @@ def test_columnar_view_identity_is_stable_between_mutations():
     )
     assert cache.columnar() is not view
     _ = cache.columnar()
+
+
+def _entry(values, plan_id: int = 0) -> InstanceEntry:
+    return InstanceEntry(
+        sv=SelectivityVector.from_sequence(values), plan_id=plan_id,
+        optimal_cost=10.0, suboptimality=1.0,
+    )
+
+
+def test_appends_extend_the_view_and_leave_the_old_one_alone():
+    cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
+    old = cache.columnar()
+    frozen = _column_bytes(old)
+    with _extension_tails() as tails:
+        cache.add_instance(_entry([0.5, 0.5]))
+        mid = cache.columnar()
+        cache.add_instance(_entry([0.6, 0.1]))
+        cache.add_instance(_entry([0.7, 0.2]))
+        new = cache.columnar()
+    assert tails == [1, 2]
+    assert len(old) == 2 and len(mid) == 3 and len(new) == 5
+    assert _column_bytes(old) == frozen
+    assert not np.shares_memory(old.sv, new.sv)
+    _assert_view_consistent(cache)
+
+
+def test_extension_builds_rows_linear_in_misses(monkeypatch):
+    """500 misses columnarise ~500 rows in total, not ~500²/2."""
+    built: list[int] = []
+    original = ColumnarInstances.build.__func__
+
+    def counting_build(cls, epoch, entries, lineage=-1):
+        entries = tuple(entries)
+        built.append(len(entries))
+        return original(cls, epoch, entries, lineage)
+
+    monkeypatch.setattr(ColumnarInstances, "build", classmethod(counting_build))
+    cache = _cache_with([])
+    get_plan = GetPlan(cache=cache, lam=1.2, check_impl="vectorized")
+    misses = 500
+    for i in range(misses):
+        # A 25 x 20 grid with neighbours a factor 1.7 apart: no anchor
+        # is ever within λ of a later point.
+        point = SelectivityVector.of(1e-6 * 1.7 ** (i % 25), 1e-6 * 1.7 ** (i // 25))
+        assert not get_plan.probe(point, lambda memo, sv: 1e12).hit
+        cache.add_instance(_entry(point.values))
+    assert len(cache.columnar()) == misses
+    assert sum(built) <= 2 * misses
+
+
+def test_stale_view_published_by_a_racing_reader_is_rebuilt_not_extended():
+    """Epoch inequality is not evidence of append-only history.
+
+    A lock-free reader reads the lineage, snapshots, and is descheduled;
+    a writer drops a plan (removing a middle row); the reader then
+    finishes and publishes the view it built from the pre-drop snapshot.
+    The next ``columnar()`` must not extend that view.
+    """
+    cache = _cache_with([[0.1, 0.2]])
+    doomed = CachedPlan(plan_id=1, signature="p1", plan=None, shrunken_memo=_StubMemo())
+    cache._plans[1] = doomed
+    cache._by_signature["p1"] = 1
+    cache._next_plan_id = 2
+    cache._mutated()
+    cache.add_instance(_entry([0.2, 0.2], plan_id=1))
+    cache.add_instance(_entry([0.3, 0.4]))
+
+    reader_lineage = cache.lineage          # reader: lineage first ...
+    reader_snap = cache.snapshot()          # ... then the entries
+    cache.drop_plan(1)                      # writer: middle row gone
+    cache._columnar = ColumnarInstances.build(   # reader publishes late
+        reader_snap.epoch, reader_snap.entries, reader_lineage
+    )
+    cache.add_instance(_entry([0.9, 0.9]))  # same length as the stale view
+
+    with _extension_tails() as tails:
+        view = cache.columnar()
+    assert tails == []
+    assert [e.plan_id for e in view.entries] == [0, 0, 0]
+    _assert_view_consistent(cache)
+
+    # The boundary check alone also catches it: forge the current
+    # lineage onto an equally stale view and the last-row identity test
+    # (entries[2] is now the new row, not the stale view's) still fails.
+    cache._columnar = ColumnarInstances.build(
+        reader_snap.epoch, reader_snap.entries, cache.lineage
+    )
+    cache.add_instance(_entry([0.8, 0.8]))
+    with _extension_tails() as tails:
+        cache.columnar()
+    assert tails == []
+    _assert_view_consistent(cache)
+
+
+def test_stale_view_published_across_a_recost_sweep_is_rebuilt():
+    """The case only the lineage rule catches: a sweep rewrites costs in
+    place, so every row of the late-published view is still the same
+    entry object at the same index — and its cost column is stale."""
+    cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
+    reader_lineage = cache.lineage
+    reader_snap = cache.snapshot()
+    stale = ColumnarInstances.build(
+        reader_snap.epoch, reader_snap.entries, reader_lineage
+    )
+    assert _sweep(cache, scale=3.0).refreshed == 2
+    cache._columnar = stale                 # reader publishes late
+    cache.add_instance(_entry([0.9, 0.9]))
+    with _extension_tails() as tails:
+        view = cache.columnar()
+    assert tails == []
+    assert view.cost[0] != stale.cost[0]
+    _assert_view_consistent(cache)
+
+
+def test_reader_stalled_inside_columnar_across_a_sweep_rebuilds(monkeypatch):
+    """Reader B reads the lineage inside ``columnar()`` and stalls before
+    its snapshot.  Meanwhile a sweep rewrites costs, reader A publishes
+    its pre-sweep view (tagged with the lineage both readers saw) and a
+    miss appends.  B's first lineage read matches A's view and every row
+    is the same object at the same index; only the lineage re-read after
+    the snapshot shows the view is stale."""
+    cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
+    pre_sweep = cache.snapshot()
+    stale = ColumnarInstances.build(pre_sweep.epoch, pre_sweep.entries, cache.lineage)
+    snapshot = cache.snapshot
+
+    def stalled_snapshot():
+        # Runs after B's first lineage read, before B's snapshot.
+        monkeypatch.setattr(cache, "snapshot", snapshot)
+        assert _sweep(cache, scale=3.0).refreshed == 2
+        cache._columnar = stale             # reader A publishes late
+        cache.add_instance(_entry([0.9, 0.9]))
+        return snapshot()
+
+    monkeypatch.setattr(cache, "snapshot", stalled_snapshot)
+    with _extension_tails() as tails:
+        view = cache.columnar()             # reader B
+    assert tails == []
+    assert len(view) == 3 and view.cost[0] != stale.cost[0]
+    # B's view carries the lineage it read first, so it is not extended
+    # later either; the cache rebuilds once more and is then current.
+    assert view.lineage < cache.lineage
+    cache.add_instance(_entry([0.8, 0.8]))
+    with _extension_tails() as tails:
+        cache.columnar()
+    assert tails == []
+    _assert_view_consistent(cache)
+
+
+def test_recalibrate_rebuilds_the_view(toy_engine, toy_template):
+    from repro.core.scr import SCR
+    from repro.workload.generator import instances_for_template
+
+    scr = SCR(toy_engine, lam=1.2)
+    for instance in instances_for_template(toy_template, 60, seed=3):
+        scr.process(instance)
+    before = scr.cache.columnar()
+    assert len(before) > 1
+    with _extension_tails() as tails:
+        result = scr.recalibrate()
+        after = scr.cache.columnar()
+    assert result.refreshed > 0
+    assert tails == [] and after is not before
+    assert after.lineage == scr.cache.lineage > before.lineage
+    _assert_view_consistent(scr.cache)
 
 
 def test_empty_cache_columnar_view():

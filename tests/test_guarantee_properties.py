@@ -186,7 +186,7 @@ class TestRedundancyTransitivity:
         cache = PlanCache()
         for sv_values, s_frac in anchors:
             plan = _FakePlan()
-            cached = cache.add_plan(plan, _FakeMemo())
+            cached = cache.add_plan(plan, _FakeMemo(plan.signature()))
             cache.add_instance(InstanceEntry(
                 sv=SelectivityVector.from_sequence(sv_values),
                 plan_id=cached.plan_id,
@@ -223,3 +223,6 @@ class _FakePlan:
 
 class _FakeMemo:
     node_count = 1
+
+    def __init__(self, signature: str):
+        self.signature = signature
