@@ -12,11 +12,18 @@ paper-style tables printed by each benchmark.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness.experiments import ExperimentConfig, Experiments
 from repro.workload.orderings import Ordering
 from repro.workload.suite import SuiteConfig
+
+# tests/ holds the reference implementations (reference_get_plan.py) the
+# hot-path benchmark takes its scalar baseline from.
+sys.path.append(str(Path(__file__).parents[1] / "tests"))
 
 BENCH_SUITE = SuiteConfig(
     num_templates=10,

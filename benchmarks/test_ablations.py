@@ -6,7 +6,6 @@ and measures the consequences on the three metrics:
 * LFU eviction (paper, §6.3.1)  vs LRU vs RANDOM;
 * bounding function f(α)=α (paper, §5.4) vs f(α)=α²;
 * G·L candidate ordering (paper, §6.2) vs region-area vs usage-count;
-* linear instance-list scan vs the §6.2 spatial grid index;
 * cold start (paper) vs offline seeding (§9 future work).
 """
 
@@ -140,35 +139,6 @@ def test_ablation_candidate_order(experiments, benchmark):
             assert gl["recosts_per_hit"] <= (
                 by_order[other]["recosts_per_hit"] * 1.2 + 0.5
             )
-
-
-def test_ablation_spatial_index(experiments, benchmark):
-    """The §6.2 grid index cuts instance-list scan work at equal quality."""
-
-    def run():
-        runner = WorkloadRunner(db_scale=0.4)
-        template = tpch_templates()[0]
-        instances = instances_for_template(template, M, seed=83)
-        rows = []
-        for label, use_index in (("linear-scan", False), ("grid-index", True)):
-            engine = _setup(runner, template)
-            scr = _drive(
-                SCR(engine, lam=2.0, spatial_index=use_index), instances
-            )
-            rows.append({
-                "getplan": label,
-                "numopt": scr.optimizer_calls,
-                "entries_scanned": scr.get_plan.entries_scanned,
-            })
-        return rows
-
-    rows = run_once(benchmark, run)
-    print()
-    print(format_table(rows, title="Ablation: instance-list access path"))
-    linear, indexed = rows
-    # The index prunes scans and keeps reuse in the same ballpark.
-    assert indexed["entries_scanned"] <= linear["entries_scanned"]
-    assert indexed["numopt"] <= linear["numopt"] * 2 + 5
 
 
 def test_ablation_offline_seeding(experiments, benchmark):

@@ -6,10 +6,11 @@ recost calls, and λ_r=√λ to at most 3 while retaining only 5 plans —
 getPlan overheads stay far below an optimizer call.
 
 This module also hosts the columnar hot-path micro-benchmark: the
-single-thread probe throughput of ``check_impl="vectorized"`` against
-the scalar reference over synthetic caches (m stored instances ×
-d dimensions), gated at ≥5× for m ≥ 256, with the measured trajectory
-appended to ``BENCH_getplan_hotpath.json`` at the repo root.
+single-thread probe throughput of ``GetPlan`` against the scalar
+reference scan (``tests/reference_get_plan.py``) over synthetic caches
+(m stored instances × d dimensions), gated at ≥5× for m ≥ 256, with the
+measured trajectory appended to ``BENCH_getplan_hotpath.json`` at the
+repo root.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 from pathlib import Path
 
 from conftest import run_once
+from reference_get_plan import ReferenceGetPlan
 from repro.core.get_plan import GetPlan
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
 from repro.harness.reporting import format_table
@@ -132,12 +134,14 @@ def _measure_hotpath() -> list[dict]:
             rng = random.Random(99)
             points = [_loguniform_sv(rng, d) for _ in range(PROBES)]
             row = {"m": m, "d": d}
-            for impl in ("scalar", "vectorized"):
-                gp = GetPlan(cache=cache, lam=1.0001, check_impl=impl)
+            for impl, cls in (
+                ("scalar", ReferenceGetPlan), ("vectorized", GetPlan)
+            ):
+                gp = cls(cache=cache, lam=1.0001)
                 row[f"{impl}_probes_per_s"] = round(
                     _probe_throughput(gp, points, batched=False), 1
                 )
-            gp = GetPlan(cache=cache, lam=1.0001, check_impl="vectorized")
+            gp = GetPlan(cache=cache, lam=1.0001)
             row["batch_probes_per_s"] = round(
                 _probe_throughput(gp, points, batched=True), 1
             )

@@ -38,7 +38,6 @@ from .persistence import (
     load_cache,
 )
 from .seeding import SeedingReport, grid_points, random_points, seed_cache
-from .spatial_index import IndexedGetPlan, InstanceGridIndex
 from .plan_cache import CachedPlan, InstanceEntry, PlanCache
 from .regions import RecostRegion, SelectivityRegion
 from .scr import SCR
@@ -53,8 +52,6 @@ __all__ = [
     "CacheSnapshot",
     "CoverageReport",
     "sample_coverage",
-    "IndexedGetPlan",
-    "InstanceGridIndex",
     "PQOManager",
     "TemplateState",
     "choose_lambda",

@@ -15,7 +15,7 @@ cache epoch (``d`` = template dimensionality):
 * ``sv`` — the raw selectivity matrix ``(N, d)``;
 * ``log_sv`` — the same matrix in natural-log space ``(N, d)`` (L1
   distances in this space are ``ln(G·L)``; used for nearest-anchor
-  ranking and the §6.2 grid-index cell keys);
+  ranking);
 * ``sub`` / ``cost`` / ``plan_ids`` — the S, C and PP columns of the
   paper's 5-tuple as ``(N,)`` vectors;
 * ``area`` — ``Π_i s_i`` per row, the AREA candidate-order key,
@@ -31,9 +31,9 @@ Only the *write-once* guarantee-bearing fields (``sv``, ``plan_id``,
 ``optimal_cost``, ``suboptimality``) are columnarised.  The two advisory
 fields that mutate without an epoch bump — ``usage`` (bumped by commits)
 and ``retired`` (flipped by the Appendix G violation detector) — are
-deliberately **not** snapshotted into arrays: the vectorized decision
-procedure reads them live from the entry objects, mirroring the scalar
-reference bit for bit even when a flag flips between epoch rebuilds.
+deliberately **not** snapshotted into arrays: the decision procedure
+reads them live from the entry objects, so a flag that flips between
+epoch rebuilds takes effect on the next probe.
 
 Equivalence contract
 --------------------
@@ -56,24 +56,10 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
-try:  # numpy is a hard dependency of the package, but the scalar
-    import numpy as np  # decision procedure must keep working without it
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .plan_cache import InstanceEntry
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - exercised only on broken installs
-        raise RuntimeError(
-            "numpy is required for the columnar getPlan hot path; "
-            "use check_impl='scalar' without it"
-        )
 
 
 @dataclass(frozen=True)
@@ -103,7 +89,6 @@ class ColumnarInstances:
     def build(
         cls, epoch: int, entries: Sequence["InstanceEntry"], lineage: int = -1
     ) -> "ColumnarInstances":
-        _require_numpy()
         entries = tuple(entries)
         if not entries:
             empty2 = np.empty((0, 0), dtype=np.float64)
@@ -169,8 +154,8 @@ class ColumnarInstances:
 
         ``rank[i] < rank[j]`` iff row ``i`` precedes row ``j`` in a
         stable descending-usage sort; ranks are unique, so sorting any
-        row subset (taken in row order) by rank reproduces the scalar
-        path's stable ``sort(key=-usage)`` over that subset exactly.
+        row subset (taken in row order) by rank reproduces a stable
+        ``list.sort(key=-usage)`` over that subset exactly.
         Usage mutates without an epoch bump, which is why the memo keys
         on the cache's usage version rather than living in ``build``.
         """

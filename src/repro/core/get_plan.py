@@ -29,13 +29,10 @@ from ..query.instance import (
 from .bounds import (
     BoundingFunction,
     LINEAR_BOUND,
-    adversarial_corner,
     compute_cost_gl,
-    compute_gl,
     cost_corner,
 )
 from .columnar import (
-    HAVE_NUMPY,
     ColumnarInstances,
     chunk_rows,
     corner_gl_matrix,
@@ -43,12 +40,6 @@ from .columnar import (
     np,
 )
 from .plan_cache import InstanceEntry, PlanCache
-
-#: Decision-procedure implementations selectable per GetPlan/SCR/shard.
-#: Both produce identical decisions (the differential suite in
-#: ``tests/test_vectorized_equivalence.py`` enforces it); ``scalar`` is
-#: the readable reference, ``vectorized`` the columnar numpy hot path.
-CHECK_IMPLS = ("scalar", "vectorized")
 
 
 class CheckKind(Enum):
@@ -187,14 +178,12 @@ class GetPlan:
         of the instance's uncertainty box.
     target_coverage:
         The coverage ``p`` that ``PROBABILISTIC`` mode certifies at.
-    check_impl:
-        ``"vectorized"`` (default) runs the selectivity check as a few
-        numpy ops over the cache's columnar view; ``"scalar"`` keeps the
-        per-entry reference loop.  Both produce identical decisions —
-        the vectorized kernels replay the scalar IEEE-754 operation
-        sequence (see :mod:`repro.core.columnar`) — so the knob is a
-        performance choice, not a semantic one.  Falls back to scalar
-        automatically when numpy is unavailable.
+
+    The selectivity check runs as a few numpy ops over the cache's
+    columnar view (:mod:`repro.core.columnar`); the kernels replay the
+    IEEE-754 operation sequence of the per-entry loop in
+    ``tests/reference_get_plan.py``, the oracle the differential suite
+    compares every decision against.
     """
 
     cache: PlanCache
@@ -205,7 +194,6 @@ class GetPlan:
     candidate_order: CandidateOrder = CandidateOrder.GL
     check_mode: CheckMode = CheckMode.POINT
     target_coverage: float = 0.95
-    check_impl: str = "vectorized"
     #: Optional span recorder timing the two check phases (set when an
     #: Observability handle is wired in; None keeps probes span-free).
     spans: Optional[SpanRecorder] = None
@@ -227,26 +215,9 @@ class GetPlan:
             raise ValueError(
                 f"target_coverage must be in (0, 1], got {self.target_coverage}"
             )
-        if self.check_impl not in CHECK_IMPLS:
-            raise ValueError(
-                f"check_impl must be one of {CHECK_IMPLS}, got {self.check_impl!r}"
-            )
-        if not HAVE_NUMPY:
-            self.check_impl = "scalar"
-        # Memoized (view, state token, λ vector) for the vectorized path;
-        # see _budget_vector.
+        # Memoized (view, state token, λ vector); see _budget_vector.
         self._lambda_memo: Optional[tuple] = None
         self._budget_memo: Optional[tuple] = None
-
-    @property
-    def vectorized(self) -> bool:
-        return self.check_impl == "vectorized"
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether :meth:`probe_batch` runs as a true matmul-shaped batch
-        (it always *works*, degrading to a probe loop otherwise)."""
-        return self.vectorized
 
     def _effective_lambda(self, entry: InstanceEntry) -> float:
         if self.lambda_for is None:
@@ -315,31 +286,28 @@ class GetPlan:
         mode ignores it.
         """
         point, box = self._resolve_box(sv, coverage)
-        view = self._columnar_view(entries) if self.vectorized else None
+        view = self._columnar_view(entries)
         spans = self.spans
         timed = spans is not None and spans.enabled
         start = spans.clock.perf_counter() if timed else 0.0
-        if view is not None:
-            decision, candidates, presorted = self._selectivity_phase_vectorized(
-                point, box, view, self._effective_cap(max_recost)
+        decision, candidates, hit = None, [], -1
+        if len(view):
+            g, l, gc, lc = self._factor_rows(view, [(point, box)])
+            decision, candidates, hit = self._decide_row(
+                box, view, g[0], l[0], gc[0], lc[0],
+                self._budget_vector(view), self._effective_cap(max_recost),
             )
-            scanned = len(view) if timed else 0
-        else:
-            if entries is None:
-                entries = self.cache.instances()
-            if timed and not isinstance(entries, (tuple, list)):
-                entries = tuple(entries)
-            decision, candidates = self._selectivity_phase(point, box, entries)
-            presorted = False
-            scanned = len(entries) if timed else 0
         if timed:
-            # ``candidates`` counts the cost-check candidates actually
-            # materialized: the vectorized miss path stops at the recost
-            # cap (only that prefix is ever consumed), so its count can
-            # read lower than the scalar scan's full survivor list.
+            # ``candidates`` counts the cost-check candidates of this
+            # scan: on a miss the ordered prefix the recost cap lets the
+            # cost phase consume; on a hit the live rows before the hit
+            # row — every one of them failed, or it would be the hit.
             attrs: dict = {
-                "hit": decision is not None, "candidates": len(candidates),
-                "scanned": scanned,
+                "hit": decision is not None,
+                "candidates": len(candidates) if decision is None else (
+                    hit - sum(e.retired for e in view.entries[:hit])
+                ),
+                "scanned": len(view),
             }
             if decision is not None:
                 attrs["bound"] = round(decision.inferred_suboptimality, 6)
@@ -354,9 +322,7 @@ class GetPlan:
             return decision
         if timed:
             start = spans.clock.perf_counter()
-        decision = self._cost_phase(
-            point, box, recost, candidates, max_recost, presorted=presorted
-        )
+        decision = self._cost_phase(point, box, recost, candidates)
         if timed:
             attrs = {"hit": decision.hit, "recost_calls": decision.recost_calls}
             if decision.hit:
@@ -370,10 +336,53 @@ class GetPlan:
             )
         return decision
 
+    def probe_batch(
+        self,
+        svs: "Iterable[AnySelectivityVector]",
+        recost: Callable[[ShrunkenMemo, SelectivityVector], float],
+        entries: Optional[Iterable[InstanceEntry]] = None,
+        max_recost: Optional[int] = None,
+        coverage: Optional[float] = None,
+    ) -> list[GetPlanDecision]:
+        """Probe many instances against the cache in one broadcast pass.
+
+        Computes the (B, N) G·L factor matrices for the whole batch —
+        chunked so the (B, N, d) intermediate stays bounded — then
+        assembles each row's decision with exactly the per-probe logic,
+        including per-row cost phases for the rows whose selectivity
+        check missed.  Decision-identical to calling :meth:`probe` per
+        vector (the order of probes is the list order); like ``probe``
+        it commits nothing, and it records no per-row spans.
+        """
+        resolved = [self._resolve_box(sv, coverage) for sv in svs]
+        if not resolved:
+            return []
+        view = self._columnar_view(entries)
+        if len(view) == 0:
+            return [
+                self._cost_phase(point, box, recost, [])
+                for point, box in resolved
+            ]
+        budget = self._budget_vector(view)
+        cap = self._effective_cap(max_recost)
+        step = chunk_rows(len(resolved), len(view), view.dimensions)
+        decisions: list[GetPlanDecision] = []
+        for lo_row in range(0, len(resolved), step):
+            chunk = resolved[lo_row:lo_row + step]
+            g_m, l_m, gc_m, lc_m = self._factor_rows(view, chunk)
+            for j, (point, box) in enumerate(chunk):
+                decision, candidates, _ = self._decide_row(
+                    box, view, g_m[j], l_m[j], gc_m[j], lc_m[j], budget, cap,
+                )
+                if decision is None:
+                    decision = self._cost_phase(point, box, recost, candidates)
+                decisions.append(decision)
+        return decisions
+
     def _columnar_view(
         self, entries: Optional[Iterable[InstanceEntry]]
     ) -> ColumnarInstances:
-        """Resolve the columnar view the vectorized phases probe.
+        """Resolve the columnar view a probe scans.
 
         ``None`` means the live instance list — the cache's cached
         per-epoch view.  A snapshot's entries tuple usually *is* the
@@ -389,59 +398,6 @@ class GetPlan:
         if view.entries is entries:
             return view
         return ColumnarInstances.build(-1, entries)
-
-    def _selectivity_phase(
-        self,
-        point: SelectivityVector,
-        box: Optional[UncertainSelectivityVector],
-        entries: Iterable[InstanceEntry],
-    ) -> tuple[
-        Optional[GetPlanDecision],
-        list[tuple[float, float, float, InstanceEntry]],
-    ]:
-        """Selectivity check (pure arithmetic over the instance list).
-
-        Returns a hit decision or, on a miss, the surviving cost-check
-        candidates as ``(order key, G, L, entry)`` tuples where G/L are
-        point values and the key is the (corner) G·L product.
-
-        With a box, each entry costs one extra vector op: the
-        adversarial corner's G·L drives the check while the point G·L
-        still feeds the decision (the live violation detector compares
-        point values against the executed plan).
-        """
-        robust = box is not None
-        cert = certificate_kind(box)
-        cov = box.coverage if robust else 1.0
-        candidates: list[tuple[float, float, float, InstanceEntry]] = []
-        for entry in entries:
-            self.entries_scanned += 1
-            g, l = compute_gl(entry.sv, point)
-            if robust:
-                corner = adversarial_corner(entry.sv, box)
-                gc, lc = compute_gl(entry.sv, corner)
-            else:
-                gc, lc = g, l
-            check_value = self.bound.selectivity_bound(gc, lc)
-            budget = self._effective_lambda(entry) / entry.suboptimality
-            if check_value <= budget:
-                return GetPlanDecision(
-                    plan_id=entry.plan_id,
-                    check=CheckKind.SELECTIVITY,
-                    anchor=entry,
-                    g=g,
-                    l=l,
-                    bound_value=(
-                        entry.suboptimality * check_value if robust else None
-                    ),
-                    certificate=cert,
-                    coverage=cov,
-                ), candidates
-            if not entry.retired:
-                candidates.append((gc * lc, g, l, entry))
-        return None, candidates
-
-    # -- vectorized selectivity phase (columnar hot path) --------------------
 
     def _effective_cap(self, max_recost: Optional[int]) -> int:
         """The number of cost-check candidates this probe can consume."""
@@ -486,46 +442,48 @@ class GetPlan:
                 self._lambda_memo = (view, token, lam_vec)
         return lam_vec / view.sub
 
-    def _selectivity_phase_vectorized(
-        self,
-        point: SelectivityVector,
-        box: Optional[UncertainSelectivityVector],
+    @staticmethod
+    def _factor_rows(
         view: ColumnarInstances,
-        cap: Optional[int] = None,
-    ) -> tuple[
-        Optional[GetPlanDecision],
-        list[tuple[float, float, float, InstanceEntry]],
-        bool,
-    ]:
-        """Columnar selectivity check: G·L against all anchors at once.
+        resolved: list[
+            tuple[SelectivityVector, Optional[UncertainSelectivityVector]]
+        ],
+    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+        """The ``(B, N)`` factor matrices of ``B`` resolved probes against
+        a non-empty view: point ``G``/``L``, then the ``G``/``L`` that
+        drive the selectivity check.
 
-        Same contract as :meth:`_selectivity_phase` plus a ``presorted``
-        flag: on a miss the surviving candidates come back already in
-        the configured candidate order (sorted columnar-side via a
-        stable argsort, which permutes equal keys exactly like the
-        scalar path's stable ``list.sort``), so the cost phase skips its
-        own sort.  ``cap`` (this probe's recost budget) lets the miss
-        path materialize only the candidate prefix the cost phase can
-        consume.
+        Without boxes the check runs on the point factors themselves.
+        With boxes (the check mode fixes box-ness uniformly over the
+        rows) each row costs one extra kernel: the adversarial corner's
+        G·L drives the check while the point G·L still feeds the
+        decision — the live violation detector compares point values
+        against the executed plan.  The corner depends only on the
+        ``(lo, hi)`` box, not on the probe point, and the kernel is
+        row-independent, so identical boxes (a whole batch often shares
+        one coverage box) are evaluated once and gathered back by
+        inverse index; each row's result stays a pure function of its
+        own box.
         """
-        if len(view) == 0:
-            return None, [], False
-        pts = np.array([point.values], dtype=np.float64)
-        g_row, l_row = gl_matrix(view.sv, pts)
-        if box is not None:
-            lo = np.array([box.lo.values], dtype=np.float64)
-            hi = np.array([box.hi.values], dtype=np.float64)
-            gc_row, lc_row = corner_gl_matrix(view.sv, lo, hi, view.sv_sq)
-        else:
-            gc_row, lc_row = g_row, l_row
-        return self._decide_row(
-            point, box, view, g_row[0], l_row[0], gc_row[0], lc_row[0],
-            self._budget_vector(view), cap,
-        )
+        pts = np.array([p.values for p, _ in resolved], dtype=np.float64)
+        g, l = gl_matrix(view.sv, pts)
+        if resolved[0][1] is None:
+            return g, l, g, l
+        box_rows: dict[tuple, int] = {}
+        inverse = [
+            box_rows.setdefault((b.lo.values, b.hi.values), len(box_rows))
+            for _, b in resolved
+        ]
+        lo = np.array([k[0] for k in box_rows], dtype=np.float64)
+        hi = np.array([k[1] for k in box_rows], dtype=np.float64)
+        gc, lc = corner_gl_matrix(view.sv, lo, hi, view.sv_sq)
+        if len(box_rows) < len(resolved):
+            inv = np.array(inverse, dtype=np.intp)
+            gc, lc = gc[inv], lc[inv]
+        return g, l, gc, lc
 
     def _decide_row(
         self,
-        point: SelectivityVector,
         box: Optional[UncertainSelectivityVector],
         view: ColumnarInstances,
         g: "np.ndarray",
@@ -533,33 +491,28 @@ class GetPlan:
         gc: "np.ndarray",
         lc: "np.ndarray",
         budget: "np.ndarray",
-        cap: Optional[int] = None,
+        cap: int,
     ) -> tuple[
         Optional[GetPlanDecision],
-        list[tuple[float, float, float, InstanceEntry]],
-        bool,
+        list[tuple[float, float, InstanceEntry]],
+        int,
     ]:
-        """Turn one probe's precomputed factor vectors into a decision.
+        """Selectivity check over one probe's ``(N,)`` factor vectors.
 
-        Replays the scalar scan's semantics exactly: the hit is the
-        *first* passing entry in list order; ``entries_scanned`` counts
-        entries up to and including the hit (all of them on a miss); the
-        cost-check candidates are the non-retired failing entries seen
-        *before* the hit (all failing entries on a miss), with
-        ``retired`` read live off the entry objects — the flag flips
-        without an epoch bump, so the arrays can't carry it.
+        Returns ``(hit decision, [], hit row)`` or, on a miss, ``(None,
+        cost-check candidates, -1)``.  The hit is the *first* passing
+        entry in list order, and ``entries_scanned`` counts entries up
+        to and including it (all of them on a miss).
 
-        ``cap`` is this probe's effective recost budget: once the miss
-        path has sorted columnar-side, only the first ``cap`` surviving
-        candidates can ever be consumed by the cost phase, so only that
-        prefix is materialized as Python tuples (the dominant per-probe
-        cost at large N).  Decisions are unaffected; only the advisory
-        span attribute counting materialized candidates sees the cap.
+        The candidates are ``(G, L, entry)`` point values of the
+        non-retired entries, in the configured candidate order and cut
+        at ``cap`` — this probe's recost budget — so the cost phase
+        walks them as they come.  Ordering is a stable argsort over
+        vector keys, which permutes equal keys exactly like a stable
+        ``list.sort``, and sort-then-drop-retired equals
+        drop-retired-then-sort because stability preserves the
+        survivors' relative order.
         """
-        robust = box is not None
-        cert = certificate_kind(box)
-        cov = box.coverage if robust else 1.0
-        entries_t = view.entries
         glc = gc * lc
         degree = self.bound.degree
         if degree == 1.0:
@@ -573,12 +526,12 @@ class GetPlan:
                 [v ** degree for v in glc.tolist()], dtype=np.float64
             )
         mask = check <= budget
-        hit = int(np.argmax(mask)) if bool(mask.any()) else -1
-        if hit >= 0:
+        if mask.any():
+            hit = int(np.argmax(mask))
             self.entries_scanned += hit + 1
-            entry = entries_t[hit]
-            fail = np.flatnonzero(~mask[:hit])
-            decision = GetPlanDecision(
+            entry = view.entries[hit]
+            robust = box is not None
+            return GetPlanDecision(
                 plan_id=entry.plan_id,
                 check=CheckKind.SELECTIVITY,
                 anchor=entry,
@@ -587,83 +540,52 @@ class GetPlan:
                 bound_value=(
                     entry.suboptimality * float(check[hit]) if robust else None
                 ),
-                certificate=cert,
-                coverage=cov,
-            )
-            presorted = False
+                certificate=certificate_kind(box),
+                coverage=box.coverage if robust else 1.0,
+            ), [], hit
+        self.entries_scanned += len(view)
+        if self.candidate_order is CandidateOrder.GL:
+            key = glc
+        elif self.candidate_order is CandidateOrder.AREA:
+            key = -view.area
         else:
-            self.entries_scanned += len(entries_t)
-            fail = np.flatnonzero(~mask)
-            decision = None
-            # Sort columnar-side while the keys are still vectors; the
-            # stable argsort yields the same permutation as the scalar
-            # path's stable list.sort over bit-identical keys, and
-            # sort-then-filter-retired equals filter-then-sort because
-            # stability preserves the survivors' relative order.
-            if self.candidate_order is CandidateOrder.GL:
-                fail = fail[np.argsort(glc[fail], kind="stable")]
-                presorted = True
-            elif self.candidate_order is CandidateOrder.AREA:
-                fail = fail[np.argsort(-view.area[fail], kind="stable")]
-                presorted = True
-            else:
-                # USAGE mutates without epoch bumps; the per-row rank is
-                # memoized against the cache's usage_version instead.
-                # Ranks are unique (ties broken by row order, exactly as
-                # the scalar stable sort breaks them), so this subset
-                # sort equals the scalar sort over the same candidates.
-                rank = view.usage_rank(self.cache.usage_version)
-                fail = fail[np.argsort(rank[fail], kind="stable")]
-                presorted = True
-            if presorted and cap is not None and cap < fail.size:
-                return (
-                    None,
-                    self._materialize_prefix(fail, glc, g, l, entries_t, cap),
-                    True,
-                )
-        idx = fail.tolist()
-        keys = glc[fail].tolist()
-        gs = g[fail].tolist()
-        ls = l[fail].tolist()
-        candidates = [
-            (key, gv, lv, entries_t[i])
-            for key, gv, lv, i in zip(keys, gs, ls, idx)
-            if not entries_t[i].retired
-        ]
-        return decision, candidates, decision is None and presorted
+            # USAGE mutates without epoch bumps; the per-row rank is
+            # memoized against the cache's usage_version instead.  Ranks
+            # are unique, ties broken by row order as a stable sort
+            # breaks them.
+            key = view.usage_rank(self.cache.usage_version)
+        order = np.argsort(key, kind="stable")
+        return None, self._live_prefix(order, g, l, view.entries, cap), -1
 
     @staticmethod
-    def _materialize_prefix(
-        fail: "np.ndarray",
-        glc: "np.ndarray",
+    def _live_prefix(
+        order: "np.ndarray",
         g: "np.ndarray",
         l: "np.ndarray",
         entries_t: tuple[InstanceEntry, ...],
         cap: int,
-    ) -> list[tuple[float, float, float, InstanceEntry]]:
-        """First ``cap`` non-retired candidates of an already-ordered
-        index vector, touching as few rows as possible.
+    ) -> list[tuple[float, float, InstanceEntry]]:
+        """First ``cap`` non-retired rows of an ordered index vector, as
+        ``(G, L, entry)`` tuples, touching as few rows as possible.
 
-        ``retired`` must be read live per entry, so the filter can't be
-        vectorized; instead the ordered indices are consumed in doubling
+        ``retired`` is read live per entry — the flag flips without an
+        epoch bump, so the arrays can't carry it and the filter can't
+        be vectorized.  The ordered indices are consumed in doubling
         windows (retirement is rare, so the first window almost always
-        suffices) and materialization stops at ``cap`` tuples — the
-        exact prefix the cost phase consumes.
+        suffices); building Python tuples is the dominant per-probe
+        cost at large N, and the cost phase can consume only ``cap``.
         """
-        candidates: list[tuple[float, float, float, InstanceEntry]] = []
+        candidates: list[tuple[float, float, InstanceEntry]] = []
         pos = 0
         window = max(cap, 1)
-        total = int(fail.size)
+        total = int(order.size)
         while len(candidates) < cap and pos < total:
-            chunk = fail[pos:pos + window]
-            rows = zip(
-                glc[chunk].tolist(), g[chunk].tolist(), l[chunk].tolist(),
-                chunk.tolist(),
-            )
-            for key, gv, lv, i in rows:
+            chunk = order[pos:pos + window]
+            rows = zip(g[chunk].tolist(), l[chunk].tolist(), chunk.tolist())
+            for gv, lv, i in rows:
                 entry = entries_t[i]
                 if not entry.retired:
-                    candidates.append((key, gv, lv, entry))
+                    candidates.append((gv, lv, entry))
                     if len(candidates) == cap:
                         break
             pos += window
@@ -675,16 +597,11 @@ class GetPlan:
         point: SelectivityVector,
         box: Optional[UncertainSelectivityVector],
         recost: Callable[[ShrunkenMemo, SelectivityVector], float],
-        candidates: list[tuple[float, float, float, InstanceEntry]],
-        max_recost: Optional[int] = None,
-        presorted: bool = False,
+        candidates: list[tuple[float, float, InstanceEntry]],
     ) -> GetPlanDecision:
-        """Cost check: capped number of Recost calls, ordered per the
-        configured heuristic (G·L ascending is the paper's).
-
-        ``presorted`` skips the ordering step when the selectivity phase
-        already delivered the candidates in the configured order (the
-        vectorized path sorts columnar-side).
+        """Cost check: one Recost call per candidate, in the order given
+        (ordered per the configured heuristic — G·L ascending is the
+        paper's — and already cut at the recost cap).
 
         Recost always runs at the *point* estimate; with a box, the
         Cost Bounding Lemma transports that cost to the corner
@@ -694,14 +611,9 @@ class GetPlan:
         robust = box is not None
         cert = certificate_kind(box)
         cov = box.coverage if robust else 1.0
-        if not presorted:
-            self._order_candidates(candidates)
-        cap = self.max_recost_candidates
-        if max_recost is not None:
-            cap = min(cap, max_recost)
         recost_calls = 0
         samples: list = []
-        for _, g, l, entry in candidates[:cap]:
+        for g, l, entry in candidates:
             plan = self.cache.maybe_plan(entry.plan_id)
             if plan is None:
                 continue  # evicted under a concurrent probe; skip
@@ -762,108 +674,6 @@ class GetPlan:
             self.misses += 1
             self._note_recosts(decision.recost_calls)
 
-    def _order_candidates(
-        self, candidates: list[tuple[float, float, float, InstanceEntry]]
-    ) -> None:
-        if self.candidate_order is CandidateOrder.GL:
-            # The (corner) G·L key was computed once by the selectivity
-            # phase and travels in the tuple; never re-derive it here.
-            candidates.sort(key=lambda item: item[0])
-        elif self.candidate_order is CandidateOrder.AREA:
-            # Region area grows with the product of the anchor's
-            # selectivities (Figure 4's closed form): largest first.
-            # sv_product is cached per entry, not recomputed per sort.
-            candidates.sort(key=lambda item: -item[3].sv_product)
-        else:  # USAGE: most-used anchors first.
-            candidates.sort(key=lambda item: -item[3].usage)
-
     def _note_recosts(self, calls: int) -> None:
         self.total_recost_calls += calls
         self.max_recost_calls_single = max(self.max_recost_calls_single, calls)
-
-    # -- batch probing (matmul-shaped; ConcurrentPQOManager.submit_batch) ----
-
-    def probe_batch(
-        self,
-        svs: "Iterable[AnySelectivityVector]",
-        recost: Callable[[ShrunkenMemo, SelectivityVector], float],
-        entries: Optional[Iterable[InstanceEntry]] = None,
-        max_recost: Optional[int] = None,
-        coverage: Optional[float] = None,
-    ) -> list[GetPlanDecision]:
-        """Probe many instances against the cache in one broadcast pass.
-
-        Computes the (B, N) G·L factor matrices for the whole batch —
-        chunked so the (B, N, d) intermediate stays bounded — then
-        assembles each row's decision with exactly the per-probe logic,
-        including per-row cost phases for the rows whose selectivity
-        check missed.  Decision-identical to calling :meth:`probe` per
-        vector (the order of probes is the list order); like ``probe``
-        it commits nothing.  Without numpy (or under
-        ``check_impl="scalar"``) it degrades to that probe loop.
-        """
-        svs = list(svs)
-        if not svs:
-            return []
-        if not self.vectorized:
-            if entries is not None and not isinstance(entries, tuple):
-                entries = tuple(entries)
-            return [
-                self.probe(
-                    sv, recost, entries=entries,
-                    max_recost=max_recost, coverage=coverage,
-                )
-                for sv in svs
-            ]
-        view = self._columnar_view(entries)
-        resolved = [self._resolve_box(sv, coverage) for sv in svs]
-        decisions: list[GetPlanDecision] = []
-        if len(view) == 0:
-            for point, box in resolved:
-                decisions.append(
-                    self._cost_phase(point, box, recost, [], max_recost)
-                )
-            return decisions
-        budget = self._budget_vector(view)
-        cap = self._effective_cap(max_recost)
-        # The check mode fixes box-ness uniformly across the batch.
-        robust = resolved[0][1] is not None
-        pts = np.array([p.values for p, _ in resolved], dtype=np.float64)
-        batch, dims = pts.shape
-        step = chunk_rows(batch, len(view), dims)
-        for lo_row in range(0, batch, step):
-            chunk = resolved[lo_row:lo_row + step]
-            g_m, l_m = gl_matrix(view.sv, pts[lo_row:lo_row + step])
-            if robust:
-                # The adversarial corner depends only on the (lo, hi)
-                # box — not on the probe point — and the kernel is
-                # row-independent over the batch axis, so identical
-                # boxes (common: a whole batch often shares one
-                # coverage box) are evaluated once and gathered back by
-                # inverse index.  Bit-identical: each row's result is a
-                # pure function of its own box row.
-                box_rows: dict[tuple, int] = {}
-                inverse = [
-                    box_rows.setdefault((b.lo.values, b.hi.values), len(box_rows))
-                    for _, b in chunk
-                ]
-                lo = np.array([k[0] for k in box_rows], dtype=np.float64)
-                hi = np.array([k[1] for k in box_rows], dtype=np.float64)
-                gc_m, lc_m = corner_gl_matrix(view.sv, lo, hi, view.sv_sq)
-                if len(box_rows) < len(chunk):
-                    inv = np.array(inverse, dtype=np.intp)
-                    gc_m, lc_m = gc_m[inv], lc_m[inv]
-            else:
-                gc_m, lc_m = g_m, l_m
-            for j, (point, box) in enumerate(chunk):
-                decision, candidates, presorted = self._decide_row(
-                    point, box, view,
-                    g_m[j], l_m[j], gc_m[j], lc_m[j], budget, cap,
-                )
-                if decision is None:
-                    decision = self._cost_phase(
-                        point, box, recost, candidates, max_recost,
-                        presorted=presorted,
-                    )
-                decisions.append(decision)
-        return decisions

@@ -161,9 +161,6 @@ class PlanCache:
     adopted_recost_spend: int = 0
     _snapshot: Optional[CacheSnapshot] = field(default=None, repr=False)
     _columnar: Optional[object] = field(default=None, repr=False)
-    # Observers (e.g. the §6.2 spatial index) notified on mutation.
-    on_instance_added: list = field(default_factory=list)
-    on_plan_dropped: list = field(default_factory=list)
 
     def _mutated(self) -> None:
         """Book an append-only mutation (plan or instance added).
@@ -204,9 +201,9 @@ class PlanCache:
         The structure-of-arrays twin of :meth:`snapshot`: built from the
         same entries tuple (so ``columnar().entries is snapshot.entries``
         within an epoch), cached until the next structural mutation, and
-        brought up to date lazily by the first reader after one.  The
-        vectorized ``getPlan`` hot path probes these arrays; decisions
-        still point at the shared :class:`InstanceEntry` objects.
+        brought up to date lazily by the first reader after one.
+        ``getPlan`` probes these arrays; decisions still point at the
+        shared :class:`InstanceEntry` objects.
 
         After appends the previous view is *extended* with the tail rows
         (a new view; the old one is untouched) instead of rebuilt from
@@ -256,8 +253,8 @@ class PlanCache:
         """Replace this cache's contents with ``other``'s, in place.
 
         Warm-start installs a restored snapshot into a live SCR stack,
-        where ``get_plan``, ``manage_cache``, and the spatial index all
-        hold references to *this* object — so the contents move, not the
+        where ``get_plan`` and ``manage_cache`` both hold references to
+        *this* object — so the contents move, not the
         identity.  The epoch advances past both caches' so every
         outstanding snapshot/columnar view reads as stale.
         """
@@ -282,9 +279,6 @@ class PlanCache:
         self.epoch = max(self.epoch, other.epoch)
         self.usage_version = max(self.usage_version, other.usage_version)
         self.invalidate_views()
-        for entry in self._instances:
-            for listener in self.on_instance_added:
-                listener(entry)
 
     # -- plan list ---------------------------------------------------------
 
@@ -349,8 +343,6 @@ class PlanCache:
         self._instances = [i for i in self._instances if i.plan_id != plan_id]
         self.plans_dropped += 1
         self.invalidate_views()
-        for listener in self.on_plan_dropped:
-            listener(plan_id)
 
     def plans(self) -> list[CachedPlan]:
         return list(self._plans.values())
@@ -366,8 +358,6 @@ class PlanCache:
             raise KeyError(f"instance points at unknown plan {entry.plan_id}")
         self._instances.append(entry)
         self._mutated()
-        for listener in self.on_instance_added:
-            listener(entry)
 
     def find_instance(self, sv: SelectivityVector) -> Optional[InstanceEntry]:
         """First live instance entry with exactly this selectivity vector."""

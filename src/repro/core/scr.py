@@ -74,10 +74,6 @@ class SCR(OnlinePQOTechnique):
         ``"probabilistic"`` (robust checks at ``target_coverage``).
     target_coverage:
         Coverage certified by the probabilistic mode.
-    check_impl:
-        ``"vectorized"`` (default) or ``"scalar"`` — which getPlan
-        decision-procedure implementation runs (identical decisions;
-        see :class:`~repro.core.get_plan.GetPlan`).
     """
 
     def __init__(
@@ -92,12 +88,10 @@ class SCR(OnlinePQOTechnique):
         detect_violations: bool = True,
         eviction_policy: EvictionPolicy = EvictionPolicy.LFU,
         candidate_order: CandidateOrder = CandidateOrder.GL,
-        spatial_index: bool = False,
         trace: Optional[TraceLog] = None,
         obs: Optional[Observability] = None,
         check_mode: "CheckMode | str" = CheckMode.POINT,
         target_coverage: float = 0.95,
-        check_impl: str = "vectorized",
     ) -> None:
         super().__init__(engine)
         self.lam = lam
@@ -105,40 +99,16 @@ class SCR(OnlinePQOTechnique):
         self.obs = obs
         self.check_mode = CheckMode.coerce(check_mode)
         self.cache = PlanCache()
-        if spatial_index and self.check_mode is not CheckMode.POINT:
-            raise ValueError(
-                "spatial_index supports only check_mode='point'; the "
-                "grid index prunes by point distance and would skip "
-                "anchors whose adversarial corner still certifies"
-            )
-        if spatial_index:
-            from .spatial_index import IndexedGetPlan, InstanceGridIndex
-
-            index = InstanceGridIndex()
-            self.cache.on_instance_added.append(index.add)
-            self.cache.on_plan_dropped.append(index.remove_plan)
-            self.get_plan = IndexedGetPlan(
-                cache=self.cache,
-                lam=lam,
-                index=index,
-                max_recost_candidates=max_recost_candidates,
-                bound=bound,
-                lambda_for=lambda_for,
-                candidate_order=candidate_order,
-                check_impl=check_impl,
-            )
-        else:
-            self.get_plan = GetPlan(
-                cache=self.cache,
-                lam=lam,
-                max_recost_candidates=max_recost_candidates,
-                bound=bound,
-                lambda_for=lambda_for,
-                candidate_order=candidate_order,
-                check_mode=self.check_mode,
-                target_coverage=target_coverage,
-                check_impl=check_impl,
-            )
+        self.get_plan = GetPlan(
+            cache=self.cache,
+            lam=lam,
+            max_recost_candidates=max_recost_candidates,
+            bound=bound,
+            lambda_for=lambda_for,
+            candidate_order=candidate_order,
+            check_mode=self.check_mode,
+            target_coverage=target_coverage,
+        )
         self.manage_cache = ManageCache(
             cache=self.cache,
             lam=lam,
@@ -363,29 +333,17 @@ class SCR(OnlinePQOTechnique):
         the best available plan when no bound can be verified (optimizer
         down, deadline exhausted, brownout).
 
-        Under the vectorized implementation the ranking is one L1
-        distance over the columnar ``log_sv`` matrix.  Ranking is not
-        guarantee-bearing (the serve is uncertified either way), so the
-        ``np.log``-vs-``math.log`` ulp difference from the scalar scan
-        is acceptable; ties resolve to the first entry in list order in
-        both implementations.
+        The ranking is one L1 distance over the columnar ``log_sv``
+        matrix.  It is not guarantee-bearing (the serve is uncertified
+        either way); ties resolve to the first entry in list order.
         """
-        point = as_point(sv)
-        if self.get_plan.vectorized:
-            view = self.cache.columnar()
-            if len(view) == 0:
-                return None
-            distances = log_l1_distances(
-                view.log_sv, np.array(point.values, dtype=np.float64)
-            )
-            return view.entries[int(np.argmin(distances))]
-        best = None
-        best_distance = float("inf")
-        for entry in self.cache.instances():
-            distance = entry.sv.log_distance(point)
-            if distance < best_distance:
-                best, best_distance = entry, distance
-        return best
+        view = self.cache.columnar()
+        if len(view) == 0:
+            return None
+        distances = log_l1_distances(
+            view.log_sv, np.array(as_point(sv).values, dtype=np.float64)
+        )
+        return view.entries[int(np.argmin(distances))]
 
     def _fallback_choice(
         self, sv: AnySelectivityVector, recost_calls: int

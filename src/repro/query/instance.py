@@ -58,19 +58,6 @@ class SelectivityVector:
     def __iter__(self):
         return iter(self.values)
 
-    @property
-    def log_values(self) -> tuple[float, ...]:
-        """``(ln s_1, ..., ln s_d)``, cached — the vector is immutable.
-
-        The §6.2 grid index derives cell keys from it, so an entry's
-        logs are taken once at insertion instead of once per re-index.
-        """
-        cached = self.__dict__.get("_log_values")
-        if cached is None:
-            cached = tuple(math.log(s) for s in self.values)
-            self.__dict__["_log_values"] = cached
-        return cached
-
     def ratios(self, other: "SelectivityVector") -> tuple[float, ...]:
         """Per-dimension ratios ``alpha_i = other_i / self_i``.
 

@@ -78,13 +78,6 @@ class ConcurrentPQOManager(PQOManager):
     check_mode: Optional[str] = None
     #: Manager-wide default coverage for probabilistic-mode templates.
     target_coverage: Optional[float] = None
-    #: Manager-wide default getPlan implementation (``"vectorized"`` /
-    #: ``"scalar"``); a per-template ``check_impl=`` kwarg on
-    #: :meth:`register` overrides it.  ``None`` leaves SCR's default
-    #: (vectorized) in force.  Identical decisions either way; the
-    #: vectorized impl additionally unlocks :meth:`submit_batch`'s
-    #: single-pass batch probing.
-    check_impl: Optional[str] = None
     #: Optional unified observability handle (metrics registry, spans,
     #: guarantee audit).  When set, every registered template's engine,
     #: SCR pipeline and shard report into it, and the overload
@@ -142,8 +135,6 @@ class ConcurrentPQOManager(PQOManager):
                 scr_kwargs.setdefault("check_mode", self.check_mode)
             if self.target_coverage is not None:
                 scr_kwargs.setdefault("target_coverage", self.target_coverage)
-            if self.check_impl is not None:
-                scr_kwargs.setdefault("check_impl", self.check_impl)
             state = self._build_state(template, lam, **scr_kwargs)
             # Racy double-misses on one vector must not grow the instance
             # list without bound (see ManageCache.coalesce_identical).
@@ -412,8 +403,7 @@ class ConcurrentPQOManager(PQOManager):
     ) -> dict[str, list[tuple[int, QueryInstance]]]:
         """Dispatch batchable template groups; return the rest.
 
-        A group is batchable when its shard's getPlan supports the
-        broadcast probe and the group has more than one instance (a
+        A group is batchable when it has more than one instance (a
         singleton gains nothing over the ordinary submit path).
         """
         leftovers: dict[str, list[tuple[int, QueryInstance]]] = {}
@@ -421,7 +411,7 @@ class ConcurrentPQOManager(PQOManager):
             shard = self._shards.get(name)
             if shard is None:
                 raise KeyError(f"template {name!r} is not registered")
-            if len(items) < 2 or not shard.scr.get_plan.supports_batch:
+            if len(items) < 2:
                 leftovers[name] = items
                 continue
             futs = [Future() for _ in items]

@@ -214,15 +214,11 @@ class TemplateShard:
         snapshot — it does not interleave commits between batch rows, so
         a miss earlier in the batch does not seed a hit for a later row
         the way sequential submission might.  With overload protection
-        or a deadline in force (admission decisions are per instance),
-        or under a decision procedure without batch support, it degrades
-        to a :meth:`process` loop with the same per-item isolation.
+        or a deadline in force (admission decisions are per instance) it
+        degrades to a :meth:`process` loop with the same per-item
+        isolation.
         """
-        if (
-            self._overload is not None
-            or deadline is not None
-            or not self.scr.get_plan.supports_batch
-        ):
+        if self._overload is not None or deadline is not None:
             results: list[PlanChoice | BaseException] = []
             for instance in instances:
                 try:

@@ -1,15 +1,15 @@
-"""A Volcano-style tuple-at-a-time executor.
+"""Reference executor: Volcano-style, tuple at a time, kept as an oracle.
 
 An independent, second implementation of plan execution — the classic
-open/next/close iterator model — used to cross-validate the vectorized
-columnar executor (:mod:`repro.executor.engine`): both must produce the
-same result cardinality for any plan and instance.  It also makes the
-per-operator semantics explicit (the columnar engine fuses them), which
-the examples use to explain plan behaviour.
+open/next/close iterator model — that ``test_iterator_executor.py``
+cross-validates the columnar executor (:mod:`repro.executor.engine`)
+against: both must produce the same result cardinality for any plan and
+instance.  It also makes the per-operator semantics explicit (the
+columnar engine fuses them).
 
 Rows are dicts ``{"table.column": value}``; joins merge them.  This is
-deliberately simple and slow — it exists for correctness checking and
-pedagogy, not performance.
+deliberately simple and slow — it exists for correctness checking, not
+performance.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ..catalog.datagen import DatabaseData
-from ..optimizer.operators import PhysicalOp
-from ..optimizer.plans import PhysicalPlan, PlanNode
-from ..query.instance import QueryInstance
-from ..query.template import QueryTemplate
+from repro.catalog.datagen import DatabaseData
+from repro.optimizer.operators import PhysicalOp
+from repro.optimizer.plans import PhysicalPlan, PlanNode
+from repro.query.instance import QueryInstance
+from repro.query.template import QueryTemplate
 
 Row = dict[str, float]
 

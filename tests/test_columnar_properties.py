@@ -378,7 +378,7 @@ def test_extension_builds_rows_linear_in_misses(monkeypatch):
 
     monkeypatch.setattr(ColumnarInstances, "build", classmethod(counting_build))
     cache = _cache_with([])
-    get_plan = GetPlan(cache=cache, lam=1.2, check_impl="vectorized")
+    get_plan = GetPlan(cache=cache, lam=1.2)
     misses = 500
     for i in range(misses):
         # A 25 x 20 grid with neighbours a factor 1.7 apart: no anchor
@@ -530,8 +530,8 @@ def test_probe_batch_equals_sequential_probes(data, dims):
     anchors = data.draw(st.lists(sv_lists(dims), min_size=0, max_size=20))
     points = data.draw(st.lists(sv_lists(dims), min_size=0, max_size=30))
     cache = _cache_with(anchors)
-    batch_gp = GetPlan(cache=cache, lam=1.7, check_impl="vectorized")
-    seq_gp = GetPlan(cache=cache, lam=1.7, check_impl="vectorized")
+    batch_gp = GetPlan(cache=cache, lam=1.7)
+    seq_gp = GetPlan(cache=cache, lam=1.7)
     svs = [SelectivityVector.from_sequence(p) for p in points]
     batch = batch_gp.probe_batch(svs, _recost)
     sequential = [seq_gp.probe(sv, _recost) for sv in svs]
@@ -553,12 +553,8 @@ def test_probe_batch_equals_sequential_probes_robust(data):
     anchors = data.draw(st.lists(sv_lists(dims), min_size=1, max_size=12))
     points = data.draw(st.lists(sv_lists(dims), min_size=1, max_size=15))
     cache = _cache_with(anchors)
-    batch_gp = GetPlan(
-        cache=cache, lam=1.7, check_mode="robust", check_impl="vectorized"
-    )
-    seq_gp = GetPlan(
-        cache=cache, lam=1.7, check_mode="robust", check_impl="vectorized"
-    )
+    batch_gp = GetPlan(cache=cache, lam=1.7, check_mode="robust")
+    seq_gp = GetPlan(cache=cache, lam=1.7, check_mode="robust")
     svs = []
     for p in points:
         lo = [max(1e-6, v * 0.5) for v in p]

@@ -1,22 +1,17 @@
 """Tests for the extension features: eviction policies, candidate
-orderings, the spatial index, offline seeding and tracing."""
+orderings, offline seeding and tracing."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.get_plan import CandidateOrder
 from repro.core.manage_cache import EvictionPolicy
-from repro.core.plan_cache import InstanceEntry, PlanCache
+from repro.core.plan_cache import PlanCache
 from repro.core.scr import SCR
 from repro.core.seeding import grid_points, random_points, seed_cache
-from repro.core.spatial_index import InstanceGridIndex
 from repro.engine.api import EngineAPI
 from repro.engine.tracing import TraceEventKind, TraceLog
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.workload.generator import instances_for_template
-
-sel = st.floats(min_value=1e-3, max_value=1.0)
 
 
 def fresh_engine(db, template) -> EngineAPI:
@@ -81,97 +76,6 @@ class TestCandidateOrders:
             if so > 2.0 * 1.001:
                 violations += 1
         assert violations <= 2
-
-
-class TestInstanceGridIndex:
-    def _entry(self, sv, plan_id=0) -> InstanceEntry:
-        return InstanceEntry(
-            sv=sv, plan_id=plan_id, optimal_cost=1.0, suboptimality=1.0
-        )
-
-    def test_add_and_count(self):
-        index = InstanceGridIndex()
-        index.add(self._entry(SelectivityVector.of(0.1, 0.1)))
-        index.add(self._entry(SelectivityVector.of(0.5, 0.5)))
-        assert len(index) == 2
-        assert index.occupied_cells == 2
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            InstanceGridIndex(cell_log_width=0.0)
-
-    def test_near_finds_close_entries(self):
-        index = InstanceGridIndex()
-        close = self._entry(SelectivityVector.of(0.10, 0.10))
-        far = self._entry(SelectivityVector.of(0.0011, 0.9))
-        index.add(close)
-        index.add(far)
-        found = list(index.near(SelectivityVector.of(0.12, 0.11), 0.7))
-        assert close in found
-        assert far not in found
-
-    @settings(max_examples=60, deadline=None)
-    @given(s1=sel, s2=sel, t1=sel, t2=sel,
-           lam=st.floats(min_value=1.05, max_value=3.0))
-    def test_property_near_superset_of_gl_ball(self, s1, s2, t1, t2, lam):
-        """Soundness: any anchor with GL <= lam must be returned by
-        near(query, ln lam)."""
-        import math
-
-        from repro.core.bounds import compute_gl
-
-        index = InstanceGridIndex()
-        anchor = self._entry(SelectivityVector.of(s1, s2))
-        index.add(anchor)
-        query = SelectivityVector.of(t1, t2)
-        g, l = compute_gl(anchor.sv, query)
-        if g * l <= lam:
-            assert anchor in list(index.near(query, math.log(lam)))
-
-    def test_remove_plan(self):
-        index = InstanceGridIndex()
-        index.add(self._entry(SelectivityVector.of(0.1, 0.1), plan_id=1))
-        index.add(self._entry(SelectivityVector.of(0.1, 0.1), plan_id=2))
-        removed = index.remove_plan(1)
-        assert removed == 1
-        assert len(index) == 1
-
-
-class TestIndexedScr:
-    def test_indexed_scr_keeps_guarantee(self, toy_db, toy_template):
-        engine = fresh_engine(toy_db, toy_template)
-        oracle = fresh_engine(toy_db, toy_template)
-        scr = SCR(engine, lam=2.0, spatial_index=True)
-        violations = 0
-        instances = instances_for_template(toy_template, 120, seed=41)
-        for inst in instances:
-            choice = scr.process(inst)
-            optimal = oracle.optimize(inst.selectivities)
-            so = oracle.recost(
-                choice.shrunken_memo, inst.selectivities) / optimal.cost
-            if so > 2.0 * 1.001:
-                violations += 1
-        assert violations <= 2
-
-    def test_index_stays_synced_with_cache(self, toy_db, toy_template):
-        scr = SCR(fresh_engine(toy_db, toy_template), lam=1.1,
-                  spatial_index=True, plan_budget=2, lambda_r=1.0)
-        for inst in instances_for_template(toy_template, 100, seed=43):
-            scr.process(inst)
-        assert len(scr.get_plan.index) == scr.cache.num_instances
-
-    def test_indexed_numopt_close_to_plain(self, toy_db, toy_template):
-        instances = instances_for_template(toy_template, 200, seed=47)
-        results = {}
-        for use_index in (False, True):
-            scr = SCR(fresh_engine(toy_db, toy_template), lam=2.0,
-                      spatial_index=use_index)
-            for inst in instances:
-                scr.process(inst)
-            results[use_index] = scr.optimizer_calls
-        # The index may lose some reuse (bounded neighborhood) but must
-        # stay in the same ballpark.
-        assert results[True] <= results[False] * 3 + 5
 
 
 class TestSeeding:

@@ -1,7 +1,8 @@
 """Cross-validation of the two executors.
 
-The Volcano-style iterator executor and the vectorized columnar
-executor are independent implementations of the same plan semantics;
+The Volcano-style iterator executor (``tests/reference_executor.py``)
+and the vectorized columnar executor the package ships are
+independent implementations of the same plan semantics;
 for any plan and instance they must agree on the result cardinality,
 which must also equal the plan-independent reference evaluation.
 """
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.executor.engine import PlanExecutor, reference_row_count
-from repro.executor.iterators import IteratorExecutor
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.query.template import AggregationKind, QueryTemplate, join, range_predicate
 from repro.query.expressions import ColumnRef
+
+from reference_executor import IteratorExecutor
 
 sel = st.floats(min_value=0.01, max_value=1.0)
 
@@ -113,7 +115,7 @@ class TestAggregates:
 class TestIteratorSemantics:
     def test_index_scan_yields_sorted_rows(self, toy_db, toy_template,
                                            toy_engine):
-        from repro.executor.iterators import ScanIterator
+        from reference_executor import ScanIterator
         from repro.optimizer.operators import PhysicalOp
         from repro.optimizer.plans import PlanNode
 

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.get_plan import CHECK_IMPLS
 from repro.obs import (
     SPAN_SCHEMA_VERSION,
     FakeClock,
@@ -134,16 +133,18 @@ def _strip_wall_clock_families(prom: str) -> str:
     return "".join(out)
 
 
-def build_golden_scr_metrics(check_impl: str = "scalar") -> str:
+def build_golden_scr_metrics(reference: bool = False) -> str:
     """Metrics exposition of the canonical serial SCR run.
 
     Companion to ``test_trace_golden.build_golden_trace``: the same
     40-instance workload, but observed through an
     :class:`Observability` handle so the guarantee-audit metric
-    families become part of the golden contract.  Both check
-    implementations must render the identical exposition.
+    families become part of the golden contract.  The production
+    getPlan and the scalar oracle (``reference=True``) must render the
+    identical exposition.
     """
     from conftest import build_toy_schema
+    from reference_get_plan import use_reference
     from test_trace_golden import canonical_template
 
     from repro.core.scr import SCR
@@ -155,9 +156,9 @@ def build_golden_scr_metrics(check_impl: str = "scalar") -> str:
     template = canonical_template()
     engine = db.engine(template)
     obs = Observability(clock=FakeClock().clock, spans_enabled=False)
-    scr = SCR(
-        engine, lam=2.0, plan_budget=3, obs=obs, check_impl=check_impl
-    )
+    scr = SCR(engine, lam=2.0, plan_budget=3, obs=obs)
+    if reference:
+        use_reference(scr)
     for sv in generate_selectivity_vectors(2, 40, seed=21):
         scr.process(QueryInstance(template.name, sv=sv))
     # The engine object is cached per database: detach the instruments
@@ -229,25 +230,26 @@ def test_spans_jsonl_schema():
         assert row["parent_id"] == process["span_id"]
 
 
-@pytest.mark.parametrize("check_impl", CHECK_IMPLS)
-def test_scr_metrics_match_golden_fixture(check_impl):
-    """One fixture, both check implementations — the columnar hot path
-    must leave every decision-determined metric byte-identical."""
+@pytest.mark.parametrize("impl", ["scalar", "vectorized"])
+def test_scr_metrics_match_golden_fixture(impl):
+    """One fixture for the production getPlan (``vectorized``) and the
+    scalar reference oracle (``scalar``) — every decision-determined
+    metric is byte-identical under both."""
     assert SCR_METRICS_FIXTURE.exists(), (
         f"missing fixture {SCR_METRICS_FIXTURE}; regenerate with "
         "`PYTHONPATH=src:tests python tests/test_obs_golden.py --regen`"
     )
     expected = SCR_METRICS_FIXTURE.read_text(encoding="utf-8")
-    actual = build_golden_scr_metrics(check_impl)
+    actual = build_golden_scr_metrics(reference=impl == "scalar")
     assert actual == expected, (
-        f"SCR metrics exposition (check_impl={check_impl!r}) drifted "
+        f"SCR metrics exposition ({impl} getPlan) drifted "
         "from the golden fixture; regenerate only for intentional "
         "metric-contract changes"
     )
 
 
 def test_scr_metrics_golden_has_zero_lambda_violations():
-    text = build_golden_scr_metrics("vectorized")
+    text = build_golden_scr_metrics()
     assert "repro_lambda_violations_total" in text
     for line in text.splitlines():
         if line.startswith("repro_lambda_violations_total{"):

@@ -259,12 +259,3 @@ class TestAdopt:
         live.adopt(load_cache(dump_cache(populated_cache)))
         assert live.snapshot().epoch > stale.epoch
         assert len(live.snapshot().entries) == populated_cache.num_instances
-
-    def test_adopt_notifies_instance_listeners(self, populated_cache):
-        from repro.core.plan_cache import PlanCache
-
-        live = PlanCache()
-        added = []
-        live.on_instance_added.append(added.append)
-        live.adopt(load_cache(dump_cache(populated_cache)))
-        assert len(added) == populated_cache.num_instances

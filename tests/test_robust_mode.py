@@ -304,14 +304,6 @@ class TestSCRRobust:
         assert scr.check_mode is CheckMode.ROBUST
         assert scr.get_plan.check_mode is CheckMode.ROBUST
 
-    def test_spatial_index_rejects_robust_mode(self, toy_db, toy_template):
-        with pytest.raises(ValueError, match="spatial_index"):
-            SCR(
-                make_engine(toy_db, toy_template),
-                spatial_index=True,
-                check_mode="robust",
-            )
-
     def test_synthetic_workload_matches_point_mode(self, toy_db, toy_template):
         """Synthetic instances carry exact boxes: robust mode must make
         the same decisions as point mode and claim exact certificates."""

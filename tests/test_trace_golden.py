@@ -20,13 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.get_plan import CHECK_IMPLS
 from repro.core.scr import SCR
 from repro.engine.database import Database
 from repro.engine.tracing import TraceLog
 from repro.query.instance import QueryInstance
 from repro.query.template import QueryTemplate, join, range_predicate
 from repro.workload.generator import generate_selectivity_vectors
+
+from reference_get_plan import use_reference
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_trace.json"
 
@@ -44,8 +45,11 @@ def canonical_template() -> QueryTemplate:
     )
 
 
-def build_golden_trace(check_impl: str = "scalar") -> list[dict]:
-    """The canonical run: one template, 40 seeded instances, budget 3."""
+def build_golden_trace(reference: bool = False) -> list[dict]:
+    """The canonical run: one template, 40 seeded instances, budget 3.
+
+    ``reference`` runs it on ``tests/reference_get_plan.py``'s scalar
+    oracle instead of the production getPlan."""
     from conftest import build_toy_schema
 
     db = Database.create(build_toy_schema(), seed=11)
@@ -53,7 +57,9 @@ def build_golden_trace(check_impl: str = "scalar") -> list[dict]:
     trace = TraceLog()
     engine = db.engine(template)
     engine.trace = trace
-    scr = SCR(engine, lam=2.0, plan_budget=3, trace=trace, check_impl=check_impl)
+    scr = SCR(engine, lam=2.0, plan_budget=3, trace=trace)
+    if reference:
+        use_reference(scr)
     for sv in generate_selectivity_vectors(2, 40, seed=21):
         scr.process(QueryInstance(template.name, sv=sv))
     engine.trace = None  # the engine object is cached per database
@@ -64,23 +70,24 @@ def serialize(rows: list[dict]) -> str:
     return json.dumps(rows, indent=1, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("check_impl", CHECK_IMPLS)
-def test_serial_trace_matches_golden_fixture(check_impl):
-    """Both check implementations must reproduce the SAME fixture.
+@pytest.mark.parametrize("impl", ["scalar", "vectorized"])
+def test_serial_trace_matches_golden_fixture(impl):
+    """The production getPlan (``vectorized``) and the scalar reference
+    oracle (``scalar``) must reproduce the SAME fixture.
 
-    The columnar hot path is a pure re-implementation of the scalar
-    check, so the scalar-era golden trace is the oracle for both: any
-    byte of drift under ``check_impl="vectorized"`` is a semantic bug,
-    not grounds for a second fixture.
+    The columnar kernel is a pure re-implementation of the scalar
+    check, so one golden trace pins both: drift under the production
+    path is a semantic bug, drift under the reference means the oracle
+    itself moved.
     """
     assert FIXTURE.exists(), (
         f"missing fixture {FIXTURE}; regenerate with "
         "`PYTHONPATH=src:tests python tests/test_trace_golden.py --regen`"
     )
     expected = FIXTURE.read_text()
-    actual = serialize(build_golden_trace(check_impl))
+    actual = serialize(build_golden_trace(reference=impl == "scalar"))
     assert actual == expected, (
-        f"serial SCR trace (check_impl={check_impl!r}) drifted from the "
+        f"serial SCR trace ({impl} getPlan) drifted from the "
         "golden fixture — if the change is intentional, regenerate the "
         "fixture (see module docstring); if not, a refactor just changed "
         "serial semantics"

@@ -1,18 +1,17 @@
-"""Differential suite: vectorized getPlan ≡ scalar getPlan, bit for bit.
+"""Differential suite: columnar getPlan ≡ the scalar reference, bit for bit.
 
-The columnar hot path (``check_impl="vectorized"``) promises *identical
-decisions* to the scalar reference — same check kind, same chosen plan,
-same anchor object, same certificate kind, coverage and bound value,
-same recost-call count, and the same scan accounting.  This suite
-drives both implementations over seeded random workloads in all three
-check modes (point / robust / probabilistic), including degraded
-(widened) boxes, coverage-shrunk boxes and retired-entry handling, and
-fails on the first divergence.
+``repro.core.get_plan.GetPlan`` promises *identical decisions* to the
+per-entry loop in ``tests/reference_get_plan.py`` — same check kind,
+same chosen plan, same anchor object, same certificate kind, coverage
+and bound value, same recost-call count, and the same scan accounting.
+This suite drives both over seeded random workloads in all three check
+modes (point / robust / probabilistic), including degraded (widened)
+boxes, coverage-shrunk boxes and retired-entry handling, and fails on
+the first divergence.
 
-The equivalence is exact, not approximate: the vectorized kernels
-replay the scalar IEEE-754 operation sequence (see
-:mod:`repro.core.columnar`), so every comparison below uses ``==`` on
-floats deliberately.
+The equivalence is exact, not approximate: the columnar kernels replay
+the scalar IEEE-754 operation sequence (see :mod:`repro.core.columnar`),
+so every comparison below uses ``==`` on floats deliberately.
 """
 
 from __future__ import annotations
@@ -26,14 +25,22 @@ from repro.core.dynamic_lambda import DynamicLambda
 from repro.core.get_plan import CandidateOrder, GetPlan
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
 from repro.core.scr import SCR
+from repro.engine.api import EngineAPI
 from repro.engine.database import Database
+from repro.optimizer.optimizer import QueryOptimizer
 from repro.query.instance import (
     QueryInstance,
     SelectivityVector,
     UncertainSelectivityVector,
 )
 from repro.query.template import QueryTemplate, join, range_predicate
-from repro.workload.generator import generate_selectivity_vectors
+from repro.workload.generator import (
+    generate_selectivity_vectors,
+    instances_for_template,
+)
+from repro.workload.templates import tpcds_templates, tpch_templates
+
+from reference_get_plan import ReferenceGetPlan, use_reference
 
 
 class _StubMemo:
@@ -144,8 +151,8 @@ def test_differential_random_workloads(check_mode, order):
             max_recost_candidates=rng.choice([0, 2, 8]),
             target_coverage=rng.choice([0.8, 0.95]),
         )
-        scalar = GetPlan(check_impl="scalar", **common)
-        vectorized = GetPlan(check_impl="vectorized", **common)
+        scalar = ReferenceGetPlan(**common)
+        vectorized = GetPlan(**common)
         recost = make_recost(round_no)
         for t in range(150):
             boxed = check_mode != "point" and rng.random() < 0.7
@@ -168,12 +175,8 @@ def test_differential_per_call_overrides(check_mode):
     """max_recost and coverage per-call overrides match too."""
     rng = random.Random(99)
     cache = build_cache(rng, 60, 3)
-    scalar = GetPlan(
-        cache=cache, lam=1.5, check_mode=check_mode, check_impl="scalar"
-    )
-    vectorized = GetPlan(
-        cache=cache, lam=1.5, check_mode=check_mode, check_impl="vectorized"
-    )
+    scalar = ReferenceGetPlan(cache=cache, lam=1.5, check_mode=check_mode)
+    vectorized = GetPlan(cache=cache, lam=1.5, check_mode=check_mode)
     recost = make_recost(5)
     for t in range(120):
         sv = random_input(rng, 3, check_mode != "point")
@@ -190,8 +193,8 @@ def test_differential_explicit_entry_subsets():
     """Probing an explicit entry list (the snapshot path) matches."""
     rng = random.Random(4)
     cache = build_cache(rng, 40, 3)
-    scalar = GetPlan(cache=cache, lam=1.6, check_impl="scalar")
-    vectorized = GetPlan(cache=cache, lam=1.6, check_impl="vectorized")
+    scalar = ReferenceGetPlan(cache=cache, lam=1.6)
+    vectorized = GetPlan(cache=cache, lam=1.6)
     recost = make_recost(1)
     all_entries = list(cache.instances())
     for t in range(60):
@@ -220,8 +223,8 @@ def test_batch_shared_corner_kernel_parity(check_mode):
     rng = random.Random(17)
     cache = build_cache(rng, 70, 4)
     common = dict(cache=cache, lam=1.8, check_mode=check_mode)
-    scalar = GetPlan(check_impl="scalar", **common)
-    vectorized = GetPlan(check_impl="vectorized", **common)
+    scalar = ReferenceGetPlan(**common)
+    vectorized = GetPlan(**common)
     recost = make_recost(8)
     kernel_rows = []
     real_kernel = get_plan_module.corner_gl_matrix
@@ -264,12 +267,8 @@ def test_batch_single_box_evaluates_one_kernel_row():
 
     rng = random.Random(23)
     cache = build_cache(rng, 50, 3)
-    vectorized = GetPlan(
-        cache=cache, lam=1.6, check_mode="robust", check_impl="vectorized"
-    )
-    scalar = GetPlan(
-        cache=cache, lam=1.6, check_mode="robust", check_impl="scalar"
-    )
+    vectorized = GetPlan(cache=cache, lam=1.6, check_mode="robust")
+    scalar = ReferenceGetPlan(cache=cache, lam=1.6, check_mode="robust")
     recost = make_recost(3)
     usv = random_input(rng, 3, True)
     batch = [usv] * 16
@@ -314,10 +313,9 @@ def test_differential_full_scr_pipeline(check_mode):
     for impl in ("scalar", "vectorized"):
         db = Database.create(build_toy_schema(), seed=13)
         engine = db.engine(_toy_template())
-        scr = SCR(
-            engine, lam=2.0, plan_budget=4, check_mode=check_mode,
-            check_impl=impl,
-        )
+        scr = SCR(engine, lam=2.0, plan_budget=4, check_mode=check_mode)
+        if impl == "scalar":
+            use_reference(scr)
         rows = []
         for sv in generate_selectivity_vectors(2, 60, seed=31):
             choice = scr.process(QueryInstance("diff_join", sv=sv))
@@ -334,6 +332,71 @@ def test_differential_full_scr_pipeline(check_mode):
     assert choices["scalar"] == choices["vectorized"]
 
 
+def _record_anchor_rows(scr: SCR, rows: list) -> None:
+    """Append each probe's anchor to ``rows`` as its instance-list index
+    (the two stacks hold different entry objects for the same row)."""
+    probe = scr.get_plan.probe
+
+    def recording_probe(*args, **kwargs):
+        decision = probe(*args, **kwargs)
+        rows.append(
+            None if decision.anchor is None else next(
+                i for i, entry in enumerate(scr.cache.instances())
+                if entry is decision.anchor
+            )
+        )
+        return decision
+
+    scr.get_plan.probe = recording_probe
+
+
+@pytest.mark.parametrize("check_mode", ["point", "robust"])
+@pytest.mark.parametrize(
+    "template_name, lam",
+    [("tpch_shipping_priority", 1.2), ("tpcds_six_dim", 1.5)],
+)
+def test_differential_ledger_streams(request, template_name, lam, check_mode):
+    """Reference and production SCR stacks agree request by request on
+    the request-latency ledger's two bare-SCR streams (``scr_hit`` and
+    ``scr_miss`` in ``benchmarks/e2e``, seed 1, first 2 000 instances):
+    caches that grow to hundreds of anchors behind a handful of plans,
+    which the synthetic rounds above never reach."""
+    template = next(
+        t for t in tpch_templates() + tpcds_templates()
+        if t.name == template_name
+    )
+    db = request.getfixturevalue(f"{template.database}_db")
+    instances = instances_for_template(template, 2000, seed=1)
+    runs = {}
+    for impl in ("reference", "production"):
+        optimizer = QueryOptimizer(
+            template, db.stats, db.estimator, db.cost_model
+        )
+        engine = EngineAPI(template, optimizer, db.estimator)
+        scr = SCR(engine, lam=lam, check_mode=check_mode)
+        if impl == "reference":
+            use_reference(scr)
+        anchors: list = []
+        _record_anchor_rows(scr, anchors)
+        choices = [scr.process(instance) for instance in instances]
+        runs[impl] = (
+            [
+                (c.check, c.plan_signature, anchor, c.recost_calls)
+                for c, anchor in zip(choices, anchors)
+            ],
+            (
+                scr.optimizer_calls, engine.counters.recost.calls,
+                scr.cache.num_plans, scr.cache.num_instances,
+            ),
+        )
+    ref_rows, ref_totals = runs["reference"]
+    rows, totals = runs["production"]
+    for t, (expected, actual) in enumerate(zip(ref_rows, rows)):
+        assert expected == actual, f"{template_name}/{check_mode} t={t}"
+    assert ref_totals == totals
+    assert totals[0] > 0 and totals[3] > 100  # the stream did grow a cache
+
+
 def test_vectorized_serving_has_zero_live_lambda_violations():
     """An obs-instrumented vectorized run certifies within λ throughout."""
     from conftest import build_toy_schema
@@ -343,7 +406,7 @@ def test_vectorized_serving_has_zero_live_lambda_violations():
     db = Database.create(build_toy_schema(), seed=17)
     engine = db.engine(_toy_template())
     obs = Observability()
-    scr = SCR(engine, lam=2.0, plan_budget=4, obs=obs, check_impl="vectorized")
+    scr = SCR(engine, lam=2.0, plan_budget=4, obs=obs)
     for sv in generate_selectivity_vectors(2, 80, seed=41):
         scr.process(QueryInstance("diff_join", sv=sv))
     assert obs.audit.total_violations == 0
@@ -355,12 +418,12 @@ def test_differential_usage_order_under_live_mutation():
     which must invalidate the columnar rank without an epoch bump)."""
     rng = random.Random(12)
     cache = build_cache(rng, 70, 3)
-    scalar = GetPlan(
-        cache=cache, lam=1.4, check_impl="scalar",
+    scalar = ReferenceGetPlan(
+        cache=cache, lam=1.4,
         candidate_order=CandidateOrder.USAGE, max_recost_candidates=4,
     )
     vectorized = GetPlan(
-        cache=cache, lam=1.4, check_impl="vectorized",
+        cache=cache, lam=1.4,
         candidate_order=CandidateOrder.USAGE, max_recost_candidates=4,
     )
     recost = make_recost(7)
@@ -379,6 +442,47 @@ def test_differential_usage_order_under_live_mutation():
             cache.touch(entry.plan_id)
     assert cache.epoch == epoch_before  # usage edits must not invalidate views
     assert scalar.entries_scanned == vectorized.entries_scanned
+
+
+def test_selectivity_span_counts_live_candidates():
+    """The ``scr.selectivity_check`` span's ``candidates`` attribute is
+    the cost-check candidate count of the scan: on a hit the live
+    (non-retired) rows before the hit row — no tuple is built for them
+    — and on a miss the live rows the recost cap lets through."""
+    from repro.core.get_plan import CheckKind
+    from repro.obs.spans import SpanRecorder
+
+    rng = random.Random(5)
+    cache = build_cache(rng, 120, 2, retire_fraction=0.3)
+    recorder = SpanRecorder()
+    get_plan = GetPlan(
+        cache=cache, lam=3.0, max_recost_candidates=4, spans=recorder
+    )
+    recost = make_recost(2)
+    entries = list(cache.instances())
+    live = sum(not e.retired for e in entries)
+    hits = misses = 0
+    for _ in range(150):
+        decision = get_plan.probe(random_input(rng, 2, False), recost)
+        span = next(
+            s for s in reversed(recorder.spans())
+            if s.name == "scr.selectivity_check"
+        )
+        assert span.attrs["scanned"] == len(entries)
+        if decision.check is CheckKind.SELECTIVITY:
+            row = next(
+                i for i, e in enumerate(entries) if e is decision.anchor
+            )
+            assert span.attrs["hit"] is True
+            assert span.attrs["candidates"] == sum(
+                not e.retired for e in entries[:row]
+            )
+            hits += 1
+        else:
+            assert span.attrs["hit"] is False
+            assert span.attrs["candidates"] == min(4, live)
+            misses += 1
+    assert hits > 10 and misses > 10
 
 
 def test_usage_rank_memo_reuses_until_version_changes():
@@ -415,15 +519,6 @@ def test_sv_sq_memo_matches_unmemoized_corners():
     assert np.array_equal(g0, g1) and np.array_equal(l0, l1)
 
 
-def test_scalar_fallback_when_requested():
-    cache = PlanCache()
-    gp = GetPlan(cache=cache, lam=2.0, check_impl="scalar")
-    assert not gp.vectorized
-    assert not gp.supports_batch
-    with pytest.raises(ValueError):
-        GetPlan(cache=cache, lam=2.0, check_impl="simd")
-
-
 def test_recost_and_optimizer_call_counts_are_pinned():
     """Regression pin for the candidate-ordering hot path.
 
@@ -439,8 +534,9 @@ def test_recost_and_optimizer_call_counts_are_pinned():
     for impl in ("scalar", "vectorized"):
         db = Database.create(build_toy_schema(), seed=13)
         engine = db.engine(_toy_template())
-        scr = SCR(engine, lam=1.3, plan_budget=3, max_recost_candidates=2,
-                  check_impl=impl)
+        scr = SCR(engine, lam=1.3, plan_budget=3, max_recost_candidates=2)
+        if impl == "scalar":
+            use_reference(scr)
         for sv in generate_selectivity_vectors(2, 50, seed=7):
             scr.process(QueryInstance("diff_join", sv=sv))
         counts[impl] = (
@@ -473,8 +569,7 @@ def _regen_pin() -> None:
 
     db = Database.create(build_toy_schema(), seed=13)
     engine = db.engine(_toy_template())
-    scr = SCR(engine, lam=1.3, plan_budget=3, max_recost_candidates=2,
-              check_impl="vectorized")
+    scr = SCR(engine, lam=1.3, plan_budget=3, max_recost_candidates=2)
     for sv in generate_selectivity_vectors(2, 50, seed=7):
         scr.process(QueryInstance("diff_join", sv=sv))
     pinned = (
