@@ -8,9 +8,10 @@ getPlan overheads stay far below an optimizer call.
 This module also hosts the columnar hot-path micro-benchmark: the
 single-thread probe throughput of ``GetPlan`` against the scalar
 reference scan (``tests/reference_get_plan.py``) over synthetic caches
-(m stored instances × d dimensions), gated at ≥5× for m ≥ 256, with the
-measured trajectory appended to ``BENCH_getplan_hotpath.json`` at the
-repo root.
+(m stored instances × d dimensions), gated at ≥5× for m ≥ 256 with
+``probe_batch`` at ≥ 0.9× the single-probe rate (best of three passes
+per cell), and the measured trajectory appended to
+``BENCH_getplan_hotpath.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DIMENSIONS = (2, 6, 10)
 PROBES = 300
 GATE_M = 256          # the ISSUE gate: ≥5× at ≥256 cached instances
 GATE_SPEEDUP = 5.0
-GATE_SPEEDUP_HIGH_D = 4.0  # d=10 carries 5× the (B, N, d) temp traffic
+GATE_SPEEDUP_HIGH_D = 4.0  # d=10 carries 5× the (d, B, N) temp traffic
 
 
 def test_sec73_getplan_overheads(experiments, benchmark):
@@ -106,24 +107,32 @@ def _never_recost(memo, point):  # max_recost=0 keeps the scan pure
     raise AssertionError("the hot-path benchmark must not recost")
 
 
+PASSES = 3            # best of three timed passes per cell
+GATE_BATCH_RATIO = 0.9  # batch ≥ single, less a 10 % timing margin
+
+
 def _probe_throughput(get_plan: GetPlan, points, batched: bool) -> float:
-    """Probes per second over one warmed, timed pass.
+    """Probes per second: the best of ``PASSES`` warmed, timed passes
+    (one pass on a shared box reads low whenever a neighbour wakes up).
 
     ``lam`` just above 1 makes every probe a full miss-scan — the
-    worst case the columnar rewrite targets — and ``max_recost=0``
+    worst case the columnar kernel targets — and ``max_recost=0``
     confines the measurement to the selectivity phase.
     """
     if batched:
-        get_plan.probe_batch(points[:30], _never_recost, max_recost=0)
-        start = time.perf_counter()
-        get_plan.probe_batch(points, _never_recost, max_recost=0)
+        def one_pass(pts):
+            get_plan.probe_batch(pts, _never_recost, max_recost=0)
     else:
-        for point in points[:30]:
-            get_plan.probe(point, _never_recost, max_recost=0)
+        def one_pass(pts):
+            for point in pts:
+                get_plan.probe(point, _never_recost, max_recost=0)
+    one_pass(points[:30])
+    best = float("inf")
+    for _ in range(PASSES):
         start = time.perf_counter()
-        for point in points:
-            get_plan.probe(point, _never_recost, max_recost=0)
-    return len(points) / (time.perf_counter() - start)
+        one_pass(points)
+        best = min(best, time.perf_counter() - start)
+    return len(points) / best
 
 
 def _measure_hotpath() -> list[dict]:
@@ -216,9 +225,11 @@ def _append_trajectory(results: list[dict]) -> None:
 def test_getplan_hotpath_vectorized_speedup():
     """Gate: the columnar selectivity phase must beat the scalar scan
     ≥5× single-threaded once ≥256 instances are cached (≥4× at d=10,
-    where the (B, N, d) intermediate dominates).  Set
-    ``BENCH_GETPLAN_JSON=1`` to also append the run to the trajectory
-    file (CI does; local runs stay read-only by default).
+    where the (d, B, N) ratio tensor is largest), and ``probe_batch``
+    must run at ≥ 0.9× the single-probe rate in the same cells.  Every
+    rate is the best of three passes.  Set ``BENCH_GETPLAN_JSON=1`` to
+    also append the run to the trajectory file (CI does; local runs
+    stay read-only by default).
     """
     results = _measure_hotpath()
     print()
@@ -234,9 +245,13 @@ def test_getplan_hotpath_vectorized_speedup():
             f"vectorized probe throughput at m={row['m']} d={row['d']} is "
             f"only {row['speedup']}x the scalar scan (gate {floor}x)"
         )
-        # The batched pass must at least keep pace with per-probe
-        # vectorized dispatch (shared budget vector, chunked kernels).
-        assert row["batch_probes_per_s"] >= 0.5 * row["vectorized_probes_per_s"]
+        # One kernel call over a cache-sized chunk of probes must not be
+        # slower than one call per probe.
+        ratio = row["batch_probes_per_s"] / row["vectorized_probes_per_s"]
+        assert ratio >= GATE_BATCH_RATIO, (
+            f"probe_batch at m={row['m']} d={row['d']} runs at {ratio:.2f}x "
+            f"the single-probe rate (gate {GATE_BATCH_RATIO}x)"
+        )
 
 
 def test_bench_trajectory_file_is_well_formed():

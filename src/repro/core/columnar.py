@@ -1,25 +1,29 @@
 """Columnar (structure-of-arrays) view of the instance list.
 
-The per-instance Python arithmetic of ``getPlan``'s selectivity check is
-the serving cost at high hit rates (ROADMAP item 2; the paper's §6.2
-overheads discussion).  This module restructures the instance list into
+``getPlan``'s selectivity check runs on the critical path of every
+request, and at high hit rates it *is* the serving cost (the paper's
+§6.2 overheads discussion).  This module holds the instance list as
 parallel ``numpy`` arrays so one probe computes G·L against *all*
-candidate anchors in a handful of array ops, and a batch of incoming
-instances is evaluated against the whole cache in one broadcasted pass.
+anchors in five array ops, and a batch of incoming instances is
+evaluated against the whole cache by the same kernel.
 
 Layout
 ------
 One :class:`ColumnarInstances` view holds, for the ``N`` entries of a
 cache epoch (``d`` = template dimensionality):
 
-* ``sv`` — the raw selectivity matrix ``(N, d)``;
-* ``log_sv`` — the same matrix in natural-log space ``(N, d)`` (L1
+* ``sv`` — the raw selectivities, **dimension-major**: a C-contiguous
+  ``(d, N)`` matrix whose row ``j`` is dimension ``j`` of every anchor;
+* ``log_sv`` — the same matrix in natural-log space ``(d, N)`` (L1
   distances in this space are ``ln(G·L)``; used for nearest-anchor
   ranking);
 * ``sub`` / ``cost`` / ``plan_ids`` — the S, C and PP columns of the
   paper's 5-tuple as ``(N,)`` vectors;
-* ``area`` — ``Π_i s_i`` per row, the AREA candidate-order key,
-  computed once per epoch instead of once per probe.
+* ``area`` — ``Π_i s_i`` per anchor, the AREA candidate-order key,
+  computed once per row instead of once per probe.
+
+The anchor axis is the **last** axis of every array, so appending rows
+is one ``np.concatenate(..., axis=-1)`` per field whatever its rank.
 
 Copy-on-write discipline
 ------------------------
@@ -38,15 +42,16 @@ epoch rebuilds takes effect on the next probe.
 Equivalence contract
 --------------------
 Every kernel here reproduces the scalar reference arithmetic of
-:mod:`repro.core.bounds` with the *same IEEE-754 operation sequence*:
-``np.multiply.reduce`` / ``np.divide.reduce`` apply their operation
-sequentially left-to-right for the short (d ≤ 16) inner axis, matching
-the scalar loops' ``g *= alpha`` / ``l /= alpha`` exactly, and the
-adversarial-corner selection vectorizes the very ``lo·hi ≥ e²``
-endpoint predicate of :func:`repro.core.bounds.adversarial_corner`.
-This is why ``sv`` is stored raw alongside ``log_sv``: deriving G·L
-from log-space sums would round differently from the scalar products
-and break the decision-equivalence contract the differential suite
+:mod:`repro.core.bounds` with the *same IEEE-754 operation sequence*
+(DESIGN.md §12 has the argument in full).  The folds run over the
+**leading** axis of a ``(d, B, N)`` ratio tensor: ``d − 1`` whole-plane
+``out *= x[j]`` / ``out /= x[j]`` steps in dimension order, each one
+contiguous loop over ``B·N`` — the scalar loops' ``g *= alpha`` /
+``l /= alpha`` float for float.  Dimensions the scalar loop skips fold
+in as exactly 1.0 (``np.maximum`` / ``np.minimum`` against 1.0; NaN is
+rejected by ``SelectivityVector``).  ``sv`` is stored raw alongside
+``log_sv`` because G·L from log-space sums would round differently and
+break the decision equivalence the differential suite
 (``tests/test_vectorized_equivalence.py``) enforces.
 """
 
@@ -67,15 +72,15 @@ class ColumnarInstances:
     """Immutable columnar view of one epoch of the instance list.
 
     ``entries`` is the row-aligned tuple of the live
-    :class:`~repro.core.plan_cache.InstanceEntry` objects — row ``i`` of
-    every array describes ``entries[i]``, and decisions still reference
-    the entry object itself (the anchor the certificate names).
+    :class:`~repro.core.plan_cache.InstanceEntry` objects — index ``i``
+    of every array's last axis describes ``entries[i]``, and decisions
+    still reference the entry object (the anchor the certificate names).
     """
 
     epoch: int
     entries: tuple["InstanceEntry", ...]
-    sv: "np.ndarray"        # (N, d) raw selectivities
-    log_sv: "np.ndarray"    # (N, d) natural logs
+    sv: "np.ndarray"        # (d, N) raw selectivities, dimension-major
+    log_sv: "np.ndarray"    # (d, N) natural logs
     sub: "np.ndarray"       # (N,) S column
     cost: "np.ndarray"      # (N,) C column
     plan_ids: "np.ndarray"  # (N,) PP column
@@ -90,16 +95,9 @@ class ColumnarInstances:
         cls, epoch: int, entries: Sequence["InstanceEntry"], lineage: int = -1
     ) -> "ColumnarInstances":
         entries = tuple(entries)
-        if not entries:
-            empty2 = np.empty((0, 0), dtype=np.float64)
-            empty1 = np.empty(0, dtype=np.float64)
-            return cls(
-                epoch=epoch, entries=entries, sv=empty2, log_sv=empty2,
-                sub=empty1, cost=empty1,
-                plan_ids=np.empty(0, dtype=np.int64), area=empty1,
-                lineage=lineage,
-            )
         sv = np.array([e.sv.values for e in entries], dtype=np.float64)
+        # Dimension-major (d, N); an empty list has no d, hence (0, 0).
+        sv = np.ascontiguousarray(sv.T) if entries else sv.reshape(0, 0)
         return cls(
             epoch=epoch,
             entries=entries,
@@ -109,9 +107,9 @@ class ColumnarInstances:
             sub=np.array([e.suboptimality for e in entries], dtype=np.float64),
             cost=np.array([e.optimal_cost for e in entries], dtype=np.float64),
             plan_ids=np.array([e.plan_id for e in entries], dtype=np.int64),
-            # multiply.reduce applies left-to-right over the short inner
-            # axis: bit-identical to InstanceEntry.sv_product's loop.
-            area=np.multiply.reduce(sv, axis=1),
+            # A leading-axis reduce is out *= sv[j] for j = 1 … d-1 in
+            # order: bit-identical to InstanceEntry.sv_product's loop.
+            area=np.multiply.reduce(sv, axis=0),
         )
 
     def extended(
@@ -123,10 +121,12 @@ class ColumnarInstances:
         tail = ColumnarInstances.build(epoch, entries[len(self):])
         if not len(tail):
             return replace(self, epoch=epoch, entries=entries)
-        # Every array field is a row-aligned column, so a column added
-        # to the layout is extended without being listed here.
+        # The anchor axis is the last axis of every array field, so one
+        # added to the layout is extended without being listed here.
         columns = {
-            f.name: np.concatenate((getattr(self, f.name), getattr(tail, f.name)))
+            f.name: np.concatenate(
+                (getattr(self, f.name), getattr(tail, f.name)), axis=-1
+            )
             for f in fields(self)
             if isinstance(getattr(self, f.name), np.ndarray)
         }
@@ -137,16 +137,16 @@ class ColumnarInstances:
 
     @property
     def dimensions(self) -> int:
-        return self.sv.shape[1]
+        return self.sv.shape[0]
 
     @cached_property
     def sv_sq(self) -> "np.ndarray":
-        """``sv²`` broadcast-shaped ``(1, N, d)`` — the anchor side of the
+        """``sv²`` broadcast-shaped ``(d, 1, N)`` — the anchor side of the
         robust corner predicate ``lo·hi ≥ e²``, shared across every probe
         of the epoch instead of rebuilt per box.  (``cached_property``
         writes the instance ``__dict__`` directly, so it coexists with
         the frozen dataclass.)"""
-        return self.sv[None, :, :] * self.sv[None, :, :]
+        return (self.sv * self.sv)[:, None, :]
 
     def usage_rank(self, version: int) -> "np.ndarray":
         """Row rank under the USAGE candidate order, memoized per cache
@@ -172,9 +172,18 @@ class ColumnarInstances:
 
 # -- G/L kernels --------------------------------------------------------------
 #
-# All kernels take an already-validated (B, d) matrix of incoming points
-# (B = 1 for a single probe) and return (B, N) factor matrices.  The
-# (B, N, d) intermediate is the memory hot spot; callers chunk over B.
+# All kernels take the (d, N) anchor matrix and an already-validated
+# (B, d) matrix of incoming points (B = 1 for a single probe) and return
+# (B, N) factor matrices; probe_batch chunks B to bound the ratio tensor.
+
+
+def _fold(alphas: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+    """``(G, L)`` of a ``(d, B, N)`` ratio tensor, folded over the
+    leading axis in dimension order (the module docstring says why this
+    is :func:`repro.core.bounds.compute_gl`'s loop float for float)."""
+    g = np.multiply.reduce(np.maximum(alphas, 1.0), axis=0)
+    l = np.divide.reduce(np.minimum(alphas, 1.0), axis=0, initial=1.0)
+    return g, l
 
 
 def gl_matrix(
@@ -183,15 +192,10 @@ def gl_matrix(
     """``(G, L)`` of every (incoming point, stored anchor) pair.
 
     Mirrors :func:`repro.core.bounds.compute_gl` exactly: per-dimension
-    ratios ``alpha = point / anchor``, ``G = Π_{alpha>1} alpha`` via
-    sequential multiply, ``L`` via sequential divide starting at 1.0
-    (``l /= alpha``), so every float matches the scalar loop.
+    ratios ``alpha = point / anchor``, folded as ``g *= alpha`` where
+    ``alpha > 1`` and ``l /= alpha`` (from 1.0) where ``alpha < 1``.
     """
-    alphas = points[:, None, :] / sv[None, :, :]
-    g = np.multiply.reduce(np.where(alphas > 1.0, alphas, 1.0), axis=2)
-    l = np.divide.reduce(np.where(alphas < 1.0, alphas, 1.0), axis=2,
-                         initial=1.0)
-    return g, l
+    return _fold(points.T[:, :, None] / sv[:, None, :])
 
 
 def corner_matrix(
@@ -202,17 +206,17 @@ def corner_matrix(
 
     Vectorizes :func:`repro.core.bounds.adversarial_corner`'s endpoint
     predicate (``lo·hi ≥ e²`` picks ``hi``, ties to ``hi``) over the
-    ``(B, d)`` box bounds and the ``(N, d)`` anchor matrix, returning
-    the ``(B, N, d)`` corner tensor.  ``sv_sq`` is the precomputed
-    ``(1, N, d)`` anchor-squared tensor (``ColumnarInstances.sv_sq``);
+    ``(B, d)`` box bounds and the ``(d, N)`` anchor matrix, returning
+    the ``(d, B, N)`` corner tensor.  ``sv_sq`` is the precomputed
+    ``(d, 1, N)`` anchor-squared tensor (``ColumnarInstances.sv_sq``);
     without it the squares are rebuilt per call.
     """
     if sv_sq is None:
-        sv_sq = sv[None, :, :] * sv[None, :, :]
+        sv_sq = (sv * sv)[:, None, :]
     return np.where(
-        (lo * hi)[:, None, :] >= sv_sq,
-        hi[:, None, :],
-        lo[:, None, :],
+        (lo * hi).T[:, :, None] >= sv_sq,
+        hi.T[:, :, None],
+        lo.T[:, :, None],
     )
 
 
@@ -221,12 +225,7 @@ def corner_gl_matrix(
     sv_sq: Optional["np.ndarray"] = None,
 ) -> tuple["np.ndarray", "np.ndarray"]:
     """``(G, L)`` evaluated at each box's adversarial corner."""
-    corner = corner_matrix(sv, lo, hi, sv_sq)
-    alphas = corner / sv[None, :, :]
-    g = np.multiply.reduce(np.where(alphas > 1.0, alphas, 1.0), axis=2)
-    l = np.divide.reduce(np.where(alphas < 1.0, alphas, 1.0), axis=2,
-                         initial=1.0)
-    return g, l
+    return _fold(corner_matrix(sv, lo, hi, sv_sq) / sv[:, None, :])
 
 
 def log_l1_distances(log_sv: "np.ndarray", point: "np.ndarray") -> "np.ndarray":
@@ -236,14 +235,16 @@ def log_l1_distances(log_sv: "np.ndarray", point: "np.ndarray") -> "np.ndarray":
     bit-parity with ``math.log`` is not load-bearing — never for the
     certified checks themselves.
     """
-    if log_sv.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    return np.abs(np.log(point)[None, :] - log_sv).sum(axis=1)
+    return np.abs(np.log(point)[:, None] - log_sv).sum(axis=0)
 
 
-def chunk_rows(batch: int, n: int, d: int, budget: int = 2_000_000) -> int:
-    """Rows per kernel chunk so the (B, N, d) intermediate stays small."""
-    if batch <= 1:
-        return 1
-    per_row = max(1, n * max(1, d))
-    return max(1, min(batch, budget // per_row))
+#: Elements (256 KB of float64) of the (d, B, N) ratio tensor one
+#: ``probe_batch`` chunk may hold.  Measured (DESIGN.md §12): from
+#: 512 KB up the fold's temporaries are page-faulted in and handed back
+#: to the OS on every chunk, which costs more than batching saves.
+BATCH_TENSOR_ELEMENTS = 32_768
+
+
+def chunk_rows(batch: int, n: int, d: int) -> int:
+    """Probes per kernel chunk so the (d, B, N) tensor stays cache-sized."""
+    return max(1, min(batch, BATCH_TENSOR_ELEMENTS // max(1, n * d)))

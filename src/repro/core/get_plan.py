@@ -179,11 +179,11 @@ class GetPlan:
     target_coverage:
         The coverage ``p`` that ``PROBABILISTIC`` mode certifies at.
 
-    The selectivity check runs as a few numpy ops over the cache's
-    columnar view (:mod:`repro.core.columnar`); the kernels replay the
-    IEEE-754 operation sequence of the per-entry loop in
-    ``tests/reference_get_plan.py``, the oracle the differential suite
-    compares every decision against.
+    The selectivity check is one dimension-major kernel over the cache's
+    columnar view (:mod:`repro.core.columnar`) — a broadcast divide and
+    two leading-axis folds replaying the IEEE-754 operation sequence of
+    the per-entry loop in ``tests/reference_get_plan.py``, the oracle
+    the differential suite compares every decision against.
     """
 
     cache: PlanCache
@@ -347,7 +347,7 @@ class GetPlan:
         """Probe many instances against the cache in one broadcast pass.
 
         Computes the (B, N) G·L factor matrices for the whole batch —
-        chunked so the (B, N, d) intermediate stays bounded — then
+        chunked so the (d, B, N) ratio tensor stays cache-resident — then
         assembles each row's decision with exactly the per-probe logic,
         including per-row cost phases for the rows whose selectivity
         check missed.  Decision-identical to calling :meth:`probe` per
@@ -507,11 +507,12 @@ class GetPlan:
         The candidates are ``(G, L, entry)`` point values of the
         non-retired entries, in the configured candidate order and cut
         at ``cap`` — this probe's recost budget — so the cost phase
-        walks them as they come.  Ordering is a stable argsort over
-        vector keys, which permutes equal keys exactly like a stable
-        ``list.sort``, and sort-then-drop-retired equals
-        drop-retired-then-sort because stability preserves the
-        survivors' relative order.
+        walks them as they come; ``cap == 0`` (SHED) orders nothing.
+        The order is the stable argsort of a vector key, which permutes
+        equal keys exactly like a stable ``list.sort``, and
+        sort-then-drop-retired equals drop-retired-then-sort because
+        stability preserves the survivors' relative order.  Only the
+        prefix that is read gets ordered (:meth:`_cheapest_rows`).
         """
         glc = gc * lc
         degree = self.bound.degree
@@ -526,8 +527,9 @@ class GetPlan:
                 [v ** degree for v in glc.tolist()], dtype=np.float64
             )
         mask = check <= budget
-        if mask.any():
-            hit = int(np.argmax(mask))
+        # argmax of an all-False mask is row 0, whose own bit says so.
+        hit = int(mask.argmax())
+        if mask[hit]:
             self.entries_scanned += hit + 1
             entry = view.entries[hit]
             robust = box is not None
@@ -544,6 +546,8 @@ class GetPlan:
                 coverage=box.coverage if robust else 1.0,
             ), [], hit
         self.entries_scanned += len(view)
+        if cap <= 0:
+            return None, [], -1  # selectivity-only probe: nothing to order
         if self.candidate_order is CandidateOrder.GL:
             key = glc
         elif self.candidate_order is CandidateOrder.AREA:
@@ -554,43 +558,35 @@ class GetPlan:
             # are unique, ties broken by row order as a stable sort
             # breaks them.
             key = view.usage_rank(self.cache.usage_version)
-        order = np.argsort(key, kind="stable")
-        return None, self._live_prefix(order, g, l, view.entries, cap), -1
+        # ``retired`` flips without an epoch bump, so no array carries it:
+        # the filter reads the flag live off each entry.
+        entries = view.entries
+        order = self._cheapest_rows(key, cap)
+        live = [i for i in order.tolist() if not entries[i].retired]
+        if len(live) < cap and order.size < key.size:
+            # Retired rows left the prefix short: order all N instead.
+            order = np.argsort(key, kind="stable")
+            live = [i for i in order.tolist() if not entries[i].retired]
+        return None, [
+            (float(g[i]), float(l[i]), entries[i]) for i in live[:cap]
+        ], -1
 
     @staticmethod
-    def _live_prefix(
-        order: "np.ndarray",
-        g: "np.ndarray",
-        l: "np.ndarray",
-        entries_t: tuple[InstanceEntry, ...],
-        cap: int,
-    ) -> list[tuple[float, float, InstanceEntry]]:
-        """First ``cap`` non-retired rows of an ordered index vector, as
-        ``(G, L, entry)`` tuples, touching as few rows as possible.
+    def _cheapest_rows(key: "np.ndarray", cap: int) -> "np.ndarray":
+        """The stable argsort of ``key``, cut after the rows tied with
+        its ``cap``-th entry, without ordering the other ``N − cap``.
 
-        ``retired`` is read live per entry — the flag flips without an
-        epoch bump, so the arrays can't carry it and the filter can't
-        be vectorized.  The ordered indices are consumed in doubling
-        windows (retirement is rare, so the first window almost always
-        suffices); building Python tuples is the dominant per-probe
-        cost at large N, and the cost phase can consume only ``cap``.
+        Every key ≤ the ``cap``-th smallest (``thr``, by partition)
+        precedes every key > ``thr`` in the full stable sort, and a
+        stable sort of a subset taken in row order keeps the full sort's
+        relative order: sorting just those rows *is* the full sort's
+        prefix, ties at the threshold included.
         """
-        candidates: list[tuple[float, float, InstanceEntry]] = []
-        pos = 0
-        window = max(cap, 1)
-        total = int(order.size)
-        while len(candidates) < cap and pos < total:
-            chunk = order[pos:pos + window]
-            rows = zip(g[chunk].tolist(), l[chunk].tolist(), chunk.tolist())
-            for gv, lv, i in rows:
-                entry = entries_t[i]
-                if not entry.retired:
-                    candidates.append((gv, lv, entry))
-                    if len(candidates) == cap:
-                        break
-            pos += window
-            window *= 2
-        return candidates
+        if cap >= key.size:
+            return np.argsort(key, kind="stable")
+        thr = np.partition(key, cap - 1)[cap - 1]
+        rows = np.flatnonzero(key <= thr)
+        return rows[np.argsort(key[rows], kind="stable")]
 
     def _cost_phase(
         self,

@@ -21,6 +21,7 @@ from typing import Iterator, Optional
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import SelectivityVector
+from .columnar import ColumnarInstances
 
 # Approximate per-object memory overheads (bytes), used only for the
 # bookkeeping-overhead reporting the paper discusses in section 6.1.
@@ -160,7 +161,7 @@ class PlanCache:
     adopted_hits_cost: int = 0
     adopted_recost_spend: int = 0
     _snapshot: Optional[CacheSnapshot] = field(default=None, repr=False)
-    _columnar: Optional[object] = field(default=None, repr=False)
+    _columnar: Optional[ColumnarInstances] = field(default=None, repr=False)
 
     def _mutated(self) -> None:
         """Book an append-only mutation (plan or instance added).
@@ -195,7 +196,7 @@ class PlanCache:
             self._snapshot = snap
         return snap
 
-    def columnar(self):
+    def columnar(self) -> ColumnarInstances:
         """Copy-on-write columnar view of the instance list.
 
         The structure-of-arrays twin of :meth:`snapshot`: built from the
@@ -218,8 +219,6 @@ class PlanCache:
         published meanwhile (by another reader, from pre-rewrite rows)
         may carry too, and only the second read tells them apart.
         """
-        from .columnar import ColumnarInstances
-
         lineage = self.lineage
         snap = self.snapshot()
         view = self._columnar

@@ -1,10 +1,14 @@
 """Property tests for the columnar instance store and its kernels.
 
-Three invariant families, all driven by Hypothesis:
+Four invariant families, driven by Hypothesis plus explicit edge cases:
 
 * **kernel parity** — the vectorized G·L (and corner G·L) of every
   (point, anchor) pair is bit-identical to the scalar reference, so the
-  vectorized row minimum equals the scalar per-instance minimum;
+  vectorized row minimum equals the scalar per-instance minimum —
+  including α == 1 exactly, the selectivity floor against 1.0,
+  denormals, d = 1 and 16, an N = 1 view and the empty view;
+* **candidate select** — the partition-selected rows are the stable
+  argsort's prefix, ties at the threshold included;
 * **view consistency** — after an arbitrary sequence of cache
   operations (add plan / add instance / drop plan / retire / adopt /
   recalibrate), the columnar view's arrays always mirror the snapshot's
@@ -24,6 +28,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +38,7 @@ from repro.core.get_plan import GetPlan
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
 from repro.obs.calibration import recost_sweep
 from repro.query.instance import (
+    SELECTIVITY_FLOOR,
     SelectivityVector,
     UncertainSelectivityVector,
 )
@@ -75,6 +81,11 @@ def _cache_with(svs: list[list[float]]) -> PlanCache:
 # -- kernel parity ------------------------------------------------------------
 
 
+def _anchor_matrix(anchors: list[list[float]]) -> np.ndarray:
+    """The view's layout: dimension-major, C-contiguous ``(d, N)``."""
+    return np.ascontiguousarray(np.array(anchors, dtype=np.float64).T)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -84,7 +95,7 @@ def test_gl_matrix_is_bit_identical_to_scalar(data, dims):
     anchors = data.draw(st.lists(sv_lists(dims), min_size=1, max_size=12))
     point_vals = data.draw(sv_lists(dims))
     point = SelectivityVector.from_sequence(point_vals)
-    sv_mat = np.array(anchors, dtype=np.float64)
+    sv_mat = _anchor_matrix(anchors)
     g_m, l_m = gl_matrix(sv_mat, np.array([point_vals], dtype=np.float64))
     for row, anchor_vals in enumerate(anchors):
         anchor = SelectivityVector.from_sequence(anchor_vals)
@@ -118,7 +129,7 @@ def test_corner_gl_matrix_matches_adversarial_corner(data, dims):
         lo=SelectivityVector.from_sequence(lo_vals),
         hi=SelectivityVector.from_sequence(hi_vals),
     )
-    sv_mat = np.array(anchors, dtype=np.float64)
+    sv_mat = _anchor_matrix(anchors)
     gc_m, lc_m = corner_gl_matrix(
         sv_mat,
         np.array([lo_vals], dtype=np.float64),
@@ -138,7 +149,7 @@ def test_vectorized_row_min_equals_scalar_min(data, dims):
     anchors = data.draw(st.lists(sv_lists(dims), min_size=1, max_size=15))
     point_vals = data.draw(sv_lists(dims))
     point = SelectivityVector.from_sequence(point_vals)
-    sv_mat = np.array(anchors, dtype=np.float64)
+    sv_mat = _anchor_matrix(anchors)
     g_m, l_m = gl_matrix(sv_mat, np.array([point_vals], dtype=np.float64))
     vec_min = float((g_m[0] * l_m[0]).min())
     scalar_products = []
@@ -146,6 +157,152 @@ def test_vectorized_row_min_equals_scalar_min(data, dims):
         g, l = compute_gl(SelectivityVector.from_sequence(anchor_vals), point)
         scalar_products.append(g * l)
     assert vec_min == min(scalar_products)
+
+
+def _random_rows(seed: int, n: int, dims: int) -> list[list[float]]:
+    import random
+
+    rng = random.Random(seed)
+    return [[10 ** rng.uniform(-6, 0) for _ in range(dims)] for _ in range(n)]
+
+
+FLOOR = SELECTIVITY_FLOOR
+DENORMAL = 5e-324
+
+#: (anchors, points) at the boundaries of the kernels' arithmetic.
+EDGE_CASES = {
+    # α == 1.0 exactly: the scalar loop skips the dimension, the fold
+    # multiplies/divides by exactly 1.0.
+    "alpha_one_in_some_dims": (
+        [[0.1, 0.2, 0.3], [0.1, 0.25, 0.3]], [[0.1, 0.5, 0.3], [0.4, 0.2, 0.3]],
+    ),
+    "alpha_one_in_all_dims": ([[0.1, 0.2, 0.3]], [[0.1, 0.2, 0.3]]),
+    # The floor against 1.0: G or L reaches 1e6^d.
+    "floor_vs_one_d6": (
+        [[FLOOR] * 6, [1.0] * 6], [[1.0] * 6, [FLOOR] * 6, [FLOOR, 1.0] * 3],
+    ),
+    "floor_vs_one_d16": ([[FLOOR] * 16, [1.0] * 16], [[1.0] * 16, [FLOOR] * 16]),
+    # Denormals: ratios overflow to inf in the scalar loop and the
+    # kernel alike.
+    "denormals": (
+        [[DENORMAL, 1e-310], [1.0, 2.2e-308], [1e-310, DENORMAL]],
+        [[1.0, DENORMAL], [DENORMAL, DENORMAL], [3e-310, 1.0]],
+    ),
+    "d1": ([[0.3], [1.0], [FLOOR]], [[0.3], [0.9], [FLOOR], [1.0]]),
+    "d16": (_random_rows(1, 9, 16), _random_rows(2, 4, 16)),
+    # An N = 1 view, probed with B = 1 and B > 1.
+    "one_anchor": (_random_rows(3, 1, 4), _random_rows(4, 5, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_kernels_are_bit_identical_at_the_edges(case):
+    """Point and corner kernels against the scalar loops at explicit
+    boundary inputs, once as a whole batch and once per point (B = 1)."""
+    anchors, points = EDGE_CASES[case]
+    sv_mat = _anchor_matrix(anchors)
+    anchor_svs = [SelectivityVector.from_sequence(a) for a in anchors]
+    # Zero-width, one-sided and full-range boxes around each point.
+    boxes = []
+    for i, p in enumerate(points):
+        lo = [p, [min(v, FLOOR) for v in p], [DENORMAL] * len(p)][i % 3]
+        hi = [p, [1.0] * len(p), p][i % 3]
+        boxes.append((lo, hi))
+    expected = []
+    for p, (lo, hi) in zip(points, boxes):
+        point = SelectivityVector.from_sequence(p)
+        box = UncertainSelectivityVector(
+            point=point,
+            lo=SelectivityVector.from_sequence(lo),
+            hi=SelectivityVector.from_sequence(hi),
+        )
+        expected.append([
+            compute_gl(a, point) + compute_gl(a, adversarial_corner(a, box))
+            for a in anchor_svs
+        ])
+    batches = [list(range(len(points)))] + [[i] for i in range(len(points))]
+    with np.errstate(over="ignore"):
+        for rows in batches:
+            pts = np.array([points[i] for i in rows], dtype=np.float64)
+            lo = np.array([boxes[i][0] for i in rows], dtype=np.float64)
+            hi = np.array([boxes[i][1] for i in rows], dtype=np.float64)
+            g_m, l_m = gl_matrix(sv_mat, pts)
+            gc_m, lc_m = corner_gl_matrix(sv_mat, lo, hi)
+            assert g_m.shape == l_m.shape == gc_m.shape == (len(rows), len(anchors))
+            for b, i in enumerate(rows):
+                for n in range(len(anchors)):
+                    got = (g_m[b, n], l_m[b, n], gc_m[b, n], lc_m[b, n])
+                    assert got == expected[i][n], (case, i, n)
+
+
+def test_kernels_and_probes_on_an_empty_view():
+    view = PlanCache().columnar()
+    assert len(view) == 0 and view.dimensions == 0
+    assert view.sv.shape == view.log_sv.shape == (0, 0)
+    # Zero anchors of a known dimensionality: (B, 0) factor matrices.
+    pts = np.array(_random_rows(5, 3, 4), dtype=np.float64)
+    for m in (
+        gl_matrix(np.empty((4, 0)), pts)
+        + corner_gl_matrix(np.empty((4, 0)), pts, pts)
+    ):
+        assert m.shape == (3, 0)
+    get_plan = GetPlan(cache=PlanCache(), lam=2.0)
+    svs = [SelectivityVector.from_sequence(p) for p in pts.tolist()]
+    decisions = [get_plan.probe(svs[0], _recost)] + get_plan.probe_batch(
+        svs, _recost
+    )
+    assert not any(d.hit for d in decisions)
+    assert get_plan.entries_scanned == 0
+
+
+# -- candidate select: partition prefix ≡ stable argsort prefix ---------------
+
+
+#: Few distinct values, so ties are the rule; optionally scaled up to
+#: very large (still finite) magnitudes.
+tied_keys = st.builds(
+    lambda values, scale: [v * scale for v in values],
+    st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.0000000000000004, 7.0]),
+             min_size=0, max_size=40),
+    st.sampled_from([1.0, 1e300, -1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=tied_keys, cap=st.integers(min_value=1, max_value=45),
+       as_rank=st.booleans())
+def test_cheapest_rows_is_the_stable_argsort_prefix(keys, cap, as_rank):
+    key = np.array(keys, dtype=np.float64)
+    if as_rank:
+        # The USAGE key: unique int64 ranks.
+        key = np.argsort(np.argsort(key, kind="stable"), kind="stable")
+    order = GetPlan._cheapest_rows(key, cap)
+    full = np.argsort(key, kind="stable")
+    assert len(order) >= min(cap, len(key))
+    assert order.tolist() == full[:len(order)].tolist()
+    # Cut right after the rows tied with the cap-th key, no later.
+    if cap < len(key):
+        assert (key[order] <= key[full[cap - 1]]).all()
+        assert len(order) == int((key <= key[full[cap - 1]]).sum())
+
+
+@pytest.mark.parametrize(
+    "keys, cap",
+    [
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 0.5], 3),   # duplicates straddle cap
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 0.5], 2),   # cap lands on the first tie
+        ([4.0] * 7, 1),                         # all equal, cap == 1
+        ([4.0] * 7, 7),                         # N == cap
+        ([2.0, 1.0], 8),                        # N < cap
+        ([1e308, 1e-308, 1e308, 0.0], 1),       # very large keys
+    ],
+)
+def test_cheapest_rows_explicit_tie_cases(keys, cap):
+    key = np.array(keys, dtype=np.float64)
+    order = GetPlan._cheapest_rows(key, cap)
+    full = np.argsort(key, kind="stable")
+    assert len(order) >= min(cap, len(key))
+    assert order.tolist() == full[:len(order)].tolist()
 
 
 # -- view consistency over arbitrary op sequences -----------------------------
@@ -212,8 +369,14 @@ def _assert_view_consistent(cache: PlanCache) -> None:
     assert view.epoch == snap.epoch == cache.epoch
     assert view.entries is snap.entries
     assert len(view) == len(snap.entries)
+    if len(view):
+        # Dimension-major and contiguous, extended or rebuilt.
+        assert view.sv.shape == view.log_sv.shape == (
+            len(snap.entries[0].sv), len(view)
+        )
+        assert view.sv.flags.c_contiguous and view.log_sv.flags.c_contiguous
     for i, entry in enumerate(snap.entries):
-        assert tuple(view.sv[i]) == entry.sv.values
+        assert tuple(view.sv[:, i]) == entry.sv.values
         assert view.sub[i] == entry.suboptimality
         assert view.cost[i] == entry.optimal_cost
         assert int(view.plan_ids[i]) == entry.plan_id

@@ -444,6 +444,101 @@ def test_differential_usage_order_under_live_mutation():
     assert scalar.entries_scanned == vectorized.entries_scanned
 
 
+ALL_ORDERS = [CandidateOrder.GL, CandidateOrder.AREA, CandidateOrder.USAGE]
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS)
+def test_candidate_select_with_retired_rows_in_the_prefix(order, monkeypatch):
+    """Retiring rows *inside* the first ``cap`` of the candidate order
+    leaves the partition-selected prefix short, so the probe must fall
+    back to the full ordering — and still hand the cost phase exactly
+    the reference's candidates (read off ``recost_samples``: the recost
+    below never passes, so every candidate is tried, in order)."""
+    import numpy as np
+
+    rng = random.Random(31)
+    cache = build_cache(rng, 80, 3, retire_fraction=0.0)
+    common = dict(
+        cache=cache, lam=1.0001, candidate_order=order, max_recost_candidates=4,
+    )
+    scalar = ReferenceGetPlan(**common)  # no numpy: never counted below
+    vectorized = GetPlan(**common)
+    full_sorts = []
+    real_argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        full_sorts.append(len(a) == cache.num_instances)
+        return real_argsort(a, *args, **kwargs)
+
+    def never_passes(memo, point):
+        return 1e12
+
+    # Warm USAGE's rank memo (one full sort per usage version, not per
+    # probe) so the counts below see only the candidate select.
+    vectorized.probe(random_input(rng, 3, False), never_passes)
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    for t in range(40):
+        sv = random_input(rng, 3, False)
+        ahead = scalar.probe(sv, never_passes).recost_samples
+        assert len(ahead) == 4
+        # No retired row in the prefix: no full-N sort.
+        full_sorts.clear()
+        dv = vectorized.probe(sv, never_passes)
+        assert not any(full_sorts)
+        assert_decisions_identical(scalar.probe(sv, never_passes), dv, "live")
+        # Retire 1-3 of the rows the order puts first: the fallback runs.
+        doomed = [entry for entry, *_ in ahead[:rng.randint(1, 3)]]
+        for entry in doomed:
+            entry.retired = True
+        dv = vectorized.probe(sv, never_passes)
+        assert any(full_sorts)
+        assert_decisions_identical(
+            scalar.probe(sv, never_passes), dv, f"{order.value} t={t}"
+        )
+        assert len(dv.recost_samples) == 4
+        assert not any(e.retired for e, *_ in dv.recost_samples)
+        for entry in doomed:
+            entry.retired = False
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS)
+def test_max_recost_zero_orders_nothing(order, monkeypatch):
+    """A selectivity-only probe (SHED, ``max_recost=0``) has no cost
+    phase to feed: it returns the miss without building any ordering."""
+    import numpy as np
+
+    rng = random.Random(6)
+    cache = build_cache(rng, 60, 3)
+    vectorized = GetPlan(cache=cache, lam=1.0001, candidate_order=order)
+    scalar = ReferenceGetPlan(cache=cache, lam=1.0001, candidate_order=order)
+    sorts = []
+    for name in ("argsort", "partition", "sort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(
+            np, name,
+            lambda *a, _real=real, _name=name, **kw: (
+                sorts.append(_name), _real(*a, **kw)
+            )[1],
+        )
+
+    def never_called(memo, point):
+        raise AssertionError("max_recost=0 must not recost")
+
+    for t in range(30):
+        sv = random_input(rng, 3, False)
+        dv = vectorized.probe(sv, never_called, max_recost=0)
+        assert not dv.hit and dv.recost_calls == 0 and dv.recost_samples == ()
+        assert_decisions_identical(
+            scalar.probe(sv, never_called, max_recost=0), dv, f"t={t}"
+        )
+    batch = [random_input(rng, 3, False) for _ in range(10)]
+    assert not any(
+        d.hit for d in vectorized.probe_batch(batch, never_called, max_recost=0)
+    )
+    assert sorts == []
+    assert vectorized.entries_scanned == 40 * cache.num_instances
+
+
 def test_selectivity_span_counts_live_candidates():
     """The ``scr.selectivity_check`` span's ``candidates`` attribute is
     the cost-check candidate count of the scan: on a hit the live
