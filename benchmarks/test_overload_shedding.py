@@ -22,7 +22,6 @@ import time
 
 from conftest import run_once
 from repro.engine.database import Database
-from repro.engine.tracing import TraceEventKind, TraceLog
 from repro.harness.metrics import ServiceLevelSummary
 from repro.harness.reporting import format_table
 from repro.obs import Observability
@@ -48,9 +47,12 @@ DEADLINE_SECONDS = 0.080
 RELAX_FACTOR = 1.5
 RELAXED_CEILING = LAM * RELAX_FACTOR
 DRAIN_TIMEOUT = 60.0            # "zero hangs" bar: everything resolves
+DECISION_EVENTS = (
+    "overload.shed", "overload.uncertified_serve", "overload.queue_reject"
+)
 
 
-def build_manager(policy, trace=None):
+def build_manager(policy):
     db = Database.create(serving_schema(), seed=11)
     # Observability attached on both overload runs: the 1x ratio
     # acceptance below therefore bounds its overhead in the hot path.
@@ -59,7 +61,6 @@ def build_manager(policy, trace=None):
         max_workers=NUM_WORKERS,
         engine_wrapper=simulated_latency_wrapper(**LATENCY),
         overload=policy,
-        trace=trace,
         obs=Observability(),
     )
     for t in serving_templates():
@@ -121,9 +122,15 @@ def run_overload_burst(workload):
     return elapsed, choices, level, transitions, report
 
 
-def run_paced_overload(workload, offered_qps, trace):
+def run_paced_overload(workload, offered_qps):
     """Submit at a fixed offered rate; resolve every future."""
-    db, manager = build_manager(overload_policy(), trace=trace)
+    db, manager = build_manager(overload_policy())
+    # A live sink sees every span, whatever the bounded ring evicts.
+    decision_events = []
+    manager.obs.spans.attach_sink(
+        lambda span: decision_events.append(span)
+        if span.name in DECISION_EVENTS else None
+    )
     latencies: dict[int, float] = {}
     futures = []
     interval = 1.0 / offered_qps
@@ -154,7 +161,8 @@ def run_paced_overload(workload, offered_qps, trace):
     transitions = len(manager._overload_coordinator.controller.transitions)
     audit = manager.obs.audit
     manager.close()
-    return db, outcomes, latencies, elapsed, stats_rows, report, transitions, audit
+    return (db, outcomes, latencies, elapsed, stats_rows, report, transitions,
+            audit, decision_events)
 
 
 def certified_violations(db, workload, outcomes, bound) -> int:
@@ -186,10 +194,9 @@ def measure():
     workload_4x = make_workload(
         serving_templates(), OVERLOAD_PER_TEMPLATE, SEED + 1
     )
-    trace = TraceLog()
     (db, outcomes, latencies, paced_s, stats_rows, report_4x, transitions_4x,
-     audit) = run_paced_overload(
-        workload_4x, offered_qps=4.0 * capacity_qps, trace=trace
+     audit, decision_events) = run_paced_overload(
+        workload_4x, offered_qps=4.0 * capacity_qps
     )
 
     shed = [o for o in outcomes if isinstance(o, ShedError)]
@@ -212,10 +219,6 @@ def measure():
         if not isinstance(o, BaseException)
     )
     p99_ms = served_ms[int(0.99 * (len(served_ms) - 1))] if served_ms else 0.0
-    decision_events = [
-        e for e in trace.of_kind(TraceEventKind.OVERLOAD)
-        if e.check in ("shed", "uncertified_serve", "queue_reject")
-    ]
     return {
         "row": {
             "capacity_qps": capacity_qps,
@@ -284,8 +287,7 @@ def test_overload_shedding(benchmark):
         assert err.reason, "every shed carries a machine-readable reason"
 
     # Every shed / uncertified / reject decision left a traced reason code.
-    assert all(e.detail or e.check == "queue_reject"
-               for e in result["decision_events"])
+    assert all(e.attrs["reason"] for e in result["decision_events"])
     degraded = row["uncertified"] + row["shed"]
     if degraded:
         assert result["decision_events"], "degraded serves must be traced"

@@ -15,7 +15,7 @@ protection on (DESIGN.md §9):
 * every response is exactly one of **certified** (λ bound verified,
   possibly the relaxed one), **uncertified** (served from cache, no
   bound claimed) or **shed** (refused: nothing cached) — nothing ever
-  hangs, and every degraded decision is traced with a reason code.
+  hangs, and every degraded decision is an event span with a reason code.
 
 Run:  python examples/overloaded_server.py
 """
@@ -24,8 +24,8 @@ import time
 from collections import Counter
 
 from repro import Database, tpch_schema
-from repro.engine.tracing import TraceEventKind, TraceLog
 from repro.harness.reporting import format_table
+from repro.obs import Observability
 from repro.query.instance import QueryInstance
 from repro.query.sql import parse_sql
 from repro.serving import (
@@ -116,7 +116,14 @@ def drive(manager, instances, offered_qps):
 def main() -> None:
     print("Booting the overload-protected PQO server...")
     db = Database.create(tpch_schema(scale=0.3), seed=9)
-    trace = TraceLog()
+    obs = Observability()
+    # A live sink counts every degraded serve's reason as it happens,
+    # whatever the bounded span ring later evicts.
+    reasons = Counter()
+    obs.spans.attach_sink(
+        lambda span: reasons.update([span.attrs["reason"]])
+        if span.name == "overload.uncertified_serve" else None
+    )
     manager = ConcurrentPQOManager(
         database=db,
         max_workers=8,
@@ -124,7 +131,7 @@ def main() -> None:
             optimize_seconds=0.040, recost_seconds=0.002
         ),
         overload=POLICY,
-        trace=trace,
+        obs=obs,
     )
     def register_all(statements):
         registered = {}
@@ -185,10 +192,6 @@ def main() -> None:
     if not coordinator.controller.transitions:
         print("  (no transitions — raise the surge rate to see the ladder)")
 
-    reasons = Counter(
-        e.detail for e in trace.of_kind(TraceEventKind.OVERLOAD)
-        if e.check == "uncertified_serve"
-    )
     if reasons:
         print("\nDegraded-serve reasons:")
         for reason, count in reasons.most_common():

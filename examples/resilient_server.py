@@ -29,6 +29,7 @@ Run:  python examples/resilient_server.py [--robust]
 
 import argparse
 import random
+from collections import Counter
 
 from repro import Database, tpch_schema
 from repro.core.manager import PQOManager
@@ -38,8 +39,8 @@ from repro.engine.resilience import (
     ResilientEngineAPI,
     RetryPolicy,
 )
-from repro.engine.tracing import TraceEventKind, TraceLog
 from repro.harness.reporting import format_table
+from repro.obs import Observability
 from repro.query.instance import QueryInstance
 from repro.query.sql import parse_sql
 from repro.workload import instances_for_template
@@ -69,11 +70,14 @@ POLICY = ResiliencePolicy(
 def main(robust: bool = False) -> None:
     print("Booting the resilient PQO server on a TPC-H-like database...")
     db = Database.create(tpch_schema(scale=0.3), seed=9)
-    trace = TraceLog()
+    obs = Observability()
+    # A live sink counts every event span as it happens, whatever the
+    # bounded span ring later evicts.
+    events = Counter()
+    obs.spans.attach_sink(lambda span: events.update([span.name]))
     injectors = {}
 
     def chaos_wrapper(engine):
-        engine.trace = trace
         injector = FaultInjector(
             engine,
             FaultConfig.chaos(
@@ -96,7 +100,9 @@ def main(robust: bool = False) -> None:
         database=db, global_plan_budget=10, engine_wrapper=chaos_wrapper
     )
 
-    scr_kwargs = {"check_mode": "robust"} if robust else {}
+    scr_kwargs = {"obs": obs}
+    if robust:
+        scr_kwargs["check_mode"] = "robust"
     mode_note = " check=robust" if robust else ""
     templates = {}
     for name, sql in STATEMENTS.items():
@@ -180,13 +186,9 @@ def main(robust: bool = False) -> None:
         })
     print(format_table(rows, title="\nResilience accounting per template"))
 
-    by_kind = {}
-    for event in trace.events:
-        by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
-    print("\nTrace events:")
-    for kind in (TraceEventKind.FAULT, TraceEventKind.RETRY,
-                 TraceEventKind.BREAKER, TraceEventKind.DEGRADED):
-        print(f"  {kind.value:<10} {by_kind.get(kind, 0)}")
+    print("\nEvent spans:")
+    for kind in ("fault", "retry", "breaker", "degraded"):
+        print(f"  {kind:<10} {events[f'engine.{kind}']}")
 
     print(format_table(manager.report(), title="\nPer-template state"))
     print("\nFailure semantics recap: failed recosts can only cause cache "

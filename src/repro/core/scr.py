@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 from ..engine.api import EngineAPI
 from ..engine.resilience import OptimizeUnavailableError
-from ..engine.tracing import TraceLog
 from ..obs.handle import Observability, base_engine, instrument_engine
 from ..query.instance import (
     AnySelectivityVector,
@@ -88,14 +87,12 @@ class SCR(OnlinePQOTechnique):
         detect_violations: bool = True,
         eviction_policy: EvictionPolicy = EvictionPolicy.LFU,
         candidate_order: CandidateOrder = CandidateOrder.GL,
-        trace: Optional[TraceLog] = None,
         obs: Optional[Observability] = None,
         check_mode: "CheckMode | str" = CheckMode.POINT,
         target_coverage: float = 0.95,
     ) -> None:
         super().__init__(engine)
         self.lam = lam
-        self.trace = trace
         self.obs = obs
         self.check_mode = CheckMode.coerce(check_mode)
         self.cache = PlanCache()
@@ -182,13 +179,6 @@ class SCR(OnlinePQOTechnique):
                 )
         self._feed_recost_calibration(decision)
         plan = self.cache.plan(decision.plan_id)
-        if self.trace is not None:
-            self.trace.decision(
-                self.instances_processed,
-                decision.check.value,
-                plan.signature,
-                certified_bound=decision.inferred_suboptimality,
-            )
         bound = decision.inferred_suboptimality
         lam = (
             self.get_plan._effective_lambda(decision.anchor)
@@ -270,10 +260,6 @@ class SCR(OnlinePQOTechnique):
             self.manage_cache.stats.redundancy_recost_calls - recosts_before
         )
         chosen = self.cache.plan(entry.plan_id)
-        if self.trace is not None:
-            self.trace.decision(
-                self.instances_processed, "optimizer", chosen.signature
-            )
         # A freshly optimized instance is served with the bound its
         # 5-tuple registered: 1 for its own (or an identical) plan, the
         # redundancy winner's S_min otherwise.  Under robust checks the
@@ -361,14 +347,9 @@ class SCR(OnlinePQOTechnique):
         instruments = getattr(base_engine(self.engine), "instruments", None)
         if instruments is not None:
             instruments.degraded["optimize"].inc()
-        if self.engine.trace is not None:
-            self.engine.trace.degraded(
-                "optimize", self.instances_processed,
-                detail=f"serving cached plan {plan.signature[:60]}",
-            )
-        if self.trace is not None:
-            self.trace.decision(
-                self.instances_processed, "fallback", plan.signature
+            instruments.event(
+                "degraded", "optimize", self.instances_processed,
+                f"serving cached plan {plan.signature[:60]}",
             )
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,
@@ -396,10 +377,6 @@ class SCR(OnlinePQOTechnique):
         if best is None:
             return None
         plan = self.cache.plan(best.plan_id)
-        if self.trace is not None:
-            self.trace.decision(
-                self.instances_processed, "overload", plan.signature
-            )
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,
             plan_signature=plan.signature,

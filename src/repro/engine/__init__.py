@@ -22,7 +22,6 @@ from .resilience import (
     SelectivityUnavailableError,
     resilient_engine_factory,
 )
-from .tracing import TraceEvent, TraceEventKind, TraceLog
 
 __all__ = [
     "ApiAccounting",
@@ -43,9 +42,6 @@ __all__ = [
     "ResilientEngineAPI",
     "RetryPolicy",
     "SelectivityUnavailableError",
-    "TraceEvent",
-    "TraceEventKind",
-    "TraceLog",
     "TransientEngineError",
     "resilient_engine_factory",
 ]

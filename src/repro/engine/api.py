@@ -14,8 +14,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from typing import Optional
-
 from ..optimizer.optimizer import OptimizationResult, QueryOptimizer
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
@@ -25,7 +23,6 @@ from ..query.instance import (
 )
 from ..query.template import QueryTemplate
 from ..selectivity.estimator import SelectivityEstimator
-from .tracing import TraceEventKind, TraceLog
 
 
 @dataclass
@@ -106,13 +103,11 @@ class EngineAPI:
         template: QueryTemplate,
         optimizer: QueryOptimizer,
         estimator: SelectivityEstimator,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         self.template = template
         self.optimizer = optimizer
         self.estimator = estimator
         self.counters = EngineCounters()
-        self.trace = trace
         # Observability handle + pre-resolved metric children; attached
         # via repro.obs.instrument_engine.  None keeps the hot path at
         # one attribute check per call.
@@ -120,7 +115,7 @@ class EngineAPI:
         self.instruments = None
         # Thread-local: under concurrent serving several worker threads
         # share one engine, and a plain attribute would misattribute
-        # trace events to whichever instance called begin_instance last.
+        # spans to whichever instance called begin_instance last.
         self._index_tls = threading.local()
 
     @property
@@ -131,8 +126,8 @@ class EngineAPI:
         """Tag this thread's subsequent API calls with the workload
         instance index.
 
-        Techniques call this once per arriving instance so trace events
-        are attributable to the instance that triggered them.
+        Techniques call this once per arriving instance so ``engine.*``
+        spans are attributable to the instance that triggered them.
         """
         self._index_tls.index = index
 
@@ -186,11 +181,6 @@ class EngineAPI:
         result = self.optimizer.optimize(sv)
         elapsed = time.perf_counter() - start
         self.counters.optimize.record(elapsed)
-        if self.trace is not None:
-            self.trace.api_call(
-                TraceEventKind.OPTIMIZE, self._instance_index, elapsed,
-                detail=result.shrunken_memo.signature[:80],
-            )
         if self.instruments is not None:
             self._observe_call("optimize", start, elapsed)
         return result
@@ -201,10 +191,6 @@ class EngineAPI:
         cost = self.optimizer.recost(shrunken, sv)
         elapsed = time.perf_counter() - start
         self.counters.recost.record(elapsed)
-        if self.trace is not None:
-            self.trace.api_call(
-                TraceEventKind.RECOST, self._instance_index, elapsed
-            )
         if self.instruments is not None:
             self._observe_call("recost", start, elapsed)
         return cost

@@ -157,10 +157,6 @@ class FaultInjector:
     def counters(self):
         return self.inner.counters
 
-    @property
-    def trace(self):
-        return self.inner.trace
-
     def begin_instance(self, index: int) -> None:
         self.inner.begin_instance(index)
 
@@ -289,10 +285,6 @@ class DriftingCostEngine:
     def counters(self):
         return self.inner.counters
 
-    @property
-    def trace(self):
-        return self.inner.trace
-
     def begin_instance(self, index: int) -> None:
         self.inner.begin_instance(index)
 
@@ -367,10 +359,6 @@ class NoisyEngine:
     @property
     def counters(self):
         return self.inner.counters
-
-    @property
-    def trace(self):
-        return self.inner.trace
 
     def begin_instance(self, index: int) -> None:
         self.inner.begin_instance(index)

@@ -21,9 +21,11 @@ any :class:`~repro.engine.api.EngineAPI` (or a
     a conservative factor, and the served instance is flagged
     ``uncertified``.
 
-Every fault, retry and breaker transition is counted in
-:class:`~repro.engine.api.ResilienceCounters` and traced in the
-:class:`~repro.engine.tracing.TraceLog`.
+Every fault, retry, breaker transition and degraded answer is counted
+in :class:`~repro.engine.api.ResilienceCounters`; with an observability
+handle on the base engine it is also counted in the registry and
+recorded as an ``engine.fault`` / ``engine.retry`` / ``engine.breaker``
+/ ``engine.degraded`` event span inside the request that suffered it.
 """
 
 from __future__ import annotations
@@ -272,10 +274,6 @@ class ResilientEngineAPI:
     def counters(self):
         return self.inner.counters
 
-    @property
-    def trace(self):
-        return self.inner.trace
-
     def begin_instance(self, index: int) -> None:
         self._tls.index = index
         self.inner.begin_instance(index)
@@ -295,7 +293,7 @@ class ResilientEngineAPI:
         """Registry instruments attached to the base engine (or None)."""
         return getattr(base_engine(self.inner), "instruments", None)
 
-    def _count_fault(self, api: str) -> None:
+    def _count_fault(self, api: str, exc: Exception) -> None:
         res = self.counters.resilience
         if api == "optimize":
             res.faults_optimize += 1
@@ -306,8 +304,9 @@ class ResilientEngineAPI:
         instruments = self._instruments
         if instruments is not None:
             instruments.faults[api].inc()
+            instruments.event("fault", api, self._index, str(exc)[:120])
 
-    def _count_degraded(self, api: str) -> None:
+    def _count_degraded(self, api: str, detail: str) -> None:
         instruments = self._instruments
         if instruments is not None:
             instruments.degraded[api].inc()
@@ -315,6 +314,7 @@ class ResilientEngineAPI:
             # it ever reaches the calibration/drift feeds — note the
             # gap for the doctor's coverage accounting.
             instruments.feed_gaps[api].inc()
+            instruments.event("degraded", api, self._index, detail)
 
     def _attempt(
         self,
@@ -360,9 +360,7 @@ class ResilientEngineAPI:
                 result = self._attempt(api, fn, deadline, validate)
             except FAILURE_TYPES as exc:
                 last_error = exc
-                self._count_fault(api)
-                if self.trace is not None:
-                    self.trace.fault(api, self._index, detail=str(exc)[:120])
+                self._count_fault(api, exc)
                 if on_failure is not None:
                     on_failure()
                 if attempt < retry.max_attempts:
@@ -377,8 +375,10 @@ class ResilientEngineAPI:
                     instruments = self._instruments
                     if instruments is not None:
                         instruments.retries.inc()
-                    if self.trace is not None:
-                        self.trace.retry(api, self._index, attempt, backoff)
+                        instruments.event(
+                            "retry", api, self._index, f"attempt {attempt}",
+                            backoff_s=backoff,
+                        )
                     self._sleep(backoff)
                 continue
             if on_success is not None:
@@ -428,13 +428,11 @@ class ResilientEngineAPI:
                  for s in self._last_good_sv]
             )
             self.counters.resilience.selectivity_fallbacks += 1
-            self._count_degraded("selectivity")
+            self._count_degraded(
+                "selectivity",
+                f"stale vector inflated x{self.policy.svector_inflation:g}",
+            )
             self._tls.selectivity_degraded = True
-            if self.trace is not None:
-                self.trace.degraded(
-                    "selectivity", self._index,
-                    detail=f"stale vector inflated x{self.policy.svector_inflation:g}",
-                )
             return inflated, True
         self._last_good_sv = sv
         return sv, False
@@ -480,16 +478,11 @@ class ResilientEngineAPI:
                 ) from exc
             widened = stale.widened(self.policy.svector_inflation)
             self.counters.resilience.selectivity_fallbacks += 1
-            self._count_degraded("selectivity")
+            self._count_degraded(
+                "selectivity",
+                f"stale interval widened x{self.policy.svector_inflation:g}",
+            )
             self._tls.selectivity_degraded = True
-            if self.trace is not None:
-                self.trace.degraded(
-                    "selectivity", self._index,
-                    detail=(
-                        "stale interval widened "
-                        f"x{self.policy.svector_inflation:g}"
-                    ),
-                )
             return widened, True
         self._last_good_usv = usv
         self._last_good_sv = usv.point
@@ -525,9 +518,7 @@ class ResilientEngineAPI:
             res = self.counters.resilience
             res.breaker_short_circuits += 1
             res.recost_failed_closed += 1
-            self._count_degraded("recost")
-            if self.trace is not None:
-                self.trace.degraded("recost", self._index, detail="breaker open")
+            self._count_degraded("recost", "breaker open")
             return math.inf
 
         def on_failure() -> None:
@@ -551,11 +542,7 @@ class ResilientEngineAPI:
             )
         except FAILURE_TYPES:
             self.counters.resilience.recost_failed_closed += 1
-            self._count_degraded("recost")
-            if self.trace is not None:
-                self.trace.degraded(
-                    "recost", self._index, detail="failed closed (miss)"
-                )
+            self._count_degraded("recost", "failed closed (miss)")
             return math.inf
 
     def _breaker_event(self, transition: str) -> None:
@@ -567,8 +554,7 @@ class ResilientEngineAPI:
         instruments = self._instruments
         if instruments is not None:
             instruments.breaker_transition(transition)
-        if self.trace is not None:
-            self.trace.breaker("recost", self._index, transition)
+            instruments.event("breaker", "recost", self._index, transition)
 
 
 def resilient_engine_factory(

@@ -9,8 +9,7 @@ Three ways the observability state leaves the process:
   byte-compares it.
 * :class:`JsonlWriter` — an append-only JSONL file sink; attach one to
   a :class:`~repro.obs.spans.SpanRecorder` to stream every span as it
-  completes, or use :func:`write_spans_jsonl` /
-  :func:`write_trace_jsonl` for one-shot dumps.
+  completes, or use :func:`write_spans_jsonl` for a one-shot dump.
 * :func:`snapshot_rows` — flat rows for the CLI's table renderer.
 """
 
@@ -86,7 +85,7 @@ class JsonlWriter:
 
     ``writer(span)`` (the instance is callable) serializes one span per
     line, so ``recorder.attach_sink(JsonlWriter(path))`` streams the
-    trace as it happens.  Also accepts plain dicts for trace events.
+    trace as it happens.  Also accepts plain dicts (the schema header).
     """
 
     def __init__(self, target: Union[str, IO[str]],
@@ -146,15 +145,6 @@ def write_spans_jsonl(
             writer.rows_written -= 1
         for span in recorder.spans():
             writer.write(span)
-        return writer.rows_written
-
-
-def write_trace_jsonl(trace, target: Union[str, IO[str]],
-                      include_timing: bool = False) -> int:
-    """Dump a :class:`~repro.engine.tracing.TraceLog` as JSONL rows."""
-    with JsonlWriter(target) as writer:
-        for row in trace.to_jsonable(include_timing=include_timing):
-            writer.write(row)
         return writer.rows_written
 
 

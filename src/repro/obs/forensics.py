@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO, Union
 
-from .spans import Span
+from .spans import EVENT_NAMES, Span
 
 #: Span names with request-level meaning (anything else renders
 #: generically but still participates in the tree).
@@ -210,10 +210,23 @@ def explain_trace(spans: Iterable[Span]) -> dict:
                     else "the optimizer was NOT consulted (degraded path)"
                 ))
 
+    # -- events: faults, retries, sheds, brownout moves -------------------------
+    events = [s for s in ordered if s.name in EVENT_NAMES]
+    if events:
+        info["events"] = [
+            {"event": s.name, **{k: s.attrs[k] for k in sorted(s.attrs)}}
+            for s in events
+        ]
+        for s in events:
+            why = s.attrs.get("reason") or s.attrs.get("detail")
+            if s.attrs.get("transition"):
+                why = f"{s.attrs['transition']}: {why}"
+            say(f"event {s.name}" + (f" ({why})" if why else ""))
+
     # -- engine work ----------------------------------------------------------
     engine_calls = {}
     for span in ordered:
-        if span.name.startswith("engine."):
+        if span.name.startswith("engine.") and span.name not in EVENT_NAMES:
             engine_calls[span.name] = engine_calls.get(span.name, 0) + 1
     if engine_calls:
         info["engine_calls"] = engine_calls

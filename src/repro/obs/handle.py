@@ -183,6 +183,15 @@ class EngineInstruments:
         self.calibration = obs.calibration.template(template)
         self.template = template
 
+    def event(self, kind: str, api: str, seq: int, detail: str,
+              **attrs: object) -> None:
+        """Record one ``engine.<kind>`` event span (fault / retry /
+        breaker / degraded) against this template's engine."""
+        self.obs.spans.event(
+            f"engine.{kind}", template=self.template, api=api, seq=seq,
+            detail=detail, **attrs,
+        )
+
     def breaker_transition(self, transition: str) -> None:
         self._breaker_transitions.labels(
             template=self.template, transition=transition

@@ -13,11 +13,17 @@ phase of one request — across threads and, via
 tree under one trace ID.  Recording outside any trace context leaves
 the IDs empty, which keeps old flat-span call sites valid.
 
-The recorder is a bounded ring buffer (the same discipline as the
-fixed :class:`~repro.engine.tracing.TraceLog`): a serving process
-emitting spans forever must not grow without bound, so old spans are
-dropped and counted instead.  Sinks receive every span as it
-completes (how the JSONL streaming exporter and the per-trace
+Things that happen at an instant rather than over an interval — an
+engine fault, a retry, a breaker flip, a shed, a brownout move — are
+zero-duration **event spans** (:meth:`SpanRecorder.event`, names in
+:data:`EVENT_NAMES`).  They are recorded inside the ambient context
+like any other span, so an event parents under the request that
+suffered it and a request's tree shows *why* it was shed or retried.
+
+The recorder is a bounded ring buffer: a serving process emitting
+spans forever must not grow without bound, so old spans (events
+included) are dropped and counted instead.  Sinks receive every span
+as it completes (how the JSONL streaming exporter and the per-trace
 collector hook in), and a raising sink is isolated from the
 instrumented hot path: errors are counted and a sink that fails
 :data:`SINK_DETACH_AFTER` consecutive times is detached.
@@ -45,6 +51,17 @@ DEFAULT_SPAN_CAPACITY = 16384
 #: A live sink that raises this many times in a row is detached.
 SINK_DETACH_AFTER = 8
 
+#: Every zero-duration event span the stack emits (DESIGN.md §10 lists
+#: their attributes).  Forensics uses this to tell an ``engine.fault``
+#: from engine *work* such as ``engine.recost``.
+EVENT_NAMES = frozenset({
+    "engine.fault", "engine.retry", "engine.breaker", "engine.degraded",
+    "serving.epoch_retry", "serving.single_flight_collapse",
+    "serving.batch_dedupe",
+    "overload.shed", "overload.uncertified_serve", "overload.queue_reject",
+    "overload.brownout",
+})
+
 
 @dataclass(frozen=True)
 class Span:
@@ -61,9 +78,8 @@ class Span:
 
     def to_jsonable(self, include_timing: bool = True) -> dict:
         """One JSONL row.  Timing can be excluded for byte-reproducible
-        golden fixtures of deterministic runs (same convention as
-        :meth:`TraceLog.to_jsonable`).  The causal IDs are emitted only
-        when set, so untraced spans keep the v1 row shape."""
+        golden fixtures of deterministic runs.  The causal IDs are
+        emitted only when set, so untraced spans keep the v1 row shape."""
         row: dict = {"span": self.name, "seq": self.seq}
         if self.trace_id:
             row["trace_id"] = self.trace_id
@@ -219,6 +235,14 @@ class SpanRecorder:
         self._emit(span, sinks)
         return span
 
+    def event(self, name: str, **attrs: object) -> Optional[Span]:
+        """Record something that happened *now*: a zero-duration span
+        (one of :data:`EVENT_NAMES`) under the ambient trace context.
+        A no-op when spans are off."""
+        if not self.enabled:
+            return None
+        return self.record(name, self.clock.perf_counter(), 0.0, **attrs)
+
     def ingest(self, span: Span) -> Optional[Span]:
         """Adopt a span recorded elsewhere (another process), keeping
         its causal IDs and timing but assigning a local sequence."""
@@ -348,6 +372,7 @@ class TraceCollector:
 
 __all__ = [
     "DEFAULT_SPAN_CAPACITY",
+    "EVENT_NAMES",
     "SINK_DETACH_AFTER",
     "Span",
     "SpanRecorder",

@@ -15,7 +15,11 @@ import time
 
 from ..engine.api import EngineAPI
 from ..optimizer.recost import ShrunkenMemo
-from ..query.instance import QueryInstance, SelectivityVector
+from ..query.instance import (
+    QueryInstance,
+    SelectivityVector,
+    UncertainSelectivityVector,
+)
 
 
 class SimulatedLatencyEngine:
@@ -40,6 +44,13 @@ class SimulatedLatencyEngine:
         if self.selectivity_seconds:
             time.sleep(self.selectivity_seconds)
         return self._inner.selectivity_vector(instance)
+
+    def selectivity_vector_with_error(
+        self, instance: QueryInstance
+    ) -> UncertainSelectivityVector:
+        if self.selectivity_seconds:
+            time.sleep(self.selectivity_seconds)
+        return self._inner.selectivity_vector_with_error(instance)
 
     def optimize(self, sv: SelectivityVector):
         if self.optimize_seconds:

@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 from ..core.dynamic_lambda import PressureRelaxedLambda
 from ..core.manager import PQOManager, TemplateState
 from ..core.technique import PlanChoice
-from ..engine.tracing import TraceLog
 from ..obs.handle import Observability, instrument_engine
 from ..obs.tracectx import TraceContext, activate, child_context, current_context
 from ..query.instance import QueryInstance
@@ -58,10 +57,6 @@ class ConcurrentPQOManager(PQOManager):
     ----------
     max_workers:
         Size of the serving thread pool.
-    trace:
-        Optional :class:`TraceLog` receiving ``serving`` events
-        (single-flight collapses, epoch retries, batch dedup) and
-        ``overload`` events (brownout transitions, sheds, rejects).
     overload:
         Optional :class:`OverloadPolicy` enabling admission control,
         deadlines and brownout degradation.  Without it the serving
@@ -69,7 +64,6 @@ class ConcurrentPQOManager(PQOManager):
     """
 
     max_workers: int = 8
-    trace: Optional[TraceLog] = None
     overload: Optional[OverloadPolicy] = None
     #: Manager-wide default check mode for registered templates
     #: (``"point"`` / ``"robust"`` / ``"probabilistic"``); a per-template
@@ -114,7 +108,7 @@ class ConcurrentPQOManager(PQOManager):
                 # One clock source for coordinator, shards and spans.
                 kwargs["clock"] = self.obs.clock
             self._overload_coordinator = OverloadCoordinator(
-                self.overload, trace=self.trace, **kwargs
+                self.overload, **kwargs
             )
             if self.obs is not None:
                 self._overload_coordinator.attach_obs(self.obs)
@@ -151,7 +145,7 @@ class ConcurrentPQOManager(PQOManager):
             with self._all_shard_locks():
                 self._templates[template.name] = state
                 self._shards[template.name] = TemplateShard(
-                    state, trace=self.trace, overload=ov, obs=self.obs
+                    state, overload=ov, obs=self.obs
                 )
                 self._apply_budgets()
         return state
@@ -246,14 +240,9 @@ class ConcurrentPQOManager(PQOManager):
                 deadline = ov.new_deadline()
             entered = ov.try_enter_queue(shard.stats)
             if not entered:
-                if self.trace is not None:
-                    self.trace.overload(
-                        "queue_reject",
-                        shard.scr.instances_processed,
-                        detail=shard.state.template.name,
-                    )
                 try:
                     with activate(ctx) if ctx is not None else nullcontext():
+                        shard.event("overload.queue_reject", reason="queue_full")
                         fut.set_result(
                             self._process_on(
                                 shard, instance, deadline,
@@ -367,8 +356,7 @@ class ConcurrentPQOManager(PQOManager):
                     shard = self._shards.get(instance.template_name)
                     if shard is not None:
                         shard.stats.note_deduped()
-                    if self.trace is not None:
-                        self.trace.serving("batch_dedupe", i)
+                        shard.event("serving.batch_dedupe", index=i)
                     continue
                 first_seen[key] = i
             per_template.setdefault(instance.template_name, []).append(

@@ -31,8 +31,10 @@ and observably* instead of letting queues collapse:
   is a request shed (:class:`ShedError`).
 
 Every shed / uncertified decision and every brownout transition is
-counted in :class:`~repro.serving.stats.ServingStats` and traced as an
-``overload`` event with a reason code.
+counted in the metrics registry (through
+:class:`~repro.serving.stats.ServingStats` and the controller's own
+families) and, with spans on, recorded as an ``overload.*`` event span
+carrying its reason code.
 """
 
 from __future__ import annotations
@@ -342,9 +344,8 @@ class BrownoutController:
     cannot flap between levels on a noisy boundary signal.
     """
 
-    def __init__(self, policy: OverloadPolicy, trace=None) -> None:
+    def __init__(self, policy: OverloadPolicy) -> None:
         self.policy = policy
-        self.trace = trace
         self.level = BrownoutLevel.NORMAL
         self.transitions: list[BrownoutTransition] = []
         self.ticks = 0
@@ -353,9 +354,12 @@ class BrownoutController:
         self._lock = threading.Lock()
         self._m_level = None
         self._m_transitions = None
+        self._spans = None
 
     def attach_obs(self, obs: Observability) -> None:
-        """Mirror the brownout level and transitions into the registry."""
+        """Mirror the brownout level and transitions into the registry,
+        and record each move as an ``overload.brownout`` event span."""
+        self._spans = obs.spans
         self._m_level = obs.registry.gauge(
             BROWNOUT_LEVEL,
             "Current brownout level (0=normal ... 4=shed)",
@@ -409,13 +413,11 @@ class BrownoutController:
             self._m_transitions.labels(
                 to_level=transition.current.name.lower()
             ).inc()
-        if self.trace is not None:
-            self.trace.overload(
-                "brownout",
-                self.ticks,
-                detail=(
+            self._spans.event(
+                "overload.brownout", tick=self.ticks, reason=reason,
+                transition=(
                     f"{transition.previous.name.lower()}->"
-                    f"{transition.current.name.lower()}:{reason}"
+                    f"{transition.current.name.lower()}"
                 ),
             )
         return transition
@@ -436,18 +438,16 @@ class OverloadCoordinator:
     def __init__(
         self,
         policy: OverloadPolicy,
-        trace=None,
         clock: Union[Clock, Callable[[], float]] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.policy = policy
-        self.trace = trace
         # One unified clock source: tests and legacy callers may pass a
         # bare monotonic callable; as_clock normalizes either form, and
         # `self.clock` stays the plain callable shards and deadlines use.
         self.clock_source = clock if isinstance(clock, Clock) else as_clock(clock)
         self.clock = self.clock_source.monotonic
-        self.controller = BrownoutController(policy, trace=trace)
+        self.controller = BrownoutController(policy)
         self.gate = OptimizerGate(
             concurrency=policy.optimizer_concurrency,
             tokens_per_second=policy.optimizer_tokens_per_second,

@@ -37,7 +37,6 @@ from ..core.manager import TemplateState
 from ..core.scr import SCR
 from ..core.technique import PlanChoice
 from ..engine.resilience import OptimizeUnavailableError
-from ..engine.tracing import TraceLog
 from ..obs.clock import SYSTEM_CLOCK
 from ..obs.handle import Observability
 from ..obs.tracectx import activate, current_context, start_trace
@@ -64,7 +63,6 @@ class TemplateShard:
     def __init__(
         self,
         state: TemplateState,
-        trace: Optional[TraceLog] = None,
         flight_timeout_seconds: float = 30.0,
         overload: Optional[OverloadCoordinator] = None,
         obs: Optional[Observability] = None,
@@ -75,18 +73,13 @@ class TemplateShard:
         # Robust/probabilistic shards probe with an uncertainty box; the
         # flag gates the usv fetch path and the brownout coverage step.
         self.robust = state.scr.check_mode is not CheckMode.POINT
-        self.trace = trace
         self.flight_timeout_seconds = flight_timeout_seconds
         self.lock = threading.RLock()
         self.stats = ServingStats(template=state.template.name)
         self._overload = overload
         # One clock source for everything the shard times (latency,
-        # lock waits, deadlines): the coordinator's when overload is
-        # configured — so a test's fake clock drives all of it — the
-        # system clock otherwise.  Previously latency used
-        # time.perf_counter while deadlines used the coordinator's
-        # monotonic callable, so fake clocks couldn't reach latencies.
-        # the coordinator's clock must win when present: deadlines are
+        # lock waits, deadlines), so a test's fake clock drives all of
+        # it.  The coordinator's clock wins when present: deadlines are
         # minted on it, and _now() must read the same timeline.
         if overload is not None:
             self.clock = overload.clock_source
@@ -99,7 +92,7 @@ class TemplateShard:
             self.stats.attach_obs(obs)
         self._flight_lock = threading.Lock()
         self._inflight: dict[tuple[float, ...], threading.Event] = {}
-        # Instance sequence numbers for trace attribution are allocated
+        # Instance sequence numbers for span attribution are allocated
         # atomically here and passed explicitly: reading the SCR's
         # lock-protected counter lock-free would hand the same index to
         # concurrent threads.
@@ -162,15 +155,17 @@ class TemplateShard:
                 extra["reason"] = exc.reason
             raise
         finally:
-            missed = deadline is not None and deadline.expired(self._now())
-            if missed:
-                self.stats.note_deadline_miss()
-            if ov is not None:
-                ov.note_completed(missed, shed=shed)
+            # Still inside the request's context: a brownout move this
+            # completion tips is an event of this request.
+            with activate(ctx) if ctx is not None else nullcontext():
+                missed = deadline is not None and deadline.expired(self._now())
+                if missed:
+                    self.stats.note_deadline_miss()
+                if ov is not None:
+                    ov.note_completed(missed, shed=shed)
+                    if spans_on:
+                        extra["brownout"] = int(ov.level)
                 if spans_on:
-                    extra["brownout"] = int(ov.level)
-            if spans_on:
-                with activate(ctx) if ctx is not None else nullcontext():
                     obs.spans.record(
                         "serving.process", start,
                         self.clock.perf_counter() - start,
@@ -286,10 +281,9 @@ class TemplateShard:
             # Anchor vanished between probe and commit: same re-probe the
             # single-instance path runs after a failed validation.
             self.stats.note_epoch_retry()
-            if self.trace is not None:
-                self.trace.serving("epoch_retry", scr.instances_processed)
             try:
                 with activate(ctxs[i]) if ctxs[i] is not None else nullcontext():
+                    self.event("serving.epoch_retry")
                     results[i] = self._serve(svs[i], depth=1)
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 results[i] = exc
@@ -485,8 +479,7 @@ class TemplateShard:
         # The anchor vanished (plan evicted / retired) between probe and
         # commit: the certificate no longer stands, so re-probe fresh.
         self.stats.note_epoch_retry()
-        if self.trace is not None:
-            self.trace.serving("epoch_retry", scr.instances_processed)
+        self.event("serving.epoch_retry")
         return self._serve(
             sv, depth + 1, deadline=deadline, max_recost=max_recost, deny=deny,
             coverage=coverage,
@@ -591,10 +584,7 @@ class TemplateShard:
             # S ≤ λ_r ≤ λ) guarantees a selectivity hit.  The wait never
             # outlives the submission's remaining budget.
             self.stats.note_single_flight()
-            if self.trace is not None:
-                self.trace.serving(
-                    "single_flight_collapse", self.scr.instances_processed
-                )
+            self.event("serving.single_flight_collapse")
             timeout = self.flight_timeout_seconds
             if deadline is not None:
                 timeout = min(timeout, max(0.0, deadline.remaining(self._now())))
@@ -700,29 +690,29 @@ class TemplateShard:
     ) -> PlanChoice:
         """Nearest cached plan uncertified, or shed; caller holds the lock.
 
-        Every outcome is labeled: an ``overload`` trace event carries the
-        reason code, and the stats layer counts the serve or the shed.
+        Every outcome is labeled: an ``overload.shed`` /
+        ``overload.uncertified_serve`` event span carries the reason
+        code, and the stats layer counts the serve or the shed.
         """
         choice = self.scr._overload_choice(sv, recost_calls)
         if choice is None:
-            self.stats.note_shed(f"{reason}:no_cached_plan")
-            if self.trace is not None:
-                self.trace.overload(
-                    "shed",
-                    self.scr.instances_processed,
-                    detail=f"{reason}:no_cached_plan",
-                )
-            raise ShedError(
-                f"{reason}:no_cached_plan", template=self.state.template.name
-            )
+            reason = f"{reason}:no_cached_plan"
+            self.stats.note_shed(reason)
+            self.event("overload.shed", reason=reason)
+            raise ShedError(reason, template=self.state.template.name)
         self.stats.note_overload_serve(reason)
-        if self.trace is not None:
-            self.trace.overload(
-                "uncertified_serve", self.scr.instances_processed, detail=reason
-            )
+        self.event("overload.uncertified_serve", reason=reason)
         return self._finish_locked(choice)
 
     # -- shared plumbing ------------------------------------------------------
+
+    def event(self, name: str, **attrs: object) -> None:
+        """Record one serving/overload event span for this shard."""
+        if self._obs is not None:
+            self._obs.spans.event(
+                name, template=self.state.template.name,
+                seq=self.scr.instances_processed, **attrs,
+            )
 
     def _recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
         with self.stats.engine_calls.track():

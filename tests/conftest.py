@@ -11,6 +11,7 @@ import pytest
 
 from repro.catalog.schema import Column, Schema, Table
 from repro.engine.database import Database
+from repro.obs import EVENT_NAMES
 from repro.query.template import QueryTemplate, join, range_predicate
 
 
@@ -29,6 +30,15 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "cluster" in item.keywords:
             item.add_marker(skip)
+
+
+def event_spans(obs, name: str = "") -> list:
+    """The handle's retained event spans (``SpanRecorder.event``) whose
+    name is, or starts with, ``name`` — oldest first."""
+    return [
+        s for s in obs.spans.spans()
+        if s.name in EVENT_NAMES and s.name.startswith(name)
+    ]
 
 
 def build_toy_schema() -> Schema:

@@ -1,20 +1,21 @@
-"""Tests for cache-coverage analysis and the wired-in tracing."""
+"""Tests for cache-coverage analysis and the wired-in decision record
+(the returned ``PlanChoice`` and the ``engine.*`` spans)."""
 
 import pytest
 
 from repro.core.coverage import sample_coverage
 from repro.core.scr import SCR
 from repro.engine.api import EngineAPI
-from repro.engine.tracing import TraceEventKind, TraceLog
+from repro.obs import Observability
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.workload.generator import instances_for_template
 
 
-def fresh_engine(db, template, trace=None) -> EngineAPI:
+def fresh_engine(db, template) -> EngineAPI:
     from repro.optimizer.optimizer import QueryOptimizer
 
     optimizer = QueryOptimizer(template, db.stats, db.estimator, db.cost_model)
-    return EngineAPI(template, optimizer, db.estimator, trace=trace)
+    return EngineAPI(template, optimizer, db.estimator)
 
 
 class TestCoverage:
@@ -77,13 +78,11 @@ class TestCoverage:
 
 class TestWiredTracing:
     def test_scr_records_decisions(self, toy_db, toy_template):
-        trace = TraceLog()
-        engine = fresh_engine(toy_db, toy_template, trace=trace)
-        scr = SCR(engine, lam=2.0, trace=trace)
-        scr.process(QueryInstance("t", sv=SelectivityVector.of(0.2, 0.2)))
-        scr.process(QueryInstance("t", sv=SelectivityVector.of(0.21, 0.2)))
-        decisions = trace.decisions()
-        assert len(decisions) == 2
+        scr = SCR(fresh_engine(toy_db, toy_template), lam=2.0)
+        decisions = [
+            scr.process(QueryInstance("t", sv=SelectivityVector.of(0.2, 0.2))),
+            scr.process(QueryInstance("t", sv=SelectivityVector.of(0.21, 0.2))),
+        ]
         assert decisions[0].check == "optimizer"
         assert decisions[1].check in ("selectivity", "cost")
         # Reuse decisions carry the certified bound.
@@ -91,19 +90,20 @@ class TestWiredTracing:
         assert decisions[1].certified_bound <= 2.0
 
     def test_engine_records_api_calls(self, toy_db, toy_template):
-        trace = TraceLog()
-        engine = fresh_engine(toy_db, toy_template, trace=trace)
+        obs = Observability()
+        engine = fresh_engine(toy_db, toy_template)
+        SCR(engine, obs=obs)  # instruments the engine
         result = engine.optimize(SelectivityVector.of(0.3, 0.3))
         engine.recost(result.shrunken_memo, SelectivityVector.of(0.4, 0.4))
-        assert len(list(trace.of_kind(TraceEventKind.OPTIMIZE))) == 1
-        assert len(list(trace.of_kind(TraceEventKind.RECOST))) == 1
+        names = [s.name for s in obs.spans.spans()]
+        assert names.count("engine.optimize") == 1
+        assert names.count("engine.recost") == 1
 
     def test_summary_over_run(self, toy_db, toy_template):
-        trace = TraceLog()
-        engine = fresh_engine(toy_db, toy_template, trace=trace)
-        scr = SCR(engine, lam=2.0, trace=trace)
+        scr = SCR(fresh_engine(toy_db, toy_template), lam=2.0)
+        counts = {}
         for inst in instances_for_template(toy_template, 50, seed=103):
-            scr.process(inst)
-        counts = trace.check_counts()
+            check = scr.process(inst).check
+            counts[check] = counts.get(check, 0) + 1
         assert counts.get("optimizer", 0) == scr.optimizer_calls
         assert sum(counts.values()) == 50

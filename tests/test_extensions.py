@@ -1,5 +1,5 @@
 """Tests for the extension features: eviction policies, candidate
-orderings, offline seeding and tracing."""
+orderings and offline seeding."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.core.plan_cache import PlanCache
 from repro.core.scr import SCR
 from repro.core.seeding import grid_points, random_points, seed_cache
 from repro.engine.api import EngineAPI
-from repro.engine.tracing import TraceEventKind, TraceLog
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.workload.generator import instances_for_template
 
@@ -117,31 +116,3 @@ class TestSeeding:
         # The lambda_r check must anorex the 36-point grid down well
         # below one plan per point.
         assert scr.cache.num_plans < report.points_optimized
-
-
-class TestTraceLog:
-    def test_record_and_counts(self):
-        log = TraceLog()
-        log.decision(0, "selectivity", "sigA")
-        log.decision(1, "optimizer", "sigB")
-        log.decision(2, "selectivity", "sigA")
-        assert len(log) == 3
-        assert log.check_counts() == {"selectivity": 2, "optimizer": 1}
-
-    def test_disabled_log_records_nothing(self):
-        log = TraceLog(enabled=False)
-        log.decision(0, "cost", "sig")
-        assert len(log) == 0
-
-    def test_api_call_events(self):
-        log = TraceLog()
-        log.api_call(TraceEventKind.OPTIMIZE, 0, 0.01)
-        log.api_call(TraceEventKind.RECOST, 0, 0.0001)
-        assert len(list(log.of_kind(TraceEventKind.OPTIMIZE))) == 1
-
-    def test_summary(self):
-        log = TraceLog()
-        log.decision(0, "cost", "sig", certified_bound=1.4)
-        text = log.summary()
-        assert "1 decisions" in text
-        assert "cost: 1" in text

@@ -337,18 +337,19 @@ class TestNaNSelectivityVectors:
 class TestChaosWorkload:
     """The acceptance-bar scenario: recost failures up to 20%, optimizer
     timeouts up to 5%, occasional stale sVectors — the run completes,
-    certified instances honour λ, and the counters/trace tell the story.
+    certified instances honour λ, and the counters/event spans tell the story.
     """
 
     def test_full_chaos_run(self, toy_db, toy_template):
-        from repro.engine.tracing import TraceEventKind, TraceLog
+        from conftest import event_spans
+        from repro.obs import Observability
 
         lam = 2.0
-        trace = TraceLog()
+        obs = Observability()
         optimizer = QueryOptimizer(
             toy_template, toy_db.stats, toy_db.estimator, CostModel()
         )
-        engine = EngineAPI(toy_template, optimizer, toy_db.estimator, trace=trace)
+        engine = EngineAPI(toy_template, optimizer, toy_db.estimator)
         injector = FaultInjector(
             engine,
             # Silently-stale sVectors are out of model for the λ
@@ -365,7 +366,7 @@ class TestChaosWorkload:
             injector, policy=FAST_POLICY, sleep=NO_SLEEP
         )
         oracle = engine_with(CostModel(), toy_db, toy_template)
-        scr = SCR(resilient, lam=lam)
+        scr = SCR(resilient, lam=lam, obs=obs)
         instances = instances_for_template(toy_template, 300, seed=103)
         choices = []
         for inst in instances:
@@ -377,10 +378,9 @@ class TestChaosWorkload:
         res = resilient.counters.resilience
         assert res.total_faults > 0
         assert res.retries > 0
-        # ... and the trace log.
-        kinds = {e.kind for e in trace.events}
-        assert TraceEventKind.FAULT in kinds
-        assert TraceEventKind.RETRY in kinds
+        # ... and the span stream, one event per counted fault / retry.
+        assert len(event_spans(obs, "engine.fault")) == res.total_faults
+        assert len(event_spans(obs, "engine.retry")) == res.retries
 
     def test_chaos_run_is_reproducible(self, toy_db, toy_template):
         def run():

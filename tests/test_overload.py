@@ -23,8 +23,8 @@ import pytest
 
 from repro.core.dynamic_lambda import PressureRelaxedLambda
 from repro.engine.database import Database
-from repro.engine.tracing import TraceEventKind, TraceLog
 from repro.harness.metrics import ServiceLevelSummary
+from repro.obs import Observability
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.query.template import QueryTemplate, join, range_predicate
 from repro.serving import (
@@ -40,7 +40,7 @@ from repro.serving import (
     ShutdownError,
 )
 
-from conftest import build_toy_schema
+from conftest import build_toy_schema, event_spans
 
 LAM = 2.0
 
@@ -64,10 +64,10 @@ def overload_template(name: str = "ov_t0") -> QueryTemplate:
     )
 
 
-def make_manager(policy=None, trace=None, max_workers=2, **scr_kwargs):
+def make_manager(policy=None, obs=None, max_workers=2, **scr_kwargs):
     db = Database.create(build_toy_schema(), seed=7)
     manager = ConcurrentPQOManager(
-        database=db, max_workers=max_workers, overload=policy, trace=trace
+        database=db, max_workers=max_workers, overload=policy, obs=obs
     )
     template = overload_template()
     # max_recost_candidates=0 disables the cost check so NEAR/FAR
@@ -208,14 +208,15 @@ class TestBrownoutController:
         assert ctl.transitions == []
 
     def test_transitions_are_traced_with_reason_codes(self):
-        trace = TraceLog()
-        ctl = BrownoutController(self.POLICY, trace=trace)
+        obs = Observability()
+        ctl = BrownoutController(self.POLICY)
+        ctl.attach_obs(obs)
         for _ in range(2):
             ctl.evaluate(hot())
-        events = list(trace.of_kind(TraceEventKind.OVERLOAD))
+        events = event_spans(obs, "overload.")
         assert len(events) == 1
-        assert events[0].check == "brownout"
-        assert events[0].detail == (
+        assert events[0].name == "overload.brownout"
+        assert "{transition}:{reason}".format(**events[0].attrs) == (
             "normal->coverage_relaxed:escalate:deadline_miss"
         )
 
@@ -313,9 +314,9 @@ class TestPressureRelaxedLambda:
 
 class TestDeadlinePropagation:
     def test_expired_deadline_serves_cached_plan_uncertified(self):
-        trace = TraceLog()
+        obs = Observability()
         manager, template = make_manager(
-            policy=OverloadPolicy(evaluate_every=10**6), trace=trace
+            policy=OverloadPolicy(evaluate_every=10**6), obs=obs
         )
         try:
             warm = manager.process(QueryInstance(template.name, sv=NEAR))
@@ -334,11 +335,8 @@ class TestDeadlinePropagation:
             shard = manager.shard(template.name)
             assert shard.stats.overload_serves == 1
             assert shard.stats.deadline_misses == 1
-            events = [
-                e for e in trace.of_kind(TraceEventKind.OVERLOAD)
-                if e.check == "uncertified_serve"
-            ]
-            assert [e.detail for e in events] == ["deadline_expired"]
+            events = event_spans(obs, "overload.uncertified_serve")
+            assert [e.attrs["reason"] for e in events] == ["deadline_expired"]
         finally:
             manager.close()
 
@@ -419,9 +417,9 @@ class TestDeadlinePropagation:
 
 class TestBrownoutServing:
     def test_uncertified_level_denies_optimize_and_serves_cache(self):
-        trace = TraceLog()
+        obs = Observability()
         manager, template = make_manager(
-            policy=OverloadPolicy(evaluate_every=10**6), trace=trace
+            policy=OverloadPolicy(evaluate_every=10**6), obs=obs
         )
         try:
             manager.process(QueryInstance(template.name, sv=NEAR))
@@ -434,11 +432,8 @@ class TestBrownoutServing:
             assert choice.check == "overload"
             assert not choice.certified
             assert engine.counters.optimize.calls == optimize_before
-            events = [
-                e for e in trace.of_kind(TraceEventKind.OVERLOAD)
-                if e.check == "uncertified_serve"
-            ]
-            assert [e.detail for e in events] == ["brownout_uncertified"]
+            events = event_spans(obs, "overload.uncertified_serve")
+            assert [e.attrs["reason"] for e in events] == ["brownout_uncertified"]
         finally:
             manager.close()
 
@@ -466,20 +461,17 @@ class TestBrownoutServing:
             manager.close()
 
     def test_shed_level_with_empty_cache_raises_shed_error(self):
-        trace = TraceLog()
+        obs = Observability()
         manager, template = make_manager(
-            policy=OverloadPolicy(evaluate_every=10**6), trace=trace
+            policy=OverloadPolicy(evaluate_every=10**6), obs=obs
         )
         try:
             manager._overload_coordinator.controller.level = BrownoutLevel.SHED
             with pytest.raises(ShedError) as err:
                 manager.process(QueryInstance(template.name, sv=NEAR))
             assert err.value.reason == "brownout_shed:no_cached_plan"
-            events = [
-                e for e in trace.of_kind(TraceEventKind.OVERLOAD)
-                if e.check == "shed"
-            ]
-            assert [e.detail for e in events] == [
+            events = event_spans(obs, "overload.shed")
+            assert [e.attrs["reason"] for e in events] == [
                 "brownout_shed:no_cached_plan"
             ]
         finally:
@@ -487,9 +479,9 @@ class TestBrownoutServing:
 
     def test_every_degraded_decision_has_a_traced_reason(self):
         """Shed + uncertified counts equal the traced overload decisions."""
-        trace = TraceLog()
+        obs = Observability()
         manager, template = make_manager(
-            policy=OverloadPolicy(evaluate_every=10**6), trace=trace
+            policy=OverloadPolicy(evaluate_every=10**6), obs=obs
         )
         try:
             manager.process(QueryInstance(template.name, sv=NEAR))
@@ -499,12 +491,12 @@ class TestBrownoutServing:
                     QueryInstance(template.name, sv=SelectivityVector.of(v, v))
                 )
             shard = manager.shard(template.name)
-            decisions = [
-                e for e in trace.of_kind(TraceEventKind.OVERLOAD)
-                if e.check in ("shed", "uncertified_serve")
-            ]
+            decisions = (
+                event_spans(obs, "overload.shed")
+                + event_spans(obs, "overload.uncertified_serve")
+            )
             assert shard.stats.shed + shard.stats.overload_serves == len(decisions)
-            assert all(e.detail for e in decisions)  # every one has a reason
+            assert all(e.attrs["reason"] for e in decisions)  # every one has a reason
         finally:
             manager.close()
 
@@ -515,10 +507,10 @@ class TestBrownoutServing:
 
 class TestBoundedIngress:
     def test_queue_overflow_resolves_in_the_submitting_thread(self):
-        trace = TraceLog()
+        obs = Observability()
         manager, template = make_manager(
             policy=OverloadPolicy(queue_limit=1, evaluate_every=10**6),
-            trace=trace,
+            obs=obs,
         )
         try:
             manager.process(QueryInstance(template.name, sv=NEAR))
@@ -532,10 +524,7 @@ class TestBoundedIngress:
                 assert choice.check == "overload"
                 assert not choice.certified
                 assert shard.stats.queue_rejects == 1
-                rejects = [
-                    e for e in trace.of_kind(TraceEventKind.OVERLOAD)
-                    if e.check == "queue_reject"
-                ]
+                rejects = event_spans(obs, "overload.queue_reject")
                 assert len(rejects) == 1
             finally:
                 ov.exit_queue(shard.stats)

@@ -32,10 +32,12 @@ from repro.engine.resilience import (
     SelectivityUnavailableError,
     resilient_engine_factory,
 )
-from repro.engine.tracing import TraceEventKind, TraceLog
+from repro.obs import Observability, instrument_engine
 from repro.optimizer.optimizer import QueryOptimizer
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.workload.generator import instances_for_template
+
+from conftest import event_spans
 
 NO_SLEEP = lambda seconds: None  # noqa: E731
 
@@ -47,11 +49,14 @@ FAST_POLICY = ResiliencePolicy(
 )
 
 
-def make_engine(toy_db, toy_template, trace=None) -> EngineAPI:
+def make_engine(toy_db, toy_template, obs=None) -> EngineAPI:
     optimizer = QueryOptimizer(
         toy_template, toy_db.stats, toy_db.estimator, toy_db.cost_model
     )
-    return EngineAPI(toy_template, optimizer, toy_db.estimator, trace=trace)
+    engine = EngineAPI(toy_template, optimizer, toy_db.estimator)
+    if obs is not None:
+        instrument_engine(engine, obs)
+    return engine
 
 
 class ScriptedFailures:
@@ -154,8 +159,8 @@ class TestCircuitBreaker:
 
 
 class TestResilientRecost:
-    def _prepared(self, toy_db, toy_template, fail_recost, trace=None):
-        engine = make_engine(toy_db, toy_template, trace=trace)
+    def _prepared(self, toy_db, toy_template, fail_recost, obs=None):
+        engine = make_engine(toy_db, toy_template, obs=obs)
         flaky = ScriptedFailures(engine, fail_recost=fail_recost)
         resilient = ResilientEngineAPI(
             flaky, policy=FAST_POLICY, sleep=NO_SLEEP
@@ -232,18 +237,18 @@ class TestResilientRecost:
         assert resilient.counters.resilience.breaker_closes == 1
 
     def test_fault_and_breaker_events_traced(self, toy_db, toy_template):
-        trace = TraceLog()
+        obs = Observability()
         resilient, flaky, memo = self._prepared(
-            toy_db, toy_template, fail_recost=range(1, 10_000), trace=trace
+            toy_db, toy_template, fail_recost=range(1, 10_000), obs=obs
         )
         sv = SelectivityVector.of(0.4, 0.4)
         for _ in range(4):
             resilient.recost(memo, sv)
-        kinds = {e.kind for e in trace.events}
-        assert TraceEventKind.FAULT in kinds
-        assert TraceEventKind.RETRY in kinds
-        assert TraceEventKind.BREAKER in kinds
-        assert TraceEventKind.DEGRADED in kinds
+        kinds = {e.name for e in event_spans(obs, "engine.")}
+        assert kinds == {
+            "engine.fault", "engine.retry", "engine.breaker",
+            "engine.degraded",
+        }
 
 
 class TestResilientOptimize:
@@ -419,19 +424,19 @@ class TestManagerQuarantine:
 
 class TestInstanceIndexThreading:
     def test_trace_api_calls_carry_instance_index(self, toy_db, toy_template):
-        trace = TraceLog()
-        engine = make_engine(toy_db, toy_template, trace=trace)
-        scr = SCR(engine, lam=1.5, trace=trace)
+        obs = Observability()
+        engine = make_engine(toy_db, toy_template)
+        scr = SCR(engine, lam=1.5, obs=obs)
         for inst in instances_for_template(toy_template, 30, seed=19):
             scr.process(inst)
-        api_events = [
-            e for e in trace.events
-            if e.kind in (TraceEventKind.OPTIMIZE, TraceEventKind.RECOST)
+        api_spans = [
+            s for s in obs.spans.spans()
+            if s.name in ("engine.optimize", "engine.recost")
         ]
-        assert api_events
-        assert all(e.sequence_id >= 0 for e in api_events)
+        assert api_spans
+        assert all(s.attrs["seq"] >= 0 for s in api_spans)
         # Indices must span the workload, not stick at one value.
-        assert len({e.sequence_id for e in api_events}) > 1
+        assert len({s.attrs["seq"] for s in api_spans}) > 1
 
 
 class TestPerCallDegradedStatus:

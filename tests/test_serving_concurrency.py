@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 
 
 from repro.core.manager import PQOManager
@@ -252,6 +253,27 @@ class TestSingleFlight:
         assert len({c.plan_signature for c in choices}) == 1
         stats = manager.shard(template.name).stats
         assert stats.single_flight_collapsed >= 1
+
+
+class TestSimulatedLatency:
+    def test_point_and_robust_svector_calls_both_pay_the_delay(self):
+        """Robust-mode shards fetch the sVector through
+        ``selectivity_vector_with_error``; it must not fall through the
+        wrapper's ``__getattr__`` to the raw engine unslept."""
+        delay = 0.02
+        db = Database.create(build_toy_schema(), seed=11)
+        template = serving_templates()[0]
+        engine = simulated_latency_wrapper(
+            optimize_seconds=0.0, recost_seconds=0.0,
+            selectivity_seconds=delay,
+        )(db.engine(template))
+        instance = QueryInstance(template.name, parameters=(500.0, 300.0))
+        for call in (
+            engine.selectivity_vector, engine.selectivity_vector_with_error
+        ):
+            start = time.perf_counter()
+            call(instance)
+            assert time.perf_counter() - start >= delay, call.__name__
 
 
 class TestBatchedAdmission:

@@ -1,8 +1,10 @@
 """Golden-trace regression test for serial SCR semantics.
 
-Serializes the full :class:`TraceLog` event sequence of a small
-canonical workload under the *serial* technique stack and compares it
-byte-for-byte against a checked-in JSON fixture.  Concurrency-motivated
+Serializes the full event sequence of a small canonical workload under
+the *serial* technique stack — every ``engine.optimize`` /
+``engine.recost`` call (seen through a recording shim placed around the
+engine here) and the :class:`PlanChoice` each ``scr.process`` returns —
+and compares it byte-for-byte against a checked-in JSON fixture.  Concurrency-motivated
 refactors of ``get_plan.py`` / ``manage_cache.py`` / ``scr.py`` (probe/
 commit splits, epoch bookkeeping, choice-builder extraction) must not
 change what the serial path decides, traces, or certifies — any drift
@@ -22,7 +24,6 @@ import pytest
 
 from repro.core.scr import SCR
 from repro.engine.database import Database
-from repro.engine.tracing import TraceLog
 from repro.query.instance import QueryInstance
 from repro.query.template import QueryTemplate, join, range_predicate
 from repro.workload.generator import generate_selectivity_vectors
@@ -49,21 +50,50 @@ def build_golden_trace(reference: bool = False) -> list[dict]:
     """The canonical run: one template, 40 seeded instances, budget 3.
 
     ``reference`` runs it on ``tests/reference_get_plan.py``'s scalar
-    oracle instead of the production getPlan."""
+    oracle instead of the production getPlan.  Rows, in order: one
+    ``optimize`` (with the plan-signature prefix) / ``recost`` row per
+    engine call as it happens, then the request's ``decision`` row —
+    the certified bound only on reuse decisions, rounded to 9 places to
+    absorb printing differences without hiding semantic drift."""
     from conftest import build_toy_schema
 
     db = Database.create(build_toy_schema(), seed=11)
     template = canonical_template()
-    trace = TraceLog()
     engine = db.engine(template)
-    engine.trace = trace
-    scr = SCR(engine, lam=2.0, plan_budget=3, trace=trace)
-    if reference:
-        use_reference(scr)
-    for sv in generate_selectivity_vectors(2, 40, seed=21):
-        scr.process(QueryInstance(template.name, sv=sv))
-    engine.trace = None  # the engine object is cached per database
-    return trace.to_jsonable()
+    rows: list[dict] = []
+    seq = 0
+    optimize, recost = engine.optimize, engine.recost
+
+    def recording_optimize(sv):
+        result = optimize(sv)
+        rows.append({
+            "kind": "optimize", "seq": seq,
+            "detail": result.shrunken_memo.signature[:80],
+        })
+        return result
+
+    def recording_recost(shrunken, sv):
+        rows.append({"kind": "recost", "seq": seq})
+        return recost(shrunken, sv)
+
+    engine.optimize, engine.recost = recording_optimize, recording_recost
+    try:
+        scr = SCR(engine, lam=2.0, plan_budget=3)
+        if reference:
+            use_reference(scr)
+        for seq, sv in enumerate(generate_selectivity_vectors(2, 40, seed=21)):
+            choice = scr.process(QueryInstance(template.name, sv=sv))
+            row = {
+                "kind": "decision", "seq": seq, "check": choice.check,
+                "plan": choice.plan_signature,
+            }
+            if not choice.used_optimizer:
+                row["bound"] = round(choice.certified_bound, 9)
+            rows.append(row)
+    finally:
+        # The engine object is cached per database: drop the shims.
+        del engine.optimize, engine.recost
+    return rows
 
 
 def serialize(rows: list[dict]) -> str:
