@@ -134,7 +134,7 @@ def run_serving_accounting(noise: float = 0.3):
     return {
         "responses": len(instances),
         "certificates": obs.audit.certificate_totals(),
-        "stat_certificates": dict(stats.certificate_counts),
+        "row_processed": stats.row()["processed"],
         "lambda_violations": obs.audit.total_violations,
     }
 
@@ -199,5 +199,5 @@ def test_estimation_noise_gate(experiments, benchmark):
     # the live λ-violation trail stays clean under robust checks.
     totals = serving["certificates"]
     assert sum(totals.values()) == serving["responses"]
-    assert sum(serving["stat_certificates"].values()) == serving["responses"]
+    assert serving["row_processed"] == serving["responses"]
     assert serving["lambda_violations"] == 0

@@ -127,10 +127,12 @@ def run_paced_overload(workload, offered_qps):
     db, manager = build_manager(overload_policy())
     # A live sink sees every span, whatever the bounded ring evicts.
     decision_events = []
-    manager.obs.spans.attach_sink(
-        lambda span: decision_events.append(span)
-        if span.name in DECISION_EVENTS else None
-    )
+
+    def keep_decision(span):
+        if span.name in DECISION_EVENTS:
+            decision_events.append(span)
+
+    manager.obs.spans.attach_sink(keep_decision)
     latencies: dict[int, float] = {}
     futures = []
     interval = 1.0 / offered_qps

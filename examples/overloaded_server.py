@@ -120,10 +120,12 @@ def main() -> None:
     # A live sink counts every degraded serve's reason as it happens,
     # whatever the bounded span ring later evicts.
     reasons = Counter()
-    obs.spans.attach_sink(
-        lambda span: reasons.update([span.attrs["reason"]])
-        if span.name == "overload.uncertified_serve" else None
-    )
+
+    def count_reason(span):
+        if span.name == "overload.uncertified_serve":
+            reasons[span.attrs["reason"]] += 1
+
+    obs.spans.attach_sink(count_reason)
     manager = ConcurrentPQOManager(
         database=db,
         max_workers=8,

@@ -74,7 +74,11 @@ def main(robust: bool = False) -> None:
     # A live sink counts every event span as it happens, whatever the
     # bounded span ring later evicts.
     events = Counter()
-    obs.spans.attach_sink(lambda span: events.update([span.name]))
+
+    def count_event(span):
+        events[span.name] += 1
+
+    obs.spans.attach_sink(count_event)
     injectors = {}
 
     def chaos_wrapper(engine):

@@ -125,9 +125,8 @@ def percentile(values: Sequence[float], p: float) -> float:
 class LatencySummary:
     """p50/p99-style summary of per-instance serving latencies.
 
-    Produced from the raw latency samples each serving shard records;
-    the concurrent serving layer reports one of these per shard plus a
-    fleet-wide aggregate.
+    Produced from the registry's serving-latency histogram; the
+    concurrent serving layer reports one of these per shard.
     """
 
     count: int
@@ -137,25 +136,12 @@ class LatencySummary:
     max_ms: float
 
     @classmethod
-    def from_seconds(cls, samples: Sequence[float]) -> "LatencySummary":
-        arr = np.asarray(list(samples), dtype=np.float64) * 1e3
-        if arr.size == 0:
-            return cls(count=0, mean_ms=0.0, p50_ms=0.0, p99_ms=0.0, max_ms=0.0)
-        return cls(
-            count=int(arr.size),
-            mean_ms=float(arr.mean()),
-            p50_ms=float(np.percentile(arr, 50.0)),
-            p99_ms=float(np.percentile(arr, 99.0)),
-            max_ms=float(arr.max()),
-        )
-
-    @classmethod
     def from_histogram(cls, histogram) -> "LatencySummary":
         """Summary from a registry :class:`~repro.obs.registry.Histogram`
         child (seconds buckets).  Percentiles are bucket-interpolated —
-        the raw samples are gone once aggregated — so they agree with
-        :meth:`from_seconds` only up to bucket resolution; ``max`` is
-        clamped to the highest finite bucket edge reached."""
+        the raw samples are gone once aggregated — so they are exact
+        only up to bucket resolution; ``max`` is clamped to the highest
+        finite bucket edge reached."""
         count = histogram.count
         if count == 0:
             return cls(count=0, mean_ms=0.0, p50_ms=0.0, p99_ms=0.0, max_ms=0.0)

@@ -1,9 +1,8 @@
 """A dependency-free, thread-safe metrics registry.
 
-The serving stack's three bespoke reporting paths (``ServingStats``
-dicts, ``overload_report()``, the engine's resilience counters) each
-grew their own counter plumbing; this module replaces all of that with
-one registry of labeled metric families:
+Every number the serving stack reports — a shard's ``ServingStats``
+row, the overload subsystem's state, engine faults and retries, the
+guarantee audit — is a child of one registry of labeled metric families:
 
 * :class:`Counter` — monotonically increasing totals;
 * :class:`Gauge` — settable point-in-time values (queue depth,

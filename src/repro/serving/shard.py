@@ -37,8 +37,10 @@ from ..core.manager import TemplateState
 from ..core.scr import SCR
 from ..core.technique import PlanChoice
 from ..engine.resilience import OptimizeUnavailableError
+from ..obs.audit import GuaranteeAudit
 from ..obs.clock import SYSTEM_CLOCK
 from ..obs.handle import Observability
+from ..obs.registry import MetricsRegistry
 from ..obs.tracectx import activate, current_context, start_trace
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
@@ -75,7 +77,12 @@ class TemplateShard:
         self.robust = state.scr.check_mode is not CheckMode.POINT
         self.flight_timeout_seconds = flight_timeout_seconds
         self.lock = threading.RLock()
-        self.stats = ServingStats(template=state.template.name)
+        # One write path for the shard's accounting: the handle's
+        # registry, or a private one when the manager has no handle.
+        self.stats = ServingStats(
+            state.template.name,
+            obs.audit if obs is not None else GuaranteeAudit(MetricsRegistry()),
+        )
         self._overload = overload
         # One clock source for everything the shard times (latency,
         # lock waits, deadlines), so a test's fake clock drives all of
@@ -88,8 +95,6 @@ class TemplateShard:
         else:
             self.clock = SYSTEM_CLOCK
         self._obs = obs
-        if obs is not None:
-            self.stats.attach_obs(obs)
         self._flight_lock = threading.Lock()
         self._inflight: dict[tuple[float, ...], threading.Event] = {}
         # Instance sequence numbers for span attribution are allocated
@@ -139,8 +144,11 @@ class TemplateShard:
             if ctx is None:
                 ctx = start_trace(ids=obs.spans.ids)
         extra: dict = {}
-        try:
-            with activate(ctx) if ctx is not None else nullcontext():
+        # One activation for the whole request, completion bookkeeping
+        # included: a brownout move this completion tips is an event of
+        # this request.
+        with activate(ctx) if ctx is not None else nullcontext():
+            try:
                 with self._engine_budget(deadline):
                     choice = self._process_inner(
                         instance, deadline, overflow_reason, start
@@ -149,15 +157,12 @@ class TemplateShard:
                     if spans_on:
                         extra = self._choice_attrs(choice)
                     return choice
-        except ShedError as exc:
-            shed = True
-            if spans_on:
-                extra["reason"] = exc.reason
-            raise
-        finally:
-            # Still inside the request's context: a brownout move this
-            # completion tips is an event of this request.
-            with activate(ctx) if ctx is not None else nullcontext():
+            except ShedError as exc:
+                shed = True
+                if spans_on:
+                    extra["reason"] = exc.reason
+                raise
+            finally:
                 missed = deadline is not None and deadline.expired(self._now())
                 if missed:
                     self.stats.note_deadline_miss()

@@ -1,11 +1,20 @@
-"""Per-shard serving statistics for the concurrent front-end.
+"""Per-shard serving statistics: one shard's view of the metrics registry.
 
 Each :class:`~repro.serving.shard.TemplateShard` owns one
-:class:`ServingStats`; the manager aggregates them into the report the
-operator reads — throughput, latency percentiles (via the metrics
-layer's :class:`~repro.harness.metrics.LatencySummary`), time spent
-waiting on the shard lock, and the high-water mark of concurrent
-engine calls (how much optimizer/recost work actually overlapped).
+:class:`ServingStats`.  It holds no numbers of its own: every count,
+gauge and latency sample is written to a registry child resolved once at
+construction, and every column of the operator's report —
+:meth:`ServingStats.row`, :func:`merge_rows` — is read back from those
+children.  The registry is the handle's when the manager has an
+:class:`~repro.obs.handle.Observability`, a private one otherwise, so
+the exactly-one-outcome identity (certified + uncertified + shed ==
+responses) is kept by the same audit counters either way.
+
+What stays outside the registry is what synchronisation or arithmetic
+needs: the lock-guarded queue depth (``try_enqueue``'s check-and-
+increment must be atomic; the gauge mirrors it), the two timestamps
+behind ``throughput_s``, and the :class:`ConcurrencyGauge` of engine
+calls in flight.
 """
 
 from __future__ import annotations
@@ -13,18 +22,23 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional
 
 from ..harness.metrics import LatencySummary
-from ..obs.handle import Observability
+from ..obs.audit import GuaranteeAudit
+from ..obs.calibration import _quantile_from_cumulative
 
 SERVING_LATENCY_SECONDS = "repro_serving_latency_seconds"
 CHECKS_TOTAL = "repro_checks_total"
 QUEUE_DEPTH = "repro_queue_depth"
+QUEUE_HIGH_WATER = "repro_queue_high_water"
 QUEUE_REJECTS_TOTAL = "repro_queue_rejects_total"
 DEADLINE_MISSES_TOTAL = "repro_deadline_misses_total"
 GATE_TIMEOUTS_TOTAL = "repro_gate_timeouts_total"
+OVERLOAD_SERVES_TOTAL = "repro_overload_serves_total"
+EPOCH_RETRIES_TOTAL = "repro_epoch_retries_total"
+SINGLE_FLIGHT_COLLAPSED_TOTAL = "repro_single_flight_collapsed_total"
+BATCH_DEDUPED_TOTAL = "repro_batch_deduped_total"
+LOCK_WAIT_SECONDS_TOTAL = "repro_shard_lock_wait_seconds_total"
 
 
 class ConcurrencyGauge:
@@ -54,80 +68,64 @@ class ConcurrencyGauge:
         return self._active
 
 
-@dataclass
+#: The per-template families a shard writes besides the audit's own
+#: (outcomes, certificates, interval widths): attribute -> (registry
+#: method, family name, help).
+_FAMILIES = {
+    "_m_latency": ("histogram", SERVING_LATENCY_SECONDS,
+                   "End-to-end serving latency per template"),
+    "_m_queue": ("gauge", QUEUE_DEPTH,
+                 "Outstanding (queued + running) requests"),
+    "_m_queue_hw": ("gauge", QUEUE_HIGH_WATER,
+                    "Highest outstanding-request count seen"),
+    "_m_queue_rejects": ("counter", QUEUE_REJECTS_TOTAL,
+                         "Submissions refused by the bounded ingress queue"),
+    "_m_deadline": ("counter", DEADLINE_MISSES_TOTAL,
+                    "Completions past their deadline"),
+    "_m_gate": ("counter", GATE_TIMEOUTS_TOTAL,
+                "Misses denied by the optimizer admission gate"),
+    "_m_overload_serves": ("counter", OVERLOAD_SERVES_TOTAL,
+                           "Uncertified serves on the overload degraded path"),
+    "_m_epoch_retries": ("counter", EPOCH_RETRIES_TOTAL,
+                         "Probed hits re-probed because their anchor vanished"),
+    "_m_single_flight": ("counter", SINGLE_FLIGHT_COLLAPSED_TOTAL,
+                         "Misses that waited on another thread's optimizer call"),
+    "_m_deduped": ("counter", BATCH_DEDUPED_TOTAL,
+                   "Batch submissions sharing an identical earlier instance"),
+    "_m_lock_wait": ("counter", LOCK_WAIT_SECONDS_TOTAL,
+                     "Time spent waiting for the shard write lock"),
+}
+
+
+def _count(child_attr: str) -> property:
+    """Read-only integer view of one counter/gauge child."""
+    return property(lambda self: int(getattr(self, child_attr).value))
+
+
 class ServingStats:
-    """Thread-safe counters and latency samples for one shard."""
+    """One shard's serving accounting, kept in ``audit``'s registry."""
 
-    template: str = ""
-    processed: int = 0
-    check_counts: dict[str, int] = field(default_factory=dict)
-    certificate_counts: dict[str, int] = field(default_factory=dict)
-    latencies_s: list[float] = field(default_factory=list)
-    lock_wait_seconds: float = 0.0
-    epoch_retries: int = 0
-    single_flight_collapsed: int = 0
-    batch_deduped: int = 0
-    uncertified: int = 0
-    # Overload-protection accounting (zero when no OverloadPolicy is set):
-    shed: int = 0                  # requests refused (ShedError)
-    overload_serves: int = 0       # uncertified serves on the degraded path
-    deadline_misses: int = 0       # completions past their deadline
-    gate_timeouts: int = 0         # misses denied by the optimizer gate
-    queue_rejects: int = 0         # submissions hitting a full queue
-    queue_depth: int = 0           # outstanding (queued + running) gauge
-    queue_high_water: int = 0
-    engine_calls: ConcurrencyGauge = field(default_factory=ConcurrencyGauge)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _started_at: float = field(default_factory=time.perf_counter, repr=False)
-    _last_at: float = 0.0
-    _obs: Optional[Observability] = field(default=None, repr=False)
-
-    def attach_obs(self, obs: Observability) -> None:
-        """Mirror this shard's accounting into the metrics registry.
-
-        Pre-resolves the labeled children so the per-response cost is a
-        couple of lock-free-ish increments; once attached, the report
-        row's outcome columns are *sourced from the registry* (the ints
-        stay maintained for existing direct readers, and the exactly-
-        once identity across certified/uncertified/shed is enforced by
-        the audit counters).
-        """
-        registry = obs.registry
-        self._obs = obs
-        self._m_outcome = obs.audit.outcome_children(self.template)
-        self._m_cert = obs.audit.certificate_children(self.template)
-        self._m_width = obs.audit.width_child(self.template)
-        self._m_check_children = {}
-        self._m_latency = registry.histogram(
-            SERVING_LATENCY_SECONDS,
-            "End-to-end serving latency per template",
-            labels=("template",),
-        ).labels(template=self.template)
+    def __init__(self, template: str, audit: GuaranteeAudit) -> None:
+        self.template = template
+        self.audit = audit
+        self.engine_calls = ConcurrencyGauge()
+        registry = audit.registry
+        self._m_outcome = audit.outcome_children(template)
+        self._m_cert = audit.certificate_children(template)
+        self._m_width = audit.width_child(template)
+        for attr, (kind, name, help) in _FAMILIES.items():
+            family = getattr(registry, kind)(name, help, labels=("template",))
+            setattr(self, attr, family.labels(template=template))
         self._m_checks = registry.counter(
             CHECKS_TOTAL,
             "Served responses by deciding check",
             labels=("template", "check"),
         )
-        self._m_queue = registry.gauge(
-            QUEUE_DEPTH,
-            "Outstanding (queued + running) requests",
-            labels=("template",),
-        ).labels(template=self.template)
-        self._m_queue_rejects = registry.counter(
-            QUEUE_REJECTS_TOTAL,
-            "Submissions refused by the bounded ingress queue",
-            labels=("template",),
-        ).labels(template=self.template)
-        self._m_deadline = registry.counter(
-            DEADLINE_MISSES_TOTAL,
-            "Completions past their deadline",
-            labels=("template",),
-        ).labels(template=self.template)
-        self._m_gate = registry.counter(
-            GATE_TIMEOUTS_TOTAL,
-            "Misses denied by the optimizer admission gate",
-            labels=("template",),
-        ).labels(template=self.template)
+        self._m_check_children: dict = {}
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._started_at = time.perf_counter()
+        self._last_at = 0.0
 
     def observe(
         self,
@@ -139,171 +137,126 @@ class ServingStats:
         """Record one served instance.
 
         This is the single accounting point for every *served* response
-        (shed requests go through :meth:`note_shed` instead), so with an
-        observability handle attached it is also where the response's
-        one outcome counter — certified or uncertified — and its one
-        certificate-kind counter are incremented.  ``certificate`` is
-        the kind the choice claims; an uncertified response counts as
-        kind ``uncertified`` regardless of it (a degraded path may have
-        invalidated the claim after the checks ran).
+        (shed requests go through :meth:`note_shed` instead): the
+        response's one outcome counter — certified or uncertified — and
+        its one certificate-kind counter are incremented here.
+        ``certificate`` is the kind the choice claims; an uncertified
+        response counts as kind ``uncertified`` regardless of it (a
+        degraded path may have invalidated the claim after the checks
+        ran).
         """
         kind = certificate if certified else "uncertified"
-        with self._lock:
-            self.processed += 1
-            self.latencies_s.append(latency_seconds)
-            self.check_counts[check] = self.check_counts.get(check, 0) + 1
-            if not certified:
-                self.uncertified += 1
-            self.certificate_counts[kind] = (
-                self.certificate_counts.get(kind, 0) + 1
+        self._m_outcome["certified" if certified else "uncertified"].inc()
+        self._m_cert[kind].inc()
+        self._m_latency.observe(latency_seconds)
+        # Benign race: a duplicate labels() resolves the same child.
+        check_child = self._m_check_children.get(check)
+        if check_child is None:
+            check_child = self._m_checks.labels(
+                template=self.template, check=check
             )
-            self._last_at = time.perf_counter()
-        if self._obs is not None:
-            self._m_outcome["certified" if certified else "uncertified"].inc()
-            self._m_cert[kind].inc()
-            self._m_latency.observe(latency_seconds)
-            # Benign race: a duplicate labels() resolves the same child.
-            check_child = self._m_check_children.get(check)
-            if check_child is None:
-                check_child = self._m_checks.labels(
-                    template=self.template, check=check
-                )
-                self._m_check_children[check] = check_child
-            check_child.inc()
+            self._m_check_children[check] = check_child
+        check_child.inc()
+        self._last_at = time.perf_counter()
 
     def add_lock_wait(self, seconds: float) -> None:
-        with self._lock:
-            self.lock_wait_seconds += seconds
+        self._m_lock_wait.inc(seconds)
 
     def note_epoch_retry(self) -> None:
-        with self._lock:
-            self.epoch_retries += 1
+        self._m_epoch_retries.inc()
 
     def note_single_flight(self) -> None:
-        with self._lock:
-            self.single_flight_collapsed += 1
+        self._m_single_flight.inc()
 
     def note_deduped(self, count: int = 1) -> None:
-        with self._lock:
-            self.batch_deduped += count
+        self._m_deduped.inc(count)
 
     # -- overload accounting -------------------------------------------------
 
     def try_enqueue(self, limit: int) -> bool:
         """Atomically claim one bounded-queue slot; False when full.
 
-        The lock-guarded int stays authoritative (the check-and-inc must
-        be atomic); the registry gauge mirrors it for exporters.
+        The lock-guarded depth is authoritative (the check-and-inc must
+        be atomic); the registry gauges mirror it for exporters.
         """
         with self._lock:
-            if self.queue_depth >= limit:
-                self.queue_rejects += 1
-                depth = None
-            else:
-                self.queue_depth += 1
-                if self.queue_depth > self.queue_high_water:
-                    self.queue_high_water = self.queue_depth
-                depth = self.queue_depth
-        if self._obs is not None:
-            if depth is None:
-                self._m_queue_rejects.inc()
-            else:
-                self._m_queue.set(depth)
-        return depth is not None
+            entered = self._depth < limit
+            if entered:
+                self._depth += 1
+                self._m_queue.set(self._depth)
+                if self._depth > self._m_queue_hw.value:
+                    self._m_queue_hw.set(self._depth)
+        if not entered:
+            self._m_queue_rejects.inc()
+        return entered
 
     def note_dequeued(self) -> None:
         with self._lock:
-            self.queue_depth = max(0, self.queue_depth - 1)
-            depth = self.queue_depth
-        if self._obs is not None:
-            self._m_queue.set(depth)
+            self._depth = max(0, self._depth - 1)
+            self._m_queue.set(self._depth)
 
     def note_shed(self, reason: str = "unknown") -> None:
         """Record one refused request — the response's single outcome
         counter (and certificate kind) for the shed path."""
-        with self._lock:
-            self.shed += 1
-            self.certificate_counts["shed"] = (
-                self.certificate_counts.get("shed", 0) + 1
-            )
-        obs = self._obs
-        if obs is not None:
-            self._m_outcome["shed"].inc()
-            self._m_cert["shed"].inc()
-            obs.audit.degraded(self.template, "shed", reason)
+        self._m_outcome["shed"].inc()
+        self._m_cert["shed"].inc()
+        self.audit.degraded(self.template, "shed", reason)
 
     def note_interval_width(self, log_width: float) -> None:
         """Record one served instance's uncertainty-box total log width
         (robust-mode shards only; point-mode shards never call this)."""
-        if self._obs is not None:
-            self._m_width.observe(log_width)
+        self._m_width.observe(log_width)
 
     def note_overload_serve(self, reason: str = "brownout") -> None:
         # Reason accounting only: the outcome counter for an overload
         # serve is incremented by observe() when the response completes.
-        with self._lock:
-            self.overload_serves += 1
-        obs = self._obs
-        if obs is not None:
-            obs.audit.degraded(self.template, "uncertified", reason)
+        self._m_overload_serves.inc()
+        self.audit.degraded(self.template, "uncertified", reason)
 
     def note_deadline_miss(self) -> None:
-        with self._lock:
-            self.deadline_misses += 1
-        if self._obs is not None:
-            self._m_deadline.inc()
+        self._m_deadline.inc()
 
     def note_gate_timeout(self) -> None:
-        with self._lock:
-            self.gate_timeouts += 1
-        if self._obs is not None:
-            self._m_gate.inc()
+        self._m_gate.inc()
 
     # -- reporting -----------------------------------------------------------
 
-    @property
-    def latency(self) -> LatencySummary:
-        with self._lock:
-            return LatencySummary.from_seconds(self.latencies_s)
+    overload_serves = _count("_m_overload_serves")
+    deadline_misses = _count("_m_deadline")
+    gate_timeouts = _count("_m_gate")
+    queue_rejects = _count("_m_queue_rejects")
+    queue_high_water = _count("_m_queue_hw")
+    batch_deduped = _count("_m_deduped")
 
     @property
-    def throughput_per_second(self) -> float:
-        """Instances per second over the shard's active window."""
+    def queue_depth(self) -> int:
         with self._lock:
-            if not self.processed or self._last_at <= self._started_at:
-                return 0.0
-            return self.processed / (self._last_at - self._started_at)
+            return self._depth
+
+    @property
+    def shed(self) -> int:
+        return int(self._m_outcome["shed"].value)
 
     def row(self) -> dict[str, object]:
-        """One report row (matches the harness table format).
-
-        With an observability handle attached, the outcome columns are
-        sourced from the metrics registry (same numbers, one source of
-        truth); the dict shape is identical either way.
-        """
-        latency = self.latency
-        processed = self.processed
-        uncertified = self.uncertified
-        shed = self.shed
-        obs = self._obs
-        if obs is not None:
-            totals = obs.audit.outcome_totals(self.template)
-            processed = totals["certified"] + totals["uncertified"]
-            uncertified = totals["uncertified"]
-            shed = totals["shed"]
+        """One report row (matches the harness table format)."""
+        latency = LatencySummary.from_histogram(self._m_latency)
+        uncertified = int(self._m_outcome["uncertified"].value)
+        processed = int(self._m_outcome["certified"].value) + uncertified
+        window = self._last_at - self._started_at
         return {
             "template": self.template,
             "processed": processed,
-            "throughput_s": round(self.throughput_per_second, 1),
+            # Instances per second over the shard's active window.
+            "throughput_s": round(processed / window, 1) if window > 0 else 0.0,
             "p50_ms": round(latency.p50_ms, 3),
             "p99_ms": round(latency.p99_ms, 3),
-            "lock_wait_ms": round(self.lock_wait_seconds * 1e3, 3),
+            "lock_wait_ms": round(self._m_lock_wait.value * 1e3, 3),
             "peak_engine_conc": self.engine_calls.peak,
-            "sf_collapsed": self.single_flight_collapsed,
+            "sf_collapsed": int(self._m_single_flight.value),
             "deduped": self.batch_deduped,
-            "epoch_retries": self.epoch_retries,
+            "epoch_retries": int(self._m_epoch_retries.value),
             "uncertified": uncertified,
-            "shed": shed,
+            "shed": self.shed,
             "overload_serves": self.overload_serves,
             "deadline_miss": self.deadline_misses,
             "gate_timeouts": self.gate_timeouts,
@@ -312,29 +265,22 @@ class ServingStats:
         }
 
 
+#: TOTAL-row columns that are a maximum over shards; the percentiles are
+#: recomputed from pooled buckets and every other column is a sum.
+_MAXED = ("peak_engine_conc", "queue_hw")
+
+
 def merge_rows(stats: list[ServingStats]) -> dict[str, object]:
-    """Fleet-wide aggregate across shards (latencies pooled)."""
-    pooled: list[float] = []
-    for s in stats:
-        with s._lock:
-            pooled.extend(s.latencies_s)
-    latency = LatencySummary.from_seconds(pooled)
-    return {
-        "template": "TOTAL",
-        "processed": sum(s.processed for s in stats),
-        "throughput_s": round(sum(s.throughput_per_second for s in stats), 1),
-        "p50_ms": round(latency.p50_ms, 3),
-        "p99_ms": round(latency.p99_ms, 3),
-        "lock_wait_ms": round(sum(s.lock_wait_seconds for s in stats) * 1e3, 3),
-        "peak_engine_conc": max((s.engine_calls.peak for s in stats), default=0),
-        "sf_collapsed": sum(s.single_flight_collapsed for s in stats),
-        "deduped": sum(s.batch_deduped for s in stats),
-        "epoch_retries": sum(s.epoch_retries for s in stats),
-        "uncertified": sum(s.uncertified for s in stats),
-        "shed": sum(s.shed for s in stats),
-        "overload_serves": sum(s.overload_serves for s in stats),
-        "deadline_miss": sum(s.deadline_misses for s in stats),
-        "gate_timeouts": sum(s.gate_timeouts for s in stats),
-        "queue_rejects": sum(s.queue_rejects for s in stats),
-        "queue_hw": max((s.queue_high_water for s in stats), default=0),
-    }
+    """The fleet-wide TOTAL row across a non-empty list of shards."""
+    rows = [s.row() for s in stats]
+    total: dict[str, object] = {"template": "TOTAL"}
+    for key in list(rows[0])[1:]:
+        values = [row[key] for row in rows]
+        total[key] = max(values) if key in _MAXED else round(sum(values), 3)
+    # Every shard's latency child has the same bucket edges.
+    per_shard = [s._m_latency.bucket_counts() for s in stats]
+    edges = [edge for edge, _ in per_shard[0]]
+    pooled = [sum(c for _, c in column) for column in zip(*per_shard)]
+    for key, q in (("p50_ms", 0.50), ("p99_ms", 0.99)):
+        total[key] = round(_quantile_from_cumulative(edges, pooled, q) * 1e3, 3)
+    return total

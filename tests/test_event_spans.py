@@ -1,4 +1,4 @@
-"""Event spans: what used to be a separate trace ring is the span stream.
+"""Event spans: instantaneous happenings live in the span stream.
 
 Every fault, retry, breaker flip, degraded answer, serving scheduling
 decision and overload decision is one zero-duration span
@@ -22,9 +22,11 @@ from repro.obs import (
     FakeClock,
     Observability,
     SpanRecorder,
+    activate,
     explain_trace,
     format_explanation,
     render_tree,
+    start_trace,
 )
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.serving import (
@@ -445,8 +447,6 @@ class TestForensicsShowsEvents:
 
     def test_engine_events_are_not_counted_as_engine_work(self):
         rec = SpanRecorder(clock=FakeClock().clock)
-        from repro.obs import activate, start_trace
-
         ctx = start_trace()
         with activate(ctx):
             rec.record("engine.recost", 0.0, 0.001, template="t", seq=0)

@@ -169,6 +169,63 @@ class TestConcurrentServing:
         manager.close()
 
 
+class TestNoPerRequestState:
+    def test_stats_object_graph_does_not_grow_with_requests(self):
+        """Everything a shard's stats can reach — children, the registry
+        behind them, the audit — is the same size after 50 000 served
+        responses as after 50: no per-request sample is retained."""
+        import gc
+        import sys
+        import types
+
+        db, template = make_db(), make_template()
+        with ConcurrentPQOManager(database=db) as manager:
+            manager.register(template, lam=LAM)
+            stats = manager.shard(template.name).stats
+
+        # Code is not state; scalars are counted through the slot that
+        # holds them (a growing sample list grows its list object), not
+        # as objects, because small ints are shared and large ones not.
+        opaque = (
+            type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType,
+            int, float, str, type(None),
+        )
+
+        def graph_size(root) -> tuple[int, int]:
+            seen, stack, size = set(), [root], 0
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(obj, opaque):
+                    continue
+                seen.add(id(obj))
+                size += sys.getsizeof(obj)
+                stack.extend(gc.get_referents(obj))
+            return len(seen), size
+
+        # The same few latencies, checks and kinds cycle throughout, so
+        # every bucket and labelled child exists before the first
+        # measurement.
+        latencies = (0.0001, 0.002, 0.03, 0.4, 5.0)
+        checks = ("selectivity", "cost", "optimizer", "overload")
+
+        def serve(n: int) -> None:
+            for i in range(n):
+                certified = i % 7 != 0
+                stats.observe(
+                    latencies[i % 5], checks[i % 4], certified,
+                    certificate="robust" if i % 3 else "exact",
+                )
+                stats.add_lock_wait(1e-6)
+                stats.note_interval_width(0.25)
+
+        serve(50)
+        small = graph_size(stats)
+        serve(50_000 - 50)
+        assert stats.row()["processed"] == 50_000
+        assert graph_size(stats) == small
+
+
 class TestOverloadOutcomes:
     def test_shed_responses_keep_the_identity(self):
         """Cold cache + full queue: rejected submissions shed, and every

@@ -20,9 +20,12 @@ import random
 import threading
 import time
 
+import pytest
+
 
 from repro.core.manager import PQOManager
 from repro.engine.database import Database
+from repro.obs import RESPONSES_TOTAL, Observability
 from repro.query.instance import QueryInstance
 from repro.query.template import QueryTemplate, join, range_predicate
 from repro.serving import ConcurrentPQOManager, simulated_latency_wrapper
@@ -102,10 +105,12 @@ def hammer(manager: ConcurrentPQOManager, instances, num_threads: int):
     return results
 
 
-def run_stress(seed: int, num_threads: int, plan_budget: int = 3):
+def run_stress(seed: int, num_threads: int, plan_budget: int = 3, obs=None):
     db = Database.create(build_toy_schema(), seed=11)
     templates = serving_templates()
-    manager = ConcurrentPQOManager(database=db, max_workers=num_threads)
+    manager = ConcurrentPQOManager(
+        database=db, max_workers=num_threads, obs=obs
+    )
     for template in templates:
         manager.register(template, lam=LAM, plan_budget=plan_budget)
     instances = make_workload(templates, INSTANCES_PER_TEMPLATE, seed)
@@ -187,6 +192,66 @@ class TestStressInvariants:
         assert runs[0]["violations"] == 0
 
 
+class TestAccountingIdentity:
+    """One write path: the report is a read of the registry, whether the
+    registry is the handle's or a shard's private one."""
+
+    @pytest.mark.parametrize("with_obs", [True, False])
+    def test_total_is_the_sum_of_rows_is_the_registry(self, with_obs):
+        from repro.serving.stats import (
+            CHECKS_TOTAL,
+            EPOCH_RETRIES_TOTAL,
+            SERVING_LATENCY_SECONDS,
+            SINGLE_FLIGHT_COLLAPSED_TOTAL,
+        )
+
+        obs = Observability() if with_obs else None
+        _, templates, manager, instances, _ = run_stress(
+            SEED, NUM_THREADS, obs=obs
+        )
+        *rows, total = manager.serving_report()
+        assert [r["template"] for r in rows] == sorted(t.name for t in templates)
+        assert total["template"] == "TOTAL"
+        assert total["processed"] == len(instances)
+        assert total["shed"] == total["uncertified"] == 0
+        for key in (
+            "processed", "sf_collapsed", "deduped", "epoch_retries",
+            "uncertified", "shed", "overload_serves", "deadline_miss",
+            "gate_timeouts", "queue_rejects",
+        ):
+            assert total[key] == sum(r[key] for r in rows), key
+        for key in ("peak_engine_conc", "queue_hw"):
+            assert total[key] == max(r[key] for r in rows), key
+
+        # With a handle every shard writes the handle's registry; without
+        # one each shard has its own.
+        registries = {
+            id(s.audit.registry): s.audit.registry
+            for s in manager.serving_stats()
+        }
+        assert len(registries) == (1 if with_obs else len(templates))
+        if with_obs:
+            assert registries == {id(obs.registry): obs.registry}
+
+        def registry_total(name, **fixed):
+            return sum(r.total(name, **fixed) for r in registries.values())
+
+        assert registry_total(RESPONSES_TOTAL) == total["processed"]
+        assert registry_total(RESPONSES_TOTAL, outcome="certified") == (
+            total["processed"] - total["uncertified"]
+        )
+        assert registry_total(CHECKS_TOTAL) == total["processed"]
+        assert registry_total(EPOCH_RETRIES_TOTAL) == total["epoch_retries"]
+        assert registry_total(SINGLE_FLIGHT_COLLAPSED_TOTAL) == (
+            total["sf_collapsed"]
+        )
+        assert sum(
+            child.count
+            for r in registries.values()
+            for _, child in r.get(SERVING_LATENCY_SECONDS).samples()
+        ) == total["processed"]
+
+
 class TestSerialEquivalence:
     def test_single_worker_matches_serial_manager(self):
         templates = serving_templates()
@@ -251,8 +316,8 @@ class TestSingleFlight:
             "optimizer call"
         )
         assert len({c.plan_signature for c in choices}) == 1
-        stats = manager.shard(template.name).stats
-        assert stats.single_flight_collapsed >= 1
+        row = manager.serving_report()[0]
+        assert row["sf_collapsed"] >= 1
 
 
 class TestSimulatedLatency:
