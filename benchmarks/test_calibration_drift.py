@@ -34,8 +34,13 @@ TEMPLATE = "tpch_shipping_priority"
 #: Independent workload seeds: the gate must not depend on one lucky
 #: parameter ordering.
 SEEDS = (11, 23, 42)
-#: Calm phase long enough to warm the block detector (warm=16 blocks
-#: of 25 recost samples) with headroom across seeds.
+#: The calm phase runs until the block detector is warm — it arms after
+#: warm=16 blocks of 25 recost samples, 425 in all — with as much again
+#: as headroom; how many requests that takes depends on how often the
+#: cost phase has to ask the engine.
+CALM_SAMPLES = 850
+#: Length of the calm stream the samples are drawn from (an upper bound
+#: on the calm phase; the assertion below fails if it runs dry first).
 CALM_REQUESTS = 1200
 #: Post-shift detection bound (requests).  Misses re-anchor the cache
 #: under the shifted model, so a detector that needs more traffic than
@@ -52,8 +57,12 @@ def _drift_run(seed: int) -> dict:
     engine = DriftingCostEngine(db.engine(template))
     scr = SCR(engine, lam=LAM, obs=obs)
 
+    calm_requests = 0
     for q in instances_for_template(template, CALM_REQUESTS, seed=seed):
         scr.process(q)
+        calm_requests += 1
+        if scr.calibration.samples["recost"] >= CALM_SAMPLES:
+            break
     calm_alarm = bool(scr.calibration.alarms["calibration"])
     calm_samples = scr.calibration.score()["feeds"]["recost"]["samples"]
 
@@ -81,6 +90,7 @@ def _drift_run(seed: int) -> dict:
 
     return {
         "seed": seed,
+        "calm_requests": calm_requests,
         "calm_samples": calm_samples,
         "calm_alarm": calm_alarm,
         "detected_at": detected_at,
@@ -104,7 +114,7 @@ def test_seeded_drift_gate(benchmark):
     for row in rows:
         seed = row["seed"]
         # Calm traffic warmed the detector without a false alarm.
-        assert row["calm_samples"] >= 425, (
+        assert row["calm_samples"] >= CALM_SAMPLES, (
             f"seed {seed}: calm phase produced only {row['calm_samples']} "
             "recost samples — the detector never armed"
         )

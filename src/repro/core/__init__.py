@@ -5,12 +5,10 @@ from .bounds import (
     LINEAR_BOUND,
     QUADRATIC_BOUND,
     adversarial_corner,
-    compute_cost_gl,
     compute_g,
     compute_gl,
     compute_l,
     cost_bounds,
-    cost_corner,
     recost_suboptimality_bound,
     suboptimality_bound,
 )
@@ -82,12 +80,10 @@ __all__ = [
     "ViolationReport",
     "adversarial_corner",
     "certificate_kind",
-    "compute_cost_gl",
     "compute_g",
     "compute_gl",
     "compute_l",
     "cost_bounds",
-    "cost_corner",
     "default_lambda_r",
     "recost_suboptimality_bound",
     "suboptimality_bound",

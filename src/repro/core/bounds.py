@@ -171,60 +171,3 @@ def adversarial_corner(
         [hi if corner_picks_hi(e, lo, hi) else lo
          for e, lo, hi in zip(anchor, usv.lo, usv.hi)]
     )
-
-
-def cost_corner(
-    point: SelectivityVector,
-    anchor: SelectivityVector,
-    usv: UncertainSelectivityVector,
-) -> SelectivityVector:
-    """The corner maximizing the recost-anchored bound ``G(c→x)·L(e→x)``.
-
-    The cost check's recost ratio ``R`` is measured at the *point*
-    estimate ``c``; transporting ``Cost(P, c)`` to an unknown true
-    vector ``x`` costs at most ``G(c→x)^n`` (Cost Bounding Lemma) while
-    the optimal-cost side keeps ``L(e→x)^n`` against the stored anchor
-    ``e``.  Per dimension the factor is
-    ``f(x) = max(x/c_i, 1) * max(e_i/x, 1)`` — a product of a
-    non-decreasing and a non-increasing quasi-convex piece whose shape is
-    decreasing, then constant, then increasing — so the box maximum is
-    again at an endpoint; we evaluate both and keep the larger (ties to
-    ``hi``).  For a zero-width box the corner equals ``c``, where
-    ``G(c→c) = 1`` and ``L(e→c)`` is the point check's L, reproducing
-    the point cost check exactly.
-    """
-
-    def factor(x: float, c: float, e: float) -> float:
-        g = x / c if x > c else 1.0
-        l = e / x if x < e else 1.0
-        return g * l
-
-    picked = []
-    for c, e, lo, hi in zip(point, anchor, usv.lo, usv.hi):
-        picked.append(hi if factor(hi, c, e) >= factor(lo, c, e) else lo)
-    return SelectivityVector.from_sequence(picked)
-
-
-def compute_cost_gl(
-    point: SelectivityVector,
-    anchor: SelectivityVector,
-    corner: SelectivityVector,
-) -> tuple[float, float]:
-    """``(G(point→corner), L(anchor→corner))`` for the robust cost check.
-
-    The increment factor transports the recost result from the point
-    estimate to the corner; the decrement factor is the ordinary L
-    against the stored anchor.  Both loops mirror :func:`compute_gl`'s
-    arithmetic exactly (``g *= alpha`` / ``l /= alpha``) so that a
-    zero-width box — where ``corner == point`` — reproduces the point
-    cost check's ``L`` bit-for-bit.
-    """
-    g = 1.0
-    for alpha in point.ratios(corner):
-        if alpha > 1.0:
-            g *= alpha
-    l = 1.0
-    for alpha in anchor.ratios(corner):
-        if alpha < 1.0:
-            l /= alpha
-    return g, l

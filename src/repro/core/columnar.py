@@ -169,6 +169,26 @@ class ColumnarInstances:
         self.__dict__["_usage_rank"] = (version, rank)
         return rank
 
+    @cached_property
+    def plan_slots(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """``(plans, slot)``: the distinct plan ids, ascending, and each
+        row's index into them — the cost check's dense plan axis
+        (``costs.take(slot)`` spreads one Recost per plan over its
+        anchors; plan ids themselves only grow over a cache's life)."""
+        return np.unique(self.plan_ids, return_inverse=True)
+
+    def plan_heads(self, key: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+        """Per plan slot, the smallest ``key`` among the plan's rows and
+        the first row that attains it (a minimum of ``+inf`` says the
+        plan has no candidate row)."""
+        plans, slot = self.plan_slots
+        low = np.full(len(plans), np.inf)
+        np.minimum.at(low, slot, key)
+        rows = np.flatnonzero(key == low.take(slot))
+        head = np.full(len(plans), len(self), dtype=np.intp)
+        np.minimum.at(head, slot.take(rows), rows)
+        return low, head
+
 
 # -- G/L kernels --------------------------------------------------------------
 #
@@ -226,6 +246,35 @@ def corner_gl_matrix(
 ) -> tuple["np.ndarray", "np.ndarray"]:
     """``(G, L)`` evaluated at each box's adversarial corner."""
     return _fold(corner_matrix(sv, lo, hi, sv_sq) / sv[:, None, :])
+
+
+def cost_corner_gl(
+    sv: "np.ndarray", point: "np.ndarray", lo: "np.ndarray", hi: "np.ndarray"
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """``(G(point→corner), L(anchor→corner))`` per anchor, at the corner
+    of one ``(lo, hi)`` box that maximizes the recost-anchored bound.
+
+    The cost check measures ``R`` at the *point* estimate ``c``;
+    carrying ``Cost(P, c)`` to an unknown true vector ``x`` costs at
+    most ``G(c→x)^n`` while the optimal-cost side keeps ``L(e→x)^n``
+    against the anchor ``e``.  Per dimension that factor is
+    ``max(x/c, 1)·max(e/x, 1)`` — decreasing, then constant, then
+    increasing in ``x`` — so the box maximum is at an endpoint: both are
+    evaluated and the larger kept (ties to ``hi``).  ``point``/``lo``/
+    ``hi`` are ``(d,)`` vectors, ``sv`` the ``(d, N)`` anchor matrix;
+    both factors fold in dimension order like the scalar ``cost_corner``
+    + ``compute_cost_gl`` in ``tests/reference_get_plan.py``, and a
+    zero-width box gives ``G == 1.0`` and the point check's ``L``.
+    """
+    c = point[:, None]
+    faces = []
+    for x in (lo[:, None], hi[:, None]):
+        grow = np.where(x > c, x / c, 1.0)
+        faces.append(grow * np.where(x < sv, sv / x, 1.0))
+    corner = np.where(faces[1] >= faces[0], hi[:, None], lo[:, None])
+    g = np.multiply.reduce(np.maximum(corner / c, 1.0), axis=0)
+    l = np.divide.reduce(np.minimum(corner / sv, 1.0), axis=0, initial=1.0)
+    return g, l
 
 
 def log_l1_distances(log_sv: "np.ndarray", point: "np.ndarray") -> "np.ndarray":

@@ -11,6 +11,7 @@ quantity that Figure 11/18's falling numOpt curves implicitly track.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import SelectivityVector
-from .bounds import BoundingFunction, LINEAR_BOUND, compute_gl
+from .bounds import BoundingFunction, LINEAR_BOUND
+from .get_plan import CheckKind, GetPlan
 from .plan_cache import PlanCache
 
 RecostFn = Callable[[ShrunkenMemo, SelectivityVector], float]
@@ -58,49 +60,36 @@ def sample_coverage(
 ) -> CoverageReport:
     """Estimate cache coverage over log-uniform samples of the space.
 
-    Mirrors getPlan's decision logic (without mutating usage counts):
-    a sample is selectivity-covered if any anchor has
-    ``(G·L)^n ≤ λ/S``, and cost-covered if any of the nearest
-    ``max_recost_candidates`` anchors passes ``R·L^n ≤ λ/S`` (only
-    evaluated when ``recost`` is supplied).
+    The samples are probed through a throw-away
+    :class:`~repro.core.get_plan.GetPlan` over ``cache`` — probed only,
+    nothing is committed, so usage counts, hit counters and the LRU
+    clock stay untouched — which makes the report what getPlan would
+    decide by construction: selectivity-covered if its selectivity check
+    hits, cost-covered if its plan-major cost check does (at most
+    ``max_recost_candidates`` Recost calls per sample; without
+    ``recost`` the cost check is not run at all).
     """
     if lam < 1.0:
         raise ValueError("lambda must be >= 1")
+    if any(len(entry.sv) != dimensions for entry in cache.instances()):
+        raise ValueError("cache anchors and sample dimensions disagree")
     rng = np.random.default_rng(seed)
     points = np.exp(
         rng.uniform(np.log(low), np.log(high), size=(samples, dimensions))
     )
-    entries = list(cache.instances())
-
-    sel_hits = 0
-    cost_hits = 0
-    for row in points:
-        sv = SelectivityVector.from_sequence(row)
-        candidates: list[tuple[float, float, object]] = []
-        covered = False
-        for entry in entries:
-            if len(entry.sv) != dimensions:
-                raise ValueError(
-                    "cache anchors and sample dimensions disagree"
-                )
-            g, l = compute_gl(entry.sv, sv)
-            if bound.selectivity_bound(g, l) <= lam / entry.suboptimality:
-                sel_hits += 1
-                covered = True
-                break
-            if not entry.retired:
-                candidates.append((g * l, l, entry))
-        if covered or recost is None:
-            continue
-        candidates.sort(key=lambda item: item[0])
-        for _, l, entry in candidates[:max_recost_candidates]:
-            plan = cache.plan(entry.plan_id)
-            r = recost(plan.shrunken_memo, sv) / entry.optimal_cost
-            if bound.cost_bound(r, l) <= lam / entry.suboptimality:
-                cost_hits += 1
-                break
+    get_plan = GetPlan(
+        cache=cache, lam=lam, max_recost_candidates=max_recost_candidates,
+        bound=bound,
+    )
+    checks = Counter(
+        decision.check
+        for decision in get_plan.probe_batch(
+            [SelectivityVector.from_sequence(row) for row in points], recost,
+            max_recost=None if recost else 0,
+        )
+    )
     return CoverageReport(
         samples=samples,
-        selectivity_check_hits=sel_hits,
-        cost_check_hits=cost_hits,
+        selectivity_check_hits=checks[CheckKind.SELECTIVITY],
+        cost_check_hits=checks[CheckKind.COST],
     )

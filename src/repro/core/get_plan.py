@@ -6,15 +6,15 @@ while preserving λ-optimality:
 
 1. **Selectivity check** over the instance list: reuse anchor ``q_e``'s
    plan if ``G·L ≤ λ/S`` (no engine call at all).
-2. **Cost check** over the surviving candidates, cheapest-G·L first and
-   capped (the section 6.2 pruning heuristic): reuse if ``R·L ≤ λ/S``
-   where ``R`` comes from one Recost call.
+2. **Cost check**, plan-major and capped (the section 6.2 pruning
+   heuristic): one Recost call per cached plan, nearest plan first, and
+   reuse through any anchor of a re-costed plan with ``R·L ≤ λ/S``.
 3. Otherwise report a miss; the caller makes the optimizer call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -26,16 +26,12 @@ from ..query.instance import (
     UncertainSelectivityVector,
     as_point,
 )
-from .bounds import (
-    BoundingFunction,
-    LINEAR_BOUND,
-    compute_cost_gl,
-    cost_corner,
-)
+from .bounds import BoundingFunction, LINEAR_BOUND
 from .columnar import (
     ColumnarInstances,
     chunk_rows,
     corner_gl_matrix,
+    cost_corner_gl,
     gl_matrix,
     np,
 )
@@ -91,7 +87,8 @@ def certificate_kind(box: Optional[UncertainSelectivityVector]) -> str:
 
 
 class CandidateOrder(Enum):
-    """Cost-check candidate ordering (§6.2 and its alternatives).
+    """Cost-check candidate ordering (§6.2 and its alternatives): the
+    per-anchor key whose per-plan minimum orders the plans.
 
     * ``GL`` — increasing G·L product (the paper's choice: low-G·L
       anchors are most likely to pass the cost check);
@@ -126,16 +123,39 @@ class GetPlanDecision:
     certificate: str = "exact"
     #: Coverage of the box the certificate holds over (1.0 = hard).
     coverage: float = 1.0
-    #: Every Recost comparison the cost phase made — ``(anchor, r, g,
-    #: l)`` per call, *including failed checks*.  The calibration
-    #: observatory feeds on these; keeping the failures matters because
-    #: a drifting cost model inflates exactly the ratios that fail the
-    #: check, so a hits-only feed would censor its own evidence.
-    recost_samples: tuple = ()
+    #: ``{plan_id: Cost(P, q_c)}`` of the plans the cost phase re-costed,
+    #: in call order (failed-closed ``+inf`` results left out): the
+    #: request's memo, which spares manageCache's redundancy check the
+    #: same engine calls.
+    recost_memo: dict = field(default_factory=dict)
+    #: ``(entries, g, l, rows)``: what the cost phase scanned, the
+    #: probe's point ``G``/``L`` vectors and, aligned with
+    #: :attr:`recost_memo`, each re-costed plan's lowest-key live row.
+    cost_trail: Optional[tuple] = None
 
     @property
     def hit(self) -> bool:
         return self.plan_id is not None
+
+    @property
+    def recost_samples(self) -> tuple:
+        """One ``(anchor, r, g, l)`` per Recost call — the re-costed
+        plan's lowest-key live anchor — *including failed checks*.  The
+        calibration observatory feeds on these; a drifting cost model
+        inflates exactly the ratios that fail the check, so a hits-only
+        feed would censor its own evidence.  Built on demand: a request
+        nobody calibrates on pays for no tuples.
+        """
+        if self.cost_trail is None:
+            return ()
+        entries, g, l, rows = self.cost_trail
+        return tuple(
+            (
+                entries[row], cost / entries[row].optimal_cost,
+                float(g[row]), float(l[row]),
+            )
+            for row, cost in zip(rows, self.recost_memo.values())
+        )
 
     @property
     def inferred_suboptimality(self) -> float:
@@ -163,9 +183,11 @@ class GetPlan:
         The sub-optimality bound λ (or a per-instance λ via
         ``lambda_for``; see Appendix D).
     max_recost_candidates:
-        Cap on Recost calls per getPlan invocation; candidates are
-        tried in increasing G·L order (section 6.2: "instances with
-        large values of GL are less likely to satisfy the cost check").
+        Cap on Recost calls per getPlan invocation.  A call re-costs
+        one cached *plan* and checks all its anchors; plans are tried in
+        increasing order of their nearest anchor's G·L (section 6.2:
+        "instances with large values of GL are less likely to satisfy
+        the cost check").
     bound:
         BCG bounding function (linear by default).
     lambda_for:
@@ -179,11 +201,13 @@ class GetPlan:
     target_coverage:
         The coverage ``p`` that ``PROBABILISTIC`` mode certifies at.
 
-    The selectivity check is one dimension-major kernel over the cache's
-    columnar view (:mod:`repro.core.columnar`) — a broadcast divide and
-    two leading-axis folds replaying the IEEE-754 operation sequence of
-    the per-entry loop in ``tests/reference_get_plan.py``, the oracle
-    the differential suite compares every decision against.
+    Both checks run on the cache's columnar view
+    (:mod:`repro.core.columnar`): the selectivity check is one
+    dimension-major kernel — a broadcast divide and two leading-axis
+    folds — and the cost check one vector pass per step, each replaying
+    the IEEE-754 operation sequence of the per-entry loops in
+    ``tests/reference_get_plan.py``, the oracle the differential suite
+    compares every decision against.
     """
 
     cache: PlanCache
@@ -290,22 +314,28 @@ class GetPlan:
         spans = self.spans
         timed = spans is not None and spans.enabled
         start = spans.clock.perf_counter() if timed else 0.0
-        decision, candidates, hit = None, [], -1
+        decision, key, hit = None, None, -1
+        g = l = budget = None
+        cap = self._effective_cap(max_recost)
         if len(view):
             g, l, gc, lc = self._factor_rows(view, [(point, box)])
-            decision, candidates, hit = self._decide_row(
-                box, view, g[0], l[0], gc[0], lc[0],
-                self._budget_vector(view), self._effective_cap(max_recost),
+            g, l, budget = g[0], l[0], self._budget_vector(view)
+            decision, key, hit = self._decide_row(
+                box, view, g, l, gc[0], lc[0], budget, cap,
             )
         if timed:
             # ``candidates`` counts the cost-check candidates of this
-            # scan: on a miss the ordered prefix the recost cap lets the
-            # cost phase consume; on a hit the live rows before the hit
-            # row — every one of them failed, or it would be the hit.
+            # scan: on a miss the plans the cost phase may re-cost (the
+            # view's distinct plans, cut at the recost cap); on a hit
+            # the live rows before the hit row — every one of them
+            # failed, or it would be the hit.
             attrs: dict = {
                 "hit": decision is not None,
-                "candidates": len(candidates) if decision is None else (
+                "candidates": (
                     hit - sum(e.retired for e in view.entries[:hit])
+                    if decision is not None
+                    else 0 if key is None
+                    else min(cap, len(view.plan_slots[0]))
                 ),
                 "scanned": len(view),
             }
@@ -322,7 +352,9 @@ class GetPlan:
             return decision
         if timed:
             start = spans.clock.perf_counter()
-        decision = self._cost_phase(point, box, recost, candidates)
+        decision = self._miss(box) if key is None else self._cost_phase(
+            point, box, recost, view, key, g, l, budget, cap
+        )
         if timed:
             attrs = {"hit": decision.hit, "recost_calls": decision.recost_calls}
             if decision.hit:
@@ -359,10 +391,7 @@ class GetPlan:
             return []
         view = self._columnar_view(entries)
         if len(view) == 0:
-            return [
-                self._cost_phase(point, box, recost, [])
-                for point, box in resolved
-            ]
+            return [self._miss(box) for _, box in resolved]
         budget = self._budget_vector(view)
         cap = self._effective_cap(max_recost)
         step = chunk_rows(len(resolved), len(view), view.dimensions)
@@ -371,11 +400,16 @@ class GetPlan:
             chunk = resolved[lo_row:lo_row + step]
             g_m, l_m, gc_m, lc_m = self._factor_rows(view, chunk)
             for j, (point, box) in enumerate(chunk):
-                decision, candidates, _ = self._decide_row(
+                decision, key, _ = self._decide_row(
                     box, view, g_m[j], l_m[j], gc_m[j], lc_m[j], budget, cap,
                 )
                 if decision is None:
-                    decision = self._cost_phase(point, box, recost, candidates)
+                    decision = self._miss(box) if key is None else (
+                        self._cost_phase(
+                            point, box, recost, view, key, g_m[j], l_m[j],
+                            budget, cap,
+                        )
+                    )
                 decisions.append(decision)
         return decisions
 
@@ -492,40 +526,21 @@ class GetPlan:
         lc: "np.ndarray",
         budget: "np.ndarray",
         cap: int,
-    ) -> tuple[
-        Optional[GetPlanDecision],
-        list[tuple[float, float, InstanceEntry]],
-        int,
-    ]:
+    ) -> tuple[Optional[GetPlanDecision], Optional["np.ndarray"], int]:
         """Selectivity check over one probe's ``(N,)`` factor vectors.
 
-        Returns ``(hit decision, [], hit row)`` or, on a miss, ``(None,
-        cost-check candidates, -1)``.  The hit is the *first* passing
-        entry in list order, and ``entries_scanned`` counts entries up
-        to and including it (all of them on a miss).
+        Returns ``(hit decision, None, hit row)`` or, on a miss, ``(None,
+        the cost phase's order key, -1)``.  The hit is the *first*
+        passing entry in list order, and ``entries_scanned`` counts
+        entries up to and including it (all of them on a miss).
 
-        The candidates are ``(G, L, entry)`` point values of the
-        non-retired entries, in the configured candidate order and cut
-        at ``cap`` — this probe's recost budget — so the cost phase
-        walks them as they come; ``cap == 0`` (SHED) orders nothing.
-        The order is the stable argsort of a vector key, which permutes
-        equal keys exactly like a stable ``list.sort``, and
-        sort-then-drop-retired equals drop-retired-then-sort because
-        stability preserves the survivors' relative order.  Only the
-        prefix that is read gets ordered (:meth:`_cheapest_rows`).
+        The order key is the ``(N,)`` vector the configured candidate
+        order ranks anchors by, smaller first: the (corner) ``G·L``
+        product, ``−area`` or the usage rank.  ``cap == 0`` (SHED) has
+        no cost phase to feed and gets no key.
         """
         glc = gc * lc
-        degree = self.bound.degree
-        if degree == 1.0:
-            # pow(x, 1.0) is exact, so this IS the scalar check value.
-            check = glc
-        else:
-            # numpy's pow special-cases small exponents (x**2 -> x*x)
-            # and may round differently from libm; replay CPython's pow
-            # per element to keep the ablation degrees bit-identical.
-            check = np.array(
-                [v ** degree for v in glc.tolist()], dtype=np.float64
-            )
+        check = self._raised(glc)
         mask = check <= budget
         # argmax of an all-False mask is row 0, whose own bit says so.
         hit = int(mask.argmax())
@@ -544,106 +559,146 @@ class GetPlan:
                 ),
                 certificate=certificate_kind(box),
                 coverage=box.coverage if robust else 1.0,
-            ), [], hit
+            ), None, hit
         self.entries_scanned += len(view)
         if cap <= 0:
-            return None, [], -1  # selectivity-only probe: nothing to order
+            return None, None, -1  # selectivity-only probe: nothing to order
         if self.candidate_order is CandidateOrder.GL:
-            key = glc
-        elif self.candidate_order is CandidateOrder.AREA:
-            key = -view.area
-        else:
-            # USAGE mutates without epoch bumps; the per-row rank is
-            # memoized against the cache's usage_version instead.  Ranks
-            # are unique, ties broken by row order as a stable sort
-            # breaks them.
-            key = view.usage_rank(self.cache.usage_version)
-        # ``retired`` flips without an epoch bump, so no array carries it:
-        # the filter reads the flag live off each entry.
-        entries = view.entries
-        order = self._cheapest_rows(key, cap)
-        live = [i for i in order.tolist() if not entries[i].retired]
-        if len(live) < cap and order.size < key.size:
-            # Retired rows left the prefix short: order all N instead.
-            order = np.argsort(key, kind="stable")
-            live = [i for i in order.tolist() if not entries[i].retired]
-        return None, [
-            (float(g[i]), float(l[i]), entries[i]) for i in live[:cap]
-        ], -1
+            return None, glc, -1
+        if self.candidate_order is CandidateOrder.AREA:
+            return None, -view.area, -1
+        # USAGE mutates without epoch bumps; the per-row rank is memoized
+        # against the cache's usage_version instead.  Ranks are unique,
+        # ties broken by row order as a stable sort breaks them.
+        return None, view.usage_rank(self.cache.usage_version), -1
+
+    def _raised(self, x: "np.ndarray") -> "np.ndarray":
+        """``x ** degree`` per element, as the scalar bound computes it."""
+        degree = self.bound.degree
+        if degree == 1.0:
+            return x  # pow(x, 1.0) is exact
+        # numpy's pow special-cases small exponents (x**2 -> x*x) and may
+        # round differently from libm; replay CPython's pow per element
+        # to keep the ablation degrees bit-identical.
+        return np.array([v ** degree for v in x.tolist()], dtype=np.float64)
 
     @staticmethod
-    def _cheapest_rows(key: "np.ndarray", cap: int) -> "np.ndarray":
-        """The stable argsort of ``key``, cut after the rows tied with
-        its ``cap``-th entry, without ordering the other ``N − cap``.
-
-        Every key ≤ the ``cap``-th smallest (``thr``, by partition)
-        precedes every key > ``thr`` in the full stable sort, and a
-        stable sort of a subset taken in row order keeps the full sort's
-        relative order: sorting just those rows *is* the full sort's
-        prefix, ties at the threshold included.
-        """
-        if cap >= key.size:
-            return np.argsort(key, kind="stable")
-        thr = np.partition(key, cap - 1)[cap - 1]
-        rows = np.flatnonzero(key <= thr)
-        return rows[np.argsort(key[rows], kind="stable")]
+    def _miss(box: Optional[UncertainSelectivityVector]) -> GetPlanDecision:
+        return GetPlanDecision(
+            plan_id=None, check=CheckKind.OPTIMIZER,
+            certificate=certificate_kind(box),
+        )
 
     def _cost_phase(
         self,
         point: SelectivityVector,
         box: Optional[UncertainSelectivityVector],
         recost: Callable[[ShrunkenMemo, SelectivityVector], float],
-        candidates: list[tuple[float, float, InstanceEntry]],
+        view: ColumnarInstances,
+        key: "np.ndarray",
+        g: "np.ndarray",
+        l: "np.ndarray",
+        budget: "np.ndarray",
+        cap: int,
     ) -> GetPlanDecision:
-        """Cost check: one Recost call per candidate, in the order given
-        (ordered per the configured heuristic — G·L ascending is the
-        paper's — and already cut at the recost cap).
+        """Plan-major cost check: at most ``cap`` Recost calls, one per
+        cached plan, each checked against every anchor of its plan.
+
+        ``Cost(P, q_c)`` belongs to the plan; ``C``, ``S`` and ``L^n``
+        are per-anchor vectors.  One pass therefore evaluates ``R·L^n ≤
+        λ/S``, ``R = Cost(P_e, q_c) / C_e``, for every anchor whose plan
+        has been re-costed (``R = +inf`` for the rest) in the scalar
+        check's own operation sequence.  :meth:`_cost_steps` names the
+        plans: first the one of the lowest-``key`` live anchor; then,
+        only if nothing passed, the others the cap admits.  Of the
+        passing live anchors the smallest certified bound ``S·R·L^n``
+        wins, ties to the lowest row.
 
         Recost always runs at the *point* estimate; with a box, the
         Cost Bounding Lemma transports that cost to the corner
-        maximizing ``G(point→x)·L(anchor→x)``, so the certified bound
-        ``S·R·(G·L)^n`` holds for every sVector in the box.
+        maximizing ``G(point→x)·L(anchor→x)``, so the factor is
+        ``(Ĝ·L̂)^n`` and the bound holds for every sVector in the box.
+        A ``+inf`` Recost (the resilient engine failing closed) fails
+        every row of its plan and stays out of the memo.
         """
-        robust = box is not None
-        cert = certificate_kind(box)
-        cov = box.coverage if robust else 1.0
-        recost_calls = 0
-        samples: list = []
-        for g, l, entry in candidates:
-            plan = self.cache.maybe_plan(entry.plan_id)
-            if plan is None:
-                continue  # evicted under a concurrent probe; skip
-            new_cost = recost(plan.shrunken_memo, point)
-            recost_calls += 1
-            r = new_cost / entry.optimal_cost
-            samples.append((entry, r, g, l))
-            budget = self._effective_lambda(entry) / entry.suboptimality
-            if robust:
-                corner = cost_corner(point, entry.sv, box)
-                gg, ll = compute_cost_gl(point, entry.sv, corner)
-                check_value = r * self.bound.selectivity_bound(gg, ll)
-            else:
-                check_value = self.bound.cost_bound(r, l)
-            if check_value <= budget:
-                return GetPlanDecision(
-                    plan_id=entry.plan_id,
-                    check=CheckKind.COST,
-                    anchor=entry,
-                    recost_calls=recost_calls,
-                    recost_ratio=r,
-                    g=g,
-                    l=l,
-                    bound_value=(
-                        entry.suboptimality * check_value if robust else None
-                    ),
-                    certificate=cert,
-                    coverage=cov,
-                    recost_samples=tuple(samples),
-                )
-        return GetPlanDecision(
-            plan_id=None, check=CheckKind.OPTIMIZER, recost_calls=recost_calls,
-            certificate=cert, recost_samples=tuple(samples),
-        )
+        entries = view.entries
+        heads: list[int] = []
+        decision = self._miss(box)
+        decision.cost_trail = (entries, g, l, heads)
+        if box is None or box.is_point:
+            # A zero-width box's corner is the point itself: Ĝ = 1, L̂ = L.
+            factor = self._raised(l)
+        else:
+            gg, ll = cost_corner_gl(
+                view.sv, *(np.array(v.values) for v in (point, box.lo, box.hi))
+            )
+            factor = self._raised(gg * ll)
+        plans, slot = view.plan_slots
+        costs = np.full(len(plans), np.inf)
+        for rows in self._cost_steps(view, key, cap):
+            for row in rows:
+                plan = self.cache.maybe_plan(entries[row].plan_id)
+                if plan is None:
+                    continue  # evicted under a concurrent probe; skip
+                cost = recost(plan.shrunken_memo, point)
+                decision.recost_calls += 1
+                if cost < np.inf:
+                    costs[slot[row]] = decision.recost_memo[plan.plan_id] = cost
+                    heads.append(row)
+            r = costs.take(slot) / view.cost
+            check = r * factor
+            ok = check <= budget
+            if not ok.any():
+                continue
+            bound = np.where(ok, view.sub * check, np.inf)
+            row = int(bound.argmin())
+            while entries[row].retired and bound[row] < np.inf:
+                bound[row] = np.inf
+                row = int(bound.argmin())
+            if bound[row] < np.inf:
+                decision.anchor = entries[row]
+                decision.plan_id = decision.anchor.plan_id
+                decision.check = CheckKind.COST
+                decision.recost_ratio = float(r[row])
+                decision.g, decision.l = float(g[row]), float(l[row])
+                if box is not None:
+                    decision.bound_value = float(bound[row])
+                    decision.coverage = box.coverage
+                break
+        return decision
+
+    @staticmethod
+    def _cost_steps(view: ColumnarInstances, key: "np.ndarray", cap: int):
+        """The cost phase's two steps, each a list of rows whose plans
+        to re-cost: the lowest-``key`` live row alone; then — only if
+        the caller comes back — the lowest-key live row of every other
+        plan, plans ordered by ``(that key, that row)`` and cut so the
+        probe makes at most ``cap`` calls.
+
+        ``retired`` flips without an epoch bump, so no array carries it:
+        the flags are read live off the entries, and all N of them only
+        once a retired row turns up as a head.
+        """
+        entries = view.entries
+
+        def live(key: "np.ndarray") -> "np.ndarray":
+            return np.where([e.retired for e in entries], np.inf, key)
+
+        head = int(key.argmin())
+        masked = entries[head].retired
+        if masked:
+            key = live(key)
+            head = int(key.argmin())
+        if key[head] == np.inf:
+            return  # every anchor is retired
+        yield (head,)
+        if cap < 2 or len(view.plan_slots[0]) < 2:
+            return
+        low, first = view.plan_heads(key)
+        if not masked and any(entries[i].retired for i in first.tolist()):
+            low, first = view.plan_heads(live(key))
+        order = np.lexsort((first, low))
+        yield first[order[low[order] < np.inf][1:cap]].tolist()
 
     def commit(self, decision: GetPlanDecision) -> None:
         """Apply the bookkeeping of a probed decision (usage counters,

@@ -115,12 +115,17 @@ class ManageCache:
         sv: SelectivityVector,
         result: OptimizationResult,
         recost: RecostFn,
+        known_costs: Optional[dict[int, float]] = None,
     ) -> InstanceEntry:
         """Process a freshly optimized instance (Algorithm 2).
 
         Returns the instance entry added to the instance list; its
         ``plan_id`` is the plan the instance will anchor for future
         inference (the new plan, or the redundant-winner).
+
+        ``known_costs`` is the request's own ``{plan_id: Cost(P, sv)}``
+        memo (``GetPlanDecision.recost_memo``): what getPlan's cost
+        phase already paid the engine for at this very ``sv``.
         """
         signature = result.shrunken_memo.signature
         optimal_cost = result.cost
@@ -145,7 +150,9 @@ class ManageCache:
             self.cache.add_instance(entry)
             return entry
 
-        redundant = self._redundancy_check(sv, optimal_cost, recost)
+        redundant = self._redundancy_check(
+            sv, optimal_cost, recost, known_costs or {}
+        )
         if redundant is not None:
             plan_entry, s_min = redundant
             self.stats.plans_rejected_redundant += 1
@@ -177,16 +184,28 @@ class ManageCache:
     # -- redundancy of the new plan ----------------------------------------
 
     def _redundancy_check(
-        self, sv: SelectivityVector, optimal_cost: float, recost: RecostFn
+        self,
+        sv: SelectivityVector,
+        optimal_cost: float,
+        recost: RecostFn,
+        known_costs: dict[int, float],
     ) -> Optional[tuple[CachedPlan, float]]:
-        """Find the min-cost cached plan; redundant if ``S_min ≤ λ_r``."""
+        """Find the min-cost cached plan; redundant if ``S_min ≤ λ_r``.
+
+        Plans costed in ``known_costs`` are not re-costed.  Plan ids are
+        never reused, so a memo id still names the plan it named at the
+        probe; a plan added since, or one whose probe-time Recost failed
+        closed, is absent from the memo and gets its engine call here.
+        """
         if self.lambda_r is None or self.lambda_r <= 1.0:
             return None
         best: Optional[CachedPlan] = None
         best_cost = math.inf
         for plan in self.cache.plans():
-            cost = recost(plan.shrunken_memo, sv)
-            self.stats.redundancy_recost_calls += 1
+            cost = known_costs.get(plan.plan_id)
+            if cost is None:
+                cost = recost(plan.shrunken_memo, sv)
+                self.stats.redundancy_recost_calls += 1
             if cost < best_cost:
                 best, best_cost = plan, cost
         if best is None:

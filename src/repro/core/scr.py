@@ -3,8 +3,9 @@ Redundancy checks), tying getPlan and manageCache together.
 
 Per arriving instance:
 
-1. getPlan runs the selectivity check and then the capped, G·L-ordered
-   cost check over the instance list; a hit reuses the cached plan and
+1. getPlan runs the selectivity check over the instance list and then
+   the capped, plan-major cost check (one Recost per cached plan, every
+   anchor of that plan checked); a hit reuses the cached plan and
    certifies λ-optimality.
 2. On a miss, the optimizer is called and manageCache decides whether
    the resulting plan enters the cache (redundancy check, plan budget).
@@ -198,8 +199,9 @@ class SCR(OnlinePQOTechnique):
         )
 
     def _feed_recost_calibration(self, decision: GetPlanDecision) -> None:
-        """Feed every Recost comparison the cost phase made into the
-        calibration observatory.
+        """Feed the cost phase's Recost calls into the calibration
+        observatory: one sample per call, taken at the re-costed plan's
+        lowest-key live anchor (``GetPlanDecision.recost_samples``).
 
         Free samples: each already paid its Recost call.  Predicted =
         the anchor's stored pointed cost ``C·S``; actual = the fresh
@@ -211,7 +213,7 @@ class SCR(OnlinePQOTechnique):
         a drifting model inflates exactly the ratios that fail the
         cost check, so a hits-only feed would censor its own evidence.
         """
-        if self.calibration is None or not decision.recost_samples:
+        if self.calibration is None:
             return
         degree = self.get_plan.bound.degree
         for anchor, r, g, l in decision.recost_samples:
@@ -234,28 +236,32 @@ class SCR(OnlinePQOTechnique):
             if fallback is None:
                 raise  # empty cache: nothing can be served
             return fallback
-        return self._register_optimized(sv, result, decision.recost_calls)
+        return self._register_optimized(sv, result, decision)
 
     def _register_optimized(
-        self, sv: AnySelectivityVector, result, recost_calls: int
+        self, sv: AnySelectivityVector, result, decision: GetPlanDecision
     ) -> PlanChoice:
         """Run manageCache on a fresh optimizer result and build the
-        choice.  The concurrent serving layer calls this under the shard
+        choice.  ``decision`` is the miss that led here: its recost
+        calls are charged to the choice, and the costs its cost phase
+        measured at ``sv`` spare the redundancy check those engine
+        calls.  The concurrent serving layer calls this under the shard
         write lock, with the optimizer call itself made outside it."""
         point = as_point(sv)
         recosts_before = self.manage_cache.stats.redundancy_recost_calls
         spans = self.obs.spans if self.obs is not None else None
-        if spans is not None and spans.enabled:
-            start = spans.clock.perf_counter()
-            entry = self.manage_cache.register(point, result, self.engine.recost)
+        timed = spans is not None and spans.enabled
+        start = spans.clock.perf_counter() if timed else 0.0
+        entry = self.manage_cache.register(
+            point, result, self.engine.recost, decision.recost_memo
+        )
+        if timed:
             spans.record(
                 "scr.redundancy_check", start,
                 spans.clock.perf_counter() - start,
                 template=self.engine.template.name,
                 cached=entry.suboptimality == 1.0,
             )
-        else:
-            entry = self.manage_cache.register(point, result, self.engine.recost)
         redundancy_recosts = (
             self.manage_cache.stats.redundancy_recost_calls - recosts_before
         )
@@ -279,7 +285,7 @@ class SCR(OnlinePQOTechnique):
             plan_signature=chosen.signature,
             used_optimizer=True,
             check="optimizer",
-            recost_calls=recost_calls + redundancy_recosts,
+            recost_calls=decision.recost_calls + redundancy_recosts,
             optimal_cost=result.cost,
             plan=chosen.plan,
             certified_bound=bound_value,

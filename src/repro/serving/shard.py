@@ -558,7 +558,7 @@ class TemplateShard:
                 if holds_gate:
                     self._overload.release_optimize()
             return self._finish_locked(
-                scr._register_optimized(sv, result, decision.recost_calls)
+                scr._register_optimized(sv, result, decision)
             )
 
     # -- miss path with single-flight -----------------------------------------
@@ -668,7 +668,7 @@ class TemplateShard:
             self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
             scr.get_plan.commit(decision)
             return self._finish_locked(
-                scr._register_optimized(sv, result, decision.recost_calls)
+                scr._register_optimized(sv, result, decision)
             )
 
     # -- degraded path --------------------------------------------------------

@@ -408,10 +408,16 @@ class TestDriftToRepair:
         engine = DriftingCostEngine(db.engine(template))
         scr = SCR(engine, lam=LAM, obs=obs)
 
-        # Calm phase: long enough to warm the block detector
-        # (warm=16 blocks of 25 recost samples).
+        # Calm phase: until the block detector is warm — it arms after
+        # ``warm`` blocks of ``block`` recost samples, however many
+        # requests it takes to produce them.
+        geometry = BlockShiftDetector()
+        warm_samples = (geometry.warm + 1) * geometry.block
         for q in workload(template, 900, seed=7):
             scr.process(q)
+            if scr.calibration.samples["recost"] >= warm_samples:
+                break
+        assert scr.calibration.samples["recost"] >= warm_samples
         assert not scr.calibration.alarms["calibration"]
 
         # Inject a 1.6x cost-model shift.  Anchors stored before the

@@ -2,13 +2,14 @@
 
 Four invariant families, driven by Hypothesis plus explicit edge cases:
 
-* **kernel parity** — the vectorized G·L (and corner G·L) of every
-  (point, anchor) pair is bit-identical to the scalar reference, so the
-  vectorized row minimum equals the scalar per-instance minimum —
-  including α == 1 exactly, the selectivity floor against 1.0,
-  denormals, d = 1 and 16, an N = 1 view and the empty view;
-* **candidate select** — the partition-selected rows are the stable
-  argsort's prefix, ties at the threshold included;
+* **kernel parity** — the vectorized G·L (and corner G·L, and the
+  cost check's row kernel) of every (point, anchor) pair is
+  bit-identical to the scalar reference, so the vectorized row minimum
+  equals the scalar per-instance minimum — including α == 1 exactly,
+  the selectivity floor against 1.0, denormals, zero-width boxes, d = 1
+  and 16, an N = 1 view and the empty view;
+* **plan heads** — per plan, the first row attaining the plan's
+  smallest order key, ties and keyless plans included;
 * **view consistency** — after an arbitrary sequence of cache
   operations (add plan / add instance / drop plan / retire / adopt /
   recalibrate), the columnar view's arrays always mirror the snapshot's
@@ -33,7 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import adversarial_corner, compute_gl
-from repro.core.columnar import ColumnarInstances, corner_gl_matrix, gl_matrix
+from repro.core.columnar import (
+    ColumnarInstances,
+    corner_gl_matrix,
+    cost_corner_gl,
+    gl_matrix,
+)
 from repro.core.get_plan import GetPlan
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
 from repro.obs.calibration import recost_sweep
@@ -42,6 +48,8 @@ from repro.query.instance import (
     SelectivityVector,
     UncertainSelectivityVector,
 )
+
+from reference_get_plan import compute_cost_gl, cost_corner
 
 selectivities = st.floats(
     min_value=1e-6, max_value=1.0,
@@ -143,6 +151,52 @@ def test_corner_gl_matrix_matches_adversarial_corner(data, dims):
         assert lc_m[0, row] == lc
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    dims=st.integers(min_value=1, max_value=6),
+    zero_width=st.booleans(),
+)
+def test_cost_corner_gl_matches_scalar_cost_corner(data, dims, zero_width):
+    """The cost check's row kernel against ``cost_corner`` +
+    ``compute_cost_gl`` per anchor; a zero-width box reproduces the
+    point check's ``(1.0, L)`` bit for bit."""
+    anchors = data.draw(st.lists(sv_lists(dims), min_size=1, max_size=10))
+    point_vals = data.draw(sv_lists(dims))
+    if zero_width:
+        lo_vals = hi_vals = point_vals
+    else:
+        shrink = data.draw(st.lists(
+            st.floats(min_value=0.2, max_value=1.0, allow_nan=False),
+            min_size=dims, max_size=dims,
+        ))
+        grow = data.draw(st.lists(
+            st.floats(min_value=1.0, max_value=5.0, allow_nan=False),
+            min_size=dims, max_size=dims,
+        ))
+        lo_vals = [max(1e-6, p * w) for p, w in zip(point_vals, shrink)]
+        lo_vals = [min(lo, p) for lo, p in zip(lo_vals, point_vals)]
+        hi_vals = [min(1.0, max(p, p * w)) for p, w in zip(point_vals, grow)]
+    point = SelectivityVector.from_sequence(point_vals)
+    box = UncertainSelectivityVector(
+        point=point,
+        lo=SelectivityVector.from_sequence(lo_vals),
+        hi=SelectivityVector.from_sequence(hi_vals),
+    )
+    g_v, l_v = cost_corner_gl(
+        _anchor_matrix(anchors),
+        np.array(point_vals, dtype=np.float64),
+        np.array(lo_vals, dtype=np.float64),
+        np.array(hi_vals, dtype=np.float64),
+    )
+    for row, anchor_vals in enumerate(anchors):
+        anchor = SelectivityVector.from_sequence(anchor_vals)
+        g, l = compute_cost_gl(point, anchor, cost_corner(point, anchor, box))
+        assert (g_v[row], l_v[row]) == (g, l)
+        if zero_width:
+            assert (g, l) == (1.0, compute_gl(anchor, point)[1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), dims=st.integers(min_value=1, max_value=6))
 def test_vectorized_row_min_equals_scalar_min(data, dims):
@@ -197,8 +251,9 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
 def test_kernels_are_bit_identical_at_the_edges(case):
-    """Point and corner kernels against the scalar loops at explicit
-    boundary inputs, once as a whole batch and once per point (B = 1)."""
+    """Point, corner and cost-corner kernels against the scalar loops at
+    explicit boundary inputs, once as a whole batch and once per point
+    (B = 1)."""
     anchors, points = EDGE_CASES[case]
     sv_mat = _anchor_matrix(anchors)
     anchor_svs = [SelectivityVector.from_sequence(a) for a in anchors]
@@ -218,6 +273,7 @@ def test_kernels_are_bit_identical_at_the_edges(case):
         )
         expected.append([
             compute_gl(a, point) + compute_gl(a, adversarial_corner(a, box))
+            + compute_cost_gl(point, a, cost_corner(point, a, box))
             for a in anchor_svs
         ])
     batches = [list(range(len(points)))] + [[i] for i in range(len(points))]
@@ -230,8 +286,12 @@ def test_kernels_are_bit_identical_at_the_edges(case):
             gc_m, lc_m = corner_gl_matrix(sv_mat, lo, hi)
             assert g_m.shape == l_m.shape == gc_m.shape == (len(rows), len(anchors))
             for b, i in enumerate(rows):
+                gg, ll = cost_corner_gl(sv_mat, pts[b], lo[b], hi[b])
                 for n in range(len(anchors)):
-                    got = (g_m[b, n], l_m[b, n], gc_m[b, n], lc_m[b, n])
+                    got = (
+                        g_m[b, n], l_m[b, n], gc_m[b, n], lc_m[b, n],
+                        gg[n], ll[n],
+                    )
                     assert got == expected[i][n], (case, i, n)
 
 
@@ -255,54 +315,68 @@ def test_kernels_and_probes_on_an_empty_view():
     assert get_plan.entries_scanned == 0
 
 
-# -- candidate select: partition prefix ≡ stable argsort prefix ---------------
+# -- plan heads: each plan's first minimum-key row -----------------------------
 
 
-#: Few distinct values, so ties are the rule; optionally scaled up to
-#: very large (still finite) magnitudes.
-tied_keys = st.builds(
-    lambda values, scale: [v * scale for v in values],
-    st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.0000000000000004, 7.0]),
-             min_size=0, max_size=40),
-    st.sampled_from([1.0, 1e300, -1.0]),
+#: Few distinct values, so ties are the rule; ``inf`` marks a row the
+#: cost phase masked out (a retired anchor).
+tied_keys = st.lists(
+    st.sampled_from([1.0, 1.5, 2.0, 2.0000000000000004, 7.0, 1e300, np.inf]),
+    min_size=0, max_size=40,
 )
 
 
+def _view_over_plans(plan_ids: list[int]) -> ColumnarInstances:
+    return ColumnarInstances.build(-1, [
+        InstanceEntry(
+            sv=SelectivityVector.of(0.5), plan_id=p,
+            optimal_cost=1.0, suboptimality=1.0,
+        )
+        for p in plan_ids
+    ])
+
+
+def _assert_plan_heads(keys, plan_ids, key):
+    view = _view_over_plans(plan_ids)
+    plans, slot = view.plan_slots
+    assert plans.tolist() == sorted(set(plan_ids))
+    assert plans[slot].tolist() == plan_ids
+    low, head = view.plan_heads(key)
+    for s, plan in enumerate(plans.tolist()):
+        # A plan whose rows are all masked out reads (+inf, its first row).
+        assert (low[s], head[s]) == min(
+            (keys[i], i) for i, p in enumerate(plan_ids) if p == plan
+        )
+
+
 @settings(max_examples=300, deadline=None)
-@given(keys=tied_keys, cap=st.integers(min_value=1, max_value=45),
-       as_rank=st.booleans())
-def test_cheapest_rows_is_the_stable_argsort_prefix(keys, cap, as_rank):
+@given(keys=tied_keys, data=st.data(), as_rank=st.booleans())
+def test_plan_heads_are_each_plans_first_minimum(keys, data, as_rank):
+    plan_ids = data.draw(st.lists(
+        st.sampled_from([0, 3, 4, 90_000]),
+        min_size=len(keys), max_size=len(keys),
+    ))
     key = np.array(keys, dtype=np.float64)
     if as_rank:
         # The USAGE key: unique int64 ranks.
         key = np.argsort(np.argsort(key, kind="stable"), kind="stable")
-    order = GetPlan._cheapest_rows(key, cap)
-    full = np.argsort(key, kind="stable")
-    assert len(order) >= min(cap, len(key))
-    assert order.tolist() == full[:len(order)].tolist()
-    # Cut right after the rows tied with the cap-th key, no later.
-    if cap < len(key):
-        assert (key[order] <= key[full[cap - 1]]).all()
-        assert len(order) == int((key <= key[full[cap - 1]]).sum())
+        keys = key.tolist()
+    _assert_plan_heads(keys, plan_ids, key)
 
 
 @pytest.mark.parametrize(
-    "keys, cap",
+    "keys, plan_ids",
     [
-        ([3.0, 1.0, 2.0, 2.0, 2.0, 0.5], 3),   # duplicates straddle cap
-        ([3.0, 1.0, 2.0, 2.0, 2.0, 0.5], 2),   # cap lands on the first tie
-        ([4.0] * 7, 1),                         # all equal, cap == 1
-        ([4.0] * 7, 7),                         # N == cap
-        ([2.0, 1.0], 8),                        # N < cap
-        ([1e308, 1e-308, 1e308, 0.0], 1),       # very large keys
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 0.5], [7, 7, 8, 8, 9, 9]),  # ties inside a plan
+        ([2.0, 2.0, 2.0, 2.0], [5, 4, 5, 4]),           # equal minima across plans
+        ([4.0] * 7, [1] * 7),                           # one plan, all equal
+        ([np.inf, np.inf, 1.0], [0, 0, 1]),             # a plan with no live row
+        ([np.inf] * 3, [2, 1, 0]),                      # nothing live at all
+        ([1e308, 1e-308, 1e308, 0.0], [0, 1, 0, 1]),    # very large keys
     ],
 )
-def test_cheapest_rows_explicit_tie_cases(keys, cap):
-    key = np.array(keys, dtype=np.float64)
-    order = GetPlan._cheapest_rows(key, cap)
-    full = np.argsort(key, kind="stable")
-    assert len(order) >= min(cap, len(key))
-    assert order.tolist() == full[:len(order)].tolist()
+def test_plan_heads_explicit_tie_cases(keys, plan_ids):
+    _assert_plan_heads(keys, plan_ids, np.array(keys, dtype=np.float64))
 
 
 # -- view consistency over arbitrary op sequences -----------------------------

@@ -21,6 +21,26 @@ def populated(toy_engine):
     return cache, plan, result
 
 
+def three_plan_cache(toy_engine, anchors_per_plan: int = 1):
+    """A cache of three distinct plans (the toy template's optimal plans
+    at three far-apart points), each anchored ``anchors_per_plan`` times
+    at slightly shifted points."""
+    cache = PlanCache()
+    plans = {}
+    for base in [(0.5, 0.5), (0.02, 0.02), (0.002, 0.9)]:
+        result = toy_engine.optimize(SelectivityVector.of(*base))
+        plan = cache.add_plan(result.plan, result.shrunken_memo)
+        plans[plan.plan_id] = plan
+        for k in range(anchors_per_plan):
+            sv = SelectivityVector.of(base[0] * (1 + 0.05 * k), base[1])
+            cache.add_instance(InstanceEntry(
+                sv=sv, plan_id=plan.plan_id,
+                optimal_cost=toy_engine.recost(plan.shrunken_memo, sv),
+                suboptimality=1.0,
+            ))
+    return cache, plans
+
+
 class TestSelectivityCheck:
     def test_hit_inside_gl_region(self, populated, toy_engine):
         cache, plan, _ = populated
@@ -49,13 +69,34 @@ class TestSelectivityCheck:
         assert decision.inferred_suboptimality == pytest.approx(1.5)
 
     def test_budget_shrinks_with_anchor_suboptimality(self, populated, toy_engine):
-        cache, _, _ = populated
+        cache, plan, result = populated
         entry = next(cache.instances())
         entry.suboptimality = 1.8  # anchor plan itself 1.8-suboptimal
-        get_plan = GetPlan(cache=cache, lam=2.0, max_recost_candidates=0)
-        # GL = 1.5 but budget is 2/1.8 = 1.11: must miss.
-        decision = get_plan(SelectivityVector.of(0.15, 0.1), toy_engine.recost)
-        assert not decision.hit
+        # A second anchor of the same plan, farther from the query but
+        # with its whole budget left.
+        spare_sv = SelectivityVector.of(0.1, 0.125)
+        spare = InstanceEntry(
+            sv=spare_sv, plan_id=plan.plan_id,
+            optimal_cost=toy_engine.recost(plan.shrunken_memo, spare_sv),
+            suboptimality=1.0,
+        )
+        cache.add_instance(spare)
+        sv = SelectivityVector.of(0.15, 0.1)
+        # GL = 1.5 / 1.875 against budgets 2/1.8 = 1.11 and 2: both
+        # selectivity checks miss.
+        assert not GetPlan(cache=cache, lam=1.8, max_recost_candidates=0)(
+            sv, toy_engine.recost
+        ).hit
+        # The cost check re-costs the shared plan once and holds every
+        # anchor of it against its own λ/S: the nearest anchor (R·L over
+        # budget 1.8/1.8 = 1) fails, the farther one has room and wins.
+        decision = GetPlan(cache=cache, lam=1.8)(sv, toy_engine.recost)
+        ratio = toy_engine.recost(plan.shrunken_memo, sv) / result.cost
+        assert ratio > 1.0
+        assert decision.check is CheckKind.COST
+        assert decision.recost_calls == 1
+        assert decision.anchor is spare
+        assert decision.inferred_suboptimality <= 1.8
 
 
 class TestCostCheck:
@@ -74,12 +115,24 @@ class TestCostCheck:
             assert decision.recost_calls >= 1
             assert decision.recost_ratio < 2.0
 
-    def test_recost_cap_respected(self, populated, toy_engine):
-        cache, _, _ = populated
-        get_plan = GetPlan(cache=cache, lam=1.01, max_recost_candidates=0)
-        decision = get_plan(SelectivityVector.of(0.9, 0.9), toy_engine.recost)
-        assert not decision.hit
-        assert decision.recost_calls == 0
+    def test_recost_cap_respected(self, toy_engine):
+        """The cap bounds Recost calls, i.e. distinct *plans* tried —
+        however many anchors stand behind each."""
+        cache, plans = three_plan_cache(toy_engine, anchors_per_plan=3)
+        assert len(plans) == 3 and cache.num_instances == 9
+        sv = SelectivityVector.of(0.9, 0.9)
+        for cap, expected in [(0, 0), (1, 1), (2, 2), (3, 3), (8, 3)]:
+            get_plan = GetPlan(
+                cache=cache, lam=1.0 + 1e-9, max_recost_candidates=cap
+            )
+            decision = get_plan(sv, toy_engine.recost)
+            assert not decision.hit
+            assert decision.recost_calls == expected
+            assert len(decision.recost_memo) == expected
+        # A per-call override can only lower the cap.
+        get_plan = GetPlan(cache=cache, lam=1.0 + 1e-9, max_recost_candidates=2)
+        assert get_plan.probe(sv, toy_engine.recost, max_recost=1).recost_calls == 1
+        assert get_plan.probe(sv, toy_engine.recost, max_recost=5).recost_calls == 2
 
     def test_miss_returns_optimizer_kind(self, populated, toy_engine):
         cache, _, _ = populated
@@ -89,7 +142,7 @@ class TestCostCheck:
         assert decision.check is CheckKind.OPTIMIZER
 
     def test_retired_anchor_skipped_in_cost_check(self, populated, toy_engine):
-        cache, _, _ = populated
+        cache, plan, result = populated
         entry = next(cache.instances())
         entry.retired = True
         get_plan = GetPlan(cache=cache, lam=2.0)
@@ -97,6 +150,25 @@ class TestCostCheck:
         decision = get_plan(sv, toy_engine.recost)
         # The only anchor is retired: no recost calls may happen.
         assert decision.recost_calls == 0
+        # With a live anchor of the same plan the plan is re-costed once
+        # — and the retired anchor still cannot win, although it is the
+        # nearer one and its R·L the smaller.
+        live_sv = SelectivityVector.of(0.05, 0.1)
+        live = InstanceEntry(
+            sv=live_sv, plan_id=plan.plan_id,
+            optimal_cost=toy_engine.recost(plan.shrunken_memo, live_sv),
+            suboptimality=1.0,
+        )
+        cache.add_instance(live)
+        sv = SelectivityVector.of(0.4, 0.1)
+        decision = GetPlan(cache=cache, lam=2.0).probe(sv, toy_engine.recost)
+        assert decision.recost_calls == 1
+        assert decision.check is CheckKind.COST
+        assert decision.anchor is live
+        entry.retired = False
+        revived = GetPlan(cache=cache, lam=2.0).probe(sv, toy_engine.recost)
+        assert revived.anchor is entry
+        assert revived.inferred_suboptimality < decision.inferred_suboptimality
 
     def test_candidates_tried_in_gl_order(self, toy_engine):
         """With several anchors, the closest (lowest GL) is tried first."""

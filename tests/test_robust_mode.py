@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import (
     adversarial_corner,
-    compute_cost_gl,
     compute_gl,
-    cost_corner,
     suboptimality_bound,
 )
 from repro.core.dynamic_lambda import PressureRelaxedLambda
@@ -39,6 +37,8 @@ from repro.query.instance import (
 )
 from repro.serving.manager import ConcurrentPQOManager
 from repro.serving.overload import BrownoutLevel, OverloadPolicy
+
+from reference_get_plan import compute_cost_gl, cost_corner
 
 RELTOL = 1e-9
 

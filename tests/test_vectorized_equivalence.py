@@ -125,8 +125,10 @@ def assert_decisions_identical(ds, dv, context: str) -> None:
     assert ds.bound_value == dv.bound_value, context
     assert ds.certificate == dv.certificate, context
     assert ds.coverage == dv.coverage, context
-    # The calibration feed's uncensored samples must match too: same
-    # anchors recosted, in order, with identical (r, g, l).
+    # Same plans re-costed, in the same order, to the same costs.
+    assert list(ds.recost_memo.items()) == list(dv.recost_memo.items()), context
+    # The calibration feed's uncensored samples must match too: one per
+    # re-costed plan (its lowest-key live anchor), identical (r, g, l).
     assert len(ds.recost_samples) == len(dv.recost_samples), context
     for (ea, ra, ga, la), (eb, rb, gb, lb) in zip(
         ds.recost_samples, dv.recost_samples
@@ -448,50 +450,37 @@ ALL_ORDERS = [CandidateOrder.GL, CandidateOrder.AREA, CandidateOrder.USAGE]
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
-def test_candidate_select_with_retired_rows_in_the_prefix(order, monkeypatch):
-    """Retiring rows *inside* the first ``cap`` of the candidate order
-    leaves the partition-selected prefix short, so the probe must fall
-    back to the full ordering — and still hand the cost phase exactly
-    the reference's candidates (read off ``recost_samples``: the recost
-    below never passes, so every candidate is tried, in order)."""
-    import numpy as np
-
+def test_candidate_select_with_retired_rows_in_the_prefix(order):
+    """Retiring the rows that head the plan order — each tried plan's
+    lowest-key anchor — makes the cost phase read the retired flags live
+    and re-derive the heads over the surviving rows, still re-costing
+    exactly the reference's plans (read off ``recost_samples``: the
+    recost below never passes, so every plan the cap lets through is
+    tried, in order)."""
     rng = random.Random(31)
     cache = build_cache(rng, 80, 3, retire_fraction=0.0)
+    assert cache.num_plans > 4
     common = dict(
         cache=cache, lam=1.0001, candidate_order=order, max_recost_candidates=4,
     )
-    scalar = ReferenceGetPlan(**common)  # no numpy: never counted below
+    scalar = ReferenceGetPlan(**common)
     vectorized = GetPlan(**common)
-    full_sorts = []
-    real_argsort = np.argsort
-
-    def counting_argsort(a, *args, **kwargs):
-        full_sorts.append(len(a) == cache.num_instances)
-        return real_argsort(a, *args, **kwargs)
 
     def never_passes(memo, point):
         return 1e12
 
-    # Warm USAGE's rank memo (one full sort per usage version, not per
-    # probe) so the counts below see only the candidate select.
-    vectorized.probe(random_input(rng, 3, False), never_passes)
-    monkeypatch.setattr(np, "argsort", counting_argsort)
     for t in range(40):
         sv = random_input(rng, 3, False)
         ahead = scalar.probe(sv, never_passes).recost_samples
         assert len(ahead) == 4
-        # No retired row in the prefix: no full-N sort.
-        full_sorts.clear()
+        assert len({entry.plan_id for entry, *_ in ahead}) == 4
         dv = vectorized.probe(sv, never_passes)
-        assert not any(full_sorts)
         assert_decisions_identical(scalar.probe(sv, never_passes), dv, "live")
-        # Retire 1-3 of the rows the order puts first: the fallback runs.
+        # Retire 1-3 of the heads the order puts first.
         doomed = [entry for entry, *_ in ahead[:rng.randint(1, 3)]]
         for entry in doomed:
             entry.retired = True
         dv = vectorized.probe(sv, never_passes)
-        assert any(full_sorts)
         assert_decisions_identical(
             scalar.probe(sv, never_passes), dv, f"{order.value} t={t}"
         )
@@ -512,7 +501,7 @@ def test_max_recost_zero_orders_nothing(order, monkeypatch):
     vectorized = GetPlan(cache=cache, lam=1.0001, candidate_order=order)
     scalar = ReferenceGetPlan(cache=cache, lam=1.0001, candidate_order=order)
     sorts = []
-    for name in ("argsort", "partition", "sort"):
+    for name in ("argsort", "partition", "sort", "lexsort", "unique"):
         real = getattr(np, name)
         monkeypatch.setattr(
             np, name,
@@ -542,8 +531,9 @@ def test_max_recost_zero_orders_nothing(order, monkeypatch):
 def test_selectivity_span_counts_live_candidates():
     """The ``scr.selectivity_check`` span's ``candidates`` attribute is
     the cost-check candidate count of the scan: on a hit the live
-    (non-retired) rows before the hit row — no tuple is built for them
-    — and on a miss the live rows the recost cap lets through."""
+    (non-retired) rows before the hit row, and on a miss the plans the
+    cost phase may re-cost — the view's distinct plans, cut at the
+    recost cap."""
     from repro.core.get_plan import CheckKind
     from repro.obs.spans import SpanRecorder
 
@@ -555,7 +545,7 @@ def test_selectivity_span_counts_live_candidates():
     )
     recost = make_recost(2)
     entries = list(cache.instances())
-    live = sum(not e.retired for e in entries)
+    plans = len({e.plan_id for e in entries})
     hits = misses = 0
     for _ in range(150):
         decision = get_plan.probe(random_input(rng, 2, False), recost)
@@ -575,7 +565,7 @@ def test_selectivity_span_counts_live_candidates():
             hits += 1
         else:
             assert span.attrs["hit"] is False
-            assert span.attrs["candidates"] == min(4, live)
+            assert span.attrs["candidates"] == min(4, plans)
             misses += 1
     assert hits > 10 and misses > 10
 
@@ -653,7 +643,7 @@ def test_recost_and_optimizer_call_counts_are_pinned():
 
 #: (optimizer_calls, total_recost_calls, selectivity_hits, cost_hits,
 #: misses, entries_scanned) for the canonical seeded run above.
-PINNED_CANONICAL_COUNTS = (29, 74, 5, 16, 29, 463)  # set by regeneration below
+PINNED_CANONICAL_COUNTS = (28, 70, 5, 17, 28, 456)  # set by regeneration below
 
 
 def _regen_pin() -> None:
