@@ -77,10 +77,7 @@ class ProcessFaultInjector:
             target = wid
         elif kind == "stall":
             wid = self.rng.choice(victims)
-            try:
-                sup.workers[wid].request_q.put(Control("stall_heartbeats"))
-            except (OSError, ValueError):
-                pass
+            sup._send(sup.workers[wid], Control("stall_heartbeats"))
             target = wid
         elif kind == "corrupt_snapshot":
             published = self.store.published_templates()

@@ -50,16 +50,31 @@ class HashRing:
         points.sort()
         self._hashes = [h for h, _ in points]
         self._owners = [n for _, n in points]
+        self._all = frozenset(nodes)
+        # (alive set, {key: owner}): swapped whole when the alive set
+        # changes, so a racing reader never files an owner under the
+        # wrong set.  Keys are template names, a bounded set.
+        self._memo: tuple[frozenset, dict[str, str]] = (self._all, {})
 
     def owner(self, key: str, alive: Optional[Iterable[str]] = None) -> str:
         """The live node owning ``key``.
 
         ``alive=None`` means every node is live.  Raises ``LookupError``
         when no live node remains (total outage — callers shed).
+        Memoised per key for the most recent alive set.
         """
-        live = set(self.nodes if alive is None else alive)
+        live = self._all if alive is None else frozenset(alive)
         if not live:
             raise LookupError("no live nodes on the ring")
+        memo = self._memo
+        if memo[0] != live:
+            memo = self._memo = (live, {})
+        node = memo[1].get(key)
+        if node is None:
+            node = memo[1][key] = self._walk(key, live)
+        return node
+
+    def _walk(self, key: str, live: frozenset) -> str:
         start = bisect.bisect_right(self._hashes, _ring_hash(key))
         n = len(self._owners)
         for step in range(n):

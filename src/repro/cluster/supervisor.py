@@ -1,8 +1,9 @@
 """The supervisor: routing, liveness, crash recovery, merged health.
 
 One front-end process owns the cluster: it routes requests to worker
-processes along the consistent-hash ring, watches heartbeats, declares
-workers dead on silence (or on a reaped process), restarts them with
+processes along the consistent-hash ring over one duplex pipe per
+worker, watches heartbeats, declares workers dead on a hung-up pipe,
+silence or a reaped process, restarts them with
 capped exponential backoff, quarantines flappers, and re-routes a dead
 worker's partition with a graceful drain — every in-flight future
 resolves as retried-on-peer, shed, or :class:`WorkerLostError`, never
@@ -23,9 +24,13 @@ Prometheus exposition renders supervisor series as
 
 from __future__ import annotations
 
+import multiprocessing
+import select
 import threading
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from multiprocessing.connection import wait
 from typing import Optional
 
 from ..obs import Observability
@@ -96,34 +101,34 @@ class ProcessLauncher:
 
     Spawn, not fork: the supervisor runs a monitor thread and workers
     run thread pools, and forking a threaded process inherits poisoned
-    locks.  Tests swap in a fake launcher with the same three methods.
+    locks.  Tests swap in a fake launcher with the same method.
     """
 
-    def __init__(self, ctx=None) -> None:
-        if ctx is None:
-            import multiprocessing
+    def launch(self, spec: WorkerSpec):
+        """Start a worker; returns ``(connection, process_handle)``.
 
-            ctx = multiprocessing.get_context("spawn")
-        self.ctx = ctx
-
-    def make_response_queue(self):
-        return self.ctx.Queue()
-
-    def launch(self, spec: WorkerSpec, response_q):
-        """Start a worker; returns ``(request_queue, process_handle)``.
-
-        The process handle must expose ``is_alive() / terminate() /
-        kill() / join(timeout) / pid / exitcode``.
+        The connection is the supervisor's end of a duplex pipe (an
+        AF_UNIX socketpair).  The process handle must expose
+        ``is_alive() / terminate() / kill() / join(timeout) / pid /
+        exitcode``.
         """
-        request_q = self.ctx.Queue()
-        process = self.ctx.Process(
+        ctx = multiprocessing.get_context("spawn")
+        conn, child_end = ctx.Pipe()
+        process = ctx.Process(
             target=worker_main,
-            args=(spec, request_q, response_q),
+            args=(spec, child_end),
             name=f"repro-{spec.worker_id}",
             daemon=True,
         )
         process.start()
-        return request_q, process
+        # The child holds its own copy now; keeping ours open would mean
+        # EOF never arrives when the worker dies.
+        child_end.close()
+        return conn, process
+
+
+def _writable(conn) -> bool:
+    return bool(select.select((), (conn,), (), 0)[1])
 
 
 @dataclass
@@ -146,7 +151,10 @@ class WorkerHandle:
     """Supervisor-side state machine for one worker slot."""
 
     spec: WorkerSpec
-    request_q: object = None
+    #: Supervisor end of this incarnation's pipe; None once it hung up.
+    conn: object = None
+    #: Frames waiting for room in the socket, oldest first.
+    outbox: deque = field(default_factory=deque)
     process: object = None
     state: WorkerState = WorkerState.STARTING
     started_at: float = 0.0
@@ -221,7 +229,11 @@ class ClusterSupervisor:
                 **spec_kwargs,
             ))
         self.ring = HashRing(sorted(self.workers), vnodes=self.policy.vnodes)
-        self.response_q = self.launcher.make_response_queue()
+        self._routable: frozenset = frozenset()
+        #: Every open supervisor-side connection → its worker slot; a
+        #: dead incarnation's stays until EOF so its late replies land.
+        self._conns: dict = {}
+        self._pump_lock = threading.RLock()  # one reader per connection
         self._lock = threading.RLock()
         self._pending: dict[int, _Pending] = {}
         self._next_request_id = 0
@@ -282,38 +294,91 @@ class ClusterSupervisor:
         return self
 
     def _launch(self, handle: WorkerHandle, now: float) -> None:
-        handle.request_q, handle.process = self.launcher.launch(
-            handle.spec, self.response_q
-        )
+        handle.conn, handle.process = self.launcher.launch(handle.spec)
+        self._conns[handle.conn] = handle
+        handle.outbox.clear()
         handle.state = WorkerState.STARTING
         handle.started_at = now
         handle.last_heartbeat = now
         handle.next_restart_at = None
         handle.bye_received = False
-        self._update_worker_gauge()
+        self._fleet_changed()
 
     def _monitor_loop(self) -> None:
         interval = min(0.05, self.policy.heartbeat_timeout / 4)
+        next_tick = self.clock.monotonic()
         while not self._stopping.is_set():
             self.pump(timeout=interval)
-            self.tick()
+            now = self.clock.monotonic()
+            if now >= next_tick:
+                self.tick()
+                next_tick = now + interval
 
     def pump(self, timeout: float = 0.0) -> int:
-        """Drain available worker messages; returns messages handled."""
-        import queue as queue_mod
+        """Flush queued writes, then handle every worker message that
+        arrives within ``timeout``; returns messages handled."""
+        with self._pump_lock:
+            with self._lock:
+                self._flush()
+                conns = list(self._conns)
+            return sum(self._drain(conn) for conn in wait(conns, timeout))
 
+    def _drain(self, conn) -> int:
         handled = 0
         while True:
             try:
-                message = self.response_q.get(
-                    timeout=timeout if handled == 0 else 0
-                )
-            except queue_mod.Empty:
-                return handled
-            except (EOFError, OSError):  # queue torn down during close
+                message = conn.recv()
+            except (EOFError, OSError):
+                with self._lock:
+                    self._hang_up(conn)
                 return handled
             self._handle_message(message)
             handled += 1
+            if not conn.poll():
+                return handled
+
+    def _hang_up(self, conn) -> None:
+        """Forget a connection whose worker end closed (or, at close(),
+        every connection): a routable worker that hangs up died."""
+        handle = self._conns.pop(conn)
+        conn.close()
+        if handle.conn is conn:
+            handle.conn = None
+            handle.outbox.clear()
+            if handle.routable:
+                self._declare_dead(handle, reason="exited")
+
+    def _send(self, handle: WorkerHandle, message) -> None:
+        """Send ``message`` to the worker without ever blocking.
+
+        It is written at once only when nothing waits before it and the
+        socket polls writable — a writable AF_UNIX stream socket has at
+        least 3/4 of its send buffer free, so one request or control
+        frame always fits.  Otherwise it joins the FIFO outbox that
+        :meth:`pump` flushes.
+        """
+        with self._lock:
+            if handle.conn is None:
+                return  # hung up; its requests were re-routed
+            if handle.outbox or not _writable(handle.conn):
+                handle.outbox.append(message)
+                return
+            self._write(handle, message)
+
+    def _flush(self) -> None:
+        for handle in self.workers.values():
+            while handle.outbox and _writable(handle.conn):
+                self._write(handle, handle.outbox.popleft())
+
+    def _write(self, handle: WorkerHandle, message) -> None:
+        try:
+            handle.conn.send(message)
+        except OSError:
+            # The worker is gone; EOF follows on the read side, which
+            # keeps its last replies readable until then.
+            handle.outbox.clear()
+            if handle.routable:
+                self._declare_dead(handle, reason="exited")
 
     # -- submission / routing -------------------------------------------------
 
@@ -365,11 +430,14 @@ class ClusterSupervisor:
     def _dispatch(
         self, fut, request: Request, ctx=None, submitted_at: float = 0.0
     ) -> bool:
-        """Send to the ring owner among routable workers; False if none."""
-        alive = [w for w, h in self.workers.items() if h.routable]
-        if not alive:
+        """Send to the ring owner among routable workers; False if none.
+
+        True means the future is taken care of: a send that finds the
+        owner dead declares it so, which re-routes this request too.
+        """
+        if not self._routable:
             return False
-        owner = self.ring.owner(request.template_name, alive)
+        owner = self.ring.owner(request.template_name, self._routable)
         handle = self.workers[owner]
         dispatch_ctx = None
         dispatched_at = 0.0
@@ -389,14 +457,7 @@ class ClusterSupervisor:
             ctx=ctx, dispatch_ctx=dispatch_ctx,
             submitted_at=submitted_at, dispatched_at=dispatched_at,
         )
-        try:
-            handle.request_q.put(request)
-        except (OSError, ValueError):
-            # Queue died with the worker between checks; treat as death.
-            del self._pending[request.request_id]
-            self._declare_dead(handle, reason="queue_closed")
-            return self._dispatch(fut, request, ctx=ctx,
-                                  submitted_at=submitted_at)
+        self._send(handle, request)
         return True
 
     # -- span emission (no-ops when tracing is off) ---------------------------
@@ -503,7 +564,7 @@ class ClusterSupervisor:
         handle.warm_templates = message.warm_templates
         handle.cold_templates = message.cold_templates
         handle.warm_instances = message.warm_instances
-        self._update_worker_gauge()
+        self._fleet_changed()
 
     def _on_heartbeat(self, message: Heartbeat) -> None:
         handle = self.workers.get(message.worker_id)
@@ -512,7 +573,7 @@ class ClusterSupervisor:
         handle.last_heartbeat = self.clock.monotonic()
         if handle.state is WorkerState.STARTING:
             handle.state = WorkerState.LIVE
-            self._update_worker_gauge()
+            self._fleet_changed()
         handle.requests_served = message.requests_served
         handle.optimizer_calls = message.optimizer_calls
         handle.lambda_violations = message.lambda_violations
@@ -655,6 +716,7 @@ class ClusterSupervisor:
                     pass
                 break
         handle.state = WorkerState.DEAD
+        handle.outbox.clear()  # its requests are re-routed below
         handle.death_times.append(now)
         cutoff = now - self.policy.flap_window
         handle.death_times = [t for t in handle.death_times if t >= cutoff]
@@ -669,7 +731,7 @@ class ClusterSupervisor:
                 self.policy.restart_backoff_cap,
             )
             handle.next_restart_at = now + backoff
-        self._update_worker_gauge()
+        self._fleet_changed()
         self._reroute_pendings(handle.worker_id)
 
     def _reroute_pendings(self, dead_worker: str) -> None:
@@ -785,12 +847,17 @@ class ClusterSupervisor:
                         into.get("value", 0.0) + row.get("value", 0.0)
                     )
 
-    def _update_worker_gauge(self) -> None:
+    def _fleet_changed(self) -> None:
+        """After any state change: the per-state gauge and the routable
+        set the ring routes over."""
         counts = {state: 0 for state in WorkerState}
         for handle in self.workers.values():
             counts[handle.state] += 1
         for state, count in counts.items():
             self._workers_gauge.labels(state=state.value).set(count)
+        self._routable = frozenset(
+            wid for wid, handle in self.workers.items() if handle.routable
+        )
 
     # -- reporting ------------------------------------------------------------
 
@@ -912,20 +979,19 @@ class ClusterSupervisor:
             for handle in self.workers.values():
                 if handle.routable:
                     handle.state = WorkerState.DRAINING
-                    try:
-                        handle.request_q.put(Control("stop"))
-                    except (OSError, ValueError):
-                        pass
+                    # Behind every request already queued for it (FIFO).
+                    self._send(handle, Control("stop"))
                     draining.append(handle)
-            self._update_worker_gauge()
+            self._fleet_changed()
         self._stopping.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
-        # Pump until every draining worker said Bye or the budget runs out.
+        # Pump until every draining worker said Bye (or hung up) or the
+        # budget runs out.
         while self.clock.monotonic() < deadline:
             self.pump(timeout=0.05)
             with self._lock:
-                if all(h.bye_received for h in draining):
+                if all(h.bye_received or h.conn is None for h in draining):
                     break
         for handle in draining:
             terminate = getattr(handle.process, "terminate", None)
@@ -937,14 +1003,16 @@ class ClusterSupervisor:
             with self._lock:
                 handle.state = WorkerState.DEAD
         self.pump(timeout=0.0)  # late responses that raced the drain
-        with self._lock:
+        with self._pump_lock, self._lock:
             leftovers = list(self._pending.values())
             self._pending.clear()
             for pending in leftovers:
                 self._resolve_lost(
                     pending.future, pending.request, "supervisor shutdown"
                 )
-            self._update_worker_gauge()
+            for conn in list(self._conns):
+                self._hang_up(conn)
+            self._fleet_changed()
 
     def __enter__(self) -> "ClusterSupervisor":
         return self

@@ -1,6 +1,6 @@
 """Wire types between the supervisor and its worker processes.
 
-Everything here crosses a ``multiprocessing`` queue, so it must pickle
+Everything here crosses a ``multiprocessing`` pipe, so it must pickle
 under the spawn start method: plain module-level dataclasses carrying
 primitives only.  Notably a worker response carries a *flattened*
 outcome — plan signature, certificate fields, counters — rather than

@@ -1,10 +1,11 @@
-"""The worker process: a full serving stack behind two queues.
+"""The worker process: a full serving stack behind one duplex pipe.
 
 Each worker runs a complete single-process tier —
 :class:`~repro.serving.manager.ConcurrentPQOManager` over resilient
 engines with its own observability handle — and speaks the
-:mod:`~repro.cluster.transport` protocol: requests in on a dedicated
-queue, responses and heartbeats out on the shared supervisor queue.
+:mod:`~repro.cluster.transport` protocol over one pipe to the
+supervisor: requests and control frames in, responses, heartbeats,
+Ready and Bye out under one send lock.
 
 Workers register *every* cluster template, not just their routed
 partition: routing is the supervisor's concern, and a worker that
@@ -21,14 +22,14 @@ duplicate the supervisor's monitor thread state into every child.
 from __future__ import annotations
 
 import os
-import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..catalog.registry import get_database
 from ..engine.resilience import resilient_engine_factory
 from ..harness.oracle import Oracle
+from ..obs.tracectx import TraceContext, activate
 from ..query.instance import QueryInstance, SelectivityVector
 from ..query.template import QueryTemplate
 from ..serving.latency import simulated_latency_wrapper
@@ -98,9 +99,10 @@ class ClusterWorker:
     """The in-process serving half of one worker.
 
     Owns the manager, the snapshot publisher and the heartbeat thread;
-    :func:`worker_main` drives it from the request queue.  Kept separate
-    from the process scaffolding so tests can exercise warm-start and
-    serving logic in-process without spawning.
+    :func:`worker_main` drives it from the pipe.  Kept separate from the
+    process scaffolding so tests can exercise warm-start and serving
+    logic in-process without spawning.  ``response_q`` is anything with
+    ``put(message)``: the pipe's locked send side, or a ``queue.Queue``.
     """
 
     def __init__(self, spec: WorkerSpec, response_q) -> None:
@@ -108,6 +110,7 @@ class ClusterWorker:
         self.response_q = response_q
         self.store = SnapshotStore(spec.snapshot_dir)
         self.requests_served = 0
+        self._served_lock = threading.Lock()
         self.heartbeat_seq = 0
         self.heartbeats_stalled = threading.Event()
         self._stopping = threading.Event()
@@ -159,30 +162,46 @@ class ClusterWorker:
     # -- serving --------------------------------------------------------------
 
     def serve(self, request: Request) -> None:
-        """Dispatch one request; the response is pushed asynchronously."""
+        """Serve one request and send its response.
+
+        Without overload protection the request is served on the calling
+        thread.  With it, the request is handed to the manager's pool —
+        bounded ingress, arrival-time deadlines and the brownout signals
+        must see each arrival when it lands — and the pool thread that
+        finishes it sends the response.
+        """
         instance = QueryInstance(
             request.template_name,
             sv=SelectivityVector.from_sequence(request.sv),
             sequence_id=request.sequence_id,
         )
+        # Re-establish the supervisor's context: the wire carries (trace,
+        # dispatch span) and everything this worker records parents
+        # under that dispatch span — one connected tree across processes.
+        wire = None
         if self.spec.trace and request.trace_id:
-            # Re-establish the supervisor's context: the wire carries
-            # (trace, dispatch-span) and the manager's per-submission
-            # child context parents everything this worker records under
-            # that dispatch span — one connected tree across processes.
-            from ..obs.tracectx import TraceContext, activate
-
             wire = TraceContext(
-                trace_id=request.trace_id,
-                span_id=request.parent_span_id,
+                trace_id=request.trace_id, span_id=request.parent_span_id
             )
-            with activate(wire):
+        if self.spec.overload:
+            with activate(wire):  # the manager mints the child context
                 fut = self.manager.submit(instance)
-        else:
-            fut = self.manager.submit(instance)
-        fut.add_done_callback(lambda f: self._respond(request, f))
+            fut.add_done_callback(lambda f: self._respond(
+                request, f.exception() or f.result()
+            ))
+            return
+        # serving.process takes the span ID of the context it runs under:
+        # a fresh child, so it does not reuse the dispatch span's ID.
+        try:
+            with activate(wire and wire.child(self.obs.spans.ids)):
+                outcome = self.manager.process(instance)
+        except Exception as exc:
+            outcome = exc
+        self._respond(request, outcome)
 
-    def _respond(self, request: Request, fut) -> None:
+    def _respond(self, request: Request, outcome) -> None:
+        """Send the response for ``outcome``: a PlanChoice or the
+        exception serving raised."""
         spec = self.spec
         trace_spans: tuple = ()
         if self.collector is not None and request.trace_id:
@@ -190,9 +209,8 @@ class ClusterWorker:
                 span.to_jsonable()
                 for span in self.collector.pop(request.trace_id)
             )
-        exc = fut.exception()
-        if exc is None:
-            choice = fut.result()
+        if not isinstance(outcome, BaseException):
+            choice = outcome
             plan_cost = None
             if spec.verify and choice.certified:
                 plan_cost = self._plan_cost(
@@ -217,6 +235,7 @@ class ClusterWorker:
                 spans=trace_spans,
             )
         else:
+            exc = outcome
             if isinstance(exc, ShedError):
                 kind, reason = "shed", exc.reason
             elif isinstance(exc, ShutdownError):
@@ -234,11 +253,13 @@ class ClusterWorker:
                 error_reason=reason,
                 spans=trace_spans,
             )
-        self.requests_served += 1
+        with self._served_lock:  # serving threads finish concurrently
+            self.requests_served += 1
+            served = self.requests_served
         self.response_q.put(response)
         if (
             spec.die_after_requests is not None
-            and self.requests_served >= spec.die_after_requests
+            and served >= spec.die_after_requests
         ):
             # Simulated kill -9: no drain, no final snapshot, no Bye —
             # exactly what the crash-recovery path must absorb.
@@ -330,14 +351,43 @@ class ClusterWorker:
         ))
 
 
-def worker_main(spec: WorkerSpec, request_q, response_q) -> None:
-    """Process entry point: boot, signal Ready, serve until stopped."""
+class _PipeSender:
+    """The worker's side of the pipe for writing: one lock serialises
+    every frame — responses from any thread, heartbeats, Ready, Bye."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self._lock = threading.Lock()
+
+    def put(self, message) -> None:
+        with self._lock:
+            try:
+                self._conn.send(message)
+            except OSError:
+                pass  # the supervisor is gone; the readers see EOF
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()
+
+
+def worker_main(spec: WorkerSpec, conn) -> None:
+    """Process entry point: boot, signal Ready, serve until stopped.
+
+    Without overload protection ``spec.threads`` threads each take the
+    next frame under a receive lock and serve it themselves; with it one
+    thread reads and hands requests to the manager's pool (see
+    :meth:`ClusterWorker.serve`).  A stop frame — or EOF, the supervisor
+    gone — ends every reader once the frames read before it are served;
+    the worker then drains, publishes snapshots and says Bye.
+    """
     if spec.slow_start_seconds > 0:
         import time
 
         time.sleep(spec.slow_start_seconds)
-    worker = ClusterWorker(spec, response_q)
-    response_q.put(Ready(
+    sender = _PipeSender(conn)
+    worker = ClusterWorker(spec, sender)
+    sender.put(Ready(
         worker_id=spec.worker_id,
         incarnation=spec.incarnation,
         warm_templates=worker.warm_templates,
@@ -345,20 +395,40 @@ def worker_main(spec: WorkerSpec, request_q, response_q) -> None:
         warm_instances=worker.warm_instances,
     ))
     worker.start_background()
-    while True:
-        try:
-            message = request_q.get(timeout=0.1)
-        except queue.Empty:
-            continue
-        if isinstance(message, Control):
-            if message.kind == "stop":
-                worker.stop()
-                return
-            if message.kind == "stall_heartbeats":
+    receive = threading.Lock()
+    stopping = threading.Event()
+
+    def read_loop() -> None:
+        while True:
+            with receive:
+                if stopping.is_set():
+                    return
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):  # the supervisor is gone
+                    message = Control("stop")
+                if isinstance(message, Control) and message.kind == "stop":
+                    stopping.set()
+                    return
+            if not isinstance(message, Control):
+                worker.serve(message)
+            elif message.kind == "stall_heartbeats":
                 worker.heartbeats_stalled.set()
             elif message.kind == "resume_heartbeats":
                 worker.heartbeats_stalled.clear()
             elif message.kind == "publish_snapshots":
                 worker.publish_snapshots()
-            continue
-        worker.serve(message)
+
+    readers = [
+        threading.Thread(
+            target=read_loop, name=f"{spec.worker_id}-reader-{i}", daemon=True
+        )
+        for i in range(1, 1 if spec.overload else spec.threads)
+    ]
+    for reader in readers:
+        reader.start()
+    read_loop()
+    for reader in readers:
+        reader.join()
+    worker.stop()
+    sender.close()

@@ -68,6 +68,27 @@ def test_cascading_deaths_until_total_outage():
         ring.owner("template_7", [])
 
 
+def test_owner_is_memoised_per_alive_set(monkeypatch):
+    from repro.cluster import router
+
+    ring, fresh = HashRing(NODES), HashRing(NODES)
+    everyone = {k: fresh.owner(k) for k in KEYS}
+    hashed = []
+    real = router._ring_hash
+    monkeypatch.setattr(
+        router, "_ring_hash", lambda key: hashed.append(key) or real(key)
+    )
+    alive = frozenset(n for n in NODES if n != "w1")
+    first = [ring.owner(k, alive) for k in KEYS]
+    assert "w1" not in first
+    assert [ring.owner(k, alive) for k in KEYS] == first
+    assert len(hashed) == len(KEYS)          # one walk per key
+    # A new alive set drops the memo: w1's keys come back to it.
+    assert {k: ring.owner(k) for k in KEYS} == everyone
+    assert len(hashed) == 2 * len(KEYS)
+    assert [ring.owner(k, sorted(alive)) for k in KEYS] == first
+
+
 def test_invalid_rings_rejected():
     with pytest.raises(ValueError):
         HashRing([])

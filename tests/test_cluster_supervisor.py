@@ -1,16 +1,20 @@
 """Deterministic supervisor tests: fake launcher, fake clock, no processes.
 
 The supervisor is driven in single-threaded mode (``start(monitor=False)``)
-with messages injected straight onto its response queue and liveness run
-by explicit :meth:`tick` calls at fake-clock times — every edge case here
+with messages written into each worker's real pipe by the fake launcher
+(which keeps the worker end and plays the worker) and liveness run by
+explicit :meth:`tick` calls at fake-clock times — every edge case here
 is exact, not timing-dependent: restart-backoff growth and cap, flap
-quarantine, graceful drain during shutdown, and the double-death of a
-partition's owner and its retry peer.
+quarantine, graceful drain during shutdown, the double-death of a
+partition's owner and its retry peer, and the transport's own rules
+(writes never block, EOF means dead, one liveness pass per interval).
 """
 
 from __future__ import annotations
 
-import queue
+import gc
+import multiprocessing
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -55,19 +59,31 @@ class FakeProcess:
 
 
 class FakeLauncher:
-    """In-process stand-in for ProcessLauncher: plain queues, no spawn."""
+    """In-process stand-in for ProcessLauncher: a real pipe per launch,
+    no spawn.  It keeps the worker end of each worker's latest pipe and
+    plays the worker on it."""
 
     def __init__(self) -> None:
-        self.launched: list = []
+        self.ends: dict = {}
 
-    def make_response_queue(self):
-        return queue.Queue()
+    def launch(self, spec):
+        conn, self.ends[spec.worker_id] = multiprocessing.Pipe()
+        return conn, FakeProcess()
 
-    def launch(self, spec, response_q):
-        request_q = queue.Queue()
-        process = FakeProcess()
-        self.launched.append((spec, request_q, process))
-        return request_q, process
+    def deliver(self, worker_id, message) -> None:
+        """Send ``message`` to the supervisor as ``worker_id``."""
+        self.ends[worker_id].send(message)
+
+    def sent_to(self, worker_id) -> list:
+        """Every frame the supervisor has written to ``worker_id`` and
+        the worker has not read yet."""
+        end, frames = self.ends[worker_id], []
+        while end.poll():
+            try:
+                frames.append(end.recv())
+            except EOFError:
+                break
+        return frames
 
 
 def make_cluster(num_workers=2, num_templates=12, **policy_kwargs):
@@ -86,7 +102,7 @@ def make_cluster(num_workers=2, num_templates=12, **policy_kwargs):
 
 def mark_live(sup, *worker_ids):
     for wid in worker_ids:
-        sup.response_q.put(Ready(
+        sup.launcher.deliver(wid, Ready(
             worker_id=wid, incarnation=sup.workers[wid].incarnation
         ))
     sup.pump()
@@ -101,7 +117,7 @@ def respond(sup, request_id, template_name, worker="w0", incarnation=0,
         certified_bound=1.5,
     )
     fields.update(overrides)
-    sup.response_q.put(Response(**fields))
+    sup.launcher.deliver(worker, Response(**fields))
     sup.pump()
 
 
@@ -119,7 +135,7 @@ def template_owned_by(sup, worker_id):
 class TestLiveness:
     def test_ready_marks_live_and_records_warm_stats(self):
         sup, _ = make_cluster()
-        sup.response_q.put(Ready(
+        sup.launcher.deliver("w0", Ready(
             worker_id="w0", incarnation=0,
             warm_templates=3, cold_templates=9, warm_instances=41,
         ))
@@ -136,8 +152,8 @@ class TestLiveness:
         assert sup.workers["w0"].state is WorkerState.DEAD
         # A late Ready/Heartbeat from the dead incarnation must not
         # resurrect the slot the supervisor already wrote off.
-        sup.response_q.put(Ready(worker_id="w0", incarnation=0))
-        sup.response_q.put(Heartbeat(
+        sup.launcher.deliver("w0", Ready(worker_id="w0", incarnation=0))
+        sup.launcher.deliver("w0", Heartbeat(
             worker_id="w0", incarnation=0, seq=9,
             requests_served=99, optimizer_calls=9,
         ))
@@ -152,7 +168,7 @@ class TestLiveness:
         sup.tick()
         assert sup.workers["w0"].state is WorkerState.LIVE
         # w1 heartbeats in time; w0 stays silent past the deadline.
-        sup.response_q.put(Heartbeat(
+        sup.launcher.deliver("w1", Heartbeat(
             worker_id="w1", incarnation=0, seq=1,
             requests_served=5, optimizer_calls=2,
         ))
@@ -358,10 +374,10 @@ class TestDrainDuringShutdown:
             template_name=name, ok=True, certified=True,
             certificate="exact", certified_bound=1.2,
         )
-        sup.response_q.put(Response(**respond_fields))
-        sup.response_q.put(Bye(worker_id="w0", incarnation=0,
-                               requests_served=1))
-        sup.response_q.put(Bye(worker_id="w1", incarnation=0))
+        sup.launcher.deliver("w0", Response(**respond_fields))
+        sup.launcher.deliver("w0", Bye(worker_id="w0", incarnation=0,
+                                       requests_served=1))
+        sup.launcher.deliver("w1", Bye(worker_id="w1", incarnation=0))
         sup.close()
 
         assert fut.result(timeout=0).certified  # drained, not dropped
@@ -371,7 +387,7 @@ class TestDrainDuringShutdown:
             assert handle.bye_received
             # The drain sent each routable worker a graceful stop.
             stops = [
-                m for m in list(handle.request_q.queue)
+                m for m in sup.launcher.sent_to(wid)
                 if isinstance(m, Control) and m.kind == "stop"
             ]
             assert len(stops) == 1
@@ -395,7 +411,7 @@ class TestDrainDuringShutdown:
 
     def test_submit_after_close_fails_fast(self):
         sup, clock = make_cluster(num_workers=1, heartbeat_timeout=60.0)
-        sup.response_q.put(Bye(worker_id="w0", incarnation=0))
+        sup.launcher.deliver("w0", Bye(worker_id="w0", incarnation=0))
         sup.close()
         fut = sup.submit(next(iter(sup.templates)), (0.5,))
         with pytest.raises(WorkerLostError):
@@ -425,7 +441,7 @@ class TestDrainDuringShutdown:
 
 class TestMergedObservability:
     def _heartbeat(self, sup, wid, incarnation, served):
-        sup.response_q.put(Heartbeat(
+        sup.launcher.deliver(wid, Heartbeat(
             worker_id=wid, incarnation=incarnation, seq=1,
             requests_served=served, optimizer_calls=served,
             outcomes={"certified": served, "uncertified": 0, "shed": 0},
@@ -460,11 +476,11 @@ class TestMergedObservability:
     def test_worker_lambda_violations_aggregate_across_incarnations(self):
         sup, clock = make_cluster(heartbeat_timeout=60.0)
         mark_live(sup, "w0", "w1")
-        sup.response_q.put(Heartbeat(
+        sup.launcher.deliver("w0", Heartbeat(
             worker_id="w0", incarnation=0, seq=1, requests_served=1,
             optimizer_calls=1, lambda_violations=2,
         ))
-        sup.response_q.put(Heartbeat(
+        sup.launcher.deliver("w1", Heartbeat(
             worker_id="w1", incarnation=0, seq=1, requests_served=1,
             optimizer_calls=1, lambda_violations=1,
         ))
@@ -519,3 +535,87 @@ class TestExactlyOneOutcome:
         assert report["in_flight"] == 0
         for fut in futures.values():
             assert fut.done()
+
+
+class TestTransport:
+    def test_writes_never_block_and_drain_in_fifo_order(self):
+        sup, _ = make_cluster(num_workers=2, heartbeat_timeout=60.0)
+        mark_live(sup, "w0", "w1")
+        names = list(sup.templates)
+        resolved = []
+        slowest = 0.0
+        gc.disable()  # a full collection of the suite's heap is no block
+        try:
+            for i in range(5000):
+                t0 = time.perf_counter()
+                fut = sup.submit(names[i % len(names)], (0.5,))
+                slowest = max(slowest, time.perf_counter() - t0)
+                fut.add_done_callback(
+                    lambda f: resolved.append(f.result().request_id)
+                )
+        finally:
+            gc.enable()
+        # Neither fake worker has read a frame: their sockets are full
+        # and the rest waits in the outboxes, yet no submit blocked.
+        assert slowest < 0.05, slowest
+        assert all(len(h.outbox) > 100 for h in sup.workers.values())
+
+        received = {}
+        for wid in ("w0", "w1"):
+            seen = received[wid] = []
+            while True:
+                sup.pump()  # flushes whatever now fits
+                frames = sup.launcher.sent_to(wid)
+                if not frames:
+                    break
+                for request in frames:
+                    seen.append(request.request_id)
+                    respond(sup, request.request_id, request.template_name,
+                            worker=wid)
+        assert sorted(received["w0"] + received["w1"]) == list(range(5000))
+        for wid, seen in received.items():
+            assert seen == sorted(seen)  # submission order, per worker
+            mine = set(seen)
+            assert [r for r in resolved if r in mine] == seen
+        assert not any(h.outbox for h in sup.workers.values())
+        assert sup.cluster_report()["resolved"] == 5000
+
+    def test_eof_declares_death_without_a_liveness_pass(self):
+        sup, _ = make_cluster(num_workers=2, heartbeat_timeout=60.0)
+        mark_live(sup, "w0", "w1")
+        name = template_owned_by(sup, "w0")
+        fut = sup.submit(name, (0.5,))
+        rid = pending_id(sup)
+        sup.launcher.ends["w0"].close()  # the worker process is gone
+        sup.pump()  # no tick(): the hang-up alone is the death signal
+        assert sup.workers["w0"].state is WorkerState.DEAD
+        assert sup.workers["w0"].conn is None
+        assert sup.obs.registry.total(DEATHS_TOTAL, reason="exited") == 1
+        assert sup._pending[rid].worker_id == "w1"  # re-routed at once
+        respond(sup, rid, name, worker="w1")
+        assert fut.result(timeout=0).ok
+
+    def test_liveness_pass_runs_once_per_interval(self):
+        sup, clock = make_cluster(heartbeat_timeout=60.0)
+        ticks = []
+        sup.tick = lambda: ticks.append(clock.monotonic())
+        pump, handled = sup.pump, []
+
+        def one_message_per_pump(timeout=0.0):
+            n = len(handled) + 1
+            sup.launcher.deliver("w0", Heartbeat(
+                worker_id="w0", incarnation=0, seq=n,
+                requests_served=n, optimizer_calls=0,
+            ))
+            handled.append(pump())
+            if n == 1000:
+                clock.advance(0.05)  # the next interval starts
+            elif n == 1001:
+                sup._stopping.set()
+            return handled[-1]
+
+        sup.pump = one_message_per_pump
+        sup._monitor_loop()
+        assert handled == [1] * 1001
+        assert ticks == [0.0, 0.05]
+        assert sup.workers["w0"].requests_served == 1001

@@ -282,7 +282,7 @@ class TestSupervisorWiring:
         )
         sup.start(monitor=False)
         for wid in sup.workers:
-            sup.response_q.put(Ready(worker_id=wid, incarnation=0))
+            sup.launcher.deliver(wid, Ready(worker_id=wid, incarnation=0))
         sup.pump()
         return sup, clock
 
@@ -296,7 +296,7 @@ class TestSupervisorWiring:
         fut = sup.submit(name, (0.1, 0.2))
         rid = next(iter(sup._pending))
         pending = sup._pending[rid]
-        sup.response_q.put(Response(
+        sup.launcher.deliver(pending.worker_id, Response(
             request_id=rid, worker_id=pending.worker_id, incarnation=0,
             template_name=name, ok=True, certified=certified,
             certificate="exact" if certified else "uncertified",
@@ -348,7 +348,7 @@ class TestSupervisorWiring:
         )
         # A worker heartbeat carrying its own (advisory) response
         # counters must not leak into the supervisor-scoped objective.
-        sup.response_q.put(Heartbeat(
+        sup.launcher.deliver("w0", Heartbeat(
             worker_id="w0", incarnation=0, seq=1, requests_served=50,
             optimizer_calls=0, outcomes={"certified": 50},
             registry={

@@ -438,7 +438,7 @@ class TestSupervisorTracing:
         rid, pending = next(iter(sup._pending.items()))
         request = pending.request
         assert request.trace_id == fut.trace_id and request.parent_span_id
-        sup.response_q.put(Response(
+        sup.launcher.deliver("w0", Response(
             request_id=rid, worker_id="w0", incarnation=0,
             template_name=name, ok=True, certified=True,
             certificate="exact", certified_bound=1.3, check="cost",
@@ -469,7 +469,7 @@ class TestSupervisorTracing:
         assert pending.worker_id == "w1"
         assert request.attempt == 1
         assert request.trace_id == fut.trace_id
-        sup.response_q.put(Response(
+        sup.launcher.deliver("w1", Response(
             request_id=rid, worker_id="w1", incarnation=0,
             template_name=name, ok=True, certified=True,
             certificate="exact", spans=worker_rows_for(request),
@@ -516,7 +516,7 @@ class TestSupervisorTracing:
         fut = sup.submit(name, (0.1,))
         rid, pending = next(iter(sup._pending.items()))
         good = worker_rows_for(pending.request)
-        sup.response_q.put(Response(
+        sup.launcher.deliver("w0", Response(
             request_id=rid, worker_id="w0", incarnation=0,
             template_name=name, ok=True, certified=True,
             spans=(None, {"nonsense": 1}) + good,
@@ -556,7 +556,7 @@ def _kill_and_restart(sup, clock, wid="w0"):
 
 class TestRegistryRetention:
     def _heartbeat(self, sup, wid, incarnation, n, violations=0):
-        sup.response_q.put(Heartbeat(
+        sup.launcher.deliver(wid, Heartbeat(
             worker_id=wid, incarnation=incarnation, seq=1,
             requests_served=n, optimizer_calls=0,
             outcomes={"certified": n},
