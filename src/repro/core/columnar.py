@@ -108,7 +108,8 @@ class ColumnarInstances:
             cost=np.array([e.optimal_cost for e in entries], dtype=np.float64),
             plan_ids=np.array([e.plan_id for e in entries], dtype=np.int64),
             # A leading-axis reduce is out *= sv[j] for j = 1 … d-1 in
-            # order: bit-identical to InstanceEntry.sv_product's loop.
+            # order: bit-identical to the scalar loop in the test suite's
+            # reference_get_plan.sv_product.
             area=np.multiply.reduce(sv, axis=0),
         )
 

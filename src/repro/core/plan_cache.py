@@ -87,19 +87,6 @@ class InstanceEntry:
         self.optimal_cost = optimal_cost
         self.suboptimality = suboptimality
 
-    @property
-    def sv_product(self) -> float:
-        """``Π_i s_i`` — the AREA candidate-order key (Figure 4's region
-        area grows with it).  ``sv`` is write-once, so the product is
-        computed at most once per entry instead of once per probe."""
-        cached = self.__dict__.get("_sv_product")
-        if cached is None:
-            cached = 1.0
-            for s in self.sv:
-                cached *= s
-            self.__dict__["_sv_product"] = cached
-        return cached
-
 
 @dataclass(frozen=True)
 class CacheSnapshot:

@@ -12,6 +12,11 @@ Per arriving instance:
 3. Cost-check observations feed the Appendix G violation detector,
    which retires anchors whose plan cost behaviour contradicts the
    BCG/PCM assumptions.
+
+Steps 1–2 are one pipeline for every caller: ``GetPlan.probe`` decides
+(pure against a snapshot), the caller optimizes a miss, and
+:meth:`SCR.apply` commits the outcome — the serial :meth:`SCR.process`
+and the concurrent serving shard differ only in what runs between.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .get_plan import (
 )
 from .manage_cache import EvictionPolicy, ManageCache
 from .plan_cache import PlanCache
-from .technique import OnlinePQOTechnique, PlanChoice
+from .technique import OnlinePQOTechnique, PlanChoice, fetch_selectivity
 from .violations import ViolationDetector
 
 
@@ -136,56 +141,110 @@ class SCR(OnlinePQOTechnique):
     def name(self) -> str:  # type: ignore[override]
         return f"SCR{self.lam:g}"
 
-    def _audit_bound(self, bound: float, lam: float, kind: str = "exact") -> None:
+    def process(self, instance: QueryInstance) -> PlanChoice:
+        """Handle one arriving query instance (counted by :meth:`apply`)."""
+        self.engine.begin_instance(self.instances_processed)
+        sv, degraded = fetch_selectivity(
+            self.engine, instance, self.check_mode is not CheckMode.POINT
+        )
+        choice = self._choose(sv)
+        if degraded:
+            # The sVector was a stale fallback: every check ran against
+            # approximate selectivities, so no bound is certified.
+            choice.certified = False
+        return choice
+
+    def _choose(self, sv: AnySelectivityVector) -> PlanChoice:
+        decision = self.get_plan.probe(sv, self.engine.recost)
+        result = unavailable = None
+        if not decision.hit:
+            try:
+                result = self._optimize(sv)
+            except OptimizeUnavailableError as exc:
+                unavailable = exc
+        choice = self.apply(sv, decision, result)
+        if choice is None:
+            raise unavailable  # empty cache: nothing can be served
+        return choice
+
+    def apply(
+        self,
+        sv: AnySelectivityVector,
+        decision: Optional[GetPlanDecision],
+        result=None,
+        denied: Optional[str] = None,
+        seq: Optional[int] = None,
+    ) -> Optional[PlanChoice]:
+        """Apply one request's probed decision — the only code that does.
+
+        ``decision`` is :meth:`GetPlan.probe`'s answer for ``sv``, or
+        ``None`` when no probe ran (a deadline that expired in queue).
+        A hit reuses its plan.  A miss resolves one of three ways:
+        ``result`` is the optimizer's answer (manageCache registers it);
+        ``denied`` names an admission denial (nearest cached plan,
+        ``check="overload"``); neither means the optimizer was
+        unavailable (nearest cached plan, ``check="fallback"``, booked
+        as a resilience fallback).  A degraded serve is uncertified and
+        returns ``None`` on an empty cache — nothing was served.
+
+        Once per request, in this order: the getPlan commit, the
+        Appendix G detector (cost-check hits), the recost calibration
+        feed (hits *and* misses), the λ audit of the certified bound,
+        and the ``instances_processed`` / ``optimizer_calls`` counts.
+        ``seq`` is the request's sequence number (default: the next
+        serial one) and labels its audit entry and degraded event.  The
+        concurrent shard calls this under its write lock, after
+        validating the probe's snapshot and optimizing outside the lock.
+        """
+        if seq is None:
+            seq = self.instances_processed
+        if decision is None:
+            choice = self._nearest_choice(sv, 0, denied, seq)
+        else:
+            self.get_plan.commit(decision)
+            if decision.check is CheckKind.COST and self.detector is not None:
+                self.detector.check(
+                    decision.anchor, decision.g, decision.l,
+                    decision.recost_ratio,
+                )
+            self._feed_recost_calibration(decision)
+            if decision.hit:
+                choice = self._hit_choice(decision, seq)
+            elif result is not None:
+                choice = self._register_optimized(sv, result, decision, seq)
+            else:
+                choice = self._nearest_choice(
+                    sv, decision.recost_calls, denied, seq
+                )
+        if choice is None:
+            return None
+        self.instances_processed += 1
+        if choice.used_optimizer:
+            self.optimizer_calls += 1
+        return choice
+
+    def _audit_bound(
+        self, bound: float, lam: float, kind: str, seq: int
+    ) -> None:
         """Feed one certified bound to the guarantee audit trail.
 
         This is the live λ-violation check: the histogram records the
         bound, and a bound above the λ in force flags a violation the
         moment it is served instead of waiting for an offline oracle
-        pass.  Shared by the serial and concurrent serving paths (both
-        funnel through :meth:`_hit_choice` / :meth:`_register_optimized`).
-        ``kind`` labels any flagged violation with the certificate kind
-        whose claim it broke.
+        pass.  Only :meth:`apply` reaches it, once per certified
+        choice; ``kind`` labels any flagged violation with the
+        certificate kind whose claim it broke, ``seq`` with the request.
         """
         if self.obs is not None:
             self.obs.audit.certified_bound(
-                self.engine.template.name, bound, lam,
-                seq=self.instances_processed, kind=kind,
+                self.engine.template.name, bound, lam, seq=seq, kind=kind,
             )
 
-    def _fetch_sv(self, instance: QueryInstance) -> AnySelectivityVector:
-        """Fetch the point sVector, or the uncertain one in robust modes."""
-        if self.check_mode is CheckMode.POINT:
-            return self.engine.selectivity_vector(instance)
-        return self.engine.selectivity_vector_with_error(instance)
-
-    def _choose(self, sv: AnySelectivityVector) -> PlanChoice:
-        decision = self.get_plan(sv, self.engine.recost)
-        if decision.hit:
-            return self._hit_choice(decision)
-        return self._miss_choice(sv, decision)
-
-    def _hit_choice(self, decision: GetPlanDecision) -> PlanChoice:
-        """Build the :class:`PlanChoice` for a (committed) cache hit.
-
-        Also feeds the Appendix G violation detector on cost-check hits.
-        Shared with the concurrent serving layer, which calls it under
-        the shard's write lock after validating the probe's snapshot.
-        """
-        if decision.check is CheckKind.COST and decision.anchor is not None:
-            if self.detector is not None:
-                self.detector.check(
-                    decision.anchor, decision.g, decision.l,
-                    decision.recost_ratio,
-                )
-        self._feed_recost_calibration(decision)
+    def _hit_choice(self, decision: GetPlanDecision, seq: int) -> PlanChoice:
         plan = self.cache.plan(decision.plan_id)
         bound = decision.inferred_suboptimality
-        lam = (
-            self.get_plan._effective_lambda(decision.anchor)
-            if decision.anchor is not None else self.lam
-        )
-        self._audit_bound(bound, lam, kind=decision.certificate)
+        lam = self.get_plan._effective_lambda(decision.anchor)
+        self._audit_bound(bound, lam, decision.certificate, seq)
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,
             plan_signature=plan.signature,
@@ -225,28 +284,15 @@ class SCR(OnlinePQOTechnique):
                 log_slack_lo=degree * math.log(max(l, 1.0)),
             )
 
-    def _miss_choice(
-        self, sv: AnySelectivityVector, decision: GetPlanDecision
-    ) -> PlanChoice:
-        self._feed_recost_calibration(decision)
-        try:
-            result = self._optimize(sv)
-        except OptimizeUnavailableError:
-            fallback = self._fallback_choice(sv, decision.recost_calls)
-            if fallback is None:
-                raise  # empty cache: nothing can be served
-            return fallback
-        return self._register_optimized(sv, result, decision)
-
     def _register_optimized(
-        self, sv: AnySelectivityVector, result, decision: GetPlanDecision
+        self, sv: AnySelectivityVector, result, decision: GetPlanDecision,
+        seq: int,
     ) -> PlanChoice:
         """Run manageCache on a fresh optimizer result and build the
         choice.  ``decision`` is the miss that led here: its recost
         calls are charged to the choice, and the costs its cost phase
         measured at ``sv`` spare the redundancy check those engine
-        calls.  The concurrent serving layer calls this under the shard
-        write lock, with the optimizer call itself made outside it."""
+        calls."""
         point = as_point(sv)
         recosts_before = self.manage_cache.stats.redundancy_recost_calls
         spans = self.obs.spans if self.obs is not None else None
@@ -279,7 +325,7 @@ class SCR(OnlinePQOTechnique):
         # the response's claim *is* that bound, so the live audit checks
         # it against max(λ, bound) rather than flagging a violation of a
         # λ-claim the certificate never made (DESIGN.md §11).
-        self._audit_bound(bound_value, max(self.lam, bound_value), kind=cert)
+        self._audit_bound(bound_value, max(self.lam, bound_value), cert, seq)
         return PlanChoice(
             shrunken_memo=chosen.shrunken_memo,
             plan_signature=chosen.signature,
@@ -320,14 +366,24 @@ class SCR(OnlinePQOTechnique):
         bound_value = suboptimality * self.get_plan.bound.selectivity_bound(g, l)
         return bound_value, cert, box.coverage
 
-    def _nearest_entry(self, sv: AnySelectivityVector):
-        """The cached anchor closest to ``sv`` in log-selectivity space —
-        the best available plan when no bound can be verified (optimizer
-        down, deadline exhausted, brownout).
+    def _nearest_choice(
+        self,
+        sv: AnySelectivityVector,
+        recost_calls: int,
+        denied: Optional[str],
+        seq: int,
+    ) -> Optional[PlanChoice]:
+        """Serve the cached plan nearest ``sv`` when no bound can be
+        verified; ``None`` on an empty cache.
 
         The ranking is one L1 distance over the columnar ``log_sv``
-        matrix.  It is not guarantee-bearing (the serve is uncertified
-        either way); ties resolve to the first entry in list order.
+        matrix; ties resolve to the first entry in list order.  The plan
+        carries no verified λ bound, so the choice is flagged
+        uncertified — the guarantee is never silently weakened.  An
+        admission denial (``denied``) is a *load* decision labeled
+        ``check="overload"`` that books no resilience counters, so
+        operators can tell brownout serves from engine-failure
+        fallbacks (``check="fallback"``).
         """
         view = self.cache.columnar()
         if len(view) == 0:
@@ -335,59 +391,21 @@ class SCR(OnlinePQOTechnique):
         distances = log_l1_distances(
             view.log_sv, np.array(as_point(sv).values, dtype=np.float64)
         )
-        return view.entries[int(np.argmin(distances))]
-
-    def _fallback_choice(
-        self, sv: AnySelectivityVector, recost_calls: int
-    ) -> Optional[PlanChoice]:
-        """Serve the nearest cached plan when the optimizer is down.
-
-        The plan carries no verified λ bound, so the choice is flagged
-        ``uncertified`` — the guarantee is never silently weakened.
-        """
-        best = self._nearest_entry(sv)
-        if best is None:
-            return None
-        plan = self.cache.plan(best.plan_id)
-        self.engine.counters.resilience.optimize_fallbacks += 1
-        instruments = getattr(base_engine(self.engine), "instruments", None)
-        if instruments is not None:
-            instruments.degraded["optimize"].inc()
-            instruments.event(
-                "degraded", "optimize", self.instances_processed,
-                f"serving cached plan {plan.signature[:60]}",
-            )
+        plan = self.cache.plan(view.entries[int(np.argmin(distances))].plan_id)
+        if denied is None:
+            self.engine.counters.resilience.optimize_fallbacks += 1
+            instruments = getattr(base_engine(self.engine), "instruments", None)
+            if instruments is not None:
+                instruments.degraded["optimize"].inc()
+                instruments.event(
+                    "degraded", "optimize", seq,
+                    f"serving cached plan {plan.signature[:60]}",
+                )
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,
             plan_signature=plan.signature,
             used_optimizer=False,
-            check="fallback",
-            recost_calls=recost_calls,
-            plan=plan.plan,
-            certified=False,
-        )
-
-    def _overload_choice(
-        self, sv: AnySelectivityVector, recost_calls: int
-    ) -> Optional[PlanChoice]:
-        """Serve the nearest cached plan under overload degradation.
-
-        Unlike :meth:`_fallback_choice` this is a *load* decision, not
-        an engine fault: it books no resilience counters and is labeled
-        ``check="overload"`` so operators can tell brownout serves from
-        engine-failure fallbacks.  The choice is uncertified — no λ
-        bound was verified for it.  Returns ``None`` on an empty cache
-        (the caller sheds the request).
-        """
-        best = self._nearest_entry(sv)
-        if best is None:
-            return None
-        plan = self.cache.plan(best.plan_id)
-        return PlanChoice(
-            shrunken_memo=plan.shrunken_memo,
-            plan_signature=plan.signature,
-            used_optimizer=False,
-            check="overload",
+            check="fallback" if denied is None else "overload",
             recost_calls=recost_calls,
             plan=plan.plan,
             certified=False,

@@ -46,6 +46,27 @@ class PlanChoice:
     coverage: float = 1.0
 
 
+def fetch_selectivity(
+    engine: EngineAPI, instance: QueryInstance, uncertain: bool = False
+) -> tuple[AnySelectivityVector, bool]:
+    """The instance's sVector plus its per-call degradation status.
+
+    ``uncertain`` fetches the uncertainty box
+    (``selectivity_vector_with_error``, SCR's robust check modes) instead
+    of the point vector.  The resilient engine's ``*_ex`` variant returns
+    the status with the vector; a shared ``last_selectivity_degraded``
+    flag is only a same-thread fallback for engines without it — read
+    across serving threads, another call could reset it between ours and
+    the read, silently certifying an instance served from a stale vector.
+    """
+    name = "selectivity_vector_with_error" if uncertain else "selectivity_vector"
+    ex = getattr(engine, name + "_ex", None)
+    if ex is not None:
+        return ex(instance)
+    sv = getattr(engine, name)(instance)
+    return sv, bool(getattr(engine, "last_selectivity_degraded", False))
+
+
 class OnlinePQOTechnique(ABC):
     """Base class for online PQO techniques."""
 
@@ -60,9 +81,9 @@ class OnlinePQOTechnique(ABC):
     def process(self, instance: QueryInstance) -> PlanChoice:
         """Handle one arriving query instance."""
         self.engine.begin_instance(self.instances_processed)
-        sv = self._fetch_sv(instance)
+        sv, degraded = fetch_selectivity(self.engine, instance)
         choice = self._choose(sv)
-        if getattr(self.engine, "last_selectivity_degraded", False):
+        if degraded:
             # The sVector was a stale fallback: every check ran against
             # approximate selectivities, so no bound is certified.
             choice.certified = False
@@ -70,14 +91,6 @@ class OnlinePQOTechnique(ABC):
         if choice.used_optimizer:
             self.optimizer_calls += 1
         return choice
-
-    def _fetch_sv(self, instance: QueryInstance) -> AnySelectivityVector:
-        """Fetch the instance's selectivity representation.
-
-        Techniques that consume estimation uncertainty (SCR's robust
-        check modes) override this to request the uncertain variant.
-        """
-        return self.engine.selectivity_vector(instance)
 
     @abstractmethod
     def _choose(self, sv: AnySelectivityVector) -> PlanChoice:

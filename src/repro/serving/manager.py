@@ -242,7 +242,6 @@ class ConcurrentPQOManager(PQOManager):
             if not entered:
                 try:
                     with activate(ctx) if ctx is not None else nullcontext():
-                        shard.event("overload.queue_reject", reason="queue_full")
                         fut.set_result(
                             self._process_on(
                                 shard, instance, deadline,
@@ -356,7 +355,7 @@ class ConcurrentPQOManager(PQOManager):
                     shard = self._shards.get(instance.template_name)
                     if shard is not None:
                         shard.stats.note_deduped()
-                        shard.event("serving.batch_dedupe", index=i)
+                        shard.event("serving.batch_dedupe", None, index=i)
                     continue
                 first_seen[key] = i
             per_template.setdefault(instance.template_name, []).append(

@@ -29,13 +29,13 @@ behaves exactly as before.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
 from ..core.get_plan import CheckKind, CheckMode
 from ..core.manager import TemplateState
 from ..core.scr import SCR
-from ..core.technique import PlanChoice
+from ..core.technique import PlanChoice, fetch_selectivity
 from ..engine.resilience import OptimizeUnavailableError
 from ..obs.audit import GuaranteeAudit
 from ..obs.clock import SYSTEM_CLOCK
@@ -117,8 +117,9 @@ class TemplateShard:
         ``deadline`` is the submission's end-to-end budget (the
         coordinator's default is attached when None).  ``overflow_reason``
         marks a bounded-queue overflow being resolved in the submitting
-        thread: the probe runs selectivity-only (zero engine calls) and a
-        miss goes straight to the degraded path with that reason.
+        thread: an ``overload.queue_reject`` event, then a
+        selectivity-only probe (zero engine calls), and a miss goes
+        straight to the degraded path with that reason.
         """
         start = self.clock.perf_counter()
         with self._seq_lock:
@@ -150,8 +151,12 @@ class TemplateShard:
         with activate(ctx) if ctx is not None else nullcontext():
             try:
                 with self._engine_budget(deadline):
+                    if overflow_reason is not None:
+                        self.event(
+                            "overload.queue_reject", seq, reason=overflow_reason
+                        )
                     choice = self._process_inner(
-                        instance, deadline, overflow_reason, start
+                        instance, seq, deadline, overflow_reason, start
                     )
                     outcome = "certified" if choice.certified else "uncertified"
                     if spans_on:
@@ -260,7 +265,7 @@ class TemplateShard:
             seqs.append(seq)
             self.engine.begin_instance(seq)
             with activate(ctxs[i]) if ctxs[i] is not None else nullcontext():
-                sv, deg = self._selectivity_vector(instance)
+                sv, deg = fetch_selectivity(self.engine, instance, self.robust)
             if self.robust and isinstance(sv, UncertainSelectivityVector):
                 self.stats.note_interval_width(sv.total_log_width)
             svs.append(sv)
@@ -271,31 +276,28 @@ class TemplateShard:
         )
         misses: list[int] = []
         retries: list[int] = []
-        acquired_at = self.clock.perf_counter()
-        with self.lock:
-            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
+        with self._locked():
             for i, decision in enumerate(decisions):
                 if not decision.hit:
                     misses.append(i)
                 elif self._commit_valid(decision, snapshot):
-                    scr.get_plan.commit(decision)
-                    results[i] = self._finish_locked(scr._hit_choice(decision))
+                    results[i] = scr.apply(svs[i], decision, seq=seqs[i])
                 else:
                     retries.append(i)
-        for i in retries:
-            # Anchor vanished between probe and commit: same re-probe the
-            # single-instance path runs after a failed validation.
-            self.stats.note_epoch_retry()
+        for i in retries + misses:
+            self.engine.begin_instance(seqs[i])
             try:
                 with activate(ctxs[i]) if ctxs[i] is not None else nullcontext():
-                    self.event("serving.epoch_retry")
-                    results[i] = self._serve(svs[i], depth=1)
-            except BaseException as exc:  # noqa: BLE001 - per-item isolation
-                results[i] = exc
-        for i in misses:
-            try:
-                with activate(ctxs[i]) if ctxs[i] is not None else nullcontext():
-                    results[i] = self._miss(svs[i], decisions[i], depth=0)
+                    if decisions[i].hit:
+                        # Anchor vanished between probe and commit: the
+                        # same re-probe a failed single validation runs.
+                        self.stats.note_epoch_retry()
+                        self.event("serving.epoch_retry", seqs[i])
+                        results[i] = self._serve(svs[i], seqs[i], depth=1)
+                    else:
+                        results[i] = self._miss(
+                            svs[i], seqs[i], decisions[i], depth=0
+                        )
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 results[i] = exc
         for i, outcome in enumerate(results):
@@ -333,41 +335,42 @@ class TemplateShard:
     def _process_inner(
         self,
         instance: QueryInstance,
+        seq: int,
         deadline: Optional[Deadline],
         overflow_reason: Optional[str],
         start: float,
     ) -> PlanChoice:
-        sv, degraded = self._selectivity_vector(instance)
+        sv, degraded = fetch_selectivity(self.engine, instance, self.robust)
         if self.robust and isinstance(sv, UncertainSelectivityVector):
             self.stats.note_interval_width(sv.total_log_width)
         coverage = self._brownout_coverage()
         now = self._now()
-        if overflow_reason is not None:
-            choice = self._serve(
-                sv, depth=0, deadline=deadline, max_recost=0,
-                deny=overflow_reason, coverage=coverage,
-            )
-        elif deadline is not None and deadline.expired(now):
+        ov = self._overload
+        if (
+            overflow_reason is None
+            and deadline is not None
+            and deadline.expired(now)
+        ):
             # The budget died in queue: skip the probe entirely and
             # resolve through the degraded path instead of hanging.
-            choice = self._degrade_entry(sv, "deadline_expired")
+            choice = self._apply(sv, seq, None, denied="deadline_expired")
         else:
-            max_recost = None
-            if (
-                self._overload is not None
-                and self._overload.level >= BrownoutLevel.SHED
-            ):
-                max_recost = 0  # selectivity-only: zero engine calls
-            elif (
-                deadline is not None
-                and deadline.remaining(now) <= self._min_optimize_budget()
-            ):
-                # A nearly-expired budget funds no engine work; don't
-                # let the probe's recosts count as engine faults.
-                max_recost = 0
+            # Selectivity-only probes (zero engine calls) for an overflow
+            # resolved in the submitting thread, under brownout SHED, and
+            # for a nearly-expired budget that funds no engine work —
+            # its recosts must not count as engine faults.
+            selectivity_only = (
+                overflow_reason is not None
+                or (ov is not None and ov.level >= BrownoutLevel.SHED)
+                or (
+                    deadline is not None
+                    and deadline.remaining(now) <= self._min_optimize_budget()
+                )
+            )
             choice = self._serve(
-                sv, depth=0, deadline=deadline, max_recost=max_recost,
-                coverage=coverage,
+                sv, seq, deadline=deadline,
+                max_recost=0 if selectivity_only else None,
+                deny=overflow_reason, coverage=coverage,
             )
         if degraded:
             # The sVector was a stale fallback: every check ran against
@@ -393,43 +396,6 @@ class TemplateShard:
             return ov.policy.brownout_coverage
         return None
 
-    def _selectivity_vector(
-        self, instance: QueryInstance
-    ) -> tuple[AnySelectivityVector, bool]:
-        """sVector plus per-call degradation status.
-
-        Robust/probabilistic shards fetch the uncertainty box
-        (``selectivity_vector_with_error``); point-mode shards the plain
-        vector.  Either way the resilient engine's ``*_ex`` variant
-        returns the status with the vector; a shared
-        ``last_selectivity_degraded`` flag must not be read here, since
-        another thread's call could reset it between our call and the
-        read, silently certifying an instance served from a degraded
-        (stale, uncertified) vector.
-        """
-        if self.robust:
-            ex = getattr(
-                self.engine, "selectivity_vector_with_error_ex", None
-            )
-            if ex is not None:
-                return ex(instance)
-            with_error = getattr(
-                self.engine, "selectivity_vector_with_error", None
-            )
-            if with_error is not None:
-                return with_error(instance), bool(
-                    getattr(self.engine, "last_selectivity_degraded", False)
-                )
-            # Engine stack predates the error model: probe with a
-            # zero-width box (SCR treats a plain vector as exact).
-        ex = getattr(self.engine, "selectivity_vector_ex", None)
-        if ex is not None:
-            return ex(instance)
-        sv = self.engine.selectivity_vector(instance)
-        # Same-thread best-effort fallback for engine wrappers that only
-        # expose the legacy flag.
-        return sv, bool(getattr(self.engine, "last_selectivity_degraded", False))
-
     # -- overload plumbing ----------------------------------------------------
 
     def _now(self) -> float:
@@ -449,45 +415,53 @@ class TemplateShard:
             return nullcontext()
         return budget(deadline.expires_at)
 
-    # -- optimistic read path -------------------------------------------------
+    # -- probe → validate → apply -------------------------------------------
+
+    @contextmanager
+    def _locked(self):
+        """The shard's write lock, with the wait booked to the stats."""
+        acquired_at = self.clock.perf_counter()
+        with self.lock:
+            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
+            yield
 
     def _serve(
         self,
         sv: AnySelectivityVector,
-        depth: int,
+        seq: int,
+        depth: int = 0,
         deadline: Optional[Deadline] = None,
         max_recost: Optional[int] = None,
         deny: Optional[str] = None,
         coverage: Optional[float] = None,
     ) -> PlanChoice:
-        if depth >= MAX_OPTIMISTIC_RETRIES:
-            return self._serve_locked(
-                sv, deadline=deadline, max_recost=max_recost, deny=deny,
-                coverage=coverage,
-            )
+        """Probe lock-free, validate a hit under the lock, apply it; a
+        miss goes to :meth:`_miss`.  After ``MAX_OPTIMISTIC_RETRIES``
+        the whole cycle runs under the (re-entrant) write lock — the
+        serial semantics, which always terminate."""
         scr = self.scr
-        snapshot = scr.cache.snapshot()
-        decision = scr.get_plan.probe(
-            sv, self._recost, entries=snapshot.entries, max_recost=max_recost,
-            coverage=coverage,
-        )
-        if not decision.hit:
-            return self._miss(
-                sv, decision, depth, deadline, max_recost, deny, coverage
+        serial = depth >= MAX_OPTIMISTIC_RETRIES
+        with self._locked() if serial else nullcontext():
+            snapshot = scr.cache.snapshot()
+            decision = scr.get_plan.probe(
+                sv, self._recost, entries=snapshot.entries,
+                max_recost=max_recost, coverage=coverage,
             )
-        acquired_at = self.clock.perf_counter()
-        with self.lock:
-            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
-            if self._commit_valid(decision, snapshot):
-                scr.get_plan.commit(decision)
-                return self._finish_locked(scr._hit_choice(decision))
+            if not decision.hit:
+                return self._miss(
+                    sv, seq, decision, depth, deadline, max_recost, deny,
+                    coverage,
+                )
+            with self._locked():
+                if serial or self._commit_valid(decision, snapshot):
+                    return scr.apply(sv, decision, seq=seq)
         # The anchor vanished (plan evicted / retired) between probe and
         # commit: the certificate no longer stands, so re-probe fresh.
         self.stats.note_epoch_retry()
-        self.event("serving.epoch_retry")
+        self.event("serving.epoch_retry", seq)
         return self._serve(
-            sv, depth + 1, deadline=deadline, max_recost=max_recost, deny=deny,
-            coverage=coverage,
+            sv, seq, depth + 1, deadline=deadline, max_recost=max_recost,
+            deny=deny, coverage=coverage,
         )
 
     def _commit_valid(self, decision, snapshot) -> bool:
@@ -510,62 +484,12 @@ class TemplateShard:
             return True
         return self.scr.cache.has_plan(decision.plan_id)
 
-    def _serve_locked(
-        self,
-        sv: AnySelectivityVector,
-        deadline: Optional[Deadline] = None,
-        max_recost: Optional[int] = None,
-        deny: Optional[str] = None,
-        coverage: Optional[float] = None,
-    ) -> PlanChoice:
-        """Fully serial fallback: the whole getPlan/manageCache cycle
-        under the write lock (identical to serial SCR semantics).
-
-        With overload machinery in play the locked cycle still honours
-        the gate, the deadline and any standing denial — contention must
-        not become a hole in admission control.
-        """
-        acquired_at = self.clock.perf_counter()
-        with self.lock:
-            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
-            if (
-                self._overload is None
-                and deadline is None
-                and max_recost is None
-                and deny is None
-                and coverage is None
-            ):
-                return self._finish_locked(self.scr._choose(sv))
-            scr = self.scr
-            decision = scr.get_plan.probe(
-                sv, self._recost, max_recost=max_recost, coverage=coverage
-            )
-            scr.get_plan.commit(decision)
-            if decision.hit:
-                return self._finish_locked(scr._hit_choice(decision))
-            reason, holds_gate = self._admission(deadline, deny)
-            if reason is not None:
-                return self._commit_degraded(sv, decision.recost_calls, reason)
-            try:
-                with self.stats.engine_calls.track():
-                    result = scr._optimize(sv)
-            except OptimizeUnavailableError:
-                fallback = scr._fallback_choice(sv, decision.recost_calls)
-                if fallback is None:
-                    raise  # empty cache: nothing can be served
-                return self._finish_locked(fallback)
-            finally:
-                if holds_gate:
-                    self._overload.release_optimize()
-            return self._finish_locked(
-                scr._register_optimized(sv, result, decision)
-            )
-
     # -- miss path with single-flight -----------------------------------------
 
     def _miss(
         self,
         sv: AnySelectivityVector,
+        seq: int,
         decision,
         depth: int,
         deadline: Optional[Deadline] = None,
@@ -573,57 +497,77 @@ class TemplateShard:
         deny: Optional[str] = None,
         coverage: Optional[float] = None,
     ) -> PlanChoice:
+        """Admission, then the optimizer call outside the lock, then
+        :meth:`_apply`.  Concurrent misses on one vector collapse to one
+        leader; a serial-mode miss (lock held) skips single-flight, since
+        a follower waiting under the lock would block the leader."""
         # Keyed on the point estimate: the optimizer runs at the point,
         # so two robust misses with the same point (however wide their
         # boxes) want the same plan registered.
         key = as_point(sv).values
-        with self._flight_lock:
-            flight = self._inflight.get(key)
-            leader = flight is None
-            if leader:
-                flight = threading.Event()
-                self._inflight[key] = flight
-        if not leader:
-            # Another thread is optimizing this exact vector; wait for it
-            # to register, then re-probe — the fresh anchor (G = L = 1,
-            # S ≤ λ_r ≤ λ) guarantees a selectivity hit.  The wait never
-            # outlives the submission's remaining budget.
-            self.stats.note_single_flight()
-            self.event("serving.single_flight_collapse")
-            timeout = self.flight_timeout_seconds
-            if deadline is not None:
-                timeout = min(timeout, max(0.0, deadline.remaining(self._now())))
-            obs = self._obs
-            if obs is not None and obs.spans.enabled:
-                wait_start = self.clock.perf_counter()
-                flight.wait(timeout=timeout)
-                # The collapse is the whole point of single-flight, so
-                # the follower's wait gets its own span — a trace of the
-                # rerouted request shows *why* it did no optimizer call.
-                obs.spans.record(
-                    "serving.single_flight_wait", wait_start,
-                    self.clock.perf_counter() - wait_start,
-                    template=self.state.template.name,
+        flight = None  # this request's own flight, when it leads one
+        if depth < MAX_OPTIMISTIC_RETRIES:
+            with self._flight_lock:
+                waiting = self._inflight.get(key)
+                if waiting is None:
+                    flight = self._inflight[key] = threading.Event()
+            if waiting is not None:
+                self._follow(waiting, seq, deadline)
+                return self._serve(
+                    sv, seq, depth + 1, deadline=deadline,
+                    max_recost=max_recost, deny=deny, coverage=coverage,
                 )
-            else:
-                flight.wait(timeout=timeout)
-            return self._serve(
-                sv, depth + 1, deadline=deadline, max_recost=max_recost,
-                deny=deny, coverage=coverage,
-            )
         try:
             reason, holds_gate = self._admission(deadline, deny)
-            if reason is not None:
-                return self._degrade_miss(sv, decision, reason)
+            result = unavailable = None
             try:
-                return self._optimize_and_register(sv, decision)
+                if reason is None:
+                    try:
+                        with self.stats.engine_calls.track():
+                            result = self.scr._optimize(sv)
+                    except OptimizeUnavailableError as exc:
+                        unavailable = exc
+                choice = self._apply(sv, seq, decision, result, reason)
             finally:
                 if holds_gate:
                     self._overload.release_optimize()
+            if choice is None:
+                raise unavailable  # empty cache: nothing can be served
+            return choice
         finally:
-            with self._flight_lock:
-                self._inflight.pop(key, None)
-            flight.set()
+            if flight is not None:
+                with self._flight_lock:
+                    self._inflight.pop(key, None)
+                flight.set()
+
+    def _follow(
+        self, flight: threading.Event, seq: int, deadline: Optional[Deadline]
+    ) -> None:
+        """Wait for the leader optimizing this exact vector to register.
+
+        The caller then re-probes — the fresh anchor (G = L = 1,
+        S ≤ λ_r ≤ λ) guarantees a selectivity hit.  The wait never
+        outlives the submission's remaining budget.
+        """
+        self.stats.note_single_flight()
+        self.event("serving.single_flight_collapse", seq)
+        timeout = self.flight_timeout_seconds
+        if deadline is not None:
+            timeout = min(timeout, max(0.0, deadline.remaining(self._now())))
+        obs = self._obs
+        if obs is None or not obs.spans.enabled:
+            flight.wait(timeout=timeout)
+            return
+        wait_start = self.clock.perf_counter()
+        flight.wait(timeout=timeout)
+        # The collapse is the whole point of single-flight, so the
+        # follower's wait gets its own span — a trace of the rerouted
+        # request shows *why* it did no optimizer call.
+        obs.spans.record(
+            "serving.single_flight_wait", wait_start,
+            self.clock.perf_counter() - wait_start,
+            template=self.state.template.name,
+        )
 
     def _admission(
         self, deadline: Optional[Deadline], deny: Optional[str]
@@ -645,87 +589,43 @@ class TemplateShard:
             self.stats.note_gate_timeout()
         return reason, holds_gate
 
-    def _optimize_and_register(
-        self, sv: AnySelectivityVector, decision
-    ) -> PlanChoice:
-        scr = self.scr
-        try:
-            with self.stats.engine_calls.track():
-                result = scr._optimize(sv)
-        except OptimizeUnavailableError:
-            acquired_at = self.clock.perf_counter()
-            with self.lock:
-                self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
-                # Book the miss (hit/miss counters, recost-call totals)
-                # exactly as the serial path does before degrading.
-                scr.get_plan.commit(decision)
-                fallback = scr._fallback_choice(sv, decision.recost_calls)
-                if fallback is None:
-                    raise  # empty cache: nothing can be served
-                return self._finish_locked(fallback)
-        acquired_at = self.clock.perf_counter()
-        with self.lock:
-            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
-            scr.get_plan.commit(decision)
-            return self._finish_locked(
-                scr._register_optimized(sv, result, decision)
-            )
-
-    # -- degraded path --------------------------------------------------------
-
-    def _degrade_entry(self, sv: AnySelectivityVector, reason: str) -> PlanChoice:
-        """Resolve an instance whose budget expired before any probe ran."""
-        acquired_at = self.clock.perf_counter()
-        with self.lock:
-            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
-            return self._commit_degraded(sv, 0, reason)
-
-    def _degrade_miss(
-        self, sv: AnySelectivityVector, decision, reason: str
-    ) -> PlanChoice:
-        """Resolve a denied miss: book it, then serve degraded."""
-        acquired_at = self.clock.perf_counter()
-        with self.lock:
-            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
-            self.scr.get_plan.commit(decision)
-            return self._commit_degraded(sv, decision.recost_calls, reason)
-
-    def _commit_degraded(
-        self, sv: AnySelectivityVector, recost_calls: int, reason: str
-    ) -> PlanChoice:
-        """Nearest cached plan uncertified, or shed; caller holds the lock.
-
-        Every outcome is labeled: an ``overload.shed`` /
-        ``overload.uncertified_serve`` event span carries the reason
-        code, and the stats layer counts the serve or the shed.
-        """
-        choice = self.scr._overload_choice(sv, recost_calls)
+    def _apply(
+        self,
+        sv: AnySelectivityVector,
+        seq: int,
+        decision,
+        result=None,
+        denied: Optional[str] = None,
+    ) -> Optional[PlanChoice]:
+        """:meth:`SCR.apply` a miss (or an unprobed request) under the
+        write lock.  A denied request is labeled: an
+        ``overload.uncertified_serve`` event with the reason code, or —
+        with nothing cached to serve — ``overload.shed`` and a
+        :class:`ShedError`."""
+        with self._locked():
+            choice = self.scr.apply(sv, decision, result, denied, seq)
+        if denied is None:
+            return choice
         if choice is None:
-            reason = f"{reason}:no_cached_plan"
+            reason = f"{denied}:no_cached_plan"
             self.stats.note_shed(reason)
-            self.event("overload.shed", reason=reason)
+            self.event("overload.shed", seq, reason=reason)
             raise ShedError(reason, template=self.state.template.name)
-        self.stats.note_overload_serve(reason)
-        self.event("overload.uncertified_serve", reason=reason)
-        return self._finish_locked(choice)
+        self.stats.note_overload_serve(denied)
+        self.event("overload.uncertified_serve", seq, reason=denied)
+        return choice
 
     # -- shared plumbing ------------------------------------------------------
 
-    def event(self, name: str, **attrs: object) -> None:
-        """Record one serving/overload event span for this shard."""
+    def event(self, name: str, seq: Optional[int], **attrs: object) -> None:
+        """Record one serving/overload event span for this shard, stamped
+        with its request's ``seq`` (``None``: it belongs to no request)."""
         if self._obs is not None:
-            self._obs.spans.event(
-                name, template=self.state.template.name,
-                seq=self.scr.instances_processed, **attrs,
-            )
+            head: dict = {"template": self.state.template.name}
+            if seq is not None:
+                head["seq"] = seq
+            self._obs.spans.event(name, **head, **attrs)
 
     def _recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
         with self.stats.engine_calls.track():
             return self.engine.recost(shrunken, sv)
-
-    def _finish_locked(self, choice: PlanChoice) -> PlanChoice:
-        """Per-instance technique bookkeeping; caller holds the lock."""
-        self.scr.instances_processed += 1
-        if choice.used_optimizer:
-            self.scr.optimizer_calls += 1
-        return choice

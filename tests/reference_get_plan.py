@@ -33,6 +33,16 @@ from repro.core.plan_cache import InstanceEntry
 from repro.query.instance import SelectivityVector, UncertainSelectivityVector
 
 
+def sv_product(entry: InstanceEntry) -> float:
+    """``Π_i s_i`` — the AREA candidate-order key (Figure 4's region area
+    grows with it), folded left to right from 1.0: the scalar statement
+    of ``ColumnarInstances.area``."""
+    product = 1.0
+    for s in entry.sv:
+        product *= s
+    return product
+
+
 # -- the robust cost check's corner, one anchor at a time ----------------------
 #
 # The scalar statement of what ``repro.core.columnar.cost_corner_gl``
@@ -164,7 +174,7 @@ class ReferenceGetPlan(GetPlan):
         if self.candidate_order is CandidateOrder.AREA:
             # Region area grows with the product of the anchor's
             # selectivities (Figure 4's closed form): largest first.
-            return -entry.sv_product
+            return -sv_product(entry)
         return ranks[row]  # USAGE: most-used anchors first.
 
     def _cost_walk(self, point, box, recost, entries, rows, cap):

@@ -398,6 +398,44 @@ class TestCalmServing:
             report["never_hit_live"] + report["evicted_never_hit"]
         )
 
+    def test_served_misses_feed_calibration_like_serial(self):
+        """A one-worker serving shard records the same recost samples as
+        serial SCR — misses included, since a drifting model inflates
+        exactly the ratios that fail the cost check."""
+        template = make_template()
+        instances = workload(template, 300)
+        runs = {}
+        for impl in ("serial", "served"):
+            obs = Observability()
+            if impl == "serial":
+                scr = SCR(make_db().engine(template), lam=LAM, obs=obs)
+                serve = scr.process
+            else:
+                manager = ConcurrentPQOManager(
+                    database=make_db(), max_workers=1, obs=obs
+                )
+                scr = manager.register(template, lam=LAM).scr
+                serve = manager.process
+            pairs = []
+            record = scr.calibration.record_ratio
+
+            def recording(feed, kind, predicted, actual, **slack):
+                pairs.append((feed, kind, predicted, actual))
+                return record(feed, kind, predicted, actual, **slack)
+
+            scr.calibration.record_ratio = recording
+            checks = [serve(q).check for q in instances]
+            if impl == "served":
+                manager.close()
+            runs[impl] = (
+                checks, scr.calibration.samples["recost"], sorted(pairs)
+            )
+        assert runs["served"] == runs["serial"]
+        checks, samples, _ = runs["serial"]
+        assert "optimizer" in checks and "cost" in checks
+        # One sample per Recost call, on hits and misses alike.
+        assert samples == scr.get_plan.total_recost_calls > 0
+
 
 class TestDriftToRepair:
     """The full observatory loop: inject drift, detect, sweep, verify."""

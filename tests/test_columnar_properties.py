@@ -49,7 +49,7 @@ from repro.query.instance import (
     UncertainSelectivityVector,
 )
 
-from reference_get_plan import compute_cost_gl, cost_corner
+from reference_get_plan import compute_cost_gl, cost_corner, sv_product
 
 selectivities = st.floats(
     min_value=1e-6, max_value=1.0,
@@ -454,7 +454,7 @@ def _assert_view_consistent(cache: PlanCache) -> None:
         assert view.sub[i] == entry.suboptimality
         assert view.cost[i] == entry.optimal_cost
         assert int(view.plan_ids[i]) == entry.plan_id
-        assert view.area[i] == entry.sv_product
+        assert view.area[i] == sv_product(entry)
     # Extended or rebuilt, the view is byte-for-byte a from-scratch build.
     fresh = ColumnarInstances.build(cache.epoch, tuple(cache.instances()))
     assert _column_bytes(view) == _column_bytes(fresh)

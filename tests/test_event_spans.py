@@ -361,6 +361,42 @@ class TestServingAndOverloadEventSites:
             assert_inside_request(obs, only(obs, "serving.epoch_retry"))
             assert shard.stats.row()["epoch_retries"] == 2
 
+    def test_every_event_carries_its_own_requests_seq(self):
+        """A shed bumps no SCR counter and batched hits commit before the
+        batch's retries, so an event is stamped with the seq its request
+        was allocated — never with how many requests have completed."""
+        _, obs = fake_obs()
+        manager, template = make_manager(obs, self.POLICY)
+        with manager:
+            ov = manager._overload_coordinator
+            ov.controller.level = BrownoutLevel.SHED
+            for _ in range(2):
+                with pytest.raises(ShedError):
+                    manager.process(QueryInstance(template.name, sv=NEAR))
+        plain, template = make_manager(obs, max_recost_candidates=0)
+        with plain:
+            plain.process(QueryInstance(template.name, sv=NEAR))
+            shard = plain.shard(template.name)
+            valid = shard._commit_valid
+            rejected = []
+
+            def reject_first(decision, snapshot):
+                if not rejected:
+                    rejected.append(decision)
+                    return False    # row 0 retries after row 1 commits
+                return valid(decision, snapshot)
+
+            shard._commit_valid = reject_first
+            shard.process_batch([QueryInstance(template.name, sv=NEAR)] * 2)
+        events = event_spans(obs)
+        assert [e.name for e in events] == (
+            ["overload.shed"] * 2 + ["serving.epoch_retry"]
+        )
+        assert [e.attrs["seq"] for e in events] == [0, 1, 1]
+        for event in events:
+            root = assert_inside_request(obs, event)
+            assert event.attrs["seq"] == root.attrs["seq"]
+
     def test_single_flight_collapse(self):
         _, obs = fake_obs()
         manager, template = make_manager(obs, max_recost_candidates=0)

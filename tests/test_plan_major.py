@@ -46,6 +46,7 @@ from repro.workload.generator import (
 )
 from repro.workload.templates import tpcds_templates, tpch_templates
 
+from reference_get_plan import sv_product
 from test_vectorized_equivalence import (
     assert_decisions_identical,
     build_cache,
@@ -121,7 +122,7 @@ def entry_major_walk(get_plan: GetPlan, point: SelectivityVector, cap: int):
         if get_plan.candidate_order is CandidateOrder.GL:
             return factors[i][0] * factors[i][1]
         if get_plan.candidate_order is CandidateOrder.AREA:
-            return -entries[i].sv_product
+            return -sv_product(entries[i])
         return rank[i]
 
     live = [i for i, e in enumerate(entries) if not e.retired]
@@ -306,7 +307,7 @@ def test_memo_entry_of_a_plan_evicted_before_register_is_ignored(
     victim = QueryInstance("toy_join", sv=SelectivityVector.of(0.9, 0.9))
     intruder = QueryInstance("toy_join", sv=SelectivityVector.of(0.02, 0.9))
 
-    optimize, register = scr._optimize, scr._register_optimized
+    optimize, apply = scr._optimize, scr.apply
     seen = {}
 
     def optimize_with_an_intruder(sv):
@@ -317,15 +318,16 @@ def test_memo_entry_of_a_plan_evicted_before_register_is_ignored(
             seen["redundancy"] = scr.manage_cache.stats.redundancy_recost_calls
         return optimize(sv)
 
-    def register_recording_the_memo(sv, result, decision):
-        seen.setdefault("memos", []).append(set(decision.recost_memo))
-        return register(sv, result, decision)
+    def apply_recording_the_memo(sv, decision, result=None, *args, **kwargs):
+        if result is not None:
+            seen.setdefault("memos", []).append(set(decision.recost_memo))
+        return apply(sv, decision, result, *args, **kwargs)
 
     scr._optimize = optimize_with_an_intruder
-    scr._register_optimized = register_recording_the_memo
+    scr.apply = apply_recording_the_memo
     ledger_before = engine.counters.recost.calls
     choice = shard.process(victim)
-    scr._optimize, scr._register_optimized = optimize, register
+    scr._optimize, scr.apply = optimize, apply
     manager.close()
 
     # The victim's cost phase re-costed both cached plans; the intruder

