@@ -26,6 +26,10 @@ SCHEMA_VERSION = 2
 #: A run may carry measurements under exactly one of these keys.
 RUN_PAYLOAD_KEYS = ("results", "summary")
 
+#: A run stamped at the Unix epoch carries a migration placeholder, not
+#: the date it was recorded; the run's real date must be backfilled.
+EPOCH_ZERO = "1970-01-01"
+
 #: Regression tolerance: the newest run may lose at most this fraction
 #: of the previous run's figure before the check fails.  Perf noise on
 #: shared CI runners stays well inside 20%; a real regression does not.
@@ -77,6 +81,8 @@ def validate_document(doc, path: str) -> list[str]:
             continue
         if not _is_timestamp(run.get("timestamp")):
             err(f"{where}.timestamp is not an ISO-8601 string")
+        elif run["timestamp"].startswith(EPOCH_ZERO):
+            err(f"{where}.timestamp is epoch zero, a placeholder, not a date")
         elif run["timestamp"] < previous_ts:
             err(f"{where}.timestamp goes backwards")
         else:

@@ -97,12 +97,7 @@ MAX_CHAOS_RUNS = 20
 
 
 def _append_chaos_trajectory(summary: dict) -> None:
-    """Append this run under the shared v2 trajectory envelope.
-
-    Earlier revisions wrote the summary as a bare object; those are
-    migrated into a single tagged run so the history survives the
-    format change.
-    """
+    """Append this run under the shared v2 trajectory envelope."""
     doc = {
         "schema_version": CHAOS_SCHEMA,
         "benchmark": "cluster_chaos",
@@ -112,12 +107,6 @@ def _append_chaos_trajectory(summary: dict) -> None:
         loaded = json.loads(CHAOS_JSON.read_text(encoding="utf-8"))
         if loaded.get("schema_version") == CHAOS_SCHEMA:
             doc = loaded
-        elif isinstance(loaded, dict) and "submitted" in loaded:
-            doc["runs"] = [{
-                "timestamp": "1970-01-01T00:00:00Z",
-                "meta": {"migrated_from": 1},
-                "summary": loaded,
-            }]
     doc["runs"].append({
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "meta": {

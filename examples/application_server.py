@@ -7,9 +7,9 @@ the higher-level machinery built on top of SCR:
 
 * templates are defined as parameterized SQL text (``?`` markers) and
   parsed by the SQL front-end;
-* a :class:`PQOManager` hosts all templates under one global plan
-  budget, auto-rebalancing it toward the templates under optimizer
-  pressure;
+* a :class:`ConcurrentPQOManager` hosts all templates under one global
+  plan budget, auto-rebalancing it toward the templates under optimizer
+  pressure (``process`` serves each instance on the calling thread);
 * per-template λ is chosen with the section 6.2 heuristic from observed
   optimization time vs execution cost;
 * the plan cache is persisted to JSON and reloaded, simulating a server
@@ -21,11 +21,12 @@ Run:  python examples/application_server.py
 import random
 
 from repro import Database, tpch_schema
-from repro.core.manager import PQOManager, choose_lambda
+from repro.core.dynamic_lambda import choose_lambda
 from repro.core.persistence import dump_cache, load_cache
 from repro.harness.reporting import format_table
 from repro.query.instance import QueryInstance
 from repro.query.sql import parse_sql
+from repro.serving import ConcurrentPQOManager
 from repro.workload import instances_for_template
 
 STATEMENTS = {
@@ -52,7 +53,9 @@ STATEMENTS = {
 def main() -> None:
     print("Booting the 'application server' on a TPC-H-like database...")
     db = Database.create(tpch_schema(scale=0.4), seed=9)
-    manager = PQOManager(database=db, global_plan_budget=12, rebalance_every=100)
+    manager = ConcurrentPQOManager(
+        database=db, global_plan_budget=12, rebalance_every=100
+    )
 
     templates = {}
     for name, sql in STATEMENTS.items():
@@ -93,19 +96,16 @@ def main() -> None:
     # Phase 2: persist each template's cache and "restart".
     print("\nSimulating restart: persisting and restoring plan caches...")
     dumps = {
-        name: dump_cache(manager.state(name).scr.cache)
+        name: dump_cache(manager.shard(name).scr.cache)
         for name in templates
     }
     total_bytes = sum(len(d) for d in dumps.values())
     print(f"  serialized {len(dumps)} caches, {total_bytes / 1024:.1f} KiB total")
 
-    manager2 = PQOManager(database=db, global_plan_budget=12)
+    manager2 = ConcurrentPQOManager(database=db, global_plan_budget=12)
     for name, template in templates.items():
-        state = manager2.register(template)
-        restored = load_cache(dumps[name])
-        state.scr.cache = restored
-        state.scr.get_plan.cache = restored
-        state.scr.manage_cache.cache = restored
+        shard = manager2.register(template)
+        shard.scr.cache.adopt(load_cache(dumps[name]))
 
     warm_hits = 0
     probes = 0

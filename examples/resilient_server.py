@@ -12,8 +12,9 @@ the fault-injection + resilience stack:
   degrades *fail-closed*: failed recosts become cost-check misses,
   failed optimizations serve the best cached plan flagged uncertified,
   failed sVector calls reuse the last-known-good vector inflated;
-* the :class:`PQOManager` quarantines templates whose breaker stays
-  open, freezing their plan-budget share until the engine heals.
+* the :class:`ConcurrentPQOManager` quarantines templates whose breaker
+  stays open — swept at its rebalance points — freezing their
+  plan-budget share until the engine heals.
 
 The run completes without a crash, and the final report shows the
 fault / retry / breaker accounting plus which instances kept the
@@ -32,7 +33,6 @@ import random
 from collections import Counter
 
 from repro import Database, tpch_schema
-from repro.core.manager import PQOManager
 from repro.engine.faults import FaultConfig, FaultInjector, FaultProfile, NoisyEngine
 from repro.engine.resilience import (
     ResiliencePolicy,
@@ -43,6 +43,7 @@ from repro.harness.reporting import format_table
 from repro.obs import Observability
 from repro.query.instance import QueryInstance
 from repro.query.sql import parse_sql
+from repro.serving import ConcurrentPQOManager
 from repro.workload import instances_for_template
 
 STATEMENTS = {
@@ -100,19 +101,18 @@ def main(robust: bool = False) -> None:
             inner = NoisyEngine(inner, noise=0.2, seed=len(injectors))
         return ResilientEngineAPI(inner, policy=POLICY, seed=len(injectors))
 
-    manager = PQOManager(
-        database=db, global_plan_budget=10, engine_wrapper=chaos_wrapper
+    manager = ConcurrentPQOManager(
+        database=db, global_plan_budget=10, rebalance_every=25,
+        engine_wrapper=chaos_wrapper, obs=obs,
+        check_mode="robust" if robust else None,
     )
 
-    scr_kwargs = {"obs": obs}
-    if robust:
-        scr_kwargs["check_mode"] = "robust"
     mode_note = " check=robust" if robust else ""
     templates = {}
     for name, sql in STATEMENTS.items():
         template = parse_sql(sql, name=name, database="tpch")
         templates[name] = template
-        manager.register(template, lam=2.0, **scr_kwargs)
+        manager.register(template, lam=2.0)
         print(f"  registered {name:<16} d={template.dimensions} "
               f"lambda=2.00{mode_note}")
 
@@ -174,8 +174,8 @@ def main(robust: bool = False) -> None:
         print(f"  quarantined templates    : {manager.quarantined_templates}")
 
     rows = []
-    for name, state in sorted(templates.items()):
-        res = manager.state(name).engine.counters.resilience
+    for name in sorted(templates):
+        res = manager.shard(name).engine.counters.resilience
         injected = injectors[name].injected_count()
         rows.append({
             "template": name,

@@ -33,7 +33,6 @@ from .catalog.registry import database_names, get_database
 from .catalog.schema import Column, Schema, Table
 from .catalog.tpcds import tpcds_schema
 from .catalog.tpch import tpch_schema
-from .core.manager import PQOManager
 from .core.scr import SCR
 from .core.technique import OnlinePQOTechnique, PlanChoice
 from .engine.database import Database
@@ -50,7 +49,6 @@ __all__ = [
     "Database",
     "Observability",
     "OnlinePQOTechnique",
-    "PQOManager",
     "PlanChoice",
     "QueryInstance",
     "QueryTemplate",

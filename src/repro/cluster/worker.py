@@ -79,10 +79,11 @@ class WorkerSpec:
 class _MultiDB:
     """Database shim dispatching ``engine(template)`` across catalogs.
 
-    :class:`~repro.core.manager.PQOManager` binds one database, but a
-    worker's templates may span every catalog database; the manager only
-    ever calls ``database.engine(template)``, so this shim resolves the
-    template's own database lazily through the memoized registry.
+    :class:`~repro.serving.manager.ConcurrentPQOManager` binds one
+    database, but a worker's templates may span every catalog database;
+    the manager only ever calls ``database.engine(template)``, so this
+    shim resolves the template's own database lazily through the
+    memoized registry.
     """
 
     def __init__(self, scale: float, seed: int) -> None:
@@ -150,10 +151,10 @@ class ClusterWorker:
         self.cold_templates = 0
         self.warm_instances = 0
         for template in spec.templates:
-            state = self.manager.register(template)
+            shard = self.manager.register(template)
             restored = self.store.load(template.name)
             if restored is not None and restored.num_instances > 0:
-                state.scr.cache.adopt(restored)
+                shard.scr.cache.adopt(restored)
                 self.warm_templates += 1
                 self.warm_instances += restored.num_instances
             else:
@@ -303,9 +304,7 @@ class ClusterWorker:
 
     @property
     def optimizer_calls(self) -> int:
-        return sum(
-            s.scr.optimizer_calls for s in self.manager._templates.values()
-        )
+        return self.manager.total_optimizer_calls
 
     def publish_snapshots(self) -> int:
         """Publish every template whose cache holds instances.
@@ -314,12 +313,11 @@ class ClusterWorker:
         style exclusive hold), the atomic file write outside it.
         """
         published = 0
-        for name, state in sorted(self.manager._templates.items()):
-            shard = self.manager.shard(name)
+        for name, shard in sorted(self.manager._templates.items()):
             with shard.lock:
-                if state.scr.cache.num_instances == 0:
+                if shard.scr.cache.num_instances == 0:
                     continue
-                text = SnapshotStore.serialize(state.scr.cache)
+                text = SnapshotStore.serialize(shard.scr.cache)
             self.store.publish_text(name, text)
             published += 1
         return published

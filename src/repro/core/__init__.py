@@ -28,7 +28,6 @@ from .manage_cache import (
     default_lambda_r,
 )
 from .coverage import CoverageReport, sample_coverage
-from .manager import PQOManager, TemplateState, choose_lambda
 from .persistence import (
     CacheCorruptionError,
     CacheSnapshot,
@@ -50,9 +49,6 @@ __all__ = [
     "CacheSnapshot",
     "CoverageReport",
     "sample_coverage",
-    "PQOManager",
-    "TemplateState",
-    "choose_lambda",
     "dump_cache",
     "load_cache",
     "SeedingReport",

@@ -6,6 +6,9 @@ high plan density; expensive instances deserve a tighter bound.  The
 paper proposes asking the user for a range ``[λ_min, λ_max]`` and
 mapping an anchor's optimal cost ``C`` to a λ via an exponentially
 decaying function.
+
+:func:`choose_lambda` is the per-template counterpart (section 6.2):
+one λ for a whole template, picked from its optimization overhead.
 """
 
 from __future__ import annotations
@@ -53,6 +56,32 @@ class DynamicLambda:
         per probe because their output may change between calls.
         """
         return ()
+
+
+def choose_lambda(
+    optimize_seconds: float,
+    execution_cost: float,
+    cost_per_second: float = 50_000.0,
+    lambda_min: float = 1.1,
+    lambda_max: float = 2.0,
+) -> float:
+    """Section 6.2's "Choosing λ" heuristic.
+
+    A query whose optimization overhead is large relative to its
+    execution cost should run with a generous λ (reuse aggressively);
+    one whose optimization is trivial should keep λ tight.  The ratio
+    ``optimize_time / execution_time`` is mapped linearly into
+    ``[λ_min, λ_max]`` and clamped.
+    """
+    if execution_cost <= 0:
+        return lambda_max
+    execution_seconds = execution_cost / cost_per_second
+    if execution_seconds <= 0:
+        return lambda_max
+    ratio = optimize_seconds / execution_seconds
+    # ratio 0 -> lambda_min; ratio >= 1 (optimization dominates) -> max.
+    clamped = min(1.0, max(0.0, ratio))
+    return lambda_min + (lambda_max - lambda_min) * clamped
 
 
 class PressureRelaxedLambda:

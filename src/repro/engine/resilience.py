@@ -562,7 +562,8 @@ def resilient_engine_factory(
     seed: int = 0,
     sleep: Optional[Callable[[float], None]] = None,
 ) -> Callable[[EngineAPI], ResilientEngineAPI]:
-    """An engine wrapper suitable for :class:`~repro.core.manager.PQOManager`.
+    """An ``engine_wrapper`` for
+    :class:`~repro.serving.manager.ConcurrentPQOManager`.
 
     Each wrapped engine gets its own jitter stream derived from the base
     seed and the template name, so retries across templates do not

@@ -4,6 +4,9 @@ The observatory's raw signals (calibration histograms, drift alarms,
 per-anchor lifetime counters) answer *"is my cache healthy?"* only
 after being joined and judged.  This module is that judgement layer:
 
+* :func:`anchor_totals` is a cache's flat, summable anchor totals (the
+  heartbeat's anchor summary); one derivation turns totals — one
+  cache's or a cluster's sum — into optimizer calls saved and wasted;
 * :func:`anchor_report` ranks a cache's anchors by lifetime payback
   (optimizer calls saved vs. the one call each anchor cost to acquire)
   and totals the wasted spend on anchors that never earned a hit;
@@ -64,6 +67,38 @@ WASTE_MIN_SHARE = 0.3
 # anchor-level efficacy attribution
 
 
+def anchor_totals(cache) -> dict[str, int]:
+    """One template's summable anchor totals.
+
+    Flat integers, so workers' totals add up field by field: this is
+    the heartbeat's per-template anchor summary, and the base of
+    :func:`anchor_report`.
+    """
+    sel, cost, spend = cache.anchor_hit_totals()
+    entries = list(cache.instances())
+    return {
+        "live_anchors": len(entries),
+        "plans_cached": cache.num_plans,
+        "hits_selectivity": sel,
+        "hits_cost": cost,
+        "recost_spend": spend,
+        "never_hit_live": sum(1 for e in entries if e.total_hits == 0),
+        "evicted_never_hit": cache.evicted_never_hit,
+    }
+
+
+def _with_payback(totals: dict[str, Any]) -> dict[str, Any]:
+    """Add the two payback figures derived from (summed) anchor totals."""
+    totals["optimizer_calls_saved"] = (
+        totals["hits_selectivity"] + totals["hits_cost"]
+    )
+    # Optimizer calls spent acquiring anchors that never paid back.
+    totals["wasted_optimizer_calls"] = (
+        totals["never_hit_live"] + totals["evicted_never_hit"]
+    ) * ANCHOR_ACQUISITION_CALLS
+    return totals
+
+
 def anchor_report(cache, top: int = DEFAULT_TOP_ANCHORS) -> dict[str, Any]:
     """Lifetime cache-efficacy attribution for one template's cache.
 
@@ -75,11 +110,8 @@ def anchor_report(cache, top: int = DEFAULT_TOP_ANCHORS) -> dict[str, Any]:
     """
     tick = cache.tick
     rows = []
-    never_hit_live = 0
     for entry in cache.instances():
         age = tick - entry.last_hit_tick if entry.last_hit_tick >= 0 else None
-        if entry.total_hits == 0:
-            never_hit_live += 1
         rows.append({
             "plan_id": entry.plan_id,
             "sv": [round(float(s), 6) for s in entry.sv],
@@ -90,8 +122,6 @@ def anchor_report(cache, top: int = DEFAULT_TOP_ANCHORS) -> dict[str, Any]:
             "net_calls_saved": entry.total_hits - ANCHOR_ACQUISITION_CALLS,
             "last_hit_age": age,
         })
-    sel, cost, spend = cache.anchor_hit_totals()
-    wasted = never_hit_live + cache.evicted_never_hit
     best = sorted(
         rows,
         key=lambda r: (r["hits_selectivity"] + r["hits_cost"], r["plan_id"]),
@@ -101,20 +131,10 @@ def anchor_report(cache, top: int = DEFAULT_TOP_ANCHORS) -> dict[str, Any]:
         (r for r in rows if r["hits_selectivity"] + r["hits_cost"] == 0),
         key=lambda r: r["plan_id"],
     )
-    return {
-        "live_anchors": len(rows),
-        "plans_cached": cache.num_plans,
-        "hits_selectivity": sel,
-        "hits_cost": cost,
-        "recost_spend": spend,
-        "optimizer_calls_saved": sel + cost,
-        "never_hit_live": never_hit_live,
-        "evicted_never_hit": cache.evicted_never_hit,
-        # Optimizer calls spent acquiring anchors that never paid back.
-        "wasted_optimizer_calls": wasted * ANCHOR_ACQUISITION_CALLS,
-        "top": best[:top],
-        "bottom": worst[:top],
-    }
+    report = _with_payback(anchor_totals(cache))
+    report["top"] = best[:top]
+    report["bottom"] = worst[:top]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +265,9 @@ def doctor_report(manager, top: int = DEFAULT_TOP_ANCHORS) -> dict[str, Any]:
     templates: dict[str, Any] = {}
     errors: list[str] = []
     with manager._all_shard_locks():
-        for name in sorted(manager._shards):
-            state = manager._templates[name]
+        for name, shard in sorted(manager._templates.items()):
             health, errs = template_health(
-                name, state.scr, quarantined=state.quarantined, top=top
+                name, shard.scr, quarantined=shard.quarantined, top=top
             )
             templates[name] = health
             errors.extend(errs)
@@ -339,15 +358,7 @@ def _merge_anchor_summaries(
             into = totals.setdefault(template, {})
             for field, value in summary.items():
                 into[field] = into.get(field, 0) + int(value)
-    for summary in totals.values():
-        summary["optimizer_calls_saved"] = (
-            summary.get("hits_selectivity", 0) + summary.get("hits_cost", 0)
-        )
-        summary["wasted_optimizer_calls"] = (
-            summary.get("never_hit_live", 0)
-            + summary.get("evicted_never_hit", 0)
-        ) * ANCHOR_ACQUISITION_CALLS
-    return totals
+    return {name: _with_payback(summary) for name, summary in totals.items()}
 
 
 def doctor_from_sources(

@@ -68,7 +68,8 @@ def simulated_latency_wrapper(
     recost_seconds: float = 0.001,
     selectivity_seconds: float = 0.0001,
 ):
-    """An ``engine_wrapper`` for the managers (serial or concurrent)."""
+    """An ``engine_wrapper`` for
+    :class:`~repro.serving.manager.ConcurrentPQOManager`."""
 
     def wrap(engine: EngineAPI) -> SimulatedLatencyEngine:
         return SimulatedLatencyEngine(

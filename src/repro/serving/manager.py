@@ -1,15 +1,24 @@
-"""The concurrent front-end: dispatching instances across shards.
+"""The PQO manager: many templates, one plan budget, one serving pool.
 
-:class:`ConcurrentPQOManager` extends the serial
-:class:`~repro.core.manager.PQOManager` with a thread pool and one
-:class:`~repro.serving.shard.TemplateShard` per registered template.
+The paper treats one parameterized query at a time; a deployment hosts
+many templates, and the plan-cache memory they share is bounded.
+:class:`ConcurrentPQOManager` keeps one
+:class:`~repro.serving.shard.TemplateShard` per registered template —
+the shard *is* the per-template state: its SCR, engine, budget share,
+instance count and quarantine flag.  :meth:`~ConcurrentPQOManager.process`
+serves an instance on the calling thread (the serial path); ``submit``
+and ``submit_batch`` dispatch onto a thread pool, which starts its
+threads only on first use.
+
 Independent templates never contend — each shard has its own lock, its
-own SCR state and its own single-flight table.  Global concerns (the
-shared plan budget, quarantine of misbehaving templates) are handled at
-**rebalance points**: one thread at a time takes every shard lock in
-canonical order (no worker ever holds two shard locks, so the ordering
-makes deadlock impossible) and re-divides the budget exactly like the
-serial manager.
+own SCR state and its own single-flight table.  Global concerns are
+handled at **rebalance points**, every ``rebalance_every`` processed
+instances: one thread at a time takes every shard lock in canonical
+order (no worker ever holds two shard locks, so the ordering makes
+deadlock impossible), marks templates whose recost breaker is open as
+quarantined, and re-divides the global plan budget proportionally to
+recent optimizer pressure (§6.3.1's per-template ``k``, spread across
+templates; quarantined templates are frozen at a share of one).
 
 Batched admission (:meth:`submit_batch`) coalesces a batch by template
 and deduplicates identical selectivity vectors before dispatch, so a
@@ -29,12 +38,15 @@ import threading
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.dynamic_lambda import PressureRelaxedLambda
-from ..core.manager import PQOManager, TemplateState
+from ..core.scr import SCR
 from ..core.technique import PlanChoice
-from ..obs.handle import Observability, instrument_engine
+from ..engine.api import EngineAPI
+from ..engine.database import Database
+from ..obs.doctor import anchor_totals, doctor_report
+from ..obs.handle import Observability
 from ..obs.tracectx import TraceContext, activate, child_context, current_context
 from ..query.instance import QueryInstance
 from ..query.template import QueryTemplate
@@ -50,11 +62,21 @@ from .stats import ServingStats, merge_rows
 
 
 @dataclass
-class ConcurrentPQOManager(PQOManager):
-    """Routes query instances to per-template shards on a thread pool.
+class ConcurrentPQOManager:
+    """Routes query instances to per-template shards.
 
-    Parameters (beyond :class:`PQOManager`'s)
+    Parameters
     ----------
+    database:
+        The database all templates run against.
+    global_plan_budget:
+        Optional cap on the total number of plans cached across all
+        templates.  ``None`` leaves every template unbounded.
+    default_lambda:
+        λ used when a template is registered without one.
+    rebalance_every:
+        Run a rebalance point (quarantine sweep, budget re-division)
+        after this many processed instances.
     max_workers:
         Size of the serving thread pool.
     overload:
@@ -63,6 +85,14 @@ class ConcurrentPQOManager(PQOManager):
         behaviour is identical to the plain concurrent manager.
     """
 
+    database: Database
+    global_plan_budget: Optional[int] = None
+    default_lambda: float = 2.0
+    rebalance_every: int = 200
+    #: Optional engine decorator applied at registration — e.g.
+    #: :func:`repro.engine.resilience.resilient_engine_factory` to put
+    #: every template's engine behind retries and a circuit breaker.
+    engine_wrapper: Optional[Callable[[EngineAPI], EngineAPI]] = None
     max_workers: int = 8
     overload: Optional[OverloadPolicy] = None
     #: Manager-wide default check mode for registered templates
@@ -77,7 +107,10 @@ class ConcurrentPQOManager(PQOManager):
     #: SCR pipeline and shard report into it, and the overload
     #: coordinator shares its clock.
     obs: Optional[Observability] = None
-    _shards: dict[str, TemplateShard] = field(default_factory=dict)
+    _templates: dict[str, TemplateShard] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _since_rebalance: int = field(default=0, init=False, repr=False)
     _executor: Optional[ThreadPoolExecutor] = field(
         default=None, init=False, repr=False
     )
@@ -123,34 +156,39 @@ class ConcurrentPQOManager(PQOManager):
         template: QueryTemplate,
         lam: Optional[float] = None,
         **scr_kwargs,
-    ) -> TemplateState:
+    ) -> TemplateShard:
+        """Register a template (``scr_kwargs`` go to its :class:`SCR`);
+        returns its shard."""
         with self._registry_lock:
+            if template.name in self._templates:
+                raise ValueError(f"template {template.name!r} already registered")
             if self.check_mode is not None:
                 scr_kwargs.setdefault("check_mode", self.check_mode)
             if self.target_coverage is not None:
                 scr_kwargs.setdefault("target_coverage", self.target_coverage)
-            state = self._build_state(template, lam, **scr_kwargs)
+            engine = self.database.engine(template)
+            if self.engine_wrapper is not None:
+                engine = self.engine_wrapper(engine)
+            scr = SCR(engine, lam=lam or self.default_lambda, **scr_kwargs)
             # Racy double-misses on one vector must not grow the instance
             # list without bound (see ManageCache.coalesce_identical).
-            state.scr.manage_cache.coalesce_identical = True
+            scr.manage_cache.coalesce_identical = True
             ov = self._overload_coordinator
             if ov is not None:
-                self._install_pressure_lambda(state)
+                self._install_pressure_lambda(scr)
                 ov.register_shard()
             if self.obs is not None:
                 # Wire the whole stack into the one handle: engine-call
                 # histograms/spans, getPlan phase spans, the SCR's
                 # certified-bound audit feed and its calibration handle.
-                state.scr.attach_observability(self.obs)
+                scr.attach_observability(self.obs)
+            shard = TemplateShard(template, scr, overload=ov, obs=self.obs)
             with self._all_shard_locks():
-                self._templates[template.name] = state
-                self._shards[template.name] = TemplateShard(
-                    state, overload=ov, obs=self.obs
-                )
+                self._templates[template.name] = shard
                 self._apply_budgets()
-        return state
+        return shard
 
-    def _install_pressure_lambda(self, state: TemplateState) -> None:
+    def _install_pressure_lambda(self, scr: SCR) -> None:
         """Route the template's λ through the brownout pressure hook.
 
         Behaviour-neutral at level NORMAL; from LAMBDA_RELAXED upward
@@ -159,7 +197,7 @@ class ConcurrentPQOManager(PQOManager):
         *within* the guarantee framework — certified instances under
         pressure still satisfy ``SO ≤ λ_relaxed``.
         """
-        get_plan = state.scr.get_plan
+        get_plan = scr.get_plan
         base = get_plan.lambda_for if get_plan.lambda_for is not None else get_plan.lam
         get_plan.lambda_for = PressureRelaxedLambda(
             base,
@@ -170,20 +208,27 @@ class ConcurrentPQOManager(PQOManager):
         )
 
     def shard(self, template_name: str) -> TemplateShard:
-        return self._shards[template_name]
+        return self._templates[template_name]
+
+    def _shard_for(self, instance: QueryInstance) -> TemplateShard:
+        shard = self._templates.get(instance.template_name)
+        if shard is None:
+            raise KeyError(
+                f"template {instance.template_name!r} is not registered"
+            )
+        return shard
 
     # -- serving --------------------------------------------------------------
 
     def process(
         self, instance: QueryInstance, deadline: Optional[Deadline] = None
     ) -> PlanChoice:
-        """Serve one instance synchronously (callable from any thread)."""
-        shard = self._shards.get(instance.template_name)
-        if shard is None:
-            raise KeyError(
-                f"template {instance.template_name!r} is not registered"
-            )
-        return self._process_on(shard, instance, deadline)
+        """Serve one instance on the calling thread (from any thread).
+
+        This is the serial path: a caller that only ever uses
+        :meth:`process` never starts a pool thread.
+        """
+        return self._process_on(self._shard_for(instance), instance, deadline)
 
     def _process_on(
         self,
@@ -195,7 +240,7 @@ class ConcurrentPQOManager(PQOManager):
         choice = shard.process(
             instance, deadline=deadline, overflow_reason=overflow_reason
         )
-        self._note_processed(shard.state)
+        self._note_processed(shard)
         return choice
 
     def _mint_ctx(self) -> Optional[TraceContext]:
@@ -226,11 +271,7 @@ class ConcurrentPQOManager(PQOManager):
         returned future then already holds the outcome, so callers keep
         one uniform interface.
         """
-        shard = self._shards.get(instance.template_name)
-        if shard is None:
-            raise KeyError(
-                f"template {instance.template_name!r} is not registered"
-            )
+        shard = self._shard_for(instance)
         fut: "Future[PlanChoice]" = Future()
         ctx = self._mint_ctx()
         ov = self._overload_coordinator
@@ -302,7 +343,7 @@ class ConcurrentPQOManager(PQOManager):
                         self.obs.spans.record(
                             "serving.queue_wait", submitted_at,
                             now - submitted_at,
-                            template=shard.state.template.name,
+                            template=shard.template.name,
                         )
                     result = self._process_on(shard, instance, deadline)
             except BaseException as exc:
@@ -352,7 +393,7 @@ class ConcurrentPQOManager(PQOManager):
                 first = first_seen.get(key)
                 if first is not None:
                     duplicate_of[i] = first
-                    shard = self._shards.get(instance.template_name)
+                    shard = self._templates.get(instance.template_name)
                     if shard is not None:
                         shard.stats.note_deduped()
                         shard.event("serving.batch_dedupe", None, index=i)
@@ -395,7 +436,7 @@ class ConcurrentPQOManager(PQOManager):
         """
         leftovers: dict[str, list[tuple[int, QueryInstance]]] = {}
         for name, items in sorted(per_template.items()):
-            shard = self._shards.get(name)
+            shard = self._templates.get(name)
             if shard is None:
                 raise KeyError(f"template {name!r} is not registered")
             if len(items) < 2:
@@ -455,7 +496,7 @@ class ConcurrentPQOManager(PQOManager):
                 with suppress(InvalidStateError):
                     fut.set_exception(outcome)
             else:
-                self._note_processed(shard.state)
+                self._note_processed(shard)
                 with suppress(InvalidStateError):
                     fut.set_result(outcome)
 
@@ -473,9 +514,9 @@ class ConcurrentPQOManager(PQOManager):
 
     # -- global budget / quarantine at rebalance points -----------------------
 
-    def _note_processed(self, state: TemplateState) -> None:
+    def _note_processed(self, shard: TemplateShard) -> None:
         with self._counter_lock:
-            state.instances_seen += 1
+            shard.instances_seen += 1
             self._since_rebalance += 1
             # Rebalance points also run the quarantine sweep, so they
             # are due on schedule even without a global plan budget
@@ -494,15 +535,43 @@ class ConcurrentPQOManager(PQOManager):
             with self._counter_lock:
                 self._since_rebalance = 0
             with self._all_shard_locks():
-                for state in self._templates.values():
-                    breaker = getattr(state.engine, "recost_breaker", None)
-                    if breaker is not None:
-                        state.quarantined = bool(
-                            getattr(breaker, "is_open", False)
-                        )
+                for shard in self._templates.values():
+                    breaker = getattr(shard.engine, "recost_breaker", None)
+                    shard.quarantined = bool(getattr(breaker, "is_open", False))
                 self._apply_budgets()
         finally:
             self._rebalance_lock.release()
+
+    def _apply_budgets(self) -> None:
+        """Re-divide the global plan budget; caller holds every shard lock."""
+        if self.global_plan_budget is None or not self._templates:
+            return
+        shards = list(self._templates.values())
+        # Weight templates by optimizer pressure (+1 smoothing), floor 1.
+        # Quarantined templates are frozen at the floor: their optimizer
+        # pressure is an artifact of engine failures, not real demand.
+        weights = [
+            1 if s.quarantined else s.scr.optimizer_calls + 1 for s in shards
+        ]
+        total_weight = sum(weights)
+        budget = max(self.global_plan_budget, len(shards))
+        shares = [
+            1 if s.quarantined else max(1, int(budget * w / total_weight))
+            for s, w in zip(shards, weights)
+        ]
+        # Fix rounding drift by trimming the largest shares.
+        while sum(shares) > budget:
+            shares[shares.index(max(shares))] -= 1
+        for shard, share in zip(shards, shares):
+            shard.budget = share
+            shard.scr.manage_cache.plan_budget = share
+            cache = shard.scr.cache
+            while cache.num_plans > share:
+                victim = cache.min_usage_plan()
+                if victim is None:
+                    break
+                cache.drop_plan(victim.plan_id)
+                shard.scr.manage_cache.stats.plans_evicted += 1
 
     @contextmanager
     def _all_shard_locks(self):
@@ -511,7 +580,7 @@ class ConcurrentPQOManager(PQOManager):
         Workers hold at most their own single shard lock and never
         acquire a second, so a canonical-order sweep cannot deadlock.
         """
-        shards = [self._shards[name] for name in sorted(self._shards)]
+        shards = self._sorted_shards()
         for shard in shards:
             shard.lock.acquire()
         try:
@@ -520,10 +589,42 @@ class ConcurrentPQOManager(PQOManager):
             for shard in reversed(shards):
                 shard.lock.release()
 
+    def _sorted_shards(self) -> list[TemplateShard]:
+        return [self._templates[name] for name in sorted(self._templates)]
+
     # -- reporting / lifecycle ------------------------------------------------
 
+    @property
+    def quarantined_templates(self) -> list[str]:
+        return sorted(
+            name for name, s in self._templates.items() if s.quarantined
+        )
+
+    @property
+    def total_plans_cached(self) -> int:
+        return sum(s.scr.plans_cached for s in self._templates.values())
+
+    @property
+    def total_optimizer_calls(self) -> int:
+        return sum(s.scr.optimizer_calls for s in self._templates.values())
+
+    def report(self) -> list[dict[str, object]]:
+        """Per-template summary rows."""
+        return [
+            {
+                "template": shard.template.name,
+                "instances": shard.instances_seen,
+                "optimizer_calls": shard.scr.optimizer_calls,
+                "plans": shard.scr.plans_cached,
+                "budget": shard.budget if shard.budget is not None else "-",
+                "lambda": shard.scr.lam,
+                "quarantined": "yes" if shard.quarantined else "-",
+            }
+            for shard in self._sorted_shards()
+        ]
+
     def serving_stats(self) -> list[ServingStats]:
-        return [self._shards[name].stats for name in sorted(self._shards)]
+        return [shard.stats for shard in self._sorted_shards()]
 
     def serving_report(self) -> list[dict[str, object]]:
         """Per-shard rows plus a fleet-wide TOTAL row.
@@ -533,15 +634,14 @@ class ConcurrentPQOManager(PQOManager):
         degradation totals (fail-closed recosts, optimize/sVector
         fallbacks) — one view instead of three.
         """
-        stats = self.serving_stats()
+        shards = self._sorted_shards()
         rows = []
         open_breakers = 0
         quarantined_total = 0
         degraded_total = 0
-        for s in stats:
-            row = s.row()
-            state = self._templates.get(s.template)
-            breaker = getattr(state.engine, "recost_breaker", None) if state else None
+        for shard in shards:
+            row = shard.stats.row()
+            breaker = getattr(shard.engine, "recost_breaker", None)
             row["breaker"] = (
                 getattr(getattr(breaker, "state", None), "value", "-")
                 if breaker is not None
@@ -549,12 +649,11 @@ class ConcurrentPQOManager(PQOManager):
             )
             if breaker is not None and getattr(breaker, "is_open", False):
                 open_breakers += 1
-            is_quarantined = bool(state.quarantined) if state else False
-            row["quarantined"] = "yes" if is_quarantined else "-"
-            quarantined_total += int(is_quarantined)
+            row["quarantined"] = "yes" if shard.quarantined else "-"
+            quarantined_total += int(shard.quarantined)
             res = getattr(
-                getattr(state.engine, "counters", None), "resilience", None
-            ) if state else None
+                getattr(shard.engine, "counters", None), "resilience", None
+            )
             degraded = (
                 res.recost_failed_closed
                 + res.optimize_fallbacks
@@ -565,8 +664,8 @@ class ConcurrentPQOManager(PQOManager):
             row["degraded"] = degraded
             degraded_total += degraded
             rows.append(row)
-        if stats:
-            total = merge_rows(stats)
+        if shards:
+            total = merge_rows([shard.stats for shard in shards])
             total["breaker"] = f"{open_breakers} open" if open_breakers else "-"
             total["quarantined"] = quarantined_total if quarantined_total else "-"
             total["degraded"] = degraded_total
@@ -603,8 +702,6 @@ class ConcurrentPQOManager(PQOManager):
         handle too — anchor attribution and hit accounting live in the
         cache itself; only the calibration sections go ``None``.
         """
-        from ..obs.doctor import doctor_report
-
         return doctor_report(self)
 
     def anchor_summaries(self) -> dict[str, dict[str, int]]:
@@ -614,25 +711,11 @@ class ConcurrentPQOManager(PQOManager):
         :func:`~repro.obs.doctor.doctor_from_sources` merges across
         workers for the cluster doctor view.
         """
-        out: dict[str, dict[str, int]] = {}
         with self._all_shard_locks():
-            for name in sorted(self._shards):
-                cache = self._templates[name].scr.cache
-                sel, cost, spend = cache.anchor_hit_totals()
-                entries = list(cache.instances())
-                never_hit_live = sum(
-                    1 for e in entries if e.total_hits == 0
-                )
-                out[name] = {
-                    "live_anchors": len(entries),
-                    "plans_cached": cache.num_plans,
-                    "hits_selectivity": sel,
-                    "hits_cost": cost,
-                    "recost_spend": spend,
-                    "never_hit_live": never_hit_live,
-                    "evicted_never_hit": cache.evicted_never_hit,
-                }
-        return out
+            return {
+                name: anchor_totals(shard.scr.cache)
+                for name, shard in sorted(self._templates.items())
+            }
 
     @property
     def brownout_level(self):

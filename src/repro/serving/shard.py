@@ -1,4 +1,5 @@
-"""One template's serving shard: thread-safe SCR with optimistic reads.
+"""One template's shard: its manager state, and SCR served thread-safely
+with optimistic reads.
 
 The lock discipline (DESIGN.md §8):
 
@@ -33,7 +34,6 @@ from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
 from ..core.get_plan import CheckKind, CheckMode
-from ..core.manager import TemplateState
 from ..core.scr import SCR
 from ..core.technique import PlanChoice, fetch_selectivity
 from ..engine.resilience import OptimizeUnavailableError
@@ -50,6 +50,7 @@ from ..query.instance import (
     UncertainSelectivityVector,
     as_point,
 )
+from ..query.template import QueryTemplate
 from .overload import BrownoutLevel, Deadline, OverloadCoordinator, ShedError
 from .stats import ServingStats
 
@@ -58,29 +59,41 @@ from .stats import ServingStats
 #: mid-probe, so contention this deep means serializing is cheaper.
 MAX_OPTIMISTIC_RETRIES = 3
 
+#: Longest a single-flight follower waits for its leader's optimizer
+#: call (further capped by the request's remaining deadline).
+FLIGHT_TIMEOUT_SECONDS = 30.0
+
 
 class TemplateShard:
-    """Thread-safe serving wrapper around one template's SCR."""
+    """One registered template: its SCR, engine and manager bookkeeping,
+    served thread-safely."""
 
     def __init__(
         self,
-        state: TemplateState,
-        flight_timeout_seconds: float = 30.0,
+        template: QueryTemplate,
+        scr: SCR,
         overload: Optional[OverloadCoordinator] = None,
         obs: Optional[Observability] = None,
     ) -> None:
-        self.state = state
-        self.scr: SCR = state.scr
-        self.engine = state.engine
+        self.template = template
+        self.scr = scr
+        self.engine = scr.engine
+        #: This template's share of the manager's global plan budget
+        #: (``None`` while the manager has no global budget).
+        self.budget: Optional[int] = None
+        self.instances_seen = 0
+        #: True while the template's recost circuit breaker is open: the
+        #: engine is misbehaving for this template, so it is frozen at the
+        #: minimum plan-budget share until the breaker closes again.
+        self.quarantined = False
         # Robust/probabilistic shards probe with an uncertainty box; the
         # flag gates the usv fetch path and the brownout coverage step.
-        self.robust = state.scr.check_mode is not CheckMode.POINT
-        self.flight_timeout_seconds = flight_timeout_seconds
+        self.robust = scr.check_mode is not CheckMode.POINT
         self.lock = threading.RLock()
         # One write path for the shard's accounting: the handle's
         # registry, or a private one when the manager has no handle.
         self.stats = ServingStats(
-            state.template.name,
+            template.name,
             obs.audit if obs is not None else GuaranteeAudit(MetricsRegistry()),
         )
         self._overload = overload
@@ -102,7 +115,7 @@ class TemplateShard:
         # lock-protected counter lock-free would hand the same index to
         # concurrent threads.
         self._seq_lock = threading.Lock()
-        self._next_seq = state.scr.instances_processed
+        self._next_seq = scr.instances_processed
 
     # -- public entry ---------------------------------------------------------
 
@@ -180,7 +193,7 @@ class TemplateShard:
                         "serving.process", start,
                         self.clock.perf_counter() - start,
                         span_id=ctx.span_id if ctx is not None else None,
-                        template=self.state.template.name, seq=seq,
+                        template=self.template.name, seq=seq,
                         outcome=outcome, **extra,
                     )
 
@@ -327,7 +340,7 @@ class TemplateShard:
                         "serving.process", start,
                         self.clock.perf_counter() - start,
                         span_id=ctx.span_id if ctx is not None else None,
-                        template=self.state.template.name, seq=seqs[i],
+                        template=self.template.name, seq=seqs[i],
                         outcome=span_outcome, batched=True, **extra,
                     )
         return results
@@ -551,7 +564,7 @@ class TemplateShard:
         """
         self.stats.note_single_flight()
         self.event("serving.single_flight_collapse", seq)
-        timeout = self.flight_timeout_seconds
+        timeout = FLIGHT_TIMEOUT_SECONDS
         if deadline is not None:
             timeout = min(timeout, max(0.0, deadline.remaining(self._now())))
         obs = self._obs
@@ -566,7 +579,7 @@ class TemplateShard:
         obs.spans.record(
             "serving.single_flight_wait", wait_start,
             self.clock.perf_counter() - wait_start,
-            template=self.state.template.name,
+            template=self.template.name,
         )
 
     def _admission(
@@ -610,7 +623,7 @@ class TemplateShard:
             reason = f"{denied}:no_cached_plan"
             self.stats.note_shed(reason)
             self.event("overload.shed", seq, reason=reason)
-            raise ShedError(reason, template=self.state.template.name)
+            raise ShedError(reason, template=self.template.name)
         self.stats.note_overload_serve(denied)
         self.event("overload.uncertified_serve", seq, reason=denied)
         return choice
@@ -621,7 +634,7 @@ class TemplateShard:
         """Record one serving/overload event span for this shard, stamped
         with its request's ``seq`` (``None``: it belongs to no request)."""
         if self._obs is not None:
-            head: dict = {"template": self.state.template.name}
+            head: dict = {"template": self.template.name}
             if seq is not None:
                 head["seq"] = seq
             self._obs.spans.event(name, **head, **attrs)

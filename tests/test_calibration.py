@@ -677,11 +677,18 @@ class TestDoctorReports:
             local_a["calibration"]["feeds"]["recost"]["samples"]
             + local_b["calibration"]["feeds"]["recost"]["samples"]
         )
+        # Every anchor field — the seven heartbeat totals and the two
+        # payback figures derived from them — is the sum of the locals.
         anchors = health["anchors"]
-        assert anchors["optimizer_calls_saved"] == (
-            local_a["anchors"]["optimizer_calls_saved"]
-            + local_b["anchors"]["optimizer_calls_saved"]
-        )
+        assert set(anchors) == {
+            "live_anchors", "plans_cached", "hits_selectivity", "hits_cost",
+            "recost_spend", "never_hit_live", "evicted_never_hit",
+            "optimizer_calls_saved", "wasted_optimizer_calls",
+        }
+        for field, value in anchors.items():
+            assert value == (
+                local_a["anchors"][field] + local_b["anchors"][field]
+            ), field
         assert render_doctor_report(report)
 
     def test_single_source_cluster_matches_local_grade(self):

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.analysis.plan_diagram import anorexic_reduction, compute_plan_diagram
-from repro.core.manager import PQOManager, choose_lambda
+from repro.core.dynamic_lambda import choose_lambda
 from repro.core.persistence import CacheSnapshot, dump_cache, load_cache
 from repro.core.scr import SCR
 from repro.engine.api import EngineAPI
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.query.template import QueryTemplate, range_predicate
+from repro.serving import ConcurrentPQOManager
 from repro.workload.generator import instances_for_template
 
 
@@ -38,7 +39,7 @@ class TestPQOManager:
         )
 
     def test_register_and_route(self, toy_db, toy_template, second_template):
-        manager = PQOManager(database=toy_db)
+        manager = ConcurrentPQOManager(database=toy_db)
         manager.register(toy_template)
         manager.register(second_template)
         choice = manager.process(QueryInstance(
@@ -49,19 +50,39 @@ class TestPQOManager:
         assert choice2.used_optimizer
         assert manager.total_optimizer_calls == 2
 
+    def test_register_returns_the_shard(self, toy_db, toy_template):
+        manager = ConcurrentPQOManager(database=toy_db)
+        shard = manager.register(toy_template, lam=1.5)
+        assert manager.shard(toy_template.name) is shard
+        assert shard.template is toy_template
+        assert shard.scr.lam == 1.5
+        assert (shard.budget, shard.instances_seen, shard.quarantined) == (
+            None, 0, False
+        )
+
+    def test_process_serves_on_the_calling_thread(self, toy_db, toy_template):
+        """The serial path: process() never starts a pool thread."""
+        manager = ConcurrentPQOManager(database=toy_db)
+        manager.register(toy_template)
+        for inst in instances_for_template(toy_template, 10, seed=2):
+            manager.process(inst)
+        assert manager.shard(toy_template.name).instances_seen == 10
+        assert manager._executor._threads == set()
+        manager.close()
+
     def test_duplicate_registration_rejected(self, toy_db, toy_template):
-        manager = PQOManager(database=toy_db)
+        manager = ConcurrentPQOManager(database=toy_db)
         manager.register(toy_template)
         with pytest.raises(ValueError, match="already registered"):
             manager.register(toy_template)
 
     def test_unknown_template_rejected(self, toy_db):
-        manager = PQOManager(database=toy_db)
+        manager = ConcurrentPQOManager(database=toy_db)
         with pytest.raises(KeyError, match="not registered"):
             manager.process(QueryInstance("ghost", sv=SelectivityVector.of(0.5)))
 
     def test_global_budget_enforced(self, toy_db, toy_template, second_template):
-        manager = PQOManager(
+        manager = ConcurrentPQOManager(
             database=toy_db, global_plan_budget=4, rebalance_every=20,
         )
         manager.register(toy_template, lambda_r=1.0)
@@ -74,7 +95,7 @@ class TestPQOManager:
 
     def test_budget_shares_sum_within_global(self, toy_db, toy_template,
                                              second_template):
-        manager = PQOManager(
+        manager = ConcurrentPQOManager(
             database=toy_db, global_plan_budget=5, rebalance_every=10,
         )
         manager.register(toy_template)
@@ -82,14 +103,14 @@ class TestPQOManager:
         for inst in instances_for_template(toy_template, 40, seed=5):
             manager.process(QueryInstance(toy_template.name, sv=inst.sv))
         shares = [
-            manager.state(t).budget
+            manager.shard(t).budget
             for t in (toy_template.name, second_template.name)
         ]
         assert all(s >= 1 for s in shares)
         assert sum(shares) <= 5
 
     def test_report_rows(self, toy_db, toy_template):
-        manager = PQOManager(database=toy_db)
+        manager = ConcurrentPQOManager(database=toy_db)
         manager.register(toy_template, lam=1.5)
         manager.process(QueryInstance(
             toy_template.name, sv=SelectivityVector.of(0.2, 0.2)))

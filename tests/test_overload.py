@@ -298,7 +298,7 @@ class TestPressureRelaxedLambda:
             policy=OverloadPolicy(lambda_relax_factor=1.5, lambda_ceiling=3.0)
         )
         try:
-            get_plan = manager.state(template.name).scr.get_plan
+            get_plan = manager.shard(template.name).scr.get_plan
             assert isinstance(get_plan.lambda_for, PressureRelaxedLambda)
             assert get_plan.lambda_for(123.0) == LAM  # NORMAL: base λ
             ctl = manager._overload_coordinator.controller
@@ -321,7 +321,7 @@ class TestDeadlinePropagation:
         try:
             warm = manager.process(QueryInstance(template.name, sv=NEAR))
             assert warm.certified
-            engine = manager.state(template.name).engine
+            engine = manager.shard(template.name).engine
             optimize_before = engine.counters.optimize.calls
             choice = manager.process(
                 QueryInstance(template.name, sv=NEAR),
@@ -348,7 +348,7 @@ class TestDeadlinePropagation:
         )
         try:
             manager.process(QueryInstance(template.name, sv=NEAR))
-            engine = manager.state(template.name).engine
+            engine = manager.shard(template.name).engine
             optimize_before = engine.counters.optimize.calls
             recost_before = engine.counters.recost.calls
             # 1s remaining < min_optimize_budget=10s: a live deadline
@@ -423,7 +423,7 @@ class TestBrownoutServing:
         )
         try:
             manager.process(QueryInstance(template.name, sv=NEAR))
-            engine = manager.state(template.name).engine
+            engine = manager.shard(template.name).engine
             optimize_before = engine.counters.optimize.calls
             manager._overload_coordinator.controller.level = (
                 BrownoutLevel.UNCERTIFIED
@@ -443,7 +443,7 @@ class TestBrownoutServing:
         )
         try:
             manager.process(QueryInstance(template.name, sv=NEAR))
-            engine = manager.state(template.name).engine
+            engine = manager.shard(template.name).engine
             optimize_before = engine.counters.optimize.calls
             recost_before = engine.counters.recost.calls
             manager._overload_coordinator.controller.level = BrownoutLevel.SHED

@@ -3,7 +3,7 @@
 Covers the retry policy (deterministic backoff + jitter), the
 count-based circuit breaker, fail-closed recost degradation, optimizer
 fallback through SCR, sVector last-known-good reuse, fault-injector
-determinism, and PQOManager quarantine of templates whose breaker
+determinism, and the manager's quarantine of templates whose breaker
 stays open.
 """
 
@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.core.manager import PQOManager
 from repro.core.scr import SCR
 from repro.engine.api import EngineAPI
 from repro.engine.faults import (
@@ -35,6 +34,7 @@ from repro.engine.resilience import (
 from repro.obs import Observability, instrument_engine
 from repro.optimizer.optimizer import QueryOptimizer
 from repro.query.instance import QueryInstance, SelectivityVector
+from repro.serving import ConcurrentPQOManager
 from repro.workload.generator import instances_for_template
 
 from conftest import event_spans
@@ -396,23 +396,27 @@ class TestManagerQuarantine:
             broken = ScriptedFailures(engine, fail_recost=range(1, 10_000))
             return ResilientEngineAPI(broken, policy=policy, sleep=NO_SLEEP)
 
-        manager = PQOManager(
-            database=toy_db, global_plan_budget=8, engine_wrapper=wrapper
+        # Quarantine is swept at rebalance points: several fall inside
+        # the stream, the last on its final instance.
+        manager = ConcurrentPQOManager(
+            database=toy_db, global_plan_budget=8, rebalance_every=10,
+            engine_wrapper=wrapper,
         )
         manager.register(toy_template, lam=1.2)
         for inst in instances_for_template(toy_template, 50, seed=13):
             manager.process(inst)
         assert manager.quarantined_templates == [toy_template.name]
-        state = manager.state(toy_template.name)
-        assert state.quarantined
-        assert state.budget == 1                 # frozen at the floor
+        shard = manager.shard(toy_template.name)
+        assert shard.quarantined
+        assert shard.budget == 1                 # frozen at the floor
         rows = manager.report()
         assert rows[0]["quarantined"] == "yes"
 
     def test_healthy_engine_never_quarantined(self, toy_db, toy_template):
-        manager = PQOManager(
+        manager = ConcurrentPQOManager(
             database=toy_db,
             global_plan_budget=8,
+            rebalance_every=10,
             engine_wrapper=resilient_engine_factory(sleep=NO_SLEEP),
         )
         manager.register(toy_template, lam=1.5)

@@ -11,7 +11,8 @@ and the suite asserts the guarantee survives every interleaving:
   sub-optimality ≤ λ against an independent oracle;
 * determinism — two runs with the same seed produce identical
   interleaving-invariant metrics, and a single-worker run reproduces
-  the serial :class:`PQOManager` decision-for-decision.
+  the serial reference manager (``tests/reference_manager.py``)
+  decision-for-decision.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import time
 
 import pytest
 
-
-from repro.core.manager import PQOManager
 from repro.engine.database import Database
 from repro.obs import RESPONSES_TOTAL, Observability
 from repro.query.instance import QueryInstance
@@ -32,6 +31,7 @@ from repro.serving import ConcurrentPQOManager, simulated_latency_wrapper
 from repro.workload.generator import generate_selectivity_vectors
 
 from conftest import build_toy_schema
+from reference_manager import ReferenceManager
 
 LAM = 2.0
 SEED = 1234
@@ -142,12 +142,12 @@ class TestStressInvariants:
         assert all(choice is not None for choice in choices)
 
         total = sum(
-            manager.state(t.name).scr.instances_processed for t in templates
+            manager.shard(t.name).scr.instances_processed for t in templates
         )
         assert total == len(instances), "lost or double-counted instances"
 
         for template in templates:
-            cache = manager.state(template.name).scr.cache
+            cache = manager.shard(template.name).scr.cache
             plans = cache.plans()
             plan_ids = [p.plan_id for p in plans]
             signatures = [p.signature for p in plans]
@@ -161,7 +161,7 @@ class TestStressInvariants:
     def test_plan_budget_never_exceeded(self):
         _, templates, manager, _, _ = run_stress(SEED, NUM_THREADS, plan_budget=2)
         for template in templates:
-            cache = manager.state(template.name).scr.cache
+            cache = manager.shard(template.name).scr.cache
             assert cache.num_plans <= 2
             # max_plans_seen is updated inside the write-locked add, so a
             # transient overshoot would be recorded here.
@@ -180,7 +180,7 @@ class TestStressInvariants:
             )
             runs.append({
                 "per_template": {
-                    t.name: manager.state(t.name).scr.instances_processed
+                    t.name: manager.shard(t.name).scr.instances_processed
                     for t in templates
                 },
                 "uncertified": sum(1 for c in choices if not c.certified),
@@ -257,8 +257,8 @@ class TestSerialEquivalence:
         templates = serving_templates()
 
         db_serial = Database.create(build_toy_schema(), seed=11)
-        serial = PQOManager(
-            database=db_serial, global_plan_budget=12, rebalance_every=50
+        serial = ReferenceManager(
+            db_serial, global_plan_budget=12, rebalance_every=50
         )
         for t in templates:
             serial.register(t, lam=LAM)
@@ -284,10 +284,11 @@ class TestSerialEquivalence:
             c.plan_signature for c in concurrent_choices
         ]
         for t in templates:
-            s, c = serial.state(t.name), concurrent.state(t.name)
-            assert s.scr.optimizer_calls == c.scr.optimizer_calls
-            assert s.scr.plans_cached == c.scr.plans_cached
-            assert s.scr.cache.num_instances == c.scr.cache.num_instances
+            s, c = serial.scrs[t.name], concurrent.shard(t.name).scr
+            assert s.optimizer_calls == c.optimizer_calls
+            assert s.plans_cached == c.plans_cached
+            assert s.cache.num_instances == c.cache.num_instances
+            assert s.manage_cache.plan_budget == c.manage_cache.plan_budget
 
 
 class TestSingleFlight:
@@ -363,7 +364,7 @@ class TestBatchedAdmission:
         )
         assert deduped == 7
         processed = sum(
-            manager.state(t.name).scr.instances_processed for t in templates
+            manager.shard(t.name).scr.instances_processed for t in templates
         )
         assert processed == len(base)
 
@@ -377,7 +378,7 @@ class TestBatchedAdmission:
         choices = manager.process_many(batch, dedupe=False)
         manager.close()
         assert len(choices) == 5
-        assert manager.state(template.name).scr.instances_processed == 5
+        assert manager.shard(template.name).scr.instances_processed == 5
 
 
 class TestSnapshotSemantics:
@@ -456,7 +457,7 @@ class TestMissAccounting:
     def test_concurrent_hit_miss_counters_match_serial_semantics(self):
         _, templates, manager, _, _ = run_stress(SEED, NUM_THREADS)
         for template in templates:
-            scr = manager.state(template.name).scr
+            scr = manager.shard(template.name).scr
             gp = scr.get_plan
             # Every served instance commits exactly one decision, and
             # every miss corresponds to one optimizer call (no faults
@@ -489,7 +490,7 @@ class TestQuarantineWithoutGlobalBudget:
         manager.register(template, lam=LAM)
         assert manager.global_plan_budget is None
 
-        manager.state(template.name).engine.recost_breaker.state = (
+        manager.shard(template.name).engine.recost_breaker.state = (
             BreakerState.OPEN
         )
         svs = generate_selectivity_vectors(2, 6, seed=5)
