@@ -34,8 +34,10 @@ from multiprocessing.connection import wait
 from typing import Optional
 
 from ..obs import Observability
+from ..obs.audit import LAMBDA_VIOLATIONS, OUTCOMES, RESPONSES_TOTAL
 from ..obs.clock import SYSTEM_CLOCK, Clock
 from ..obs.exporters import merge_labeled_snapshots, snapshot_to_prometheus
+from ..obs.registry import group_sum
 from ..obs.slo import cluster_objectives
 from ..obs.spans import Span
 from ..obs.tracectx import activate, start_trace
@@ -131,6 +133,12 @@ def _writable(conn) -> bool:
     return bool(select.select((), (conn,), (), 0)[1])
 
 
+def _violations(snapshots: list) -> int:
+    """Σ ``repro_lambda_violations_total`` over registry snapshots."""
+    groups = group_sum(snapshots, LAMBDA_VIOLATIONS, by=())
+    return int(sum(row["value"] for row in groups.values()))
+
+
 @dataclass
 class _Pending:
     future: object
@@ -167,7 +175,6 @@ class WorkerHandle:
     # -- last-known worker-reported stats -------------------------------------
     requests_served: int = 0
     optimizer_calls: int = 0
-    lambda_violations: int = 0
     warm_templates: int = 0
     cold_templates: int = 0
     warm_instances: int = 0
@@ -238,8 +245,6 @@ class ClusterSupervisor:
         self._pending: dict[int, _Pending] = {}
         self._next_request_id = 0
         self._registry_history: dict[tuple[str, int], dict] = {}
-        self._outcome_history: dict[tuple[str, int], dict] = {}
-        self._violation_history: dict[tuple[str, int], int] = {}
         # Latest per-template anchor attribution per worker (not per
         # incarnation): a warm-started replacement *adopts* its
         # predecessor's counters with the snapshot, so keeping dead
@@ -248,8 +253,6 @@ class ClusterSupervisor:
         # Per-worker merged remains of dead incarnations beyond the
         # retention window (see SupervisorPolicy.registry_retention).
         self._registry_tombstones: dict[str, dict] = {}
-        self._outcome_tombstones: dict[str, dict] = {}
-        self._violation_tombstones: dict[str, int] = {}
         self._monitor: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._closed = False
@@ -302,6 +305,8 @@ class ClusterSupervisor:
         handle.last_heartbeat = now
         handle.next_restart_at = None
         handle.bye_received = False
+        # Until its first heartbeat the new incarnation has served nothing.
+        handle.requests_served = handle.optimizer_calls = 0
         self._fleet_changed()
 
     def _monitor_loop(self) -> None:
@@ -576,11 +581,8 @@ class ClusterSupervisor:
             self._fleet_changed()
         handle.requests_served = message.requests_served
         handle.optimizer_calls = message.optimizer_calls
-        handle.lambda_violations = message.lambda_violations
         key = (message.worker_id, message.incarnation)
         self._registry_history[key] = message.registry
-        self._outcome_history[key] = message.outcomes
-        self._violation_history[key] = message.lambda_violations
         if message.anchor_summary:
             self._anchor_history[message.worker_id] = message.anchor_summary
 
@@ -791,61 +793,18 @@ class ClusterSupervisor:
             if wid == worker_id and inc < live_incarnation
         )
         for inc in dead[:max(0, len(dead) - keep)]:
-            key = (worker_id, inc)
-            self._merge_snapshot_into(
-                self._registry_tombstones.setdefault(worker_id, {}),
-                self._registry_history.pop(key),
-            )
-            outcomes = self._outcome_tombstones.setdefault(worker_id, {})
-            for name, count in self._outcome_history.pop(key, {}).items():
-                outcomes[name] = outcomes.get(name, 0) + count
-            self._violation_tombstones[worker_id] = (
-                self._violation_tombstones.get(worker_id, 0)
-                + self._violation_history.pop(key, 0)
-            )
-
-    @staticmethod
-    def _merge_snapshot_into(acc: dict, snapshot: dict) -> None:
-        """Sum one registry snapshot into an accumulated tombstone."""
-        for name, family in snapshot.items():
-            kind = family.get("kind", "counter")
-            target = acc.setdefault(name, {
-                "kind": kind, "help": family.get("help", ""), "series": [],
-            })
-            index = {
-                tuple(sorted(row.get("labels", {}).items())): row
-                for row in target["series"]
-            }
-            for row in family.get("series", []):
-                key = tuple(sorted(row.get("labels", {}).items()))
-                into = index.get(key)
-                if into is None:
-                    copied = {k: v for k, v in row.items()}
-                    copied["labels"] = dict(row.get("labels", {}))
-                    if "buckets" in copied:
-                        copied["buckets"] = [
-                            list(pair) for pair in copied["buckets"]
-                        ]
-                    index[key] = copied
-                    target["series"].append(copied)
-                elif kind == "gauge":
-                    into["value"] = row.get("value", 0.0)
-                elif "buckets" in row:
-                    into["count"] = into.get("count", 0) + row.get("count", 0)
-                    into["sum"] = into.get("sum", 0.0) + row.get("sum", 0.0)
-                    counts = {
-                        str(edge): c for edge, c in into.get("buckets", [])
-                    }
-                    for edge, c in row.get("buckets", []):
-                        counts[str(edge)] = counts.get(str(edge), 0) + c
-                    into["buckets"] = [
-                        [edge, counts[str(edge)]]
-                        for edge, _ in row.get("buckets", [])
-                    ]
-                else:
-                    into["value"] = (
-                        into.get("value", 0.0) + row.get("value", 0.0)
-                    )
+            tomb = self._registry_tombstones.get(worker_id, {})
+            snapshot = self._registry_history.pop((worker_id, inc))
+            folded = {}
+            for name in {**tomb, **snapshot}:
+                header = tomb.get(name) or snapshot[name]
+                folded[name] = {
+                    "kind": header.get("kind", "counter"),
+                    "help": header.get("help", ""),
+                    # Grouped by every label: each series folds alone.
+                    "series": list(group_sum([tomb, snapshot], name).values()),
+                }
+            self._registry_tombstones[worker_id] = folded
 
     def _fleet_changed(self) -> None:
         """After any state change: the per-state gauge and the routable
@@ -862,11 +821,13 @@ class ClusterSupervisor:
     # -- reporting ------------------------------------------------------------
 
     def worker_lambda_violations(self) -> int:
-        """Σ of every incarnation's last-reported λ-violation count."""
+        """Σ λ-violations over every worker registry held: each
+        incarnation's last heartbeat snapshot plus the tombstones."""
         with self._lock:
-            return sum(self._violation_history.values()) + sum(
-                self._violation_tombstones.values()
-            )
+            return _violations([
+                *self._registry_history.values(),
+                *self._registry_tombstones.values(),
+            ])
 
     def trace_spans(self, trace_id: str) -> list:
         """Every retained span of one trace (supervisor + re-ingested
@@ -927,10 +888,16 @@ class ClusterSupervisor:
                     "cold_templates": handle.cold_templates,
                     "warm_instances": handle.warm_instances,
                     "heartbeat_age": round(now - handle.last_heartbeat, 3),
-                    "lambda_violations": handle.lambda_violations,
+                    "lambda_violations": _violations([
+                        self._registry_history.get((wid, handle.incarnation), {})
+                    ]),
                 })
-            audit = self.obs.audit
-            outcomes = audit.outcome_totals()
+            own = self.obs.registry.snapshot()
+            by_outcome = group_sum([own], RESPONSES_TOTAL, by=("outcome",))
+            outcomes = {
+                outcome: int(by_outcome.get((outcome,), {"value": 0})["value"])
+                for outcome in OUTCOMES
+            }
             return {
                 "workers": rows,
                 "submitted": self.submitted,
@@ -939,11 +906,8 @@ class ClusterSupervisor:
                 "resolved": sum(outcomes.values()),
                 "retries": int(self.obs.registry.total(RETRIES_TOTAL)),
                 "worker_lost": int(self.obs.registry.total(WORKER_LOST_TOTAL)),
-                "supervisor_lambda_violations": audit.total_violations,
-                "worker_lambda_violations": (
-                    sum(self._violation_history.values())
-                    + sum(self._violation_tombstones.values())
-                ),
+                "supervisor_lambda_violations": _violations([own]),
+                "worker_lambda_violations": self.worker_lambda_violations(),
                 "registry_incarnations": len(self._registry_history),
                 "registry_tombstones": len(self._registry_tombstones),
                 "snapshot_dir": self.snapshot_dir,

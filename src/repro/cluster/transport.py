@@ -88,24 +88,27 @@ class Response:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Periodic liveness + stats beacon from a worker."""
+    """Periodic liveness + stats beacon from a worker.
+
+    Registry facts travel once, inside ``registry``: the worker audit's
+    outcome and λ-violation counters are read from it by the supervisor
+    (advisory — the supervisor's own audit is the authoritative
+    ledger).  The two counts beside it are not registry facts: error
+    responses are never audited, and optimizer calls are SCR counters.
+    """
 
     worker_id: str
     incarnation: int
     seq: int
+    #: Requests answered, error responses included.
     requests_served: int
     optimizer_calls: int
-    #: Outcome totals of the worker's own audit (advisory; the
-    #: supervisor's audit is the authoritative accounting).
-    outcomes: dict = field(default_factory=dict)
     #: Full metrics-registry snapshot (merged into the cluster-wide
     #: Prometheus exposition, labeled by worker identity).
     registry: dict = field(default_factory=dict)
-    lambda_violations: int = 0
     #: Per-template anchor-efficacy attribution
     #: (:meth:`~repro.serving.manager.ConcurrentPQOManager.anchor_summaries`)
     #: — flat int dicts the cluster doctor view sums across workers.
-    #: Defaulted so snapshots of the old wire format still unpickle.
     anchor_summary: dict = field(default_factory=dict)
 
 

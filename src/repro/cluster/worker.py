@@ -289,16 +289,13 @@ class ClusterWorker:
         if self.heartbeats_stalled.is_set():
             return
         self.heartbeat_seq += 1
-        audit = self.obs.audit
         self.response_q.put(Heartbeat(
             worker_id=self.spec.worker_id,
             incarnation=self.spec.incarnation,
             seq=self.heartbeat_seq,
             requests_served=self.requests_served,
             optimizer_calls=self.optimizer_calls,
-            outcomes=audit.outcome_totals(),
             registry=self.obs.registry.snapshot(),
-            lambda_violations=audit.total_violations,
             anchor_summary=self.manager.anchor_summaries(),
         ))
 

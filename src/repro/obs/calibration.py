@@ -34,9 +34,9 @@ import statistics
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
-from .registry import MetricsRegistry
+from .registry import MetricsRegistry, bucket_quantile, group_sum
 
 CALIBRATION_ERROR = "repro_calibration_abs_log_ratio"
 CALIBRATION_BIAS = "repro_calibration_bias"
@@ -387,82 +387,52 @@ class TemplateCalibration:
     # -- report-side reads ---------------------------------------------------
 
     def score(self) -> dict[str, object]:
-        """Calibration score for the doctor: per-feed |log-ratio|
-        quantiles, bias, the letter grade, and how much multiplicative
-        headroom the p90 error eats (``exp(p90)``)."""
-        feeds: dict[str, object] = {}
-        worst_p90 = 0.0
-        graded = False
-        for feed in FEEDS:
-            count = 0
-            p50 = p90 = 0.0
-            for (tmpl, _kind, f), child in self._error_family.samples():
-                if tmpl == self.template and f == feed:
-                    count += child.count
-            agg = self._aggregate_quantiles(feed)
-            if agg is not None:
-                p50, p90 = agg
-            bias = self._ewma[feed].value
-            feeds[feed] = {
-                "samples": count,
-                "abs_log_ratio_p50": round(p50, 6),
-                "abs_log_ratio_p90": round(p90, 6),
-                "bias": round(bias, 6) if bias is not None else None,
-            }
-            if count > 0:
-                graded = True
-                worst_p90 = max(worst_p90, p90)
-        return {
-            "feeds": feeds,
-            "grade": grade_for(worst_p90) if graded else "n/a",
-            "headroom_factor_p90": round(math.exp(worst_p90), 4),
-            "alarms": {s: bool(self.alarms[s]) for s in SIGNALS},
-        }
-
-    def _aggregate_quantiles(self, feed: str) -> Optional[tuple[float, float]]:
-        """p50/p90 of |log ratio| across this template's certificate
-        kinds, merged at the bucket level (bucket edges are shared)."""
-        merged: Optional[list[int]] = None
-        edges: Optional[list[float]] = None
-        for (tmpl, _kind, f), child in self._error_family.samples():
-            if tmpl != self.template or f != feed:
-                continue
-            pairs = child.bucket_counts()
-            if merged is None:
-                edges = [edge for edge, _ in pairs]
-                merged = [count for _, count in pairs]
-            else:
-                merged = [m + c for m, (_, c) in zip(merged, pairs)]
-        if merged is None or merged[-1] == 0:
-            return None
-        return (
-            _quantile_from_cumulative(edges, merged, 0.5),
-            _quantile_from_cumulative(edges, merged, 0.9),
+        """:func:`calibration_score` over this template's histograms,
+        plus each feed's ``bias`` and the latched ``alarms`` — both
+        per-process state, so only this local view carries them."""
+        rows = group_sum(
+            [{CALIBRATION_ERROR: self._error_family.snapshot()}],
+            CALIBRATION_ERROR, by=("feed",), template=self.template,
         )
+        score = calibration_score({feed: row for (feed,), row in rows.items()})
+        for feed, entry in score["feeds"].items():
+            bias = self._ewma[feed].value
+            entry["bias"] = round(bias, 6) if bias is not None else None
+        score["alarms"] = {s: bool(self.alarms[s]) for s in SIGNALS}
+        return score
 
 
-def _quantile_from_cumulative(
-    edges: list[float], cumulative: list[int], q: float
-) -> float:
-    """Bucket-interpolated quantile from cumulative ``(edge, count)``
-    data — the same estimate :meth:`Histogram.quantile` computes, but
-    over merged (or snapshot-restored) bucket vectors."""
-    total = cumulative[-1]
-    if total == 0:
-        return 0.0
-    rank = q * total
-    previous_edge, previous_cum = 0.0, 0
-    for edge, cum in zip(edges, cumulative):
-        if cum >= rank:
-            if edge == float("inf"):
-                return previous_edge
-            span = cum - previous_cum
-            if span == 0:
-                return edge
-            fraction = (rank - previous_cum) / span
-            return previous_edge + fraction * (edge - previous_edge)
-        previous_edge, previous_cum = edge, cum
-    return previous_edge
+def calibration_score(by_feed: Mapping[str, dict]) -> dict[str, object]:
+    """The calibration score both doctor views print.
+
+    ``by_feed`` maps a feed to its |log-ratio| histogram row (a snapshot
+    series, summed over certificate kinds and, for the cluster view,
+    over sources).  Per feed: the sample count and the p50/p90; then
+    the letter grade of the worst feed's p90 and the multiplicative
+    headroom that p90 eats (``exp(p90)``).
+    """
+    feeds: dict[str, object] = {}
+    worst_p90 = 0.0
+    graded = False
+    for feed in FEEDS:
+        row = by_feed.get(feed)
+        samples = row["count"] if row else 0
+        p50 = p90 = 0.0
+        if samples:
+            p50 = bucket_quantile(row["buckets"], 0.5)
+            p90 = bucket_quantile(row["buckets"], 0.9)
+            graded = True
+            worst_p90 = max(worst_p90, p90)
+        feeds[feed] = {
+            "samples": samples,
+            "abs_log_ratio_p50": round(p50, 6),
+            "abs_log_ratio_p90": round(p90, 6),
+        }
+    return {
+        "feeds": feeds,
+        "grade": grade_for(worst_p90) if graded else "n/a",
+        "headroom_factor_p90": round(math.exp(worst_p90), 4),
+    }
 
 
 class CalibrationTracker:

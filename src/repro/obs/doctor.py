@@ -32,19 +32,18 @@ Report schema (``"schema": 1``)::
 
 from __future__ import annotations
 
-import math
 from typing import Any, Mapping, Optional
 
+from .audit import RESPONSES_TOTAL
 from .calibration import (
     _ACTIONS,
     CALIBRATION_ERROR,
     DRIFT_ALARM,
     DRIFT_EVENTS,
-    FEEDS,
     SIGNALS,
-    _quantile_from_cumulative,
-    grade_for,
+    calibration_score,
 )
+from .registry import group_sum
 
 #: Version of the doctor report layout (asserted by CI's smoke step).
 DOCTOR_SCHEMA = 1
@@ -284,68 +283,20 @@ def doctor_report(manager, top: int = DEFAULT_TOP_ANCHORS) -> dict[str, Any]:
 # cluster view (from the supervisor's labeled snapshots)
 
 
-def _series(snapshot: Mapping[str, Any], family: str) -> list[dict]:
-    entry = snapshot.get(family)
-    return list(entry.get("series", ())) if isinstance(entry, Mapping) else []
+def _by_template(
+    snapshots: list[Mapping[str, Any]], family: str, label: str
+) -> dict[str, dict[str, dict]]:
+    """``family`` summed across sources, as ``{template: {label: row}}``."""
+    nested: dict[str, dict[str, dict]] = {}
+    for (template, value), row in group_sum(
+        snapshots, family, by=("template", label)
+    ).items():
+        nested.setdefault(template, {})[value] = row
+    return nested
 
 
-def _merge_calibration(
-    snapshots: list[Mapping[str, Any]],
-) -> dict[str, dict[str, Any]]:
-    """Per-template calibration scores recomputed from snapshot buckets.
-
-    Bucket vectors are summed across sources and certificate kinds per
-    (template, feed); quantiles come from the merged cumulative counts
-    — the identical estimate a single registry would produce, which is
-    what makes the cluster view *reproduce* rather than approximate the
-    supervisor's totals.  (EWMA bias is per-process state and does not
-    merge, so the cluster view omits it.)
-    """
-    merged: dict[tuple[str, str], tuple[list[float], list[int]]] = {}
-    for snapshot in snapshots:
-        for row in _series(snapshot, CALIBRATION_ERROR):
-            labels = row.get("labels", {})
-            key = (labels.get("template", ""), labels.get("feed", ""))
-            edges = [
-                math.inf if e == "+Inf" else float(e)
-                for e, _ in row["buckets"]
-            ]
-            counts = [int(c) for _, c in row["buckets"]]
-            if key in merged:
-                merged[key] = (
-                    merged[key][0],
-                    [m + c for m, c in zip(merged[key][1], counts)],
-                )
-            else:
-                merged[key] = (edges, counts)
-    out: dict[str, dict[str, Any]] = {}
-    by_template: dict[str, dict[str, tuple[list[float], list[int]]]] = {}
-    for (template, feed), vec in merged.items():
-        by_template.setdefault(template, {})[feed] = vec
-    for template, by_feed in by_template.items():
-        feeds: dict[str, Any] = {}
-        worst_p90 = 0.0
-        graded = False
-        for feed in FEEDS:
-            vec = by_feed.get(feed)
-            count = vec[1][-1] if vec else 0
-            p50 = p90 = 0.0
-            if vec and count:
-                p50 = _quantile_from_cumulative(vec[0], vec[1], 0.5)
-                p90 = _quantile_from_cumulative(vec[0], vec[1], 0.9)
-                graded = True
-                worst_p90 = max(worst_p90, p90)
-            feeds[feed] = {
-                "samples": count,
-                "abs_log_ratio_p50": round(p50, 6),
-                "abs_log_ratio_p90": round(p90, 6),
-            }
-        out[template] = {
-            "feeds": feeds,
-            "grade": grade_for(worst_p90) if graded else "n/a",
-            "headroom_factor_p90": round(math.exp(worst_p90), 4),
-        }
-    return out
+def _counts(rows: Mapping[str, dict]) -> dict[str, int]:
+    return {key: int(rows[key]["value"]) for key in sorted(rows)}
 
 
 def _merge_anchor_summaries(
@@ -375,30 +326,28 @@ def doctor_from_sources(
     for a cluster that has already lost workers.
     """
     snapshots = [labeled_snapshots[k] for k in sorted(labeled_snapshots)]
-    calibration = _merge_calibration(snapshots)
+    # Bucket vectors sum across sources and certificate kinds, so the
+    # quantiles are the estimate one registry holding every sample would
+    # give.  Bias is a per-process EWMA and does not merge: omitted.
+    calibration = {
+        template: calibration_score(by_feed)
+        for template, by_feed in _by_template(
+            snapshots, CALIBRATION_ERROR, "feed"
+        ).items()
+    }
     anchors = (
         _merge_anchor_summaries(anchor_summaries) if anchor_summaries else {}
     )
-    events: dict[str, dict[str, int]] = {}
+    events = _by_template(snapshots, DRIFT_EVENTS, "signal")
+    outcomes = _by_template(snapshots, RESPONSES_TOTAL, "outcome")
+    # An alarm latched in any one source counts (a gauge sum would not).
     alarms: dict[str, set] = {}
-    outcomes: dict[str, dict[str, int]] = {}
     for snapshot in snapshots:
-        for row in _series(snapshot, DRIFT_EVENTS):
-            labels = row.get("labels", {})
-            per = events.setdefault(labels.get("template", ""), {})
-            signal = labels.get("signal", "")
-            per[signal] = per.get(signal, 0) + int(row.get("value", 0))
-        for row in _series(snapshot, DRIFT_ALARM):
-            labels = row.get("labels", {})
-            if row.get("value", 0):
-                alarms.setdefault(labels.get("template", ""), set()).add(
-                    labels.get("signal", "")
-                )
-        for row in _series(snapshot, "repro_responses_total"):
-            labels = row.get("labels", {})
-            per = outcomes.setdefault(labels.get("template", ""), {})
-            outcome = labels.get("outcome", "")
-            per[outcome] = per.get(outcome, 0) + int(row.get("value", 0))
+        for (template, signal), row in group_sum(
+            [snapshot], DRIFT_ALARM, by=("template", "signal")
+        ).items():
+            if row["value"]:
+                alarms.setdefault(template, set()).add(signal)
     names = sorted(
         set(calibration) | set(events) | set(alarms) | set(outcomes)
         | set(anchors)
@@ -412,8 +361,8 @@ def doctor_from_sources(
             "calibration": score,
             "grade": score["grade"] if score is not None else "n/a",
             "alarms": sorted(alarms.get(name, ())),
-            "drift_events": dict(sorted(events.get(name, {}).items())),
-            "outcomes": dict(sorted(outcomes.get(name, {}).items())),
+            "drift_events": _counts(events.get(name, {})),
+            "outcomes": _counts(outcomes.get(name, {})),
             "anchors": anchor,
             "recommended_actions": [
                 _ACTIONS[s] for s in SIGNALS if s in alarms.get(name, ())

@@ -3,10 +3,11 @@
 Three ways the observability state leaves the process:
 
 * :func:`to_prometheus` — the registry as Prometheus text exposition
-  (version 0.0.4): ``# HELP`` / ``# TYPE`` headers, deterministic
-  family and label ordering, histogram ``_bucket``/``_sum``/``_count``
-  expansion.  Deterministic output is a feature — the golden-file test
-  byte-compares it.
+  (version 0.0.4), rendered from its snapshot by
+  :func:`snapshot_to_prometheus`: ``# HELP`` / ``# TYPE`` headers,
+  deterministic family and label ordering, histogram
+  ``_bucket``/``_sum``/``_count`` expansion.  Deterministic output is a
+  feature — the golden-file test byte-compares it.
 * :class:`JsonlWriter` — an append-only JSONL file sink; attach one to
   a :class:`~repro.obs.spans.SpanRecorder` to stream every span as it
   completes, or use :func:`write_spans_jsonl` for a one-shot dump.
@@ -54,30 +55,7 @@ def _format_labels(names: tuple[str, ...], values: tuple[str, ...],
 
 def to_prometheus(registry: MetricsRegistry) -> str:
     """The whole registry as Prometheus text exposition."""
-    lines: list[str] = []
-    for family in registry.families():
-        if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for values, child in family.samples():
-            if family.kind == "histogram":
-                for edge, count in child.bucket_counts():
-                    labels = _format_labels(
-                        family.label_names, values,
-                        extra=("le", _format_value(edge)),
-                    )
-                    lines.append(f"{family.name}_bucket{labels} {count}")
-                labels = _format_labels(family.label_names, values)
-                lines.append(
-                    f"{family.name}_sum{labels} {_format_value(child.sum)}"
-                )
-                lines.append(f"{family.name}_count{labels} {child.count}")
-            else:
-                labels = _format_labels(family.label_names, values)
-                lines.append(
-                    f"{family.name}{labels} {_format_value(child.value)}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return snapshot_to_prometheus(registry.snapshot())
 
 
 class JsonlWriter:
@@ -179,12 +157,14 @@ def merge_labeled_snapshots(
 
 
 def snapshot_to_prometheus(snapshot: dict) -> str:
-    """Render a registry *snapshot dict* as Prometheus text exposition.
+    """Render a registry snapshot dict as Prometheus text exposition.
 
-    The snapshot-shaped twin of :func:`to_prometheus`, for state that
-    crossed a process boundary as JSON (worker heartbeats) and so has
-    no live registry behind it.  Output is deterministic: families and
-    series are sorted.
+    The only renderer: a live registry goes through its own snapshot,
+    and merged cluster state (worker heartbeats) is already one.  Output
+    is deterministic: families sorted by name, series by their label
+    values, and labels written in the snapshot's order — the family's
+    declared order, after any ``source`` label
+    :func:`merge_labeled_snapshots` put first.
     """
     lines: list[str] = []
     for name in sorted(snapshot):
@@ -194,12 +174,12 @@ def snapshot_to_prometheus(snapshot: dict) -> str:
         lines.append(f"# TYPE {name} {family.get('kind', 'counter')}")
         series = sorted(
             family.get("series", []),
-            key=lambda row: sorted(row.get("labels", {}).items()),
+            key=lambda row: tuple(map(str, row.get("labels", {}).values())),
         )
         for row in series:
             labels = row.get("labels", {})
-            names = tuple(sorted(labels))
-            values = tuple(str(labels[k]) for k in names)
+            names = tuple(labels)
+            values = tuple(map(str, labels.values()))
             if family.get("kind") == "histogram":
                 for edge, count in row.get("buckets", []):
                     edge_text = (

@@ -32,11 +32,12 @@ Three stock objectives match the guarantees this stack serves:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .audit import LAMBDA_VIOLATIONS, RESPONSES_TOTAL
 from .clock import Clock, SYSTEM_CLOCK
-from .registry import MetricsRegistry
+from .registry import MetricsRegistry, group_sum
 
 SLO_BURN_RATE = "repro_slo_burn_rate"
 SLO_ALERT_ACTIVE = "repro_slo_alert_active"
@@ -47,45 +48,9 @@ SLO_ERROR_RATE = "repro_slo_error_rate"
 MAX_ALERT_EVENTS = 256
 
 
-# -- snapshot arithmetic -------------------------------------------------------
-
-
-def sum_counter(
-    snapshot: dict, name: str, **where: str
-) -> float:
-    """Sum a counter family's series, filtered by label equality."""
-    family = snapshot.get(name)
-    if not family:
-        return 0.0
-    total = 0.0
-    for row in family.get("series", []):
-        labels = row.get("labels", {})
-        if all(str(labels.get(k)) == str(v) for k, v in where.items()):
-            total += float(row.get("value", 0.0))
-    return total
-
-
-def sum_histogram_under(
-    snapshot: dict, name: str, threshold: float, **where: str
-) -> tuple[float, float]:
-    """``(count ≤ threshold, total count)`` summed across a histogram
-    family's series (buckets are cumulative, so the first edge at or
-    above the threshold carries the answer)."""
-    family = snapshot.get(name)
-    if not family:
-        return 0.0, 0.0
-    good = total = 0.0
-    for row in family.get("series", []):
-        labels = row.get("labels", {})
-        if not all(str(labels.get(k)) == str(v) for k, v in where.items()):
-            continue
-        total += float(row.get("count", 0))
-        for edge, cumulative in row.get("buckets", []):
-            numeric = float("inf") if isinstance(edge, str) else float(edge)
-            if numeric >= threshold:
-                good += float(cumulative)
-                break
-    return good, total
+def _total(groups: dict) -> float:
+    """Σ of a :func:`group_sum` result's counter values."""
+    return float(sum(row["value"] for row in groups.values()))
 
 
 # -- objectives ----------------------------------------------------------------
@@ -146,11 +111,11 @@ def certified_fraction_objective(
     """
 
     def sample(snapshot: dict) -> tuple[float, float]:
-        good = sum_counter(
-            snapshot, "repro_responses_total", outcome="certified", **where
+        by_outcome = group_sum(
+            [snapshot], RESPONSES_TOTAL, by=("outcome",), **where
         )
-        total = sum_counter(snapshot, "repro_responses_total", **where)
-        return good, total
+        good = by_outcome.get(("certified",), {"value": 0.0})["value"]
+        return float(good), _total(by_outcome)
 
     return SloObjective(
         name="certified_fraction", target=target, sampler=sample,
@@ -167,10 +132,8 @@ def lambda_compliance_objective(
     """Responses NOT flagged as certified-λ-violations (must be ~all)."""
 
     def sample(snapshot: dict) -> tuple[float, float]:
-        total = sum_counter(snapshot, "repro_responses_total", **where)
-        bad = sum_counter(
-            snapshot, "repro_lambda_violations_total", **where
-        )
+        total = _total(group_sum([snapshot], RESPONSES_TOTAL, by=(), **where))
+        bad = _total(group_sum([snapshot], LAMBDA_VIOLATIONS, by=(), **where))
         return max(total - bad, 0.0), total
 
     return SloObjective(
@@ -190,7 +153,17 @@ def latency_objective(
     """Share of responses under ``threshold_s`` (target 0.99 ≈ p99)."""
 
     def sample(snapshot: dict) -> tuple[float, float]:
-        return sum_histogram_under(snapshot, metric, threshold_s, **where)
+        row = group_sum([snapshot], metric, by=(), **where).get(())
+        if row is None:
+            return 0.0, 0.0
+        # Cumulative buckets: the first edge at or above the threshold
+        # counts every response that finished within it.
+        good = next(
+            (c for edge, c in row["buckets"]
+             if edge == "+Inf" or edge >= threshold_s),
+            0,
+        )
+        return float(good), float(row["count"])
 
     return SloObjective(
         name="latency", target=target, sampler=sample, windows=windows,
@@ -464,6 +437,4 @@ __all__ = [
     "default_objectives",
     "lambda_compliance_objective",
     "latency_objective",
-    "sum_counter",
-    "sum_histogram_under",
 ]

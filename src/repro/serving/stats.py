@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 from ..harness.metrics import LatencySummary
 from ..obs.audit import GuaranteeAudit
-from ..obs.calibration import _quantile_from_cumulative
+from ..obs.registry import bucket_quantile, group_sum
 
 SERVING_LATENCY_SECONDS = "repro_serving_latency_seconds"
 CHECKS_TOTAL = "repro_checks_total"
@@ -277,10 +277,11 @@ def merge_rows(stats: list[ServingStats]) -> dict[str, object]:
     for key in list(rows[0])[1:]:
         values = [row[key] for row in rows]
         total[key] = max(values) if key in _MAXED else round(sum(values), 3)
-    # Every shard's latency child has the same bucket edges.
-    per_shard = [s._m_latency.bucket_counts() for s in stats]
-    edges = [edge for edge, _ in per_shard[0]]
-    pooled = [sum(c for _, c in column) for column in zip(*per_shard)]
+    latency = {SERVING_LATENCY_SECONDS: {
+        "kind": "histogram",
+        "series": [s._m_latency.snapshot() for s in stats],
+    }}
+    pooled = group_sum([latency], SERVING_LATENCY_SECONDS, by=())[()]
     for key, q in (("p50_ms", 0.50), ("p99_ms", 0.99)):
-        total[key] = round(_quantile_from_cumulative(edges, pooled, q) * 1e3, 3)
+        total[key] = round(bucket_quantile(pooled["buckets"], q) * 1e3, 3)
     return total

@@ -23,12 +23,11 @@ from repro.obs import (
     lambda_compliance_objective,
     latency_objective,
 )
+from repro.obs.registry import group_sum
 from repro.obs.slo import (
     SLO_ALERT_ACTIVE,
     SLO_ALERTS_TOTAL,
     SLO_BURN_RATE,
-    sum_counter,
-    sum_histogram_under,
 )
 
 WINDOWS = (BurnWindow("fast", long_s=60.0, short_s=10.0, burn_threshold=6.0),)
@@ -56,14 +55,20 @@ def responses_snapshot(certified: int, uncertified: int = 0,
     return snap
 
 
+def total(snapshot, name, **where) -> float:
+    """A counter family's grand total through the shared group-sum."""
+    groups = group_sum([snapshot], name, by=(), **where)
+    return sum(row["value"] for row in groups.values())
+
+
 class TestSnapshotArithmetic:
     def test_sum_counter_filters_by_labels(self):
         snap = responses_snapshot(41, 2)
-        assert sum_counter(snap, "repro_responses_total") == 43.0
-        assert sum_counter(
+        assert total(snap, "repro_responses_total") == 43.0
+        assert total(
             snap, "repro_responses_total", outcome="certified"
         ) == 41.0
-        assert sum_counter(snap, "missing_family") == 0.0
+        assert total(snap, "missing_family") == 0.0
 
     def test_sum_counter_source_filter(self):
         snap = {
@@ -74,8 +79,8 @@ class TestSnapshotArithmetic:
                  "value": 10.0},
             ]},
         }
-        assert sum_counter(snap, "repro_responses_total") == 20.0
-        assert sum_counter(
+        assert total(snap, "repro_responses_total") == 20.0
+        assert total(
             snap, "repro_responses_total", source="supervisor"
         ) == 10.0
 
@@ -88,13 +93,8 @@ class TestSnapshotArithmetic:
                 }],
             },
         }
-        good, total = sum_histogram_under(
-            snap, "repro_serving_latency_seconds", 0.25
-        )
-        assert (good, total) == (9.0, 10.0)
-        good, total = sum_histogram_under(
-            snap, "repro_serving_latency_seconds", 0.05
-        )
+        assert latency_objective(threshold_s=0.25).sampler(snap) == (9.0, 10.0)
+        good, _ = latency_objective(threshold_s=0.05).sampler(snap)
         assert good == 6.0  # first edge at/above the threshold answers
 
     def test_objective_factories_thread_where_filters(self):
@@ -331,8 +331,8 @@ class TestSupervisorWiring:
         report = sup.cluster_report()
         assert report["slo"]["certified_fraction"]["alerts_fired"] == 1
         # The evaluator's gauges ride the supervisor registry into the
-        # merged exposition.
-        assert 'repro_slo_alert_active{slo="certified_fraction"' in (
+        # merged exposition, behind the injected source label.
+        assert 'repro_slo_alert_active{source="supervisor",slo="certified_fraction"}' in (
             sup.prometheus()
         )
 
@@ -350,7 +350,7 @@ class TestSupervisorWiring:
         # counters must not leak into the supervisor-scoped objective.
         sup.launcher.deliver("w0", Heartbeat(
             worker_id="w0", incarnation=0, seq=1, requests_served=50,
-            optimizer_calls=0, outcomes={"certified": 50},
+            optimizer_calls=0,
             registry={
                 "repro_responses_total": {
                     "kind": "counter", "help": "", "series": [
@@ -360,7 +360,6 @@ class TestSupervisorWiring:
                     ],
                 },
             },
-            lambda_violations=0,
         ))
         sup.pump()
         clock.advance(5.0)

@@ -41,6 +41,7 @@ from repro.obs import (
     traces_in,
     write_spans_jsonl,
 )
+from repro.obs.registry import group_sum
 
 
 # -- context propagation -------------------------------------------------------
@@ -529,7 +530,7 @@ class TestSupervisorTracing:
 # -- dead-incarnation registry retention ---------------------------------------
 
 
-def _worker_snapshot(n: int) -> dict:
+def _worker_snapshot(n: int, violations: int = 0) -> dict:
     return {
         "repro_serving_latency_seconds": {
             "kind": "histogram", "help": "", "series": [{
@@ -541,6 +542,18 @@ def _worker_snapshot(n: int) -> dict:
         "repro_worker_requests_total": {
             "kind": "counter", "help": "", "series": [
                 {"labels": {}, "value": float(n)},
+            ],
+        },
+        "repro_responses_total": {
+            "kind": "counter", "help": "", "series": [
+                {"labels": {"template": "t0", "outcome": "certified"},
+                 "value": float(n)},
+            ],
+        },
+        "repro_lambda_violations_total": {
+            "kind": "counter", "help": "", "series": [
+                {"labels": {"template": "t0", "kind": "exact"},
+                 "value": float(violations)},
             ],
         },
     }
@@ -559,9 +572,7 @@ class TestRegistryRetention:
         sup.launcher.deliver(wid, Heartbeat(
             worker_id=wid, incarnation=incarnation, seq=1,
             requests_served=n, optimizer_calls=0,
-            outcomes={"certified": n},
-            registry=_worker_snapshot(n),
-            lambda_violations=violations,
+            registry=_worker_snapshot(n, violations),
         ))
         sup.pump()
 
@@ -598,7 +609,10 @@ class TestRegistryRetention:
         assert histogram["buckets"][0] == [0.1, 30]
         # Violations survive the merge: 4 incarnations x 1 each.
         assert sup.worker_lambda_violations() == 4
-        assert sup._outcome_tombstones["w0"] == {"certified": 30}
+        outcomes = group_sum([tomb], "repro_responses_total", by=("outcome",))
+        assert {k: row["value"] for k, row in outcomes.items()} == {
+            ("certified",): 30.0,
+        }
 
     def test_merged_exposition_keeps_counts_monotone(self):
         sup, clock = self._cluster(retention=0)
