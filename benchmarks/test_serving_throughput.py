@@ -171,24 +171,6 @@ def measure():
     conc_s, db, manager, conc_choices = run_concurrent(templates, workload)
     audit = manager.obs.audit
     outcomes = audit.outcome_totals()
-    # Anchor-attribution accounting identity (DESIGN.md §15): summed
-    # per-anchor hit counters must equal getPlan's hit counters even
-    # after 8 workers raced through the probe/commit split.
-    identity_errors = []
-    for t in templates:
-        scr = manager.shard(t.name).scr
-        sel, cost, spend = scr.cache.anchor_hit_totals(exclude_adopted=True)
-        gp = scr.get_plan
-        if (sel, cost) != (gp.selectivity_hits, gp.cost_hits):
-            identity_errors.append(
-                f"{t.name}: anchors ({sel}, {cost}) != "
-                f"getPlan ({gp.selectivity_hits}, {gp.cost_hits})"
-            )
-        if spend > gp.total_recost_calls:
-            identity_errors.append(
-                f"{t.name}: anchor recost spend {spend} exceeds "
-                f"getPlan total {gp.total_recost_calls}"
-            )
     return {
         "templates": len(templates),
         "instances": len(workload),
@@ -202,7 +184,10 @@ def measure():
         "accounted": sum(outcomes.values()),
         "certified_counted": outcomes["certified"],
         "violations_live": audit.total_violations,
-        "anchor_identity_errors": identity_errors,
+        # Anchor-attribution accounting identity (DESIGN.md §15): summed
+        # per-anchor hit counters must equal getPlan's hit counters even
+        # after 8 workers raced through the probe/commit split.
+        "anchor_identity_errors": manager.doctor_report()["errors"],
         "report": manager.serving_report(),
     }
 

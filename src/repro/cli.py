@@ -274,10 +274,10 @@ def cmd_doctor(args) -> None:
         ]
         for fut in futures:
             fut.exception()
-        # Anchor summaries and registry snapshots arrive on heartbeats
+        # Template summaries and registry snapshots arrive on heartbeats
         # (one per worker every 200 ms): pump until every template's
-        # summary has landed, bounded so a worker that died mid-demo
-        # degrades the view instead of hanging the CLI.
+        # summary and outcomes count all m requests, bounded so a worker
+        # that died mid-demo degrades the view instead of hanging the CLI.
         import time
 
         deadline = time.monotonic() + 3.0
@@ -286,8 +286,10 @@ def cmd_doctor(args) -> None:
             report = supervisor.doctor_report()
             sections = report["templates"]
             ready = all(
-                (sections.get(t.name, {}).get("anchors") or {})
-                .get("live_anchors")
+                t.name in sections
+                and (sections[t.name]["requests"] or {}).get("total", 0)
+                >= args.m
+                and sum(sections[t.name]["outcomes"].values()) >= args.m
                 for t in templates
             )
             if ready or time.monotonic() > deadline:

@@ -821,35 +821,40 @@ class ClusterSupervisor:
     # -- reporting ------------------------------------------------------------
 
     def worker_lambda_violations(self) -> int:
-        """Σ λ-violations over every worker registry held: each
-        incarnation's last heartbeat snapshot plus the tombstones."""
-        with self._lock:
-            return _violations([
-                *self._registry_history.values(),
-                *self._registry_tombstones.values(),
-            ])
+        """Σ λ-violations over every worker registry held."""
+        return _violations(list(self._worker_sources().values()))
 
     def trace_spans(self, trace_id: str) -> list:
         """Every retained span of one trace (supervisor + re-ingested
         worker spans), in recording order — the forensics input."""
         return self.obs.spans.trace(trace_id)
 
-    def _labeled_sources(self) -> dict:
-        """Label → raw registry snapshot, pre-merge (lock held inside)."""
+    def _worker_sources(self) -> dict:
+        """Label → every worker registry held: each incarnation's last
+        heartbeat snapshot plus the tombstones (lock held inside)."""
         with self._lock:
-            sources = {"supervisor": self.obs.registry.snapshot()}
-            for (wid, inc), snapshot in sorted(self._registry_history.items()):
-                sources[f"{wid}:{inc}"] = snapshot
+            sources = {
+                f"{wid}:{inc}": snapshot
+                for (wid, inc), snapshot in sorted(self._registry_history.items())
+            }
             for wid, snapshot in sorted(self._registry_tombstones.items()):
                 sources[f"{wid}:tomb"] = snapshot
         return sources
+
+    def _labeled_sources(self) -> dict:
+        """Label → raw registry snapshot, pre-merge: the supervisor's own
+        registry, then every worker's."""
+        return {
+            "supervisor": self.obs.registry.snapshot(),
+            **self._worker_sources(),
+        }
 
     def merged_snapshot(self) -> dict:
         """Supervisor + workers + tombstones as one labeled snapshot."""
         return merge_labeled_snapshots(self._labeled_sources())
 
     def anchor_summaries(self) -> dict:
-        """Latest heartbeat anchor attribution per worker."""
+        """Latest heartbeat template summaries per worker."""
         with self._lock:
             return {
                 wid: {t: dict(s) for t, s in summary.items()}
@@ -859,15 +864,16 @@ class ClusterSupervisor:
     def doctor_report(self) -> dict:
         """Cluster-merged ``repro doctor`` view.
 
-        Recomputed entirely from the same labeled snapshots the merged
-        Prometheus exposition renders (plus the heartbeats' anchor
-        summaries), so its totals are the supervisor's totals by
-        construction — no live worker is consulted.
+        Recomputed from the workers' registry snapshots (every
+        incarnation's, tombstones included) and the heartbeats' template
+        summaries — no live worker is consulted.  The supervisor's own
+        outcome ledger counts the same responses again, so it is not a
+        source here.
         """
         from ..obs.doctor import doctor_from_sources
 
         return doctor_from_sources(
-            self._labeled_sources(), self.anchor_summaries()
+            self._worker_sources(), self.anchor_summaries()
         )
 
     def cluster_report(self) -> dict:

@@ -106,9 +106,10 @@ class Heartbeat:
     #: Full metrics-registry snapshot (merged into the cluster-wide
     #: Prometheus exposition, labeled by worker identity).
     registry: dict = field(default_factory=dict)
-    #: Per-template anchor-efficacy attribution
+    #: Per-template summaries — anchor attribution, getPlan counters,
+    #: warm-start baselines, quarantine
     #: (:meth:`~repro.serving.manager.ConcurrentPQOManager.anchor_summaries`)
-    #: — flat int dicts the cluster doctor view sums across workers.
+    #: — flat int dicts the cluster doctor view checks and sums.
     anchor_summary: dict = field(default_factory=dict)
 
 

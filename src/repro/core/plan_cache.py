@@ -143,7 +143,8 @@ class PlanCache:
     evicted_never_hit: int = 0
     #: Hit totals that arrived with adopted (warm-start) contents.
     #: They predate this process's getPlan counters, so the accounting
-    #: identity excludes them (``anchor_hit_totals(exclude_adopted=True)``).
+    #: identity subtracts them (:func:`repro.obs.doctor.template_summary`
+    #: carries both).
     adopted_hits_selectivity: int = 0
     adopted_hits_cost: int = 0
     adopted_recost_spend: int = 0
@@ -387,16 +388,11 @@ class PlanCache:
         """The current LRU clock value (``last_hit_tick`` ages against it)."""
         return self._tick
 
-    def anchor_hit_totals(
-        self, exclude_adopted: bool = False
-    ) -> tuple[int, int, int]:
+    def anchor_hit_totals(self) -> tuple[int, int, int]:
         """``(selectivity, cost, recost_spend)`` summed over live anchors
         *and* evicted ones — the left side of the accounting identity
-        against :class:`~repro.core.get_plan.GetPlan`'s hit counters.
-        With ``exclude_adopted`` the warm-start baseline is subtracted,
-        which is the form the identity takes in a process that adopted a
-        snapshot (the prior process's hits are in the anchors but not in
-        this process's getPlan counters)."""
+        against :class:`~repro.core.get_plan.GetPlan`'s hit counters,
+        once the ``adopted_*`` warm-start baseline is subtracted."""
         sel = self.evicted_hits_selectivity
         cost = self.evicted_hits_cost
         spend = self.evicted_recost_spend
@@ -404,10 +400,6 @@ class PlanCache:
             sel += entry.hits_selectivity
             cost += entry.hits_cost
             spend += entry.recost_spend
-        if exclude_adopted:
-            sel -= self.adopted_hits_selectivity
-            cost -= self.adopted_hits_cost
-            spend -= self.adopted_recost_spend
         return sel, cost, spend
 
     def memory_bytes(self) -> int:

@@ -54,17 +54,14 @@ def fetch_selectivity(
     ``uncertain`` fetches the uncertainty box
     (``selectivity_vector_with_error``, SCR's robust check modes) instead
     of the point vector.  The resilient engine's ``*_ex`` variant returns
-    the status with the vector; a shared ``last_selectivity_degraded``
-    flag is only a same-thread fallback for engines without it — read
-    across serving threads, another call could reset it between ours and
-    the read, silently certifying an instance served from a stale vector.
+    the status with the vector, so no other serving thread's call can
+    reset it before it is read; an engine without one never degrades.
     """
     name = "selectivity_vector_with_error" if uncertain else "selectivity_vector"
     ex = getattr(engine, name + "_ex", None)
     if ex is not None:
         return ex(instance)
-    sv = getattr(engine, name)(instance)
-    return sv, bool(getattr(engine, "last_selectivity_degraded", False))
+    return getattr(engine, name)(instance), False
 
 
 class OnlinePQOTechnique(ABC):

@@ -222,9 +222,9 @@ class ResilientEngineAPI:
         self._last_good_sv: Optional[SelectivityVector] = None
         self._last_good_usv: Optional[UncertainSelectivityVector] = None
         # Per-call state lives in thread-local storage: under concurrent
-        # serving several threads share one engine, and a shared flag or
-        # instance index would let thread B's call clobber thread A's
-        # before A reads it (losing A's uncertified marking).
+        # serving several threads share one engine, and a shared instance
+        # index or call budget would let thread B's call clobber thread
+        # A's before A reads it.
         self._tls = threading.local()
 
     @property
@@ -254,15 +254,6 @@ class ResilientEngineAPI:
             yield
         finally:
             self._tls.budget_deadline = prev
-
-    @property
-    def last_selectivity_degraded(self) -> bool:
-        """True iff *this thread's* most recent selectivity_vector answer
-        was a degraded (stale + inflated) fallback; techniques read this
-        to mark the instance uncertified.  Prefer
-        :meth:`selectivity_vector_ex`, which returns the status with the
-        vector instead of via shared state."""
-        return getattr(self._tls, "selectivity_degraded", False)
 
     # -- façade --------------------------------------------------------------
 
@@ -394,9 +385,8 @@ class ResilientEngineAPI:
 
         The inflation pushes every selectivity *up* (clamped to 1.0),
         which shrinks G·L budgets and recost ratios conservatively; the
-        caller still marks the instance uncertified via
-        :attr:`last_selectivity_degraded` (same thread only) or, better,
-        the paired status from :meth:`selectivity_vector_ex`.
+        caller still marks the instance uncertified, from the paired
+        status :meth:`selectivity_vector_ex` returns.
         """
         return self.selectivity_vector_ex(instance)[0]
 
@@ -407,11 +397,9 @@ class ResilientEngineAPI:
 
         Returns ``(sv, degraded)`` where ``degraded`` is True iff the
         vector is a stale-inflated fallback and the instance must be
-        served uncertified.  Returning the status with the vector (and
-        mirroring it thread-locally) keeps it race-free when many
-        threads share one engine.
+        served uncertified.  Returning the status with the vector keeps
+        it race-free when many threads share one engine.
         """
-        self._tls.selectivity_degraded = False
         try:
             sv = self._call_with_retries(
                 "selectivity",
@@ -432,7 +420,6 @@ class ResilientEngineAPI:
                 "selectivity",
                 f"stale vector inflated x{self.policy.svector_inflation:g}",
             )
-            self._tls.selectivity_degraded = True
             return inflated, True
         self._last_good_sv = sv
         return sv, False
@@ -461,7 +448,6 @@ class ResilientEngineAPI:
         the caller must still serve the instance uncertified — the
         widening only keeps the robust checks on the pessimistic side.
         """
-        self._tls.selectivity_degraded = False
         try:
             usv = self._call_with_retries(
                 "selectivity",
@@ -482,7 +468,6 @@ class ResilientEngineAPI:
                 "selectivity",
                 f"stale interval widened x{self.policy.svector_inflation:g}",
             )
-            self._tls.selectivity_degraded = True
             return widened, True
         self._last_good_usv = usv
         self._last_good_sv = usv.point

@@ -45,7 +45,7 @@ from ..core.scr import SCR
 from ..core.technique import PlanChoice
 from ..engine.api import EngineAPI
 from ..engine.database import Database
-from ..obs.doctor import anchor_totals, doctor_report
+from ..obs.doctor import doctor_from_sources, template_summary
 from ..obs.handle import Observability
 from ..obs.tracectx import TraceContext, activate, child_context, current_context
 from ..query.instance import QueryInstance
@@ -696,25 +696,42 @@ class ConcurrentPQOManager:
         return self.obs.prometheus()
 
     def doctor_report(self) -> dict[str, object]:
-        """Per-template health judgement (``python -m repro doctor``).
+        """Per-template health judgement (``python -m repro doctor``):
+        :func:`~repro.obs.doctor.doctor_from_sources` over this manager's
+        own registries and :meth:`anchor_summaries`.
 
         Unlike :meth:`obs_report` this works without an observability
-        handle too — anchor attribution and hit accounting live in the
-        cache itself; only the calibration sections go ``None``.
+        handle too — outcomes are counted in each shard's private
+        registry, and anchor attribution and hit accounting live in the
+        summaries; only the calibration sections go ``None``.
         """
-        return doctor_report(self)
+        summaries = {"local": self.anchor_summaries()}
+        return doctor_from_sources(self._registry_snapshots(), summaries)
+
+    def _registry_snapshots(self) -> dict[str, dict]:
+        """Label → snapshot of each distinct registry behind the shards:
+        the handle's one registry, or each shard's private one when the
+        manager runs without a handle."""
+        if self.obs is not None:
+            return {"local": self.obs.registry.snapshot()}
+        return {
+            f"local:{shard.template.name}": shard.stats.audit.registry.snapshot()
+            for shard in self._sorted_shards()
+        }
 
     def anchor_summaries(self) -> dict[str, dict[str, int]]:
-        """Compact per-template anchor attribution for heartbeats.
+        """Per-template :func:`~repro.obs.doctor.template_summary` dicts,
+        read under every shard lock so each one is internally consistent.
 
-        Small, flat and summable — the shape
-        :func:`~repro.obs.doctor.doctor_from_sources` merges across
-        workers for the cluster doctor view.
+        Small, flat and summable — heartbeats carry them to the
+        supervisor, whose doctor view sums them across workers.
         """
         with self._all_shard_locks():
             return {
-                name: anchor_totals(shard.scr.cache)
-                for name, shard in sorted(self._templates.items())
+                shard.template.name: template_summary(
+                    shard.scr, shard.quarantined
+                )
+                for shard in self._sorted_shards()
             }
 
     @property

@@ -38,10 +38,9 @@ from repro.obs.calibration import (
 )
 from repro.obs.doctor import (
     DOCTOR_SCHEMA,
-    anchor_report,
     doctor_from_sources,
     render_doctor_report,
-    template_health,
+    template_summary,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
@@ -371,31 +370,17 @@ class TestCalmServing:
         for q in workload(template, 150):
             scr.process(q)
         gp, cache = scr.get_plan, scr.cache
-        sel, cost, spend = cache.anchor_hit_totals(exclude_adopted=True)
+        sel, cost, spend = cache.anchor_hit_totals()
         assert (sel, cost) == (gp.selectivity_hits, gp.cost_hits)
         assert spend <= gp.total_recost_calls
-        health, errors = template_health(template.name, scr)
-        assert errors == []
-        assert health["anchors"]["optimizer_calls_saved"] == sel + cost
-
-    def test_anchor_report_ranks_and_totals(self):
-        db, template = make_db(), make_template()
-        scr = SCR(db.engine(template), lam=LAM)
-        for q in workload(template, 100):
-            scr.process(q)
-        report = anchor_report(scr.cache, top=3)
-        assert report["live_anchors"] == len(list(scr.cache.instances()))
-        assert len(report["top"]) <= 3
-        hits = [
-            r["hits_selectivity"] + r["hits_cost"] for r in report["top"]
-        ]
-        assert hits == sorted(hits, reverse=True)
-        assert all(
-            r["hits_selectivity"] + r["hits_cost"] == 0
-            for r in report["bottom"]
-        )
-        assert report["wasted_optimizer_calls"] == (
-            report["never_hit_live"] + report["evicted_never_hit"]
+        summary = template_summary(scr)
+        report = doctor_from_sources({}, {"serial": {template.name: summary}})
+        assert report["errors"] == []
+        anchors = report["templates"][template.name]["anchors"]
+        assert anchors["optimizer_calls_saved"] == sel + cost
+        assert anchors["live_anchors"] == len(list(scr.cache.instances()))
+        assert anchors["wasted_optimizer_calls"] == (
+            anchors["never_hit_live"] + anchors["evicted_never_hit"]
         )
 
     def test_served_misses_feed_calibration_like_serial(self):
@@ -564,9 +549,6 @@ class TestAttributionPersistence:
             assert twin.recost_spend == entry.recost_spend
             assert twin.last_hit_tick == entry.last_hit_tick
         assert restored.anchor_hit_totals() == cache.anchor_hit_totals()
-        assert restored.anchor_hit_totals(
-            exclude_adopted=True
-        ) == cache.anchor_hit_totals(exclude_adopted=True)
         assert restored.evicted_never_hit == cache.evicted_never_hit
         assert restored.adopted_hits_selectivity == 7
         assert restored.adopted_hits_cost == 3
@@ -619,10 +601,11 @@ class TestDoctorReports:
         report = manager.doctor_report()
         manager.close()
         assert report["schema"] == DOCTOR_SCHEMA
-        assert report["source"] == "local"
+        assert report["sources"] == ["local"]
         assert report["errors"] == []
         health = report["templates"][template.name]
         assert health["requests"]["total"] == 60
+        assert sum(health["outcomes"].values()) == 60
         assert health["grade"] == health["calibration"]["grade"]
         assert health["alarms"] == []
         summary = report["summary"]
@@ -645,6 +628,10 @@ class TestDoctorReports:
         health = report["templates"][template.name]
         assert health["calibration"] is None
         assert health["grade"] == "n/a"
+        # Each shard's private registry still counts its outcomes.
+        assert report["sources"] == [f"local:{template.name}"]
+        assert sum(health["outcomes"].values()) == 30
+        assert health["requests"]["total"] == 30
         assert report["errors"] == []
         render_doctor_report(report)  # must not require calibration
 
@@ -667,8 +654,8 @@ class TestDoctorReports:
 
         report = doctor_from_sources(snapshots, summaries)
         assert report["schema"] == DOCTOR_SCHEMA
-        assert report["source"] == "cluster"
         assert report["sources"] == ["w0", "w1"]
+        assert report["errors"] == []
         health = report["templates"][template.name]
         # The cluster view recomputes from snapshot buckets: sample
         # counts are exactly the sum of the workers' local counts.
@@ -689,6 +676,17 @@ class TestDoctorReports:
             assert value == (
                 local_a["anchors"][field] + local_b["anchors"][field]
             ), field
+        # So is every request counter and every outcome count.
+        for field, value in health["requests"].items():
+            if field != "hit_rate":
+                assert value == (
+                    local_a["requests"][field] + local_b["requests"][field]
+                ), field
+        assert health["requests"]["total"] == 100
+        assert health["outcomes"] == {
+            outcome: local_a["outcomes"][outcome] + local_b["outcomes"][outcome]
+            for outcome in local_a["outcomes"]
+        }
         assert render_doctor_report(report)
 
     def test_single_source_cluster_matches_local_grade(self):
@@ -704,3 +702,48 @@ class TestDoctorReports:
         assert health["calibration"]["feeds"]["recost"]["samples"] == (
             local["calibration"]["feeds"]["recost"]["samples"]
         )
+
+    def test_local_report_is_the_snapshot_route(self):
+        template = make_template()
+        manager, obs = self._manager(template)
+        report = manager.doctor_report()
+        rebuilt = doctor_from_sources(
+            {"local": obs.registry.snapshot()},
+            {"local": manager.anchor_summaries()},
+        )
+        manager.close()
+        assert report == rebuilt
+
+    def test_identity_mismatch_names_source_and_template(self):
+        template = make_template()
+        manager, obs = self._manager(template)
+        summaries = manager.anchor_summaries()
+        manager.close()
+        summaries[template.name]["selectivity_hits"] += 1
+        report = doctor_from_sources(
+            {"w1": obs.registry.snapshot()}, {"w1": summaries}
+        )
+        assert len(report["errors"]) == 1
+        assert report["errors"][0].startswith(f"w1/{template.name}: ")
+        assert "accounting identity: OK" not in render_doctor_report(report)
+
+    def test_adopted_snapshot_then_served_passes_identity(self):
+        template = make_template()
+        donor, _ = self._manager(template, m=60)
+        snapshot = dump_cache(donor.shard(template.name).scr.cache)
+        donor.close()
+        manager = ConcurrentPQOManager(
+            database=make_db(), max_workers=2, obs=Observability()
+        )
+        manager.register(template, lam=LAM)
+        manager.shard(template.name).scr.cache.adopt(load_cache(snapshot))
+        manager.process_many(workload(template, 40, seed=5), dedupe=False)
+        summary = manager.anchor_summaries()[template.name]
+        report = manager.doctor_report()
+        manager.close()
+        # The inherited hits exceed this process's getPlan counters; the
+        # adopted baseline is what keeps the identity.
+        assert summary["adopted_hits_selectivity"] > 0
+        assert summary["hits_selectivity"] > summary["selectivity_hits"]
+        assert report["errors"] == []
+        assert report["templates"][template.name]["requests"]["total"] == 40

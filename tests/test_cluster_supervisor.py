@@ -534,6 +534,44 @@ class TestMergedObservability:
         # Each row reads its own live incarnation's snapshot.
         assert [row["lambda_violations"] for row in report["workers"]] == [2, 1]
 
+    def test_doctor_counts_each_response_once(self):
+        sup, clock = make_cluster(num_workers=1, heartbeat_timeout=60.0)
+        mark_live(sup, "w0")
+        name = next(iter(sup.templates))
+        n = 3
+        for _ in range(n):
+            sup.submit(name, (0.5,))
+            respond(sup, pending_id(sup), name)
+        # The worker's audit counted the same N responses the
+        # supervisor's ledger did; its summary saw N getPlan misses.
+        summary = dict.fromkeys((
+            "live_anchors", "plans_cached", "hits_selectivity", "hits_cost",
+            "recost_spend", "never_hit_live", "evicted_never_hit",
+            "selectivity_hits", "cost_hits", "recost_calls",
+            "adopted_hits_selectivity", "adopted_hits_cost",
+            "adopted_recost_spend", "quarantined",
+        ), 0)
+        summary["misses"] = n
+        sup.launcher.deliver("w0", Heartbeat(
+            worker_id="w0", incarnation=0, seq=1, requests_served=n,
+            optimizer_calls=n,
+            registry={"repro_responses_total": {
+                "kind": "counter", "help": "", "series": [
+                    {"labels": {"template": name, "outcome": "certified"},
+                     "value": float(n)},
+                ],
+            }},
+            anchor_summary={name: summary},
+        ))
+        sup.pump()
+        assert sup.cluster_report()["outcomes"]["certified"] == n
+        report = sup.doctor_report()
+        assert report["sources"] == ["w0:0"]
+        health = report["templates"][name]
+        assert health["outcomes"] == {"certified": n}
+        assert health["requests"]["total"] == n
+        assert report["errors"] == []
+
     def test_supervisor_audit_flags_bound_violations(self):
         sup, clock = make_cluster(num_workers=1, heartbeat_timeout=60.0)
         mark_live(sup, "w0")

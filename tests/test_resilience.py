@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.core.scr import SCR
+from repro.core.technique import fetch_selectivity
 from repro.engine.api import EngineAPI
 from repro.engine.faults import (
     EngineTimeoutError,
@@ -318,14 +319,14 @@ class TestSelectivityFallback:
             svector_inflation=2.0,
         )
         resilient = ResilientEngineAPI(flaky, policy=policy, sleep=NO_SLEEP)
-        good = resilient.selectivity_vector(
+        good, status = resilient.selectivity_vector_ex(
             QueryInstance("toy_join", sv=SelectivityVector.of(0.3, 0.6))
         )
-        assert not resilient.last_selectivity_degraded
-        degraded = resilient.selectivity_vector(
+        assert not status
+        degraded, status = resilient.selectivity_vector_ex(
             QueryInstance("toy_join", sv=SelectivityVector.of(0.9, 0.9))
         )
-        assert resilient.last_selectivity_degraded
+        assert status
         assert degraded == SelectivityVector.of(0.6, 1.0)  # inflated, clamped
         assert resilient.counters.resilience.selectivity_fallbacks == 1
         assert good == SelectivityVector.of(0.3, 0.6)
@@ -476,8 +477,8 @@ class TestPerCallDegradedStatus:
 
         # Raw call 1 (main thread) succeeds and seeds last-known-good;
         # calls 2+3 (worker's attempt + retry) fail -> degraded; call 4
-        # (main thread again) succeeds and must NOT reset the worker's
-        # view of its own degradation.
+        # (main thread again) succeeds while the worker is still serving,
+        # and reports its own status only.
         resilient = self._flaky_resilient(toy_db, toy_template, {2, 3})
         resilient.selectivity_vector(
             QueryInstance("toy_join", sv=SelectivityVector.of(0.3, 0.6))
@@ -487,27 +488,26 @@ class TestPerCallDegradedStatus:
         observed: dict[str, bool] = {}
 
         def worker():
-            _, degraded = resilient.selectivity_vector_ex(
-                QueryInstance("toy_join", sv=SelectivityVector.of(0.9, 0.9))
+            # The path the serving shards take.
+            _, degraded = fetch_selectivity(
+                resilient,
+                QueryInstance("toy_join", sv=SelectivityVector.of(0.9, 0.9)),
             )
             observed["returned"] = degraded
             worker_done.set()
             main_done.wait(timeout=10)
-            # Read after the main thread's good call: a shared flag
-            # would have been reset to False by now.
-            observed["flag_after"] = resilient.last_selectivity_degraded
 
         t = threading.Thread(target=worker)
         t.start()
         assert worker_done.wait(timeout=10)
-        _, degraded = resilient.selectivity_vector_ex(
-            QueryInstance("toy_join", sv=SelectivityVector.of(0.4, 0.5))
+        _, degraded = fetch_selectivity(
+            resilient,
+            QueryInstance("toy_join", sv=SelectivityVector.of(0.4, 0.5)),
         )
         assert not degraded
-        assert not resilient.last_selectivity_degraded
         main_done.set()
         t.join(timeout=10)
-        assert observed == {"returned": True, "flag_after": True}
+        assert observed == {"returned": True}
 
     def test_instance_index_is_thread_local(self, toy_db, toy_template):
         import threading
