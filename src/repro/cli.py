@@ -174,18 +174,22 @@ def _series_label(row: dict, value_keys: frozenset = frozenset(
     return ",".join(pairs) if pairs else "-"
 
 
-def cmd_obs_report(args) -> None:
-    import json
+def _demo_manager(args):
+    """The instrumented demo ``obs-report``, ``doctor`` and ``trace``
+    serve: ``args.template`` at scale 0.4 on ``args.workers`` threads,
+    behind simulated engine latency (4 ms optimize, 0.4 ms recost).
 
-    from .obs import Observability, snapshot_rows, write_spans_jsonl
+    Returns ``(manager, obs, template, instances)``, the last being the
+    template's ``args.m``-instance workload.
+    """
+    from .obs import Observability
     from .serving import ConcurrentPQOManager, simulated_latency_wrapper
     from .workload import instances_for_template
 
     template = _find_template(args.template)
-    db = get_database(template.database, scale=0.4)
     obs = Observability()
     manager = ConcurrentPQOManager(
-        database=db,
+        database=get_database(template.database, scale=0.4),
         max_workers=args.workers,
         engine_wrapper=simulated_latency_wrapper(
             optimize_seconds=0.004, recost_seconds=0.0004
@@ -193,7 +197,17 @@ def cmd_obs_report(args) -> None:
         obs=obs,
     )
     manager.register(template, lam=args.lam)
-    instances = instances_for_template(template, args.m, seed=1)
+    return manager, obs, template, instances_for_template(
+        template, args.m, seed=1
+    )
+
+
+def cmd_obs_report(args) -> None:
+    import json
+
+    from .obs import snapshot_rows, write_spans_jsonl
+
+    manager, obs, template, instances = _demo_manager(args)
     manager.process_many(instances, dedupe=False)
     manager.close()
 
@@ -244,7 +258,6 @@ def cmd_obs_report(args) -> None:
 def cmd_doctor(args) -> None:
     import json
 
-    from .obs import Observability
     from .obs.doctor import render_doctor_report
 
     if args.cluster:
@@ -297,25 +310,10 @@ def cmd_doctor(args) -> None:
         prom = supervisor.prometheus() if args.prometheus else None
         supervisor.close()
     else:
-        from .serving import ConcurrentPQOManager, simulated_latency_wrapper
-        from .workload import instances_for_template
-
-        template = _find_template(args.template)
-        db = get_database(template.database, scale=0.4)
-        obs = Observability()
-        manager = ConcurrentPQOManager(
-            database=db,
-            max_workers=args.workers,
-            engine_wrapper=simulated_latency_wrapper(
-                optimize_seconds=0.004, recost_seconds=0.0004
-            ),
-            obs=obs,
-        )
-        manager.register(template, lam=args.lam)
+        manager, _, _, instances = _demo_manager(args)
         # Waves, not one batch: a batch is probed against one snapshot
         # (no interleaved commits), so a single cold batch would be all
         # misses and there would be no cache health to judge.
-        instances = instances_for_template(template, args.m, seed=1)
         wave = max(1, args.m // 8)
         for i in range(0, len(instances), wave):
             manager.process_many(instances[i:i + wave], dedupe=False)
@@ -337,7 +335,6 @@ def cmd_trace(args) -> None:
     import json
 
     from .obs import (
-        Observability,
         explain_trace,
         format_explanation,
         load_spans_jsonl,
@@ -350,24 +347,8 @@ def cmd_trace(args) -> None:
         spans = load_spans_jsonl(args.file)
         obs = None
     else:
-        from .serving import ConcurrentPQOManager, simulated_latency_wrapper
-        from .workload import instances_for_template
-
-        template = _find_template(args.template)
-        db = get_database(template.database, scale=0.4)
-        obs = Observability()
-        manager = ConcurrentPQOManager(
-            database=db,
-            max_workers=args.workers,
-            engine_wrapper=simulated_latency_wrapper(
-                optimize_seconds=0.004, recost_seconds=0.0004
-            ),
-            obs=obs,
-        )
-        manager.register(template, lam=args.lam)
-        manager.process_many(
-            instances_for_template(template, args.m, seed=1), dedupe=False
-        )
+        manager, obs, _, instances = _demo_manager(args)
+        manager.process_many(instances, dedupe=False)
         manager.close()
         spans = obs.spans.spans()
 

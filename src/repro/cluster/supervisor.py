@@ -977,8 +977,13 @@ class ClusterSupervisor:
             leftovers = list(self._pending.values())
             self._pending.clear()
             for pending in leftovers:
+                self._record_dispatch(
+                    pending, pending.worker_id,
+                    self.workers[pending.worker_id].incarnation, "shutdown",
+                )
                 self._resolve_lost(
-                    pending.future, pending.request, "supervisor shutdown"
+                    pending.future, pending.request, "supervisor shutdown",
+                    ctx=pending.ctx, submitted_at=pending.submitted_at,
                 )
             for conn in list(self._conns):
                 self._hang_up(conn)

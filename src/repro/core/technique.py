@@ -52,16 +52,14 @@ def fetch_selectivity(
     """The instance's sVector plus its per-call degradation status.
 
     ``uncertain`` fetches the uncertainty box
-    (``selectivity_vector_with_error``, SCR's robust check modes) instead
-    of the point vector.  The resilient engine's ``*_ex`` variant returns
-    the status with the vector, so no other serving thread's call can
-    reset it before it is read; an engine without one never degrades.
+    (``selectivity_vector_with_error_ex``, SCR's robust check modes)
+    instead of the point vector.  The status travels with the vector
+    through every engine layer, so no other serving thread's call can
+    reset it before it is read.
     """
-    name = "selectivity_vector_with_error" if uncertain else "selectivity_vector"
-    ex = getattr(engine, name + "_ex", None)
-    if ex is not None:
-        return ex(instance)
-    return getattr(engine, name)(instance), False
+    if uncertain:
+        return engine.selectivity_vector_with_error_ex(instance)
+    return engine.selectivity_vector_ex(instance)
 
 
 class OnlinePQOTechnique(ABC):

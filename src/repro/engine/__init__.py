@@ -1,7 +1,13 @@
 """Engine façade: Database + the three engine APIs with accounting,
 fault injection and the resilience layer."""
 
-from .api import ApiAccounting, EngineAPI, EngineCounters, ResilienceCounters
+from .api import (
+    ApiAccounting,
+    EngineAPI,
+    EngineCounters,
+    EngineWrapper,
+    ResilienceCounters,
+)
 from .database import Database
 from .faults import (
     EngineFault,
@@ -32,6 +38,7 @@ __all__ = [
     "EngineCounters",
     "EngineFault",
     "EngineTimeoutError",
+    "EngineWrapper",
     "FaultConfig",
     "FaultInjector",
     "FaultProfile",

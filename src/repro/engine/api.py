@@ -5,7 +5,9 @@ a traditional optimizer call, a *compute selectivity vector* call, and
 a *recost plan* call.  :class:`EngineAPI` wraps them for one query
 template and records call counts and wall-clock time per API, which is
 what the optimization-overhead metrics and the recost-speedup benchmark
-report.
+report.  :class:`EngineWrapper` is the one base every façade around an
+engine (resilience, fault injection, noise, drift, simulated latency)
+subclasses, so the contract is defined once.
 """
 
 from __future__ import annotations
@@ -144,8 +146,18 @@ class EngineAPI:
                 template=self.template.name, seq=self._instance_index,
             )
 
-    def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:
-        """Compute the instance's sVector (cheap; always on the hot path)."""
+    def selectivity_vector_ex(
+        self, instance: QueryInstance
+    ) -> tuple[SelectivityVector, bool]:
+        """The instance's sVector (cheap; always on the hot path) plus its
+        degradation status.
+
+        ``degraded`` is True iff the vector is a stale fallback and the
+        instance must be served uncertified; the raw engine computes
+        every vector live, so it always answers False.  Returning the
+        status with the vector keeps it race-free when many threads
+        share one engine.
+        """
         start = time.perf_counter()
         sv = self.estimator.selectivity_vector(self.template, instance)
         elapsed = time.perf_counter() - start
@@ -153,15 +165,16 @@ class EngineAPI:
         if self.instruments is not None:
             self._observe_call("selectivity", start, elapsed)
             self.instruments.calibration.record_sv(sv)
-        return sv
+        return sv, False
 
-    def selectivity_vector_with_error(
+    def selectivity_vector_with_error_ex(
         self, instance: QueryInstance
-    ) -> UncertainSelectivityVector:
-        """The sVector plus per-dimension confidence bounds.
+    ) -> tuple[UncertainSelectivityVector, bool]:
+        """The sVector plus per-dimension confidence bounds, and its
+        degradation status (always False here).
 
         Shares the ``selectivity`` API accounting with
-        :meth:`selectivity_vector` — it is the same logical-property
+        :meth:`selectivity_vector_ex` — it is the same logical-property
         computation, just surfacing the estimator's uncertainty.
         """
         start = time.perf_counter()
@@ -173,7 +186,17 @@ class EngineAPI:
         if self.instruments is not None:
             self._observe_call("selectivity", start, elapsed)
             self.instruments.calibration.record_sv(usv.point)
-        return usv
+        return usv, False
+
+    def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:
+        """The sVector alone, without its degradation status."""
+        return self.selectivity_vector_ex(instance)[0]
+
+    def selectivity_vector_with_error(
+        self, instance: QueryInstance
+    ) -> UncertainSelectivityVector:
+        """The uncertain sVector alone, without its degradation status."""
+        return self.selectivity_vector_with_error_ex(instance)[0]
 
     def optimize(self, sv: SelectivityVector) -> OptimizationResult:
         """Full optimizer call (the expensive operation PQO avoids)."""
@@ -197,3 +220,57 @@ class EngineAPI:
 
     def reset_counters(self) -> None:
         self.counters.reset()
+
+
+class EngineWrapper(EngineAPI):
+    """Base for every engine façade that wraps another engine.
+
+    Forwards the whole engine protocol to ``inner`` explicitly:
+    ``template``, ``counters``, ``begin_instance``, ``reset_counters``,
+    ``optimize``, ``recost`` and the two status-carrying sVector calls.
+    The plain ``selectivity_vector*`` calls are derived from the ``_ex``
+    forms, so a subclass that changes the sVector overrides only the
+    ``_ex`` form — its effect, and an inner layer's degraded flag, then
+    reach the caller however deep the wrapper sits in the stack.
+    Names outside the protocol (``recost_breaker``, ``call_budget``,
+    ``set_factor``, ...) resolve through ``__getattr__`` to the nearest
+    layer that defines them.
+    """
+
+    def __init__(self, inner: EngineAPI) -> None:
+        self.inner = inner
+
+    @property
+    def template(self) -> QueryTemplate:
+        return self.inner.template
+
+    @property
+    def counters(self) -> EngineCounters:
+        return self.inner.counters
+
+    def begin_instance(self, index: int) -> None:
+        self.inner.begin_instance(index)
+
+    def reset_counters(self) -> None:
+        self.inner.reset_counters()
+
+    def selectivity_vector_ex(
+        self, instance: QueryInstance
+    ) -> tuple[SelectivityVector, bool]:
+        return self.inner.selectivity_vector_ex(instance)
+
+    def selectivity_vector_with_error_ex(
+        self, instance: QueryInstance
+    ) -> tuple[UncertainSelectivityVector, bool]:
+        return self.inner.selectivity_vector_with_error_ex(instance)
+
+    def optimize(self, sv: SelectivityVector) -> OptimizationResult:
+        return self.inner.optimize(sv)
+
+    def recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
+        return self.inner.recost(shrunken, sv)
+
+    def __getattr__(self, name: str):
+        if name == "inner":  # not yet set: no delegation target
+            raise AttributeError(name)
+        return getattr(self.inner, name)

@@ -14,7 +14,6 @@ the chaos workload it enables is reused by later scaling work.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +27,7 @@ from ..query.instance import (
     UncertainSelectivityVector,
     clamp_selectivity,
 )
-from .api import EngineAPI
+from .api import EngineAPI, EngineWrapper
 
 
 class EngineFault(Exception):
@@ -59,10 +58,6 @@ class FaultProfile:
     timeout_rate:
         Probability of raising :class:`EngineTimeoutError`, modelling a
         deadline overrun without actually sleeping.
-    latency_rate / latency_seconds:
-        Probability of a *real* latency spike of ``latency_seconds``
-        before answering (lets deadline enforcement in the resilience
-        layer observe genuine overruns).
     corrupt_rate:
         Probability of corrupting the *result*: for recost, a NaN,
         negative or inflated cost; for sVector, a stale (previous
@@ -73,13 +68,11 @@ class FaultProfile:
 
     error_rate: float = 0.0
     timeout_rate: float = 0.0
-    latency_rate: float = 0.0
-    latency_seconds: float = 0.0
     corrupt_rate: float = 0.0
     inflate_factor: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("error_rate", "timeout_rate", "latency_rate", "corrupt_rate"):
+        for name in ("error_rate", "timeout_rate", "corrupt_rate"):
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -118,12 +111,12 @@ class InjectedFault:
     """Record of one injected fault, for assertions and reports."""
 
     api: str
-    mode: str          # "error" | "timeout" | "latency" | "corrupt:<kind>"
+    mode: str          # "error" | "timeout" | "corrupt:<kind>"
     call_index: int
 
 
-class FaultInjector:
-    """An :class:`EngineAPI` lookalike that injects failures.
+class FaultInjector(EngineWrapper):
+    """An :class:`EngineAPI` wrapper that injects failures.
 
     Sits *between* the resilience layer and the real engine::
 
@@ -139,31 +132,13 @@ class FaultInjector:
         config: Optional[FaultConfig] = None,
         seed: int = 0,
     ) -> None:
-        self.inner = engine
+        super().__init__(engine)
         self.config = config or FaultConfig()
         self._rng = random.Random(seed)
         self.injected: list[InjectedFault] = []
         self._calls = 0
         self._last_sv: Optional[SelectivityVector] = None
         self._last_usv: Optional[UncertainSelectivityVector] = None
-
-    # -- EngineAPI façade ----------------------------------------------------
-
-    @property
-    def template(self):
-        return self.inner.template
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
-    def begin_instance(self, index: int) -> None:
-        self.inner.begin_instance(index)
-
-    def reset_counters(self) -> None:
-        self.inner.reset_counters()
-
-    # -- injection -----------------------------------------------------------
 
     def _note(self, api: str, mode: str) -> None:
         self.injected.append(InjectedFault(api, mode, self._calls))
@@ -174,7 +149,7 @@ class FaultInjector:
         return sum(1 for f in self.injected if f.api == api)
 
     def _pre_call(self, api: str, profile: FaultProfile) -> None:
-        """Draw the exception/latency faults for one call."""
+        """Draw the exception faults for one call."""
         self._calls += 1
         if self._rng.random() < profile.error_rate:
             self._note(api, "error")
@@ -182,50 +157,45 @@ class FaultInjector:
         if self._rng.random() < profile.timeout_rate:
             self._note(api, "timeout")
             raise EngineTimeoutError(f"injected {api} deadline overrun")
-        if profile.latency_rate and self._rng.random() < profile.latency_rate:
-            self._note(api, "latency")
-            time.sleep(profile.latency_seconds)
 
-    def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:
+    def selectivity_vector_ex(
+        self, instance: QueryInstance
+    ) -> tuple[SelectivityVector, bool]:
         profile = self.config.selectivity
         self._pre_call("selectivity", profile)
-        sv = self.inner.selectivity_vector(instance)
+        sv, degraded = self.inner.selectivity_vector_ex(instance)
         if self._rng.random() < profile.corrupt_rate:
             # Stale vector: replay the previous instance's sVector; if
             # there is none yet, return a NaN vector (which surfaces as
-            # the ValueError SelectivityVector validation raises).
+            # the ValueError SelectivityVector validation raises).  The
+            # corruption is silent: the degraded flag is not raised.
             if self._last_sv is not None and self._last_sv != sv:
                 self._note("selectivity", "corrupt:stale")
-                return self._last_sv
+                return self._last_sv, degraded
             self._note("selectivity", "corrupt:nan")
-            return SelectivityVector.from_sequence([math.nan] * len(sv))
+            return SelectivityVector.from_sequence([math.nan] * len(sv)), degraded
         self._last_sv = sv
-        return sv
+        return sv, degraded
 
-    def selectivity_vector_with_error(
+    def selectivity_vector_with_error_ex(
         self, instance: QueryInstance
-    ) -> UncertainSelectivityVector:
+    ) -> tuple[UncertainSelectivityVector, bool]:
         """Uncertain sVector under the same fault profile as the point
         variant: transient errors, timeouts, and stale/NaN corruption."""
         profile = self.config.selectivity
         self._pre_call("selectivity", profile)
-        usv = self.inner.selectivity_vector_with_error(instance)
+        usv, degraded = self.inner.selectivity_vector_with_error_ex(instance)
         if self._rng.random() < profile.corrupt_rate:
             if self._last_usv is not None and self._last_usv.point != usv.point:
                 self._note("selectivity", "corrupt:stale")
-                return self._last_usv
+                return self._last_usv, degraded
             self._note("selectivity", "corrupt:nan")
             # Surfaces as SelectivityVector's validation ValueError.
             return UncertainSelectivityVector.exact(
                 SelectivityVector.from_sequence([math.nan] * len(usv))
-            )
+            ), degraded
         self._last_usv = usv
-        return usv
-
-    def __getattr__(self, name: str):
-        if name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
+        return usv, degraded
 
     def optimize(self, sv: SelectivityVector) -> OptimizationResult:
         self._pre_call("optimize", self.config.optimize)
@@ -246,7 +216,7 @@ class FaultInjector:
         return cost
 
 
-class DriftingCostEngine:
+class DriftingCostEngine(EngineWrapper):
     """An engine façade whose cost model drifts by a settable factor.
 
     Models the slow divergence between the optimizer's cost model and
@@ -266,7 +236,7 @@ class DriftingCostEngine:
     def __init__(self, engine: EngineAPI, factor: float = 1.0) -> None:
         if factor <= 0.0:
             raise ValueError(f"factor must be > 0, got {factor}")
-        self.inner = engine
+        super().__init__(engine)
         self.factor = factor
 
     def set_factor(self, factor: float) -> None:
@@ -274,30 +244,6 @@ class DriftingCostEngine:
         if factor <= 0.0:
             raise ValueError(f"factor must be > 0, got {factor}")
         self.factor = factor
-
-    # -- EngineAPI façade ----------------------------------------------------
-
-    @property
-    def template(self):
-        return self.inner.template
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
-    def begin_instance(self, index: int) -> None:
-        self.inner.begin_instance(index)
-
-    def reset_counters(self) -> None:
-        self.inner.reset_counters()
-
-    def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:
-        return self.inner.selectivity_vector(instance)
-
-    def selectivity_vector_with_error(
-        self, instance: QueryInstance
-    ) -> UncertainSelectivityVector:
-        return self.inner.selectivity_vector_with_error(instance)
 
     def optimize(self, sv: SelectivityVector) -> OptimizationResult:
         result = self.inner.optimize(sv)
@@ -314,13 +260,8 @@ class DriftingCostEngine:
     def recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
         return self.inner.recost(shrunken, sv) * self.factor
 
-    def __getattr__(self, name: str):
-        if name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
 
-
-class NoisyEngine:
+class NoisyEngine(EngineWrapper):
     """An engine façade whose sVector API returns perturbed selectivities.
 
     Models histogram estimation error with the standard multiplicative
@@ -330,12 +271,12 @@ class NoisyEngine:
     untouched — the *technique* sees noisy selectivities while an oracle
     holding the instances' true vectors measures the real damage.
 
-    Composable with the resilience layer exactly like
-    :class:`FaultInjector`::
+    Composes with the resilience layer on either side, like every
+    :class:`~repro.engine.api.EngineWrapper`::
 
         ResilientEngineAPI(NoisyEngine(engine, noise=0.3, seed=5))
 
-    The uncertain variant :meth:`selectivity_vector_with_error` is
+    The uncertain variant :meth:`selectivity_vector_with_error_ex` is
     *honest*: its interval always contains the wrapped engine's point
     estimate, because the noise band ``e^{±noise}`` is known exactly and
     any interval the inner engine reports rides along (rescaled onto the
@@ -346,57 +287,30 @@ class NoisyEngine:
     def __init__(self, engine: EngineAPI, noise: float, seed: int = 0) -> None:
         if noise < 0.0:
             raise ValueError(f"noise must be >= 0, got {noise}")
-        self.inner = engine
+        super().__init__(engine)
         self.noise = noise
         self._rng = random.Random(seed)
-
-    # -- EngineAPI façade ----------------------------------------------------
-
-    @property
-    def template(self):
-        return self.inner.template
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
-    def begin_instance(self, index: int) -> None:
-        self.inner.begin_instance(index)
-
-    def reset_counters(self) -> None:
-        self.inner.reset_counters()
-
-    def optimize(self, sv: SelectivityVector) -> OptimizationResult:
-        return self.inner.optimize(sv)
-
-    def recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
-        return self.inner.recost(shrunken, sv)
-
-    def __getattr__(self, name: str):
-        if name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
-
-    # -- the noisy sVector APIs ----------------------------------------------
 
     def _draw(self, dims: int) -> list[float]:
         return [self._rng.uniform(-self.noise, self.noise) for _ in range(dims)]
 
-    def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:
-        sv = self.inner.selectivity_vector(instance)
+    def selectivity_vector_ex(
+        self, instance: QueryInstance
+    ) -> tuple[SelectivityVector, bool]:
+        sv, degraded = self.inner.selectivity_vector_ex(instance)
         if self.noise <= 0.0:
-            return sv
+            return sv, degraded
         return SelectivityVector.from_sequence(
             [clamp_selectivity(s * math.exp(e))
              for s, e in zip(sv, self._draw(len(sv)))]
-        )
+        ), degraded
 
-    def selectivity_vector_with_error(
+    def selectivity_vector_with_error_ex(
         self, instance: QueryInstance
-    ) -> UncertainSelectivityVector:
-        usv = self.inner.selectivity_vector_with_error(instance)
+    ) -> tuple[UncertainSelectivityVector, bool]:
+        usv, degraded = self.inner.selectivity_vector_with_error_ex(instance)
         if self.noise <= 0.0:
-            return usv
+            return usv, degraded
         band = math.exp(self.noise)
         bounds = []
         for lo, p, hi, e in zip(
@@ -413,4 +327,4 @@ class NoisyEngine:
             bounds.append((n_lo, noisy, n_hi))
         return UncertainSelectivityVector.from_bounds(
             bounds, coverage=usv.coverage
-        )
+        ), degraded

@@ -6,8 +6,8 @@ any :class:`~repro.engine.api.EngineAPI` (or a
 :class:`~repro.engine.faults.FaultInjector` around one) with:
 
 * **retries** with exponential backoff and deterministic, seeded jitter;
-* **per-API deadlines** — a call that answers after its deadline is
-  treated as failed;
+* an **end-to-end call budget** (:meth:`ResilientEngineAPI.call_budget`)
+  — a call that answers past it is treated as failed;
 * a **circuit breaker** on the Recost API, short-circuiting calls while
   the engine is misbehaving;
 * **fail-closed degradation** that preserves the guarantee:
@@ -19,7 +19,8 @@ any :class:`~repro.engine.api.EngineAPI` (or a
     ``uncertified``;
   - a failed sVector call reuses the last-known-good vector inflated by
     a conservative factor, and the served instance is flagged
-    ``uncertified``.
+    ``uncertified`` (so is one whose inner layer already reported a
+    degraded vector).
 
 Every fault, retry, breaker transition and degraded answer is counted
 in :class:`~repro.engine.api.ResilienceCounters`; with an observability
@@ -48,7 +49,7 @@ from ..query.instance import (
     UncertainSelectivityVector,
 )
 from ..obs.handle import base_engine
-from .api import EngineAPI
+from .api import EngineAPI, EngineWrapper
 from .faults import EngineFault, EngineTimeoutError
 
 T = TypeVar("T")
@@ -172,10 +173,6 @@ class ResiliencePolicy:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker_failure_threshold: int = 5
     breaker_cooldown_calls: int = 20
-    # Per-API deadlines in seconds (None disables enforcement).
-    optimize_deadline: Optional[float] = None
-    recost_deadline: Optional[float] = None
-    selectivity_deadline: Optional[float] = None
     # Conservative inflation applied to a reused last-known-good sVector.
     svector_inflation: float = 1.5
 
@@ -184,12 +181,11 @@ class ResiliencePolicy:
             raise ValueError("svector_inflation must be >= 1")
 
 
-class ResilientEngineAPI:
+class ResilientEngineAPI(EngineWrapper):
     """Drop-in :class:`EngineAPI` façade with fault tolerance.
 
-    Composes rather than subclasses: unknown attributes delegate to the
-    wrapped engine, and ``counters`` are the wrapped engine's own (its
-    ``resilience`` sub-counters are filled in by this layer).
+    ``counters`` are the wrapped engine's own (its ``resilience``
+    sub-counters are filled in by this layer).
 
     Parameters
     ----------
@@ -197,7 +193,7 @@ class ResilientEngineAPI:
         The engine to protect — a raw :class:`EngineAPI` or a
         :class:`~repro.engine.faults.FaultInjector` around one.
     policy:
-        Retry / breaker / deadline tunables.
+        Retry / breaker / fallback tunables.
     seed:
         Seed for the deterministic backoff jitter.
     sleep:
@@ -211,7 +207,7 @@ class ResilientEngineAPI:
         seed: int = 0,
         sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
-        self.inner = engine
+        super().__init__(engine)
         self.policy = policy or ResiliencePolicy()
         self._rng = random.Random(seed)
         self._sleep = sleep if sleep is not None else time.sleep
@@ -245,8 +241,8 @@ class ResilientEngineAPI:
         scope is active (thread-locally, so concurrent servers sharing
         one engine don't clobber each other): a call starting past the
         budget fails immediately, a call *answering* past it is treated
-        as timed out (fail-closed, like a per-API deadline overrun), and
-        retries whose backoff would overshoot the budget are skipped.
+        as timed out (fail-closed), and retries whose backoff would
+        overshoot the budget are skipped.
         """
         prev = getattr(self._tls, "budget_deadline", None)
         self._tls.budget_deadline = expires_at
@@ -255,27 +251,9 @@ class ResilientEngineAPI:
         finally:
             self._tls.budget_deadline = prev
 
-    # -- façade --------------------------------------------------------------
-
-    @property
-    def template(self):
-        return self.inner.template
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
     def begin_instance(self, index: int) -> None:
         self._tls.index = index
         self.inner.begin_instance(index)
-
-    def reset_counters(self) -> None:
-        self.inner.reset_counters()
-
-    def __getattr__(self, name: str):
-        if name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
 
     # -- retry machinery -----------------------------------------------------
 
@@ -311,22 +289,15 @@ class ResilientEngineAPI:
         self,
         api: str,
         fn: Callable[[], T],
-        deadline: Optional[float],
         validate: Optional[Callable[[T], bool]] = None,
     ) -> T:
-        """One guarded call: deadline enforcement + result validation."""
+        """One guarded call: call-budget enforcement + result validation."""
         budget = self._budget_deadline
         if budget is not None and time.monotonic() >= budget:
             raise EngineTimeoutError(
                 f"{api} call skipped: end-to-end budget exhausted"
             )
-        start = time.perf_counter()
         result = fn()
-        elapsed = time.perf_counter() - start
-        if deadline is not None and elapsed > deadline:
-            raise EngineTimeoutError(
-                f"{api} call took {elapsed:.4f}s > deadline {deadline:.4f}s"
-            )
         if budget is not None and time.monotonic() > budget:
             raise EngineTimeoutError(
                 f"{api} call answered past its end-to-end budget"
@@ -339,7 +310,6 @@ class ResilientEngineAPI:
         self,
         api: str,
         fn: Callable[[], T],
-        deadline: Optional[float],
         validate: Optional[Callable[[T], bool]] = None,
         on_failure: Optional[Callable[[], None]] = None,
         on_success: Optional[Callable[[], None]] = None,
@@ -348,7 +318,7 @@ class ResilientEngineAPI:
         last_error: Optional[Exception] = None
         for attempt in range(1, retry.max_attempts + 1):
             try:
-                result = self._attempt(api, fn, deadline, validate)
+                result = self._attempt(api, fn, validate)
             except FAILURE_TYPES as exc:
                 last_error = exc
                 self._count_fault(api, exc)
@@ -380,31 +350,23 @@ class ResilientEngineAPI:
 
     # -- the three APIs ------------------------------------------------------
 
-    def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:
-        """sVector with retries; degrades to last-known-good, inflated.
-
-        The inflation pushes every selectivity *up* (clamped to 1.0),
-        which shrinks G·L budgets and recost ratios conservatively; the
-        caller still marks the instance uncertified, from the paired
-        status :meth:`selectivity_vector_ex` returns.
-        """
-        return self.selectivity_vector_ex(instance)[0]
-
     def selectivity_vector_ex(
         self, instance: QueryInstance
     ) -> tuple[SelectivityVector, bool]:
-        """sVector plus its per-call degradation status.
+        """sVector with retries plus its per-call degradation status.
 
-        Returns ``(sv, degraded)`` where ``degraded`` is True iff the
-        vector is a stale-inflated fallback and the instance must be
-        served uncertified.  Returning the status with the vector keeps
-        it race-free when many threads share one engine.
+        Returns ``(sv, degraded)``.  When every retry fails, the
+        last-known-good vector is reused with every selectivity inflated
+        *up* (clamped to 1.0), which shrinks G·L budgets and recost ratios
+        conservatively; ``degraded`` is then True and the caller serves
+        the instance uncertified.  A vector an inner layer already
+        reported degraded passes through degraded and never becomes the
+        last-known-good one.
         """
         try:
-            sv = self._call_with_retries(
+            sv, degraded = self._call_with_retries(
                 "selectivity",
-                lambda: self.inner.selectivity_vector(instance),
-                self.policy.selectivity_deadline,
+                lambda: self.inner.selectivity_vector_ex(instance),
             )
         except FAILURE_TYPES as exc:
             if self._last_good_sv is None:
@@ -421,38 +383,27 @@ class ResilientEngineAPI:
                 f"stale vector inflated x{self.policy.svector_inflation:g}",
             )
             return inflated, True
-        self._last_good_sv = sv
-        return sv, False
-
-    def selectivity_vector_with_error(
-        self, instance: QueryInstance
-    ) -> UncertainSelectivityVector:
-        """Uncertain sVector with retries; degrades to a *widened* stale box.
-
-        Degraded reads inflate the interval instead of guessing: the
-        last-known-good box is widened by the inflation factor, so the
-        robust checks become strictly more pessimistic instead of
-        trusting a stale point estimate.
-        """
-        return self.selectivity_vector_with_error_ex(instance)[0]
+        if not degraded:
+            self._last_good_sv = sv
+        return sv, degraded
 
     def selectivity_vector_with_error_ex(
         self, instance: QueryInstance
     ) -> tuple[UncertainSelectivityVector, bool]:
-        """Uncertain sVector plus its per-call degradation status.
+        """Uncertain sVector with retries plus its degradation status.
 
-        Returns ``(usv, degraded)``.  A degraded box is the last-known-good
-        box widened by ``svector_inflation`` (or, when only a point
-        vector was ever seen, a zero-width box around it, widened): the
-        stale interval says nothing about *this* instance's truth, so
-        the caller must still serve the instance uncertified — the
-        widening only keeps the robust checks on the pessimistic side.
+        Returns ``(usv, degraded)``.  Degraded reads inflate the interval
+        instead of guessing: the last-known-good box is widened by
+        ``svector_inflation`` (or, when only a point vector was ever
+        seen, a zero-width box around it, widened).  The stale interval
+        says nothing about *this* instance's truth, so the caller must
+        still serve the instance uncertified — the widening only keeps
+        the robust checks on the pessimistic side.
         """
         try:
-            usv = self._call_with_retries(
+            usv, degraded = self._call_with_retries(
                 "selectivity",
-                lambda: self.inner.selectivity_vector_with_error(instance),
-                self.policy.selectivity_deadline,
+                lambda: self.inner.selectivity_vector_with_error_ex(instance),
             )
         except FAILURE_TYPES as exc:
             stale = self._last_good_usv
@@ -469,9 +420,10 @@ class ResilientEngineAPI:
                 f"stale interval widened x{self.policy.svector_inflation:g}",
             )
             return widened, True
-        self._last_good_usv = usv
-        self._last_good_sv = usv.point
-        return usv, False
+        if not degraded:
+            self._last_good_usv = usv
+            self._last_good_sv = usv.point
+        return usv, degraded
 
     def optimize(self, sv: SelectivityVector) -> OptimizationResult:
         """Optimize with retries; exhaustion raises
@@ -481,7 +433,6 @@ class ResilientEngineAPI:
             return self._call_with_retries(
                 "optimize",
                 lambda: self.inner.optimize(sv),
-                self.policy.optimize_deadline,
                 validate=lambda r: math.isfinite(r.cost) and r.cost > 0,
             )
         except FAILURE_TYPES as exc:
@@ -520,7 +471,6 @@ class ResilientEngineAPI:
             return self._call_with_retries(
                 "recost",
                 lambda: self.inner.recost(shrunken, sv),
-                self.policy.recost_deadline,
                 validate=lambda c: math.isfinite(c) and c > 0,
                 on_failure=on_failure,
                 on_success=on_success,

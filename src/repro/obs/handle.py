@@ -203,18 +203,16 @@ class EngineInstruments:
 
 
 def base_engine(engine):
-    """Unwrap delegating engine facades to the raw :class:`EngineAPI`.
+    """Unwrap engine façades (each holds the next layer in ``inner``) to
+    the raw :class:`EngineAPI`.
 
-    Wrappers compose via ``inner`` (resilience, fault injection) or
-    ``_inner`` (simulated latency); the raw engine is where call timing
-    lives, so that is where instruments are attached.
+    The raw engine is where call timing lives, so that is where
+    instruments are attached.
     """
     seen = set()
     while id(engine) not in seen:
         seen.add(id(engine))
         nxt = getattr(engine, "inner", None)
-        if nxt is None:
-            nxt = getattr(engine, "_inner", None)
         if nxt is None:
             return engine
         engine = nxt

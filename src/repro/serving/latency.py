@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from ..engine.api import EngineAPI
+from ..engine.api import EngineAPI, EngineWrapper
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
     QueryInstance,
@@ -22,8 +22,8 @@ from ..query.instance import (
 )
 
 
-class SimulatedLatencyEngine:
-    """Delegating :class:`EngineAPI` wrapper adding per-call latency."""
+class SimulatedLatencyEngine(EngineWrapper):
+    """Engine wrapper adding a fixed sleep before each API call."""
 
     def __init__(
         self,
@@ -32,35 +32,34 @@ class SimulatedLatencyEngine:
         recost_seconds: float = 0.001,
         selectivity_seconds: float = 0.0001,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self.optimize_seconds = optimize_seconds
         self.recost_seconds = recost_seconds
         self.selectivity_seconds = selectivity_seconds
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:
-        if self.selectivity_seconds:
-            time.sleep(self.selectivity_seconds)
-        return self._inner.selectivity_vector(instance)
-
-    def selectivity_vector_with_error(
+    def selectivity_vector_ex(
         self, instance: QueryInstance
-    ) -> UncertainSelectivityVector:
+    ) -> tuple[SelectivityVector, bool]:
         if self.selectivity_seconds:
             time.sleep(self.selectivity_seconds)
-        return self._inner.selectivity_vector_with_error(instance)
+        return self.inner.selectivity_vector_ex(instance)
+
+    def selectivity_vector_with_error_ex(
+        self, instance: QueryInstance
+    ) -> tuple[UncertainSelectivityVector, bool]:
+        if self.selectivity_seconds:
+            time.sleep(self.selectivity_seconds)
+        return self.inner.selectivity_vector_with_error_ex(instance)
 
     def optimize(self, sv: SelectivityVector):
         if self.optimize_seconds:
             time.sleep(self.optimize_seconds)
-        return self._inner.optimize(sv)
+        return self.inner.optimize(sv)
 
     def recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
         if self.recost_seconds:
             time.sleep(self.recost_seconds)
-        return self._inner.recost(shrunken, sv)
+        return self.inner.recost(shrunken, sv)
 
 
 def simulated_latency_wrapper(

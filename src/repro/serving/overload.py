@@ -16,9 +16,9 @@ and observably* instead of letting queues collapse:
   submissions resolve through the degraded path instead of hanging, and
   the optimizer is never invoked with less than
   ``min_optimize_budget`` seconds left.
-* **Optimizer gate** — a concurrency limiter plus optional token
-  bucket dedicated to optimizer calls (:class:`OptimizerGate`); gate
-  wait time is a first-class pressure signal.
+* **Optimizer gate** — a concurrency limiter dedicated to optimizer
+  calls (:class:`OptimizerGate`); gate wait time is a first-class
+  pressure signal.
 * **Brownout controller** — a hysteresis state machine
   (``normal → coverage-relaxed → λ-relaxed → uncertified-serve →
   shed``) driven by queue depth, optimizer-gate wait and deadline-miss
@@ -118,37 +118,25 @@ class Deadline:
 
 
 class OptimizerGate:
-    """Concurrency limiter (+ optional token bucket) for optimizer calls.
+    """Concurrency limiter for optimizer calls.
 
     The semaphore bounds how many optimizer calls run at once — the
-    scarce resource SCR rations.  The optional token bucket additionally
-    bounds the *rate* of optimizer calls (``tokens_per_second`` refill,
-    ``burst`` capacity).  ``acquire`` blocks up to ``timeout`` seconds;
-    the wait time feeds a decaying average that the brownout controller
-    reads as the optimizer-pool pressure signal.
+    scarce resource SCR rations.  ``acquire`` blocks up to ``timeout``
+    seconds; the wait time feeds a decaying average that the brownout
+    controller reads as the optimizer-pool pressure signal.
     """
 
     def __init__(
         self,
         concurrency: int,
-        tokens_per_second: Optional[float] = None,
-        burst: Optional[int] = None,
         clock: Union[Clock, Callable[[], float]] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if tokens_per_second is not None and tokens_per_second <= 0:
-            raise ValueError("tokens_per_second must be positive")
         self._sem = threading.Semaphore(concurrency)
         self.concurrency = concurrency
-        self.tokens_per_second = tokens_per_second
-        self.burst = float(burst if burst is not None else concurrency)
         self._clock = clock.monotonic if isinstance(clock, Clock) else clock
-        self._sleep = sleep
         self._lock = threading.Lock()
-        self._tokens = self.burst
-        self._refilled_at = clock()
         self.acquired = 0
         self.timeouts = 0
         self.total_wait_seconds = 0.0
@@ -156,34 +144,10 @@ class OptimizerGate:
         #: brownout controller's optimizer-pool pressure signal.
         self.wait_ema_seconds = 0.0
 
-    def _take_token(self, deadline_at: float) -> bool:
-        """Take one token, sleeping for the refill if the budget allows."""
-        if self.tokens_per_second is None:
-            return True
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(
-                    self.burst,
-                    self._tokens
-                    + (now - self._refilled_at) * self.tokens_per_second,
-                )
-                self._refilled_at = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return True
-                wait = (1.0 - self._tokens) / self.tokens_per_second
-            if now + wait > deadline_at:
-                return False
-            self._sleep(wait)
-
     def acquire(self, timeout: float) -> bool:
         """Try to admit one optimizer call; pairs with :meth:`release`."""
         start = self._clock()
         ok = self._sem.acquire(timeout=max(0.0, timeout))
-        if ok and not self._take_token(start + timeout):
-            self._sem.release()
-            ok = False
         waited = self._clock() - start
         with self._lock:
             self.total_wait_seconds += waited
@@ -254,9 +218,6 @@ class OverloadPolicy:
     min_optimize_budget: float = 0.002
     #: Max concurrent optimizer calls across all templates.
     optimizer_concurrency: int = 4
-    #: Optional token-bucket rate/burst for optimizer calls.
-    optimizer_tokens_per_second: Optional[float] = None
-    optimizer_token_burst: Optional[int] = None
     #: How long a miss may wait for the optimizer gate before degrading.
     gate_timeout: float = 0.050
     #: Brownout evaluation cadence, in completed instances.
@@ -439,7 +400,6 @@ class OverloadCoordinator:
         self,
         policy: OverloadPolicy,
         clock: Union[Clock, Callable[[], float]] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.policy = policy
         # One unified clock source: tests and legacy callers may pass a
@@ -449,11 +409,7 @@ class OverloadCoordinator:
         self.clock = self.clock_source.monotonic
         self.controller = BrownoutController(policy)
         self.gate = OptimizerGate(
-            concurrency=policy.optimizer_concurrency,
-            tokens_per_second=policy.optimizer_tokens_per_second,
-            burst=policy.optimizer_token_burst,
-            clock=self.clock,
-            sleep=sleep,
+            concurrency=policy.optimizer_concurrency, clock=self.clock
         )
         self._obs: Optional[Observability] = None
         self._m_pending = None

@@ -176,10 +176,6 @@ class TestEngineEventSites:
             "stale vector inflated x1.5"
         )
         obs.spans.clear()
-        # ScriptedFailures delegates the interval call to the raw engine,
-        # so fail it by breaking the estimator the raw engine calls.
-        raw = resilient.inner.inner
-        raw.estimator = _BrokenIntervals(raw.estimator)
         _, degraded = resilient.selectivity_vector_with_error_ex(instance)
         assert degraded
         event = only(obs, "engine.degraded")
@@ -198,17 +194,6 @@ class TestEngineEventSites:
         event = only(obs, "engine.degraded")
         assert event.attrs["api"] == "optimize" and event.attrs["seq"] == 1
         assert event.attrs["detail"].startswith("serving cached plan ")
-
-
-class _BrokenIntervals:
-    def __init__(self, estimator):
-        self._estimator = estimator
-
-    def __getattr__(self, name):
-        return getattr(self._estimator, name)
-
-    def selectivity_vector_with_error(self, template, instance):
-        raise ValueError("scripted interval failure")
 
 
 class TestEngineEventsInsideARequest:

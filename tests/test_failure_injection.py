@@ -17,7 +17,7 @@ import math
 
 
 from repro.core.scr import SCR
-from repro.engine.api import EngineAPI
+from repro.engine.api import EngineAPI, EngineWrapper
 from repro.engine.faults import (
     EngineTimeoutError,
     FaultConfig,
@@ -188,30 +188,24 @@ FAST_POLICY = ResiliencePolicy(
 )
 
 
-class _NthCallFails:
+class _NthCallFails(EngineWrapper):
     """Wraps an engine; one chosen API raises on every Nth raw call."""
 
     def __init__(self, engine, api: str, n: int, error=TransientEngineError):
-        self.inner = engine
+        super().__init__(engine)
         self.api = api
         self.n = n
         self.error = error
         self._counts = {"optimize": 0, "recost": 0, "selectivity": 0}
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def begin_instance(self, index):
-        self.inner.begin_instance(index)
 
     def _maybe_fail(self, api):
         self._counts[api] += 1
         if api == self.api and self._counts[api] % self.n == 0:
             raise self.error(f"injected {api} failure on call {self._counts[api]}")
 
-    def selectivity_vector(self, instance):
+    def selectivity_vector_ex(self, instance):
         self._maybe_fail("selectivity")
-        return self.inner.selectivity_vector(instance)
+        return self.inner.selectivity_vector_ex(instance)
 
     def optimize(self, sv):
         self._maybe_fail("optimize")
@@ -297,25 +291,19 @@ class TestOptimizerTimeouts:
 
 class TestNaNSelectivityVectors:
     def test_nan_svector_degrades_uncertified(self, toy_db, toy_template):
-        class NaNSVector:
+        class NaNSVector(EngineWrapper):
             def __init__(self, engine, fail_calls):
-                self.inner = engine
+                super().__init__(engine)
                 self.fail_calls = fail_calls
                 self.calls = 0
 
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-            def begin_instance(self, index):
-                self.inner.begin_instance(index)
-
-            def selectivity_vector(self, instance):
+            def selectivity_vector_ex(self, instance):
                 self.calls += 1
                 if self.calls in self.fail_calls:
                     # Garbage engine output: NaNs fail SelectivityVector
                     # validation, surfacing as a fault to the retry layer.
-                    return SelectivityVector.of(math.nan, math.nan)
-                return self.inner.selectivity_vector(instance)
+                    return SelectivityVector.of(math.nan, math.nan), False
+                return self.inner.selectivity_vector_ex(instance)
 
         flaky = NaNSVector(
             engine_with(CostModel(), toy_db, toy_template), fail_calls={6, 7}

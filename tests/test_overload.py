@@ -134,22 +134,6 @@ class TestOptimizerGate:
         assert gate.acquired == 2
         assert gate.wait_ema_seconds >= 0.0
 
-    def test_token_bucket_bounds_rate(self):
-        now = [0.0]
-        gate = OptimizerGate(
-            concurrency=8,
-            tokens_per_second=1.0,
-            burst=2,
-            clock=lambda: now[0],
-            sleep=lambda s: now.__setitem__(0, now[0] + s),
-        )
-        # Burst of 2 tokens, then the third must wait a full refill.
-        assert gate.acquire(timeout=0.0)
-        assert gate.acquire(timeout=0.0)
-        assert not gate.acquire(timeout=0.0)   # no budget to wait for refill
-        assert gate.acquire(timeout=2.0)       # refill funded by the budget
-        assert gate.timeouts == 1
-
 
 # ---------------------------------------------------------------------------
 # Brownout hysteresis state machine

@@ -9,17 +9,20 @@ stays open.
 
 import math
 import random
+import time
 
 import pytest
 
 from repro.core.scr import SCR
 from repro.core.technique import fetch_selectivity
-from repro.engine.api import EngineAPI
+from repro.engine.api import EngineAPI, EngineWrapper
 from repro.engine.faults import (
+    DriftingCostEngine,
     EngineTimeoutError,
     FaultConfig,
     FaultInjector,
     FaultProfile,
+    NoisyEngine,
     TransientEngineError,
 )
 from repro.engine.resilience import (
@@ -34,8 +37,8 @@ from repro.engine.resilience import (
 )
 from repro.obs import Observability, instrument_engine
 from repro.optimizer.optimizer import QueryOptimizer
-from repro.query.instance import QueryInstance, SelectivityVector
-from repro.serving import ConcurrentPQOManager
+from repro.query.instance import QueryInstance, SelectivityVector, as_point
+from repro.serving import ConcurrentPQOManager, SimulatedLatencyEngine
 from repro.workload.generator import instances_for_template
 
 from conftest import event_spans
@@ -60,12 +63,12 @@ def make_engine(toy_db, toy_template, obs=None) -> EngineAPI:
     return engine
 
 
-class ScriptedFailures:
+class ScriptedFailures(EngineWrapper):
     """Wraps an engine; fails the raw calls whose indices are scripted."""
 
     def __init__(self, engine, fail_recost=(), fail_optimize=(),
                  fail_selectivity=(), error=TransientEngineError):
-        self.inner = engine
+        super().__init__(engine)
         self.fail_recost = set(fail_recost)
         self.fail_optimize = set(fail_optimize)
         self.fail_selectivity = set(fail_selectivity)
@@ -74,17 +77,19 @@ class ScriptedFailures:
         self.optimize_calls = 0
         self.selectivity_calls = 0
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def begin_instance(self, index):
-        self.inner.begin_instance(index)
-
-    def selectivity_vector(self, instance):
+    def _selectivity_call(self):
+        """Point and interval sVector calls share one call count."""
         self.selectivity_calls += 1
         if self.selectivity_calls in self.fail_selectivity:
             raise self.error("scripted sVector failure")
-        return self.inner.selectivity_vector(instance)
+
+    def selectivity_vector_ex(self, instance):
+        self._selectivity_call()
+        return self.inner.selectivity_vector_ex(instance)
+
+    def selectivity_vector_with_error_ex(self, instance):
+        self._selectivity_call()
+        return self.inner.selectivity_vector_with_error_ex(instance)
 
     def optimize(self, sv):
         self.optimize_calls += 1
@@ -529,3 +534,125 @@ class TestPerCallDegradedStatus:
         # attribution index on either layer.
         assert resilient._index == 1
         assert engine._instance_index == 1
+
+
+# -- wrappers stacked outside the resilient layer ----------------------------
+
+#: One wrapper of each kind, to be stacked *outside* ``ResilientEngineAPI``.
+#: The injector's seed-5 draws leave the first sVector clean and replay it
+#: stale on the second call (after the first instance's optimize call).
+OUTER_WRAPPERS = {
+    "noisy": lambda e: NoisyEngine(e, noise=1.0, seed=3),
+    "latency": lambda e: SimulatedLatencyEngine(
+        e, optimize_seconds=0.0, recost_seconds=0.0, selectivity_seconds=0.05
+    ),
+    "stale": lambda e: FaultInjector(
+        e, FaultConfig(selectivity=FaultProfile(corrupt_rate=0.5)), seed=5
+    ),
+    "drift": lambda e: DriftingCostEngine(e, factor=3.0),
+}
+
+FIRST = QueryInstance("toy_join", sv=SelectivityVector.of(0.3, 0.6))
+SECOND = QueryInstance("toy_join", sv=SelectivityVector.of(0.05, 0.1))
+THIRD = QueryInstance("toy_join", sv=SelectivityVector.of(0.8, 0.4))
+
+
+def serve_inner_failure(kind, toy_db, toy_template, via_manager, **scr_kwargs):
+    """Good inner sVector reads, then one that fails every retry: returns
+    the first and the failed instance's choices.  Two good reads, so the
+    injector's stale replay on the second leaves a live vector distinct
+    from the fallback for it to act on."""
+    rows = serve_outside_resilient(
+        kind, toy_db, toy_template, via_manager,
+        fail_selectivity=range(3, 10_000), instances=(FIRST, SECOND, THIRD),
+        **scr_kwargs,
+    )
+    return rows[0][0], rows[2][0]
+
+
+def serve_outside_resilient(
+    kind, toy_db, toy_template, via_manager, fail_selectivity=(),
+    instances=(FIRST, SECOND), **scr_kwargs,
+):
+    """Serve ``instances`` through ``OUTER(Resilient(Scripted(raw)))`` with
+    ``SCR.process`` or a one-worker manager.
+
+    Returns ``(choice, served point sVector, seconds)`` per instance; the
+    served vector is what SCR's getPlan probe was handed.
+    """
+
+    def stack(raw):
+        flaky = ScriptedFailures(raw, fail_selectivity=fail_selectivity)
+        resilient = ResilientEngineAPI(flaky, policy=FAST_POLICY, sleep=NO_SLEEP)
+        return OUTER_WRAPPERS[kind](resilient)
+
+    manager = None
+    if via_manager:
+        manager = ConcurrentPQOManager(
+            database=toy_db, max_workers=1, engine_wrapper=stack
+        )
+        scr = manager.register(toy_template, lam=1.5, **scr_kwargs).scr
+        serve = manager.process
+    else:
+        scr = SCR(stack(make_engine(toy_db, toy_template)), lam=1.5, **scr_kwargs)
+        serve = scr.process
+    served = []
+    probe = scr.get_plan.probe
+
+    def spy(sv, *args, **kwargs):
+        served.append(as_point(sv))
+        return probe(sv, *args, **kwargs)
+
+    scr.get_plan.probe = spy
+    rows = []
+    try:
+        for instance in instances:
+            start = time.perf_counter()
+            choice = serve(instance)
+            rows.append((choice, served[-1], time.perf_counter() - start))
+    finally:
+        if manager is not None:
+            manager.close()
+    return rows
+
+
+def assert_outer_effect(kind, rows, toy_db, toy_template):
+    """The outer wrapper's effect is visible in what SCR was served."""
+    clean = [FIRST.sv, SECOND.sv]
+    served = [sv for _, sv, _ in rows]
+    if kind == "noisy":
+        assert served[0] != clean[0]
+    elif kind == "latency":
+        assert served == clean
+        assert all(seconds >= 0.05 for _, _, seconds in rows)
+    elif kind == "stale":
+        assert served == [clean[0], clean[0]]  # second call replays the first
+    else:  # drift: the sVector passes through, costs are scaled
+        assert served == clean
+        optimizer = make_engine(toy_db, toy_template).optimizer
+        assert rows[0][0].optimal_cost == pytest.approx(
+            3.0 * optimizer.optimize(clean[0]).cost
+        )
+
+
+@pytest.mark.parametrize("via_manager", [False, True], ids=["scr", "manager"])
+@pytest.mark.parametrize("kind", sorted(OUTER_WRAPPERS))
+class TestWrapperOutsideResilience:
+    """A wrapper stacked outside the resilient layer still acts on the
+    served sVector, and the resilient layer's degraded flag still reaches
+    SCR through it."""
+
+    def test_outer_effect_reaches_served_svector(
+        self, kind, via_manager, toy_db, toy_template
+    ):
+        rows = serve_outside_resilient(kind, toy_db, toy_template, via_manager)
+        assert_outer_effect(kind, rows, toy_db, toy_template)
+
+    def test_inner_svector_failure_serves_uncertified(
+        self, kind, via_manager, toy_db, toy_template
+    ):
+        good, degraded = serve_inner_failure(
+            kind, toy_db, toy_template, via_manager
+        )
+        assert good.certified
+        assert not degraded.certified

@@ -511,6 +511,24 @@ class TestSupervisorTracing:
         assert root.attrs["outcome"] == "shed"
         assert root.attrs["reason"] == "worker_lost"
 
+    def test_shutdown_resolves_root_and_open_attempt(self):
+        """A traced request still in flight at close() keeps its trace:
+        the root resolves shed and the open attempt gets its span."""
+        sup, _ = make_traced_cluster()
+        name = owned_template(sup, "w0")
+        fut = sup.submit(name, (0.5,), sequence_id=4)
+        sup.close(timeout=0)  # no worker ever answers
+        assert fut.exception() is not None
+        spans = sup.trace_spans(fut.trace_id)
+        assert_connected_tree(spans)
+        root = next(s for s in spans if s.name == "cluster.request")
+        assert root.attrs["outcome"] == "shed"
+        assert root.attrs["reason"] == "worker_lost"
+        assert root.attrs["detail"] == "supervisor shutdown"
+        (dispatch,) = [s for s in spans if s.name == "cluster.dispatch"]
+        assert dispatch.attrs["worker"] == "w0"
+        assert dispatch.attrs["outcome"] == "shutdown"
+
     def test_malformed_worker_span_rows_do_not_poison_the_pump(self):
         sup, _ = make_traced_cluster()
         name = owned_template(sup, "w0")

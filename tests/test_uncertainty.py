@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine.api import EngineAPI
+from repro.engine.api import EngineAPI, EngineWrapper
 from repro.engine.faults import (
     FaultConfig,
     FaultInjector,
@@ -35,6 +35,13 @@ from repro.query.instance import (
     clamp_selectivity,
 )
 from repro.selectivity.histogram import EquiDepthHistogram
+
+from test_resilience import (
+    OUTER_WRAPPERS,
+    assert_outer_effect,
+    serve_inner_failure,
+    serve_outside_resilient,
+)
 
 NO_SLEEP = lambda seconds: None  # noqa: E731
 
@@ -333,23 +340,18 @@ class TestFaultInjectorUsv:
 # Resilience: degraded reads widen the interval instead of guessing
 
 
-class FailAfterFirst:
+class FailAfterFirst(EngineWrapper):
     """Engine wrapper: the first usv call succeeds, later ones fail."""
 
     def __init__(self, engine):
-        self.inner = engine
+        super().__init__(engine)
         self.calls = 0
 
-    def selectivity_vector_with_error(self, instance):
+    def selectivity_vector_with_error_ex(self, instance):
         self.calls += 1
         if self.calls > 1:
             raise TransientEngineError("injected")
-        return self.inner.selectivity_vector_with_error(instance)
-
-    def __getattr__(self, name):
-        if name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
+        return self.inner.selectivity_vector_with_error_ex(instance)
 
 
 class TestResilienceDegradedUsv:
@@ -394,3 +396,28 @@ class TestResilienceDegradedUsv:
         assert degraded
         assert stale.point == SelectivityVector.of(0.2, 0.3)
         assert stale.total_log_width > 0.0  # widened, not a blind point
+
+
+@pytest.mark.parametrize("via_manager", [False, True], ids=["scr", "manager"])
+@pytest.mark.parametrize("kind", sorted(OUTER_WRAPPERS))
+class TestRobustWrapperOutsideResilience:
+    """Robust checks fetch the uncertain sVector: a wrapper stacked
+    outside the resilient layer acts on the served box, and a degraded
+    (widened stale) box still serves uncertified through it."""
+
+    def test_outer_effect_reaches_served_box(
+        self, kind, via_manager, toy_db, toy_template
+    ):
+        rows = serve_outside_resilient(
+            kind, toy_db, toy_template, via_manager, check_mode="robust"
+        )
+        assert_outer_effect(kind, rows, toy_db, toy_template)
+
+    def test_inner_failure_serves_uncertified(
+        self, kind, via_manager, toy_db, toy_template
+    ):
+        good, degraded = serve_inner_failure(
+            kind, toy_db, toy_template, via_manager, check_mode="robust"
+        )
+        assert good.certified
+        assert not degraded.certified
