@@ -2,7 +2,7 @@
 
 Workers periodically publish each owned template's plan cache to a
 shared directory using the checksummed crash-atomic
-:class:`~repro.core.persistence.CacheSnapshot` format (temp file +
+:class:`~repro.core.persistence.CacheFile` format (temp file +
 fsync + rename + directory fsync).  A replacement worker — or a peer
 inheriting a dead worker's partition — warm-starts by loading the
 latest published snapshot, which restores the instance list and
@@ -22,7 +22,7 @@ import os
 import threading
 from typing import Optional
 
-from ..core.persistence import CacheSnapshot, dump_cache
+from ..core.persistence import CacheFile
 from ..core.plan_cache import PlanCache
 
 SNAPSHOT_SUFFIX = ".cache.json"
@@ -47,21 +47,11 @@ class SnapshotStore:
     def path_for(self, template_name: str) -> str:
         return os.path.join(self.directory, template_name + SNAPSHOT_SUFFIX)
 
-    def publish(self, template_name: str, cache: PlanCache) -> int:
-        """Atomically publish one template's cache; returns bytes written.
-
-        Serialization happens in the caller's thread (callers holding a
-        shard lock should serialize under it via :func:`serialize` and
-        hand the text to :meth:`publish_text` outside the lock).
-        """
-        return self.publish_text(template_name, dump_cache(cache))
-
-    @staticmethod
-    def serialize(cache: PlanCache) -> str:
-        return dump_cache(cache)
-
     def publish_text(self, template_name: str, text: str) -> int:
-        n = CacheSnapshot(self.path_for(template_name)).save_text(text)
+        """Atomically publish one template's serialized cache (a
+        :func:`~repro.core.persistence.dump_cache` text, which callers
+        holding a shard lock produce under it); returns bytes written."""
+        n = CacheFile(self.path_for(template_name)).save_text(text)
         with self._lock:
             self.publishes += 1
         return n
@@ -75,7 +65,7 @@ class SnapshotStore:
         path = self.path_for(template_name)
         if not os.path.exists(path):
             return None
-        cache = CacheSnapshot(path).load_or_none()
+        cache = CacheFile(path).load_or_none()
         with self._lock:
             if cache is None:
                 self.corrupt_loads += 1

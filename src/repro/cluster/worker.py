@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..catalog.registry import get_database
+from ..core.persistence import dump_cache
 from ..engine.resilience import resilient_engine_factory
 from ..harness.oracle import Oracle
 from ..obs.tracectx import TraceContext, activate
@@ -314,7 +315,7 @@ class ClusterWorker:
             with shard.lock:
                 if shard.scr.cache.num_instances == 0:
                     continue
-                text = SnapshotStore.serialize(shard.scr.cache)
+                text = dump_cache(shard.scr.cache)
             self.store.publish_text(name, text)
             published += 1
         return published

@@ -30,7 +30,7 @@ from .manage_cache import (
 from .coverage import CoverageReport, sample_coverage
 from .persistence import (
     CacheCorruptionError,
-    CacheSnapshot,
+    CacheFile,
     dump_cache,
     load_cache,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "CandidateOrder",
     "EvictionPolicy",
     "CacheCorruptionError",
-    "CacheSnapshot",
+    "CacheFile",
     "CoverageReport",
     "sample_coverage",
     "dump_cache",

@@ -27,15 +27,17 @@ is one ``np.concatenate(..., axis=-1)`` per field whatever its rank.
 
 Copy-on-write discipline
 ------------------------
-Views are immutable and built lazily per cache epoch by
-:meth:`~repro.core.plan_cache.PlanCache.columnar`, exactly like
-:class:`~repro.core.plan_cache.CacheSnapshot` — between mutations the
-same view is handed out, so columnar access on the hot path is O(1).
+A view is the one read view of the instance list: immutable, built
+lazily per cache epoch by
+:meth:`~repro.core.plan_cache.PlanCache.columnar` and handed out
+unchanged between mutations, so taking one on the hot path is O(1).  A
+lock-free reader holds the view it took; ``epoch`` tells its commit
+whether the cache has moved on since.
 Only the *write-once* guarantee-bearing fields (``sv``, ``plan_id``,
 ``optimal_cost``, ``suboptimality``) are columnarised.  The two advisory
 fields that mutate without an epoch bump — ``usage`` (bumped by commits)
 and ``retired`` (flipped by the Appendix G violation detector) — are
-deliberately **not** snapshotted into arrays: the decision procedure
+deliberately **not** copied into arrays: the decision procedure
 reads them live from the entry objects, so a flag that flips between
 epoch rebuilds takes effect on the next probe.
 
@@ -86,8 +88,9 @@ class ColumnarInstances:
     plan_ids: "np.ndarray"  # (N,) PP column
     area: "np.ndarray"      # (N,) Π_i s_i (AREA candidate-order key)
     #: The cache lineage the rows were read at; ``PlanCache.columnar``
-    #: extends only views of its current lineage.  Transient views
-    #: (built outside the cache) keep -1 and are never extended.
+    #: extends only views of its current lineage.  Views built outside
+    #: the cache (explicit row subsets in tests) keep -1 and are never
+    #: extended.
     lineage: int = -1
 
     @classmethod

@@ -289,16 +289,16 @@ class GetPlan:
         self,
         sv: AnySelectivityVector,
         recost: Callable[[ShrunkenMemo, SelectivityVector], float],
-        entries: Optional[Iterable[InstanceEntry]] = None,
+        view: Optional[ColumnarInstances] = None,
         max_recost: Optional[int] = None,
         coverage: Optional[float] = None,
     ) -> GetPlanDecision:
         """Both checks, without committing any cache bookkeeping.
 
-        ``entries`` defaults to the live instance list; the concurrent
-        serving layer passes a :class:`~.plan_cache.CacheSnapshot`'s
-        entries so the scan runs lock-free, then calls :meth:`commit`
-        under the shard lock once the snapshot is validated.  Other than
+        ``view`` defaults to the cache's current columnar view; the
+        concurrent serving layer passes the view it took, so the scan
+        runs lock-free, then calls :meth:`commit` under the shard lock
+        once the hit is validated against ``view.epoch``.  Other than
         the advisory scan counter, ``probe`` does not mutate the cache.
 
         ``max_recost`` lowers the cost-check cap for this call only —
@@ -310,7 +310,8 @@ class GetPlan:
         mode ignores it.
         """
         point, box = self._resolve_box(sv, coverage)
-        view = self._columnar_view(entries)
+        if view is None:
+            view = self.cache.columnar()
         spans = self.spans
         timed = spans is not None and spans.enabled
         start = spans.clock.perf_counter() if timed else 0.0
@@ -372,7 +373,7 @@ class GetPlan:
         self,
         svs: "Iterable[AnySelectivityVector]",
         recost: Callable[[ShrunkenMemo, SelectivityVector], float],
-        entries: Optional[Iterable[InstanceEntry]] = None,
+        view: Optional[ColumnarInstances] = None,
         max_recost: Optional[int] = None,
         coverage: Optional[float] = None,
     ) -> list[GetPlanDecision]:
@@ -389,7 +390,8 @@ class GetPlan:
         resolved = [self._resolve_box(sv, coverage) for sv in svs]
         if not resolved:
             return []
-        view = self._columnar_view(entries)
+        if view is None:
+            view = self.cache.columnar()
         if len(view) == 0:
             return [self._miss(box) for _, box in resolved]
         budget = self._budget_vector(view)
@@ -412,26 +414,6 @@ class GetPlan:
                     )
                 decisions.append(decision)
         return decisions
-
-    def _columnar_view(
-        self, entries: Optional[Iterable[InstanceEntry]]
-    ) -> ColumnarInstances:
-        """Resolve the columnar view a probe scans.
-
-        ``None`` means the live instance list — the cache's cached
-        per-epoch view.  A snapshot's entries tuple usually *is* the
-        tuple the cached view was built from (identity check, no
-        epoch-number guessing); anything else — a raced snapshot, an
-        explicit entry subset — gets a transient view built on the spot,
-        which costs one columnarisation but stays decision-identical.
-        """
-        if entries is None:
-            return self.cache.columnar()
-        entries = entries if isinstance(entries, tuple) else tuple(entries)
-        view = self.cache.columnar()
-        if view.entries is entries:
-            return view
-        return ColumnarInstances.build(-1, entries)
 
     def _effective_cap(self, max_recost: Optional[int]) -> int:
         """The number of cost-check candidates this probe can consume."""
@@ -702,9 +684,9 @@ class GetPlan:
 
     def commit(self, decision: GetPlanDecision) -> None:
         """Apply the bookkeeping of a probed decision (usage counters,
-        LRU clock, hit/miss statistics).  Callers that probed against a
-        snapshot must hold the cache's write lock and have revalidated
-        the decision before committing."""
+        LRU clock, hit/miss statistics).  Callers that probed a view they
+        took earlier must hold the cache's write lock and have
+        revalidated the decision before committing."""
         if decision.check is CheckKind.SELECTIVITY:
             anchor = decision.anchor
             anchor.usage += 1

@@ -252,7 +252,7 @@ def _fsync_directory(directory: str) -> None:
 
 
 @dataclass(frozen=True)
-class CacheSnapshot:
+class CacheFile:
     """Crash-safe dump/load against a file path.
 
     ``save`` writes to a temporary file in the target directory, fsyncs

@@ -23,12 +23,6 @@ from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import SelectivityVector
 from .columnar import ColumnarInstances
 
-# Approximate per-object memory overheads (bytes), used only for the
-# bookkeeping-overhead reporting the paper discusses in section 6.1.
-INSTANCE_TUPLE_BYTES = 100
-PLAN_BASE_BYTES = 2048
-PLAN_NODE_BYTES = 256
-
 
 @dataclass
 class CachedPlan:
@@ -39,9 +33,6 @@ class CachedPlan:
     plan: PhysicalPlan
     shrunken_memo: ShrunkenMemo
     last_used_tick: int = 0  # logical time of last reuse (LRU eviction)
-
-    def memory_bytes(self) -> int:
-        return PLAN_BASE_BYTES + PLAN_NODE_BYTES * self.shrunken_memo.node_count
 
 
 @dataclass
@@ -88,23 +79,6 @@ class InstanceEntry:
         self.suboptimality = suboptimality
 
 
-@dataclass(frozen=True)
-class CacheSnapshot:
-    """An immutable view of the instance list at one cache epoch.
-
-    The concurrent serving layer runs the lock-free selectivity/cost
-    probe against a snapshot and later validates — under the shard's
-    write lock — that the epoch is unchanged (or that the specific
-    anchor is still live) before committing a hit.  Entries are shared
-    references: the only fields a commit mutates (``usage``) are
-    advisory, while the guarantee-bearing fields (``sv``, ``plan_id``,
-    ``optimal_cost``, ``suboptimality``) are written once at insertion.
-    """
-
-    epoch: int
-    entries: tuple[InstanceEntry, ...]
-
-
 @dataclass
 class PlanCache:
     """Plan list + instance list with the paper's maintenance operations."""
@@ -118,7 +92,7 @@ class PlanCache:
     plans_dropped: int = 0
     #: Monotonic mutation counter; bumped on every structural change
     #: (plan added/dropped, instance added).  Lock-free readers compare
-    #: epochs to detect that a snapshot went stale.
+    #: epochs to detect that a view went stale.
     epoch: int = 0
     #: Monotonic counter of every mutation that is *not* an append to the
     #: instance list (``drop_plan``, ``adopt``, in-place cost rewrites via
@@ -148,7 +122,6 @@ class PlanCache:
     adopted_hits_selectivity: int = 0
     adopted_hits_cost: int = 0
     adopted_recost_spend: int = 0
-    _snapshot: Optional[CacheSnapshot] = field(default=None, repr=False)
     _columnar: Optional[ColumnarInstances] = field(default=None, repr=False)
 
     def _mutated(self) -> None:
@@ -158,7 +131,6 @@ class PlanCache:
         and :meth:`columnar` extends it instead of rebuilding.
         """
         self.epoch += 1
-        self._snapshot = None
 
     def invalidate_views(self) -> None:
         """Book a mutation that removed, reordered or rewrote entries.
@@ -171,62 +143,54 @@ class PlanCache:
         self._columnar = None
         self._mutated()
 
-    def snapshot(self) -> CacheSnapshot:
-        """Copy-on-write snapshot of the instance list.
-
-        Between mutations the same tuple is handed out, so snapshotting
-        on the hot path is O(1); a mutation invalidates the cached copy
-        and the next reader rebuilds it.
-        """
-        snap = self._snapshot
-        if snap is None or snap.epoch != self.epoch:
-            snap = CacheSnapshot(epoch=self.epoch, entries=tuple(self._instances))
-            self._snapshot = snap
-        return snap
-
     def columnar(self) -> ColumnarInstances:
         """Copy-on-write columnar view of the instance list.
 
-        The structure-of-arrays twin of :meth:`snapshot`: built from the
-        same entries tuple (so ``columnar().entries is snapshot.entries``
-        within an epoch), cached until the next structural mutation, and
-        brought up to date lazily by the first reader after one.
-        ``getPlan`` probes these arrays; decisions still point at the
+        The one read view of the list: cached until the next structural
+        mutation and brought up to date lazily by the first reader after
+        one.  ``getPlan`` probes its arrays; decisions still point at the
         shared :class:`InstanceEntry` objects.
+
+        The cached view is current iff its epoch is the cache's.  Epochs
+        only grow, every mutation bumps the epoch *after* it has edited
+        the list, and :meth:`_rows` reads the epoch *before* the rows: a
+        read torn by a concurrent mutation therefore carries an epoch
+        that is already stale, and never passes this test again.
 
         After appends the previous view is *extended* with the tail rows
         (a new view; the old one is untouched) instead of rebuilt from
         all N entries.  An epoch change alone does not prove the history
         was append-only — a lock-free reader can publish a view built
-        from a pre-drop snapshot — so extension requires that the view
-        was built at the current :attr:`lineage` and that its last row
-        is still at the same index: entries are never reordered or
+        from pre-drop rows — so extension requires that the view was
+        built at the current :attr:`lineage` and that its last row is
+        still at the same index: entries are never reordered or
         re-inserted, so a surviving last row proves the whole prefix.
-        The lineage is read on both sides of the snapshot: a reader that
+        The lineage is read on both sides of the rows: a reader that
         stalls between the two reads holds a stale value that a view
         published meanwhile (by another reader, from pre-rewrite rows)
         may carry too, and only the second read tells them apart.
         """
-        lineage = self.lineage
-        snap = self.snapshot()
         view = self._columnar
-        if (
-            view is not None
-            and view.epoch == snap.epoch
-            and view.entries is snap.entries
-        ):
+        if view is not None and view.epoch == self.epoch:
             return view
-        rows = 0 if view is None else len(view)
+        lineage = self.lineage
+        epoch, rows = self._rows()
+        view = self._columnar  # re-read: a newer view may have been published
+        n = 0 if view is None else len(view)
         if (
-            0 < rows <= len(snap.entries)
+            0 < n <= len(rows)
             and view.lineage == lineage == self.lineage
-            and snap.entries[rows - 1] is view.entries[rows - 1]
+            and rows[n - 1] is view.entries[n - 1]
         ):
-            view = view.extended(snap.epoch, snap.entries)
+            view = view.extended(epoch, rows)
         else:
-            view = ColumnarInstances.build(snap.epoch, snap.entries, lineage)
+            view = ColumnarInstances.build(epoch, rows, lineage)
         self._columnar = view
         return view
+
+    def _rows(self) -> tuple[int, tuple[InstanceEntry, ...]]:
+        """``(epoch, rows)``, the epoch read first (see :meth:`columnar`)."""
+        return self.epoch, tuple(self._instances)
 
     def touch(self, plan_id: int) -> None:
         """Record a reuse of ``plan_id`` (advances the LRU clock)."""
@@ -243,7 +207,7 @@ class PlanCache:
         where ``get_plan`` and ``manage_cache`` both hold references to
         *this* object — so the contents move, not the
         identity.  The epoch advances past both caches' so every
-        outstanding snapshot/columnar view reads as stale.
+        outstanding columnar view reads as stale.
         """
         # Hit totals carried by the adopted contents were earned against
         # a *previous* process's getPlan counters; bank them as the
@@ -284,7 +248,7 @@ class PlanCache:
     def maybe_plan(self, plan_id: int) -> Optional[CachedPlan]:
         """Like :meth:`plan` but None when the plan has been dropped —
         the lookup lock-free probes use, since a concurrent eviction can
-        remove a snapshot anchor's plan mid-scan."""
+        remove a held view's anchor's plan mid-scan."""
         return self._plans.get(plan_id)
 
     def add_plan(self, plan: PhysicalPlan, shrunken: ShrunkenMemo) -> CachedPlan:
@@ -401,8 +365,3 @@ class PlanCache:
             cost += entry.hits_cost
             spend += entry.recost_spend
         return sel, cost, spend
-
-    def memory_bytes(self) -> int:
-        """Approximate cache memory (plan list dominates; section 6.1)."""
-        plans = sum(p.memory_bytes() for p in self._plans.values())
-        return plans + INSTANCE_TUPLE_BYTES * len(self._instances)

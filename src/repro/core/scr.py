@@ -14,7 +14,7 @@ Per arriving instance:
    BCG/PCM assumptions.
 
 Steps 1–2 are one pipeline for every caller: ``GetPlan.probe`` decides
-(pure against a snapshot), the caller optimizes a miss, and
+(pure against a columnar view), the caller optimizes a miss, and
 :meth:`SCR.apply` commits the outcome — the serial :meth:`SCR.process`
 and the concurrent serving shard differ only in what runs between.
 """
@@ -194,7 +194,7 @@ class SCR(OnlinePQOTechnique):
         ``seq`` is the request's sequence number (default: the next
         serial one) and labels its audit entry and degraded event.  The
         concurrent shard calls this under its write lock, after
-        validating the probe's snapshot and optimizing outside the lock.
+        validating the probe's view and optimizing outside the lock.
         """
         if seq is None:
             seq = self.instances_processed

@@ -3,12 +3,13 @@ with optimistic reads.
 
 The lock discipline (DESIGN.md §8):
 
-* the **selectivity/cost probe** runs lock-free against an immutable
-  :class:`~repro.core.plan_cache.CacheSnapshot` of the instance list
-  (copy-on-write, so snapshotting is O(1) between mutations);
+* the **selectivity/cost probe** runs lock-free against the immutable
+  :class:`~repro.core.columnar.ColumnarInstances` view of the instance
+  list (copy-on-write, so taking it is O(1) between mutations);
 * a probed **hit** is committed under the shard's write lock only after
-  **optimistic validation** — either the cache epoch is unchanged, or
-  the specific anchor is still live (its plan cached, not retired).
+  **optimistic validation** — either the cache epoch is still the
+  view's, or the specific anchor is still live (its plan cached, not
+  retired).
   The certified bound ``S·G·L`` / ``S·R·L`` depends only on write-once
   anchor fields, so a validated commit certifies exactly what a fully
   serial run would have;
@@ -55,7 +56,7 @@ from .overload import BrownoutLevel, Deadline, OverloadCoordinator, ShedError
 from .stats import ServingStats
 
 #: Probe/commit retries before degrading to the fully-serial path; a
-#: retry only happens when another thread invalidated the snapshot
+#: retry only happens when another thread invalidated the view
 #: mid-probe, so contention this deep means serializing is cheaper.
 MAX_OPTIMISTIC_RETRIES = 3
 
@@ -218,7 +219,7 @@ class TemplateShard:
         instances: Sequence[QueryInstance],
         deadline: Optional[Deadline] = None,
     ) -> list["PlanChoice | BaseException"]:
-        """Serve a batch of instances against one cache snapshot.
+        """Serve a batch of instances against one cache view.
 
         The whole batch is probed lock-free in one broadcasted
         :meth:`~repro.core.get_plan.GetPlan.probe_batch` pass, then all
@@ -229,7 +230,7 @@ class TemplateShard:
         :class:`PlanChoice` or the exception that instance raised.
 
         The batched pass is a plain throughput optimization over one
-        snapshot — it does not interleave commits between batch rows, so
+        view — it does not interleave commits between batch rows, so
         a miss earlier in the batch does not seed a hit for a later row
         the way sequential submission might.  With overload protection
         or a deadline in force (admission decisions are per instance) it
@@ -283,17 +284,15 @@ class TemplateShard:
                 self.stats.note_interval_width(sv.total_log_width)
             svs.append(sv)
             degraded.append(deg)
-        snapshot = scr.cache.snapshot()
-        decisions = scr.get_plan.probe_batch(
-            svs, self._recost, entries=snapshot.entries
-        )
+        view = scr.cache.columnar()
+        decisions = scr.get_plan.probe_batch(svs, self._recost, view=view)
         misses: list[int] = []
         retries: list[int] = []
         with self._locked():
             for i, decision in enumerate(decisions):
                 if not decision.hit:
                     misses.append(i)
-                elif self._commit_valid(decision, snapshot):
+                elif self._commit_valid(decision, view):
                     results[i] = scr.apply(svs[i], decision, seq=seqs[i])
                 else:
                     retries.append(i)
@@ -455,9 +454,9 @@ class TemplateShard:
         scr = self.scr
         serial = depth >= MAX_OPTIMISTIC_RETRIES
         with self._locked() if serial else nullcontext():
-            snapshot = scr.cache.snapshot()
+            view = scr.cache.columnar()
             decision = scr.get_plan.probe(
-                sv, self._recost, entries=snapshot.entries,
+                sv, self._recost, view=view,
                 max_recost=max_recost, coverage=coverage,
             )
             if not decision.hit:
@@ -466,7 +465,7 @@ class TemplateShard:
                     coverage,
                 )
             with self._locked():
-                if serial or self._commit_valid(decision, snapshot):
+                if serial or self._commit_valid(decision, view):
                     return scr.apply(sv, decision, seq=seq)
         # The anchor vanished (plan evicted / retired) between probe and
         # commit: the certificate no longer stands, so re-probe fresh.
@@ -477,7 +476,7 @@ class TemplateShard:
             deny=deny, coverage=coverage,
         )
 
-    def _commit_valid(self, decision, snapshot) -> bool:
+    def _commit_valid(self, decision, view) -> bool:
         """Optimistic validation of a probed hit; caller holds the lock.
 
         Retiring an anchor (Appendix G) flips its flag *without* bumping
@@ -493,7 +492,7 @@ class TemplateShard:
             return False
         if decision.check is CheckKind.COST and anchor.retired:
             return False
-        if self.scr.cache.epoch == snapshot.epoch:
+        if self.scr.cache.epoch == view.epoch:
             return True
         return self.scr.cache.has_plan(decision.plan_id)
 

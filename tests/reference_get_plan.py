@@ -3,7 +3,8 @@
 Algorithm 1 written the obvious way — one Python loop over the instance
 list calling :func:`repro.core.bounds.compute_gl` per entry for the
 selectivity check, then the plan-major cost check as per-entry Python
-over :mod:`repro.core.bounds` — with no columnar view and no numpy.  It
+over :mod:`repro.core.bounds` — with no numpy: it reads the live list,
+or only the ``entries`` of a view passed in as ``view=``.  It
 is slow and obviously right, which is what the differential suite
 (``test_vectorized_equivalence.py``), the golden fixtures and the
 hot-path benchmark's baseline need: the production kernels in
@@ -110,10 +111,10 @@ def compute_cost_gl(
 class ReferenceGetPlan(GetPlan):
     """:class:`GetPlan` with both checks as scalar loops."""
 
-    def probe(self, sv, recost, entries=None, max_recost=None, coverage=None):
+    def probe(self, sv, recost, view=None, max_recost=None, coverage=None):
         point, box = self._resolve_box(sv, coverage)
-        entries = tuple(
-            self.cache.instances() if entries is None else entries
+        entries = (
+            tuple(self.cache.instances()) if view is None else view.entries
         )
         decision, rows = self._scan(point, box, entries)
         if decision is not None:
@@ -123,12 +124,10 @@ class ReferenceGetPlan(GetPlan):
         )
 
     def probe_batch(
-        self, svs, recost, entries=None, max_recost=None, coverage=None
+        self, svs, recost, view=None, max_recost=None, coverage=None
     ):
-        if entries is not None:
-            entries = tuple(entries)
         return [
-            self.probe(sv, recost, entries, max_recost, coverage) for sv in svs
+            self.probe(sv, recost, view, max_recost, coverage) for sv in svs
         ]
 
     def _scan(

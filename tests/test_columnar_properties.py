@@ -438,18 +438,19 @@ def _sweep(cache: PlanCache, scale: float):
 
 
 def _assert_view_consistent(cache: PlanCache) -> None:
-    snap = cache.snapshot()
+    entries = tuple(cache.instances())
     view = cache.columnar()
-    assert view.epoch == snap.epoch == cache.epoch
-    assert view.entries is snap.entries
-    assert len(view) == len(snap.entries)
+    assert view.epoch == cache.epoch
+    assert len(view.entries) == len(entries)
+    assert all(a is b for a, b in zip(view.entries, entries))
+    assert len(view) == len(entries)
     if len(view):
         # Dimension-major and contiguous, extended or rebuilt.
         assert view.sv.shape == view.log_sv.shape == (
-            len(snap.entries[0].sv), len(view)
+            len(entries[0].sv), len(view)
         )
         assert view.sv.flags.c_contiguous and view.log_sv.flags.c_contiguous
-    for i, entry in enumerate(snap.entries):
+    for i, entry in enumerate(entries):
         assert tuple(view.sv[:, i]) == entry.sv.values
         assert view.sub[i] == entry.suboptimality
         assert view.cost[i] == entry.optimal_cost
@@ -645,10 +646,10 @@ def test_stale_view_published_by_a_racing_reader_is_rebuilt_not_extended():
     cache.add_instance(_entry([0.3, 0.4]))
 
     reader_lineage = cache.lineage          # reader: lineage first ...
-    reader_snap = cache.snapshot()          # ... then the entries
+    reader_epoch, reader_rows = cache.epoch, tuple(cache.instances())
     cache.drop_plan(1)                      # writer: middle row gone
     cache._columnar = ColumnarInstances.build(   # reader publishes late
-        reader_snap.epoch, reader_snap.entries, reader_lineage
+        reader_epoch, reader_rows, reader_lineage
     )
     cache.add_instance(_entry([0.9, 0.9]))  # same length as the stale view
 
@@ -662,7 +663,7 @@ def test_stale_view_published_by_a_racing_reader_is_rebuilt_not_extended():
     # lineage onto an equally stale view and the last-row identity test
     # (entries[2] is now the new row, not the stale view's) still fails.
     cache._columnar = ColumnarInstances.build(
-        reader_snap.epoch, reader_snap.entries, cache.lineage
+        reader_epoch, reader_rows, cache.lineage
     )
     cache.add_instance(_entry([0.8, 0.8]))
     with _extension_tails() as tails:
@@ -677,9 +678,8 @@ def test_stale_view_published_across_a_recost_sweep_is_rebuilt():
     entry object at the same index — and its cost column is stale."""
     cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
     reader_lineage = cache.lineage
-    reader_snap = cache.snapshot()
     stale = ColumnarInstances.build(
-        reader_snap.epoch, reader_snap.entries, reader_lineage
+        cache.epoch, tuple(cache.instances()), reader_lineage
     )
     assert _sweep(cache, scale=3.0).refreshed == 2
     cache._columnar = stale                 # reader publishes late
@@ -693,25 +693,26 @@ def test_stale_view_published_across_a_recost_sweep_is_rebuilt():
 
 def test_reader_stalled_inside_columnar_across_a_sweep_rebuilds(monkeypatch):
     """Reader B reads the lineage inside ``columnar()`` and stalls before
-    its snapshot.  Meanwhile a sweep rewrites costs, reader A publishes
-    its pre-sweep view (tagged with the lineage both readers saw) and a
-    miss appends.  B's first lineage read matches A's view and every row
-    is the same object at the same index; only the lineage re-read after
-    the snapshot shows the view is stale."""
+    its (epoch, rows) read.  Meanwhile a sweep rewrites costs, reader A
+    publishes its pre-sweep view (tagged with the lineage both readers
+    saw) and a miss appends.  B's first lineage read matches A's view
+    and every row is the same object at the same index; only the
+    lineage re-read after the rows shows the view is stale."""
     cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
-    pre_sweep = cache.snapshot()
-    stale = ColumnarInstances.build(pre_sweep.epoch, pre_sweep.entries, cache.lineage)
-    snapshot = cache.snapshot
+    stale = ColumnarInstances.build(
+        cache.epoch, tuple(cache.instances()), cache.lineage
+    )
+    rows = cache._rows
 
-    def stalled_snapshot():
-        # Runs after B's first lineage read, before B's snapshot.
-        monkeypatch.setattr(cache, "snapshot", snapshot)
+    def stalled_rows():
+        # Runs after B's first lineage read, before B's (epoch, rows).
+        monkeypatch.setattr(cache, "_rows", rows)
         assert _sweep(cache, scale=3.0).refreshed == 2
         cache._columnar = stale             # reader A publishes late
         cache.add_instance(_entry([0.9, 0.9]))
-        return snapshot()
+        return rows()
 
-    monkeypatch.setattr(cache, "snapshot", stalled_snapshot)
+    monkeypatch.setattr(cache, "_rows", stalled_rows)
     with _extension_tails() as tails:
         view = cache.columnar()             # reader B
     assert tails == []

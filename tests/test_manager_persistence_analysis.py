@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.plan_diagram import anorexic_reduction, compute_plan_diagram
 from repro.core.dynamic_lambda import choose_lambda
-from repro.core.persistence import CacheSnapshot, dump_cache, load_cache
+from repro.core.persistence import CacheFile, dump_cache, load_cache
 from repro.core.scr import SCR
 from repro.engine.api import EngineAPI
 from repro.query.instance import QueryInstance, SelectivityVector
@@ -170,7 +170,7 @@ class TestPersistence:
 
     def test_file_snapshot(self, toy_db, toy_template, tmp_path):
         cache, _ = self._populated_cache(toy_db, toy_template)
-        snapshot = CacheSnapshot(str(tmp_path / "cache.json"))
+        snapshot = CacheFile(str(tmp_path / "cache.json"))
         size = snapshot.save(cache)
         assert size > 0
         restored = snapshot.load()

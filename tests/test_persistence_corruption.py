@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.persistence import (
     CacheCorruptionError,
-    CacheSnapshot,
+    CacheFile,
     dump_cache,
     load_cache,
 )
@@ -103,7 +103,7 @@ class TestSnapshotFileSafety:
         self, populated_cache, tmp_path
     ):
         path = tmp_path / "cache.json"
-        snapshot = CacheSnapshot(str(path))
+        snapshot = CacheFile(str(path))
         snapshot.save(populated_cache)
         damaged = path.read_text()[:100]
         path.write_text(damaged)
@@ -116,7 +116,7 @@ class TestSnapshotFileSafety:
         self, populated_cache, tmp_path, monkeypatch
     ):
         path = tmp_path / "cache.json"
-        snapshot = CacheSnapshot(str(path))
+        snapshot = CacheFile(str(path))
         snapshot.save(populated_cache)
         before = path.read_bytes()
 
@@ -134,7 +134,7 @@ class TestSnapshotFileSafety:
 
     def test_save_is_atomic_via_replace(self, populated_cache, tmp_path):
         path = tmp_path / "cache.json"
-        snapshot = CacheSnapshot(str(path))
+        snapshot = CacheFile(str(path))
         size = snapshot.save(populated_cache)
         assert size == len(path.read_text())
         # Saving over an existing snapshot keeps it loadable throughout.
@@ -147,7 +147,7 @@ class TestSnapshotFileSafety:
         # A worker dying mid-write leaves a short tail in the *temp*
         # file; the destination must keep the previous complete dump.
         path = tmp_path / "cache.json"
-        snapshot = CacheSnapshot(str(path))
+        snapshot = CacheFile(str(path))
         snapshot.save(populated_cache)
         before = path.read_bytes()
 
@@ -179,7 +179,7 @@ class TestSnapshotFileSafety:
         # non-atomic copy), the loader refuses it rather than restoring
         # a prefix of the cache.
         path = tmp_path / "cache.json"
-        snapshot = CacheSnapshot(str(path))
+        snapshot = CacheFile(str(path))
         snapshot.save(populated_cache)
         text = path.read_text()
         for cut in (len(text) - 1, len(text) - 7, len(text) // 2):
@@ -200,7 +200,7 @@ class TestSnapshotFileSafety:
         from repro.core.plan_cache import PlanCache
 
         path = tmp_path / "cache.json"
-        snapshot = CacheSnapshot(str(path))
+        snapshot = CacheFile(str(path))
         empty = PlanCache()
         snapshot.save(populated_cache)
 
@@ -228,11 +228,11 @@ class TestSnapshotFileSafety:
         assert seen and set(seen) <= valid_counts
 
     def test_load_or_none_missing_file(self, tmp_path):
-        assert CacheSnapshot(str(tmp_path / "absent.json")).load_or_none() is None
+        assert CacheFile(str(tmp_path / "absent.json")).load_or_none() is None
 
     def test_load_or_none_round_trip(self, populated_cache, tmp_path):
         path = tmp_path / "cache.json"
-        snapshot = CacheSnapshot(str(path))
+        snapshot = CacheFile(str(path))
         snapshot.save(populated_cache)
         restored = snapshot.load_or_none()
         assert restored is not None
@@ -255,7 +255,7 @@ class TestAdopt:
         from repro.core.plan_cache import PlanCache
 
         live = PlanCache()
-        stale = live.snapshot()
+        stale = live.columnar()
         live.adopt(load_cache(dump_cache(populated_cache)))
-        assert live.snapshot().epoch > stale.epoch
-        assert len(live.snapshot().entries) == populated_cache.num_instances
+        assert live.columnar().epoch > stale.epoch
+        assert len(live.columnar()) == populated_cache.num_instances

@@ -93,20 +93,3 @@ class TestInstanceList:
 
     def test_min_usage_plan_empty_cache(self):
         assert PlanCache().min_usage_plan() is None
-
-
-class TestMemoryAccounting:
-    def test_memory_grows_with_contents(self, cache_with_plans):
-        cache, plan_a, _ = cache_with_plans
-        before = cache.memory_bytes()
-        cache.add_instance(InstanceEntry(
-            sv=SelectivityVector.of(0.1, 0.1),
-            plan_id=plan_a.plan_id, optimal_cost=1.0, suboptimality=1.0,
-        ))
-        assert cache.memory_bytes() == before + 100
-
-    def test_plans_dominate_memory(self, cache_with_plans):
-        """Section 6.1: plan list uses far more memory per entry than
-        the ~100-byte instance 5-tuples."""
-        cache, plan_a, _ = cache_with_plans
-        assert cache.plan(plan_a.plan_id).memory_bytes() > 10 * 100

@@ -390,22 +390,25 @@ class TestSnapshotSemantics:
         scr = SCR(db.engine(template), lam=LAM)
         sv = generate_selectivity_vectors(2, 3, seed=7)
 
-        snap0 = scr.cache.snapshot()
-        assert snap0 is scr.cache.snapshot(), "unchanged cache: same object"
+        view0 = scr.cache.columnar()
+        assert view0 is scr.cache.columnar(), "unchanged cache: same object"
         scr.process(QueryInstance(template.name, sv=sv[0]))
-        snap1 = scr.cache.snapshot()
-        assert snap1 is not snap0
-        assert snap1.epoch > snap0.epoch
-        assert len(snap1.entries) == 1
-        # The old snapshot still reflects the pre-mutation state.
-        assert len(snap0.entries) == 0
+        view1 = scr.cache.columnar()
+        assert view1 is not view0
+        assert view1.epoch > view0.epoch
+        assert len(view1.entries) == 1
+        # The old view still reflects the pre-mutation state.
+        assert len(view0.entries) == 0
 
 
 class TestCommitValidation:
-    """Optimistic-commit validation must re-read the retired flag under
-    the lock: retiring an anchor (Appendix G) does not bump the cache
-    epoch, so the epoch fast-path alone would certify a cost bound the
-    violation detector just invalidated."""
+    """Optimistic-commit validation of a hit probed on a held view.
+
+    The retired flag must be re-read under the lock: retiring an anchor
+    (Appendix G) does not bump the cache epoch, so the epoch fast-path
+    alone would certify a cost bound the violation detector just
+    invalidated.  Real mutations between probe and commit move the
+    epoch; the hit then stands iff its anchor's plan is still cached."""
 
     def _shard_with_anchor(self):
         from repro.workload.generator import generate_selectivity_vectors
@@ -421,36 +424,122 @@ class TestCommitValidation:
         entry = next(shard.scr.cache.instances())
         return shard, entry
 
+    @staticmethod
+    def _selectivity_hit(entry):
+        from repro.core.get_plan import CheckKind, GetPlanDecision
+
+        return GetPlanDecision(
+            plan_id=entry.plan_id, check=CheckKind.SELECTIVITY, anchor=entry,
+            g=1.0, l=1.0,
+        )
+
+    @staticmethod
+    def _unrelated_entry(entry):
+        from repro.core.plan_cache import InstanceEntry
+        from repro.query.instance import SelectivityVector
+
+        return InstanceEntry(
+            sv=SelectivityVector.from_sequence(
+                [v / 2 for v in entry.sv.values]
+            ),
+            plan_id=entry.plan_id, optimal_cost=entry.optimal_cost,
+            suboptimality=1.0,
+        )
+
+    @staticmethod
+    def _frozen(view) -> tuple:
+        """The held view's rows and array bytes, to compare later."""
+        return view.entries, tuple(
+            getattr(view, name).tobytes()
+            for name in ("sv", "log_sv", "sub", "cost", "plan_ids", "area")
+        )
+
+    @staticmethod
+    def _mutate_after_first_probe(shard, mutation) -> None:
+        """The first probe returns, then ``mutation`` lands before the
+        shard takes its lock to commit."""
+        get_plan = shard.scr.get_plan
+        probe = get_plan.probe
+        pending = [mutation]
+
+        def probe_then_mutate(*args, **kwargs):
+            decision = probe(*args, **kwargs)
+            if pending:
+                pending.pop()()
+            return decision
+
+        get_plan.probe = probe_then_mutate
+
     def test_retired_anchor_rejected_on_epoch_fast_path(self):
         from repro.core.get_plan import CheckKind, GetPlanDecision
 
         shard, entry = self._shard_with_anchor()
         cache = shard.scr.cache
-        snapshot = cache.snapshot()
+        view = cache.columnar()
         cost_hit = GetPlanDecision(
             plan_id=entry.plan_id, check=CheckKind.COST, anchor=entry,
             recost_calls=1, recost_ratio=1.0, g=1.0, l=1.0,
         )
-        assert shard._commit_valid(cost_hit, snapshot)
+        assert shard._commit_valid(cost_hit, view)
 
         entry.retired = True
         # Retirement leaves the epoch untouched -- exactly the hole the
         # fast-path-only validation had.
-        assert cache.epoch == snapshot.epoch
-        assert not shard._commit_valid(cost_hit, snapshot)
+        assert cache.epoch == view.epoch
+        assert not shard._commit_valid(cost_hit, view)
 
     def test_retired_anchor_still_serves_selectivity_hits(self):
-        from repro.core.get_plan import CheckKind, GetPlanDecision
-
         shard, entry = self._shard_with_anchor()
-        snapshot = shard.scr.cache.snapshot()
+        view = shard.scr.cache.columnar()
         entry.retired = True
-        sel_hit = GetPlanDecision(
-            plan_id=entry.plan_id, check=CheckKind.SELECTIVITY, anchor=entry,
-            g=1.0, l=1.0,
-        )
         # Serial semantics keep retired anchors in the selectivity check.
-        assert shard._commit_valid(sel_hit, snapshot)
+        assert shard._commit_valid(self._selectivity_hit(entry), view)
+
+    def test_unrelated_append_after_probe_commits(self):
+        shard, entry = self._shard_with_anchor()
+        cache = shard.scr.cache
+        view = cache.columnar()
+        frozen = self._frozen(view)
+        cache.add_instance(self._unrelated_entry(entry))
+        assert cache.epoch != view.epoch and cache.has_plan(entry.plan_id)
+        assert shard._commit_valid(self._selectivity_hit(entry), view)
+        assert self._frozen(view) == frozen and view.entries == (entry,)
+
+        # The same interleaving through process(): the hit commits.
+        self._mutate_after_first_probe(
+            shard, lambda: cache.add_instance(self._unrelated_entry(entry))
+        )
+        hits = entry.hits_selectivity
+        choice = shard.process(QueryInstance(shard.template.name, sv=entry.sv))
+        assert not choice.used_optimizer
+        assert entry.hits_selectivity == hits + 1
+        assert shard.stats.row()["epoch_retries"] == 0
+
+    def test_dropped_anchor_plan_rejects_hit_and_reprobes(self):
+        shard, entry = self._shard_with_anchor()
+        cache = shard.scr.cache
+        view = cache.columnar()
+        frozen = self._frozen(view)
+        hit = self._selectivity_hit(entry)
+        assert shard._commit_valid(hit, view)
+        cache.drop_plan(entry.plan_id)
+        assert cache.epoch != view.epoch
+        assert not shard._commit_valid(hit, view)
+        assert cache.num_instances == 0
+        assert self._frozen(view) == frozen and view.entries == (entry,)
+
+        # The same interleaving through process(): the drop lands after
+        # the probe hit, validation rejects it, and the re-probe misses
+        # on the emptied cache and optimizes.
+        shard, entry = self._shard_with_anchor()
+        cache = shard.scr.cache
+        self._mutate_after_first_probe(
+            shard, lambda: cache.drop_plan(entry.plan_id)
+        )
+        choice = shard.process(QueryInstance(shard.template.name, sv=entry.sv))
+        assert choice.used_optimizer
+        assert entry.hits_selectivity == 0
+        assert shard.stats.row()["epoch_retries"] == 1
 
 
 class TestMissAccounting:

@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.core.bounds import LINEAR_BOUND, QUADRATIC_BOUND
+from repro.core.columnar import ColumnarInstances
 from repro.core.dynamic_lambda import DynamicLambda
 from repro.core.get_plan import CandidateOrder, GetPlan
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
@@ -194,21 +195,29 @@ def test_differential_per_call_overrides(check_mode):
 
 
 def test_differential_explicit_entry_subsets():
-    """Probing an explicit entry list (the snapshot path) matches."""
+    """Probing a view of an explicit entry subset matches, one probe at
+    a time and batched (the batch is the last few probe points)."""
     rng = random.Random(4)
     cache = build_cache(rng, 40, 3)
     scalar = ReferenceGetPlan(cache=cache, lam=1.6)
     vectorized = GetPlan(cache=cache, lam=1.6)
     recost = make_recost(1)
     all_entries = list(cache.instances())
+    points = []
     for t in range(60):
-        subset = tuple(
+        subset = ColumnarInstances.build(-1, tuple(
             e for e in all_entries if rng.random() < 0.5
-        )
+        ))
         sv = random_input(rng, 3, False)
-        ds = scalar.probe(sv, recost, entries=subset)
-        dv = vectorized.probe(sv, recost, entries=subset)
+        ds = scalar.probe(sv, recost, view=subset)
+        dv = vectorized.probe(sv, recost, view=subset)
         assert_decisions_identical(ds, dv, f"subset t={t}")
+        points = points[-3:] + [sv]
+        for i, (ds, dv) in enumerate(zip(
+            scalar.probe_batch(points, recost, view=subset),
+            vectorized.probe_batch(points, recost, view=subset),
+        )):
+            assert_decisions_identical(ds, dv, f"subset batch t={t} row={i}")
 
 
 @pytest.mark.parametrize("check_mode", ["robust", "probabilistic"])
