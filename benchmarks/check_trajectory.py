@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 SCHEMA_VERSION = 2
@@ -39,7 +40,11 @@ MAX_SILENT_REGRESSION = 0.20
 #: (row-key fields identifying a series, the metric, higher-is-better).
 REGRESSION_WATCH = {
     "getplan_hotpath": (("m", "d"), "speedup"),
+    "recost": (("template",), "speedup"),
 }
+
+#: Runs kept per checked-in trajectory file.
+MAX_TRAJECTORY_RUNS = 20
 
 
 def _is_timestamp(value) -> bool:
@@ -140,6 +145,33 @@ def check_regressions(doc, path: str) -> list[str]:
                 f"{MAX_SILENT_REGRESSION:.0%} silent-regression budget"
             )
     return errors
+
+
+def append_run(
+    path: Path, benchmark: str, results: list, meta: dict, migrate=None
+) -> None:
+    """Append one run to the v2 trajectory at ``path``, keeping the
+    newest ``MAX_TRAJECTORY_RUNS``.
+
+    A file in another format is handed to ``migrate``, which returns it
+    lifted into the v2 envelope or ``None`` to start a fresh one.
+    """
+    doc = {"schema_version": SCHEMA_VERSION, "benchmark": benchmark, "runs": []}
+    if path.exists():
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+        if loaded.get("schema_version") == SCHEMA_VERSION:
+            doc = loaded
+        elif migrate is not None:
+            doc = migrate(loaded) or doc
+    doc["runs"].append(
+        {
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "meta": meta,
+            "results": results,
+        }
+    )
+    doc["runs"] = doc["runs"][-MAX_TRAJECTORY_RUNS:]
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def check_file(path: Path) -> list[str]:

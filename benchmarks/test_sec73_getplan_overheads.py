@@ -23,6 +23,7 @@ import random
 import time
 from pathlib import Path
 
+from check_trajectory import append_run
 from conftest import run_once
 from reference_get_plan import ReferenceGetPlan
 from repro.core.get_plan import GetPlan
@@ -33,7 +34,6 @@ from repro.workload.templates import tpcds_templates
 
 BENCH_JSON = Path(__file__).parents[1] / "BENCH_getplan_hotpath.json"
 BENCH_SCHEMA = 2
-MAX_TRAJECTORY_RUNS = 20  # keep the checked-in trajectory bounded
 
 CACHE_SIZES = (64, 256, 1024)
 DIMENSIONS = (2, 6, 10)
@@ -196,29 +196,9 @@ def _migrate_v1(doc: dict) -> dict:
 
 def _append_trajectory(results: list[dict]) -> None:
     """Append this run to the checked-in perf trajectory (schema v2)."""
-    doc = {
-        "schema_version": BENCH_SCHEMA,
-        "benchmark": "getplan_hotpath",
-        "runs": [],
-    }
-    if BENCH_JSON.exists():
-        loaded = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        if loaded.get("schema_version") == BENCH_SCHEMA:
-            doc = loaded
-        elif loaded.get("schema") == 1:
-            doc = _migrate_v1(loaded)
-    doc["runs"].append(
-        {
-            "timestamp": time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            "meta": _run_metadata(),
-            "results": results,
-        }
-    )
-    doc["runs"] = doc["runs"][-MAX_TRAJECTORY_RUNS:]
-    BENCH_JSON.write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    append_run(
+        BENCH_JSON, "getplan_hotpath", results, _run_metadata(),
+        migrate=lambda doc: _migrate_v1(doc) if doc.get("schema") == 1 else None,
     )
 
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..optimizer.operators import PhysicalOp
@@ -46,39 +46,17 @@ def _payload_checksum(payload: dict) -> str:
 
 
 def _node_to_dict(node: _RecostNode) -> dict:
-    return {
-        "op": node.op.value,
-        "child_a": node.child_a,
-        "child_b": node.child_b,
-        "base_rows": node.base_rows,
-        "fixed_selectivity": node.fixed_selectivity,
-        "param_indices": list(node.param_indices),
-        "join_selectivity": node.join_selectivity,
-        "left_sorted": node.left_sorted,
-        "right_sorted": node.right_sorted,
-        "group_distinct": node.group_distinct,
-        "inner_base_rows": node.inner_base_rows,
-        "inner_fixed_selectivity": node.inner_fixed_selectivity,
-        "inner_param_indices": list(node.inner_param_indices),
-    }
+    data = {f.name: getattr(node, f.name) for f in fields(_RecostNode)}
+    data["op"] = node.op.value
+    return data
 
 
 def _node_from_dict(data: dict) -> _RecostNode:
-    return _RecostNode(
-        op=PhysicalOp(data["op"]),
-        child_a=data["child_a"],
-        child_b=data["child_b"],
-        base_rows=data["base_rows"],
-        fixed_selectivity=data["fixed_selectivity"],
-        param_indices=tuple(data["param_indices"]),
-        join_selectivity=data["join_selectivity"],
-        left_sorted=data["left_sorted"],
-        right_sorted=data["right_sorted"],
-        group_distinct=data["group_distinct"],
-        inner_base_rows=data["inner_base_rows"],
-        inner_fixed_selectivity=data["inner_fixed_selectivity"],
-        inner_param_indices=tuple(data["inner_param_indices"]),
-    )
+    values = {f.name: data[f.name] for f in fields(_RecostNode)}
+    values["op"] = PhysicalOp(values["op"])
+    values["param_indices"] = tuple(values["param_indices"])
+    values["inner_param_indices"] = tuple(values["inner_param_indices"])
+    return _RecostNode(**values)
 
 
 def dump_cache(cache: PlanCache) -> str:
@@ -188,7 +166,7 @@ def _cache_from_payload(data: dict) -> PlanCache:
         shrunken = ShrunkenMemo(
             template_name=plan_data["template_name"],
             signature=plan_data["signature"],
-            nodes=[_node_from_dict(n) for n in plan_data["nodes"]],
+            nodes=tuple(_node_from_dict(n) for n in plan_data["nodes"]),
             full_memo_groups=plan_data["full_memo_groups"],
             full_memo_expressions=plan_data["full_memo_expressions"],
         )

@@ -15,15 +15,16 @@ analyses for the Bounded Cost Growth assumption:
 
 All costs are cumulative: an operator's ``cost`` includes its children.
 The same functions serve plan search and the Recost API, so a re-costed
-plan's cost equals what the optimizer would have assigned to that plan.
+plan's cost equals what the optimizer assigned to that plan to within
+about one ulp: the search prices a join over its memo groups'
+cardinalities, Recost over the plan's own children, and the two derive
+a join's cardinality in a different float association (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .operators import PhysicalOp
 
 
 @dataclass(frozen=True)
@@ -157,47 +158,3 @@ class CostModel:
     def scalar_aggregate(self, in_rows: float) -> float:
         p = self.params
         return p.startup + in_rows * p.agg_row * 0.3
-
-    # -- dispatch (used by Recost) -----------------------------------------
-
-    def operator_cost(
-        self,
-        op: PhysicalOp,
-        *,
-        out_rows: float,
-        table_rows: float = 0.0,
-        outer_rows: float = 0.0,
-        inner_rows: float = 0.0,
-        inner_cost: float = 0.0,
-        left_sorted: bool = False,
-        right_sorted: bool = False,
-        groups: float = 0.0,
-    ) -> float:
-        """Uniform dispatch over the operator vocabulary.
-
-        The Recost pass uses this single entry point so that search-time
-        and recost-time costing cannot diverge.
-        """
-        if op is PhysicalOp.SEQ_SCAN:
-            return self.seq_scan(table_rows, out_rows)
-        if op is PhysicalOp.INDEX_SCAN:
-            return self.index_scan(table_rows, out_rows)
-        if op is PhysicalOp.NESTED_LOOPS_JOIN:
-            return self.nested_loops_join(outer_rows, inner_cost, out_rows)
-        if op is PhysicalOp.INDEX_NESTED_LOOPS_JOIN:
-            return self.index_nested_loops_join(outer_rows, table_rows, out_rows)
-        if op is PhysicalOp.HASH_JOIN:
-            return self.hash_join(outer_rows, inner_rows, out_rows)
-        if op is PhysicalOp.MERGE_JOIN:
-            return self.merge_join(
-                outer_rows, inner_rows, out_rows, left_sorted, right_sorted
-            )
-        if op is PhysicalOp.SORT:
-            return self.sort(outer_rows)
-        if op is PhysicalOp.HASH_AGGREGATE:
-            return self.hash_aggregate(outer_rows, groups)
-        if op is PhysicalOp.STREAM_AGGREGATE:
-            return self.stream_aggregate(outer_rows, groups)
-        if op is PhysicalOp.SCALAR_AGGREGATE:
-            return self.scalar_aggregate(outer_rows)
-        raise ValueError(f"unknown operator {op}")

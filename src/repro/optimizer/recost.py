@@ -9,16 +9,23 @@ expression plan search considered but did not pick — the paper measures
 Re-costing then replaces the parameterized predicate selectivities at
 the leaves and re-derives cardinalities and costs bottom-up with pure
 arithmetic — no plan search — which is why a recost call is one to two
-orders of magnitude cheaper than an optimizer call.
+orders of magnitude cheaper than an optimizer call.  Everything about a
+plan that does not depend on the sVector is bound once per
+(memo, cost model) into a flat program; a call only runs it.
 
-By construction the recost of a plan ``P`` at instance ``q`` equals the
-cost the optimizer's search would assign to the same plan structure at
-``q`` (both use :class:`repro.optimizer.cost_model.CostModel`).
+The recost of a plan ``P`` at instance ``q`` equals the cost the
+optimizer's search assigned to ``P`` at ``q`` to within about one ulp,
+not bit for bit.  Both use :class:`repro.optimizer.cost_model.CostModel`,
+but the search prices a join over its memo groups' cardinalities (each
+set by the group's first partition) while Recost re-derives cardinality
+along the plan's own children, in a different float association.  On
+index-nested-loops chains the two can differ in the last bits
+(``tests/test_search_equivalence.py`` bounds it at 4 ulps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..query.instance import SelectivityVector
 from .cost_model import CostModel
@@ -48,6 +55,130 @@ class _RecostNode:
     inner_param_indices: tuple[int, ...]
 
 
+#: Program opcodes, one per argument shape of the cost model's methods.
+_SCAN, _HASH, _INLJ, _MERGE, _NLJ, _SORT, _GROUP, _SCALAR = range(8)
+
+#: Operator -> (opcode, name of the ``CostModel`` method that prices it).
+_OPCODES = {
+    PhysicalOp.SEQ_SCAN: (_SCAN, "seq_scan"),
+    PhysicalOp.INDEX_SCAN: (_SCAN, "index_scan"),
+    PhysicalOp.HASH_JOIN: (_HASH, "hash_join"),
+    PhysicalOp.INDEX_NESTED_LOOPS_JOIN: (_INLJ, "index_nested_loops_join"),
+    PhysicalOp.MERGE_JOIN: (_MERGE, "merge_join"),
+    PhysicalOp.NESTED_LOOPS_JOIN: (_NLJ, "nested_loops_join"),
+    PhysicalOp.SORT: (_SORT, "sort"),
+    PhysicalOp.HASH_AGGREGATE: (_GROUP, "hash_aggregate"),
+    PhysicalOp.STREAM_AGGREGATE: (_GROUP, "stream_aggregate"),
+    PhysicalOp.SCALAR_AGGREGATE: (_SCALAR, "scalar_aggregate"),
+}
+
+
+def _bind(nodes: tuple[_RecostNode, ...], cost_model: CostModel) -> tuple:
+    """The prebound program of ``nodes`` under ``cost_model``.
+
+    One ``(opcode, method, k, params, a, b, x, y)`` entry per node, where
+    ``method`` is ``cost_model``'s *bound* method for the operator (so a
+    subclassed model prices Recost too) and everything that does not
+    depend on the sVector is folded in: ``k`` is a scan's
+    ``base_rows * fixed_selectivity`` (an index-nested-loops join's
+    inner one) or a join's selectivity; ``params`` the sVector indices
+    that multiply into ``k``; ``a``/``b`` the child slots; ``x``/``y``
+    the operator's remaining constants.
+    """
+    program = []
+    for node in nodes:
+        opcode, name = _OPCODES[node.op]
+        method = getattr(cost_model, name)
+        a, b = node.child_a, node.child_b
+        if opcode == _SCAN:
+            entry = (opcode, method, node.base_rows * node.fixed_selectivity,
+                     node.param_indices, a, b, node.base_rows, None)
+        elif opcode == _INLJ:
+            entry = (opcode, method,
+                     node.inner_base_rows * node.inner_fixed_selectivity,
+                     node.inner_param_indices, a, b, node.join_selectivity,
+                     node.inner_base_rows)
+        elif opcode == _MERGE:
+            entry = (opcode, method, node.join_selectivity, (), a, b,
+                     node.left_sorted, node.right_sorted)
+        elif opcode == _GROUP:
+            entry = (opcode, method, 0.0, (), a, b, node.group_distinct, None)
+        else:
+            entry = (opcode, method, node.join_selectivity, (), a, b, None, None)
+        program.append(entry)
+    return tuple(program)
+
+
+def _run(program: tuple, vals: tuple[float, ...]) -> float:
+    """Execute a prebound program at the selectivities ``vals``.
+
+    Keeps the interpreted walk's operand order and association exactly
+    (``tests/reference_recost.py``), so the result is bit-identical.
+    ``if c < _MIN_CARD: c = _MIN_CARD`` is ``max(c, _MIN_CARD)`` without
+    the builtin call: both keep ``c`` unless ``_MIN_CARD > c``.
+    """
+    n = len(program)
+    cards = [0.0] * n
+    costs = [0.0] * n
+    i = 0
+    for opcode, method, k, params, a, b, x, y in program:
+        if opcode == _SCAN:
+            card = k
+            for p in params:
+                card *= vals[p]
+            if card < _MIN_CARD:
+                card = _MIN_CARD
+            cards[i] = card
+            costs[i] = method(x, card)
+        elif opcode == _HASH:
+            probe = cards[a]
+            build = cards[b]
+            out = probe * build * k
+            if out < _MIN_CARD:
+                out = _MIN_CARD
+            cards[i] = out
+            costs[i] = method(build, probe, out) + costs[a] + costs[b]
+        elif opcode == _INLJ:
+            outer = cards[a]
+            inner = k
+            for p in params:
+                inner *= vals[p]
+            if inner < _MIN_CARD:
+                inner = _MIN_CARD
+            out = outer * inner * x
+            if out < _MIN_CARD:
+                out = _MIN_CARD
+            cards[i] = out
+            costs[i] = method(outer, y, out) + costs[a]
+        elif opcode == _MERGE:
+            left = cards[a]
+            right = cards[b]
+            out = left * right * k
+            if out < _MIN_CARD:
+                out = _MIN_CARD
+            cards[i] = out
+            costs[i] = method(left, right, out, x, y) + costs[a] + costs[b]
+        elif opcode == _NLJ:
+            outer = cards[a]
+            out = outer * cards[b] * k
+            if out < _MIN_CARD:
+                out = _MIN_CARD
+            cards[i] = out
+            costs[i] = method(outer, costs[b], out) + costs[a]
+        elif opcode == _SORT:
+            card = cards[i] = cards[a]
+            costs[i] = method(card) + costs[a]
+        elif opcode == _GROUP:
+            in_card = cards[a]
+            groups = cards[i] = max(1.0, min(x, in_card))
+            costs[i] = method(in_card, groups) + costs[a]
+        else:  # _SCALAR
+            cards[i] = 1.0
+            costs[i] = method(cards[a]) + costs[a]
+        i += 1
+    return costs[-1]
+
+
 @dataclass
 class ShrunkenMemo:
     """Cacheable re-costing representation of one physical plan.
@@ -56,13 +187,24 @@ class ShrunkenMemo:
     memo-shrinking step.  Instances of this class are what the plan
     cache stores alongside the executable plan (section 6.1 notes this
     is the dominant per-plan memory overhead).
+
+    ``nodes`` is a tuple, so the prebound program derived from it
+    cannot go stale.  The program is built on the first ``recost`` and
+    rebuilt when a different cost model is passed; it is kept out of
+    ``==``, ``repr``, persistence and pickles.  Two threads racing to
+    build it build identical programs and the last single assignment
+    wins.
     """
 
     template_name: str
     signature: str
-    nodes: list[_RecostNode]
+    nodes: tuple[_RecostNode, ...]
     full_memo_groups: int = 0
     full_memo_expressions: int = 0
+    #: ``(cost_model, program)`` of the last ``recost``; derived state.
+    _bound: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def node_count(self) -> int:
@@ -70,109 +212,15 @@ class ShrunkenMemo:
 
     def recost(self, sv: SelectivityVector, cost_model: CostModel) -> float:
         """Cost of this plan at the instance with selectivity vector ``sv``."""
-        cards = [0.0] * len(self.nodes)
-        costs = [0.0] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            op = node.op
-            if op.is_scan:
-                card = node.base_rows * node.fixed_selectivity
-                for p in node.param_indices:
-                    card *= sv[p]
-                card = max(card, _MIN_CARD)
-                cards[i] = card
-                costs[i] = cost_model.operator_cost(
-                    op, out_rows=card, table_rows=node.base_rows
-                )
-            elif op is PhysicalOp.INDEX_NESTED_LOOPS_JOIN:
-                outer_card = cards[node.child_a]
-                inner_card = node.inner_base_rows * node.inner_fixed_selectivity
-                for p in node.inner_param_indices:
-                    inner_card *= sv[p]
-                inner_card = max(inner_card, _MIN_CARD)
-                out = max(outer_card * inner_card * node.join_selectivity, _MIN_CARD)
-                cards[i] = out
-                costs[i] = (
-                    cost_model.operator_cost(
-                        op,
-                        out_rows=out,
-                        outer_rows=outer_card,
-                        table_rows=node.inner_base_rows,
-                    )
-                    + costs[node.child_a]
-                )
-            elif op is PhysicalOp.NESTED_LOOPS_JOIN:
-                outer_card = cards[node.child_a]
-                inner_card = cards[node.child_b]
-                out = max(outer_card * inner_card * node.join_selectivity, _MIN_CARD)
-                cards[i] = out
-                costs[i] = (
-                    cost_model.operator_cost(
-                        op,
-                        out_rows=out,
-                        outer_rows=outer_card,
-                        inner_cost=costs[node.child_b],
-                    )
-                    + costs[node.child_a]
-                )
-            elif op is PhysicalOp.HASH_JOIN:
-                probe_card = cards[node.child_a]
-                build_card = cards[node.child_b]
-                out = max(probe_card * build_card * node.join_selectivity, _MIN_CARD)
-                cards[i] = out
-                costs[i] = (
-                    cost_model.operator_cost(
-                        op,
-                        out_rows=out,
-                        outer_rows=build_card,
-                        inner_rows=probe_card,
-                    )
-                    + costs[node.child_a]
-                    + costs[node.child_b]
-                )
-            elif op is PhysicalOp.MERGE_JOIN:
-                l_card = cards[node.child_a]
-                r_card = cards[node.child_b]
-                out = max(l_card * r_card * node.join_selectivity, _MIN_CARD)
-                cards[i] = out
-                costs[i] = (
-                    cost_model.operator_cost(
-                        op,
-                        out_rows=out,
-                        outer_rows=l_card,
-                        inner_rows=r_card,
-                        left_sorted=node.left_sorted,
-                        right_sorted=node.right_sorted,
-                    )
-                    + costs[node.child_a]
-                    + costs[node.child_b]
-                )
-            elif op is PhysicalOp.SORT:
-                in_card = cards[node.child_a]
-                cards[i] = in_card
-                costs[i] = (
-                    cost_model.operator_cost(op, out_rows=in_card, outer_rows=in_card)
-                    + costs[node.child_a]
-                )
-            elif op in (PhysicalOp.HASH_AGGREGATE, PhysicalOp.STREAM_AGGREGATE):
-                in_card = cards[node.child_a]
-                groups = max(1.0, min(node.group_distinct, in_card))
-                cards[i] = groups
-                costs[i] = (
-                    cost_model.operator_cost(
-                        op, out_rows=groups, outer_rows=in_card, groups=groups
-                    )
-                    + costs[node.child_a]
-                )
-            elif op is PhysicalOp.SCALAR_AGGREGATE:
-                in_card = cards[node.child_a]
-                cards[i] = 1.0
-                costs[i] = (
-                    cost_model.operator_cost(op, out_rows=1.0, outer_rows=in_card)
-                    + costs[node.child_a]
-                )
-            else:  # pragma: no cover - vocabulary is closed
-                raise ValueError(f"cannot recost operator {op}")
-        return costs[-1]
+        bound = self._bound
+        if bound is None or bound[0] is not cost_model:
+            bound = self._bound = (cost_model, _bind(self.nodes, cost_model))
+        return _run(bound[1], sv.values)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_bound"] = None
+        return state
 
 
 def shrink(plan: PhysicalPlan, memo_groups: int = 0, memo_expressions: int = 0) -> ShrunkenMemo:
@@ -226,7 +274,7 @@ def shrink(plan: PhysicalPlan, memo_groups: int = 0, memo_expressions: int = 0) 
     return ShrunkenMemo(
         template_name=plan.template_name,
         signature=plan.signature(),
-        nodes=nodes,
+        nodes=tuple(nodes),
         full_memo_groups=memo_groups,
         full_memo_expressions=memo_expressions,
     )

@@ -2,8 +2,10 @@
 
 import pytest
 
+from reference_recost import operator_cost
 from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.operators import PhysicalOp
+from repro.optimizer.recost import _OPCODES
 
 
 @pytest.fixture(scope="module")
@@ -88,18 +90,22 @@ class TestUnaryCosts:
 
 
 class TestDispatch:
+    """The reference Recost walk's uniform dispatch (``tests/reference_recost.py``)
+    reaches the same per-operator method the prebound program binds."""
+
     def test_dispatch_matches_direct_seq_scan(self, cm):
-        assert cm.operator_cost(
-            PhysicalOp.SEQ_SCAN, out_rows=50, table_rows=1_000
+        assert operator_cost(
+            cm, PhysicalOp.SEQ_SCAN, out_rows=50, table_rows=1_000
         ) == cm.seq_scan(1_000, 50)
 
     def test_dispatch_matches_direct_hash_join(self, cm):
-        assert cm.operator_cost(
-            PhysicalOp.HASH_JOIN, out_rows=10, outer_rows=100, inner_rows=200
+        assert operator_cost(
+            cm, PhysicalOp.HASH_JOIN, out_rows=10, outer_rows=100, inner_rows=200
         ) == cm.hash_join(100, 200, 10)
 
     def test_dispatch_matches_merge_join_flags(self, cm):
-        assert cm.operator_cost(
+        assert operator_cost(
+            cm,
             PhysicalOp.MERGE_JOIN,
             out_rows=10, outer_rows=100, inner_rows=200,
             left_sorted=True, right_sorted=False,
@@ -107,11 +113,15 @@ class TestDispatch:
 
     def test_all_operators_dispatchable(self, cm):
         for op in PhysicalOp:
-            cost = cm.operator_cost(
-                op, out_rows=10, table_rows=100, outer_rows=50,
+            cost = operator_cost(
+                cm, op, out_rows=10, table_rows=100, outer_rows=50,
                 inner_rows=50, inner_cost=10.0, groups=5,
             )
             assert cost > 0
+            # The prebound program has an opcode and a bound method for
+            # every operator the walk can dispatch.
+            _, name = _OPCODES[op]
+            assert callable(getattr(cm, name))
 
 
 class TestBcgCompliance:

@@ -16,6 +16,7 @@ satisfies ``SO(q) ≤ λ``.
 import math
 
 
+from reference_recost import recost_walk
 from repro.core.scr import SCR
 from repro.engine.api import EngineAPI, EngineWrapper
 from repro.engine.faults import (
@@ -106,6 +107,24 @@ class TestSpikyCosts:
         # The guarantee can be violated (as the paper observes), but a
         # reasonable ceiling holds: the cliff is a bounded additive term.
         assert worst < 50.0
+
+    def test_recost_binds_the_cost_model_it_is_given(
+        self, toy_db, toy_template
+    ):
+        """One memo re-costed under ``CostModel()``, ``SpikyCostModel()``
+        and ``CostModel()`` again prices each call with the model passed:
+        the prebound program is rebuilt per model and binds the model's
+        own (overridden) methods, never ``CostModel``'s."""
+        plain = engine_with(CostModel(), toy_db, toy_template)
+        memo = plain.optimize(SelectivityVector.of(0.9, 0.9)).shrunken_memo
+        sv = SelectivityVector.of(0.8, 0.95)
+        results = []
+        for model in (CostModel(), SpikyCostModel(), CostModel()):
+            cost = memo.recost(sv, model)
+            assert cost == recost_walk(memo, sv, model), type(model).__name__
+            results.append(cost)
+        # The scans cross the cliff, so the spiky model must price higher.
+        assert results[1] > results[0] == results[2]
 
     def test_retired_anchors_stop_bad_inferences(self, toy_db, toy_template):
         engine = engine_with(SpikyCostModel(), toy_db, toy_template)

@@ -88,6 +88,34 @@ class TestShrunkenMemo:
         assert any(op.is_scan for op in seen_ops)
 
 
+class TestPrebindingIsDerivedState:
+    """The prebound program is a cache: built on first use, never
+    compared, printed, persisted or pickled."""
+
+    def test_program_stays_out_of_eq_repr_pickle_and_dump(self, toy_engine):
+        import pickle
+
+        from repro.core.persistence import dump_cache, load_cache
+        from repro.core.plan_cache import PlanCache
+
+        result = toy_engine.optimize(SelectivityVector.of(0.3, 0.3))
+        memo = result.shrunken_memo
+        assert isinstance(memo.nodes, tuple)
+        fresh = pickle.loads(pickle.dumps(memo))
+        sv = SelectivityVector.of(0.2, 0.7)
+        cost = toy_engine.recost(memo, sv)
+        assert memo._bound is not None
+        assert memo == fresh and repr(memo) == repr(fresh)
+        assert pickle.loads(pickle.dumps(memo))._bound is None
+        cache = PlanCache()
+        cache.add_plan(result.plan, memo)
+        text = dump_cache(cache)
+        assert "_bound" not in text
+        restored = next(iter(load_cache(text).plans())).shrunken_memo
+        assert restored == memo and restored._bound is None
+        assert toy_engine.recost(restored, sv) == cost
+
+
 class TestRecostSpeed:
     def test_recost_much_faster_than_optimize(self, tpch_db):
         """The premise of the paper's cost check: Recost << optimize."""

@@ -8,15 +8,25 @@ cardinalities and expression counts, same winner keys in the same order,
 same winning plan trees down to the last float, and therefore the same
 ``OptimizationResult`` — over every template of every catalog, seeded
 random sVectors plus the boundary vectors.
+
+The same loop holds Recost's prebound program bit-identical to the
+interpreted walk it replaced (``reference_recost.py``) on every winning
+plan, and bounds Recost(P*, q) against optimize(q).cost at 4 ulps: the
+two derive join cardinalities in different float association, so they
+agree to within about one ulp, not bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_recost import recost_walk
 from reference_search import PlanSearch as ReferenceSearch
 from repro.catalog.registry import get_database
 from repro.optimizer.optimizer import QueryOptimizer
@@ -31,6 +41,11 @@ from repro.workload.templates import (
 
 TEMPLATES = tpch_templates() + tpcds_templates() + rd1_templates() + rd2_templates()
 RANDOM_VECTORS = 200
+RECOST_RANDOM_VECTORS = 20
+#: Recost(P*, q) vs optimize(q).cost, in ulps of the optimizer's cost.
+RECOST_ULP_BOUND = 4
+#: The smallest subnormal: legal in an sVector, below every floor.
+DENORMAL = 5e-324
 
 
 def _vectors(d: int, seed: int) -> list[SelectivityVector]:
@@ -54,6 +69,25 @@ def _vectors(d: int, seed: int) -> list[SelectivityVector]:
     return [SelectivityVector.from_sequence(v) for v in boundary + seeded]
 
 
+def _recost_vectors(d: int, seed: int) -> list[SelectivityVector]:
+    """The boundary vectors over the whole sVector domain ``(0, 1]`` —
+    the subnormal ``5e-324``, ``1e-300`` and ``1.0`` — plus seeded ones."""
+    vectors = [
+        [end] * d for end in (DENORMAL, 1e-300, SELECTIVITY_FLOOR, 1.0)
+    ]
+    vectors += [
+        [DENORMAL if i % 2 else 1.0 for i in range(d)],
+        [1.0 if i % 2 else DENORMAL for i in range(d)],
+    ]
+    rng = random.Random(seed)
+    vectors += [
+        [rng.choice((DENORMAL, 1.0)) if rng.random() < 0.2
+         else 10.0 ** rng.uniform(-8.0, 0.0) for _ in range(d)]
+        for _ in range(RECOST_RANDOM_VECTORS)
+    ]
+    return [SelectivityVector.from_sequence(v) for v in vectors]
+
+
 @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
 def test_search_matches_reference(template):
     db = get_database(template.database, scale=0.2, seed=5)
@@ -61,6 +95,7 @@ def test_search_matches_reference(template):
     reference = ReferenceSearch(
         template, optimizer.card_model, optimizer.cost_model, db.stats.schema
     )
+    winners = {}
     for sv in _vectors(template.dimensions, seed=len(template.name)):
         ref_plan, ref_memo = reference.optimize(sv)
         result = optimizer.optimize(sv)
@@ -90,3 +125,67 @@ def test_search_matches_reference(template):
         assert dataclasses.asdict(result.plan) == dataclasses.asdict(ref_plan)
         assert result.shrunken_memo.nodes == ref_shrunken.nodes
         assert result.shrunken_memo.signature == ref_shrunken.signature
+
+        recosted = optimizer.recost(result.shrunken_memo, sv)
+        assert abs(recosted - result.cost) <= RECOST_ULP_BOUND * math.ulp(
+            result.cost
+        ), (sv, recosted, result.cost)
+        winners.setdefault(result.shrunken_memo.signature, result.shrunken_memo)
+
+    # Production Recost == the interpreted walk, exactly, on every
+    # winning plan at every recost vector.
+    cost_model = optimizer.cost_model
+    for memo in winners.values():
+        for sv in _recost_vectors(template.dimensions, seed=len(memo.signature)):
+            assert memo.recost(sv, cost_model) == recost_walk(
+                memo, sv, cost_model
+            ), (memo.signature, sv)
+
+
+#: Templates whose winning plans together use every operator any
+#: template's winning plans use: both scans, all four joins, sort and
+#: the hash and scalar aggregates.
+PROPERTY_TEMPLATES = (
+    "tpch_local_supplier", "tpch_promotion_effect", "tpch_lineitem_scan",
+)
+
+
+@pytest.fixture(scope="module")
+def property_plans():
+    """Per template: its optimizer and the distinct winning plans over
+    the seeded vectors."""
+    out = []
+    for template in TEMPLATES:
+        if template.name not in PROPERTY_TEMPLATES:
+            continue
+        db = get_database(template.database, scale=0.2, seed=5)
+        optimizer = QueryOptimizer(template, db.stats, db.estimator)
+        memos = {}
+        for sv in _vectors(template.dimensions, seed=1)[:60]:
+            memo = optimizer.optimize(sv).shrunken_memo
+            memos.setdefault(memo.signature, memo)
+        out.append((template, optimizer, list(memos.values())))
+    return out
+
+
+coordinate = st.one_of(
+    st.floats(min_value=DENORMAL, max_value=1.0, allow_subnormal=True),
+    st.sampled_from((DENORMAL, 1e-300, SELECTIVITY_FLOOR, 1.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_recost_matches_reference_walk_property(property_plans, data):
+    """Any legal sVector, any winning plan: the prebound program returns
+    the walk's exact float."""
+    template, optimizer, memos = data.draw(st.sampled_from(property_plans))
+    memo = data.draw(st.sampled_from(memos))
+    sv = SelectivityVector.from_sequence(
+        data.draw(st.lists(
+            coordinate, min_size=template.dimensions,
+            max_size=template.dimensions,
+        ))
+    )
+    cost_model = optimizer.cost_model
+    assert memo.recost(sv, cost_model) == recost_walk(memo, sv, cost_model)
