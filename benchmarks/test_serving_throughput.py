@@ -255,19 +255,65 @@ def measure_tracing_overhead():
         "overhead": traced / baseline - 1.0,
         "spans_recorded": span_count,
         "spans_per_request": span_count / len(workload),
+        "spans_dropped": manager.obs.spans.dropped,
+        **span_accounting(manager),
+    }
+
+
+ENGINE_APIS = ("optimize", "recost", "selectivity")
+
+
+def span_accounting(manager) -> dict:
+    """What the traced run's spans account for, next to the counters.
+
+    ``request_records`` holds one ``(template, seq)`` per request-level
+    record: a ``serving.process`` span, or a row of a ``serving.batch``
+    group span.  ``engine_traced`` counts, per API, the ``engine.*``
+    spans plus the calls a group span rolled up; ``engine_counted`` is
+    the engines' own call counters.
+    """
+    spans = manager.obs.spans.spans()
+    records = []
+    traced = dict.fromkeys(ENGINE_APIS, 0)
+    for span in spans:
+        attrs = span.attrs
+        if span.name == "serving.process":
+            records.append((attrs["template"], attrs["seq"]))
+        elif span.name == "serving.batch":
+            records.extend((attrs["template"], seq) for seq in attrs["seqs"])
+            for api in ENGINE_APIS:
+                traced[api] += attrs.get(f"engine_{api}_calls", 0)
+        elif span.name.startswith("engine.") and span.name[7:] in traced:
+            traced[span.name[7:]] += 1
+    shards = manager._templates.values()
+    return {
+        "request_records": records,
+        "engine_traced": traced,
+        "engine_counted": {
+            api: sum(getattr(s.engine.counters, api).calls for s in shards)
+            for api in ENGINE_APIS
+        },
     }
 
 
 def test_tracing_overhead(benchmark):
     row = run_once(benchmark, measure_tracing_overhead)
+    records = row.pop("request_records")
+    traced, counted = row.pop("engine_traced"), row.pop("engine_counted")
     print()
     print(format_table(
         [row], title="Tracing overhead: spans on vs off (concurrent serving)"
     ))
     assert row["spans_recorded"] > 0, "tracing run recorded no spans"
-    assert row["spans_per_request"] >= 2.0, (
-        "each served request should record at least its serving.process "
-        "span and one decision-procedure child"
+    assert row["spans_dropped"] == 0, "the ring dropped spans of the run"
+    # Every request's seq is in exactly one request-level record.
+    assert len(records) == len(set(records)) == row["instances"], (
+        "each served request must appear in exactly one serving.process "
+        "span or serving.batch row"
+    )
+    # Per API, engine.* spans plus group rollups equal the engine's calls.
+    assert traced == counted, (
+        f"traced engine calls {traced} != engine counters {counted}"
     )
     assert row["overhead"] <= MAX_TRACING_OVERHEAD, (
         f"tracing overhead {row['overhead']:.1%} exceeds the "

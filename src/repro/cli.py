@@ -336,6 +336,7 @@ def cmd_trace(args) -> None:
 
     from .obs import (
         explain_trace,
+        find_group_row,
         format_explanation,
         load_spans_jsonl,
         render_tree,
@@ -361,11 +362,14 @@ def cmd_trace(args) -> None:
         )
 
     if args.explain is not None:
+        # A request-level span with this seq, or a batch group whose
+        # ``seqs`` column holds it.
         matches = [
             rows for rows in buckets.values()
             if any(s.attrs.get("seq") == args.explain
                    and s.name in ("serving.process", "cluster.request")
                    for s in rows)
+            or find_group_row(rows, args.explain) is not None
         ]
         if not matches:
             raise SystemExit(
@@ -373,7 +377,7 @@ def cmd_trace(args) -> None:
                 f"{len(buckets)} trace(s)"
             )
         for rows in matches:
-            info = explain_trace(rows)
+            info = explain_trace(rows, seq=args.explain)
             if args.json:
                 print(json.dumps(info, indent=2, sort_keys=True))
             else:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..optimizer.optimizer import OptimizationResult, QueryOptimizer
 from ..optimizer.recost import ShrunkenMemo
@@ -92,6 +94,49 @@ class EngineCounters:
         return self.optimize.mean_seconds / self.recost.mean_seconds
 
 
+#: ``engine.<api>`` span names, built once rather than per call.
+_SPAN_NAMES = {
+    api: f"engine.{api}" for api in ("optimize", "recost", "selectivity")
+}
+
+
+class EngineRollup:
+    """The sVector and Recost calls made while one served group is
+    active, summed: the group's ``serving.batch`` span carries them as
+    ``engine_<api>_calls`` / ``engine_<api>_s`` instead of one
+    ``engine.*`` span per call.  Optimizer calls are never rolled up."""
+
+    __slots__ = ("calls", "seconds")
+
+    def __init__(self) -> None:
+        self.calls = {"selectivity": 0, "recost": 0}
+        self.seconds = {"selectivity": 0.0, "recost": 0.0}
+
+    def add(self, api: str, elapsed: float) -> bool:
+        """Count one call; False for an API that is not rolled up."""
+        calls = self.calls
+        if api not in calls:
+            return False
+        calls[api] += 1
+        self.seconds[api] += elapsed
+        return True
+
+    def attrs(self) -> dict:
+        """The span attributes: ``engine_<api>_calls`` and ``_s``."""
+        out: dict = {}
+        for api, calls in self.calls.items():
+            out[f"engine_{api}_calls"] = calls
+            out[f"engine_{api}_s"] = self.seconds[api]
+        return out
+
+
+#: The rollup of the group this thread is serving (set by the serving
+#: shard around a ``process_many`` group), or None: record per call.
+ENGINE_ROLLUP: ContextVar[Optional[EngineRollup]] = ContextVar(
+    "repro_engine_rollup", default=None
+)
+
+
 class EngineAPI:
     """Engine façade for one query template.
 
@@ -141,8 +186,11 @@ class EngineAPI:
         instruments.call_seconds[api].observe(elapsed)
         spans = self.obs.spans
         if spans.enabled:
+            rollup = ENGINE_ROLLUP.get()
+            if rollup is not None and rollup.add(api, elapsed):
+                return
             spans.record(
-                f"engine.{api}", start, elapsed,
+                _SPAN_NAMES[api], start, elapsed,
                 template=self.template.name, seq=self._instance_index,
             )
 

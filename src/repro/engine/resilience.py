@@ -457,28 +457,28 @@ class ResilientEngineAPI(EngineWrapper):
             self._count_degraded("recost", "breaker open")
             return math.inf
 
-        def on_failure() -> None:
-            t = self.recost_breaker.record_failure()
-            if t is not None:
-                self._breaker_event(t)
-
-        def on_success() -> None:
-            t = self.recost_breaker.record_success()
-            if t is not None:
-                self._breaker_event(t)
-
         try:
             return self._call_with_retries(
                 "recost",
                 lambda: self.inner.recost(shrunken, sv),
-                validate=lambda c: math.isfinite(c) and c > 0,
-                on_failure=on_failure,
-                on_success=on_success,
+                validate=_valid_cost,
+                on_failure=self._recost_failed,
+                on_success=self._recost_succeeded,
             )
         except FAILURE_TYPES:
             self.counters.resilience.recost_failed_closed += 1
             self._count_degraded("recost", "failed closed (miss)")
             return math.inf
+
+    def _recost_failed(self) -> None:
+        transition = self.recost_breaker.record_failure()
+        if transition is not None:
+            self._breaker_event(transition)
+
+    def _recost_succeeded(self) -> None:
+        transition = self.recost_breaker.record_success()
+        if transition is not None:
+            self._breaker_event(transition)
 
     def _breaker_event(self, transition: str) -> None:
         res = self.counters.resilience
@@ -490,6 +490,10 @@ class ResilientEngineAPI(EngineWrapper):
         if instruments is not None:
             instruments.breaker_transition(transition)
             instruments.event("breaker", "recost", self._index, transition)
+
+
+def _valid_cost(cost: float) -> bool:
+    return math.isfinite(cost) and cost > 0
 
 
 def resilient_engine_factory(

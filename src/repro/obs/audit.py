@@ -93,6 +93,9 @@ class GuaranteeAudit:
             labels=("template",),
             buckets=WIDTH_BUCKETS,
         )
+        # Pre-resolved certified-bound children, one per template: the
+        # bound is observed on every certified response.
+        self._bound_children: dict[str, object] = {}
         self.max_violation_events = max_violation_events
         self._lock = threading.Lock()
         self.violation_events: list[dict] = []
@@ -161,7 +164,11 @@ class GuaranteeAudit:
         labels any flagged violation with the certificate kind whose
         claim was broken.
         """
-        self._bounds.labels(template=template).observe(bound)
+        child = self._bound_children.get(template)
+        if child is None:
+            child = self._bounds.labels(template=template)
+            self._bound_children[template] = child
+        child.observe(bound)
         if bound <= lam * (1.0 + VIOLATION_EPSILON):
             return False
         self._violations.labels(template=template, kind=kind).inc()

@@ -24,8 +24,47 @@ from typing import Iterable, Optional, TextIO, Union
 from .spans import EVENT_NAMES, Span
 
 #: Span names with request-level meaning (anything else renders
-#: generically but still participates in the tree).
-ROOT_NAMES = ("cluster.request", "serving.process")
+#: generically but still participates in the tree).  A ``serving.batch``
+#: span is request-level for each of its rows.
+ROOT_NAMES = ("cluster.request", "serving.process", "serving.batch")
+
+#: A ``serving.batch`` span's per-row columns -> the row attribute each
+#: holds (the names a ``serving.process`` span uses for one request).
+GROUP_COLUMNS = {
+    "seqs": "seq",
+    "outcomes": "outcome",
+    "checks": "check",
+    "certificates": "certificate",
+    "certified_bounds": "certified_bound",
+    "recost_calls": "recost_calls",
+    "coverage": "coverage",
+    "reason": "reason",
+}
+
+
+def group_rows(span: Span) -> list[dict]:
+    """A ``serving.batch`` span's rows, one dict per row, read from its
+    column tuples (lists after a JSONL round trip).  Rows omit the
+    columns that are absent or ``None`` for them."""
+    columns = [
+        (key, span.attrs[column])
+        for column, key in GROUP_COLUMNS.items() if column in span.attrs
+    ]
+    return [
+        {key: values[i] for key, values in columns if values[i] is not None}
+        for i in range(len(span.attrs.get("seqs", ())))
+    ]
+
+
+def find_group_row(
+    spans: Iterable[Span], seq: int
+) -> Optional[tuple[Span, dict]]:
+    """The ``serving.batch`` span whose ``seqs`` holds ``seq``, and that
+    row; None when no group served it."""
+    for span in spans:
+        if span.name == "serving.batch" and seq in span.attrs.get("seqs", ()):
+            return span, group_rows(span)[list(span.attrs["seqs"]).index(seq)]
+    return None
 
 
 @dataclass
@@ -94,14 +133,26 @@ def render_tree(
         text = node.name
         if include_timing:
             text += f" [{_fmt_duration(node.span.duration_s)}]"
-        attrs = _fmt_attrs(node.span.attrs)
+        attrs = node.span.attrs
+        if node.name == "serving.batch":
+            attrs = {k: v for k, v in attrs.items() if k not in GROUP_COLUMNS}
+        attrs = _fmt_attrs(attrs)
         if attrs:
             text += f"  ({attrs})"
         return text
 
+    def row_lines(node: TraceNode, prefix: str) -> list[str]:
+        if node.name != "serving.batch":
+            return []
+        return [
+            f"{prefix}  row seq={row.pop('seq')} {_fmt_attrs(row)}"
+            for row in group_rows(node.span)
+        ]
+
     def walk(node: TraceNode, prefix: str, tail: bool) -> None:
         lines.append(f"{prefix}{'`- ' if tail else '|- '}{describe(node)}")
         child_prefix = prefix + ("   " if tail else "|  ")
+        lines.extend(row_lines(node, child_prefix))
         for i, child in enumerate(node.children):
             walk(child, child_prefix, i == len(node.children) - 1)
 
@@ -109,6 +160,7 @@ def render_tree(
         if i:
             lines.append("")
         lines.append(describe(root))
+        lines.extend(row_lines(root, ""))
         for j, child in enumerate(root.children):
             walk(child, "", j == len(root.children) - 1)
     return "\n".join(lines)
@@ -121,18 +173,31 @@ def _first(spans: list[Span], name: str) -> Optional[Span]:
     return None
 
 
-def explain_trace(spans: Iterable[Span]) -> dict:
+def explain_trace(spans: Iterable[Span], seq: Optional[int] = None) -> dict:
     """A structured verdict for one request's trace.
 
     Returns a JSON-serializable dict with the guarantee outcome, the
     SCR check path that produced it, the engine work spent, every
     dispatch attempt (including ones whose worker died mid-request),
     and a ``narrative`` — the same story as prose lines.
+
+    ``seq`` picks the request: a row of a ``serving.batch`` group span
+    is explained from its columns (see :func:`_explain_group_row`).
+    Without ``seq``, a trace whose only request-level span is a group
+    span explains the group's first row.
     """
     ordered = sorted(spans, key=lambda s: (s.start_s, s.seq))
     root = _first(ordered, "cluster.request") or _first(
         ordered, "serving.process"
     )
+    if seq is None and root is None:
+        batch = _first(ordered, "serving.batch")
+        if batch is not None and batch.attrs.get("seqs"):
+            seq = batch.attrs["seqs"][0]
+    if seq is not None and (root is None or root.attrs.get("seq") != seq):
+        found = find_group_row(ordered, seq)
+        if found is not None:
+            return _explain_group_row(ordered, *found)
     serving = _first(ordered, "serving.process")
     info: dict = {
         "trace_id": ordered[0].trace_id if ordered else "",
@@ -210,8 +275,82 @@ def explain_trace(spans: Iterable[Span]) -> dict:
                     else "the optimizer was NOT consulted (degraded path)"
                 ))
 
-    # -- events: faults, retries, sheds, brownout moves -------------------------
-    events = [s for s in ordered if s.name in EVENT_NAMES]
+    engine_calls: dict = {}
+    for span in ordered:
+        if span.name.startswith("engine.") and span.name not in EVENT_NAMES:
+            engine_calls[span.name] = engine_calls.get(span.name, 0) + 1
+    _say_events_and_work(
+        info, [s for s in ordered if s.name in EVENT_NAMES], engine_calls
+    )
+
+    verdict_attrs = serving.attrs if serving is not None else root.attrs
+    _verdict(info, verdict_attrs, root.attrs)
+    return info
+
+
+def _explain_group_row(ordered: list[Span], group: Span, row: dict) -> dict:
+    """Explain one row of a ``serving.batch`` group span.
+
+    The row's columns give the check, certificate, bound and Recost
+    calls; its sVector and Recost calls were rolled up on the group
+    span, so the row counts one sVector call and its ``recost_calls``.
+    The ``engine.optimize`` and event spans stamped with the row's
+    ``seq`` are its own.
+    """
+    seq = row["seq"]
+    seqs = list(group.attrs["seqs"])
+    own = [s for s in ordered if s is not group and s.attrs.get("seq") == seq]
+    info: dict = {
+        "trace_id": group.trace_id,
+        "spans": len(ordered),
+        "template": group.attrs.get("template"),
+        "seq": seq,
+        "outcome": row.get("outcome"),
+        "group": {"rows": len(seqs), "row": seqs.index(seq)},
+        "narrative": [],
+    }
+    say = info["narrative"].append
+    say(f"served as row {seqs.index(seq) + 1} of {len(seqs)} in one "
+        "serving.batch group; its sVector and Recost calls are summed on "
+        "the group span")
+
+    check = row.get("check")
+    recosts = row.get("recost_calls", 0)
+    optimized = sum(1 for s in own if s.name == "engine.optimize")
+    if check == "selectivity":
+        info["anchor_check"] = "selectivity"
+        say("selectivity check hit: the stored G*L bound certifies the "
+            "cached plan without recosting")
+    elif check == "cost":
+        info["anchor_check"] = "cost"
+        say(f"cost check certified the cached plan after {recosts} "
+            "recost call(s): recosted cost stayed within G*L of the "
+            "anchor bound")
+    elif check is not None:
+        say(f"cache miss after {recosts} recost call(s); " + (
+            "the optimizer was consulted" if optimized
+            else "the optimizer was NOT consulted (degraded path)"
+        ))
+
+    engine_calls = {"engine.selectivity": 1}
+    if recosts:
+        engine_calls["engine.recost"] = recosts
+    if optimized:
+        engine_calls["engine.optimize"] = optimized
+    _say_events_and_work(
+        info, [s for s in own if s.name in EVENT_NAMES], engine_calls
+    )
+    info["recost_calls"] = recosts
+    _verdict(info, row, row)
+    return info
+
+
+def _say_events_and_work(
+    info: dict, events: list[Span], engine_calls: dict
+) -> None:
+    """Narrate the request's events (faults, retries, sheds, brownout
+    moves) and its engine work, and record both in ``info``."""
+    say = info["narrative"].append
     if events:
         info["events"] = [
             {"event": s.name, **{k: s.attrs[k] for k in sorted(s.attrs)}}
@@ -222,12 +361,6 @@ def explain_trace(spans: Iterable[Span]) -> dict:
             if s.attrs.get("transition"):
                 why = f"{s.attrs['transition']}: {why}"
             say(f"event {s.name}" + (f" ({why})" if why else ""))
-
-    # -- engine work ----------------------------------------------------------
-    engine_calls = {}
-    for span in ordered:
-        if span.name.startswith("engine.") and span.name not in EVENT_NAMES:
-            engine_calls[span.name] = engine_calls.get(span.name, 0) + 1
     if engine_calls:
         info["engine_calls"] = engine_calls
         say("engine work: " + ", ".join(
@@ -235,8 +368,10 @@ def explain_trace(spans: Iterable[Span]) -> dict:
             for name, count in sorted(engine_calls.items())
         ))
 
-    # -- the verdict ----------------------------------------------------------
-    verdict_attrs = serving.attrs if serving is not None else root.attrs
+
+def _verdict(info: dict, verdict_attrs: dict, root_attrs: dict) -> None:
+    """Fill ``info``'s certificate fields and say the VERDICT line."""
+    say = info["narrative"].append
     outcome = info["outcome"]
     certificate = verdict_attrs.get("certificate")
     bound = verdict_attrs.get("certified_bound")
@@ -272,8 +407,8 @@ def explain_trace(spans: Iterable[Span]) -> dict:
     elif outcome == "shed":
         reason = (
             verdict_attrs.get("reason")
-            or root.attrs.get("reason")
-            or root.attrs.get("detail")
+            or root_attrs.get("reason")
+            or root_attrs.get("detail")
             or "overload"
         )
         info["shed_reason"] = reason
@@ -285,7 +420,6 @@ def explain_trace(spans: Iterable[Span]) -> dict:
         say(sentence)
     else:
         say(f"VERDICT: outcome {outcome!r}")
-    return info
 
 
 def format_explanation(info: dict) -> str:
@@ -341,11 +475,14 @@ def traces_in(spans: Iterable[Span]) -> dict[str, list[Span]]:
 
 
 __all__ = [
+    "GROUP_COLUMNS",
     "ROOT_NAMES",
     "TraceNode",
     "build_tree",
     "explain_trace",
+    "find_group_row",
     "format_explanation",
+    "group_rows",
     "load_spans_jsonl",
     "render_tree",
     "traces_in",

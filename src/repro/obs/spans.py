@@ -32,12 +32,13 @@ instrumented hot path: errors are counted and a sink that fails
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .clock import Clock, SYSTEM_CLOCK
 from .tracectx import (
+    _CURRENT,
     IdSource,
     TraceContext,
     activate,
@@ -63,18 +64,33 @@ EVENT_NAMES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Span:
-    """One completed timed phase."""
+class Span(
+    namedtuple(
+        "Span",
+        "name seq start_s duration_s attrs trace_id span_id parent_id",
+    )
+):
+    """One completed timed phase: an immutable slotted record, built
+    positionally on the hot path.  ``attrs`` defaults to a fresh dict
+    per span, never to one shared default."""
 
-    name: str
-    seq: int
-    start_s: float
-    duration_s: float
-    attrs: dict = field(default_factory=dict)
-    trace_id: str = ""
-    span_id: str = ""
-    parent_id: str = ""
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        seq: int,
+        start_s: float,
+        duration_s: float,
+        attrs: Optional[dict] = None,
+        trace_id: str = "",
+        span_id: str = "",
+        parent_id: str = "",
+    ) -> "Span":
+        return tuple.__new__(cls, (
+            name, seq, start_s, duration_s,
+            {} if attrs is None else attrs, trace_id, span_id, parent_id,
+        ))
 
     def to_jsonable(self, include_timing: bool = True) -> dict:
         """One JSONL row.  Timing can be excluded for byte-reproducible
@@ -136,7 +152,9 @@ class SpanRecorder:
         self._start = 0           # ring read position once saturated
         self._next_seq = 0
         self.dropped = 0
-        self._sinks: list[Callable[[Span], None]] = []
+        # A tuple swapped whole on attach/detach, so a record reads it
+        # without copying.
+        self._sinks: tuple[Callable[[Span], None], ...] = ()
         self._sink_failstreak: dict[int, int] = {}
         self.sink_errors = 0
         self.sinks_detached = 0
@@ -150,7 +168,7 @@ class SpanRecorder:
     def attach_sink(self, sink: Callable[[Span], None]) -> None:
         """Stream every subsequently recorded span to ``sink`` too."""
         with self._lock:
-            self._sinks.append(sink)
+            self._sinks += (sink,)
             self._sink_failstreak[id(sink)] = 0
 
     def detach_sink(self, sink: Callable[[Span], None]) -> None:
@@ -159,13 +177,14 @@ class SpanRecorder:
 
     def _detach_locked(self, sink: Callable[[Span], None]) -> None:
         try:
-            self._sinks.remove(sink)
+            i = self._sinks.index(sink)
         except ValueError:
             return
+        self._sinks = self._sinks[:i] + self._sinks[i + 1:]
         self._sink_failstreak.pop(id(sink), None)
         self.sinks_detached += 1
 
-    def _emit(self, span: Span, sinks: list) -> None:
+    def _emit(self, span: Span, sinks: tuple) -> None:
         """Feed sinks outside the ring lock, isolating failures.
 
         A sink raising must never break the serving path it observes;
@@ -209,7 +228,7 @@ class SpanRecorder:
         """
         if not self.enabled:
             return None
-        ctx = current_context()
+        ctx = _CURRENT.get()
         if ctx is not None:
             trace_id = ctx.trace_id
             if span_id is not None:
@@ -220,20 +239,25 @@ class SpanRecorder:
             trace_id, sid, parent = "", span_id or "", ""
         with self._lock:
             span = Span(
-                name=name, seq=self._next_seq, start_s=start_s,
-                duration_s=duration_s, attrs=attrs,
-                trace_id=trace_id, span_id=sid, parent_id=parent,
+                name, self._next_seq, start_s, duration_s, attrs,
+                trace_id, sid, parent,
             )
-            self._next_seq += 1
-            if len(self._ring) < self.capacity:
-                self._ring.append(span)
-            else:
-                self._ring[self._start] = span
-                self._start = (self._start + 1) % self.capacity
-                self.dropped += 1
-            sinks = list(self._sinks)
-        self._emit(span, sinks)
+            self._keep_locked(span)
+            sinks = self._sinks
+        if sinks:
+            self._emit(span, sinks)
         return span
+
+    def _keep_locked(self, span: Span) -> None:
+        """Append ``span`` to the ring (evicting the oldest once full);
+        caller holds the lock."""
+        self._next_seq += 1
+        if len(self._ring) < self.capacity:
+            self._ring.append(span)
+        else:
+            self._ring[self._start] = span
+            self._start = (self._start + 1) % self.capacity
+            self.dropped += 1
 
     def event(self, name: str, **attrs: object) -> Optional[Span]:
         """Record something that happened *now*: a zero-duration span
@@ -250,20 +274,13 @@ class SpanRecorder:
             return None
         with self._lock:
             local = Span(
-                name=span.name, seq=self._next_seq, start_s=span.start_s,
-                duration_s=span.duration_s, attrs=span.attrs,
-                trace_id=span.trace_id, span_id=span.span_id,
-                parent_id=span.parent_id,
+                span.name, self._next_seq, span.start_s, span.duration_s,
+                span.attrs, span.trace_id, span.span_id, span.parent_id,
             )
-            self._next_seq += 1
-            if len(self._ring) < self.capacity:
-                self._ring.append(local)
-            else:
-                self._ring[self._start] = local
-                self._start = (self._start + 1) % self.capacity
-                self.dropped += 1
-            sinks = list(self._sinks)
-        self._emit(local, sinks)
+            self._keep_locked(local)
+            sinks = self._sinks
+        if sinks:
+            self._emit(local, sinks)
         return local
 
     @contextmanager

@@ -10,8 +10,9 @@ context variable, so propagation:
   context and re-activates it inside whichever worker thread serves it;
 * survives single-flight collapsing — the follower keeps its own
   request context while it waits on the leader's optimize;
-* survives batch probes — each batch row gets its own child context
-  even though one thread probes the whole batch;
+* survives batch probes — a ``process_many`` template group is one
+  unit of work served by one thread, so the group shares one child
+  context and its rows are columns of one ``serving.batch`` span;
 * crosses process boundaries — the cluster transport carries
   ``trace_id``/``parent_span_id`` fields, so a worker's serve spans
   parent under the supervisor-side request span (including the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import random
 import threading
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
@@ -124,16 +124,23 @@ def child_context(ids: Optional[IdSource] = None) -> TraceContext:
     return start_trace(ids=ids)
 
 
-@contextmanager
-def activate(ctx: Optional[TraceContext]):
+class activate:
     """Make ``ctx`` the ambient context for the dynamic extent.
 
     ``None`` is accepted and deactivates tracing for the scope (used by
     pool threads re-activating whatever the submitter captured, which
-    may legitimately be nothing).
+    may legitimately be nothing).  A class rather than a generator
+    context manager: it runs once per served request or group.
     """
-    token = _CURRENT.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _CURRENT.reset(token)
+
+    __slots__ = ("_ctx", "_token")
+
+    def __init__(self, ctx: Optional[TraceContext]) -> None:
+        self._ctx = ctx
+
+    def __enter__(self) -> Optional[TraceContext]:
+        self._token = _CURRENT.set(self._ctx)
+        return self._ctx
+
+    def __exit__(self, *exc: object) -> None:
+        _CURRENT.reset(self._token)

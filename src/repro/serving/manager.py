@@ -38,6 +38,7 @@ import threading
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..core.dynamic_lambda import PressureRelaxedLambda
@@ -374,16 +375,78 @@ class ConcurrentPQOManager:
         end-to-end budget to each dispatched instance (starting at its
         dispatch, not at batch entry).
 
-        Dispatch shape: without overload protection or deadlines, each
-        template's unique instances go to its shard as **one**
-        matmul-shaped :meth:`TemplateShard.process_batch` task (when the
-        shard's decision procedure supports batching) — the whole group
-        is probed against the cache in a single broadcast pass.
-        Otherwise unique instances are dispatched round-robin across
-        templates so independent shards fill the pool instead of
-        convoying on one shard's lock.
+        The dispatch is :meth:`_dispatch`'s; a template group's row
+        futures are resolved from its one group future by a single
+        done-callback.
         """
         futures: list[Optional[Future]] = [None] * len(instances)
+        groups, singles, duplicate_of = self._dispatch(
+            instances, dedupe, deadline_seconds
+        )
+        for items, group in groups:
+            rows = [Future() for _ in items]
+            for (i, _), fut in zip(items, rows):
+                futures[i] = fut
+            group.add_done_callback(partial(_resolve_rows, rows))
+        for i, fut in singles:
+            futures[i] = fut
+        for i, first in duplicate_of.items():
+            futures[i] = futures[first]
+        return futures
+
+    def process_many(
+        self, instances: Sequence[QueryInstance], dedupe: bool = True
+    ) -> list[PlanChoice]:
+        """Admit a batch and wait for every result (input order).
+
+        Waits on one future per template group; the first failing row,
+        in input order, raises its exception.
+        """
+        results: list = [None] * len(instances)
+        groups, singles, duplicate_of = self._dispatch(instances, dedupe)
+        for items, group in groups:
+            try:
+                outcomes = group.result()
+            except BaseException as exc:  # noqa: BLE001 - fails every row
+                outcomes = [exc] * len(items)
+            for (i, _), outcome in zip(items, outcomes):
+                results[i] = outcome
+        for i, fut in singles:
+            try:
+                results[i] = fut.result()
+            except BaseException as exc:  # noqa: BLE001 - raised in order below
+                results[i] = exc
+        for i, first in duplicate_of.items():
+            results[i] = results[first]
+        for outcome in results:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return results
+
+    def _dispatch(
+        self,
+        instances: Sequence[QueryInstance],
+        dedupe: bool,
+        deadline_seconds: Optional[float] = None,
+    ) -> tuple[list, list, dict[int, int]]:
+        """Coalesce a batch by template, dedupe it, and dispatch it.
+
+        Returns ``(groups, singles, duplicate_of)``: ``(items, future)``
+        per template group served as one
+        :meth:`TemplateShard.process_batch` task (its future holds the
+        per-row outcomes), ``(index, future)`` per instance dispatched
+        alone through :meth:`submit`, and each duplicate's first
+        occurrence.
+
+        Dispatch shape: without overload protection or deadlines, each
+        template's unique instances go to its shard as **one**
+        matmul-shaped group task — the whole group is probed against the
+        cache in a single broadcast pass.  Singleton groups, and every
+        instance under admission control or deadlines (per-instance
+        decisions), are dispatched round-robin across templates so
+        independent shards fill the pool instead of convoying on one
+        shard's lock.
+        """
         per_template: dict[str, list[tuple[int, QueryInstance]]] = {}
         first_seen: dict[tuple, int] = {}
         duplicate_of: dict[int, int] = {}
@@ -402,12 +465,12 @@ class ConcurrentPQOManager:
             per_template.setdefault(instance.template_name, []).append(
                 (i, instance)
             )
+        groups: list = []
         if self._overload_coordinator is None and deadline_seconds is None:
-            leftovers = self._submit_batched_groups(per_template, futures)
+            groups, leftovers = self._submit_batched_groups(per_template)
         else:
-            # Admission control and deadlines are per-instance decisions;
-            # keep the per-instance dispatch for them.
             leftovers = per_template
+        singles: list = []
         queues = [list(reversed(v)) for _, v in sorted(leftovers.items())]
         while queues:
             for queue in list(queues):
@@ -417,24 +480,24 @@ class ConcurrentPQOManager:
                     if deadline_seconds is not None
                     else None
                 )
-                futures[i] = self.submit(instance, deadline=deadline)
+                singles.append((i, self.submit(instance, deadline=deadline)))
                 if not queue:
                     queues.remove(queue)
-        for i, first in duplicate_of.items():
-            futures[i] = futures[first]
-        return futures
+        return groups, singles, duplicate_of
 
     def _submit_batched_groups(
-        self,
-        per_template: dict[str, list[tuple[int, QueryInstance]]],
-        futures: list[Optional[Future]],
-    ) -> dict[str, list[tuple[int, QueryInstance]]]:
-        """Dispatch batchable template groups; return the rest.
-
-        A group is batchable when it has more than one instance (a
-        singleton gains nothing over the ordinary submit path).
+        self, per_template: dict[str, list[tuple[int, QueryInstance]]]
+    ) -> tuple[list, dict[str, list[tuple[int, QueryInstance]]]]:
+        """The one group dispatch: one pool task and one future per
+        template group of two or more instances (a singleton gains
+        nothing over the ordinary submit path, so it is returned in the
+        leftovers).  Returns ``([(items, future), ...], leftovers)``.
         """
+        groups: list = []
         leftovers: dict[str, list[tuple[int, QueryInstance]]] = {}
+        # Carry the submitter's ambient trace context across the pool
+        # hand-off; the shard then opens one child context per group.
+        ctx = current_context()
         for name, items in sorted(per_template.items()):
             shard = self._templates.get(name)
             if shard is None:
@@ -442,69 +505,54 @@ class ConcurrentPQOManager:
             if len(items) < 2:
                 leftovers[name] = items
                 continue
-            futs = [Future() for _ in items]
-            for (i, _), fut in zip(items, futs):
-                futures[i] = fut
-                with self._futures_lock:
-                    self._outstanding.add(fut)
-                fut.add_done_callback(self._forget_outstanding)
-            # Carry the submitter's ambient trace context across the
-            # pool hand-off; the shard then mints one child per row.
-            ctx = current_context()
+            fut: Future = Future()
+            groups.append((items, fut))
+            with self._futures_lock:
+                self._outstanding.add(fut)
+            fut.add_done_callback(self._forget_outstanding)
             try:
                 self._executor.submit(
-                    self._run_batch, shard, [inst for _, inst in items],
-                    futs, ctx,
+                    self._run_batch, fut, shard,
+                    [inst for _, inst in items], ctx,
                 )
             except RuntimeError:
                 # The executor refused: the manager is shutting down.
-                for fut in futs:
-                    with suppress(InvalidStateError):
-                        fut.set_exception(
-                            ShutdownError(
-                                "manager closed before this submission was accepted"
-                            )
-                        )
-        return leftovers
-
-    def _run_batch(
-        self,
-        shard: TemplateShard,
-        instances: list[QueryInstance],
-        futs: list["Future[PlanChoice]"],
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
-        if self._closed:
-            for fut in futs:
                 with suppress(InvalidStateError):
                     fut.set_exception(
                         ShutdownError(
-                            "manager closed before this queued submission was served"
+                            "manager closed before this submission was accepted"
                         )
                     )
-            return
-        try:
-            with activate(ctx) if ctx is not None else nullcontext():
-                outcomes = shard.process_batch(instances)
-        except BaseException as exc:  # noqa: BLE001 - resolve all futures
-            for fut in futs:
-                with suppress(InvalidStateError):
-                    fut.set_exception(exc)
-            return
-        for fut, outcome in zip(futs, outcomes):
-            if isinstance(outcome, BaseException):
-                with suppress(InvalidStateError):
-                    fut.set_exception(outcome)
-            else:
-                self._note_processed(shard)
-                with suppress(InvalidStateError):
-                    fut.set_result(outcome)
+        return groups, leftovers
 
-    def process_many(
-        self, instances: Sequence[QueryInstance], dedupe: bool = True
-    ) -> list[PlanChoice]:
-        """Admit a batch and wait for every result (input order)."""
-        return [f.result() for f in self.submit_batch(instances, dedupe=dedupe)]
+    def _run_batch(
+        self,
+        fut: Future,
+        shard: TemplateShard,
+        instances: list[QueryInstance],
+        ctx: Optional[TraceContext] = None,
+    ) -> None:
+        if self._closed and not fut.done():
+            with suppress(InvalidStateError):
+                fut.set_exception(
+                    ShutdownError(
+                        "manager closed before this queued submission was served"
+                    )
+                )
+        if fut.done():
+            return  # resolved by close(wait=False); don't serve it
+        try:
+            with activate(ctx):
+                outcomes = shard.process_batch(instances)
+        except BaseException as exc:  # noqa: BLE001 - fails the whole group
+            with suppress(InvalidStateError):
+                fut.set_exception(exc)
+            return
+        for outcome in outcomes:
+            if not isinstance(outcome, BaseException):
+                self._note_processed(shard)
+        with suppress(InvalidStateError):
+            fut.set_result(outcomes)
 
     @staticmethod
     def _dedupe_key(instance: QueryInstance) -> tuple:
@@ -774,3 +822,17 @@ class ConcurrentPQOManager:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _resolve_rows(rows: list[Future], group: Future) -> None:
+    """Resolve a group's per-row futures from its group future: each
+    row's PlanChoice or exception, or the group's own exception for
+    every row."""
+    exc = group.exception()
+    outcomes = [exc] * len(rows) if exc is not None else group.result()
+    for fut, outcome in zip(rows, outcomes):
+        with suppress(InvalidStateError):
+            if isinstance(outcome, BaseException):
+                fut.set_exception(outcome)
+            else:
+                fut.set_result(outcome)

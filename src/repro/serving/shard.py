@@ -37,12 +37,13 @@ from typing import Optional, Sequence
 from ..core.get_plan import CheckKind, CheckMode
 from ..core.scr import SCR
 from ..core.technique import PlanChoice, fetch_selectivity
+from ..engine.api import ENGINE_ROLLUP, EngineRollup
 from ..engine.resilience import OptimizeUnavailableError
 from ..obs.audit import GuaranteeAudit
 from ..obs.clock import SYSTEM_CLOCK
 from ..obs.handle import Observability
 from ..obs.registry import MetricsRegistry
-from ..obs.tracectx import activate, current_context, start_trace
+from ..obs.tracectx import activate, child_context, current_context, start_trace
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
     AnySelectivityVector,
@@ -228,6 +229,9 @@ class TemplateShard:
         paths (single-flight, optimizer, manageCache).  Failures are
         isolated per item: the returned list holds, in input order, a
         :class:`PlanChoice` or the exception that instance raised.
+        With spans on, the batch is one unit of telemetry: one trace
+        context and one ``serving.batch`` span with per-row columns
+        (DESIGN.md §10), not one ``serving.process`` span per row.
 
         The batched pass is a plain throughput optimization over one
         view — it does not interleave commits between batch rows, so
@@ -251,35 +255,50 @@ class TemplateShard:
         self, instances: Sequence[QueryInstance]
     ) -> list["PlanChoice | BaseException"]:
         start = self.clock.perf_counter()
-        scr = self.scr
         obs = self._obs
-        spans_on = obs is not None and obs.spans.enabled
-        # One trace context per batch row: even though one thread probes
-        # the whole batch, each row is its own request and gets its own
-        # request-level span (child of the submit-time ambient context,
-        # or a fresh root).  The batch-wide scr.* probe spans stay under
-        # the ambient context — they belong to the batch, not one row.
-        ctxs: list = [None] * len(instances)
-        if spans_on:
-            ambient = current_context()
-            ids = obs.spans.ids
-            for i in range(len(instances)):
-                ctxs[i] = (
-                    ambient.child(ids) if ambient is not None
-                    else start_trace(ids=ids)
+        if obs is None or not obs.spans.enabled:
+            return self._serve_group(instances, start)[0]
+        # One unit of telemetry per group: one trace context (a child of
+        # the submit-time ambient context, or a fresh root), one
+        # ``serving.batch`` span whose per-row columns are tuples aligned
+        # by row, and the group's sVector / Recost engine calls summed
+        # onto that span instead of one ``engine.*`` span each.  Optimizer
+        # calls, phase spans and events stay individual spans, stamped
+        # with their row's ``seq`` and parented under the group span.
+        spans = obs.spans
+        ctx = child_context(spans.ids)
+        rollup = EngineRollup()
+        token = ENGINE_ROLLUP.set(rollup)
+        try:
+            with activate(ctx):
+                results, seqs = self._serve_group(instances, start)
+                spans.record(
+                    "serving.batch", start, self.clock.perf_counter() - start,
+                    span_id=ctx.span_id, template=self.template.name,
+                    **self._group_columns(seqs, results), **rollup.attrs(),
                 )
+        finally:
+            ENGINE_ROLLUP.reset(token)
+        return results
+
+    def _serve_group(
+        self, instances: Sequence[QueryInstance], start: float
+    ) -> tuple[list["PlanChoice | BaseException"], list[int]]:
+        """Serve one group against one cache view; returns the per-row
+        outcomes (a :class:`PlanChoice` or the exception that row raised)
+        and the rows' sequence ids."""
+        scr = self.scr
         seqs: list[int] = []
         svs: list[AnySelectivityVector] = []
         degraded: list[bool] = []
         results: list[PlanChoice | BaseException] = [None] * len(instances)  # type: ignore[list-item]
-        for i, instance in enumerate(instances):
+        for instance in instances:
             with self._seq_lock:
                 seq = self._next_seq
                 self._next_seq += 1
             seqs.append(seq)
             self.engine.begin_instance(seq)
-            with activate(ctxs[i]) if ctxs[i] is not None else nullcontext():
-                sv, deg = fetch_selectivity(self.engine, instance, self.robust)
+            sv, deg = fetch_selectivity(self.engine, instance, self.robust)
             if self.robust and isinstance(sv, UncertainSelectivityVector):
                 self.stats.note_interval_width(sv.total_log_width)
             svs.append(sv)
@@ -299,50 +318,71 @@ class TemplateShard:
         for i in retries + misses:
             self.engine.begin_instance(seqs[i])
             try:
-                with activate(ctxs[i]) if ctxs[i] is not None else nullcontext():
-                    if decisions[i].hit:
-                        # Anchor vanished between probe and commit: the
-                        # same re-probe a failed single validation runs.
-                        self.stats.note_epoch_retry()
-                        self.event("serving.epoch_retry", seqs[i])
-                        results[i] = self._serve(svs[i], seqs[i], depth=1)
-                    else:
-                        results[i] = self._miss(
-                            svs[i], seqs[i], decisions[i], depth=0
-                        )
+                if decisions[i].hit:
+                    # Anchor vanished between probe and commit: the
+                    # same re-probe a failed single validation runs.
+                    self.stats.note_epoch_retry()
+                    self.event("serving.epoch_retry", seqs[i])
+                    results[i] = self._serve(svs[i], seqs[i], depth=1)
+                else:
+                    results[i] = self._miss(
+                        svs[i], seqs[i], decisions[i], depth=0
+                    )
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 results[i] = exc
         for i, outcome in enumerate(results):
-            extra: dict = {}
             if isinstance(outcome, BaseException):
-                span_outcome = "shed"
-                if spans_on and isinstance(outcome, ShedError):
-                    extra["reason"] = outcome.reason
-            else:
-                if degraded[i]:
-                    # Stale sVector fallback: nothing was certified.
-                    outcome.certified = False
-                span_outcome = (
-                    "certified" if outcome.certified else "uncertified"
-                )
-                if spans_on:
-                    extra = self._choice_attrs(outcome)
-                self.stats.observe(
-                    self.clock.perf_counter() - start,
-                    outcome.check, outcome.certified,
-                    certificate=outcome.certificate,
-                )
-            if spans_on:
-                ctx = ctxs[i]
-                with activate(ctx) if ctx is not None else nullcontext():
-                    obs.spans.record(
-                        "serving.process", start,
-                        self.clock.perf_counter() - start,
-                        span_id=ctx.span_id if ctx is not None else None,
-                        template=self.template.name, seq=seqs[i],
-                        outcome=span_outcome, batched=True, **extra,
-                    )
-        return results
+                continue
+            if degraded[i]:
+                # Stale sVector fallback: nothing was certified.
+                outcome.certified = False
+            self.stats.observe(
+                self.clock.perf_counter() - start,
+                outcome.check, outcome.certified,
+                certificate=outcome.certificate,
+            )
+        return results, seqs
+
+    @staticmethod
+    def _group_columns(
+        seqs: list[int], results: list["PlanChoice | BaseException"]
+    ) -> dict:
+        """The ``serving.batch`` span's per-row columns: one tuple per
+        attribute, aligned with ``seqs``.  ``coverage`` and ``reason``
+        appear only when some row has one."""
+        rows = []
+        for outcome in results:
+            if isinstance(outcome, BaseException):
+                reason = outcome.reason if isinstance(outcome, ShedError) else None
+                rows.append(("shed", None, None, None, None, None, reason))
+                continue
+            bound, coverage = outcome.certified_bound, outcome.coverage
+            rows.append((
+                "certified" if outcome.certified else "uncertified",
+                getattr(outcome.check, "value", outcome.check),
+                outcome.certificate,
+                round(bound, 6)
+                if outcome.certified and bound is not None else None,
+                outcome.recost_calls,
+                coverage if coverage is not None and coverage != 1.0 else None,
+                None,
+            ))
+        outcomes, checks, certificates, bounds, recosts, coverage, reason = (
+            zip(*rows)
+        )
+        columns: dict = {
+            "seqs": tuple(seqs),
+            "outcomes": outcomes,
+            "checks": checks,
+            "certificates": certificates,
+            "certified_bounds": bounds,
+            "recost_calls": recosts,
+        }
+        if any(c is not None for c in coverage):
+            columns["coverage"] = coverage
+        if any(r is not None for r in reason):
+            columns["reason"] = reason
+        return columns
 
     def _process_inner(
         self,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 from ..harness.metrics import LatencySummary
 from ..obs.audit import GuaranteeAudit
@@ -50,18 +49,23 @@ class ConcurrencyGauge:
         self.peak = 0
         self.total = 0
 
-    @contextmanager
-    def track(self):
+    def track(self) -> "ConcurrencyGauge":
+        """``with gauge.track():`` counts one call in flight for the
+        block.  The gauge is its own context manager: all its state is
+        the shared counters, so nesting and threads need no per-call
+        object."""
+        return self
+
+    def __enter__(self) -> None:
         with self._lock:
             self._active += 1
             self.total += 1
             if self._active > self.peak:
                 self.peak = self._active
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._active -= 1
+
+    def __exit__(self, *exc: object) -> None:
+        with self._lock:
+            self._active -= 1
 
     @property
     def active(self) -> int:

@@ -4,7 +4,8 @@ Every fault, retry, breaker flip, degraded answer, serving scheduling
 decision and overload decision is one zero-duration span
 (:meth:`SpanRecorder.event`, names in :data:`EVENT_NAMES`) carrying its
 reason, and — recorded inside a request — that request's ``trace_id``,
-parented under its ``serving.process`` span.  Each of the 16 emitting
+parented under its ``serving.process`` span, or under the
+``serving.batch`` span of the template group whose ``seqs`` holds it.  Each of the 16 emitting
 sites is driven here exactly once, on a :class:`FakeClock`.
 """
 
@@ -68,12 +69,24 @@ def only(obs, name: str):
     return spans[0]
 
 
+def request_seqs(root) -> tuple:
+    """The request seqs a request-level span stands for: its own, or
+    every row of a ``serving.batch`` group."""
+    if root.name == "serving.batch":
+        return tuple(root.attrs["seqs"])
+    return (root.attrs["seq"],)
+
+
 def request_span(obs, event):
-    """The ``serving.process`` span of the request ``event`` belongs to."""
+    """The request-level span of the request ``event`` belongs to: its
+    ``serving.process`` span, or the ``serving.batch`` span of the group
+    whose ``seqs`` holds the event's ``seq``."""
     assert event.trace_id, f"{event.name} was recorded outside any request"
     roots = [
         s for s in obs.spans.trace(event.trace_id)
         if s.name == "serving.process"
+        or (s.name == "serving.batch"
+            and event.attrs.get("seq") in s.attrs["seqs"])
     ]
     assert len(roots) == 1
     return roots[0]
@@ -380,7 +393,12 @@ class TestServingAndOverloadEventSites:
         assert [e.attrs["seq"] for e in events] == [0, 1, 1]
         for event in events:
             root = assert_inside_request(obs, event)
-            assert event.attrs["seq"] == root.attrs["seq"]
+            assert event.attrs["seq"] in request_seqs(root)
+        # The batched retry parents under its group span, and is
+        # stamped with row 0's seq, not the last-allocated one.
+        group = request_span(obs, events[-1])
+        assert group.name == "serving.batch"
+        assert request_seqs(group) == (1, 2)
 
     def test_single_flight_collapse(self):
         _, obs = fake_obs()

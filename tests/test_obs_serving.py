@@ -116,15 +116,21 @@ class TestConcurrentServing:
         assert totals["shed"] == 0
         assert obs.audit.zero_violations
 
-        # serving.process spans: one per served response.
-        process_spans = [
-            s for s in obs.spans.spans() if s.name == "serving.process"
+        # Request-level records: every served response's seq appears in
+        # exactly one — a serving.process span or a row of a
+        # serving.batch group span — with its outcome.
+        served: list[tuple[int, str]] = []
+        for span in obs.spans.spans():
+            if span.name == "serving.process":
+                served.append((span.attrs["seq"], span.attrs["outcome"]))
+            elif span.name == "serving.batch":
+                served.extend(zip(span.attrs["seqs"], span.attrs["outcomes"]))
+        outcome_of = dict(served)
+        assert len(outcome_of) == len(served) == len(instances)
+        # One template, so the shard allocated seqs in input order.
+        assert [outcome_of[seq] for seq in range(len(instances))] == [
+            "certified" if c.certified else "uncertified" for c in choices
         ]
-        assert len(process_spans) == len(instances)
-        assert all(
-            s.attrs["outcome"] in ("certified", "uncertified")
-            for s in process_spans
-        )
 
     def test_report_row_sources_from_registry(self):
         db, template = make_db(), make_template()
