@@ -13,7 +13,9 @@ Acceptance: with 8 workers over an 8-template workload the pool must
 be ≥ 3× the serial path's throughput — a ``process()`` loop on a
 one-worker manager, every instance served on the calling thread —
 while certifying every choice, with zero observed λ violations against
-an independent oracle.
+an independent oracle.  The speedup must come from overlap alone: the
+pool serves each template's group in input order, so it makes exactly
+the serial loop's optimizer calls and returns its choices.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def run_serial(templates, workload):
     choices = [manager.process(instance) for instance in workload]
     elapsed = time.perf_counter() - start
     manager.close()
-    return elapsed, db, choices
+    return elapsed, db, manager, choices
 
 
 def run_concurrent(templates, workload, spans_enabled=True):
@@ -164,10 +166,19 @@ def observed_violations(db, templates, workload, choices) -> int:
     return violations
 
 
+def decision_fields(choice) -> tuple:
+    """What a served choice decided: its plan, check, certified bound
+    and Recost calls."""
+    return (
+        choice.plan_signature, choice.check, choice.certified_bound,
+        choice.recost_calls,
+    )
+
+
 def measure():
     templates = serving_templates()
     workload = make_workload(templates, INSTANCES_PER_TEMPLATE, SEED)
-    serial_s, _, serial_choices = run_serial(templates, workload)
+    serial_s, _, serial, serial_choices = run_serial(templates, workload)
     conc_s, db, manager, conc_choices = run_concurrent(templates, workload)
     audit = manager.obs.audit
     outcomes = audit.outcome_totals()
@@ -179,6 +190,12 @@ def measure():
         "speedup": serial_s / conc_s,
         "serial_qps": len(workload) / serial_s,
         "concurrent_qps": len(workload) / conc_s,
+        "serial_optimizer_calls": serial.total_optimizer_calls,
+        "optimizer_calls": manager.total_optimizer_calls,
+        "choices_differing": sum(
+            decision_fields(s) != decision_fields(c)
+            for s, c in zip(serial_choices, conc_choices)
+        ),
         "uncertified": sum(1 for c in conc_choices if not c.certified),
         "violations": observed_violations(db, templates, workload, conc_choices),
         "accounted": sum(outcomes.values()),
@@ -201,6 +218,16 @@ def test_concurrent_serving_throughput(benchmark):
     print()
     print(format_table(report, title="Per-shard serving stats"))
 
+    # The pool decides exactly what the serial loop decides: each
+    # template's group is served in input order, re-probed after every
+    # row that changed the cache.
+    assert row["optimizer_calls"] == row["serial_optimizer_calls"], (
+        "the concurrent run made a different number of optimizer calls "
+        "than the serial process() loop"
+    )
+    assert row["choices_differing"] == 0, (
+        "concurrent choices differ from the serial loop's"
+    )
     assert row["uncertified"] == 0, "every concurrent choice must be certified"
     assert row["violations"] == 0, "certified choice exceeded λ against oracle"
 
@@ -227,10 +254,10 @@ def test_concurrent_serving_throughput(benchmark):
 def measure_tracing_overhead():
     """The same concurrent workload served twice: spans off, spans on.
 
-    Per-request tracing records ~6 spans (serving.process, queue wait,
-    scr.* checks, engine.* calls) plus contextvar propagation across the
-    shard pool; the gate asserts all of it costs ≤5% wall-clock against
-    the engine-latency-dominated baseline.
+    Tracing records one ``serving.batch`` span and one queue wait per
+    template group, optimizer-call spans and events, plus contextvar
+    propagation across the shard pool; the gate asserts all of it costs
+    ≤5% wall-clock against the engine-latency-dominated baseline.
     """
     templates = serving_templates()
     workload = make_workload(templates, INSTANCES_PER_TEMPLATE, SEED)
@@ -267,8 +294,7 @@ def span_accounting(manager) -> dict:
     """What the traced run's spans account for, next to the counters.
 
     ``request_records`` holds one ``(template, seq)`` per request-level
-    record: a ``serving.process`` span, or a row of a ``serving.batch``
-    group span.  ``engine_traced`` counts, per API, the ``engine.*``
+    record: a row of a ``serving.batch`` group span.  ``engine_traced`` counts, per API, the ``engine.*``
     spans plus the calls a group span rolled up; ``engine_counted`` is
     the engines' own call counters.
     """
@@ -277,9 +303,7 @@ def span_accounting(manager) -> dict:
     traced = dict.fromkeys(ENGINE_APIS, 0)
     for span in spans:
         attrs = span.attrs
-        if span.name == "serving.process":
-            records.append((attrs["template"], attrs["seq"]))
-        elif span.name == "serving.batch":
+        if span.name == "serving.batch":
             records.extend((attrs["template"], seq) for seq in attrs["seqs"])
             for api in ENGINE_APIS:
                 traced[api] += attrs.get(f"engine_{api}_calls", 0)
@@ -308,8 +332,7 @@ def test_tracing_overhead(benchmark):
     assert row["spans_dropped"] == 0, "the ring dropped spans of the run"
     # Every request's seq is in exactly one request-level record.
     assert len(records) == len(set(records)) == row["instances"], (
-        "each served request must appear in exactly one serving.process "
-        "span or serving.batch row"
+        "each served request must appear in exactly one serving.batch row"
     )
     # Per API, engine.* spans plus group rollups equal the engine's calls.
     assert traced == counted, (

@@ -362,14 +362,10 @@ def cmd_trace(args) -> None:
         )
 
     if args.explain is not None:
-        # A request-level span with this seq, or a batch group whose
-        # ``seqs`` column holds it.
+        # The group whose ``seqs`` column holds the request.
         matches = [
             rows for rows in buckets.values()
-            if any(s.attrs.get("seq") == args.explain
-                   and s.name in ("serving.process", "cluster.request")
-                   for s in rows)
-            or find_group_row(rows, args.explain) is not None
+            if find_group_row(rows, args.explain) is not None
         ]
         if not matches:
             raise SystemExit(

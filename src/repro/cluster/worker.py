@@ -192,7 +192,7 @@ class ClusterWorker:
                 request, f.exception() or f.result()
             ))
             return
-        # serving.process takes the span ID of the context it runs under:
+        # serving.batch takes the span ID of the context it runs under:
         # a fresh child, so it does not reuse the dispatch span's ID.
         try:
             with activate(wire and wire.child(self.obs.spans.ids)):

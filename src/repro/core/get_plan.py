@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..obs.spans import SpanRecorder
 from ..optimizer.recost import ShrunkenMemo
@@ -385,19 +385,39 @@ class GetPlan:
         including per-row cost phases for the rows whose selectivity
         check missed.  Decision-identical to calling :meth:`probe` per
         vector (the order of probes is the list order); like ``probe``
-        it commits nothing, and it records no per-row spans.
+        it commits nothing, and it records no per-row spans.  It is
+        :meth:`probe_rows` taken to the end.
+        """
+        return list(self.probe_rows(svs, recost, view, max_recost, coverage))
+
+    def probe_rows(
+        self,
+        svs: "Iterable[AnySelectivityVector]",
+        recost: Callable[[ShrunkenMemo, SelectivityVector], float],
+        view: Optional[ColumnarInstances] = None,
+        max_recost: Optional[int] = None,
+        coverage: Optional[float] = None,
+    ) -> Iterator[GetPlanDecision]:
+        """:meth:`probe_batch`'s decisions, one row at a time.
+
+        The factor matrices of a chunk of rows are computed together; a
+        row's selectivity check and cost phase run only when its
+        decision is taken.  A caller that stops early — the serving
+        shard, once a row has changed the cache the later rows would
+        see — spends no Recost call on the rows it did not take.
         """
         resolved = [self._resolve_box(sv, coverage) for sv in svs]
         if not resolved:
-            return []
+            return
         if view is None:
             view = self.cache.columnar()
         if len(view) == 0:
-            return [self._miss(box) for _, box in resolved]
+            for _, box in resolved:
+                yield self._miss(box)
+            return
         budget = self._budget_vector(view)
         cap = self._effective_cap(max_recost)
         step = chunk_rows(len(resolved), len(view), view.dimensions)
-        decisions: list[GetPlanDecision] = []
         for lo_row in range(0, len(resolved), step):
             chunk = resolved[lo_row:lo_row + step]
             g_m, l_m, gc_m, lc_m = self._factor_rows(view, chunk)
@@ -412,8 +432,7 @@ class GetPlan:
                             budget, cap,
                         )
                     )
-                decisions.append(decision)
-        return decisions
+                yield decision
 
     def _effective_cap(self, max_recost: Optional[int]) -> int:
         """The number of cost-check candidates this probe can consume."""

@@ -131,7 +131,7 @@ class EngineRollup:
 
 
 #: The rollup of the group this thread is serving (set by the serving
-#: shard around a ``process_many`` group), or None: record per call.
+#: shard around every served group), or None: record per call.
 ENGINE_ROLLUP: ContextVar[Optional[EngineRollup]] = ContextVar(
     "repro_engine_rollup", default=None
 )

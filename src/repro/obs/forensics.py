@@ -25,11 +25,12 @@ from .spans import EVENT_NAMES, Span
 
 #: Span names with request-level meaning (anything else renders
 #: generically but still participates in the tree).  A ``serving.batch``
-#: span is request-level for each of its rows.
-ROOT_NAMES = ("cluster.request", "serving.process", "serving.batch")
+#: span is request-level for each of its rows: every served request,
+#: a single one included, is a row of one.
+ROOT_NAMES = ("cluster.request", "serving.batch")
 
 #: A ``serving.batch`` span's per-row columns -> the row attribute each
-#: holds (the names a ``serving.process`` span uses for one request).
+#: holds.
 GROUP_COLUMNS = {
     "seqs": "seq",
     "outcomes": "outcome",
@@ -39,6 +40,7 @@ GROUP_COLUMNS = {
     "recost_calls": "recost_calls",
     "coverage": "coverage",
     "reason": "reason",
+    "brownout": "brownout",
 }
 
 
@@ -177,38 +179,40 @@ def explain_trace(spans: Iterable[Span], seq: Optional[int] = None) -> dict:
     """A structured verdict for one request's trace.
 
     Returns a JSON-serializable dict with the guarantee outcome, the
-    SCR check path that produced it, the engine work spent, every
-    dispatch attempt (including ones whose worker died mid-request),
-    and a ``narrative`` — the same story as prose lines.
+    check that produced it, the engine work spent, every dispatch
+    attempt (including ones whose worker died mid-request), and a
+    ``narrative`` — the same story as prose lines.
 
-    ``seq`` picks the request: a row of a ``serving.batch`` group span
-    is explained from its columns (see :func:`_explain_group_row`).
-    Without ``seq``, a trace whose only request-level span is a group
-    span explains the group's first row.
+    The request is a row of a ``serving.batch`` span, explained from
+    the span's columns.  ``seq`` picks the row; without it — or when it
+    is the ``seq`` of the trace's ``cluster.request`` — the trace's first
+    group row is explained.
     """
     ordered = sorted(spans, key=lambda s: (s.start_s, s.seq))
-    root = _first(ordered, "cluster.request") or _first(
-        ordered, "serving.process"
-    )
-    if seq is None and root is None:
+    root = _first(ordered, "cluster.request")
+    found = None
+    if seq is None or (root is not None and root.attrs.get("seq") == seq):
         batch = _first(ordered, "serving.batch")
         if batch is not None and batch.attrs.get("seqs"):
-            seq = batch.attrs["seqs"][0]
-    if seq is not None and (root is None or root.attrs.get("seq") != seq):
+            found = batch, group_rows(batch)[0]
+    else:
         found = find_group_row(ordered, seq)
-        if found is not None:
-            return _explain_group_row(ordered, *found)
-    serving = _first(ordered, "serving.process")
+    group, row = found if found is not None else (None, {})
+    # A cluster trace is identified by its supervisor-side request; a
+    # local one by the row.
+    request = root.attrs if root is not None else dict(
+        row, template=group.attrs.get("template") if group else None
+    )
     info: dict = {
         "trace_id": ordered[0].trace_id if ordered else "",
         "spans": len(ordered),
-        "template": (root.attrs.get("template") if root else None),
-        "seq": (root.attrs.get("seq") if root else None),
-        "outcome": (root.attrs.get("outcome") if root else None),
+        "template": request.get("template"),
+        "seq": request.get("seq"),
+        "outcome": request.get("outcome"),
         "narrative": [],
     }
     say = info["narrative"].append
-    if root is None:
+    if root is None and group is None:
         say("no request-level span found; cannot explain this trace")
         return info
 
@@ -232,87 +236,48 @@ def explain_trace(spans: Iterable[Span], seq: Optional[int] = None) -> dict:
                     "dispatch record is the surviving evidence")
             else:
                 say(f"attempt {entry['attempt']} on {where}: responded")
-
-    # -- waits ----------------------------------------------------------------
-    queue_wait = _first(ordered, "serving.queue_wait")
-    if queue_wait is not None:
-        info["queue_wait_s"] = queue_wait.duration_s
-        say(f"queued {_fmt_duration(queue_wait.duration_s)} before a "
-            "serving thread picked it up")
-    flight = _first(ordered, "serving.single_flight_wait")
-    if flight is not None:
-        info["single_flight_wait_s"] = flight.duration_s
-        say(f"waited {_fmt_duration(flight.duration_s)} on another "
-            "thread's in-flight optimizer call (single-flight collapse)")
-
-    # -- the SCR check path ---------------------------------------------------
-    sel = _first(ordered, "scr.selectivity_check")
-    if sel is not None:
-        scanned = sel.attrs.get("scanned")
-        candidates = sel.attrs.get("candidates")
-        if sel.attrs.get("hit"):
-            info["anchor_check"] = "selectivity"
-            say(f"selectivity check hit after scanning {scanned} cached "
-                f"anchors ({candidates} candidate plans): the stored "
-                "G*L bound certifies the cached plan without recosting")
-        else:
-            say(f"selectivity check scanned {scanned} cached anchors "
-                f"({candidates} candidate plans) without certifying; "
-                "fell through to the cost check")
-    cost = _first(ordered, "scr.cost_check")
-    if cost is not None:
-        recosts = cost.attrs.get("recost_calls", 0)
-        if cost.attrs.get("hit"):
-            info["anchor_check"] = "cost"
-            say(f"cost check certified the cached plan after {recosts} "
-                "recost call(s): recosted cost stayed within G*L of the "
-                "anchor bound")
-        else:
-            consulted = any(s.name == "engine.optimize" for s in ordered)
-            say(f"cost check spent {recosts} recost call(s) without "
-                "certifying; " + (
-                    "the optimizer was consulted" if consulted
-                    else "the optimizer was NOT consulted (degraded path)"
-                ))
-
-    engine_calls: dict = {}
-    for span in ordered:
-        if span.name.startswith("engine.") and span.name not in EVENT_NAMES:
-            engine_calls[span.name] = engine_calls.get(span.name, 0) + 1
-    _say_events_and_work(
-        info, [s for s in ordered if s.name in EVENT_NAMES], engine_calls
-    )
-
-    verdict_attrs = serving.attrs if serving is not None else root.attrs
-    _verdict(info, verdict_attrs, root.attrs)
+    if group is None:
+        _verdict(info, request, request)
+        return info
+    _explain_group_row(ordered, group, row, info)
+    _verdict(info, row, request)
     return info
 
 
-def _explain_group_row(ordered: list[Span], group: Span, row: dict) -> dict:
-    """Explain one row of a ``serving.batch`` group span.
+def _explain_group_row(
+    ordered: list[Span], group: Span, row: dict, info: dict
+) -> None:
+    """Narrate one row of a ``serving.batch`` group span into ``info``.
 
     The row's columns give the check, certificate, bound and Recost
     calls; its sVector and Recost calls were rolled up on the group
     span, so the row counts one sVector call and its ``recost_calls``.
-    The ``engine.optimize`` and event spans stamped with the row's
-    ``seq`` are its own.
+    The ``engine.optimize``, single-flight and event spans stamped with
+    the row's ``seq`` are its own; the group's queue wait and its events
+    without a ``seq`` are every row's.
     """
     seq = row["seq"]
     seqs = list(group.attrs["seqs"])
     own = [s for s in ordered if s is not group and s.attrs.get("seq") == seq]
-    info: dict = {
-        "trace_id": group.trace_id,
-        "spans": len(ordered),
-        "template": group.attrs.get("template"),
-        "seq": seq,
-        "outcome": row.get("outcome"),
-        "group": {"rows": len(seqs), "row": seqs.index(seq)},
-        "narrative": [],
-    }
+    info["group"] = {"rows": len(seqs), "row": seqs.index(seq)}
     say = info["narrative"].append
-    say(f"served as row {seqs.index(seq) + 1} of {len(seqs)} in one "
-        "serving.batch group; its sVector and Recost calls are summed on "
-        "the group span")
+    if len(seqs) > 1:
+        say(f"served as row {seqs.index(seq) + 1} of {len(seqs)} in one "
+            "serving.batch group; its sVector and Recost calls are summed "
+            "on the group span")
+    queue_wait = next(
+        (s for s in ordered if s.name == "serving.queue_wait"
+         and s.parent_id == group.span_id), None,
+    )
+    if queue_wait is not None:
+        info["queue_wait_s"] = queue_wait.duration_s
+        say(f"queued {_fmt_duration(queue_wait.duration_s)} before a "
+            "serving thread picked it up")
+    flight = _first(own, "serving.single_flight_wait")
+    if flight is not None:
+        info["single_flight_wait_s"] = flight.duration_s
+        say(f"waited {_fmt_duration(flight.duration_s)} on another "
+            "thread's in-flight optimizer call (single-flight collapse)")
 
     check = row.get("check")
     recosts = row.get("recost_calls", 0)
@@ -332,25 +297,13 @@ def _explain_group_row(ordered: list[Span], group: Span, row: dict) -> dict:
             else "the optimizer was NOT consulted (degraded path)"
         ))
 
-    engine_calls = {"engine.selectivity": 1}
-    if recosts:
-        engine_calls["engine.recost"] = recosts
-    if optimized:
-        engine_calls["engine.optimize"] = optimized
-    _say_events_and_work(
-        info, [s for s in own if s.name in EVENT_NAMES], engine_calls
-    )
-    info["recost_calls"] = recosts
-    _verdict(info, row, row)
-    return info
-
-
-def _say_events_and_work(
-    info: dict, events: list[Span], engine_calls: dict
-) -> None:
-    """Narrate the request's events (faults, retries, sheds, brownout
-    moves) and its engine work, and record both in ``info``."""
-    say = info["narrative"].append
+    # Events without a seq (a brownout move) belong to the whole group.
+    events = [
+        s for s in ordered if s.name in EVENT_NAMES and (
+            s.attrs.get("seq") == seq
+            or ("seq" not in s.attrs and s.parent_id == group.span_id)
+        )
+    ]
     if events:
         info["events"] = [
             {"event": s.name, **{k: s.attrs[k] for k in sorted(s.attrs)}}
@@ -361,12 +314,17 @@ def _say_events_and_work(
             if s.attrs.get("transition"):
                 why = f"{s.attrs['transition']}: {why}"
             say(f"event {s.name}" + (f" ({why})" if why else ""))
-    if engine_calls:
-        info["engine_calls"] = engine_calls
-        say("engine work: " + ", ".join(
-            f"{count}x {name.split('.', 1)[1]}"
-            for name, count in sorted(engine_calls.items())
-        ))
+    engine_calls = {"engine.selectivity": 1}
+    if recosts:
+        engine_calls["engine.recost"] = recosts
+    if optimized:
+        engine_calls["engine.optimize"] = optimized
+    info["engine_calls"] = engine_calls
+    say("engine work: " + ", ".join(
+        f"{count}x {name.split('.', 1)[1]}"
+        for name, count in sorted(engine_calls.items())
+    ))
+    info["recost_calls"] = recosts
 
 
 def _verdict(info: dict, verdict_attrs: dict, root_attrs: dict) -> None:

@@ -10,9 +10,10 @@ context variable, so propagation:
   context and re-activates it inside whichever worker thread serves it;
 * survives single-flight collapsing — the follower keeps its own
   request context while it waits on the leader's optimize;
-* survives batch probes — a ``process_many`` template group is one
-  unit of work served by one thread, so the group shares one child
-  context and its rows are columns of one ``serving.batch`` span;
+* survives batch probes — a served group (a ``process_many`` template
+  group, or a single request as a group of one) is one unit of work
+  served by one thread, so the group shares one context and its rows
+  are columns of one ``serving.batch`` span;
 * crosses process boundaries — the cluster transport carries
   ``trace_id``/``parent_span_id`` fields, so a worker's serve spans
   parent under the supervisor-side request span (including the

@@ -6,9 +6,12 @@ many templates, and the plan-cache memory they share is bounded.
 :class:`~repro.serving.shard.TemplateShard` per registered template —
 the shard *is* the per-template state: its SCR, engine, budget share,
 instance count and quarantine flag.  :meth:`~ConcurrentPQOManager.process`
-serves an instance on the calling thread (the serial path); ``submit``
-and ``submit_batch`` dispatch onto a thread pool, which starts its
-threads only on first use.
+serves an instance on the calling thread (the serial path); ``submit``,
+``submit_batch`` and ``process_many`` dispatch **groups** onto a thread
+pool, which starts its threads only on first use.  A group is the unit
+of serving, dispatch and telemetry: one pool task, one future, one
+trace context.  ``submit`` dispatches a group of one; a batch is one
+group per template, or one group per instance under admission control.
 
 Independent templates never contend — each shard has its own lock, its
 own SCR state and its own single-flight table.  Global concerns are
@@ -23,7 +26,11 @@ templates; quarantined templates are frozen at a share of one).
 Batched admission (:meth:`submit_batch`) coalesces a batch by template
 and deduplicates identical selectivity vectors before dispatch, so a
 burst of the same query instance costs one optimization and the
-duplicates share its :class:`PlanChoice`.
+duplicates share its :class:`PlanChoice`.  A group decides exactly what
+a :meth:`process` loop over its rows would.  Template groups are
+dispatched one after another, so under a global plan budget a
+rebalance point can see a different cross-template order than the
+submission order (DESIGN.md §8).
 
 With an :class:`~repro.serving.overload.OverloadPolicy` the manager adds
 overload protection (DESIGN.md §9): bounded per-template ingress queues
@@ -39,6 +46,7 @@ from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 from ..core.dynamic_lambda import PressureRelaxedLambda
@@ -48,7 +56,7 @@ from ..engine.api import EngineAPI
 from ..engine.database import Database
 from ..obs.doctor import doctor_from_sources, template_summary
 from ..obs.handle import Observability
-from ..obs.tracectx import TraceContext, activate, child_context, current_context
+from ..obs.tracectx import TraceContext, activate, child_context
 from ..query.instance import QueryInstance
 from ..query.template import QueryTemplate
 from .overload import (
@@ -229,30 +237,49 @@ class ConcurrentPQOManager:
         This is the serial path: a caller that only ever uses
         :meth:`process` never starts a pool thread.
         """
-        return self._process_on(self._shard_for(instance), instance, deadline)
+        (outcome,) = self._serve_on(
+            self._shard_for(instance), [instance], deadline
+        )
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
-    def _process_on(
+    def _serve_on(
         self,
         shard: TemplateShard,
-        instance: QueryInstance,
+        instances: list[QueryInstance],
         deadline: Optional[Deadline] = None,
         overflow_reason: Optional[str] = None,
-    ) -> PlanChoice:
-        choice = shard.process(
-            instance, deadline=deadline, overflow_reason=overflow_reason
-        )
-        self._note_processed(shard)
-        return choice
+    ) -> list["PlanChoice | BaseException"]:
+        """Serve a group on ``shard`` and count each served row; returns
+        the per-row outcomes.  A group of one is the shard's
+        :meth:`~TemplateShard.process`, larger groups its
+        :meth:`~TemplateShard.process_batch` — the same serving loop."""
+        if len(instances) == 1:
+            try:
+                outcomes = [shard.process(
+                    instances[0], deadline=deadline,
+                    overflow_reason=overflow_reason,
+                )]
+            except BaseException as exc:  # noqa: BLE001 - returned per row
+                outcomes = [exc]
+        else:
+            outcomes = shard.process_batch(instances, deadline=deadline)
+        for outcome in outcomes:
+            if not isinstance(outcome, BaseException):
+                self._note_processed(shard)
+        return outcomes
 
     def _mint_ctx(self) -> Optional[TraceContext]:
-        """The per-submission trace context (None with spans off).
+        """The per-group trace context (None with spans off).
 
         A child of the submitter's ambient context when one exists —
         the cluster worker's serve loop activates the wire context
         around :meth:`submit`, so worker-side spans parent under the
         supervisor's request span — or a fresh root otherwise.  Minted
         *in the submitting thread*, then re-activated in whichever pool
-        thread serves the request: that is what survives the hand-off.
+        thread serves the group, where it becomes the group's
+        ``serving.batch`` span: that is what survives the hand-off.
         """
         obs = self.obs
         if obs is None or not obs.spans.enabled:
@@ -262,7 +289,7 @@ class ConcurrentPQOManager:
     def submit(
         self, instance: QueryInstance, deadline: Optional[Deadline] = None
     ) -> "Future[PlanChoice]":
-        """Dispatch one instance to the serving pool.
+        """Dispatch one instance to the serving pool, as a group of one.
 
         With overload protection on, admission is bounded: a submission
         over the template's ``queue_limit`` is resolved *in the calling
@@ -272,8 +299,21 @@ class ConcurrentPQOManager:
         returned future then already holds the outcome, so callers keep
         one uniform interface.
         """
-        shard = self._shard_for(instance)
         fut: "Future[PlanChoice]" = Future()
+        group = self._enqueue(self._shard_for(instance), [instance], deadline)
+        group.add_done_callback(partial(_resolve_rows, [fut]))
+        return fut
+
+    def _enqueue(
+        self,
+        shard: TemplateShard,
+        instances: list[QueryInstance],
+        deadline: Optional[Deadline] = None,
+    ) -> Future:
+        """The one dispatch: one pool task and one future per group; the
+        future holds the per-row outcomes.  Under overload protection a
+        group is one instance (admission is per submission)."""
+        group: Future = Future()
         ctx = self._mint_ctx()
         ov = self._overload_coordinator
         entered = False
@@ -282,26 +322,20 @@ class ConcurrentPQOManager:
                 deadline = ov.new_deadline()
             entered = ov.try_enter_queue(shard.stats)
             if not entered:
-                try:
-                    with activate(ctx) if ctx is not None else nullcontext():
-                        fut.set_result(
-                            self._process_on(
-                                shard, instance, deadline,
-                                overflow_reason="queue_full",
-                            )
-                        )
-                except BaseException as exc:
-                    fut.set_exception(exc)
-                return fut
+                with activate(ctx) if ctx is not None else nullcontext():
+                    group.set_result(self._serve_on(
+                        shard, instances, deadline, overflow_reason="queue_full",
+                    ))
+                return group
         with self._futures_lock:
-            self._outstanding.add(fut)
-        fut.add_done_callback(self._forget_outstanding)
+            self._outstanding.add(group)
+        group.add_done_callback(self._forget_outstanding)
         submitted_at = (
             self.obs.clock.perf_counter() if ctx is not None else 0.0
         )
         try:
             self._executor.submit(
-                self._run, fut, shard, instance, deadline, entered,
+                self._run, group, shard, instances, deadline, entered,
                 ctx, submitted_at,
             )
         except RuntimeError:
@@ -309,55 +343,56 @@ class ConcurrentPQOManager:
             if entered:
                 ov.exit_queue(shard.stats)
             with suppress(InvalidStateError):
-                fut.set_exception(
+                group.set_exception(
                     ShutdownError(
                         "manager closed before this submission was accepted"
                     )
                 )
-        return fut
+        return group
 
     def _run(
         self,
-        fut: "Future[PlanChoice]",
+        group: Future,
         shard: TemplateShard,
-        instance: QueryInstance,
+        instances: list[QueryInstance],
         deadline: Optional[Deadline],
         entered: bool,
         ctx: Optional[TraceContext] = None,
         submitted_at: float = 0.0,
     ) -> None:
+        """The one pool task: serve ``instances`` and resolve ``group``."""
         try:
-            if self._closed and not fut.done():
+            if self._closed and not group.done():
                 with suppress(InvalidStateError):
-                    fut.set_exception(
+                    group.set_exception(
                         ShutdownError(
                             "manager closed before this queued submission was served"
                         )
                     )
-            if fut.done():
+            if group.done():
                 return  # resolved by close(wait=False); don't serve it
             try:
                 with activate(ctx) if ctx is not None else nullcontext():
                     if ctx is not None:
-                        # Pool hand-off latency, attributed to the request.
+                        # Pool hand-off latency, attributed to the group.
                         now = self.obs.clock.perf_counter()
                         self.obs.spans.record(
                             "serving.queue_wait", submitted_at,
                             now - submitted_at,
                             template=shard.template.name,
                         )
-                    result = self._process_on(shard, instance, deadline)
-            except BaseException as exc:
+                    outcomes = self._serve_on(shard, instances, deadline)
+            except BaseException as exc:  # noqa: BLE001 - fails the whole group
                 with suppress(InvalidStateError):
-                    fut.set_exception(exc)
+                    group.set_exception(exc)
             else:
                 with suppress(InvalidStateError):
-                    fut.set_result(result)
+                    group.set_result(outcomes)
         finally:
             if entered:
                 self._overload_coordinator.exit_queue(shard.stats)
 
-    def _forget_outstanding(self, fut: "Future[PlanChoice]") -> None:
+    def _forget_outstanding(self, fut: Future) -> None:
         with self._futures_lock:
             self._outstanding.discard(fut)
 
@@ -375,12 +410,11 @@ class ConcurrentPQOManager:
         end-to-end budget to each dispatched instance (starting at its
         dispatch, not at batch entry).
 
-        The dispatch is :meth:`_dispatch`'s; a template group's row
-        futures are resolved from its one group future by a single
-        done-callback.
+        The dispatch is :meth:`_dispatch`'s; a group's row futures are
+        resolved from its one group future by a single done-callback.
         """
         futures: list[Optional[Future]] = [None] * len(instances)
-        groups, singles, duplicate_of = self._dispatch(
+        groups, duplicate_of = self._dispatch(
             instances, dedupe, deadline_seconds
         )
         for items, group in groups:
@@ -388,8 +422,6 @@ class ConcurrentPQOManager:
             for (i, _), fut in zip(items, rows):
                 futures[i] = fut
             group.add_done_callback(partial(_resolve_rows, rows))
-        for i, fut in singles:
-            futures[i] = fut
         for i, first in duplicate_of.items():
             futures[i] = futures[first]
         return futures
@@ -399,11 +431,11 @@ class ConcurrentPQOManager:
     ) -> list[PlanChoice]:
         """Admit a batch and wait for every result (input order).
 
-        Waits on one future per template group; the first failing row,
-        in input order, raises its exception.
+        Waits on one future per group; the first failing row, in input
+        order, raises its exception.
         """
         results: list = [None] * len(instances)
-        groups, singles, duplicate_of = self._dispatch(instances, dedupe)
+        groups, duplicate_of = self._dispatch(instances, dedupe)
         for items, group in groups:
             try:
                 outcomes = group.result()
@@ -411,11 +443,6 @@ class ConcurrentPQOManager:
                 outcomes = [exc] * len(items)
             for (i, _), outcome in zip(items, outcomes):
                 results[i] = outcome
-        for i, fut in singles:
-            try:
-                results[i] = fut.result()
-            except BaseException as exc:  # noqa: BLE001 - raised in order below
-                results[i] = exc
         for i, first in duplicate_of.items():
             results[i] = results[first]
         for outcome in results:
@@ -428,22 +455,18 @@ class ConcurrentPQOManager:
         instances: Sequence[QueryInstance],
         dedupe: bool,
         deadline_seconds: Optional[float] = None,
-    ) -> tuple[list, list, dict[int, int]]:
+    ) -> tuple[list, dict[int, int]]:
         """Coalesce a batch by template, dedupe it, and dispatch it.
 
-        Returns ``(groups, singles, duplicate_of)``: ``(items, future)``
-        per template group served as one
-        :meth:`TemplateShard.process_batch` task (its future holds the
-        per-row outcomes), ``(index, future)`` per instance dispatched
-        alone through :meth:`submit`, and each duplicate's first
-        occurrence.
+        Returns ``(groups, duplicate_of)``: ``(items, future)`` per group
+        dispatched through :meth:`_enqueue` (its future holds the per-row
+        outcomes), and each duplicate's first occurrence.
 
-        Dispatch shape: without overload protection or deadlines, each
-        template's unique instances go to its shard as **one**
-        matmul-shaped group task — the whole group is probed against the
-        cache in a single broadcast pass.  Singleton groups, and every
-        instance under admission control or deadlines (per-instance
-        decisions), are dispatched round-robin across templates so
+        Without overload protection or deadlines, each template's unique
+        instances are **one** group, probed against the cache in a
+        single broadcast pass.  Under admission control or deadlines
+        (per-instance decisions) every instance is a group of one, and
+        the groups are dispatched round-robin across templates so
         independent shards fill the pool instead of convoying on one
         shard's lock.
         """
@@ -465,94 +488,23 @@ class ConcurrentPQOManager:
             per_template.setdefault(instance.template_name, []).append(
                 (i, instance)
             )
+        batches = [items for _, items in sorted(per_template.items())]
+        if self._overload_coordinator is not None or deadline_seconds is not None:
+            batches = [
+                [item] for rank in zip_longest(*batches)
+                for item in rank if item is not None
+            ]
         groups: list = []
-        if self._overload_coordinator is None and deadline_seconds is None:
-            groups, leftovers = self._submit_batched_groups(per_template)
-        else:
-            leftovers = per_template
-        singles: list = []
-        queues = [list(reversed(v)) for _, v in sorted(leftovers.items())]
-        while queues:
-            for queue in list(queues):
-                i, instance = queue.pop()
-                deadline = (
-                    Deadline.after(deadline_seconds)
-                    if deadline_seconds is not None
-                    else None
-                )
-                singles.append((i, self.submit(instance, deadline=deadline)))
-                if not queue:
-                    queues.remove(queue)
-        return groups, singles, duplicate_of
-
-    def _submit_batched_groups(
-        self, per_template: dict[str, list[tuple[int, QueryInstance]]]
-    ) -> tuple[list, dict[str, list[tuple[int, QueryInstance]]]]:
-        """The one group dispatch: one pool task and one future per
-        template group of two or more instances (a singleton gains
-        nothing over the ordinary submit path, so it is returned in the
-        leftovers).  Returns ``([(items, future), ...], leftovers)``.
-        """
-        groups: list = []
-        leftovers: dict[str, list[tuple[int, QueryInstance]]] = {}
-        # Carry the submitter's ambient trace context across the pool
-        # hand-off; the shard then opens one child context per group.
-        ctx = current_context()
-        for name, items in sorted(per_template.items()):
-            shard = self._templates.get(name)
-            if shard is None:
-                raise KeyError(f"template {name!r} is not registered")
-            if len(items) < 2:
-                leftovers[name] = items
-                continue
-            fut: Future = Future()
-            groups.append((items, fut))
-            with self._futures_lock:
-                self._outstanding.add(fut)
-            fut.add_done_callback(self._forget_outstanding)
-            try:
-                self._executor.submit(
-                    self._run_batch, fut, shard,
-                    [inst for _, inst in items], ctx,
-                )
-            except RuntimeError:
-                # The executor refused: the manager is shutting down.
-                with suppress(InvalidStateError):
-                    fut.set_exception(
-                        ShutdownError(
-                            "manager closed before this submission was accepted"
-                        )
-                    )
-        return groups, leftovers
-
-    def _run_batch(
-        self,
-        fut: Future,
-        shard: TemplateShard,
-        instances: list[QueryInstance],
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
-        if self._closed and not fut.done():
-            with suppress(InvalidStateError):
-                fut.set_exception(
-                    ShutdownError(
-                        "manager closed before this queued submission was served"
-                    )
-                )
-        if fut.done():
-            return  # resolved by close(wait=False); don't serve it
-        try:
-            with activate(ctx):
-                outcomes = shard.process_batch(instances)
-        except BaseException as exc:  # noqa: BLE001 - fails the whole group
-            with suppress(InvalidStateError):
-                fut.set_exception(exc)
-            return
-        for outcome in outcomes:
-            if not isinstance(outcome, BaseException):
-                self._note_processed(shard)
-        with suppress(InvalidStateError):
-            fut.set_result(outcomes)
+        for items in batches:
+            deadline = (
+                Deadline.after(deadline_seconds)
+                if deadline_seconds is not None
+                else None
+            )
+            shard = self._shard_for(items[0][1])
+            group = self._enqueue(shard, [q for _, q in items], deadline)
+            groups.append((items, group))
+        return groups, duplicate_of
 
     @staticmethod
     def _dedupe_key(instance: QueryInstance) -> tuple:

@@ -1,31 +1,49 @@
 """One template's shard: its manager state, and SCR served thread-safely
 with optimistic reads.
 
-The lock discipline (DESIGN.md §8):
+Every request is served by one loop over a **group** of rows in input
+order: :meth:`TemplateShard.process` is a group of one,
+:meth:`TemplateShard.process_batch` a group of any size (DESIGN.md §8).
+A group decides exactly what a :meth:`~TemplateShard.process` loop over
+its rows would:
 
-* the **selectivity/cost probe** runs lock-free against the immutable
-  :class:`~repro.core.columnar.ColumnarInstances` view of the instance
-  list (copy-on-write, so taking it is O(1) between mutations);
+* a group of two or more rows without admission control is probed
+  together, lock-free, against one immutable
+  :class:`~repro.core.columnar.ColumnarInstances` view (copy-on-write,
+  so taking it is O(1) between mutations) by
+  :meth:`~repro.core.get_plan.GetPlan.probe_rows`, which takes each
+  row's decision only when the walk in input order reaches it.  Once a
+  row changes what the later rows would see — a registration, an
+  eviction, an Appendix G retirement, another thread's write — the
+  remaining rows are probed again, in one more batch probe against the
+  new view;
+* every other row — a group of one, a row whose admission is decided at
+  its own turn (overload coordinator or deadline), a hit whose anchor
+  vanished before its commit — is probed alone, lock-free, at its own
+  turn;
 * a probed **hit** is committed under the shard's write lock only after
-  **optimistic validation** — either the cache epoch is still the
-  view's, or the specific anchor is still live (its plan cached, not
-  retired).
-  The certified bound ``S·G·L`` / ``S·R·L`` depends only on write-once
-  anchor fields, so a validated commit certifies exactly what a fully
-  serial run would have;
+  **optimistic validation** — the cache epoch is still the view's (or,
+  for a row probed alone, the specific anchor is still live: its plan
+  cached, not retired).  The certified bound ``S·G·L`` / ``S·R·L``
+  depends only on write-once anchor fields, so a validated commit
+  certifies exactly what a fully serial run would have;
 * a **miss** makes the optimizer call *outside* the lock, collapsed
   through a per-vector **single-flight** table so concurrent misses on
   the same selectivity vector cost one optimizer call; only
   ``manageCache`` mutations (register / evict / retire) hold the write
   lock.
 
-Overload protection (DESIGN.md §9) threads through the same paths:
-every instance may carry an end-to-end :class:`Deadline`, misses pass
+Overload protection (DESIGN.md §9) is decided per row at its own turn:
+every row may carry an end-to-end :class:`Deadline`, misses pass
 through the coordinator's optimizer-gate admission, and denied work is
 resolved on the **degraded path** — the nearest cached plan served
 ``certified=False`` with a reason code, or a :class:`ShedError` when
-the cache is empty.  Without an :class:`OverloadCoordinator` the shard
-behaves exactly as before.
+the cache is empty.  Without an :class:`OverloadCoordinator` or a
+deadline no row is denied.
+
+With spans on, a group is one unit of telemetry whatever its size: one
+trace context and one ``serving.batch`` span whose per-row columns hold
+each row's outcome and certificate (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -34,7 +52,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
-from ..core.get_plan import CheckKind, CheckMode
+from ..core.get_plan import CandidateOrder, CheckKind, CheckMode
 from ..core.scr import SCR
 from ..core.technique import PlanChoice, fetch_selectivity
 from ..engine.api import ENGINE_ROLLUP, EngineRollup
@@ -43,7 +61,7 @@ from ..obs.audit import GuaranteeAudit
 from ..obs.clock import SYSTEM_CLOCK
 from ..obs.handle import Observability
 from ..obs.registry import MetricsRegistry
-from ..obs.tracectx import activate, child_context, current_context, start_trace
+from ..obs.tracectx import activate, current_context, start_trace
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
     AnySelectivityVector,
@@ -112,10 +130,6 @@ class TemplateShard:
         self._obs = obs
         self._flight_lock = threading.Lock()
         self._inflight: dict[tuple[float, ...], threading.Event] = {}
-        # Instance sequence numbers for span attribution are allocated
-        # atomically here and passed explicitly: reading the SCR's
-        # lock-protected counter lock-free would hand the same index to
-        # concurrent threads.
         self._seq_lock = threading.Lock()
         self._next_seq = scr.instances_processed
 
@@ -127,7 +141,8 @@ class TemplateShard:
         deadline: Optional[Deadline] = None,
         overflow_reason: Optional[str] = None,
     ) -> PlanChoice:
-        """Serve one instance; safe to call from any number of threads.
+        """Serve one instance, a group of one; safe to call from any
+        number of threads.
 
         ``deadline`` is the submission's end-to-end budget (the
         coordinator's default is attached when None).  ``overflow_reason``
@@ -136,220 +151,285 @@ class TemplateShard:
         selectivity-only probe (zero engine calls), and a miss goes
         straight to the degraded path with that reason.
         """
-        start = self.clock.perf_counter()
-        with self._seq_lock:
-            seq = self._next_seq
-            self._next_seq += 1
-        self.engine.begin_instance(seq)
-        ov = self._overload
-        if deadline is None and ov is not None:
-            deadline = ov.new_deadline()
-        shed = False
-        outcome = "shed"
-        obs = self._obs
-        spans_on = obs is not None and obs.spans.enabled
-        # The request's trace context: the manager mints one per
-        # submission (so queue wait and pool hand-off stay attributed);
-        # direct shard calls outside any trace get a fresh root.  The
-        # ``serving.process`` span *is* this context's span — everything
-        # recorded inside (scr.* phases, engine.* calls, single-flight
-        # waits) parents under it.
-        ctx = None
-        if spans_on:
-            ctx = current_context()
-            if ctx is None:
-                ctx = start_trace(ids=obs.spans.ids)
-        extra: dict = {}
-        # One activation for the whole request, completion bookkeeping
-        # included: a brownout move this completion tips is an event of
-        # this request.
-        with activate(ctx) if ctx is not None else nullcontext():
-            try:
-                with self._engine_budget(deadline):
-                    if overflow_reason is not None:
-                        self.event(
-                            "overload.queue_reject", seq, reason=overflow_reason
-                        )
-                    choice = self._process_inner(
-                        instance, seq, deadline, overflow_reason, start
-                    )
-                    outcome = "certified" if choice.certified else "uncertified"
-                    if spans_on:
-                        extra = self._choice_attrs(choice)
-                    return choice
-            except ShedError as exc:
-                shed = True
-                if spans_on:
-                    extra["reason"] = exc.reason
-                raise
-            finally:
-                missed = deadline is not None and deadline.expired(self._now())
-                if missed:
-                    self.stats.note_deadline_miss()
-                if ov is not None:
-                    ov.note_completed(missed, shed=shed)
-                    if spans_on:
-                        extra["brownout"] = int(ov.level)
-                if spans_on:
-                    obs.spans.record(
-                        "serving.process", start,
-                        self.clock.perf_counter() - start,
-                        span_id=ctx.span_id if ctx is not None else None,
-                        template=self.template.name, seq=seq,
-                        outcome=outcome, **extra,
-                    )
-
-    @staticmethod
-    def _choice_attrs(choice: PlanChoice) -> dict:
-        """Guarantee-forensics attributes for the request-level span."""
-        attrs: dict = {
-            "check": getattr(choice.check, "value", choice.check),
-            "certificate": choice.certificate,
-            "recost_calls": choice.recost_calls,
-        }
-        if choice.used_optimizer:
-            attrs["used_optimizer"] = True
-        if choice.certified and choice.certified_bound is not None:
-            attrs["certified_bound"] = round(choice.certified_bound, 6)
-        if choice.coverage is not None and choice.coverage != 1.0:
-            attrs["coverage"] = choice.coverage
-        return attrs
+        outcome = self._serve_group([instance], deadline, overflow_reason)[0]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def process_batch(
         self,
         instances: Sequence[QueryInstance],
         deadline: Optional[Deadline] = None,
     ) -> list["PlanChoice | BaseException"]:
-        """Serve a batch of instances against one cache view.
+        """Serve a group of instances in input order.
 
-        The whole batch is probed lock-free in one broadcasted
-        :meth:`~repro.core.get_plan.GetPlan.probe_batch` pass, then all
-        validated hits commit under a single lock acquisition; misses
-        and invalidated hits resolve through the ordinary per-instance
-        paths (single-flight, optimizer, manageCache).  Failures are
-        isolated per item: the returned list holds, in input order, a
-        :class:`PlanChoice` or the exception that instance raised.
-        With spans on, the batch is one unit of telemetry: one trace
-        context and one ``serving.batch`` span with per-row columns
-        (DESIGN.md §10), not one ``serving.process`` span per row.
-
-        The batched pass is a plain throughput optimization over one
-        view — it does not interleave commits between batch rows, so
-        a miss earlier in the batch does not seed a hit for a later row
-        the way sequential submission might.  With overload protection
-        or a deadline in force (admission decisions are per instance) it
-        degrades to a :meth:`process` loop with the same per-item
-        isolation.
+        Decision-identical to a :meth:`process` loop over the rows: a
+        group without admission control is probed in one batch probe,
+        and the rows after one that changed the cache in one more; with
+        overload protection or a deadline in force, admission is decided
+        per row at its own turn.  Failures are isolated per item: the
+        returned list holds, in input order, a :class:`PlanChoice` or
+        the exception that instance raised.
         """
-        if self._overload is not None or deadline is not None:
-            results: list[PlanChoice | BaseException] = []
-            for instance in instances:
-                try:
-                    results.append(self.process(instance, deadline=deadline))
-                except BaseException as exc:  # noqa: BLE001 - per-item isolation
-                    results.append(exc)
-            return results
-        return self._process_batch_fast(instances)
+        return self._serve_group(instances, deadline)
 
-    def _process_batch_fast(
-        self, instances: Sequence[QueryInstance]
+    # -- the serving loop -----------------------------------------------------
+
+    def _serve_group(
+        self,
+        instances: Sequence[QueryInstance],
+        deadline: Optional[Deadline] = None,
+        overflow_reason: Optional[str] = None,
     ) -> list["PlanChoice | BaseException"]:
+        """Serve a group; with spans on, record it as one unit.
+
+        The group's span *is* the ambient trace context — the manager
+        mints one per dispatched group, so queue wait and pool hand-off
+        stay attributed — or a fresh root for a direct call outside any
+        trace.  Everything recorded inside parents under it: optimizer
+        calls, phase spans and events stamped with their row's ``seq``,
+        and the group's sVector / Recost engine calls summed onto the
+        span instead of one ``engine.*`` span each.
+        """
+        if not instances:
+            return []
         start = self.clock.perf_counter()
         obs = self._obs
         if obs is None or not obs.spans.enabled:
-            return self._serve_group(instances, start)[0]
-        # One unit of telemetry per group: one trace context (a child of
-        # the submit-time ambient context, or a fresh root), one
-        # ``serving.batch`` span whose per-row columns are tuples aligned
-        # by row, and the group's sVector / Recost engine calls summed
-        # onto that span instead of one ``engine.*`` span each.  Optimizer
-        # calls, phase spans and events stay individual spans, stamped
-        # with their row's ``seq`` and parented under the group span.
+            return self._serve_rows(instances, start, deadline, overflow_reason)[0]
         spans = obs.spans
-        ctx = child_context(spans.ids)
+        ctx = current_context() or start_trace(ids=spans.ids)
         rollup = EngineRollup()
         token = ENGINE_ROLLUP.set(rollup)
         try:
+            # One activation for the whole group, completion bookkeeping
+            # included: a brownout move a row's completion tips is an
+            # event of that row.
             with activate(ctx):
-                results, seqs = self._serve_group(instances, start)
+                results, seqs, brownout = self._serve_rows(
+                    instances, start, deadline, overflow_reason
+                )
                 spans.record(
                     "serving.batch", start, self.clock.perf_counter() - start,
                     span_id=ctx.span_id, template=self.template.name,
-                    **self._group_columns(seqs, results), **rollup.attrs(),
+                    **self._group_columns(seqs, results, brownout),
+                    **rollup.attrs(),
                 )
         finally:
             ENGINE_ROLLUP.reset(token)
         return results
 
-    def _serve_group(
-        self, instances: Sequence[QueryInstance], start: float
-    ) -> tuple[list["PlanChoice | BaseException"], list[int]]:
-        """Serve one group against one cache view; returns the per-row
-        outcomes (a :class:`PlanChoice` or the exception that row raised)
-        and the rows' sequence ids."""
+    def _serve_rows(
+        self,
+        instances: Sequence[QueryInstance],
+        start: float,
+        deadline: Optional[Deadline],
+        overflow_reason: Optional[str],
+    ) -> tuple[list, list[int], Optional[list[int]]]:
+        """Serve the rows in input order; returns their outcomes (a
+        :class:`PlanChoice` or the exception that row raised), their
+        sequence ids, and the brownout level after each row (None
+        without a coordinator)."""
+        n = len(instances)
+        # Sequence numbers for span attribution are allocated atomically
+        # here and passed explicitly: reading the SCR's lock-protected
+        # counter lock-free would hand the same index to concurrent
+        # threads.
+        with self._seq_lock:
+            first = self._next_seq
+            self._next_seq += n
+        seqs = list(range(first, first + n))
+        ov = self._overload
+        if n > 1 and ov is None and deadline is None:
+            return self._serve_in_order(instances, seqs, start), seqs, None
+        results: list = []
+        brownout: Optional[list[int]] = [] if ov is not None else None
+        for instance, seq in zip(instances, seqs):
+            results.append(
+                self._serve_admitted(
+                    instance, seq, start, deadline, overflow_reason
+                )
+            )
+            if brownout is not None:
+                brownout.append(int(ov.level))
+        return results, seqs, brownout
+
+    def _serve_in_order(
+        self, instances: Sequence[QueryInstance], seqs: list[int], start: float
+    ) -> list["PlanChoice | BaseException"]:
+        """Rows served in order on one batch probe of the group.
+
+        :meth:`~repro.core.get_plan.GetPlan.probe_rows` computes the
+        rows' factor matrices together and each row's checks when the
+        row is reached.  A probed hit commits while the view it was
+        probed against is current; a probed miss goes to :meth:`_miss`.
+        Once a row changes what the later rows' probes depend on
+        (:meth:`_probe_state`), the remaining rows are probed again, in
+        one more batch probe against the new view.  No row's Recost
+        calls are spent against a view that went stale before its turn.
+        """
         scr = self.scr
-        seqs: list[int] = []
         svs: list[AnySelectivityVector] = []
         degraded: list[bool] = []
-        results: list[PlanChoice | BaseException] = [None] * len(instances)  # type: ignore[list-item]
-        for instance in instances:
-            with self._seq_lock:
-                seq = self._next_seq
-                self._next_seq += 1
-            seqs.append(seq)
+        for instance, seq in zip(instances, seqs):
             self.engine.begin_instance(seq)
-            sv, deg = fetch_selectivity(self.engine, instance, self.robust)
-            if self.robust and isinstance(sv, UncertainSelectivityVector):
-                self.stats.note_interval_width(sv.total_log_width)
+            sv, deg = self._fetch(instance)
             svs.append(sv)
             degraded.append(deg)
-        view = scr.cache.columnar()
-        decisions = scr.get_plan.probe_batch(svs, self._recost, view=view)
-        misses: list[int] = []
-        retries: list[int] = []
-        with self._locked():
-            for i, decision in enumerate(decisions):
-                if not decision.hit:
-                    misses.append(i)
-                elif self._commit_valid(decision, view):
-                    results[i] = scr.apply(svs[i], decision, seq=seqs[i])
-                else:
-                    retries.append(i)
-        for i in retries + misses:
-            self.engine.begin_instance(seqs[i])
+        results: list = []
+        rows = view = state = None
+        lock_wait = 0.0
+        for i, (sv, seq) in enumerate(zip(svs, seqs)):
+            self.engine.begin_instance(seq)
             try:
-                if decisions[i].hit:
-                    # Anchor vanished between probe and commit: the
-                    # same re-probe a failed single validation runs.
-                    self.stats.note_epoch_retry()
-                    self.event("serving.epoch_retry", seqs[i])
-                    results[i] = self._serve(svs[i], seqs[i], depth=1)
-                else:
-                    results[i] = self._miss(
-                        svs[i], seqs[i], decisions[i], depth=0
+                current = self._probe_state()
+                if rows is None or current != state:
+                    # The state is read before the view: a write landing
+                    # in between re-probes, never commits a stale view.
+                    state = current
+                    view = scr.cache.columnar()
+                    rows = scr.get_plan.probe_rows(
+                        svs[i:], self._recost, view=view
                     )
+                decision = next(rows)
+                if not decision.hit:
+                    choice = self._miss(sv, seq, decision, depth=0)
+                else:
+                    choice = None
+                    waited_from = self.clock.perf_counter()
+                    with self.lock:  # _locked(), booked once per group
+                        lock_wait += self.clock.perf_counter() - waited_from
+                        if (
+                            scr.cache.epoch == view.epoch
+                            and self._commit_valid(decision, view)
+                        ):
+                            choice = scr.apply(sv, decision, seq=seq)
+                    if choice is None:
+                        # The anchor vanished between probe and commit:
+                        # the certificate no longer stands.
+                        choice = self._retry(sv, seq, depth=1)
+                results.append(self._finish(choice, degraded[i], start))
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
-                results[i] = exc
-        for i, outcome in enumerate(results):
-            if isinstance(outcome, BaseException):
-                continue
-            if degraded[i]:
-                # Stale sVector fallback: nothing was certified.
-                outcome.certified = False
-            self.stats.observe(
-                self.clock.perf_counter() - start,
-                outcome.check, outcome.certified,
-                certificate=outcome.certificate,
-            )
-        return results, seqs
+                rows = None  # a raising probe cannot be resumed
+                results.append(exc)
+        self.stats.add_lock_wait(lock_wait)
+        return results
+
+    def _probe_state(self) -> int:
+        """What a probed decision depends on besides its view's rows:
+        the cache epoch (registrations, evictions), the Appendix G
+        detector's retirements (which flip an anchor without bumping the
+        epoch) and, under the usage candidate order, the usage counter
+        every hit advances.  All three only grow, so their sum changes
+        exactly when one of them does."""
+        scr = self.scr
+        detector = scr.detector
+        state = scr.cache.epoch
+        if detector is not None:
+            state += detector.anchors_retired
+        if scr.get_plan.candidate_order is CandidateOrder.USAGE:
+            state += scr.cache.usage_version
+        return state
+
+    def _serve_admitted(
+        self,
+        instance: QueryInstance,
+        seq: int,
+        start: float,
+        deadline: Optional[Deadline],
+        overflow_reason: Optional[str],
+    ) -> "PlanChoice | BaseException":
+        """One row probed alone, with its admission decided at its own
+        turn: the queue-overflow denial, an expired deadline (no probe
+        at all), selectivity-only probes under SHED or a nearly spent
+        budget, brownout coverage, and the engine's per-call budget.
+        Returns the row's choice or the exception it raised."""
+        self.engine.begin_instance(seq)
+        ov = self._overload
+        if deadline is None and ov is not None:
+            deadline = ov.new_deadline()
+        shed = False
+        try:
+            with self._engine_budget(deadline):
+                if overflow_reason is not None:
+                    self.event(
+                        "overload.queue_reject", seq, reason=overflow_reason
+                    )
+                sv, degraded = self._fetch(instance)
+                coverage = self._brownout_coverage()
+                now = self._now()
+                if (
+                    overflow_reason is None
+                    and deadline is not None
+                    and deadline.expired(now)
+                ):
+                    # The budget died in queue: skip the probe entirely
+                    # and resolve through the degraded path.
+                    choice = self._apply(sv, seq, None, denied="deadline_expired")
+                else:
+                    # Selectivity-only probes (zero engine calls) for an
+                    # overflow resolved in the submitting thread, under
+                    # brownout SHED, and for a nearly-expired budget that
+                    # funds no engine work — its recosts must not count
+                    # as engine faults.
+                    selectivity_only = (
+                        overflow_reason is not None
+                        or (ov is not None and ov.level >= BrownoutLevel.SHED)
+                        or (
+                            deadline is not None
+                            and deadline.remaining(now)
+                            <= self._min_optimize_budget()
+                        )
+                    )
+                    choice = self._serve(
+                        sv, seq, deadline=deadline,
+                        max_recost=0 if selectivity_only else None,
+                        deny=overflow_reason, coverage=coverage,
+                    )
+                return self._finish(choice, degraded, start)
+        except ShedError as exc:
+            shed = True
+            return exc
+        except BaseException as exc:  # noqa: BLE001 - per-item isolation
+            return exc
+        finally:
+            missed = deadline is not None and deadline.expired(self._now())
+            if missed:
+                self.stats.note_deadline_miss()
+            if ov is not None:
+                ov.note_completed(missed, shed=shed)
+
+    def _fetch(self, instance: QueryInstance) -> tuple[AnySelectivityVector, bool]:
+        """The row's sVector (its box on robust shards) and whether it
+        is a stale fallback."""
+        fetched = fetch_selectivity(self.engine, instance, self.robust)
+        if self.robust and isinstance(fetched[0], UncertainSelectivityVector):
+            self.stats.note_interval_width(fetched[0].total_log_width)
+        return fetched
+
+    def _finish(
+        self, choice: PlanChoice, degraded: bool, start: float
+    ) -> PlanChoice:
+        """Book a served row: a stale sVector fallback certifies nothing
+        (every check ran against approximate selectivities)."""
+        if degraded:
+            choice.certified = False
+        self.stats.observe(
+            self.clock.perf_counter() - start, choice.check, choice.certified,
+            certificate=choice.certificate,
+        )
+        return choice
 
     @staticmethod
     def _group_columns(
-        seqs: list[int], results: list["PlanChoice | BaseException"]
+        seqs: list[int],
+        results: list["PlanChoice | BaseException"],
+        brownout: Optional[list[int]],
     ) -> dict:
         """The ``serving.batch`` span's per-row columns: one tuple per
         attribute, aligned with ``seqs``.  ``coverage`` and ``reason``
-        appear only when some row has one."""
+        appear only when some row has one, ``brownout`` only under an
+        overload coordinator."""
         rows = []
         for outcome in results:
             if isinstance(outcome, BaseException):
@@ -382,57 +462,9 @@ class TemplateShard:
             columns["coverage"] = coverage
         if any(r is not None for r in reason):
             columns["reason"] = reason
+        if brownout is not None:
+            columns["brownout"] = tuple(brownout)
         return columns
-
-    def _process_inner(
-        self,
-        instance: QueryInstance,
-        seq: int,
-        deadline: Optional[Deadline],
-        overflow_reason: Optional[str],
-        start: float,
-    ) -> PlanChoice:
-        sv, degraded = fetch_selectivity(self.engine, instance, self.robust)
-        if self.robust and isinstance(sv, UncertainSelectivityVector):
-            self.stats.note_interval_width(sv.total_log_width)
-        coverage = self._brownout_coverage()
-        now = self._now()
-        ov = self._overload
-        if (
-            overflow_reason is None
-            and deadline is not None
-            and deadline.expired(now)
-        ):
-            # The budget died in queue: skip the probe entirely and
-            # resolve through the degraded path instead of hanging.
-            choice = self._apply(sv, seq, None, denied="deadline_expired")
-        else:
-            # Selectivity-only probes (zero engine calls) for an overflow
-            # resolved in the submitting thread, under brownout SHED, and
-            # for a nearly-expired budget that funds no engine work —
-            # its recosts must not count as engine faults.
-            selectivity_only = (
-                overflow_reason is not None
-                or (ov is not None and ov.level >= BrownoutLevel.SHED)
-                or (
-                    deadline is not None
-                    and deadline.remaining(now) <= self._min_optimize_budget()
-                )
-            )
-            choice = self._serve(
-                sv, seq, deadline=deadline,
-                max_recost=0 if selectivity_only else None,
-                deny=overflow_reason, coverage=coverage,
-            )
-        if degraded:
-            # The sVector was a stale fallback: every check ran against
-            # approximate selectivities, so no bound is certified.
-            choice.certified = False
-        self.stats.observe(
-            self.clock.perf_counter() - start, choice.check, choice.certified,
-            certificate=choice.certificate,
-        )
-        return choice
 
     def _brownout_coverage(self) -> Optional[float]:
         """COVERAGE_RELAXED step: robust shards tolerate more estimation
@@ -509,12 +541,18 @@ class TemplateShard:
                     return scr.apply(sv, decision, seq=seq)
         # The anchor vanished (plan evicted / retired) between probe and
         # commit: the certificate no longer stands, so re-probe fresh.
-        self.stats.note_epoch_retry()
-        self.event("serving.epoch_retry", seq)
-        return self._serve(
+        return self._retry(
             sv, seq, depth + 1, deadline=deadline, max_recost=max_recost,
             deny=deny, coverage=coverage,
         )
+
+    def _retry(
+        self, sv: AnySelectivityVector, seq: int, depth: int, **serve
+    ) -> PlanChoice:
+        """Re-probe a row whose probed hit failed validation."""
+        self.stats.note_epoch_retry()
+        self.event("serving.epoch_retry", seq)
+        return self._serve(sv, seq, depth, **serve)
 
     def _commit_valid(self, decision, view) -> bool:
         """Optimistic validation of a probed hit; caller holds the lock.
@@ -618,7 +656,7 @@ class TemplateShard:
         obs.spans.record(
             "serving.single_flight_wait", wait_start,
             self.clock.perf_counter() - wait_start,
-            template=self.template.name,
+            template=self.template.name, seq=seq,
         )
 
     def _admission(

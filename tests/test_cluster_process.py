@@ -140,7 +140,7 @@ def test_distributed_trace_spans_processes_and_survives_kill(tmp_path):
         assert {s.trace_id for s in spans} == {fut.trace_id}
         names = {s.name for s in spans}
         assert "cluster.dispatch" in names
-        assert "serving.process" in names       # recorded inside the worker
+        assert "serving.batch" in names         # recorded inside the worker
 
         # Kill one worker outright; the supervisor hasn't noticed yet, so
         # the next round keeps dispatching to it and those requests must

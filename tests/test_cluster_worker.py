@@ -75,7 +75,7 @@ def responses(conn, n, timeout=30.0) -> list:
 
 def process_span(response) -> Span:
     spans = [Span.from_jsonable(row) for row in response.spans]
-    return next(s for s in spans if s.name == "serving.process")
+    return next(s for s in spans if s.name == "serving.batch")
 
 
 def test_inline_threads_serve_two_requests_at_once(tmp_path):

@@ -785,6 +785,39 @@ def test_probe_batch_equals_sequential_probes(data, dims):
 
 
 @settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    dims=st.integers(min_value=1, max_value=4),
+)
+def test_probe_rows_taken_partway_spends_only_the_taken_rows(data, dims):
+    """``probe_rows`` decides row by row: the rows taken equal the
+    sequential probes, and the rows never taken cost no Recost call and
+    no scan."""
+    anchors = data.draw(st.lists(sv_lists(dims), min_size=0, max_size=20))
+    points = data.draw(st.lists(sv_lists(dims), min_size=1, max_size=20))
+    taken = data.draw(st.integers(min_value=0, max_value=len(points)))
+    cache = _cache_with(anchors)
+    rows_gp = GetPlan(cache=cache, lam=1.7)
+    seq_gp = GetPlan(cache=cache, lam=1.7)
+    svs = [SelectivityVector.from_sequence(p) for p in points]
+    calls = []
+
+    def counted(memo, point):
+        calls.append(point)
+        return _recost(memo, point)
+
+    rows = rows_gp.probe_rows(svs, counted)
+    partial = [next(rows) for _ in range(taken)]
+    sequential = [seq_gp.probe(sv, _recost) for sv in svs[:taken]]
+    for dr, ds in zip(partial, sequential):
+        assert dr.check == ds.check
+        assert dr.anchor is ds.anchor
+        assert dr.recost_calls == ds.recost_calls
+    assert len(calls) == sum(d.recost_calls for d in partial)
+    assert rows_gp.entries_scanned == seq_gp.entries_scanned
+
+
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_probe_batch_equals_sequential_probes_robust(data):
     dims = 3

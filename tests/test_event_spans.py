@@ -4,8 +4,8 @@ Every fault, retry, breaker flip, degraded answer, serving scheduling
 decision and overload decision is one zero-duration span
 (:meth:`SpanRecorder.event`, names in :data:`EVENT_NAMES`) carrying its
 reason, and — recorded inside a request — that request's ``trace_id``,
-parented under its ``serving.process`` span, or under the
-``serving.batch`` span of the template group whose ``seqs`` holds it.  Each of the 16 emitting
+parented under the ``serving.batch`` span of the group whose ``seqs``
+holds it (a single request is a group of one).  Each of the 16 emitting
 sites is driven here exactly once, on a :class:`FakeClock`.
 """
 
@@ -26,6 +26,7 @@ from repro.obs import (
     activate,
     explain_trace,
     format_explanation,
+    group_rows,
     render_tree,
     start_trace,
 )
@@ -70,23 +71,26 @@ def only(obs, name: str):
 
 
 def request_seqs(root) -> tuple:
-    """The request seqs a request-level span stands for: its own, or
-    every row of a ``serving.batch`` group."""
-    if root.name == "serving.batch":
-        return tuple(root.attrs["seqs"])
-    return (root.attrs["seq"],)
+    """The request seqs a ``serving.batch`` group span stands for."""
+    return tuple(root.attrs["seqs"])
+
+
+def request_row(root, seq) -> dict:
+    """Row ``seq`` of a ``serving.batch`` group span, as a dict."""
+    (row,) = [r for r in group_rows(root) if r["seq"] == seq]
+    return row
 
 
 def request_span(obs, event):
-    """The request-level span of the request ``event`` belongs to: its
-    ``serving.process`` span, or the ``serving.batch`` span of the group
-    whose ``seqs`` holds the event's ``seq``."""
+    """The request-level span of the request ``event`` belongs to: the
+    ``serving.batch`` span of the group whose ``seqs`` holds the event's
+    ``seq`` (an event without one, a brownout move, belongs to the group
+    of its trace)."""
     assert event.trace_id, f"{event.name} was recorded outside any request"
     roots = [
         s for s in obs.spans.trace(event.trace_id)
-        if s.name == "serving.process"
-        or (s.name == "serving.batch"
-            and event.attrs.get("seq") in s.attrs["seqs"])
+        if s.name == "serving.batch"
+        and ("seq" not in event.attrs or event.attrs["seq"] in s.attrs["seqs"])
     ]
     assert len(roots) == 1
     return roots[0]
@@ -210,7 +214,7 @@ class TestEngineEventSites:
 
 
 class TestEngineEventsInsideARequest:
-    def test_retry_and_breaker_events_parent_under_serving_process(self):
+    def test_retry_and_breaker_events_parent_under_the_request_span(self):
         _, obs = fake_obs()
         flaky = {}
 
@@ -229,7 +233,7 @@ class TestEngineEventsInsideARequest:
             fault, retry = only(obs, "engine.fault"), only(obs, "engine.retry")
             root = assert_inside_request(obs, fault)
             assert assert_inside_request(obs, retry) is root
-            assert root.attrs["seq"] == fault.attrs["seq"] == 1
+            assert request_seqs(root) == (fault.attrs["seq"],) == (1,)
             # Breaker open: every recost from here on fails.
             obs.spans.clear()
             flaky["e"].fail_recost = set(range(10_000))
@@ -239,7 +243,7 @@ class TestEngineEventsInsideARequest:
             breaker = event_spans(obs, "engine.breaker")[0]
             assert breaker.attrs["detail"] == "closed->open"
             root = assert_inside_request(obs, breaker)
-            assert root.attrs["seq"] == breaker.attrs["seq"] == 2
+            assert request_seqs(root) == (breaker.attrs["seq"],) == (2,)
             for event in event_spans(obs, "engine."):
                 assert assert_inside_request(obs, event) is root
 
@@ -261,9 +265,9 @@ class TestServingAndOverloadEventSites:
                 "template": template.name, "seq": 0,
                 "reason": "brownout_shed:no_cached_plan",
             }
-            root = assert_inside_request(obs, shed)
-            assert root.attrs["outcome"] == "shed"
-            assert root.attrs["reason"] == shed.attrs["reason"]
+            row = request_row(assert_inside_request(obs, shed), 0)
+            assert row["outcome"] == "shed"
+            assert row["reason"] == shed.attrs["reason"]
 
     def test_uncertified_serve_on_an_expired_deadline(self):
         fake, obs = fake_obs()
@@ -281,7 +285,9 @@ class TestServingAndOverloadEventSites:
             assert serve.attrs["reason"] == "deadline_expired"
             assert serve.start_s == fake.monotonic()
             root = assert_inside_request(obs, serve)
-            assert root.attrs["outcome"] == "uncertified"
+            assert request_row(root, serve.attrs["seq"])["outcome"] == (
+                "uncertified"
+            )
 
     def test_queue_reject_then_degraded_serve_in_the_submitting_thread(self):
         _, obs = fake_obs()
@@ -327,7 +333,7 @@ class TestServingAndOverloadEventSites:
                 "reason": "escalate:deadline_miss",
             }
             root = assert_inside_request(obs, move)
-            assert root.attrs["seq"] == 1
+            assert request_seqs(root) == (1,)
 
     def test_epoch_retry_single_and_batched(self):
         _, obs = fake_obs()
@@ -467,7 +473,7 @@ class TestForensicsShowsEvents:
 
     def test_render_tree_shows_the_shed_event_under_the_request(self):
         lines = render_tree(self._shed_trace(), include_timing=False).splitlines()
-        assert lines[0].startswith("serving.process")
+        assert lines[0].startswith("serving.batch")
         (event_line,) = [ln for ln in lines if "overload.shed" in ln]
         assert event_line.startswith(("|- ", "`- "))
         assert "reason=brownout_shed:no_cached_plan" in event_line
@@ -488,13 +494,17 @@ class TestForensicsShowsEvents:
         rec = SpanRecorder(clock=FakeClock().clock)
         ctx = start_trace()
         with activate(ctx):
-            rec.record("engine.recost", 0.0, 0.001, template="t", seq=0)
             rec.event("engine.fault", template="t", api="recost", seq=0,
                       detail="boom")
-            rec.record("serving.process", 0.0, 0.002, span_id=ctx.span_id,
-                       template="t", seq=0, outcome="certified")
+            rec.record("serving.batch", 0.0, 0.002, span_id=ctx.span_id,
+                       template="t", seqs=(0,), outcomes=("certified",),
+                       checks=("cost",), certificates=("exact",),
+                       certified_bounds=(1.5,), recost_calls=(1,),
+                       engine_selectivity_calls=1, engine_recost_calls=1)
         info = explain_trace(rec.spans())
-        assert info["engine_calls"] == {"engine.recost": 1}
+        assert info["engine_calls"] == {
+            "engine.selectivity": 1, "engine.recost": 1,
+        }
         assert [e["event"] for e in info["events"]] == ["engine.fault"]
 
 

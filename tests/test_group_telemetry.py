@@ -75,18 +75,14 @@ class TestGroupSpan:
 
         groups = group_spans(obs)
         expected = sum(
-            sum(1 for t in templates
-                if sum(q.template_name == t.name
-                       for q in workload[lo:lo + 18]) >= 2)
+            len({q.template_name for q in workload[lo:lo + 18]})
             for lo in range(0, len(workload), 18)
         )
         assert len(groups) == expected
         # Every row is in exactly one group, and no row has a span of
-        # its own: the grouped path records no serving.process span.
+        # its own: a template group of any size is one serving.batch.
         seqs = [(g.attrs["template"], s) for g in groups for s in g.attrs["seqs"]]
-        assert len(set(seqs)) == len(seqs)
-        names = [s.name for s in obs.spans.spans()]
-        assert "serving.process" not in names
+        assert len(set(seqs)) == len(seqs) == len(workload)
 
         for group in groups:
             rows = len(group.attrs["seqs"])
@@ -179,6 +175,35 @@ class TestGroupSpan:
         assert text.count("row seq=") == len(workload)
 
 
+@pytest.mark.parametrize("serve", ["process_many", "process"])
+def test_every_served_seq_is_explained_to_a_verdict(serve):
+    """One request-span shape: whether rows were served in template
+    groups or one ``manager.process`` call at a time, every served seq
+    is a ``serving.batch`` row that ``explain_trace`` narrates to a
+    VERDICT."""
+    obs = Observability()
+    manager, templates = make_manager(obs)
+    workload = make_workload(templates, 12, seed=14)
+    with manager:
+        if serve == "process_many":
+            manager.process_many(workload, dedupe=False)
+        else:
+            for instance in workload:
+                manager.process(instance)
+    spans = obs.spans.spans()
+    groups = group_spans(obs)
+    if serve == "process":
+        assert all(len(g.attrs["seqs"]) == 1 for g in groups)
+    served = [(g, seq) for g in groups for seq in g.attrs["seqs"]]
+    assert len(served) == len(workload)
+    for group, seq in served:
+        info = explain_trace(obs.spans.trace(group.trace_id), seq=seq)
+        assert info["seq"] == seq
+        assert info["template"] == group.attrs["template"]
+        assert info["narrative"][-1].startswith("VERDICT")
+    assert not any(s.name == "serving.process" for s in spans)
+
+
 def test_concurrent_groups_keep_their_own_rollups():
     """Six callers race ``process_many`` on four pool threads: each
     group's rollup holds only its own thread's engine calls, and every
@@ -216,14 +241,11 @@ def test_concurrent_groups_keep_their_own_rollups():
     after = engine_calls(manager)
     spans = obs.spans.spans()
     assert obs.spans.dropped == 0
-    records = []
-    for span in spans:
-        if span.name == "serving.process":
-            records.append((span.attrs["template"], span.attrs["seq"]))
-        elif span.name == "serving.batch":
-            records.extend(
-                (span.attrs["template"], seq) for seq in span.attrs["seqs"]
-            )
+    records = [
+        (span.attrs["template"], seq)
+        for span in spans if span.name == "serving.batch"
+        for seq in span.attrs["seqs"]
+    ]
     assert len(records) == len(set(records)) == len(workload)
     for name in before:
         for k, api in enumerate(("selectivity", "recost")):
@@ -281,8 +303,9 @@ class TestGroupFutures:
     def test_results_in_input_order_and_duplicates_share(self):
         manager, templates = make_manager()
         a, b, single = (t.name for t in templates)
-        # Two multi-row groups plus a singleton (dispatched through
-        # submit), then duplicates of the first three rows.
+        # Two multi-row groups plus a singleton (a group of one, served
+        # by the shard's process), then duplicates of the first three
+        # rows.
         workload = [
             q for q in make_workload(templates, 5, seed=4)
             if q.template_name != single

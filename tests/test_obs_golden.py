@@ -81,8 +81,9 @@ def build_golden_spans() -> SpanRecorder:
 
     Since schema v2 every span carries the causal trace/span/parent ID
     triple: the whole fixture is one request's trace, with the inner
-    phases parented under the ``serving.process`` request span — the
-    seeded :class:`IdSource` keeps the IDs byte-stable.
+    phases parented under the request's ``serving.batch`` span (a group
+    of one, its row in per-row columns) — the seeded :class:`IdSource`
+    keeps the IDs byte-stable.
     """
     fake = FakeClock()
     ids = IdSource(seed=17)
@@ -104,9 +105,10 @@ def build_golden_spans() -> SpanRecorder:
             fake.advance(duration)
             recorder.record(name, start, duration, **attrs)
         recorder.record(
-            "serving.process", 0.0, 0.012, span_id=ctx.span_id,
-            template="t1", seq=0, outcome="certified", check="cost",
-            certificate="exact", certified_bound=1.42, recost_calls=2,
+            "serving.batch", 0.0, 0.012, span_id=ctx.span_id,
+            template="t1", seqs=(0,), outcomes=("certified",),
+            checks=("cost",), certificates=("exact",),
+            certified_bounds=(1.42,), recost_calls=(2,),
         )
     return recorder
 
@@ -218,7 +220,7 @@ def test_spans_jsonl_schema():
     names = [row["span"] for row in rows]
     assert names == [
         "scr.selectivity_check", "scr.cost_check", "engine.recost",
-        "scr.redundancy_check", "serving.process",
+        "scr.redundancy_check", "serving.batch",
     ]
     # One connected trace: every row shares the trace_id, the request
     # span owns its ID, and every inner phase parents under it.

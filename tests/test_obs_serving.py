@@ -117,13 +117,10 @@ class TestConcurrentServing:
         assert obs.audit.zero_violations
 
         # Request-level records: every served response's seq appears in
-        # exactly one — a serving.process span or a row of a
-        # serving.batch group span — with its outcome.
+        # exactly one row of a serving.batch group span, with its outcome.
         served: list[tuple[int, str]] = []
         for span in obs.spans.spans():
-            if span.name == "serving.process":
-                served.append((span.attrs["seq"], span.attrs["outcome"]))
-            elif span.name == "serving.batch":
+            if span.name == "serving.batch":
                 served.extend(zip(span.attrs["seqs"], span.attrs["outcomes"]))
         outcome_of = dict(served)
         assert len(outcome_of) == len(served) == len(instances)

@@ -12,7 +12,10 @@ and the suite asserts the guarantee survives every interleaving:
 * determinism — two runs with the same seed produce identical
   interleaving-invariant metrics, and a single-worker run reproduces
   the serial reference manager (``tests/reference_manager.py``)
-  decision-for-decision.
+  decision-for-decision;
+* group equivalence — ``process_many`` decides every request exactly as
+  a ``process()`` loop over the same stream does, however the stream is
+  split into batches.
 """
 
 from __future__ import annotations
@@ -22,13 +25,20 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.catalog.tpch import tpch_schema
 from repro.engine.database import Database
 from repro.obs import RESPONSES_TOTAL, Observability
 from repro.query.instance import QueryInstance
 from repro.query.template import QueryTemplate, join, range_predicate
 from repro.serving import ConcurrentPQOManager, simulated_latency_wrapper
-from repro.workload.generator import generate_selectivity_vectors
+from repro.workload.generator import (
+    generate_selectivity_vectors,
+    instances_for_template,
+)
+from repro.workload.templates import tpch_templates
 
 from conftest import build_toy_schema
 from reference_manager import ReferenceManager
@@ -289,6 +299,101 @@ class TestSerialEquivalence:
             assert s.plans_cached == c.plans_cached
             assert s.cache.num_instances == c.cache.num_instances
             assert s.manage_cache.plan_budget == c.manage_cache.plan_budget
+
+
+def tpch_stream(per_template: int, seed: int = 1) -> list[QueryInstance]:
+    """The first six TPC-H templates, equal shares, shuffled."""
+    stream: list[QueryInstance] = []
+    for i, template in enumerate(tpch_templates()[:6]):
+        stream.extend(
+            instances_for_template(template, per_template, seed=seed * 1009 + i)
+        )
+    random.Random(seed).shuffle(stream)
+    return stream
+
+
+def tpch_manager() -> ConcurrentPQOManager:
+    """No global budget; templates alternate point and robust checks."""
+    manager = ConcurrentPQOManager(
+        database=Database.create(tpch_schema(1.0), seed=42),
+        default_lambda=1.5, max_workers=2,
+    )
+    for i, template in enumerate(tpch_templates()[:6]):
+        manager.register(template, check_mode="robust" if i % 2 else "point")
+    return manager
+
+
+def decision(choice) -> tuple:
+    """Everything a served choice decided."""
+    return (
+        choice.plan_signature, choice.check, choice.certified,
+        choice.certified_bound, choice.recost_calls, choice.used_optimizer,
+    )
+
+
+def loop_decisions(stream: list[QueryInstance]) -> tuple[list, int]:
+    with tpch_manager() as manager:
+        return (
+            [decision(manager.process(q)) for q in stream],
+            manager.total_optimizer_calls,
+        )
+
+
+def grouped_decisions(stream, cuts) -> tuple[list, int]:
+    """``process_many`` over ``stream`` split at ``cuts``."""
+    out: list = []
+    with tpch_manager() as manager:
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            out.extend(
+                decision(c)
+                for c in manager.process_many(stream[lo:hi], dedupe=False)
+            )
+        return out, manager.total_optimizer_calls
+
+
+#: Property stream and its ``process()``-loop decisions, computed once.
+_PROPERTY_STREAM = tpch_stream(100, seed=7)
+_PROPERTY_LOOP: list = []
+
+
+class TestGroupEquivalence:
+    """A template group is served in input order: a row sees the cache
+    every earlier row left, exactly as in a ``process()`` loop.  No
+    global budget here — under one, template groups served one after
+    another meet rebalance points in a different cross-template order
+    (DESIGN.md §8), which :class:`TestSerialEquivalence` covers."""
+
+    def test_process_many_in_groups_of_16_matches_a_process_loop(self):
+        stream = tpch_stream(333)
+        loop, loop_calls = loop_decisions(stream)
+        cuts = list(range(16, len(stream), 16))
+        grouped, grouped_calls = grouped_decisions(stream, cuts)
+        differing = [i for i, (a, b) in enumerate(zip(loop, grouped)) if a != b]
+        assert len(grouped) == len(loop) == len(stream)
+        assert differing == []
+        assert grouped_calls == loop_calls
+        # The stream exercises every kind of decision.
+        checks = {d[1] for d in loop}
+        assert {"selectivity", "cost", "optimizer"} <= checks, checks
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.integers(min_value=1, max_value=48), min_size=1, max_size=40,
+    ))
+    def test_any_group_split_matches_a_process_loop(self, sizes):
+        stream = _PROPERTY_STREAM
+        if not _PROPERTY_LOOP:
+            _PROPERTY_LOOP.append(loop_decisions(stream))
+        loop, loop_calls = _PROPERTY_LOOP[0]
+        cuts, at = [], 0
+        for size in sizes:
+            at += size
+            if at >= len(stream):
+                break
+            cuts.append(at)
+        grouped, grouped_calls = grouped_decisions(stream, cuts)
+        assert grouped == loop
+        assert grouped_calls == loop_calls
 
 
 class TestSingleFlight:

@@ -272,11 +272,11 @@ def _record_demo_trace(rec: SpanRecorder, ids: IdSource):
                            certificate="exact")
                 rec.record("engine.recost", 0.425, 0.005,
                            template="t1", seq=3)
-                rec.record("serving.process", 0.41, 0.08,
-                           span_id=process.span_id, template="t1", seq=3,
-                           outcome="certified", check="cost",
-                           certificate="exact", certified_bound=1.42,
-                           recost_calls=2)
+                rec.record("serving.batch", 0.41, 0.08,
+                           span_id=process.span_id, template="t1",
+                           seqs=(0,), outcomes=("certified",),
+                           checks=("cost",), certificates=("exact",),
+                           certified_bounds=(1.42,), recost_calls=(2,))
         rec.record("cluster.request", 0.0, 0.9, span_id=root.span_id,
                    template="t1", seq=3, outcome="certified", attempts=2,
                    worker="w1")
@@ -303,7 +303,7 @@ class TestForensics:
         walk(roots[0])
         assert len(names) == len(self.spans)
         assert names[0] == "cluster.request"
-        assert "serving.process" in names
+        assert "serving.batch" in names
 
     def test_orphaned_span_degrades_to_extra_root(self):
         from repro.obs.spans import Span
@@ -322,10 +322,11 @@ class TestForensics:
         assert lines[0].startswith("cluster.request")
         assert any(line.startswith(("|- ", "`- ")) for line in lines)
         assert "worker=w0" in text and "worker_died" in text
-        assert "certified_bound=1.42" in text
+        assert "row seq=0" in text and "certified_bound=1.42" in text
 
     def test_explain_reports_certificate_and_retry(self):
         info = explain_trace(self.spans)
+        assert info["seq"] == 3     # the cluster request's, not the row's
         assert info["outcome"] == "certified"
         assert info["certificate"] == "exact"
         assert info["certified_bound"] == 1.42
@@ -341,9 +342,11 @@ class TestForensics:
         rec = SpanRecorder(clock=FakeClock().clock)
         ctx = start_trace(ids=IdSource(seed=7))
         with activate(ctx):
-            rec.record("serving.process", 0.0, 0.01, span_id=ctx.span_id,
-                       template="t9", seq=0, outcome="shed",
-                       reason="queue_full", brownout=3)
+            rec.record("serving.batch", 0.0, 0.01, span_id=ctx.span_id,
+                       template="t9", seqs=(0,), outcomes=("shed",),
+                       checks=(None,), certificates=(None,),
+                       certified_bounds=(None,), recost_calls=(None,),
+                       reason=("queue_full",), brownout=(3,))
         info = explain_trace(rec.trace(ctx.trace_id))
         assert info["shed_reason"] == "queue_full"
         assert info["brownout"] == 3
@@ -396,8 +399,8 @@ def worker_rows_for(request, outcome="certified"):
         trace_id=request.trace_id, span_id=request.parent_span_id
     )
     with activate(wire):
-        with rec.span("serving.process", template=request.template_name,
-                      seq=request.sequence_id, outcome=outcome):
+        with rec.span("serving.batch", template=request.template_name,
+                      seqs=(0,), outcomes=(outcome,)):
             with rec.span("engine.selectivity"):
                 pass
     return tuple(s.to_jsonable() for s in rec.spans())
@@ -451,7 +454,7 @@ class TestSupervisorTracing:
         assert_connected_tree(spans)
         names = {s.name for s in spans}
         assert {"cluster.request", "cluster.dispatch",
-                "serving.process", "engine.selectivity"} <= names
+                "serving.batch", "engine.selectivity"} <= names
         root = next(s for s in spans if s.name == "cluster.request")
         assert root.attrs["outcome"] == "certified"
         assert root.attrs["attempts"] == 1
