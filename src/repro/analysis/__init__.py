@@ -1,15 +1,8 @@
-"""Analysis tooling: plan diagrams and anorexic reduction."""
+"""Analysis tooling: plan diagrams."""
 
-from .plan_diagram import (
-    PlanDiagram,
-    ReductionResult,
-    anorexic_reduction,
-    compute_plan_diagram,
-)
+from .plan_diagram import PlanDiagram, compute_plan_diagram
 
 __all__ = [
     "PlanDiagram",
-    "ReductionResult",
-    "anorexic_reduction",
     "compute_plan_diagram",
 ]

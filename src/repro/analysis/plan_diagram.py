@@ -1,14 +1,10 @@
-"""Plan diagrams and anorexic reduction (the paper's references [18], [8]).
+"""Plan diagrams (the paper's reference [18]).
 
 A *plan diagram* [Reddy & Haritsa, VLDB 2005] maps each point of a 2-d
 selectivity grid to its optimal plan; PQO difficulty correlates with
 diagram density (the paper cites high plan density in low-cost regions
-when motivating dynamic λ).  *Anorexic reduction* [Harish et al., VLDB
-2007] swallows small plan regions into λ-tolerant neighbours, shrinking
-the diagram to a handful of plans at bounded cost increase — the
-offline analogue of SCR's redundancy check, and the basis of the
-section 9 offline/online hybrid implemented in
-:mod:`repro.core.seeding`.
+when motivating dynamic λ).  ``python -m repro plan-diagram`` renders
+one.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.api import EngineAPI
-from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import SelectivityVector
 
 
@@ -33,17 +28,11 @@ class PlanDiagram:
     # cell[i][j] = plan index for (s1_values[i], s2_values[j]).
     cells: np.ndarray
     plans: list[str]                      # plan signatures by index
-    shrunken: list[ShrunkenMemo]          # recost handles by index
     costs: np.ndarray = field(default=None)  # optimal cost per cell
 
     @property
     def plan_count(self) -> int:
         return len(set(self.cells.flatten()))
-
-    def plan_areas(self) -> dict[int, int]:
-        """Cells covered per plan index."""
-        unique, counts = np.unique(self.cells, return_counts=True)
-        return dict(zip(unique.tolist(), counts.tolist()))
 
     def render_ascii(self, glyphs: str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ") -> str:
         """ASCII rendering (rows top-to-bottom = decreasing s2)."""
@@ -70,7 +59,6 @@ def compute_plan_diagram(
     axis = np.exp(np.linspace(math.log(low), math.log(high), grid_size))
     plan_index: dict[str, int] = {}
     plans: list[str] = []
-    shrunken: list[ShrunkenMemo] = []
     cells = np.zeros((grid_size, grid_size), dtype=np.int64)
     costs = np.zeros((grid_size, grid_size))
     for i, s1 in enumerate(axis):
@@ -82,7 +70,6 @@ def compute_plan_diagram(
                 idx = len(plans)
                 plan_index[signature] = idx
                 plans.append(signature)
-                shrunken.append(result.shrunken_memo)
             cells[i][j] = idx
             costs[i][j] = result.cost
     return PlanDiagram(
@@ -91,89 +78,5 @@ def compute_plan_diagram(
         s2_values=axis,
         cells=cells,
         plans=plans,
-        shrunken=shrunken,
         costs=costs,
-    )
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    """Outcome of anorexic reduction."""
-
-    diagram: PlanDiagram
-    plans_before: int
-    plans_after: int
-    max_cost_increase: float
-
-
-def anorexic_reduction(
-    diagram: PlanDiagram,
-    engine: EngineAPI,
-    lam: float = 1.2,
-) -> ReductionResult:
-    """Swallow plan regions into λ-tolerant replacements (greedy).
-
-    Plans are considered smallest-area first; a plan is swallowed if a
-    single surviving plan covers *all* of its cells within a factor
-    ``lam`` of the cell's optimal cost.  This mirrors the cost-greedy
-    variant of [8] and typically collapses diagrams to a few plans at
-    ``lam = 1.2`` — the "anorexic" effect the paper leverages through
-    its redundancy check.
-    """
-    if lam < 1.0:
-        raise ValueError("lambda must be >= 1")
-    cells = diagram.cells.copy()
-    alive = sorted(set(cells.flatten()))
-    plans_before = len(alive)
-    max_increase = 1.0
-
-    changed = True
-    while changed:
-        changed = False
-        areas = {p: int((cells == p).sum()) for p in alive}
-        for victim in sorted(alive, key=lambda p: areas[p]):
-            if len(alive) <= 1:
-                break
-            victim_cells = np.argwhere(cells == victim)
-            best_replacement = None
-            best_worst = math.inf
-            for candidate in alive:
-                if candidate == victim:
-                    continue
-                worst = 1.0
-                feasible = True
-                for i, j in victim_cells:
-                    sv = SelectivityVector.of(
-                        diagram.s1_values[i], diagram.s2_values[j]
-                    )
-                    cost = engine.recost(diagram.shrunken[candidate], sv)
-                    ratio = cost / diagram.costs[i][j]
-                    worst = max(worst, ratio)
-                    if ratio > lam:
-                        feasible = False
-                        break
-                if feasible and worst < best_worst:
-                    best_replacement = candidate
-                    best_worst = worst
-            if best_replacement is not None:
-                cells[cells == victim] = best_replacement
-                alive.remove(victim)
-                max_increase = max(max_increase, best_worst)
-                changed = True
-                break
-
-    reduced = PlanDiagram(
-        grid_size=diagram.grid_size,
-        s1_values=diagram.s1_values,
-        s2_values=diagram.s2_values,
-        cells=cells,
-        plans=diagram.plans,
-        shrunken=diagram.shrunken,
-        costs=diagram.costs,
-    )
-    return ReductionResult(
-        diagram=reduced,
-        plans_before=plans_before,
-        plans_after=len(alive),
-        max_cost_increase=max_increase,
     )

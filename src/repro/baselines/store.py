@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from ..optimizer.optimizer import OptimizationResult
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.recost import ShrunkenMemo
@@ -33,9 +31,6 @@ class StoredPlan:
     shrunken_memo: ShrunkenMemo
     plan: PhysicalPlan | None = None
     points: list[tuple[float, ...]] = field(default_factory=list)
-
-    def points_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.float64)
 
 
 @dataclass

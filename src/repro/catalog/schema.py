@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class ColumnType(Enum):
@@ -116,10 +116,6 @@ class Table:
                 return col
         raise KeyError(f"table {self.name} has no column {name!r}")
 
-    @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
 
 @dataclass
 class Schema:
@@ -180,8 +176,3 @@ class Schema:
         for fk in self.foreign_keys:
             self._check_column(fk.child_table, fk.child_column)
             self._check_column(fk.parent_table, fk.parent_column)
-
-
-def make_columns(specs: Iterable[tuple[str, int, float]]) -> list[Column]:
-    """Build INT columns from ``(name, domain_size, skew)`` triples."""
-    return [Column(name, ColumnType.INT, domain, skew) for name, domain, skew in specs]

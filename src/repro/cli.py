@@ -311,12 +311,7 @@ def cmd_doctor(args) -> None:
         supervisor.close()
     else:
         manager, _, _, instances = _demo_manager(args)
-        # Waves, not one batch: a batch is probed against one snapshot
-        # (no interleaved commits), so a single cold batch would be all
-        # misses and there would be no cache health to judge.
-        wave = max(1, args.m // 8)
-        for i in range(0, len(instances), wave):
-            manager.process_many(instances[i:i + wave], dedupe=False)
+        manager.process_many(instances, dedupe=False)
         report = manager.doctor_report()
         prom = manager.prometheus() if args.prometheus else None
         manager.close()
@@ -526,16 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     experiment.set_defaults(func=cmd_experiment)
 
-    obs_report = sub.add_parser("obs-report")
-    obs_report.add_argument("--template", default="tpch_shipping_priority")
-    obs_report.add_argument("--m", type=int, default=120)
-    obs_report.add_argument("--lam", type=float, default=2.0)
-    obs_report.add_argument("--workers", type=int, default=4)
-    obs_report.add_argument("--prometheus", metavar="FILE", default=None)
-    obs_report.add_argument("--spans", metavar="FILE", default=None)
-    obs_report.add_argument("--json", action="store_true",
-                            help="dump the full report as JSON instead")
-    obs_report.set_defaults(func=cmd_obs_report)
+    report = sub.add_parser("obs-report")
+    report.add_argument("--template", default="tpch_shipping_priority")
+    report.add_argument("--m", type=int, default=120)
+    report.add_argument("--lam", type=float, default=2.0)
+    report.add_argument("--workers", type=int, default=4)
+    report.add_argument("--prometheus", metavar="FILE", default=None)
+    report.add_argument("--spans", metavar="FILE", default=None)
+    report.add_argument("--json", action="store_true",
+                        help="dump the full report as JSON instead")
+    report.set_defaults(func=cmd_obs_report)
 
     doctor = sub.add_parser(
         "doctor",

@@ -38,9 +38,8 @@ class ProcessFaultInjector:
     seed: int = 0
     #: Relative weights of the fault kinds, in :data:`FAULT_KINDS` order.
     weights: tuple[float, float, float, float] = (0.6, 0.2, 0.1, 0.1)
-    #: Stalled heartbeats auto-resume after this many injections won't
-    #: happen — the supervisor kills the stalled worker first; kept for
-    #: completeness when timeouts are long.
+    #: Every fault actually injected, in order, as the ``"kind:target"``
+    #: string :meth:`inject` returned (``noop:…`` results are not kept).
     injected: list = field(default_factory=list)
 
     def __post_init__(self) -> None:

@@ -36,7 +36,7 @@ from .persistence import (
 )
 from .seeding import SeedingReport, grid_points, random_points, seed_cache
 from .plan_cache import CachedPlan, InstanceEntry, PlanCache
-from .regions import RecostRegion, SelectivityRegion
+from .regions import SelectivityRegion
 from .scr import SCR
 from .technique import OnlinePQOTechnique, PlanChoice
 from .violations import ViolationDetector, ViolationReport
@@ -69,7 +69,6 @@ __all__ = [
     "PlanCache",
     "PlanChoice",
     "QUADRATIC_BOUND",
-    "RecostRegion",
     "SCR",
     "SelectivityRegion",
     "ViolationDetector",

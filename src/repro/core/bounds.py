@@ -20,7 +20,6 @@ For ``f_i(alpha) = alpha**n`` the bounds become ``(G*L)**n`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..query.instance import SelectivityVector, UncertainSelectivityVector
@@ -120,11 +119,6 @@ def recost_suboptimality_bound(
     """Improved bound ``R * L**n`` once the plan has been re-costed."""
     l = compute_l(stored, new)
     return bound.cost_bound(recost_ratio, l)
-
-
-def gl_log_distance(stored: SelectivityVector, new: SelectivityVector) -> float:
-    """``ln(G * L)`` — the candidate-ordering key of section 6.2."""
-    return sum(abs(math.log(alpha)) for alpha in stored.ratios(new))
 
 
 # -- adversarial corners (robust check mode; DESIGN.md §11) ------------------

@@ -58,7 +58,6 @@ class ManageCacheStats:
     existing_plan_hits: int = 0
     redundancy_recost_calls: int = 0
     instances_coalesced: int = 0
-    advisor_evictions: int = 0
 
 
 @dataclass
@@ -91,16 +90,7 @@ class ManageCache:
     lambda_r: Optional[float] = None
     plan_budget: Optional[int] = None
     eviction_policy: EvictionPolicy = EvictionPolicy.LFU
-    eviction_seed: int = 0
     coalesce_identical: bool = False
-    #: Opt-in advisory signal from the anchor-efficacy attribution: when
-    #: enabled, LFU eviction first looks for a plan none of whose
-    #: anchors has ever produced a hit (pure wasted optimizer spend per
-    #: the doctor's definition) before falling back to the plain
-    #: aggregate-usage victim.  Off by default — the paper's
-    #: Algorithm 2, and the differential suite's pinned decision
-    #: counts, use plain LFU.
-    efficacy_advisor: bool = False
     stats: ManageCacheStats = field(default_factory=ManageCacheStats)
 
     def __post_init__(self) -> None:
@@ -108,7 +98,7 @@ class ManageCache:
             self.lambda_r = default_lambda_r(self.lam)
         if self.plan_budget is not None and self.plan_budget < 1:
             raise ValueError("plan budget k must be >= 1")
-        self._rng = random.Random(self.eviction_seed)
+        self._rng = random.Random(0)
 
     def register(
         self,
@@ -219,11 +209,7 @@ class ManageCache:
 
     def _evict_one(self) -> None:
         if self.eviction_policy is EvictionPolicy.LFU:
-            victim = self._never_paying_victim() if self.efficacy_advisor else None
-            if victim is not None:
-                self.stats.advisor_evictions += 1
-            else:
-                victim = self.cache.min_usage_plan()
+            victim = self.cache.min_usage_plan()
         elif self.eviction_policy is EvictionPolicy.LRU:
             victim = self.cache.lru_plan()
         else:
@@ -232,26 +218,6 @@ class ManageCache:
         if victim is not None:
             self.cache.drop_plan(victim.plan_id)
             self.stats.plans_evicted += 1
-
-    def _never_paying_victim(self) -> Optional[CachedPlan]:
-        """The least-used plan whose anchors have zero lifetime hits.
-
-        Advisory only: reachable solely through ``efficacy_advisor``.
-        Ties on aggregate usage break by plan id (insertion order), the
-        same way :meth:`PlanCache.min_usage_plan`'s ``min`` breaks them.
-        """
-        candidates = [
-            p for p in self.cache.plans()
-            if all(
-                inst.total_hits == 0
-                for inst in self.cache.instances_for(p.plan_id)
-            )
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates, key=lambda p: self.cache.aggregate_usage(p.plan_id)
-        )
 
     # -- Appendix F: redundancy of existing plans -------------------------------
 

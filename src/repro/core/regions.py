@@ -74,25 +74,3 @@ class SelectivityRegion:
         arc(s1 * lam, s1, lambda x: (s2 / (s1 * lam)) * x)      # lower line (back)
         arc(s1, s1 / lam, lambda x: s1 * s2 / (lam * x))        # lower hyperbola
         return pts
-
-
-@dataclass(frozen=True)
-class RecostRegion:
-    """Membership test for the recost-based λ-optimal region.
-
-    Unlike the selectivity region this has no closed geometric form —
-    membership requires a Recost call (the ``R`` value) — but it always
-    contains the selectivity region, because ``R < G`` whenever the BCG
-    assumption holds (section 5.3: recost finds extra reuse whenever
-    actual cost growth is slower than the conservative bound).
-    """
-
-    anchor: SelectivityVector
-    budget: float
-    bound: BoundingFunction = LINEAR_BOUND
-
-    def contains(self, sv: SelectivityVector, recost_ratio: float) -> bool:
-        from .bounds import compute_l
-
-        l = compute_l(self.anchor, sv)
-        return self.bound.cost_bound(recost_ratio, l) <= self.budget

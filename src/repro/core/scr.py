@@ -419,10 +419,6 @@ class SCR(OnlinePQOTechnique):
     def max_plans_cached(self) -> int:
         return self.cache.max_plans_seen
 
-    def purge_redundant_plans(self) -> int:
-        """Appendix F maintenance: drop existing plans made redundant."""
-        return self.manage_cache.purge_redundant_existing_plans(self.engine.recost)
-
     def recalibrate(self, budget: Optional[int] = None, min_staleness: int = 0):
         """Proactive recost sweep of stale anchors (drift remediation).
 

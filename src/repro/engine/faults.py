@@ -29,6 +29,9 @@ from ..query.instance import (
 )
 from .api import EngineAPI, EngineWrapper
 
+#: Multiplier used by the "inflated cost" corruption mode.
+INFLATE_FACTOR = 100.0
+
 
 class EngineFault(Exception):
     """Base class for injected / detected engine failures."""
@@ -62,14 +65,11 @@ class FaultProfile:
         Probability of corrupting the *result*: for recost, a NaN,
         negative or inflated cost; for sVector, a stale (previous
         instance's) vector.
-    inflate_factor:
-        Multiplier used by the "inflated cost" corruption mode.
     """
 
     error_rate: float = 0.0
     timeout_rate: float = 0.0
     corrupt_rate: float = 0.0
-    inflate_factor: float = 100.0
 
     def __post_init__(self) -> None:
         for name in ("error_rate", "timeout_rate", "corrupt_rate"):
@@ -212,7 +212,7 @@ class FaultInjector(EngineWrapper):
                 return math.nan
             if kind == "negative":
                 return -abs(cost)
-            return cost * profile.inflate_factor
+            return cost * INFLATE_FACTOR
         return cost
 
 

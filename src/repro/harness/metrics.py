@@ -29,7 +29,7 @@ class InstanceRecord:
     plan_signature: str = ""
     #: False when the technique served a degraded (fallback) answer with
     #: no verified λ bound; such instances are excluded from guarantee
-    #: accounting (certified_mso / certified_violations).
+    #: accounting (certified_violations).
     certified: bool = True
 
     @property
@@ -83,18 +83,6 @@ class SequenceResult:
     @property
     def num_opt_percent(self) -> float:
         return 100.0 * self.num_opt / self.m if self.m else 0.0
-
-    @property
-    def num_uncertified(self) -> int:
-        """Instances served by degraded paths with no verified bound."""
-        return sum(1 for r in self.records if not r.certified)
-
-    @property
-    def certified_mso(self) -> float:
-        """Worst-case sub-optimality over *certified* instances only —
-        the population the λ-guarantee covers under engine faults."""
-        certified = [r.suboptimality for r in self.records if r.certified]
-        return float(max(certified)) if certified else 1.0
 
     def violations(self, lam: float) -> int:
         """Instances whose SO exceeded the bound (assumption violations)."""

@@ -77,11 +77,6 @@ class Oracle:
             signatures.append(point.plan_signature)
         return costs, signatures
 
-    @property
-    def distinct_plans_seen(self) -> int:
-        """|P|: distinct optimal plans over all oracle queries so far."""
-        return len({p.plan_signature for p in self._cache.values()})
-
     def feed_calibration(
         self,
         calibration,

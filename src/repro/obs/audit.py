@@ -21,7 +21,7 @@ makes the guarantee auditable live:
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Optional
 
 from .registry import BOUND_BUCKETS, MetricsRegistry
 
@@ -57,7 +57,6 @@ class GuaranteeAudit:
     def __init__(
         self,
         registry: MetricsRegistry,
-        bound_buckets: Sequence[float] = BOUND_BUCKETS,
         max_violation_events: int = 256,
     ) -> None:
         self.registry = registry
@@ -70,7 +69,7 @@ class GuaranteeAudit:
             CERTIFIED_BOUND,
             "Certified sub-optimality bounds (S*G*L or S*R*L) per response",
             labels=("template",),
-            buckets=bound_buckets,
+            buckets=BOUND_BUCKETS,
         )
         self._violations = registry.counter(
             LAMBDA_VIOLATIONS,
@@ -131,12 +130,9 @@ class GuaranteeAudit:
             for kind in CERT_KINDS
         }
 
-    def interval_width(self, template: str, log_width: float) -> None:
-        """Record one served instance's uncertainty-box total log width."""
-        self._widths.labels(template=template).observe(log_width)
-
     def width_child(self, template: str):
-        """Pre-resolved histogram child for :meth:`interval_width`."""
+        """Pre-resolved histogram child for one template's uncertainty-box
+        total log widths."""
         return self._widths.labels(template=template)
 
     def degraded(self, template: str, outcome: str, reason: str) -> None:
@@ -210,10 +206,6 @@ class GuaranteeAudit:
                 )
             totals[kind] = int(value)
         return totals
-
-    @property
-    def total_responses(self) -> int:
-        return sum(self.outcome_totals().values())
 
     @property
     def total_violations(self) -> int:

@@ -6,12 +6,15 @@ silently erodes long before the live λ-violation counter (which only
 sees the engine's own, possibly equally drifted, numbers) can fire.
 This module watches the guarantee machinery itself:
 
-* **Calibration feeds** — every cost-check hit contributes one
-  predicted-vs-recosted pair (the BCG model's predicted plan cost
-  ``C·S·G`` against the engine's fresh Recost), and, when the harness
-  oracle is attached, responses contribute predicted-vs-true pairs.
-  Absolute log-ratios land in per-(template, certificate kind, feed)
-  histograms; the signed log-ratio's EWMA is exported as a bias gauge.
+* **Calibration feeds** — every Recost call the cost check makes, on
+  hits and misses alike, contributes one predicted-vs-recosted pair:
+  the anchor's stored pointed plan cost ``C·S`` against the engine's
+  fresh Recost, with the Cost Bounding Lemma's interval
+  ``[C·S/L^n, C·S·G^n]`` as slack.  When the harness oracle is
+  attached, responses contribute predicted-vs-true pairs.  Log
+  distances outside the interval land in per-(template, certificate
+  kind, feed) histograms; the signed log-ratio's EWMA is exported as a
+  bias gauge.
 * **Drift detectors** — per-template online EWMAs plus lagged-
   reference block-median shift detectors (:class:`BlockShiftDetector`)
   over the calibration ratios and over the selectivity-vector
@@ -51,7 +54,7 @@ SWEEP_RECOST_CALLS = "repro_sweep_recost_calls_total"
 ERROR_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.5)
 
 #: The two calibration feeds: ``recost`` pairs are free (measured on
-#: cost-check hits the checks already paid for); ``oracle`` pairs need
+#: the Recost calls the cost check already paid for); ``oracle`` pairs need
 #: the harness oracle and compare against ground truth.
 FEEDS = ("recost", "oracle")
 
@@ -165,10 +168,6 @@ class BlockShiftDetector:
         self._meds: deque = deque(maxlen=self.ref + self.lag)
         self._devs: deque = deque(maxlen=self.m)
 
-    @property
-    def warmed_up(self) -> bool:
-        return self.blocks > self.warm
-
     def update(self, x: float) -> bool:
         """Feed one raw sample; True when a sustained shift is seen.
 
@@ -234,7 +233,7 @@ _ACTIONS = {
     ),
     "selectivity": (
         "refresh seeding for the new parameter region "
-        "(anchors for the old region will age out via the advisor)"
+        "(anchors for the old region age out under LFU eviction)"
     ),
 }
 
@@ -242,8 +241,9 @@ _ACTIONS = {
 class TemplateCalibration:
     """One template's calibration state: pre-resolved metric children
     plus the online detectors.  All mutation is under one small lock —
-    the streams are low-rate (one sample per cost-check hit / request),
-    so contention is negligible next to the engine calls around them.
+    the streams are low-rate (one sample per cost-check Recost call, on
+    hits and misses, or per request), so contention is negligible next
+    to the engine calls around them.
     """
 
     def __init__(self, tracker: "CalibrationTracker", template: str) -> None:

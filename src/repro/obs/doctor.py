@@ -47,7 +47,7 @@ DOCTOR_SCHEMA = 2
 #: created it); every later hit through it saves one.
 ANCHOR_ACQUISITION_CALLS = 1
 
-#: Wasted-spend advisory threshold: recommend the efficacy advisor once
+#: Wasted-spend advisory threshold: recommend a smaller cache budget once
 #: at least this many anchors never paid back *and* they are at least
 #: this share of all anchors ever acquired.
 WASTE_MIN_ANCHORS = 5
@@ -169,8 +169,7 @@ def _recommended_actions(
         ):
             actions.append(
                 "many anchors never pay back their acquisition cost — "
-                "consider ManageCache(efficacy_advisor=True) or a smaller "
-                "cache budget"
+                "consider a smaller cache budget"
             )
     return actions
 

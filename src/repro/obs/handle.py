@@ -19,7 +19,7 @@ from typing import Optional
 from .audit import GuaranteeAudit
 from .clock import Clock, SYSTEM_CLOCK
 from .registry import LATENCY_BUCKETS, MetricsRegistry
-from .spans import DEFAULT_SPAN_CAPACITY, SpanRecorder
+from .spans import SpanRecorder
 
 ENGINE_CALL_SECONDS = "repro_engine_call_seconds"
 ENGINE_FAULTS = "repro_engine_faults_total"
@@ -40,14 +40,11 @@ class Observability:
         self,
         registry: Optional[MetricsRegistry] = None,
         clock: Clock = SYSTEM_CLOCK,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
         spans_enabled: bool = True,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.clock = clock
-        self.spans = SpanRecorder(
-            capacity=span_capacity, clock=clock, enabled=spans_enabled
-        )
+        self.spans = SpanRecorder(clock=clock, enabled=spans_enabled)
         self.spans.sink_error_counter = self.registry.counter(
             SPAN_SINK_ERRORS,
             "Span sink callbacks that raised (isolated from the hot path)",
@@ -57,22 +54,6 @@ class Observability:
 
         self.calibration = CalibrationTracker(self.registry, spans=self.spans)
         self.slo = None  # attached via attach_slo()
-
-    # Convenience delegates so call sites read naturally.
-
-    def counter(self, name: str, help: str = "", labels=()):
-        return self.registry.counter(name, help, labels=labels)
-
-    def gauge(self, name: str, help: str = "", labels=()):
-        return self.registry.gauge(name, help, labels=labels)
-
-    def histogram(self, name: str, help: str = "", labels=(),
-                  buckets=LATENCY_BUCKETS):
-        return self.registry.histogram(name, help, labels=labels,
-                                       buckets=buckets)
-
-    def span(self, name: str, **attrs):
-        return self.spans.span(name, **attrs)
 
     def prometheus(self) -> str:
         from .exporters import to_prometheus

@@ -98,10 +98,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -243,11 +239,6 @@ class MetricFamily:
             else:
                 series.append({"labels": labels, "value": child.value})
         return {"kind": self.kind, "help": self.help, "series": series}
-
-    @property
-    def series_count(self) -> int:
-        with self._lock:
-            return len(self._children)
 
 
 class MetricsRegistry:

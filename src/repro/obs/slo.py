@@ -315,10 +315,6 @@ class SloEvaluator:
             labels=("slo",),
         )
 
-    @property
-    def objectives(self) -> tuple[SloObjective, ...]:
-        return tuple(s.objective for s in self._states.values())
-
     def evaluate(
         self, snapshot: Optional[dict] = None, now: Optional[float] = None
     ) -> dict[str, bool]:

@@ -33,24 +33,19 @@ from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from contextlib import contextmanager
 from typing import Callable, Optional
 
 from .clock import Clock, SYSTEM_CLOCK
-from .tracectx import (
-    _CURRENT,
-    IdSource,
-    TraceContext,
-    activate,
-    child_context,
-    current_context,
-)
+from .tracectx import _CURRENT, IdSource, TraceContext, child_context
 
 #: Default ring capacity; ~100 bytes/span keeps this comfortably small.
 DEFAULT_SPAN_CAPACITY = 16384
 
 #: A live sink that raises this many times in a row is detached.
 SINK_DETACH_AFTER = 8
+
+#: Spans a :class:`TraceCollector` keeps per trace before dropping.
+MAX_SPANS_PER_TRACE = 256
 
 #: Every zero-duration event span the stack emits (DESIGN.md §10 lists
 #: their attributes).  Forensics uses this to tell an ``engine.fault``
@@ -161,8 +156,9 @@ class SpanRecorder:
         #: Optional counter child bumped per sink error
         #: (``repro_span_sink_errors_total``, attached by Observability).
         self.sink_error_counter = None
-        #: ID source for child spans made by :meth:`span`; tests set a
-        #: seeded :class:`IdSource` for deterministic golden fixtures.
+        #: ID source for the trace contexts minted over this recorder;
+        #: tests set a seeded :class:`IdSource` for deterministic golden
+        #: fixtures.
         self.ids: Optional[IdSource] = None
 
     def attach_sink(self, sink: Callable[[Span], None]) -> None:
@@ -170,10 +166,6 @@ class SpanRecorder:
         with self._lock:
             self._sinks += (sink,)
             self._sink_failstreak[id(sink)] = 0
-
-    def detach_sink(self, sink: Callable[[Span], None]) -> None:
-        with self._lock:
-            self._detach_locked(sink)
 
     def _detach_locked(self, sink: Callable[[Span], None]) -> None:
         try:
@@ -283,39 +275,6 @@ class SpanRecorder:
             self._emit(local, sinks)
         return local
 
-    @contextmanager
-    def span(self, name: str, **attrs: object):
-        """Time a block; extra attributes can be added to the yielded
-        dict (it is merged into the span's attrs on exit).
-
-        Inside a trace context, the block runs under a *child* context
-        whose span ID belongs to this span — nested spans (engine
-        calls, inner phases) parent under it automatically.
-        """
-        if not self.enabled:
-            yield attrs
-            return
-        ambient = current_context()
-        start = self.clock.perf_counter()
-        if ambient is None:
-            try:
-                yield attrs
-            finally:
-                self.record(
-                    name, start, self.clock.perf_counter() - start, **attrs
-                )
-        else:
-            ctx = ambient.child(self.ids)
-            try:
-                with activate(ctx):
-                    yield attrs
-            finally:
-                with activate(ctx):
-                    self.record(
-                        name, start, self.clock.perf_counter() - start,
-                        span_id=ctx.span_id, **attrs,
-                    )
-
     def spans(self) -> list[Span]:
         """Retained spans, oldest first."""
         with self._lock:
@@ -346,16 +305,13 @@ class TraceCollector:
 
     Workers attach one of these so a finished request's spans can be
     popped and ridden back to the supervisor on the Response.  Bounded:
-    at most ``max_traces`` traces and ``max_spans_per_trace`` spans per
-    trace are retained (oldest traces evicted first), so an
+    at most ``max_traces`` traces and :data:`MAX_SPANS_PER_TRACE` spans
+    per trace are retained (oldest traces evicted first), so an
     orphaned trace can't grow the worker without limit.
     """
 
-    def __init__(
-        self, max_traces: int = 1024, max_spans_per_trace: int = 256
-    ) -> None:
+    def __init__(self, max_traces: int = 1024) -> None:
         self.max_traces = max_traces
-        self.max_spans_per_trace = max_spans_per_trace
         self._lock = threading.Lock()
         self._traces: dict[str, list[Span]] = {}
         self.evicted_traces = 0
@@ -372,7 +328,7 @@ class TraceCollector:
                     del self._traces[oldest]
                     self.evicted_traces += 1
                 bucket = self._traces[span.trace_id] = []
-            if len(bucket) >= self.max_spans_per_trace:
+            if len(bucket) >= MAX_SPANS_PER_TRACE:
                 self.dropped_spans += 1
                 return
             bucket.append(span)

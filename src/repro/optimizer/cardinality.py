@@ -73,9 +73,6 @@ class CardinalityModel:
     def base_info(self, table: str) -> BaseTableInfo:
         return self._base[table]
 
-    def base_cardinality(self, table: str, sv: SelectivityVector) -> float:
-        return self._base[table].cardinality(sv)
-
     def table_rows(self, table: str) -> float:
         return self._base[table].rows
 

@@ -38,11 +38,3 @@ class PhysicalOp(Enum):
             PhysicalOp.HASH_JOIN,
             PhysicalOp.MERGE_JOIN,
         )
-
-    @property
-    def is_aggregate(self) -> bool:
-        return self in (
-            PhysicalOp.HASH_AGGREGATE,
-            PhysicalOp.STREAM_AGGREGATE,
-            PhysicalOp.SCALAR_AGGREGATE,
-        )

@@ -70,22 +70,6 @@ class SelectivityVector:
             )
         return tuple(o / s for s, o in zip(self.values, other.values))
 
-    def log_distance(self, other: "SelectivityVector") -> float:
-        """Symmetric log-space distance ``sum_i |ln alpha_i|``.
-
-        Equals ``ln(G * L)``; used to order candidates by the selectivity
-        check's GL product (section 6.2's pruning heuristic).
-        """
-        return sum(abs(math.log(a)) for a in self.ratios(other))
-
-    def euclidean_distance(self, other: "SelectivityVector") -> float:
-        """Plain Euclidean distance (used by the heuristic baselines)."""
-        if len(other) != len(self):
-            raise ValueError("dimension mismatch")
-        return math.sqrt(
-            sum((a - b) ** 2 for a, b in zip(self.values, other.values))
-        )
-
     def dominates(self, other: "SelectivityVector") -> bool:
         """True if every selectivity of ``self`` >= that of ``other``.
 
@@ -285,9 +269,6 @@ class QueryInstance:
                 "selectivity_vector API first"
             )
         return self.sv
-
-    def with_selectivities(self, sv: SelectivityVector) -> "QueryInstance":
-        return QueryInstance(self.template_name, self.parameters, sv, self.sequence_id)
 
     def with_sequence_id(self, sequence_id: int) -> "QueryInstance":
         return QueryInstance(self.template_name, self.parameters, self.sv, sequence_id)

@@ -192,32 +192,3 @@ def _parse_conjunct(
         parameterized.append(ParameterizedPredicate(column, op))
     else:
         fixed.append(FixedPredicate(column, op, float(rhs)))
-
-
-def template_to_sql(template: QueryTemplate) -> str:
-    """Render a template back to parameterized SQL (round-trippable)."""
-    if template.aggregation is AggregationKind.COUNT:
-        select = "COUNT(*)"
-    else:
-        select = "*"
-    lines = [f"SELECT {select}", f"FROM {', '.join(template.tables)}"]
-    sql_op = {
-        ComparisonOp.LE: "<=",
-        ComparisonOp.GE: ">=",
-        ComparisonOp.EQ: "=",
-    }
-    conjuncts: list[str] = []
-    conjuncts.extend(str(j) for j in template.joins)
-    conjuncts.extend(
-        f"{p.column} {sql_op[p.op]} ?" for p in template.parameterized
-    )
-    conjuncts.extend(
-        f"{p.column} {sql_op[p.op]} {p.value:g}" for p in template.fixed
-    )
-    if conjuncts:
-        lines.append("WHERE " + "\n  AND ".join(conjuncts))
-    if template.group_by is not None:
-        lines.append(f"GROUP BY {template.group_by}")
-    if template.order_by is not None:
-        lines.append(f"ORDER BY {template.order_by}")
-    return "\n".join(lines)

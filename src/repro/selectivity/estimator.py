@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING
 
 from ..query.expressions import ComparisonOp, FixedPredicate, ParameterizedPredicate
 from ..query.instance import (
-    SELECTIVITY_FLOOR,
     QueryInstance,
     SelectivityVector,
     UncertainSelectivityVector,
@@ -151,26 +150,3 @@ class SelectivityEstimator:
             else:
                 params.append(hist.quantile(s))
         return tuple(params)
-
-    def table_filter_selectivity(
-        self,
-        template: QueryTemplate,
-        table: str,
-        sv: SelectivityVector,
-    ) -> float:
-        """Combined selectivity of all predicates on ``table``.
-
-        Applies the paper's standing assumption of selectivity
-        independence between base predicates: selectivities multiply.
-        Parameterized predicate selectivities come from the instance's
-        sVector, fixed ones from histograms.
-        """
-        sel = 1.0
-        for pred in template.predicates_on(table):
-            sel *= sv[template.parameter_index(pred)]
-        for fixed in template.fixed_on(table):
-            sel *= self.predicate_selectivity(fixed)
-        # Product of per-predicate selectivities, each already floored at
-        # SELECTIVITY_FLOOR — the combined floor is the two-predicate
-        # product, not another ad-hoc epsilon.
-        return max(sel, SELECTIVITY_FLOOR ** 2)

@@ -67,16 +67,6 @@ class EquiDepthHistogram:
     def max_value(self) -> float:
         return float(self.boundaries[-1])
 
-    @property
-    def bucket_count(self) -> int:
-        return len(self.boundaries) - 1
-
-    @property
-    def depths(self) -> np.ndarray:
-        """Rows per region: index 0 is the point mass at the minimum
-        boundary, index ``i >= 1`` the rows in ``(b[i-1], b[i]]``."""
-        return np.diff(np.concatenate([[0], self.cum]))
-
     def selectivity_le(self, value: float) -> float:
         """Estimated selectivity of ``col <= value``.
 

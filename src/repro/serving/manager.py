@@ -6,12 +6,12 @@ many templates, and the plan-cache memory they share is bounded.
 :class:`~repro.serving.shard.TemplateShard` per registered template —
 the shard *is* the per-template state: its SCR, engine, budget share,
 instance count and quarantine flag.  :meth:`~ConcurrentPQOManager.process`
-serves an instance on the calling thread (the serial path); ``submit``,
-``submit_batch`` and ``process_many`` dispatch **groups** onto a thread
-pool, which starts its threads only on first use.  A group is the unit
-of serving, dispatch and telemetry: one pool task, one future, one
-trace context.  ``submit`` dispatches a group of one; a batch is one
-group per template, or one group per instance under admission control.
+serves an instance on the calling thread (the serial path); ``submit``
+and ``process_many`` dispatch **groups** onto a thread pool, which
+starts its threads only on first use.  A group is the unit of serving,
+dispatch and telemetry: one pool task, one future, one trace context.
+``submit`` dispatches a group of one; a batch is one group per
+template, or one group per instance under admission control.
 
 Independent templates never contend — each shard has its own lock, its
 own SCR state and its own single-flight table.  Global concerns are
@@ -23,7 +23,7 @@ quarantined, and re-divides the global plan budget proportionally to
 recent optimizer pressure (§6.3.1's per-template ``k``, spread across
 templates; quarantined templates are frozen at a share of one).
 
-Batched admission (:meth:`submit_batch`) coalesces a batch by template
+Batched admission (:meth:`process_many`) coalesces a batch by template
 and deduplicates identical selectivity vectors before dispatch, so a
 burst of the same query instance costs one optimization and the
 duplicates share its :class:`PlanChoice`.  A group decides exactly what
@@ -67,7 +67,7 @@ from .overload import (
     ShutdownError,
 )
 from .shard import TemplateShard
-from .stats import ServingStats, merge_rows
+from .stats import merge_rows
 
 
 @dataclass
@@ -109,8 +109,6 @@ class ConcurrentPQOManager:
     #: ``check_mode=`` kwarg on :meth:`register` overrides it.  ``None``
     #: leaves SCR's own default (point) in force.
     check_mode: Optional[str] = None
-    #: Manager-wide default coverage for probabilistic-mode templates.
-    target_coverage: Optional[float] = None
     #: Optional unified observability handle (metrics registry, spans,
     #: guarantee audit).  When set, every registered template's engine,
     #: SCR pipeline and shard report into it, and the overload
@@ -173,8 +171,6 @@ class ConcurrentPQOManager:
                 raise ValueError(f"template {template.name!r} already registered")
             if self.check_mode is not None:
                 scr_kwargs.setdefault("check_mode", self.check_mode)
-            if self.target_coverage is not None:
-                scr_kwargs.setdefault("target_coverage", self.target_coverage)
             engine = self.database.engine(template)
             if self.engine_wrapper is not None:
                 engine = self.engine_wrapper(engine)
@@ -301,7 +297,7 @@ class ConcurrentPQOManager:
         """
         fut: "Future[PlanChoice]" = Future()
         group = self._enqueue(self._shard_for(instance), [instance], deadline)
-        group.add_done_callback(partial(_resolve_rows, [fut]))
+        group.add_done_callback(partial(_resolve_row, fut))
         return fut
 
     def _enqueue(
@@ -396,36 +392,6 @@ class ConcurrentPQOManager:
         with self._futures_lock:
             self._outstanding.discard(fut)
 
-    def submit_batch(
-        self,
-        instances: Sequence[QueryInstance],
-        dedupe: bool = True,
-        deadline_seconds: Optional[float] = None,
-    ) -> list["Future[PlanChoice]"]:
-        """Admit a batch: coalesce by template, dedupe identical vectors.
-
-        Returns one future per input instance, in input order; duplicate
-        instances share the future (and therefore the PlanChoice) of
-        their first occurrence.  ``deadline_seconds`` attaches an
-        end-to-end budget to each dispatched instance (starting at its
-        dispatch, not at batch entry).
-
-        The dispatch is :meth:`_dispatch`'s; a group's row futures are
-        resolved from its one group future by a single done-callback.
-        """
-        futures: list[Optional[Future]] = [None] * len(instances)
-        groups, duplicate_of = self._dispatch(
-            instances, dedupe, deadline_seconds
-        )
-        for items, group in groups:
-            rows = [Future() for _ in items]
-            for (i, _), fut in zip(items, rows):
-                futures[i] = fut
-            group.add_done_callback(partial(_resolve_rows, rows))
-        for i, first in duplicate_of.items():
-            futures[i] = futures[first]
-        return futures
-
     def process_many(
         self, instances: Sequence[QueryInstance], dedupe: bool = True
     ) -> list[PlanChoice]:
@@ -451,10 +417,7 @@ class ConcurrentPQOManager:
         return results
 
     def _dispatch(
-        self,
-        instances: Sequence[QueryInstance],
-        dedupe: bool,
-        deadline_seconds: Optional[float] = None,
+        self, instances: Sequence[QueryInstance], dedupe: bool
     ) -> tuple[list, dict[int, int]]:
         """Coalesce a batch by template, dedupe it, and dispatch it.
 
@@ -462,10 +425,10 @@ class ConcurrentPQOManager:
         dispatched through :meth:`_enqueue` (its future holds the per-row
         outcomes), and each duplicate's first occurrence.
 
-        Without overload protection or deadlines, each template's unique
-        instances are **one** group, probed against the cache in a
-        single broadcast pass.  Under admission control or deadlines
-        (per-instance decisions) every instance is a group of one, and
+        Without overload protection, each template's unique instances
+        are **one** group, probed against the cache in a single
+        broadcast pass.  Under admission control (per-instance
+        decisions) every instance is a group of one, and
         the groups are dispatched round-robin across templates so
         independent shards fill the pool instead of convoying on one
         shard's lock.
@@ -489,20 +452,15 @@ class ConcurrentPQOManager:
                 (i, instance)
             )
         batches = [items for _, items in sorted(per_template.items())]
-        if self._overload_coordinator is not None or deadline_seconds is not None:
+        if self._overload_coordinator is not None:
             batches = [
                 [item] for rank in zip_longest(*batches)
                 for item in rank if item is not None
             ]
         groups: list = []
         for items in batches:
-            deadline = (
-                Deadline.after(deadline_seconds)
-                if deadline_seconds is not None
-                else None
-            )
             shard = self._shard_for(items[0][1])
-            group = self._enqueue(shard, [q for _, q in items], deadline)
+            group = self._enqueue(shard, [q for _, q in items])
             groups.append((items, group))
         return groups, duplicate_of
 
@@ -623,9 +581,6 @@ class ConcurrentPQOManager:
             for shard in self._sorted_shards()
         ]
 
-    def serving_stats(self) -> list[ServingStats]:
-        return [shard.stats for shard in self._sorted_shards()]
-
     def serving_report(self) -> list[dict[str, object]]:
         """Per-shard rows plus a fleet-wide TOTAL row.
 
@@ -678,17 +633,6 @@ class ConcurrentPQOManager:
             return None
         return self._overload_coordinator.report()
 
-    def obs_report(self) -> Optional[dict[str, object]]:
-        """The observability handle's snapshot (None when no handle).
-
-        Includes the outcome totals, the λ-violation count and events,
-        span accounting, and the full metrics dump — the programmatic
-        twin of the ``repro obs-report`` CLI command.
-        """
-        if self.obs is None:
-            return None
-        return self.obs.report()
-
     def prometheus(self) -> Optional[str]:
         """The registry as Prometheus text exposition (None when off)."""
         if self.obs is None:
@@ -700,8 +644,8 @@ class ConcurrentPQOManager:
         :func:`~repro.obs.doctor.doctor_from_sources` over this manager's
         own registries and :meth:`anchor_summaries`.
 
-        Unlike :meth:`obs_report` this works without an observability
-        handle too — outcomes are counted in each shard's private
+        Unlike :meth:`Observability.report` this works without an
+        observability handle too — outcomes are counted in each shard's private
         registry, and anchor attribution and hit accounting live in the
         summaries; only the calibration sections go ``None``.
         """
@@ -776,15 +720,13 @@ class ConcurrentPQOManager:
         self.close()
 
 
-def _resolve_rows(rows: list[Future], group: Future) -> None:
-    """Resolve a group's per-row futures from its group future: each
-    row's PlanChoice or exception, or the group's own exception for
-    every row."""
+def _resolve_row(row: Future, group: Future) -> None:
+    """Resolve a submission's future from its group of one: the row's
+    PlanChoice or exception, or the group's own exception."""
     exc = group.exception()
-    outcomes = [exc] * len(rows) if exc is not None else group.result()
-    for fut, outcome in zip(rows, outcomes):
-        with suppress(InvalidStateError):
-            if isinstance(outcome, BaseException):
-                fut.set_exception(outcome)
-            else:
-                fut.set_result(outcome)
+    outcome = exc if exc is not None else group.result()[0]
+    with suppress(InvalidStateError):
+        if isinstance(outcome, BaseException):
+            row.set_exception(outcome)
+        else:
+            row.set_result(outcome)

@@ -53,6 +53,17 @@ BROWNOUT_TRANSITIONS_TOTAL = "repro_brownout_transitions_total"
 PENDING_REQUESTS = "repro_pending_requests"
 GATE_WAIT_SECONDS = "repro_gate_wait_seconds"
 
+#: Queue-depth thresholds as fractions of total queue capacity.
+QUEUE_HIGH = 0.50
+QUEUE_LOW = 0.125
+#: Deadline-miss-rate thresholds over the evaluation window.
+DEADLINE_MISS_HIGH = 0.10
+DEADLINE_MISS_LOW = 0.02
+#: Coverage robust-mode probes demand at COVERAGE_RELAXED and above
+#: (shrinks the uncertainty box → more hits, honestly downgraded to
+#: probabilistic certificates; λ itself stays untouched).
+BROWNOUT_COVERAGE = 0.8
+
 
 class ShedError(RuntimeError):
     """The serving layer refused this request under overload.
@@ -187,7 +198,7 @@ class BrownoutLevel(IntEnum):
 
     The first step degrades along the *uncertainty* axis: shards running
     a robust check mode lower the coverage their probes demand
-    (``brownout_coverage``), trading certificate strength (robust →
+    (:data:`BROWNOUT_COVERAGE`), trading certificate strength (robust →
     probabilistic) for cache hits before λ itself is touched.  Point-mode
     shards pass through COVERAGE_RELAXED unchanged — for them the ladder
     behaves exactly as before, one level later.
@@ -204,10 +215,11 @@ class BrownoutLevel(IntEnum):
 class OverloadPolicy:
     """Tunables for the overload-protection subsystem.
 
-    Thresholds come in high/low pairs: a signal above its *high* value
-    counts as pressure, and recovery requires every signal below its
-    *low* value — the dead band between them is the hysteresis that
-    prevents flapping.
+    Thresholds come in high/low pairs (the gate-wait pair here, the
+    queue-depth and deadline-miss pairs as module constants): a signal
+    above its *high* value counts as pressure, and recovery requires
+    every signal below its *low* value — the dead band between them is
+    the hysteresis that prevents flapping.
     """
 
     #: Per-template cap on outstanding (queued + running) submissions.
@@ -222,15 +234,9 @@ class OverloadPolicy:
     gate_timeout: float = 0.050
     #: Brownout evaluation cadence, in completed instances.
     evaluate_every: int = 25
-    #: Queue-depth thresholds as fractions of total queue capacity.
-    queue_high: float = 0.50
-    queue_low: float = 0.125
     #: Optimizer-gate wait thresholds (seconds, decayed average).
     gate_wait_high: float = 0.020
     gate_wait_low: float = 0.005
-    #: Deadline-miss-rate thresholds over the evaluation window.
-    deadline_miss_high: float = 0.10
-    deadline_miss_low: float = 0.02
     #: Consecutive hot/calm evaluations required to move one level.
     escalate_ticks: int = 2
     recover_ticks: int = 3
@@ -238,10 +244,6 @@ class OverloadPolicy:
     #: ceiling the relaxed λ never exceeds (None = uncapped).
     lambda_relax_factor: float = 1.5
     lambda_ceiling: Optional[float] = None
-    #: Coverage robust-mode probes demand at COVERAGE_RELAXED and above
-    #: (shrinks the uncertainty box → more hits, honestly downgraded to
-    #: probabilistic certificates; λ itself stays untouched).
-    brownout_coverage: float = 0.8
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -250,10 +252,6 @@ class OverloadPolicy:
             raise ValueError("hysteresis tick counts must be >= 1")
         if self.lambda_relax_factor < 1.0:
             raise ValueError("lambda_relax_factor must be >= 1")
-        if not (0.0 <= self.queue_low <= self.queue_high):
-            raise ValueError("queue thresholds must satisfy 0 <= low <= high")
-        if not (0.0 < self.brownout_coverage <= 1.0):
-            raise ValueError("brownout_coverage must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -267,11 +265,11 @@ class OverloadSignals:
     def pressure(self, policy: OverloadPolicy) -> tuple[float, str]:
         """Max signal normalized by its high threshold, plus the driver."""
         normalized = {
-            "queue_depth": self.queue_fraction / max(policy.queue_high, 1e-9),
+            "queue_depth": self.queue_fraction / QUEUE_HIGH,
             "gate_wait": self.gate_wait_seconds
             / max(policy.gate_wait_high, 1e-9),
             "deadline_miss": self.deadline_miss_rate
-            / max(policy.deadline_miss_high, 1e-9),
+            / DEADLINE_MISS_HIGH,
         }
         driver = max(normalized, key=normalized.get)
         return normalized[driver], driver
@@ -279,9 +277,9 @@ class OverloadSignals:
     def calm(self, policy: OverloadPolicy) -> bool:
         """True when every signal sits below its *low* threshold."""
         return (
-            self.queue_fraction <= policy.queue_low
+            self.queue_fraction <= QUEUE_LOW
             and self.gate_wait_seconds <= policy.gate_wait_low
-            and self.deadline_miss_rate <= policy.deadline_miss_low
+            and self.deadline_miss_rate <= DEADLINE_MISS_LOW
         )
 
 

@@ -71,7 +71,13 @@ from ..query.instance import (
     as_point,
 )
 from ..query.template import QueryTemplate
-from .overload import BrownoutLevel, Deadline, OverloadCoordinator, ShedError
+from .overload import (
+    BROWNOUT_COVERAGE,
+    BrownoutLevel,
+    Deadline,
+    OverloadCoordinator,
+    ShedError,
+)
 from .stats import ServingStats
 
 #: Probe/commit retries before degrading to the fully-serial path; a
@@ -477,7 +483,7 @@ class TemplateShard:
             and ov is not None
             and ov.level >= BrownoutLevel.COVERAGE_RELAXED
         ):
-            return ov.policy.brownout_coverage
+            return BROWNOUT_COVERAGE
         return None
 
     # -- overload plumbing ----------------------------------------------------

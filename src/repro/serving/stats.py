@@ -67,10 +67,6 @@ class ConcurrencyGauge:
         with self._lock:
             self._active -= 1
 
-    @property
-    def active(self) -> int:
-        return self._active
-
 
 #: The per-template families a shard writes besides the audit's own
 #: (outcomes, certificates, interval widths): attribute -> (registry

@@ -8,6 +8,7 @@ hold at arbitrary pairs of instances.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,10 @@ from repro.core.bounds import (
     compute_gl,
     compute_l,
     cost_bounds,
-    gl_log_distance,
     recost_suboptimality_bound,
     suboptimality_bound,
 )
+from repro.core.columnar import log_l1_distances
 from repro.query.instance import SelectivityVector
 
 sel = st.floats(min_value=1e-4, max_value=1.0)
@@ -62,10 +63,13 @@ class TestGL:
         assert l == pytest.approx(compute_l(a, b))
 
     def test_log_distance_is_ln_gl(self):
+        # The nearest-anchor ranking kernel's distance is ln(G·L).
         a = SelectivityVector.of(0.1, 0.5)
         b = SelectivityVector.of(0.4, 0.1)
         g, l = compute_gl(a, b)
-        assert gl_log_distance(a, b) == pytest.approx(math.log(g * l))
+        log_anchors = np.log(np.array(a.values))[:, None]
+        (distance,) = log_l1_distances(log_anchors, np.array(b.values))
+        assert distance == pytest.approx(math.log(g * l))
 
 
 @settings(max_examples=150, deadline=None)

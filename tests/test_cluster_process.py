@@ -7,7 +7,6 @@ for the tier-1 suite.  CI runs them as a separate timeout-wrapped job.
 
 from __future__ import annotations
 
-import os
 import queue
 import time
 

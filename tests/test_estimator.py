@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.optimizer.cardinality import CardinalityModel
 from repro.query.expressions import ColumnRef, ComparisonOp, FixedPredicate
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.query.template import QueryTemplate, range_predicate
@@ -96,21 +97,30 @@ class TestInversion:
 
 
 class TestTableFilterSelectivity:
-    def test_multiplies_parameterized(self, estimator, template):
+    """A table's combined filter selectivity, as the optimizer's
+    cardinality model folds it from the estimator's predicates."""
+
+    @staticmethod
+    def table_filter(toy_db, template, table, sv):
+        model = CardinalityModel(template, toy_db.stats, toy_db.estimator)
+        info = model.base_info(table)
+        return info.cardinality(sv) / info.rows
+
+    def test_multiplies_parameterized(self, toy_db, template):
         sv = SelectivityVector.of(0.25, 0.5)
         # orders has only the first predicate, cust only the second.
-        assert estimator.table_filter_selectivity(
-            template, "orders", sv
-        ) == pytest.approx(0.25)
-        assert estimator.table_filter_selectivity(
-            template, "cust", sv
-        ) == pytest.approx(0.5)
+        assert self.table_filter(toy_db, template, "orders", sv) == (
+            pytest.approx(0.25)
+        )
+        assert self.table_filter(toy_db, template, "cust", sv) == (
+            pytest.approx(0.5)
+        )
 
-    def test_table_without_predicates_is_one(self, estimator):
+    def test_table_without_predicates_is_one(self, toy_db):
         template = QueryTemplate(
             name="q1", database="toy", tables=["orders"],
         )
         sv = SelectivityVector.of()
-        assert estimator.table_filter_selectivity(
-            template, "orders", sv
-        ) == pytest.approx(1.0)
+        assert self.table_filter(toy_db, template, "orders", sv) == (
+            pytest.approx(1.0)
+        )

@@ -293,12 +293,6 @@ class TestGroupFutures:
             with pytest.raises(RuntimeError) as err:
                 manager.process_many(workload, dedupe=False)
             assert str(err.value) == f"row {id(workload[first_b])}"
-            # submit_batch's per-row futures carry the same outcomes.
-            futures = manager.submit_batch(workload, dedupe=False)
-            failed = [
-                i for i, f in enumerate(futures) if f.exception(timeout=10)
-            ]
-        assert failed == sorted([first_b, later_a])
 
     def test_results_in_input_order_and_duplicates_share(self):
         manager, templates = make_manager()
@@ -339,24 +333,25 @@ class TestGroupFutures:
         workload = make_workload(templates[:2], 3, seed=6)
         started, release = threading.Event(), threading.Event()
         shard = manager.shard(a)
-        serve = shard.process_batch
+        # A submission is a group of one, served by the shard's process.
+        serve = shard.process
 
-        def blocking(instances, deadline=None):
+        def blocking(instance, **kwargs):
             started.set()
             release.wait(timeout=10)
-            return serve(instances, deadline=deadline)
+            return serve(instance, **kwargs)
 
-        shard.process_batch = blocking
+        shard.process = blocking
         try:
-            running = manager.submit_batch(
-                [q for q in workload if q.template_name == a], dedupe=False
+            running = manager.submit(
+                next(q for q in workload if q.template_name == a)
             )
             assert started.wait(timeout=10)
-            pending = manager.submit_batch(
-                [q for q in workload if q.template_name == b], dedupe=False
-            )
+            pending = [
+                manager.submit(q) for q in workload if q.template_name == b
+            ]
             manager.close(wait=False)
-            for fut in pending + running:
+            for fut in [running] + pending:
                 assert isinstance(fut.exception(timeout=10), ShutdownError)
         finally:
             release.set()

@@ -43,6 +43,24 @@ def sv_pairs(min_dim: int = 1, max_dim: int = 6):
     )
 
 
+def split_log_distance(t, weights, signs):
+    """Split a total log-distance ``t`` across dimensions: one signed
+    offset per weight, with absolute values summing to ``t``.
+
+    Normalise each weight *before* scaling by ``t``: ``t * w`` rounds a
+    subnormal weight up (``ln 2 · 5e-324`` is ``5e-324``), and dividing
+    that by the total would give an offset of 1 instead of ``t``.
+    """
+    total = sum(weights) or 1.0
+    return [sign * t * (w / total) for w, sign in zip(weights, signs)]
+
+
+def test_split_keeps_subnormal_weights_within_the_distance():
+    t = math.log(2.0)
+    offsets = split_log_distance(t, [5e-324], [1.0])
+    assert abs(sum(offsets)) <= t
+
+
 @st.composite
 def certifiable_scenarios(draw):
     """Strategy: ``(stored, new, λ, S)`` where the selectivity check
@@ -60,11 +78,10 @@ def certifiable_scenarios(draw):
     s = min(draw(st.floats(min_value=1.0, max_value=2.0)), lam)
     t = draw(st.floats(min_value=0.0, max_value=1.0)) * math.log(lam / s)
     weights = [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(d)]
-    total = sum(weights) or 1.0
     signs = [1.0 if draw(st.booleans()) else -1.0 for _ in range(d)]
     new = [
-        min(1.0, max(1e-4, sv * math.exp(sign * t * w / total)))
-        for sv, w, sign in zip(stored, weights, signs)
+        min(1.0, max(1e-4, sv * math.exp(offset)))
+        for sv, offset in zip(stored, split_log_distance(t, weights, signs))
     ]
     return stored, new, lam, s
 

@@ -7,7 +7,7 @@ from repro.baselines import OptimizeAlways, OptimizeOnce
 from repro.harness.oracle import Oracle
 from repro.harness.reporting import format_series, format_table, percent
 from repro.harness.runner import SequenceSpec, WorkloadRunner, run_sequence
-from repro.query.instance import SelectivityVector
+from repro.query.instance import QueryInstance, SelectivityVector
 from repro.workload.generator import instances_for_template
 from repro.workload.orderings import Ordering
 
@@ -29,10 +29,14 @@ class TestOracle:
         assert all(c > 0 for c in costs)
 
     def test_distinct_plans_seen(self, toy_db, toy_template):
+        # The plan-aware orderings read each instance's optimal plan off
+        # annotate(); opposite corners of the toy space differ.
         oracle = Oracle(toy_db, toy_template)
-        oracle.optimal(SelectivityVector.of(0.001, 0.001))
-        oracle.optimal(SelectivityVector.of(0.9, 0.9))
-        assert oracle.distinct_plans_seen == 2
+        _, signatures = oracle.annotate([
+            QueryInstance(toy_template.name, sv=SelectivityVector.of(s, s))
+            for s in (0.001, 0.9)
+        ])
+        assert len(set(signatures)) == 2
 
     def test_plan_cost_uncounted(self, toy_db, toy_template):
         oracle = Oracle(toy_db, toy_template)

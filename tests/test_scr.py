@@ -140,5 +140,7 @@ class TestAppendixFIntegration:
         for inst in instances_for_template(toy_template, 100, seed=6):
             scr.process(inst)
         before = scr.plans_cached
-        dropped = scr.purge_redundant_plans()
+        dropped = scr.manage_cache.purge_redundant_existing_plans(
+            scr.engine.recost
+        )
         assert scr.plans_cached == before - dropped

@@ -237,7 +237,7 @@ class TestAccountingIdentity:
         # one each shard has its own.
         registries = {
             id(s.audit.registry): s.audit.registry
-            for s in manager.serving_stats()
+            for s in (manager.shard(t.name).stats for t in templates)
         }
         assert len(registries) == (1 if with_obs else len(templates))
         if with_obs:
@@ -448,7 +448,7 @@ class TestSimulatedLatency:
 
 
 class TestBatchedAdmission:
-    def test_submit_batch_dedupes_identical_vectors(self):
+    def test_process_many_dedupes_identical_vectors(self):
         db = Database.create(build_toy_schema(), seed=11)
         templates = serving_templates()[:2]
         manager = ConcurrentPQOManager(database=db, max_workers=4)
@@ -473,7 +473,7 @@ class TestBatchedAdmission:
         )
         assert processed == len(base)
 
-    def test_submit_batch_without_dedupe_processes_all(self):
+    def test_process_many_without_dedupe_processes_all(self):
         db = Database.create(build_toy_schema(), seed=11)
         template = serving_templates()[0]
         manager = ConcurrentPQOManager(database=db, max_workers=4)

@@ -44,16 +44,14 @@ def _dump(document) -> str:
 
 
 def _served_manager(m: int):
-    """The ``TestDoctorReports._manager`` run: one template, waves of
-    ten through ``process_many``."""
+    """The ``TestDoctorReports._manager`` run: one template, one
+    ``process_many`` batch."""
     template = make_template()
     manager = ConcurrentPQOManager(
         database=make_db(), max_workers=2, obs=Observability()
     )
     manager.register(template, lam=2.0)
-    instances = workload(template, m)
-    for i in range(0, m, 10):
-        manager.process_many(instances[i:i + 10], dedupe=False)
+    manager.process_many(workload(template, m), dedupe=False)
     return manager
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.query.expressions import ColumnRef, ComparisonOp
-from repro.query.sql import SqlParseError, parse_sql, template_to_sql
+from repro.query.sql import SqlParseError, parse_sql
 from repro.query.template import AggregationKind
 
 
@@ -117,22 +117,6 @@ class TestParseErrors:
                 "SELECT * FROM orders, cust WHERE orders.o_date <= ?",
                 name="q", database="d",
             )
-
-
-class TestRoundTrip:
-    def test_template_to_sql_round_trips(self):
-        sql = """SELECT COUNT(*) FROM orders, cust
-                 WHERE orders.o_cust = cust.c_id
-                   AND orders.o_date <= ?
-                   AND cust.c_bal >= 10"""
-        t1 = parse_sql(sql, name="q", database="toy")
-        rendered = template_to_sql(t1)
-        t2 = parse_sql(rendered, name="q", database="toy")
-        assert t1.tables == t2.tables
-        assert t1.joins == t2.joins
-        assert t1.parameterized == t2.parameterized
-        assert t1.fixed == t2.fixed
-        assert t1.aggregation == t2.aggregation
 
 
 class TestEndToEnd:

@@ -135,12 +135,17 @@ class TestRecorderIds:
         assert span.span_id == ctx.span_id
         assert span.parent_id == ctx.parent_id == ""
 
-    def test_span_cm_nests(self):
+    def test_child_contexts_nest(self):
+        # How a group span nests: its context is a child of the ambient
+        # one, and the group records itself with that context's span ID.
         ctx = start_trace()
         with activate(ctx):
-            with self.rec.span("outer"):
-                with self.rec.span("inner"):
-                    pass
+            with activate(child_context()) as outer_ctx:
+                with activate(child_context()) as inner_ctx:
+                    self.rec.record(
+                        "inner", 0.0, 1.0, span_id=inner_ctx.span_id
+                    )
+                self.rec.record("outer", 0.0, 1.0, span_id=outer_ctx.span_id)
         inner, outer = self.rec.spans()
         assert outer.parent_id == ctx.span_id
         assert inner.parent_id == outer.span_id
@@ -149,9 +154,8 @@ class TestRecorderIds:
     def test_ingest_preserves_remote_ids_with_local_seq(self):
         remote = SpanRecorder(clock=self.fake.clock)
         ctx = start_trace()
-        with activate(ctx):
-            with remote.span("remote.work"):
-                pass
+        with activate(ctx.child()) as work:
+            remote.record("remote.work", 0.0, 1.0, span_id=work.span_id)
         self.rec.record("local", 0.0, 1.0)
         for span in remote.spans():
             self.rec.ingest(span)
@@ -165,9 +169,11 @@ class TestRecorderIds:
         from repro.obs.spans import Span
 
         ctx = start_trace()
-        with activate(ctx):
-            with self.rec.span("phase", template="t1", hit=True):
-                pass
+        with activate(ctx.child()) as phase:
+            self.rec.record(
+                "phase", 0.0, 1.0, span_id=phase.span_id,
+                template="t1", hit=True,
+            )
         row = self.rec.spans()[0].to_jsonable()
         clone = Span.from_jsonable(row)
         original = self.rec.spans()[0]
@@ -225,8 +231,7 @@ class TestTraceCollector:
         rec.attach_sink(collector)
         ctx = start_trace()
         with activate(ctx):
-            with rec.span("work"):
-                pass
+            rec.record("work", 0.0, 1.0)
         rec.record("untraced", 0.0, 1.0)
         popped = collector.pop(ctx.trace_id)
         assert [s.name for s in popped] == ["work"]
@@ -398,11 +403,13 @@ def worker_rows_for(request, outcome="certified"):
     wire = TraceContext(
         trace_id=request.trace_id, span_id=request.parent_span_id
     )
-    with activate(wire):
-        with rec.span("serving.batch", template=request.template_name,
-                      seqs=(0,), outcomes=(outcome,)):
-            with rec.span("engine.selectivity"):
-                pass
+    start = rec.clock.perf_counter()
+    with activate(wire.child()) as group:
+        rec.record("engine.selectivity", start, 0.0)
+        rec.record(
+            "serving.batch", start, 0.0, span_id=group.span_id,
+            template=request.template_name, seqs=(0,), outcomes=(outcome,),
+        )
     return tuple(s.to_jsonable() for s in rec.spans())
 
 
