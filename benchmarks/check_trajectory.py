@@ -40,6 +40,7 @@ MAX_SILENT_REGRESSION = 0.20
 #: (row-key fields identifying a series, the metric, higher-is-better).
 REGRESSION_WATCH = {
     "getplan_hotpath": (("m", "d"), "speedup"),
+    "getplan_costcheck": (("m",), "speedup"),
     "recost": (("template",), "speedup"),
 }
 

@@ -12,6 +12,10 @@ reference scan (``tests/reference_get_plan.py``) over synthetic caches
 ``probe_batch`` at ≥ 0.9× the single-probe rate (best of three passes
 per cell), and the measured trajectory appended to
 ``BENCH_getplan_hotpath.json`` at the repo root.
+
+Its cost-check cell times the cost phase alone — one Recost that passes
+at step 1 — against the reference's scalar walk over m anchors behind
+six plans, and appends to ``BENCH_getplan_costcheck.json``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.query.instance import SelectivityVector
 from repro.workload.templates import tpcds_templates
 
 BENCH_JSON = Path(__file__).parents[1] / "BENCH_getplan_hotpath.json"
+COSTCHECK_JSON = Path(__file__).parents[1] / "BENCH_getplan_costcheck.json"
 BENCH_SCHEMA = 2
 
 CACHE_SIZES = (64, 256, 1024)
@@ -255,3 +260,138 @@ def test_bench_trajectory_file_is_well_formed():
     assert gated and all(r["speedup"] >= GATE_SPEEDUP for r in gated), (
         "checked-in trajectory's latest run no longer clears the 5x gate"
     )
+
+
+# -- cost-check kernel ---------------------------------------------------------
+
+
+COSTCHECK_PLANS = 6   # the ledger's streams cache 5-6 plans
+COSTCHECK_D = 3       # scr_hit's template dimensionality
+COSTCHECK_LAM = 1.2
+#: Far below every anchor's cost (100 and up), so the head plan's own
+#: anchor passes ``R·L ≤ λ/S`` and the cost phase ends at step 1.
+COSTCHECK_PRICE = 1e-6
+
+
+class _PlanMemo:
+    """A plan's stand-in memo (plans are told apart by identity)."""
+
+    node_count = 1
+
+
+def _costcheck_cache(m: int, seed: int) -> PlanCache:
+    """m stored instances spread over ``COSTCHECK_PLANS`` plans."""
+    cache = PlanCache()
+    for p in range(COSTCHECK_PLANS):
+        cache._plans[p] = CachedPlan(
+            plan_id=p, signature=f"p{p}", plan=None, shrunken_memo=_PlanMemo()
+        )
+        cache._by_signature[f"p{p}"] = p
+    cache._next_plan_id = COSTCHECK_PLANS
+    cache._mutated()
+    rng = random.Random(seed)
+    for i in range(m):
+        cache.add_instance(
+            InstanceEntry(
+                sv=_loguniform_sv(rng, COSTCHECK_D),
+                plan_id=rng.randrange(COSTCHECK_PLANS),
+                optimal_cost=100.0 + i,
+                suboptimality=rng.uniform(1.0, 1.15),
+            )
+        )
+    return cache
+
+
+def _cheap_recost(memo, point) -> float:
+    return COSTCHECK_PRICE
+
+
+def _best_us(call, inputs) -> float:
+    """Microseconds per call: the best of ``PASSES`` warmed passes."""
+    for args in inputs[:30]:
+        call(*args)
+    best = float("inf")
+    for _ in range(PASSES):
+        start = time.perf_counter()
+        for args in inputs:
+            call(*args)
+        best = min(best, time.perf_counter() - start)
+    return 1e6 * best / len(inputs)
+
+
+def _measure_costcheck() -> list[dict]:
+    """Per m: the cost phase of probes whose selectivity check missed,
+    production (``GetPlan._cost_phase``) against the reference's walk
+    (``ReferenceGetPlan._cost_walk``), each fed its own scan's output
+    for the same points.  Both must decide every probe identically, as
+    a cost hit after one Recost."""
+    results = []
+    for m in CACHE_SIZES:
+        cache = _costcheck_cache(m, seed=7)
+        view = cache.columnar()
+        gp = GetPlan(cache=cache, lam=COSTCHECK_LAM)
+        ref = ReferenceGetPlan(cache=cache, lam=COSTCHECK_LAM)
+        cap = gp.max_recost_candidates
+        budget = gp._budget_vector(view)
+        rng = random.Random(99)
+        fast, slow = [], []
+        while len(fast) < PROBES:
+            point = _loguniform_sv(rng, COSTCHECK_D)
+            g, l, gc, lc = gp._factor_rows(view, [(point, None)])
+            hit, key, _ = gp._decide_row(
+                None, view, g[0], l[0], gc[0], lc[0], budget, cap
+            )
+            if hit is not None:
+                continue
+            fast.append((point, None, _cheap_recost, view, key, g[0], l[0],
+                         budget, cap))
+            slow.append((point, None, _cheap_recost, view.entries,
+                         ref._scan(point, None, view.entries)[1], cap))
+        for a, b in zip(fast, slow):
+            decision = gp._cost_phase(*a)
+            assert decision.check.value == "cost" and decision.recost_calls == 1
+            assert decision.anchor is ref._cost_walk(*b).anchor
+        row = {"m": m, "d": COSTCHECK_D, "plans": COSTCHECK_PLANS}
+        row["costcheck_us"] = round(_best_us(gp._cost_phase, fast), 2)
+        row["reference_us"] = round(_best_us(ref._cost_walk, slow), 2)
+        row["speedup"] = round(row["reference_us"] / row["costcheck_us"], 2)
+        results.append(row)
+    return results
+
+
+#: The columnar cost phase must stay faster than the scalar walk from
+#: 256 anchors up (it reads 17-64x there on a 2-vCPU x86_64 box).
+GATE_COSTCHECK_SPEEDUP = 5.0
+
+
+def test_getplan_costcheck_speedup():
+    """Cost-check kernel: one step-1 Recost per probe, the head plan's
+    anchors checked, production against the reference's scalar walk
+    (best of three passes).  ``BENCH_GETPLAN_JSON=1`` appends the run
+    to ``BENCH_getplan_costcheck.json`` (CI does)."""
+    results = _measure_costcheck()
+    print()
+    print(format_table(results, title="getPlan cost-check kernel"))
+    if os.environ.get("BENCH_GETPLAN_JSON"):
+        append_run(
+            COSTCHECK_JSON, "getplan_costcheck", results,
+            {**_run_metadata(), "passes": PASSES, "lam": COSTCHECK_LAM},
+        )
+        print(f"appended trajectory run to {COSTCHECK_JSON}")
+    for row in results:
+        if row["m"] >= GATE_M:
+            assert row["speedup"] >= GATE_COSTCHECK_SPEEDUP, (
+                f"cost phase at m={row['m']} is only {row['speedup']}x the "
+                f"scalar walk (gate {GATE_COSTCHECK_SPEEDUP}x)"
+            )
+
+
+def test_costcheck_trajectory_file_is_well_formed():
+    from check_trajectory import check_regressions, validate_document
+
+    doc = json.loads(COSTCHECK_JSON.read_text(encoding="utf-8"))
+    assert validate_document(doc, str(COSTCHECK_JSON)) == []
+    assert check_regressions(doc, str(COSTCHECK_JSON)) == []
+    assert doc["benchmark"] == "getplan_costcheck"
+    for run in doc["runs"]:
+        assert [row["m"] for row in run["results"]] == list(CACHE_SIZES)

@@ -20,10 +20,15 @@ cache epoch (``d`` = template dimensionality):
 * ``sub`` / ``cost`` / ``plan_ids`` — the S, C and PP columns of the
   paper's 5-tuple as ``(N,)`` vectors;
 * ``area`` — ``Π_i s_i`` per anchor, the AREA candidate-order key,
-  computed once per row instead of once per probe.
+  computed once per row instead of once per probe;
+* the plan layout — ``plan_slots`` and ``plan_groups``, each plan's
+  rows with their C and S — which the cost check's first step reads
+  one group of.
 
 The anchor axis is the **last** axis of every array, so appending rows
-is one ``np.concatenate(..., axis=-1)`` per field whatever its rank.
+is one ``np.concatenate(..., axis=-1)`` per field whatever its rank;
+the plan layout is carried across the append, touching only the tail
+rows' plans.
 
 Copy-on-write discipline
 ------------------------
@@ -59,14 +64,44 @@ break the decision equivalence the differential suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .plan_cache import InstanceEntry
+
+
+class PlanGroup(NamedTuple):
+    """One plan's rows of a view, ascending, and their C and S columns:
+    the cost check's step 1 runs on these alone."""
+
+    rows: "np.ndarray"  # (k,) row indices into the view, ascending
+    cost: "np.ndarray"  # (k,) C of those rows
+    sub: "np.ndarray"   # (k,) S of those rows
+
+
+_NO_ROWS = PlanGroup(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+
+
+def _columns(entries: Sequence["InstanceEntry"]) -> dict[str, "np.ndarray"]:
+    """The array fields of ``entries``' rows, each anchor-last."""
+    sv = np.array([e.sv.values for e in entries], dtype=np.float64)
+    # Dimension-major (d, N); an empty list has no d, hence (0, 0).
+    sv = np.ascontiguousarray(sv.T) if entries else sv.reshape(0, 0)
+    return {
+        "sv": sv,
+        "log_sv": np.log(sv),
+        "sub": np.array([e.suboptimality for e in entries], dtype=np.float64),
+        "cost": np.array([e.optimal_cost for e in entries], dtype=np.float64),
+        "plan_ids": np.array([e.plan_id for e in entries], dtype=np.int64),
+        # A leading-axis reduce is out *= sv[j] for j = 1 … d-1 in
+        # order: bit-identical to the scalar loop in the test suite's
+        # reference_get_plan.sv_product.
+        "area": np.multiply.reduce(sv, axis=0),
+    }
 
 
 @dataclass(frozen=True)
@@ -77,6 +112,12 @@ class ColumnarInstances:
     :class:`~repro.core.plan_cache.InstanceEntry` objects — index ``i``
     of every array's last axis describes ``entries[i]``, and decisions
     still reference the entry object (the anchor the certificate names).
+
+    Beside the row arrays a view carries its **plan layout**:
+    :attr:`plan_slots` (the distinct plan ids, ascending, and each
+    row's index into them) and :attr:`plan_groups` (per slot, the
+    plan's rows and their ``C`` / ``S``).  :meth:`extended` carries
+    both from the view it extends, so only the tail's plans are touched.
     """
 
     epoch: int
@@ -98,23 +139,7 @@ class ColumnarInstances:
         cls, epoch: int, entries: Sequence["InstanceEntry"], lineage: int = -1
     ) -> "ColumnarInstances":
         entries = tuple(entries)
-        sv = np.array([e.sv.values for e in entries], dtype=np.float64)
-        # Dimension-major (d, N); an empty list has no d, hence (0, 0).
-        sv = np.ascontiguousarray(sv.T) if entries else sv.reshape(0, 0)
-        return cls(
-            epoch=epoch,
-            entries=entries,
-            lineage=lineage,
-            sv=sv,
-            log_sv=np.log(sv),
-            sub=np.array([e.suboptimality for e in entries], dtype=np.float64),
-            cost=np.array([e.optimal_cost for e in entries], dtype=np.float64),
-            plan_ids=np.array([e.plan_id for e in entries], dtype=np.int64),
-            # A leading-axis reduce is out *= sv[j] for j = 1 … d-1 in
-            # order: bit-identical to the scalar loop in the test suite's
-            # reference_get_plan.sv_product.
-            area=np.multiply.reduce(sv, axis=0),
-        )
+        return cls(epoch=epoch, entries=entries, lineage=lineage, **_columns(entries))
 
     def extended(
         self, epoch: int, entries: tuple["InstanceEntry", ...]
@@ -122,19 +147,60 @@ class ColumnarInstances:
         """A new view over ``entries``, of which this view's rows are a
         prefix: only the tail is columnarised (per-row values identical
         to a full :meth:`build`); this view's arrays are not written."""
-        tail = ColumnarInstances.build(epoch, entries[len(self):])
-        if not len(tail):
-            return replace(self, epoch=epoch, entries=entries)
-        # The anchor axis is the last axis of every array field, so one
-        # added to the layout is extended without being listed here.
-        columns = {
-            f.name: np.concatenate(
-                (getattr(self, f.name), getattr(tail, f.name)), axis=-1
+        tail = entries[len(self):]
+        columns = {name: getattr(self, name) for name in _ROW_FIELDS}
+        if tail:
+            # The anchor axis is the last axis of every array field.
+            for name, rows in _columns(tail).items():
+                columns[name] = np.concatenate((columns[name], rows), axis=-1)
+        view = ColumnarInstances(
+            epoch=epoch, entries=entries, lineage=self.lineage, **columns
+        )
+        self._carry_plans(view)
+        return view
+
+    def _carry_plans(self, view: "ColumnarInstances") -> None:
+        """Seed ``view``'s plan layout from this view's, its prefix.
+
+        Only the groups of the tail rows' plans are rebuilt.  Plan ids
+        only grow, so a tail row's plan is usually known or the newest;
+        a row can still be the first of a plan older than the newest
+        one in the view (two plans added, then an instance of the
+        older), and then every slot after that plan's shifts by one.
+        """
+        plans, slot = self.plan_slots
+        groups = list(self.plan_groups)
+        ids = plans.tolist()
+        tail = view.plan_ids[len(self):].tolist()
+        fresh = sorted(set(tail).difference(ids))
+        if fresh:
+            merged = sorted(ids + fresh)
+            at = {p: s for s, p in enumerate(merged)}
+            moved = [at[p] for p in ids]
+            placed = [_NO_ROWS] * len(merged)
+            for s, group in zip(moved, groups):
+                placed[s] = group
+            if fresh[0] < ids[-1]:
+                slot = np.array(moved, dtype=np.intp).take(slot)
+            plans, groups = np.array(merged, dtype=np.int64), placed
+        else:
+            at = {p: s for s, p in enumerate(ids)}
+        tail_slot = [at[p] for p in tail]
+        rows_of: dict[int, list[int]] = {}
+        for row, s in enumerate(tail_slot, start=len(self)):
+            rows_of.setdefault(s, []).append(row)
+        for s, rows in rows_of.items():
+            rows = np.array(rows, dtype=np.intp)
+            group = groups[s]
+            groups[s] = PlanGroup(
+                np.concatenate((group.rows, rows)),
+                np.concatenate((group.cost, view.cost.take(rows))),
+                np.concatenate((group.sub, view.sub.take(rows))),
             )
-            for f in fields(self)
-            if isinstance(getattr(self, f.name), np.ndarray)
-        }
-        return replace(self, epoch=epoch, entries=entries, **columns)
+        view.__dict__["plan_slots"] = (
+            plans, np.concatenate((slot, np.array(tail_slot, dtype=np.intp))),
+        )
+        view.__dict__["plan_groups"] = tuple(groups)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -181,6 +247,18 @@ class ColumnarInstances:
         anchors; plan ids themselves only grow over a cache's life)."""
         return np.unique(self.plan_ids, return_inverse=True)
 
+    @cached_property
+    def plan_groups(self) -> tuple[PlanGroup, ...]:
+        """Per plan slot, the plan's rows in ascending order with their
+        ``C`` and ``S``."""
+        plans, slot = self.plan_slots
+        order = np.argsort(slot, kind="stable")
+        ends = np.cumsum(np.bincount(slot, minlength=len(plans)))[:-1]
+        return tuple(
+            PlanGroup(rows, self.cost.take(rows), self.sub.take(rows))
+            for rows in np.split(order, ends)
+        ) if len(plans) else ()
+
     def plan_heads(self, key: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Per plan slot, the smallest ``key`` among the plan's rows and
         the first row that attains it (a minimum of ``+inf`` says the
@@ -192,6 +270,13 @@ class ColumnarInstances:
         head = np.full(len(plans), len(self), dtype=np.intp)
         np.minimum.at(head, slot.take(rows), rows)
         return low, head
+
+
+#: The row-array fields, in layout order.
+_ROW_FIELDS = tuple(
+    f.name for f in fields(ColumnarInstances)
+    if f.name not in ("epoch", "entries", "lineage")
+)
 
 
 # -- G/L kernels --------------------------------------------------------------

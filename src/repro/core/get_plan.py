@@ -239,8 +239,8 @@ class GetPlan:
             raise ValueError(
                 f"target_coverage must be in (0, 1], got {self.target_coverage}"
             )
-        # Memoized (view, state token, λ vector); see _budget_vector.
-        self._lambda_memo: Optional[tuple] = None
+        # Memoized (view, state token, λ/S, {slot: λ/S of the plan's
+        # group}); see _budget_vector and _group_budget.
         self._budget_memo: Optional[tuple] = None
 
     def _effective_lambda(self, entry: InstanceEntry) -> float:
@@ -446,36 +446,44 @@ class GetPlan:
         With a constant λ this is one broadcast divide, memoized per
         view (views are immutable).  With a dynamic λ the callable must
         run per anchor cost; callables exposing a ``state_token()``
-        (see :mod:`repro.core.dynamic_lambda`) get the resulting λ
-        vector memoized per (view, token) so steady-state probes skip
-        the Python loop, while token-less callables are re-evaluated
-        every probe — always correct, just slower.
+        (see :mod:`repro.core.dynamic_lambda`) get the quotient
+        memoized per (view, token) so steady-state probes skip the
+        Python loop, while token-less callables are re-evaluated every
+        probe — always correct, just slower.  A memoized vector also
+        memoizes its per-plan slices (:meth:`_group_budget`).
         """
+        token = None
+        if self.lambda_for is not None:
+            token_fn = getattr(self.lambda_for, "state_token", None)
+            token = token_fn() if token_fn is not None else None
+        memoize = self.lambda_for is None or token is not None
+        memo = self._budget_memo
+        if memoize and memo is not None and memo[0] is view and memo[1] == token:
+            return memo[2]
         if self.lambda_for is None:
-            memo = self._budget_memo
-            if memo is not None and memo[0] is view:
-                return memo[1]
             budget = self.lam / view.sub
-            self._budget_memo = (view, budget)
-            return budget
-        token_fn = getattr(self.lambda_for, "state_token", None)
-        token = token_fn() if token_fn is not None else None
-        memo = self._lambda_memo
-        if (
-            token is not None
-            and memo is not None
-            and memo[0] is view
-            and memo[1] == token
-        ):
-            lam_vec = memo[2]
         else:
-            lam_vec = np.array(
+            budget = np.array(
                 [self.lambda_for(c) for c in view.cost.tolist()],
                 dtype=np.float64,
-            )
-            if token is not None:
-                self._lambda_memo = (view, token, lam_vec)
-        return lam_vec / view.sub
+            ) / view.sub
+        if memoize:
+            self._budget_memo = (view, token, budget, {})
+        return budget
+
+    def _group_budget(
+        self, budget: "np.ndarray", slot: int, rows: "np.ndarray"
+    ) -> "np.ndarray":
+        """``budget`` at one plan group's ``rows``, memoized with the
+        vector it was cut from."""
+        memo = self._budget_memo
+        if memo is None or memo[2] is not budget:
+            return budget.take(rows)
+        slices = memo[3]
+        part = slices.get(slot)
+        if part is None:
+            part = slices[slot] = budget.take(rows)
+        return part
 
     @staticmethod
     def _factor_rows(
@@ -606,14 +614,21 @@ class GetPlan:
         cached plan, each checked against every anchor of its plan.
 
         ``Cost(P, q_c)`` belongs to the plan; ``C``, ``S`` and ``L^n``
-        are per-anchor vectors.  One pass therefore evaluates ``R·L^n ≤
-        λ/S``, ``R = Cost(P_e, q_c) / C_e``, for every anchor whose plan
-        has been re-costed (``R = +inf`` for the rest) in the scalar
-        check's own operation sequence.  :meth:`_cost_steps` names the
-        plans: first the one of the lowest-``key`` live anchor; then,
-        only if nothing passed, the others the cap admits.  Of the
-        passing live anchors the smallest certified bound ``S·R·L^n``
-        wins, ties to the lowest row.
+        are per-anchor vectors, and each check is ``R·L^n ≤ λ/S``,
+        ``R = Cost(P_e, q_c) / C_e``, in the scalar check's own
+        operation sequence.  Of the passing live anchors the smallest
+        certified bound ``S·R·L^n`` wins, ties to the lowest row.
+
+        Step 1 re-costs the plan of the lowest-``key`` live row and
+        checks that plan's group (:attr:`ColumnarInstances.plan_groups`)
+        alone: a row of any other plan has ``R = +inf`` and cannot
+        pass, and the group's rows ascend, so ``argmin``'s first
+        minimum is the lowest row.  Step 2, only if nothing passed,
+        re-costs the other plans in the ``(key, row)`` order of their
+        lowest-key live rows, cut so the probe makes at most ``cap``
+        calls, then checks all N rows in one pass with the un-costed
+        plans at ``R = +inf`` (cheaper than a pass per group; DESIGN.md
+        §12).
 
         Recost always runs at the *point* estimate; with a box, the
         Cost Bounding Lemma transports that cost to the corner
@@ -621,11 +636,21 @@ class GetPlan:
         ``(Ĝ·L̂)^n`` and the bound holds for every sVector in the box.
         A ``+inf`` Recost (the resilient engine failing closed) fails
         every row of its plan and stays out of the memo.
+
+        ``retired`` flips without an epoch bump, so no array carries
+        it: the flags are read live off the entries, and all N of them
+        only once a retired row turns up as a head.
         """
         entries = view.entries
-        heads: list[int] = []
         decision = self._miss(box)
-        decision.cost_trail = (entries, g, l, heads)
+        decision.cost_trail = (entries, g, l, [])
+        head = int(key.argmin())
+        masked = entries[head].retired
+        if masked:
+            key = self._live(entries, key)
+            head = int(key.argmin())
+        if key[head] == np.inf:
+            return decision  # every anchor is retired
         if box is None or box.is_point:
             # A zero-width box's corner is the point itself: Ĝ = 1, L̂ = L.
             factor = self._raised(l)
@@ -634,72 +659,101 @@ class GetPlan:
                 view.sv, *(np.array(v.values) for v in (point, box.lo, box.hi))
             )
             factor = self._raised(gg * ll)
+
+        # Step 1: the head row's plan, on that plan's group alone.
         plans, slot = view.plan_slots
+        first = int(slot[head])
+        cost = self._recost_row(decision, recost, point, head)
+        if cost < np.inf:
+            rows, cost_p, sub_p = view.plan_groups[first]
+            r = cost / cost_p
+            check = r * factor[rows]
+            ok = check <= self._group_budget(budget, first, rows)
+            bound = np.where(ok, sub_p * check, np.inf)
+            if self._cost_hit(decision, box, r, bound, rows):
+                return decision
+        if cap < 2 or len(plans) < 2:
+            return decision
+
+        # Step 2: the next cap - 1 plans, then one pass over all N rows.
+        low, first_rows = view.plan_heads(key)
+        if not masked and any(entries[i].retired for i in first_rows.tolist()):
+            low, first_rows = view.plan_heads(self._live(entries, key))
+        order = np.lexsort((first_rows, low))
+        next_rows = first_rows[order[low[order] < np.inf][1:cap]]
         costs = np.full(len(plans), np.inf)
-        for rows in self._cost_steps(view, key, cap):
-            for row in rows:
-                plan = self.cache.maybe_plan(entries[row].plan_id)
-                if plan is None:
-                    continue  # evicted under a concurrent probe; skip
-                cost = recost(plan.shrunken_memo, point)
-                decision.recost_calls += 1
-                if cost < np.inf:
-                    costs[slot[row]] = decision.recost_memo[plan.plan_id] = cost
-                    heads.append(row)
-            r = costs.take(slot) / view.cost
-            check = r * factor
-            ok = check <= budget
-            if not ok.any():
-                continue
-            bound = np.where(ok, view.sub * check, np.inf)
-            row = int(bound.argmin())
-            while entries[row].retired and bound[row] < np.inf:
-                bound[row] = np.inf
-                row = int(bound.argmin())
-            if bound[row] < np.inf:
-                decision.anchor = entries[row]
-                decision.plan_id = decision.anchor.plan_id
-                decision.check = CheckKind.COST
-                decision.recost_ratio = float(r[row])
-                decision.g, decision.l = float(g[row]), float(l[row])
-                if box is not None:
-                    decision.bound_value = float(bound[row])
-                    decision.coverage = box.coverage
-                break
+        costs[first] = cost
+        costed = False
+        for row, s in zip(next_rows.tolist(), slot.take(next_rows).tolist()):
+            costs[s] = cost = self._recost_row(decision, recost, point, row)
+            costed = costed or cost < np.inf
+        if not costed:
+            return decision  # only step 1's plan is costed, and it failed
+        r = costs.take(slot) / view.cost
+        check = r * factor
+        ok = check <= budget
+        if ok.any():
+            self._cost_hit(decision, box, r, np.where(ok, view.sub * check, np.inf))
         return decision
 
     @staticmethod
-    def _cost_steps(view: ColumnarInstances, key: "np.ndarray", cap: int):
-        """The cost phase's two steps, each a list of rows whose plans
-        to re-cost: the lowest-``key`` live row alone; then — only if
-        the caller comes back — the lowest-key live row of every other
-        plan, plans ordered by ``(that key, that row)`` and cut so the
-        probe makes at most ``cap`` calls.
+    def _live(
+        entries: tuple[InstanceEntry, ...], key: "np.ndarray"
+    ) -> "np.ndarray":
+        """``key`` with every retired row's entry masked to ``+inf``."""
+        return np.where([e.retired for e in entries], np.inf, key)
 
-        ``retired`` flips without an epoch bump, so no array carries it:
-        the flags are read live off the entries, and all N of them only
-        once a retired row turns up as a head.
-        """
-        entries = view.entries
+    def _recost_row(
+        self,
+        decision: GetPlanDecision,
+        recost: Callable[[ShrunkenMemo, SelectivityVector], float],
+        point: SelectivityVector,
+        row: int,
+    ) -> float:
+        """``Cost(P, q_c)`` of ``row``'s plan, booked on ``decision``;
+        ``+inf`` when the plan is gone or the engine failed closed."""
+        entries, _, _, heads = decision.cost_trail
+        plan = self.cache.maybe_plan(entries[row].plan_id)
+        if plan is None:
+            return np.inf  # evicted under a concurrent probe; skip
+        cost = recost(plan.shrunken_memo, point)
+        decision.recost_calls += 1
+        if not cost < np.inf:
+            return np.inf
+        decision.recost_memo[plan.plan_id] = cost
+        heads.append(row)
+        return cost
 
-        def live(key: "np.ndarray") -> "np.ndarray":
-            return np.where([e.retired for e in entries], np.inf, key)
-
-        head = int(key.argmin())
-        masked = entries[head].retired
-        if masked:
-            key = live(key)
-            head = int(key.argmin())
-        if key[head] == np.inf:
-            return  # every anchor is retired
-        yield (head,)
-        if cap < 2 or len(view.plan_slots[0]) < 2:
-            return
-        low, first = view.plan_heads(key)
-        if not masked and any(entries[i].retired for i in first.tolist()):
-            low, first = view.plan_heads(live(key))
-        order = np.lexsort((first, low))
-        yield first[order[low[order] < np.inf][1:cap]].tolist()
+    @staticmethod
+    def _cost_hit(
+        decision: GetPlanDecision,
+        box: Optional[UncertainSelectivityVector],
+        r: "np.ndarray",
+        bound: "np.ndarray",
+        rows: Optional["np.ndarray"] = None,
+    ) -> bool:
+        """Make ``decision`` a cost hit through the first minimum of
+        ``bound`` whose row is not retired; False when no finite bound
+        is left.  ``rows`` maps indices of ``r``/``bound`` to view rows
+        (the identity when ``None``); ``bound`` is written."""
+        entries, g, l, _ = decision.cost_trail
+        i = int(bound.argmin())
+        row = i if rows is None else int(rows[i])
+        while bound[i] < np.inf and entries[row].retired:
+            bound[i] = np.inf
+            i = int(bound.argmin())
+            row = i if rows is None else int(rows[i])
+        if not bound[i] < np.inf:
+            return False
+        decision.anchor = entries[row]
+        decision.plan_id = decision.anchor.plan_id
+        decision.check = CheckKind.COST
+        decision.recost_ratio = float(r[i])
+        decision.g, decision.l = float(g[row]), float(l[row])
+        if box is not None:
+            decision.bound_value = float(bound[i])
+            decision.coverage = box.coverage
+        return True
 
     def commit(self, decision: GetPlanDecision) -> None:
         """Apply the bookkeeping of a probed decision (usage counters,

@@ -462,6 +462,17 @@ def _assert_view_consistent(cache: PlanCache) -> None:
     for name in COLUMNS:
         assert getattr(view, name).shape == getattr(fresh, name).shape
         assert getattr(view, name).dtype == getattr(fresh, name).dtype
+    # So is its plan layout, carried across appends or built afresh.
+    _assert_same_arrays(view.plan_slots, fresh.plan_slots)
+    assert len(view.plan_groups) == len(fresh.plan_groups)
+    for carried, built in zip(view.plan_groups, fresh.plan_groups):
+        _assert_same_arrays(carried, built)
+
+
+def _assert_same_arrays(a, b) -> None:
+    for x, y in zip(a, b, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -601,6 +612,33 @@ def test_appends_extend_the_view_and_leave_the_old_one_alone():
     assert len(old) == 2 and len(mid) == 3 and len(new) == 5
     assert _column_bytes(old) == frozen
     assert not np.shares_memory(old.sv, new.sv)
+    _assert_view_consistent(cache)
+
+
+def test_extension_inserts_an_older_plans_first_row_mid_layout():
+    """Two plans added, then a row of the older one: its slot lands
+    between the plans the view already had and the shifted newer ones,
+    and every group still matches a fresh build's."""
+    cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])  # plan 0
+    for plan_id in (1, 2):
+        cache._plans[plan_id] = CachedPlan(
+            plan_id=plan_id, signature=f"p{plan_id}", plan=None,
+            shrunken_memo=_StubMemo(),
+        )
+        cache._next_plan_id = plan_id + 1
+        cache._mutated()
+    cache.add_instance(_entry([0.5, 0.5], plan_id=2))
+    before = cache.columnar()
+    assert before.plan_slots[0].tolist() == [0, 2]
+    cache.add_instance(_entry([0.6, 0.1], plan_id=1))
+    cache.add_instance(_entry([0.7, 0.2], plan_id=0))
+    with _extension_tails() as tails:
+        view = cache.columnar()
+    assert tails == [2]
+    plans, slot = view.plan_slots
+    assert plans.tolist() == [0, 1, 2] and slot.tolist() == [0, 0, 2, 1, 0]
+    assert [g.rows.tolist() for g in view.plan_groups] == [[0, 1, 4], [3], [2]]
+    assert before.plan_slots[1].tolist() == [0, 0, 1]  # the old view's own
     _assert_view_consistent(cache)
 
 

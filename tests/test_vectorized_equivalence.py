@@ -16,11 +16,14 @@ so every comparison below uses ``==`` on floats deliberately.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.core.bounds import LINEAR_BOUND, QUADRATIC_BOUND
+from repro.core.bounds import LINEAR_BOUND, QUADRATIC_BOUND, compute_gl
 from repro.core.columnar import ColumnarInstances
 from repro.core.dynamic_lambda import DynamicLambda
 from repro.core.get_plan import CandidateOrder, GetPlan
@@ -662,6 +665,199 @@ def test_sv_sq_memo_matches_unmemoized_corners():
     g0, l0 = corner_gl_matrix(view.sv, lo, hi)
     g1, l1 = corner_gl_matrix(view.sv, lo, hi, view.sv_sq)
     assert np.array_equal(g0, g1) and np.array_equal(l0, l1)
+
+
+def test_dynamic_lambda_budget_memo_is_per_view_and_token():
+    """A token-bearing ``lambda_for`` gets its ``λ/S`` quotient (and the
+    plan groups' slices of it) memoized per (view, token): two probes of
+    one view read the identical array, and a token change recomputes it
+    — with decisions still the reference's."""
+    from repro.core.dynamic_lambda import PressureRelaxedLambda
+
+    rng = random.Random(12)
+    cache = build_cache(rng, 40, 3, retire_fraction=0.0)
+    level = [0]
+    common = dict(cache=cache, lam=1.5, lambda_for=PressureRelaxedLambda(
+        DynamicLambda(1.1, 3.0, 500.0), lambda: level[0],
+    ))
+    scalar, vectorized = ReferenceGetPlan(**common), GetPlan(**common)
+    recost = make_recost(3)
+    view = cache.columnar()
+    first = vectorized._budget_vector(view)
+    assert vectorized._budget_vector(view) is first
+    rows = view.plan_groups[0].rows
+    part = vectorized._group_budget(first, 0, rows)
+    assert vectorized._group_budget(first, 0, rows) is part
+    assert part.tolist() == first[rows].tolist()
+    for t in range(30):
+        if t == 15:
+            level[0] = 1  # relaxation on: the token changes
+            relaxed = vectorized._budget_vector(view)
+            assert relaxed is not first and (relaxed > first).all()
+            assert vectorized._budget_vector(view) is relaxed
+            assert vectorized._group_budget(relaxed, 0, rows) is not part
+        sv = random_input(rng, 3, False)
+        assert_decisions_identical(
+            scalar.probe(sv, recost), vectorized.probe(sv, recost), f"t={t}"
+        )
+
+
+# -- ± 1 ulp at the budget -----------------------------------------------------
+#
+# The kernels certify on ``check <= budget`` in IEEE-754, so a check that
+# lands exactly on ``λ/S`` passes and one an ulp above it fails.  Each
+# case below builds anchors whose selectivity check ``G·L`` or cost check
+# ``R·L`` is exactly the budget, one ulp below it or one ulp above it,
+# and holds production to the reference's decision there.
+
+
+class _PricedMemo:
+    """A stand-in memo that knows the one cost its plan re-costs to."""
+
+    node_count = 1
+
+    def __init__(self, cost: float) -> None:
+        self.cost = cost
+
+
+def _priced_recost(memo: _PricedMemo, point: SelectivityVector) -> float:
+    return memo.cost
+
+
+def _budget_at(check: float, ulps: int) -> float:
+    """The budget ``check`` sits ``ulps`` ulps above (``-1``: below)."""
+    budget = check
+    for _ in range(abs(ulps)):
+        budget = math.nextafter(budget, -math.inf if ulps > 0 else math.inf)
+    return budget
+
+
+def _lam_for(budget: float, sub: float):
+    """A λ ≥ 1 with ``λ / sub == budget`` exactly, or None."""
+    lam = budget * sub
+    for _ in range(3):
+        lam = math.nextafter(lam, -math.inf)
+    for _ in range(7):
+        if lam >= 1.0 and lam / sub == budget:
+            return lam
+        lam = math.nextafter(lam, math.inf)
+    return None
+
+
+def _boundary_probe(kind, mode, anchor, near, point, sub, cost, ratio, ulps):
+    """Probe ``point`` with ``anchor``'s check ``ulps`` ulps off its
+    budget; returns ``(reference decision, production decision)`` or
+    None when no λ puts the budget there.
+
+    ``kind`` is ``"selectivity"`` (``anchor`` alone, its ``G·L`` at the
+    budget), ``"step1"`` (``anchor``'s plan re-costs to ``ratio·C``, its
+    ``R·L`` at the budget) or ``"step2"`` (the same, behind a ``near``
+    anchor of another plan that heads the cost order and fails).
+    """
+    g, l = compute_gl(SelectivityVector.from_sequence(anchor),
+                      SelectivityVector.from_sequence(point))
+    price = ratio * cost
+    if kind == "selectivity":
+        check = LINEAR_BOUND.selectivity_bound(g, l)
+    else:
+        check = LINEAR_BOUND.cost_bound(price / cost, l)
+    lam = _lam_for(_budget_at(check, ulps), sub)
+    if lam is None:
+        return None
+    cache = PlanCache()
+    rows = [(near, 1.0, cost)] if kind == "step2" else []
+    rows.append((anchor, sub, cost))
+    costs = [1e300] * (len(rows) - 1) + [
+        1e300 if kind == "selectivity" else price
+    ]
+    for i, ((sv, s, c), plan_cost) in enumerate(zip(rows, costs)):
+        cache._plans[i] = CachedPlan(
+            plan_id=i, signature=f"p{i}", plan=None,
+            shrunken_memo=_PricedMemo(plan_cost),
+        )
+        cache._next_plan_id = i + 1
+        cache.add_instance(InstanceEntry(
+            sv=SelectivityVector.from_sequence(sv), plan_id=i,
+            optimal_cost=c, suboptimality=s,
+        ))
+    common = dict(cache=cache, lam=lam, check_mode=mode)
+    sv = SelectivityVector.from_sequence(point)
+    return (
+        ReferenceGetPlan(**common).probe(sv, _priced_recost),
+        GetPlan(**common).probe(sv, _priced_recost),
+    )
+
+
+def _assert_boundary(kind, ulps, ds, dv, context):
+    assert_decisions_identical(ds, dv, context)
+    if ulps > 0:
+        assert not dv.hit, context
+        return
+    assert dv.hit, context
+    if kind == "selectivity":
+        assert dv.check.value == "selectivity", context
+    else:
+        assert dv.check.value == "cost", context
+        assert dv.recost_calls == (1 if kind == "step1" else 2), context
+        assert dv.anchor.plan_id == (0 if kind == "step1" else 1), context
+
+
+#: (anchor, nearer anchor of the failing head plan, point): G·L of the
+#: anchor is 6 (= 2 · 3), of the nearer one 2.25 (= 1.5 · 1.5).
+BOUNDARY_GEOMETRY = ((0.1, 0.2), (0.2, 0.15), (0.3, 0.1))
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("mode", ["point", "robust"])
+@pytest.mark.parametrize("kind", ["selectivity", "step1", "step2"])
+@pytest.mark.parametrize("sub", [1.0, 1.25])
+def test_check_on_the_budget_explicit(kind, mode, ulps, sub):
+    anchor, near, point = BOUNDARY_GEOMETRY
+    # R·L = ratio · 2 sits below both anchors' G·L (6 and 2.25), so only
+    # the cost check can pass; ratio 0.55 puts it at 1.1.
+    probed = _boundary_probe(
+        kind, mode, anchor, near, point, sub, 400.0, 0.55, ulps
+    )
+    assert probed is not None
+    _assert_boundary(kind, ulps, *probed, f"{kind}/{mode}/{ulps:+d}/S={sub}")
+
+
+selectivity = st.floats(1e-4, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["selectivity", "step1", "step2"]),
+    mode=st.sampled_from(["point", "robust"]),
+    ulps=st.sampled_from([-1, 0, 1]),
+    anchor=st.lists(selectivity, min_size=1, max_size=4),
+    data=st.data(),
+    sub=st.floats(1.0, 1.5),
+    cost=st.floats(1.0, 1e6),
+    share=st.floats(0.05, 0.6),
+)
+def test_check_on_the_budget_property(
+    kind, mode, ulps, anchor, data, sub, cost, share
+):
+    d = len(anchor)
+    point = data.draw(st.lists(selectivity, min_size=d, max_size=d))
+    near = data.draw(st.lists(selectivity, min_size=d, max_size=d))
+    sv = SelectivityVector.from_sequence
+    g, l = compute_gl(sv(anchor), sv(point))
+    gn, ln = compute_gl(sv(near), sv(point))
+    gl = g * l
+    # The cost check must sit below every selectivity check (so that it
+    # alone decides) and at λ/S ≥ 1 (a valid λ); step 2 also needs the
+    # near anchor to head the G·L order.
+    floor = min(gl, gn * ln) / sub if kind == "step2" else gl / sub
+    assume(gl > 1.0 and (kind != "step2" or gn * ln < gl))
+    ratio = (1.0 + share * (floor - 1.0)) / l
+    assume(kind == "selectivity" or floor > 1.01)
+    probed = _boundary_probe(
+        kind, mode, anchor, near, point, sub, cost, ratio, ulps
+    )
+    assume(probed is not None)
+    _assert_boundary(kind, ulps, *probed, f"{kind}/{mode}/{ulps:+d}")
 
 
 def test_recost_and_optimizer_call_counts_are_pinned():
