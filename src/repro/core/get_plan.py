@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
-from ..obs.spans import SpanRecorder
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
     AnySelectivityVector,
@@ -218,9 +217,6 @@ class GetPlan:
     candidate_order: CandidateOrder = CandidateOrder.GL
     check_mode: CheckMode = CheckMode.POINT
     target_coverage: float = 0.95
-    #: Optional span recorder timing the two check phases (set when an
-    #: Observability handle is wired in; None keeps probes span-free).
-    spans: Optional[SpanRecorder] = None
     # Statistics for the overheads discussion of section 6.2:
     selectivity_hits: int = 0
     cost_hits: int = 0
@@ -293,17 +289,17 @@ class GetPlan:
         max_recost: Optional[int] = None,
         coverage: Optional[float] = None,
     ) -> GetPlanDecision:
-        """Both checks, without committing any cache bookkeeping.
+        """Both checks for one instance, without committing any cache
+        bookkeeping: the single-row form of :meth:`probe_rows` that
+        serial :meth:`SCR.process` runs.
 
-        ``view`` defaults to the cache's current columnar view; the
-        concurrent serving layer passes the view it took, so the scan
-        runs lock-free, then calls :meth:`commit` under the shard lock
-        once the hit is validated against ``view.epoch``.  Other than
-        the advisory scan counter, ``probe`` does not mutate the cache.
+        ``view`` defaults to the cache's current columnar view.  Other
+        than the advisory scan counter, ``probe`` does not mutate the
+        cache.
 
         ``max_recost`` lowers the cost-check cap for this call only —
-        the overload path passes ``0`` to run the (free) selectivity
-        check while spending zero engine calls under brownout.
+        ``0`` runs the (free) selectivity check alone, spending zero
+        engine calls under brownout.
 
         ``coverage`` lowers the probability claim of robust-mode checks
         for this call only (brownout's interval-relaxation step); point
@@ -312,62 +308,13 @@ class GetPlan:
         point, box = self._resolve_box(sv, coverage)
         if view is None:
             view = self.cache.columnar()
-        spans = self.spans
-        timed = spans is not None and spans.enabled
-        start = spans.clock.perf_counter() if timed else 0.0
-        decision, key, hit = None, None, -1
-        g = l = budget = None
-        cap = self._effective_cap(max_recost)
-        if len(view):
-            g, l, gc, lc = self._factor_rows(view, [(point, box)])
-            g, l, budget = g[0], l[0], self._budget_vector(view)
-            decision, key, hit = self._decide_row(
-                box, view, g, l, gc[0], lc[0], budget, cap,
-            )
-        if timed:
-            # ``candidates`` counts the cost-check candidates of this
-            # scan: on a miss the plans the cost phase may re-cost (the
-            # view's distinct plans, cut at the recost cap); on a hit
-            # the live rows before the hit row — every one of them
-            # failed, or it would be the hit.
-            attrs: dict = {
-                "hit": decision is not None,
-                "candidates": (
-                    hit - sum(e.retired for e in view.entries[:hit])
-                    if decision is not None
-                    else 0 if key is None
-                    else min(cap, len(view.plan_slots[0]))
-                ),
-                "scanned": len(view),
-            }
-            if decision is not None:
-                attrs["bound"] = round(decision.inferred_suboptimality, 6)
-                attrs["certificate"] = decision.certificate
-                if decision.coverage != 1.0:
-                    attrs["coverage"] = decision.coverage
-            spans.record(
-                "scr.selectivity_check", start,
-                spans.clock.perf_counter() - start, **attrs,
-            )
-        if decision is not None:
-            return decision
-        if timed:
-            start = spans.clock.perf_counter()
-        decision = self._miss(box) if key is None else self._cost_phase(
-            point, box, recost, view, key, g, l, budget, cap
+        if not len(view):
+            return self._miss(box)
+        g, l, gc, lc = self._factor_rows(view, [(point, box)])
+        return self._decide(
+            point, box, recost, view, g[0], l[0], gc[0], lc[0],
+            self._budget_vector(view), self._effective_cap(max_recost),
         )
-        if timed:
-            attrs = {"hit": decision.hit, "recost_calls": decision.recost_calls}
-            if decision.hit:
-                attrs["bound"] = round(decision.inferred_suboptimality, 6)
-                attrs["certificate"] = decision.certificate
-                if decision.coverage != 1.0:
-                    attrs["coverage"] = decision.coverage
-            spans.record(
-                "scr.cost_check", start, spans.clock.perf_counter() - start,
-                **attrs,
-            )
-        return decision
 
     def probe_batch(
         self,
@@ -385,8 +332,7 @@ class GetPlan:
         including per-row cost phases for the rows whose selectivity
         check missed.  Decision-identical to calling :meth:`probe` per
         vector (the order of probes is the list order); like ``probe``
-        it commits nothing, and it records no per-row spans.  It is
-        :meth:`probe_rows` taken to the end.
+        it commits nothing.  It is :meth:`probe_rows` taken to the end.
         """
         return list(self.probe_rows(svs, recost, view, max_recost, coverage))
 
@@ -402,9 +348,11 @@ class GetPlan:
 
         The factor matrices of a chunk of rows are computed together; a
         row's selectivity check and cost phase run only when its
-        decision is taken.  A caller that stops early — the serving
-        shard, once a row has changed the cache the later rows would
-        see — spends no Recost call on the rows it did not take.
+        decision is taken.  This is the serving shard's one probe: it
+        decides every row of a group, a group of one included, and a
+        caller that stops early — once a row has changed the cache the
+        later rows would see — spends no Recost call on the rows it did
+        not take.
         """
         resolved = [self._resolve_box(sv, coverage) for sv in svs]
         if not resolved:
@@ -422,17 +370,10 @@ class GetPlan:
             chunk = resolved[lo_row:lo_row + step]
             g_m, l_m, gc_m, lc_m = self._factor_rows(view, chunk)
             for j, (point, box) in enumerate(chunk):
-                decision, key, _ = self._decide_row(
-                    box, view, g_m[j], l_m[j], gc_m[j], lc_m[j], budget, cap,
+                yield self._decide(
+                    point, box, recost, view, g_m[j], l_m[j], gc_m[j],
+                    lc_m[j], budget, cap,
                 )
-                if decision is None:
-                    decision = self._miss(box) if key is None else (
-                        self._cost_phase(
-                            point, box, recost, view, key, g_m[j], l_m[j],
-                            budget, cap,
-                        )
-                    )
-                yield decision
 
     def _effective_cap(self, max_recost: Optional[int]) -> int:
         """The number of cost-check candidates this probe can consume."""
@@ -525,7 +466,33 @@ class GetPlan:
             gc, lc = gc[inv], lc[inv]
         return g, l, gc, lc
 
-    def _decide_row(
+    def _decide(
+        self,
+        point: SelectivityVector,
+        box: Optional[UncertainSelectivityVector],
+        recost: Callable[[ShrunkenMemo, SelectivityVector], float],
+        view: ColumnarInstances,
+        g: "np.ndarray",
+        l: "np.ndarray",
+        gc: "np.ndarray",
+        lc: "np.ndarray",
+        budget: "np.ndarray",
+        cap: int,
+    ) -> GetPlanDecision:
+        """One row's decision from its ``(N,)`` factor vectors: the
+        selectivity check, then a miss or the cost phase."""
+        decision, key = self._selectivity_check(
+            box, view, g, l, gc, lc, budget, cap
+        )
+        if decision is not None:
+            return decision
+        if key is None:
+            return self._miss(box)
+        return self._cost_phase(
+            point, box, recost, view, key, g, l, budget, cap
+        )
+
+    def _selectivity_check(
         self,
         box: Optional[UncertainSelectivityVector],
         view: ColumnarInstances,
@@ -535,11 +502,11 @@ class GetPlan:
         lc: "np.ndarray",
         budget: "np.ndarray",
         cap: int,
-    ) -> tuple[Optional[GetPlanDecision], Optional["np.ndarray"], int]:
+    ) -> tuple[Optional[GetPlanDecision], Optional["np.ndarray"]]:
         """Selectivity check over one probe's ``(N,)`` factor vectors.
 
-        Returns ``(hit decision, None, hit row)`` or, on a miss, ``(None,
-        the cost phase's order key, -1)``.  The hit is the *first*
+        Returns ``(hit decision, None)`` or, on a miss, ``(None, the cost
+        phase's order key)``.  The hit is the *first*
         passing entry in list order, and ``entries_scanned`` counts
         entries up to and including it (all of them on a miss).
 
@@ -568,18 +535,18 @@ class GetPlan:
                 ),
                 certificate=certificate_kind(box),
                 coverage=box.coverage if robust else 1.0,
-            ), None, hit
+            ), None
         self.entries_scanned += len(view)
         if cap <= 0:
-            return None, None, -1  # selectivity-only probe: nothing to order
+            return None, None  # selectivity-only probe: nothing to order
         if self.candidate_order is CandidateOrder.GL:
-            return None, glc, -1
+            return None, glc
         if self.candidate_order is CandidateOrder.AREA:
-            return None, -view.area, -1
+            return None, -view.area
         # USAGE mutates without epoch bumps; the per-row rank is memoized
         # against the cache's usage_version instead.  Ranks are unique,
         # ties broken by row order as a stable sort breaks them.
-        return None, view.usage_rank(self.cache.usage_version), -1
+        return None, view.usage_rank(self.cache.usage_version)
 
     def _raised(self, x: "np.ndarray") -> "np.ndarray":
         """``x ** degree`` per element, as the scalar bound computes it."""

@@ -13,10 +13,12 @@ Per arriving instance:
    which retires anchors whose plan cost behaviour contradicts the
    BCG/PCM assumptions.
 
-Steps 1–2 are one pipeline for every caller: ``GetPlan.probe`` decides
-(pure against a columnar view), the caller optimizes a miss, and
-:meth:`SCR.apply` commits the outcome — the serial :meth:`SCR.process`
-and the concurrent serving shard differ only in what runs between.
+Steps 1–2 are one pipeline for every caller: getPlan decides (pure
+against a columnar view — ``GetPlan.probe`` for serial
+:meth:`SCR.process`, ``GetPlan.probe_rows`` for every row the serving
+shard serves), the caller optimizes a miss, and :meth:`SCR.apply`
+commits the outcome; the two callers differ only in what runs
+between.
 """
 
 from __future__ import annotations
@@ -134,7 +136,6 @@ class SCR(OnlinePQOTechnique):
         """
         self.obs = obs
         instrument_engine(self.engine, obs)
-        self.get_plan.spans = obs.spans
         self.calibration = obs.calibration.template(self.engine.template.name)
 
     @property
@@ -177,7 +178,7 @@ class SCR(OnlinePQOTechnique):
     ) -> Optional[PlanChoice]:
         """Apply one request's probed decision — the only code that does.
 
-        ``decision`` is :meth:`GetPlan.probe`'s answer for ``sv``, or
+        ``decision`` is getPlan's probed answer for ``sv``, or
         ``None`` when no probe ran (a deadline that expired in queue).
         A hit reuses its plan.  A miss resolves one of three ways:
         ``result`` is the optimizer's answer (manageCache registers it);

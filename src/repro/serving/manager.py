@@ -184,8 +184,8 @@ class ConcurrentPQOManager:
                 ov.register_shard()
             if self.obs is not None:
                 # Wire the whole stack into the one handle: engine-call
-                # histograms/spans, getPlan phase spans, the SCR's
-                # certified-bound audit feed and its calibration handle.
+                # histograms/spans, the SCR's certified-bound audit feed
+                # and its calibration handle.
                 scr.attach_observability(self.obs)
             shard = TemplateShard(template, scr, overload=ov, obs=self.obs)
             with self._all_shard_locks():
@@ -225,17 +225,13 @@ class ConcurrentPQOManager:
 
     # -- serving --------------------------------------------------------------
 
-    def process(
-        self, instance: QueryInstance, deadline: Optional[Deadline] = None
-    ) -> PlanChoice:
+    def process(self, instance: QueryInstance) -> PlanChoice:
         """Serve one instance on the calling thread (from any thread).
 
         This is the serial path: a caller that only ever uses
         :meth:`process` never starts a pool thread.
         """
-        (outcome,) = self._serve_on(
-            self._shard_for(instance), [instance], deadline
-        )
+        (outcome,) = self._serve_on(self._shard_for(instance), [instance])
         if isinstance(outcome, BaseException):
             raise outcome
         return outcome
@@ -260,7 +256,7 @@ class ConcurrentPQOManager:
             except BaseException as exc:  # noqa: BLE001 - returned per row
                 outcomes = [exc]
         else:
-            outcomes = shard.process_batch(instances, deadline=deadline)
+            outcomes = shard.process_batch(instances)
         for outcome in outcomes:
             if not isinstance(outcome, BaseException):
                 self._note_processed(shard)
@@ -282,9 +278,7 @@ class ConcurrentPQOManager:
             return None
         return child_context(obs.spans.ids)
 
-    def submit(
-        self, instance: QueryInstance, deadline: Optional[Deadline] = None
-    ) -> "Future[PlanChoice]":
+    def submit(self, instance: QueryInstance) -> "Future[PlanChoice]":
         """Dispatch one instance to the serving pool, as a group of one.
 
         With overload protection on, admission is bounded: a submission
@@ -296,15 +290,12 @@ class ConcurrentPQOManager:
         one uniform interface.
         """
         fut: "Future[PlanChoice]" = Future()
-        group = self._enqueue(self._shard_for(instance), [instance], deadline)
+        group = self._enqueue(self._shard_for(instance), [instance])
         group.add_done_callback(partial(_resolve_row, fut))
         return fut
 
     def _enqueue(
-        self,
-        shard: TemplateShard,
-        instances: list[QueryInstance],
-        deadline: Optional[Deadline] = None,
+        self, shard: TemplateShard, instances: list[QueryInstance]
     ) -> Future:
         """The one dispatch: one pool task and one future per group; the
         future holds the per-row outcomes.  Under overload protection a
@@ -313,9 +304,10 @@ class ConcurrentPQOManager:
         ctx = self._mint_ctx()
         ov = self._overload_coordinator
         entered = False
+        deadline = None
         if ov is not None:
-            if deadline is None:
-                deadline = ov.new_deadline()
+            # Minted at enqueue, so queue wait drains the budget.
+            deadline = ov.new_deadline()
             entered = ov.try_enter_queue(shard.stats)
             if not entered:
                 with activate(ctx) if ctx is not None else nullcontext():

@@ -7,39 +7,33 @@ order: :meth:`TemplateShard.process` is a group of one,
 A group decides exactly what a :meth:`~TemplateShard.process` loop over
 its rows would:
 
-* a group of two or more rows without admission control is probed
-  together, lock-free, against one immutable
-  :class:`~repro.core.columnar.ColumnarInstances` view (copy-on-write,
-  so taking it is O(1) between mutations) by
-  :meth:`~repro.core.get_plan.GetPlan.probe_rows`, which takes each
-  row's decision only when the walk in input order reaches it.  Once a
-  row changes what the later rows would see — a registration, an
+* every row is decided by
+  :meth:`~repro.core.get_plan.GetPlan.probe_rows`, lock-free, against
+  one immutable :class:`~repro.core.columnar.ColumnarInstances` view
+  (copy-on-write, so taking it is O(1) between mutations); a row's
+  decision is taken only when the walk in input order reaches it.  Once
+  a row changes what the later rows would see — a registration, an
   eviction, an Appendix G retirement, another thread's write — the
-  remaining rows are probed again, in one more batch probe against the
-  new view;
-* every other row — a group of one, a row whose admission is decided at
-  its own turn (overload coordinator or deadline), a hit whose anchor
-  vanished before its commit — is probed alone, lock-free, at its own
-  turn;
+  remaining rows are probed again against the new view;
 * a probed **hit** is committed under the shard's write lock only after
-  **optimistic validation** — the cache epoch is still the view's (or,
-  for a row probed alone, the specific anchor is still live: its plan
-  cached, not retired).  The certified bound ``S·G·L`` / ``S·R·L``
-  depends only on write-once anchor fields, so a validated commit
-  certifies exactly what a fully serial run would have;
+  **optimistic validation**: the anchor is still live (its plan cached,
+  and not retired for a cost-check hit).  The certified bound
+  ``S·G·L`` / ``S·R·L`` depends only on write-once anchor fields, so a
+  validated commit certifies exactly what a fully serial run would
+  have.  A hit that fails validation is probed again at its own turn;
 * a **miss** makes the optimizer call *outside* the lock, collapsed
   through a per-vector **single-flight** table so concurrent misses on
-  the same selectivity vector cost one optimizer call; only
-  ``manageCache`` mutations (register / evict / retire) hold the write
-  lock.
+  the same selectivity vector cost one optimizer call; a follower
+  probes its row again once the leader is done.  Only ``manageCache``
+  mutations (register / evict / retire) hold the write lock.
 
-Overload protection (DESIGN.md §9) is decided per row at its own turn:
-every row may carry an end-to-end :class:`Deadline`, misses pass
-through the coordinator's optimizer-gate admission, and denied work is
-resolved on the **degraded path** — the nearest cached plan served
-``certified=False`` with a reason code, or a :class:`ShedError` when
-the cache is empty.  Without an :class:`OverloadCoordinator` or a
-deadline no row is denied.
+Overload protection (DESIGN.md §9) is a scope around a group, and under
+an :class:`OverloadCoordinator` every group is one row: the row's
+end-to-end :class:`Deadline`, its selectivity-only and brownout-coverage
+probes, the optimizer-gate admission of its miss, and the degraded path
+for denied work — the nearest cached plan served ``certified=False``
+with a reason code, or a :class:`ShedError` when the cache is empty.
+Without a coordinator no row is denied.
 
 With spans on, a group is one unit of telemetry whatever its size: one
 trace context and one ``serving.batch`` span whose per-row columns hold
@@ -150,12 +144,13 @@ class TemplateShard:
         """Serve one instance, a group of one; safe to call from any
         number of threads.
 
-        ``deadline`` is the submission's end-to-end budget (the
-        coordinator's default is attached when None).  ``overflow_reason``
-        marks a bounded-queue overflow being resolved in the submitting
-        thread: an ``overload.queue_reject`` event, then a
-        selectivity-only probe (zero engine calls), and a miss goes
-        straight to the degraded path with that reason.
+        ``deadline`` is the budget the manager minted when the
+        submission was queued, so queue wait drains it (the
+        coordinator's default is minted here when None).
+        ``overflow_reason`` marks a bounded-queue overflow being
+        resolved in the submitting thread: an ``overload.queue_reject``
+        event, then a selectivity-only probe (zero engine calls), and a
+        miss goes straight to the degraded path with that reason.
         """
         outcome = self._serve_group([instance], deadline, overflow_reason)[0]
         if isinstance(outcome, BaseException):
@@ -163,21 +158,21 @@ class TemplateShard:
         return outcome
 
     def process_batch(
-        self,
-        instances: Sequence[QueryInstance],
-        deadline: Optional[Deadline] = None,
+        self, instances: Sequence[QueryInstance]
     ) -> list["PlanChoice | BaseException"]:
         """Serve a group of instances in input order.
 
-        Decision-identical to a :meth:`process` loop over the rows: a
-        group without admission control is probed in one batch probe,
-        and the rows after one that changed the cache in one more; with
-        overload protection or a deadline in force, admission is decided
-        per row at its own turn.  Failures are isolated per item: the
-        returned list holds, in input order, a :class:`PlanChoice` or
-        the exception that instance raised.
+        Decision-identical to a :meth:`process` loop over the rows.
+        Failures are isolated per item: the returned list holds, in
+        input order, a :class:`PlanChoice` or the exception that
+        instance raised.  Under an overload coordinator admission is
+        per submission, so a group is one row.
         """
-        return self._serve_group(instances, deadline)
+        if self._overload is not None and len(instances) > 1:
+            raise ValueError(
+                "under an overload coordinator every group is one row"
+            )
+        return self._serve_group(instances)
 
     # -- the serving loop -----------------------------------------------------
 
@@ -193,16 +188,18 @@ class TemplateShard:
         mints one per dispatched group, so queue wait and pool hand-off
         stay attributed — or a fresh root for a direct call outside any
         trace.  Everything recorded inside parents under it: optimizer
-        calls, phase spans and events stamped with their row's ``seq``,
-        and the group's sVector / Recost engine calls summed onto the
-        span instead of one ``engine.*`` span each.
+        calls and events stamped with their row's ``seq``, and the
+        group's sVector / Recost engine calls summed onto the span
+        instead of one ``engine.*`` span each.
         """
         if not instances:
             return []
         start = self.clock.perf_counter()
         obs = self._obs
         if obs is None or not obs.spans.enabled:
-            return self._serve_rows(instances, start, deadline, overflow_reason)[0]
+            return self._admit_group(
+                instances, start, deadline, overflow_reason
+            )[0]
         spans = obs.spans
         ctx = current_context() or start_trace(ids=spans.ids)
         rollup = EngineRollup()
@@ -212,7 +209,7 @@ class TemplateShard:
             # included: a brownout move a row's completion tips is an
             # event of that row.
             with activate(ctx):
-                results, seqs, brownout = self._serve_rows(
+                results, seqs, brownout = self._admit_group(
                     instances, start, deadline, overflow_reason
                 )
                 spans.record(
@@ -225,99 +222,159 @@ class TemplateShard:
             ENGINE_ROLLUP.reset(token)
         return results
 
-    def _serve_rows(
+    def _admit_group(
         self,
         instances: Sequence[QueryInstance],
         start: float,
         deadline: Optional[Deadline],
         overflow_reason: Optional[str],
     ) -> tuple[list, list[int], Optional[list[int]]]:
-        """Serve the rows in input order; returns their outcomes (a
-        :class:`PlanChoice` or the exception that row raised), their
-        sequence ids, and the brownout level after each row (None
-        without a coordinator)."""
-        n = len(instances)
+        """The group inside its admission scope: the deadline (the
+        coordinator's default when None), the engine's per-call budget,
+        then deadline-miss and completion accounting.  Returns the rows'
+        outcomes (a :class:`PlanChoice` or the exception that row
+        raised), their sequence ids, and the brownout level after the
+        group (None without a coordinator)."""
         # Sequence numbers for span attribution are allocated atomically
         # here and passed explicitly: reading the SCR's lock-protected
         # counter lock-free would hand the same index to concurrent
         # threads.
         with self._seq_lock:
             first = self._next_seq
-            self._next_seq += n
-        seqs = list(range(first, first + n))
+            self._next_seq += len(instances)
+        seqs = list(range(first, first + len(instances)))
         ov = self._overload
-        if n > 1 and ov is None and deadline is None:
-            return self._serve_in_order(instances, seqs, start), seqs, None
+        if deadline is None and ov is not None:
+            deadline = ov.new_deadline()
         results: list = []
-        brownout: Optional[list[int]] = [] if ov is not None else None
-        for instance, seq in zip(instances, seqs):
-            results.append(
-                self._serve_admitted(
-                    instance, seq, start, deadline, overflow_reason
+        try:
+            with self._engine_budget(deadline):
+                results = self._serve_rows(
+                    instances, seqs, start, deadline, overflow_reason
                 )
-            )
-            if brownout is not None:
-                brownout.append(int(ov.level))
+        finally:
+            missed = deadline is not None and deadline.expired(self._now())
+            if missed:
+                self.stats.note_deadline_miss()
+            if ov is not None:
+                ov.note_completed(
+                    missed,
+                    shed=any(isinstance(r, ShedError) for r in results),
+                )
+        brownout = None if ov is None else [int(ov.level)] * len(results)
         return results, seqs, brownout
 
-    def _serve_in_order(
-        self, instances: Sequence[QueryInstance], seqs: list[int], start: float
+    def _serve_rows(
+        self,
+        instances: Sequence[QueryInstance],
+        seqs: list[int],
+        start: float,
+        deadline: Optional[Deadline],
+        overflow_reason: Optional[str],
     ) -> list["PlanChoice | BaseException"]:
-        """Rows served in order on one batch probe of the group.
+        """The one serving loop: every row decided in input order by
+        :meth:`~repro.core.get_plan.GetPlan.probe_rows`.
 
-        :meth:`~repro.core.get_plan.GetPlan.probe_rows` computes the
-        rows' factor matrices together and each row's checks when the
-        row is reached.  A probed hit commits while the view it was
-        probed against is current; a probed miss goes to :meth:`_miss`.
-        Once a row changes what the later rows' probes depend on
-        (:meth:`_probe_state`), the remaining rows are probed again, in
-        one more batch probe against the new view.  No row's Recost
-        calls are spent against a view that went stale before its turn.
+        The rows' sVectors are fetched first (a failed fetch fails its
+        row only), then the group's admission is read once: an expired
+        deadline skips the probe and resolves through the degraded path;
+        an overflow, brownout SHED or a budget too small to fund engine
+        work probes selectivity-only (its recosts must not count as
+        engine faults); brownout may shrink the robust box.
+
+        ``probe_rows`` computes the rows' factor matrices together and
+        each row's checks when the row is reached; once a row changes
+        what the later rows' probes depend on (:meth:`_probe_state`),
+        the remaining rows are probed again against the new view.  A
+        probed hit that fails validation, or a miss that followed a
+        single-flight leader, probes its row again; once ``depth``
+        reaches ``MAX_OPTIMISTIC_RETRIES`` the probe and commit run
+        under the shard lock — the serial semantics, which always
+        terminate.
         """
-        scr = self.scr
-        svs: list[AnySelectivityVector] = []
-        degraded: list[bool] = []
-        for instance, seq in zip(instances, seqs):
-            self.engine.begin_instance(seq)
-            sv, deg = self._fetch(instance)
-            svs.append(sv)
-            degraded.append(deg)
-        results: list = []
-        rows = view = state = None
-        lock_wait = 0.0
-        for i, (sv, seq) in enumerate(zip(svs, seqs)):
+        if overflow_reason is not None:
+            self.event("overload.queue_reject", seqs[0], reason=overflow_reason)
+        results: list = [None] * len(instances)
+        fetched: list[tuple[AnySelectivityVector, bool]] = []
+        at: list[int] = []
+        for i, (instance, seq) in enumerate(zip(instances, seqs)):
             self.engine.begin_instance(seq)
             try:
-                current = self._probe_state()
-                if rows is None or current != state:
-                    # The state is read before the view: a write landing
-                    # in between re-probes, never commits a stale view.
-                    state = current
-                    view = scr.cache.columnar()
-                    rows = scr.get_plan.probe_rows(
-                        svs[i:], self._recost, view=view
+                fetched.append(self._fetch(instance))
+                at.append(i)
+            except BaseException as exc:  # noqa: BLE001 - per-item isolation
+                results[i] = exc
+        ov = self._overload
+        coverage = self._brownout_coverage()
+        now = self._now()
+        expired = (
+            overflow_reason is None
+            and deadline is not None
+            and deadline.expired(now)
+        )
+        selectivity_only = (
+            overflow_reason is not None
+            or (ov is not None and ov.level >= BrownoutLevel.SHED)
+            or (
+                deadline is not None
+                and deadline.remaining(now) <= self._min_optimize_budget()
+            )
+        )
+        max_recost = 0 if selectivity_only else None
+        scr = self.scr
+        svs = [sv for sv, _ in fetched]
+        rows = view = state = None
+        lock_wait = 0.0
+        for k, ((sv, degraded), i) in enumerate(zip(fetched, at)):
+            seq = seqs[i]
+            self.engine.begin_instance(seq)
+            try:
+                choice = None
+                if expired:
+                    # The budget died in queue: no probe at all.
+                    choice = self._apply(
+                        sv, seq, None, denied="deadline_expired"
                     )
-                decision = next(rows)
-                if not decision.hit:
-                    choice = self._miss(sv, seq, decision, depth=0)
-                else:
-                    choice = None
-                    waited_from = self.clock.perf_counter()
-                    with self.lock:  # _locked(), booked once per group
-                        lock_wait += self.clock.perf_counter() - waited_from
-                        if (
-                            scr.cache.epoch == view.epoch
-                            and self._commit_valid(decision, view)
-                        ):
-                            choice = scr.apply(sv, decision, seq=seq)
+                depth = 0
+                while choice is None:
+                    serial = depth >= MAX_OPTIMISTIC_RETRIES
+                    with self._locked() if serial else nullcontext():
+                        current = self._probe_state()
+                        if rows is None or current != state:
+                            # The state is read before the view: a write
+                            # landing in between re-probes, never
+                            # commits a stale view.
+                            state = current
+                            view = scr.cache.columnar()
+                            rows = scr.get_plan.probe_rows(
+                                svs[k:], self._recost, view=view,
+                                max_recost=max_recost, coverage=coverage,
+                            )
+                        decision = next(rows)
+                        if not decision.hit:
+                            choice = self._miss(
+                                sv, seq, decision, serial, deadline,
+                                overflow_reason,
+                            )
+                        else:
+                            waited_from = self.clock.perf_counter()
+                            with self.lock:  # _locked(), booked once a group
+                                lock_wait += self.clock.perf_counter() - waited_from
+                                if serial or self._commit_valid(decision, view):
+                                    choice = scr.apply(sv, decision, seq=seq)
                     if choice is None:
-                        # The anchor vanished between probe and commit:
-                        # the certificate no longer stands.
-                        choice = self._retry(sv, seq, depth=1)
-                results.append(self._finish(choice, degraded[i], start))
+                        # Probe this row again at its own turn.
+                        rows = None
+                        depth += 1
+                        if decision.hit:
+                            # The anchor vanished between probe and
+                            # commit: the certificate no longer stands.
+                            self.stats.note_epoch_retry()
+                            self.event("serving.epoch_retry", seq)
+                results[i] = self._finish(choice, degraded, start)
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 rows = None  # a raising probe cannot be resumed
-                results.append(exc)
+                results[i] = exc
         self.stats.add_lock_wait(lock_wait)
         return results
 
@@ -336,74 +393,6 @@ class TemplateShard:
         if scr.get_plan.candidate_order is CandidateOrder.USAGE:
             state += scr.cache.usage_version
         return state
-
-    def _serve_admitted(
-        self,
-        instance: QueryInstance,
-        seq: int,
-        start: float,
-        deadline: Optional[Deadline],
-        overflow_reason: Optional[str],
-    ) -> "PlanChoice | BaseException":
-        """One row probed alone, with its admission decided at its own
-        turn: the queue-overflow denial, an expired deadline (no probe
-        at all), selectivity-only probes under SHED or a nearly spent
-        budget, brownout coverage, and the engine's per-call budget.
-        Returns the row's choice or the exception it raised."""
-        self.engine.begin_instance(seq)
-        ov = self._overload
-        if deadline is None and ov is not None:
-            deadline = ov.new_deadline()
-        shed = False
-        try:
-            with self._engine_budget(deadline):
-                if overflow_reason is not None:
-                    self.event(
-                        "overload.queue_reject", seq, reason=overflow_reason
-                    )
-                sv, degraded = self._fetch(instance)
-                coverage = self._brownout_coverage()
-                now = self._now()
-                if (
-                    overflow_reason is None
-                    and deadline is not None
-                    and deadline.expired(now)
-                ):
-                    # The budget died in queue: skip the probe entirely
-                    # and resolve through the degraded path.
-                    choice = self._apply(sv, seq, None, denied="deadline_expired")
-                else:
-                    # Selectivity-only probes (zero engine calls) for an
-                    # overflow resolved in the submitting thread, under
-                    # brownout SHED, and for a nearly-expired budget that
-                    # funds no engine work — its recosts must not count
-                    # as engine faults.
-                    selectivity_only = (
-                        overflow_reason is not None
-                        or (ov is not None and ov.level >= BrownoutLevel.SHED)
-                        or (
-                            deadline is not None
-                            and deadline.remaining(now)
-                            <= self._min_optimize_budget()
-                        )
-                    )
-                    choice = self._serve(
-                        sv, seq, deadline=deadline,
-                        max_recost=0 if selectivity_only else None,
-                        deny=overflow_reason, coverage=coverage,
-                    )
-                return self._finish(choice, degraded, start)
-        except ShedError as exc:
-            shed = True
-            return exc
-        except BaseException as exc:  # noqa: BLE001 - per-item isolation
-            return exc
-        finally:
-            missed = deadline is not None and deadline.expired(self._now())
-            if missed:
-                self.stats.note_deadline_miss()
-            if ov is not None:
-                ov.note_completed(missed, shed=shed)
 
     def _fetch(self, instance: QueryInstance) -> tuple[AnySelectivityVector, bool]:
         """The row's sVector (its box on robust shards) and whether it
@@ -515,51 +504,6 @@ class TemplateShard:
             self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
             yield
 
-    def _serve(
-        self,
-        sv: AnySelectivityVector,
-        seq: int,
-        depth: int = 0,
-        deadline: Optional[Deadline] = None,
-        max_recost: Optional[int] = None,
-        deny: Optional[str] = None,
-        coverage: Optional[float] = None,
-    ) -> PlanChoice:
-        """Probe lock-free, validate a hit under the lock, apply it; a
-        miss goes to :meth:`_miss`.  After ``MAX_OPTIMISTIC_RETRIES``
-        the whole cycle runs under the (re-entrant) write lock — the
-        serial semantics, which always terminate."""
-        scr = self.scr
-        serial = depth >= MAX_OPTIMISTIC_RETRIES
-        with self._locked() if serial else nullcontext():
-            view = scr.cache.columnar()
-            decision = scr.get_plan.probe(
-                sv, self._recost, view=view,
-                max_recost=max_recost, coverage=coverage,
-            )
-            if not decision.hit:
-                return self._miss(
-                    sv, seq, decision, depth, deadline, max_recost, deny,
-                    coverage,
-                )
-            with self._locked():
-                if serial or self._commit_valid(decision, view):
-                    return scr.apply(sv, decision, seq=seq)
-        # The anchor vanished (plan evicted / retired) between probe and
-        # commit: the certificate no longer stands, so re-probe fresh.
-        return self._retry(
-            sv, seq, depth + 1, deadline=deadline, max_recost=max_recost,
-            deny=deny, coverage=coverage,
-        )
-
-    def _retry(
-        self, sv: AnySelectivityVector, seq: int, depth: int, **serve
-    ) -> PlanChoice:
-        """Re-probe a row whose probed hit failed validation."""
-        self.stats.note_epoch_retry()
-        self.event("serving.epoch_retry", seq)
-        return self._serve(sv, seq, depth, **serve)
-
     def _commit_valid(self, decision, view) -> bool:
         """Optimistic validation of a probed hit; caller holds the lock.
 
@@ -587,32 +531,29 @@ class TemplateShard:
         sv: AnySelectivityVector,
         seq: int,
         decision,
-        depth: int,
-        deadline: Optional[Deadline] = None,
-        max_recost: Optional[int] = None,
-        deny: Optional[str] = None,
-        coverage: Optional[float] = None,
-    ) -> PlanChoice:
+        serial: bool,
+        deadline: Optional[Deadline],
+        deny: Optional[str],
+    ) -> Optional[PlanChoice]:
         """Admission, then the optimizer call outside the lock, then
         :meth:`_apply`.  Concurrent misses on one vector collapse to one
-        leader; a serial-mode miss (lock held) skips single-flight, since
-        a follower waiting under the lock would block the leader."""
+        leader; a follower waits for it and returns None, and the loop
+        probes its row again.  A serial-mode miss (lock held) skips
+        single-flight, since a follower waiting under the lock would
+        block the leader."""
         # Keyed on the point estimate: the optimizer runs at the point,
         # so two robust misses with the same point (however wide their
         # boxes) want the same plan registered.
         key = as_point(sv).values
         flight = None  # this request's own flight, when it leads one
-        if depth < MAX_OPTIMISTIC_RETRIES:
+        if not serial:
             with self._flight_lock:
                 waiting = self._inflight.get(key)
                 if waiting is None:
                     flight = self._inflight[key] = threading.Event()
             if waiting is not None:
                 self._follow(waiting, seq, deadline)
-                return self._serve(
-                    sv, seq, depth + 1, deadline=deadline,
-                    max_recost=max_recost, deny=deny, coverage=coverage,
-                )
+                return None
         try:
             reason, holds_gate = self._admission(deadline, deny)
             result = unavailable = None

@@ -123,12 +123,15 @@ class ReferenceGetPlan(GetPlan):
             point, box, recost, entries, rows, self._effective_cap(max_recost)
         )
 
-    def probe_batch(
+    def probe_rows(
         self, svs, recost, view=None, max_recost=None, coverage=None
     ):
-        return [
-            self.probe(sv, recost, view, max_recost, coverage) for sv in svs
-        ]
+        """The scalar probe per row, each taken only when the caller
+        asks for it (``probe_batch`` is inherited: this, to the end)."""
+        if view is None:
+            view = self.cache.columnar()
+        for sv in svs:
+            yield self.probe(sv, recost, view, max_recost, coverage)
 
     def _scan(
         self, point, box, entries: Sequence[InstanceEntry]

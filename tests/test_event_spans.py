@@ -12,6 +12,7 @@ sites is driven here exactly once, on a :class:`FakeClock`.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -34,7 +35,6 @@ from repro.query.instance import QueryInstance, SelectivityVector
 from repro.serving import (
     BrownoutLevel,
     ConcurrentPQOManager,
-    Deadline,
     OverloadPolicy,
     ShedError,
 )
@@ -272,15 +272,15 @@ class TestServingAndOverloadEventSites:
     def test_uncertified_serve_on_an_expired_deadline(self):
         fake, obs = fake_obs()
         manager, template = make_manager(
-            obs, self.POLICY, max_recost_candidates=0
+            obs,
+            OverloadPolicy(evaluate_every=10**6, default_deadline_seconds=0.0),
+            max_recost_candidates=0,
         )
         with manager:
-            manager.process(QueryInstance(template.name, sv=NEAR))
-            deadline = Deadline.after(0.010, clock=fake.clock)
-            fake.advance(0.020)         # the budget dies "in queue"
-            manager.process(
-                QueryInstance(template.name, sv=FAR), deadline=deadline
-            )
+            shard = manager.shard(template.name)
+            shard.scr.process(QueryInstance(template.name, sv=NEAR))
+            # A zero budget is spent on arrival, as if it died in queue.
+            manager.process(QueryInstance(template.name, sv=FAR))
             serve = only(obs, "overload.uncertified_serve")
             assert serve.attrs["reason"] == "deadline_expired"
             assert serve.start_s == fake.monotonic()
@@ -313,20 +313,18 @@ class TestServingAndOverloadEventSites:
             )
 
     def test_brownout_move_belongs_to_the_request_that_tipped_it(self):
-        fake, obs = fake_obs()
+        _, obs = fake_obs()
+        policy = OverloadPolicy(evaluate_every=1, escalate_ticks=1)
         manager, template = make_manager(
-            obs,
-            OverloadPolicy(evaluate_every=1, escalate_ticks=1),
-            max_recost_candidates=0,
+            obs, policy, max_recost_candidates=0
         )
         with manager:
             manager.process(QueryInstance(template.name, sv=NEAR))
             assert event_spans(obs) == []
-            deadline = Deadline.after(0.010, clock=fake.clock)
-            fake.advance(0.020)
-            manager.process(
-                QueryInstance(template.name, sv=NEAR), deadline=deadline
-            )
+            # From here on every budget is spent on arrival.
+            ov = manager._overload_coordinator
+            ov.policy = replace(policy, default_deadline_seconds=0.0)
+            manager.process(QueryInstance(template.name, sv=NEAR))
             move = only(obs, "overload.brownout")
             assert move.attrs == {
                 "tick": 2, "transition": "normal->coverage_relaxed",
@@ -366,8 +364,8 @@ class TestServingAndOverloadEventSites:
             assert shard.stats.row()["epoch_retries"] == 2
 
     def test_every_event_carries_its_own_requests_seq(self):
-        """A shed bumps no SCR counter and batched hits commit before the
-        batch's retries, so an event is stamped with the seq its request
+        """A shed bumps no SCR counter and a batched row is probed again
+        at its own turn, so an event is stamped with the seq its request
         was allocated — never with how many requests have completed."""
         _, obs = fake_obs()
         manager, template = make_manager(obs, self.POLICY)
@@ -387,7 +385,7 @@ class TestServingAndOverloadEventSites:
             def reject_first(decision, snapshot):
                 if not rejected:
                     rejected.append(decision)
-                    return False    # row 0 retries after row 1 commits
+                    return False    # row 0 is probed again before row 1
                 return valid(decision, snapshot)
 
             shard._commit_valid = reject_first

@@ -264,8 +264,8 @@ def failing_rows(shard, bad: set):
     instance whose id is in ``bad`` (the others are served)."""
     serve = shard.process_batch
 
-    def process_batch(instances, deadline=None):
-        out = serve(instances, deadline=deadline)
+    def process_batch(instances):
+        out = serve(instances)
         return [
             RuntimeError(f"row {id(q)}") if id(q) in bad else o
             for q, o in zip(instances, out)
@@ -308,8 +308,8 @@ class TestGroupFutures:
         for name in (a, b):
             shard = manager.shard(name)
 
-            def tagged(instances, deadline=None, serve=shard.process_batch):
-                served = serve(instances, deadline=deadline)
+            def tagged(instances, serve=shard.process_batch):
+                served = serve(instances)
                 return [(q, o) for q, o in zip(instances, served)]
 
             shard.process_batch = tagged

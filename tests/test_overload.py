@@ -301,23 +301,23 @@ class TestDeadlinePropagation:
     def test_expired_deadline_serves_cached_plan_uncertified(self):
         obs = Observability()
         manager, template = make_manager(
-            policy=OverloadPolicy(evaluate_every=10**6), obs=obs
+            policy=OverloadPolicy(
+                evaluate_every=10**6, default_deadline_seconds=0.0
+            ),
+            obs=obs,
         )
         try:
-            warm = manager.process(QueryInstance(template.name, sv=NEAR))
+            shard = manager.shard(template.name)
+            warm = shard.scr.process(QueryInstance(template.name, sv=NEAR))
             assert warm.certified
-            engine = manager.shard(template.name).engine
+            engine = shard.engine
             optimize_before = engine.counters.optimize.calls
-            choice = manager.process(
-                QueryInstance(template.name, sv=NEAR),
-                deadline=Deadline.after(0.0),
-            )
+            choice = manager.process(QueryInstance(template.name, sv=NEAR))
             assert choice.check == "overload"
             assert not choice.certified
             assert choice.plan_signature == warm.plan_signature
             # The expired budget funded zero engine work.
             assert engine.counters.optimize.calls == optimize_before
-            shard = manager.shard(template.name)
             assert shard.stats.overload_serves == 1
             assert shard.stats.deadline_misses == 1
             events = event_spans(obs, "overload.uncertified_serve")
@@ -328,20 +328,19 @@ class TestDeadlinePropagation:
     def test_nearly_expired_budget_never_invokes_optimize(self):
         manager, template = make_manager(
             policy=OverloadPolicy(
-                evaluate_every=10**6, min_optimize_budget=10.0
+                evaluate_every=10**6, min_optimize_budget=10.0,
+                default_deadline_seconds=1.0,
             )
         )
         try:
-            manager.process(QueryInstance(template.name, sv=NEAR))
-            engine = manager.shard(template.name).engine
+            shard = manager.shard(template.name)
+            shard.scr.process(QueryInstance(template.name, sv=NEAR))
+            engine = shard.engine
             optimize_before = engine.counters.optimize.calls
             recost_before = engine.counters.recost.calls
             # 1s remaining < min_optimize_budget=10s: a live deadline
             # whose budget cannot fund an optimizer call.
-            choice = manager.process(
-                QueryInstance(template.name, sv=FAR),
-                deadline=Deadline.after(1.0),
-            )
+            choice = manager.process(QueryInstance(template.name, sv=FAR))
             assert choice.check == "overload"
             assert not choice.certified
             assert engine.counters.optimize.calls == optimize_before
@@ -351,31 +350,16 @@ class TestDeadlinePropagation:
 
     def test_expired_deadline_with_empty_cache_sheds(self):
         manager, template = make_manager(
-            policy=OverloadPolicy(evaluate_every=10**6)
+            policy=OverloadPolicy(
+                evaluate_every=10**6, default_deadline_seconds=0.0
+            )
         )
         try:
             with pytest.raises(ShedError) as err:
-                manager.process(
-                    QueryInstance(template.name, sv=NEAR),
-                    deadline=Deadline.after(0.0),
-                )
+                manager.process(QueryInstance(template.name, sv=NEAR))
             assert err.value.reason == "deadline_expired:no_cached_plan"
             assert err.value.template == template.name
             assert manager.shard(template.name).stats.shed == 1
-        finally:
-            manager.close()
-
-    def test_deadlines_work_without_an_overload_policy(self):
-        """Explicit budgets don't require the full overload subsystem."""
-        manager, template = make_manager(policy=None)
-        try:
-            manager.process(QueryInstance(template.name, sv=NEAR))
-            choice = manager.process(
-                QueryInstance(template.name, sv=NEAR),
-                deadline=Deadline.after(0.0),
-            )
-            assert choice.check == "overload"
-            assert not choice.certified
         finally:
             manager.close()
 

@@ -597,13 +597,20 @@ def serve_outside_resilient(
         scr = SCR(stack(make_engine(toy_db, toy_template)), lam=1.5, **scr_kwargs)
         serve = scr.process
     served = []
-    probe = scr.get_plan.probe
+    get_plan = scr.get_plan
+    probe, probe_rows = get_plan.probe, get_plan.probe_rows
 
     def spy(sv, *args, **kwargs):
         served.append(as_point(sv))
         return probe(sv, *args, **kwargs)
 
-    scr.get_plan.probe = spy
+    def spy_rows(svs, *args, **kwargs):
+        svs = list(svs)
+        for sv, decision in zip(svs, probe_rows(svs, *args, **kwargs)):
+            served.append(as_point(sv))
+            yield decision
+
+    get_plan.probe, get_plan.probe_rows = spy, spy_rows
     rows = []
     try:
         for instance in instances:

@@ -396,6 +396,143 @@ class TestGroupEquivalence:
         assert grouped_calls == loop_calls
 
 
+def shipping_priority_manager(obs=None) -> tuple:
+    """A one-worker manager serving ``tpch_shipping_priority`` (point
+    checks, λ = 1.5), its shard, and that template's seeded stream,
+    whose ``process()`` loop decides rows 12–14 as cost, optimizer,
+    selectivity and rows 20–22 as optimizer, cost, optimizer."""
+    template = next(
+        t for t in tpch_templates() if t.name == "tpch_shipping_priority"
+    )
+    manager = ConcurrentPQOManager(
+        database=Database.create(tpch_schema(1.0), seed=42),
+        default_lambda=1.5, max_workers=1, obs=obs,
+    )
+    shard = manager.register(template)
+    return manager, shard, instances_for_template(template, 23, seed=3)
+
+
+def shipping_priority_loop(rows) -> tuple[list, object]:
+    """A ``process()`` loop's decisions over ``rows`` (a failing row is
+    its exception's type) and the SCR it left."""
+    manager, shard, _ = shipping_priority_manager()
+    out: list = []
+    with manager:
+        for q in rows:
+            try:
+                out.append(decision(shard.process(q)))
+            except ValueError as exc:
+                out.append(type(exc))
+        return out, shard.scr
+
+
+class TestOneProbeLoop:
+    """Every row of a group — a failed fetch, an epoch retry, a
+    single-flight follower — is decided in the group's one loop as a
+    ``process()`` loop decides it."""
+
+    def test_a_failed_fetch_fails_its_row_only(self):
+        obs = Observability()
+        manager, shard, stream = shipping_priority_manager(obs)
+        bad = QueryInstance(shard.template.name, parameters=("garbage",))
+        rows = [stream[0], bad, stream[1]]
+        with manager:
+            results = shard.process_batch(rows)
+        assert [type(r).__name__ for r in results] == [
+            "PlanChoice", "ValueError", "PlanChoice"
+        ]
+        loop, loop_scr = shipping_priority_loop(rows)
+        assert [
+            type(r) if isinstance(r, BaseException) else decision(r)
+            for r in results
+        ] == loop
+        scr = shard.scr
+        assert (
+            scr.get_plan.total_recost_calls
+            == loop_scr.get_plan.total_recost_calls
+        )
+        assert [
+            (e.sv, e.optimal_cost) for e in scr.cache.instances()
+        ] == [(e.sv, e.optimal_cost) for e in loop_scr.cache.instances()]
+        (group,) = [
+            s for s in obs.spans.spans() if s.name == "serving.batch"
+        ]
+        assert group.attrs["outcomes"] == ("certified", "shed", "certified")
+
+    def test_an_epoch_retried_row_ends_as_in_a_loop(self):
+        manager, shard, stream = shipping_priority_manager()
+        loop, loop_scr = shipping_priority_loop(stream)
+        assert [d[1] for d in loop[20:23]] == ["optimizer", "cost", "optimizer"]
+        valid = shard._commit_valid
+        rejected: list = []
+
+        def reject_once(decision, view):
+            if not rejected:
+                rejected.append(decision)
+                return False  # as if the anchor vanished mid-probe
+            return valid(decision, view)
+
+        with manager:
+            warm = [decision(shard.process(q)) for q in stream[:20]]
+            shard._commit_valid = reject_once
+            group = [decision(c) for c in shard.process_batch(stream[20:])]
+        assert len(rejected) == 1 and shard.stats.row()["epoch_retries"] == 1
+        assert warm + group == loop
+        assert (
+            shard.scr.get_plan.total_recost_calls
+            == loop_scr.get_plan.total_recost_calls
+        )
+
+    def test_a_single_flight_follower_ends_as_in_a_loop(self):
+        manager, shard, stream = shipping_priority_manager()
+        loop, loop_scr = shipping_priority_loop(stream[:15])
+        assert [d[1] for d in loop[12:15]] == [
+            "cost", "optimizer", "selectivity"
+        ]
+        key = shard.engine.selectivity_vector(stream[13]).values
+
+        class LeaderJustFinished(threading.Event):
+            """An in-flight optimize of row 13's vector that completes,
+            registering nothing, the moment the follower waits on it."""
+
+            def wait(self, timeout=None):
+                shard._inflight.pop(key, None)
+                return True
+
+        with manager:
+            warm = [decision(shard.process(q)) for q in stream[:12]]
+            shard._inflight[key] = LeaderJustFinished()
+            group = [decision(c) for c in shard.process_batch(stream[12:15])]
+        assert shard.stats.row()["sf_collapsed"] == 1
+        assert warm + group == loop
+        assert (
+            shard.scr.get_plan.total_recost_calls
+            == loop_scr.get_plan.total_recost_calls
+        )
+
+    def test_under_a_coordinator_every_group_is_one_row(self):
+        from repro.serving import OverloadPolicy
+
+        obs = Observability()
+        db = Database.create(build_toy_schema(), seed=11)
+        templates = serving_templates()[:2]
+        manager = ConcurrentPQOManager(
+            database=db, max_workers=2, obs=obs,
+            overload=OverloadPolicy(evaluate_every=10**6),
+        )
+        for t in templates:
+            manager.register(t, lam=LAM)
+        workload = make_workload(templates, 6, SEED)
+        with manager:
+            shard = manager.shard(templates[0].name)
+            with pytest.raises(ValueError, match="one row"):
+                shard.process_batch(workload[:2])
+            manager.process_many(workload, dedupe=False)
+        groups = [s for s in obs.spans.spans() if s.name == "serving.batch"]
+        assert len(groups) == len(workload)
+        assert all(len(g.attrs["seqs"]) == 1 for g in groups)
+
+
 class TestSingleFlight:
     def test_identical_vectors_collapse_to_one_optimize(self):
         db = Database.create(build_toy_schema(), seed=11)
@@ -561,19 +698,19 @@ class TestCommitValidation:
 
     @staticmethod
     def _mutate_after_first_probe(shard, mutation) -> None:
-        """The first probe returns, then ``mutation`` lands before the
-        shard takes its lock to commit."""
+        """The first probed row's decision is taken, then ``mutation``
+        lands before the shard takes its lock to commit."""
         get_plan = shard.scr.get_plan
-        probe = get_plan.probe
+        probe_rows = get_plan.probe_rows
         pending = [mutation]
 
         def probe_then_mutate(*args, **kwargs):
-            decision = probe(*args, **kwargs)
-            if pending:
-                pending.pop()()
-            return decision
+            for decision in probe_rows(*args, **kwargs):
+                if pending:
+                    pending.pop()()
+                yield decision
 
-        get_plan.probe = probe_then_mutate
+        get_plan.probe_rows = probe_then_mutate
 
     def test_retired_anchor_rejected_on_epoch_fast_path(self):
         from repro.core.get_plan import CheckKind, GetPlanDecision

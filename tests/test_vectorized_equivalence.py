@@ -322,39 +322,62 @@ def _toy_template() -> QueryTemplate:
 @pytest.mark.parametrize("check_mode", ["point", "robust", "probabilistic"])
 def test_differential_full_scr_pipeline(check_mode):
     """Two complete SCR stacks (scalar vs vectorized) over one workload
-    agree on every choice and end with identical cache shapes."""
+    agree on every choice and end with identical cache shapes — and so
+    do two one-worker managers (scalar vs vectorized getPlan) serving
+    the workload as ``process_many`` groups through the shard's probe
+    loop."""
     from conftest import build_toy_schema
 
     choices = {}
-    for impl in ("scalar", "vectorized"):
+    for impl in ("scalar", "vectorized", "scalar_groups", "vectorized_groups"):
         db = Database.create(build_toy_schema(), seed=13)
-        engine = db.engine(_toy_template())
-        scr = SCR(engine, lam=2.0, plan_budget=4, check_mode=check_mode)
-        if impl == "scalar":
+        config = dict(lam=2.0, plan_budget=4, check_mode=check_mode)
+        instances = [
+            QueryInstance("diff_join", sv=sv)
+            for sv in generate_selectivity_vectors(2, 60, seed=31)
+        ]
+        if impl.endswith("_groups"):
+            manager = ConcurrentPQOManager(database=db, max_workers=1)
+            scr = manager.register(_toy_template(), **config).scr
+        else:
+            scr = SCR(db.engine(_toy_template()), **config)
+        if impl.startswith("scalar"):
             use_reference(scr)
-        rows = []
-        for sv in generate_selectivity_vectors(2, 60, seed=31):
-            choice = scr.process(QueryInstance("diff_join", sv=sv))
-            rows.append(
-                (
-                    choice.check, choice.plan_signature, choice.certified,
-                    choice.certificate, choice.coverage,
-                    choice.certified_bound, choice.recost_calls,
-                )
+        if impl.endswith("_groups"):
+            with manager:
+                served = [
+                    choice for lo in range(0, len(instances), 8)
+                    for choice in manager.process_many(
+                        instances[lo:lo + 8], dedupe=False
+                    )
+                ]
+        else:
+            served = [scr.process(q) for q in instances]
+        rows = [
+            (
+                choice.check, choice.plan_signature, choice.certified,
+                choice.certificate, choice.coverage,
+                choice.certified_bound, choice.recost_calls,
             )
+            for choice in served
+        ]
         rows.append(("plans", scr.cache.num_plans, scr.cache.num_instances,
                      scr.optimizer_calls, scr.get_plan.total_recost_calls))
         choices[impl] = rows
     assert choices["scalar"] == choices["vectorized"]
+    assert choices["scalar_groups"] == choices["vectorized_groups"]
+    assert choices["vectorized_groups"] == choices["vectorized"]
 
 
 def _record_anchor_rows(scr: SCR, rows: list) -> None:
-    """Append each probe's anchor to ``rows`` as its instance-list index
-    (the two stacks hold different entry objects for the same row)."""
-    probe = scr.get_plan.probe
+    """Append each decision's anchor to ``rows`` as its instance-list
+    index (the two stacks hold different entry objects for the same
+    row), whether a serial ``probe`` or the shard's ``probe_rows`` took
+    it."""
+    get_plan = scr.get_plan
+    probe, probe_rows = get_plan.probe, get_plan.probe_rows
 
-    def recording_probe(*args, **kwargs):
-        decision = probe(*args, **kwargs)
+    def record(decision):
         rows.append(
             None if decision.anchor is None else next(
                 i for i, entry in enumerate(scr.cache.instances())
@@ -363,7 +386,14 @@ def _record_anchor_rows(scr: SCR, rows: list) -> None:
         )
         return decision
 
-    scr.get_plan.probe = recording_probe
+    def recording_probe(*args, **kwargs):
+        return record(probe(*args, **kwargs))
+
+    def recording_rows(*args, **kwargs):
+        for decision in probe_rows(*args, **kwargs):
+            yield record(decision)
+
+    get_plan.probe, get_plan.probe_rows = recording_probe, recording_rows
 
 
 def _record_calibration(scr: SCR, pairs: list) -> None:
@@ -589,48 +619,6 @@ def test_max_recost_zero_orders_nothing(order, monkeypatch):
     )
     assert sorts == []
     assert vectorized.entries_scanned == 40 * cache.num_instances
-
-
-def test_selectivity_span_counts_live_candidates():
-    """The ``scr.selectivity_check`` span's ``candidates`` attribute is
-    the cost-check candidate count of the scan: on a hit the live
-    (non-retired) rows before the hit row, and on a miss the plans the
-    cost phase may re-cost — the view's distinct plans, cut at the
-    recost cap."""
-    from repro.core.get_plan import CheckKind
-    from repro.obs.spans import SpanRecorder
-
-    rng = random.Random(5)
-    cache = build_cache(rng, 120, 2, retire_fraction=0.3)
-    recorder = SpanRecorder()
-    get_plan = GetPlan(
-        cache=cache, lam=3.0, max_recost_candidates=4, spans=recorder
-    )
-    recost = make_recost(2)
-    entries = list(cache.instances())
-    plans = len({e.plan_id for e in entries})
-    hits = misses = 0
-    for _ in range(150):
-        decision = get_plan.probe(random_input(rng, 2, False), recost)
-        span = next(
-            s for s in reversed(recorder.spans())
-            if s.name == "scr.selectivity_check"
-        )
-        assert span.attrs["scanned"] == len(entries)
-        if decision.check is CheckKind.SELECTIVITY:
-            row = next(
-                i for i, e in enumerate(entries) if e is decision.anchor
-            )
-            assert span.attrs["hit"] is True
-            assert span.attrs["candidates"] == sum(
-                not e.retired for e in entries[:row]
-            )
-            hits += 1
-        else:
-            assert span.attrs["hit"] is False
-            assert span.attrs["candidates"] == min(4, plans)
-            misses += 1
-    assert hits > 10 and misses > 10
 
 
 def test_usage_rank_memo_reuses_until_version_changes():
