@@ -338,7 +338,7 @@ def _measure_costcheck() -> list[dict]:
         while len(fast) < PROBES:
             point = _loguniform_sv(rng, COSTCHECK_D)
             g, l, gc, lc = gp._factor_rows(view, [(point, None)])
-            hit, key, _ = gp._decide_row(
+            hit, key = gp._selectivity_check(
                 None, view, g[0], l[0], gc[0], lc[0], budget, cap
             )
             if hit is not None:

@@ -41,6 +41,10 @@ MIN_SPEEDUP = 3.0
 #: Distributed tracing must stay within this fraction of the untraced
 #: serving wall-clock (the CI tracing-overhead gate).
 MAX_TRACING_OVERHEAD = 0.05
+#: Interleaved off/on runs per side of the tracing gate.  Each run is a
+#: fraction of a second, so the minimum of five per side is what keeps
+#: the gate from flipping on scheduler noise.
+TRACING_PAIRS = 5
 
 LATENCY = dict(
     optimize_seconds=0.010,
@@ -263,7 +267,7 @@ def measure_tracing_overhead():
     workload = make_workload(templates, INSTANCES_PER_TEMPLATE, SEED)
     # Interleave off/on runs so drift (thermal, page cache) cancels.
     off_s, on_s, span_count = [], [], 0
-    for _ in range(2):
+    for _ in range(TRACING_PAIRS):
         elapsed, _, manager, _ = run_concurrent(
             templates, workload, spans_enabled=False
         )

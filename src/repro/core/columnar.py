@@ -218,6 +218,12 @@ class ColumnarInstances:
         the frozen dataclass.)"""
         return (self.sv * self.sv)[:, None, :]
 
+    @cached_property
+    def chunk_rows(self) -> int:
+        """Probes per kernel chunk against this view, so the ``(d, B, N)``
+        ratio tensor stays within :data:`BATCH_TENSOR_ELEMENTS`."""
+        return max(1, BATCH_TENSOR_ELEMENTS // max(1, len(self) * self.dimensions))
+
     def usage_rank(self, version: int) -> "np.ndarray":
         """Row rank under the USAGE candidate order, memoized per cache
         ``usage_version``.
@@ -382,7 +388,3 @@ def log_l1_distances(log_sv: "np.ndarray", point: "np.ndarray") -> "np.ndarray":
 #: to the OS on every chunk, which costs more than batching saves.
 BATCH_TENSOR_ELEMENTS = 32_768
 
-
-def chunk_rows(batch: int, n: int, d: int) -> int:
-    """Probes per kernel chunk so the (d, B, N) tensor stays cache-sized."""
-    return max(1, min(batch, BATCH_TENSOR_ELEMENTS // max(1, n * d)))

@@ -28,7 +28,6 @@ from ..query.instance import (
 from .bounds import BoundingFunction, LINEAR_BOUND
 from .columnar import (
     ColumnarInstances,
-    chunk_rows,
     corner_gl_matrix,
     cost_corner_gl,
     gl_matrix,
@@ -365,15 +364,17 @@ class GetPlan:
             return
         budget = self._budget_vector(view)
         cap = self._effective_cap(max_recost)
-        step = chunk_rows(len(resolved), len(view), view.dimensions)
-        for lo_row in range(0, len(resolved), step):
-            chunk = resolved[lo_row:lo_row + step]
-            g_m, l_m, gc_m, lc_m = self._factor_rows(view, chunk)
-            for j, (point, box) in enumerate(chunk):
-                yield self._decide(
-                    point, box, recost, view, g_m[j], l_m[j], gc_m[j],
-                    lc_m[j], budget, cap,
+        step = view.chunk_rows
+        for i, (point, box) in enumerate(resolved):
+            j = i % step
+            if not j:  # the first row of a chunk
+                g_m, l_m, gc_m, lc_m = self._factor_rows(
+                    view, resolved[i:i + step]
                 )
+            yield self._decide(
+                point, box, recost, view, g_m[j], l_m[j], gc_m[j], lc_m[j],
+                budget, cap,
+            )
 
     def _effective_cap(self, max_recost: Optional[int]) -> int:
         """The number of cost-check candidates this probe can consume."""

@@ -8,10 +8,11 @@ the shard *is* the per-template state: its SCR, engine, budget share,
 instance count and quarantine flag.  :meth:`~ConcurrentPQOManager.process`
 serves an instance on the calling thread (the serial path); ``submit``
 and ``process_many`` dispatch **groups** onto a thread pool, which
-starts its threads only on first use.  A group is the unit of serving,
-dispatch and telemetry: one pool task, one future, one trace context.
-``submit`` dispatches a group of one; a batch is one group per
-template, or one group per instance under admission control.
+starts its threads only on first use.  A group is the unit of serving
+and telemetry (one trace context); a batch is one group per template,
+or one group per instance under admission control, and ``submit`` is a
+group of one.  A dispatch is one **lane**: at most ``max_workers`` pool
+tasks that take its groups in order from one shared cursor.
 
 Independent templates never contend — each shard has its own lock, its
 own SCR state and its own single-flight table.  Global concerns are
@@ -42,6 +43,7 @@ into engine calls, an optimizer gate, and the brownout controller whose
 from __future__ import annotations
 
 import threading
+from collections import deque
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
@@ -279,7 +281,7 @@ class ConcurrentPQOManager:
         return child_context(obs.spans.ids)
 
     def submit(self, instance: QueryInstance) -> "Future[PlanChoice]":
-        """Dispatch one instance to the serving pool, as a group of one.
+        """Dispatch one instance to the serving pool: a lane of one unit.
 
         With overload protection on, admission is bounded: a submission
         over the template's ``queue_limit`` is resolved *in the calling
@@ -290,95 +292,94 @@ class ConcurrentPQOManager:
         one uniform interface.
         """
         fut: "Future[PlanChoice]" = Future()
-        group = self._enqueue(self._shard_for(instance), [instance])
-        group.add_done_callback(partial(_resolve_row, fut))
+        lane = self._enqueue([(self._shard_for(instance), [instance])])
+        resolve = partial(_resolve_row, fut, lane)
+        if lane.tasks:
+            lane.tasks[0].add_done_callback(resolve)
+        else:
+            resolve(None)  # served in the calling thread
         return fut
 
     def _enqueue(
-        self, shard: TemplateShard, instances: list[QueryInstance]
-    ) -> Future:
-        """The one dispatch: one pool task and one future per group; the
-        future holds the per-row outcomes.  Under overload protection a
-        group is one instance (admission is per submission)."""
-        group: Future = Future()
-        ctx = self._mint_ctx()
+        self, units: list[tuple[TemplateShard, list[QueryInstance]]]
+    ) -> "_Lane":
+        """The one dispatch: serve ``units`` (``(shard, instances)``
+        groups, each with its own trace context) from one lane of
+        ``min(len(units), max_workers)`` pool tasks that take them in
+        order from a shared cursor.  Under overload protection a unit is
+        one instance with its own deadline and queue slot; a unit
+        refused a slot is served here, in the calling thread."""
+        lane = _Lane(len(units))
         ov = self._overload_coordinator
-        entered = False
-        deadline = None
-        if ov is not None:
-            # Minted at enqueue, so queue wait drains the budget.
-            deadline = ov.new_deadline()
-            entered = ov.try_enter_queue(shard.stats)
-            if not entered:
-                with activate(ctx) if ctx is not None else nullcontext():
-                    group.set_result(self._serve_on(
-                        shard, instances, deadline, overflow_reason="queue_full",
-                    ))
-                return group
-        with self._futures_lock:
-            self._outstanding.add(group)
-        group.add_done_callback(self._forget_outstanding)
-        submitted_at = (
-            self.obs.clock.perf_counter() if ctx is not None else 0.0
-        )
-        try:
-            self._executor.submit(
-                self._run, group, shard, instances, deadline, entered,
-                ctx, submitted_at,
-            )
-        except RuntimeError:
-            # The executor refused: the manager is shutting down.
-            if entered:
-                ov.exit_queue(shard.stats)
-            with suppress(InvalidStateError):
-                group.set_exception(
-                    ShutdownError(
-                        "manager closed before this submission was accepted"
-                    )
-                )
-        return group
-
-    def _run(
-        self,
-        group: Future,
-        shard: TemplateShard,
-        instances: list[QueryInstance],
-        deadline: Optional[Deadline],
-        entered: bool,
-        ctx: Optional[TraceContext] = None,
-        submitted_at: float = 0.0,
-    ) -> None:
-        """The one pool task: serve ``instances`` and resolve ``group``."""
-        try:
-            if self._closed and not group.done():
-                with suppress(InvalidStateError):
-                    group.set_exception(
-                        ShutdownError(
-                            "manager closed before this queued submission was served"
+        for slot, (shard, instances) in enumerate(units):
+            ctx = self._mint_ctx()
+            deadline = None
+            if ov is not None:
+                # Minted at enqueue, so queue wait drains the budget.
+                deadline = ov.new_deadline()
+                if not ov.try_enter_queue(shard.stats):
+                    with activate(ctx) if ctx is not None else nullcontext():
+                        lane.outcomes[slot] = self._serve_on(
+                            shard, instances, deadline,
+                            overflow_reason="queue_full",
                         )
-                    )
-            if group.done():
-                return  # resolved by close(wait=False); don't serve it
+                    continue
+            lane.pending.append((slot, shard, instances, deadline, ctx))
+        if self.obs is not None:
+            lane.submitted_at = self.obs.clock.perf_counter()
+        for _ in range(min(len(lane.pending), self.max_workers)):
+            task: Future = Future()
+            with self._futures_lock:
+                self._outstanding.add(task)
+            task.add_done_callback(self._forget_outstanding)
+            lane.tasks.append(task)
             try:
-                with activate(ctx) if ctx is not None else nullcontext():
-                    if ctx is not None:
-                        # Pool hand-off latency, attributed to the group.
-                        now = self.obs.clock.perf_counter()
-                        self.obs.spans.record(
-                            "serving.queue_wait", submitted_at,
-                            now - submitted_at,
-                            template=shard.template.name,
+                self._executor.submit(self._run, lane, task)
+            except RuntimeError:
+                # The executor refused: the manager is shutting down.
+                # Units no started task serves resolve to ShutdownError.
+                task.set_result(None)
+                if len(lane.tasks) == 1 and ov is not None:
+                    for unit in lane.pending:
+                        ov.exit_queue(unit[1].stats)
+                break
+        return lane
+
+    def _run(self, lane: "_Lane", task: Future) -> None:
+        """The one pool task: serve the lane's next unstarted unit until
+        none is left, then resolve ``task``.  A unit that raises fails
+        its own rows only; after ``close(wait=False)`` no unit starts."""
+        ov = self._overload_coordinator
+        try:
+            while True:
+                try:
+                    slot, shard, instances, deadline, ctx = lane.pending.popleft()
+                except IndexError:
+                    return
+                try:
+                    if self._closed:
+                        continue  # its rows resolve to ShutdownError
+                    with activate(ctx) if ctx is not None else nullcontext():
+                        if ctx is not None:
+                            # From the lane's submission: the pool
+                            # hand-off plus the wait behind earlier units.
+                            now = self.obs.clock.perf_counter()
+                            self.obs.spans.record(
+                                "serving.queue_wait", lane.submitted_at,
+                                now - lane.submitted_at,
+                                template=shard.template.name,
+                            )
+                        lane.outcomes[slot] = self._serve_on(
+                            shard, instances, deadline
                         )
-                    outcomes = self._serve_on(shard, instances, deadline)
-            except BaseException as exc:  # noqa: BLE001 - fails the whole group
-                with suppress(InvalidStateError):
-                    group.set_exception(exc)
-            else:
-                with suppress(InvalidStateError):
-                    group.set_result(outcomes)
+                except BaseException as exc:  # noqa: BLE001 - fails this unit
+                    lane.outcomes[slot] = [exc] * len(instances)
+                finally:
+                    if ov is not None:
+                        ov.exit_queue(shard.stats)
         finally:
-            if entered:
-                self._overload_coordinator.exit_queue(shard.stats)
+            with suppress(InvalidStateError):
+                task.set_result(None)
 
     def _forget_outstanding(self, fut: Future) -> None:
         with self._futures_lock:
@@ -389,17 +390,15 @@ class ConcurrentPQOManager:
     ) -> list[PlanChoice]:
         """Admit a batch and wait for every result (input order).
 
-        Waits on one future per group; the first failing row, in input
-        order, raises its exception.
+        Waits on the lane's pool tasks, at most ``max_workers``; the
+        first failing row, in input order, raises its exception.
         """
         results: list = [None] * len(instances)
-        groups, duplicate_of = self._dispatch(instances, dedupe)
-        for items, group in groups:
-            try:
-                outcomes = group.result()
-            except BaseException as exc:  # noqa: BLE001 - fails every row
-                outcomes = [exc] * len(items)
-            for (i, _), outcome in zip(items, outcomes):
+        batches, lane, duplicate_of = self._dispatch(instances, dedupe)
+        for task in lane.tasks:
+            task.exception()  # waits; the rows' outcomes are in the lane
+        for slot, items in enumerate(batches):
+            for (i, _), outcome in zip(items, lane.rows(slot, len(items))):
                 results[i] = outcome
         for i, first in duplicate_of.items():
             results[i] = results[first]
@@ -410,20 +409,19 @@ class ConcurrentPQOManager:
 
     def _dispatch(
         self, instances: Sequence[QueryInstance], dedupe: bool
-    ) -> tuple[list, dict[int, int]]:
+    ) -> tuple[list, "_Lane", dict[int, int]]:
         """Coalesce a batch by template, dedupe it, and dispatch it.
 
-        Returns ``(groups, duplicate_of)``: ``(items, future)`` per group
-        dispatched through :meth:`_enqueue` (its future holds the per-row
-        outcomes), and each duplicate's first occurrence.
+        Returns ``(batches, lane, duplicate_of)``: each unit's
+        ``(index, instance)`` items, in the order of the lane's units
+        (:meth:`_enqueue`), and each duplicate's first occurrence.
 
         Without overload protection, each template's unique instances
-        are **one** group, probed against the cache in a single
+        are **one** unit, probed against the cache in a single
         broadcast pass.  Under admission control (per-instance
-        decisions) every instance is a group of one, and
-        the groups are dispatched round-robin across templates so
-        independent shards fill the pool instead of convoying on one
-        shard's lock.
+        decisions) every instance is a unit of one, ordered round-robin
+        across templates so independent shards fill the pool instead of
+        convoying on one shard's lock.
         """
         per_template: dict[str, list[tuple[int, QueryInstance]]] = {}
         first_seen: dict[tuple, int] = {}
@@ -449,12 +447,11 @@ class ConcurrentPQOManager:
                 [item] for rank in zip_longest(*batches)
                 for item in rank if item is not None
             ]
-        groups: list = []
-        for items in batches:
-            shard = self._shard_for(items[0][1])
-            group = self._enqueue(shard, [q for _, q in items])
-            groups.append((items, group))
-        return groups, duplicate_of
+        units = [
+            (self._shard_for(items[0][1]), [q for _, q in items])
+            for items in batches
+        ]
+        return batches, self._enqueue(units), duplicate_of
 
     @staticmethod
     def _dedupe_key(instance: QueryInstance) -> tuple:
@@ -712,11 +709,34 @@ class ConcurrentPQOManager:
         self.close()
 
 
-def _resolve_row(row: Future, group: Future) -> None:
-    """Resolve a submission's future from its group of one: the row's
-    PlanChoice or exception, or the group's own exception."""
-    exc = group.exception()
-    outcome = exc if exc is not None else group.result()[0]
+class _Lane:
+    """One dispatch's units, served by its pool tasks (``tasks``, one
+    future each, resolved once the task finds no unit left) in input
+    order from one shared cursor: ``pending``, whose ``popleft`` is
+    atomic, so each unit is taken exactly once."""
+
+    __slots__ = ("pending", "outcomes", "tasks", "submitted_at")
+
+    def __init__(self, n: int) -> None:
+        self.pending: deque = deque()
+        self.outcomes: list = [None] * n
+        self.tasks: list[Future] = []
+        self.submitted_at = 0.0
+
+    def rows(self, slot: int, n: int) -> list:
+        """Unit ``slot``'s per-row outcomes; ``ShutdownError`` rows when
+        ``close(wait=False)`` came before it was served."""
+        outcomes = self.outcomes[slot]
+        if outcomes is None:
+            return [ShutdownError(
+                "manager closed before this queued submission was served"
+            )] * n
+        return outcomes
+
+
+def _resolve_row(row: Future, lane: _Lane, _task: Optional[Future]) -> None:
+    """Resolve a submission's future from its lane of one unit."""
+    (outcome,) = lane.rows(0, 1)
     with suppress(InvalidStateError):
         if isinstance(outcome, BaseException):
             row.set_exception(outcome)

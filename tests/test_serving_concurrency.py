@@ -533,6 +533,161 @@ class TestOneProbeLoop:
         assert all(len(g.attrs["seqs"]) == 1 for g in groups)
 
 
+def lane_templates() -> list[QueryTemplate]:
+    """Six toy join templates: the four serving ones and two more."""
+    extra = [
+        QueryTemplate(
+            name=f"serve_t{4 + i}",
+            database="toy",
+            tables=["orders", "cust"],
+            joins=[join("orders", "o_cust", "cust", "c_id")],
+            parameterized=[
+                range_predicate("orders", column, ">="),
+                range_predicate("cust", "c_bal", "<="),
+            ],
+        )
+        for i, column in enumerate(("o_amount", "o_date"))
+    ]
+    return serving_templates() + extra
+
+
+class TestLaneDispatch:
+    """A dispatch is one lane: ``min(units, max_workers)`` pool tasks
+    take the batch's units (template groups, or rows under an overload
+    policy) in input order from one shared cursor.  Each unit keeps its
+    own trace context, its failure isolation and its shutdown
+    semantics."""
+
+    @staticmethod
+    def lane_manager(max_workers: int, **kwargs) -> tuple:
+        manager = ConcurrentPQOManager(
+            database=Database.create(build_toy_schema(), seed=11),
+            max_workers=max_workers, **kwargs,
+        )
+        templates = lane_templates()
+        for t in templates:
+            manager.register(t, lam=LAM)
+        return manager, templates, make_workload(templates, 3, SEED)
+
+    @staticmethod
+    def count_submissions(manager) -> list:
+        calls: list = []
+        submit = manager._executor.submit
+
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        manager._executor.submit = counting
+        return calls
+
+    @pytest.mark.parametrize("max_workers, tasks", [(1, 1), (8, 6)])
+    def test_a_batch_is_at_most_max_workers_pool_tasks(
+        self, max_workers, tasks
+    ):
+        manager, templates, workload = self.lane_manager(max_workers)
+        calls = self.count_submissions(manager)
+        with manager:
+            results = manager.process_many(workload, dedupe=False)
+        assert len(results) == len(workload) == 18
+        assert all(r.plan_signature for r in results)
+        assert len(calls) == tasks
+        assert all(
+            manager.shard(t.name).instances_seen == 3 for t in templates
+        )
+
+    def test_under_an_overload_policy_every_row_is_a_unit(self):
+        from repro.serving import OverloadPolicy
+
+        obs = Observability()
+        manager, _, workload = self.lane_manager(
+            8, obs=obs, overload=OverloadPolicy(evaluate_every=10**6),
+        )
+        calls = self.count_submissions(manager)
+        with manager:
+            manager.process_many(workload, dedupe=False)
+            assert manager._overload_coordinator.pending == 0
+        groups = [s for s in obs.spans.spans() if s.name == "serving.batch"]
+        assert len(groups) == len(workload)
+        assert len(calls) == 8
+
+    def test_a_raising_group_fails_only_its_own_rows(self):
+        manager, templates, workload = self.lane_manager(1)
+        broken = manager.shard(templates[1].name)
+
+        def boom(instances):
+            raise RuntimeError("shard failed")
+
+        broken.process_batch = boom
+        with manager:
+            with pytest.raises(RuntimeError, match="shard failed"):
+                manager.process_many(workload, dedupe=False)
+            batches, lane, _ = manager._dispatch(workload, False)
+            for task in lane.tasks:
+                task.result(timeout=10)
+        for slot, items in enumerate(batches):
+            rows = lane.rows(slot, len(items))
+            failed = items[0][1].template_name == broken.template.name
+            assert all(
+                isinstance(r, RuntimeError) == failed for r in rows
+            )
+        assert broken.instances_seen == 0
+        assert all(
+            manager.shard(t.name).instances_seen == 6
+            for t in templates if t.name != broken.template.name
+        )
+
+    def test_close_nowait_mid_lane_resolves_every_row(self):
+        from repro.serving import ShutdownError
+
+        manager, templates, workload = self.lane_manager(1)
+        started, release = threading.Event(), threading.Event()
+        blocked = manager.shard(templates[1].name)
+        serve = blocked.process_batch
+
+        def blocking(instances):
+            started.set()
+            release.wait(timeout=10)
+            return serve(instances)
+
+        blocked.process_batch = blocking
+        try:
+            batches, lane, _ = manager._dispatch(workload, False)
+            assert started.wait(timeout=10)
+            manager.close(wait=False)
+            for task in lane.tasks:
+                assert isinstance(task.exception(timeout=10), ShutdownError)
+            rows = [lane.rows(slot, len(b)) for slot, b in enumerate(batches)]
+        finally:
+            release.set()
+        manager._executor.shutdown(wait=True)
+        assert all(r.plan_signature for r in rows[0])
+        assert all(
+            isinstance(r, ShutdownError) for unit in rows[1:] for r in unit
+        )
+        # The started unit finished; no later unit started.
+        assert [
+            manager.shard(t.name).instances_seen for t in templates
+        ] == [3, 3, 0, 0, 0, 0]
+
+    def test_every_group_keeps_its_own_trace(self):
+        obs = Observability(spans_enabled=True)
+        manager, templates, workload = self.lane_manager(1, obs=obs)
+        with manager:
+            manager.process_many(workload, dedupe=False)
+        spans = obs.spans.spans()
+        groups = [s for s in spans if s.name == "serving.batch"]
+        assert len(groups) == len(templates)
+        assert len({g.trace_id for g in groups}) == len(templates)
+        for group in groups:
+            names = sorted(
+                s.name for s in obs.spans.trace(group.trace_id)
+                if s.name.startswith("serving.")
+            )
+            assert names.count("serving.batch") == 1
+            assert names.count("serving.queue_wait") == 1
+
+
 class TestSingleFlight:
     def test_identical_vectors_collapse_to_one_optimize(self):
         db = Database.create(build_toy_schema(), seed=11)
