@@ -1,4 +1,4 @@
-"""Columnar (structure-of-arrays) view of the instance list.
+"""The instance list as columns: one append-only store and its views.
 
 ``getPlan``'s selectivity check runs on the critical path of every
 request, and at high hit rates it *is* the serving cost (the paper's
@@ -25,26 +25,29 @@ cache epoch (``d`` = template dimensionality):
   rows with their C and S — which the cost check's first step reads
   one group of.
 
-The anchor axis is the **last** axis of every array, so appending rows
-is one ``np.concatenate(..., axis=-1)`` per field whatever its rank;
-the plan layout is carried across the append, touching only the tail
-rows' plans.
+The store
+---------
+:class:`ColumnStore` holds those columns, anchor axis last, in
+capacity-doubling buffers, and each plan's rows the same way.
+:meth:`ColumnStore.append` writes row ``n`` — the one place a row's
+columns are computed — and :meth:`ColumnStore.view` publishes rows
+``[:n]`` as an immutable view of ``[:n]`` slices.  No row a view can
+see is ever written again: an append writes past every published
+``n``, a doubling copies into fresh buffers, and a mutation that is not
+an append (a dropped plan, an adopted snapshot, a recost sweep) replays
+the surviving entries into a fresh store.  A held view therefore never
+changes.  Only writers publish, under the shard lock or serially;
+readers take :meth:`~repro.core.plan_cache.PlanCache.columnar`, an
+attribute read, and a view's ``epoch`` tells a lock-free reader's
+commit whether the cache has moved on since.
 
-Copy-on-write discipline
-------------------------
-A view is the one read view of the instance list: immutable, built
-lazily per cache epoch by
-:meth:`~repro.core.plan_cache.PlanCache.columnar` and handed out
-unchanged between mutations, so taking one on the hot path is O(1).  A
-lock-free reader holds the view it took; ``epoch`` tells its commit
-whether the cache has moved on since.
 Only the *write-once* guarantee-bearing fields (``sv``, ``plan_id``,
 ``optimal_cost``, ``suboptimality``) are columnarised.  The two advisory
 fields that mutate without an epoch bump — ``usage`` (bumped by commits)
 and ``retired`` (flipped by the Appendix G violation detector) — are
 deliberately **not** copied into arrays: the decision procedure
 reads them live from the entry objects, so a flag that flips between
-epoch rebuilds takes effect on the next probe.
+epochs takes effect on the next probe.
 
 Equivalence contract
 --------------------
@@ -64,9 +67,10 @@ break the decision equivalence the differential suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,139 +87,176 @@ class PlanGroup(NamedTuple):
     sub: "np.ndarray"   # (k,) S of those rows
 
 
-_NO_ROWS = PlanGroup(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+#: Rows a store, and each of its plan groups, holds before it first
+#: doubles.
+INITIAL_CAPACITY = 64
 
 
-def _columns(entries: Sequence["InstanceEntry"]) -> dict[str, "np.ndarray"]:
-    """The array fields of ``entries``' rows, each anchor-last."""
-    sv = np.array([e.sv.values for e in entries], dtype=np.float64)
-    # Dimension-major (d, N); an empty list has no d, hence (0, 0).
-    sv = np.ascontiguousarray(sv.T) if entries else sv.reshape(0, 0)
-    return {
-        "sv": sv,
-        "log_sv": np.log(sv),
-        "sub": np.array([e.suboptimality for e in entries], dtype=np.float64),
-        "cost": np.array([e.optimal_cost for e in entries], dtype=np.float64),
-        "plan_ids": np.array([e.plan_id for e in entries], dtype=np.int64),
-        # A leading-axis reduce is out *= sv[j] for j = 1 … d-1 in
-        # order: bit-identical to the scalar loop in the test suite's
-        # reference_get_plan.sv_product.
-        "area": np.multiply.reduce(sv, axis=0),
-    }
+class _Buffers:
+    """Named arrays, anchor axis last, filled one row at a time.  A full
+    buffer doubles into fresh arrays, so a slice taken earlier is never
+    written again."""
+
+    def __init__(self, **arrays: "np.ndarray") -> None:
+        self.n = 0
+        self.capacity = INITIAL_CAPACITY
+        self.arrays = arrays
+
+    def write(self, **row) -> None:
+        n = self.n
+        arrays = self.arrays
+        if n == self.capacity:
+            self.capacity *= 2
+            arrays = self.arrays = {
+                name: np.concatenate((a, np.empty_like(a)), axis=-1)
+                for name, a in arrays.items()
+            }
+        for name, value in row.items():
+            arrays[name][..., n] = value
+        self.n = n + 1
+
+    def __getitem__(self, name: str) -> "np.ndarray":
+        """Rows ``[:n]`` of one array."""
+        return self.arrays[name][..., :self.n]
+
+
+def _row_buffers(d: int) -> _Buffers:
+    cap = INITIAL_CAPACITY
+    return _Buffers(
+        entries=np.empty(cap, dtype=object),
+        sv=np.empty((d, cap)),
+        log_sv=np.empty((d, cap)),
+        sub=np.empty(cap),
+        cost=np.empty(cap),
+        plan_ids=np.empty(cap, dtype=np.int64),
+        area=np.empty(cap),
+        slot=np.empty(cap, dtype=np.intp),
+    )
+
+
+def _group_buffers() -> _Buffers:
+    cap = INITIAL_CAPACITY
+    return _Buffers(
+        rows=np.empty(cap, dtype=np.intp), cost=np.empty(cap), sub=np.empty(cap)
+    )
+
+
+class ColumnStore:
+    """The instance list's columns, append-only (see the module
+    docstring): one row per :class:`~repro.core.plan_cache.InstanceEntry`
+    and, per plan, its rows with their C and S.
+
+    ``ColumnStore(entries)`` replays :meth:`append` over ``entries`` —
+    the one constructor, whether rows arrive one miss at a time or all
+    at once after a mutation that was not an append.  Plan slots are
+    numbered in order of each plan's first row, so a new plan is always
+    the next slot and no earlier row's slot ever moves.
+    """
+
+    def __init__(self, entries: Iterable["InstanceEntry"] = ()) -> None:
+        self._rows = _row_buffers(0)  # the first row fixes d
+        self._plans = _Buffers(ids=np.empty(INITIAL_CAPACITY, dtype=np.int64))
+        self._slot_of: dict[int, int] = {}
+        self._groups: list[_Buffers] = []
+        self._published: list[PlanGroup] = []
+        for entry in entries:
+            self.append(entry)
+
+    def append(self, entry: "InstanceEntry") -> None:
+        """Write ``entry`` as row ``n``, and as the next row of its
+        plan's group."""
+        values = entry.sv.values
+        sv = np.array(values, dtype=np.float64)
+        if not self._rows.n:
+            self._rows = _row_buffers(len(sv))
+        slot = self._slot_of.get(entry.plan_id)
+        if slot is None:
+            slot = self._slot_of[entry.plan_id] = len(self._groups)
+            self._plans.write(ids=entry.plan_id)
+            self._groups.append(_group_buffers())
+            self._published.append(None)
+        row = self._rows.n
+        self._rows.write(
+            entries=entry, sv=sv, log_sv=np.log(sv),
+            sub=entry.suboptimality, cost=entry.optimal_cost,
+            plan_ids=entry.plan_id,
+            # Folded left to right from 1.0: bit-identical to the scalar
+            # loop in the test suite's reference_get_plan.sv_product.
+            area=math.prod(values),
+            slot=slot,
+        )
+        group = self._groups[slot]
+        group.write(rows=row, cost=entry.optimal_cost, sub=entry.suboptimality)
+        self._published[slot] = PlanGroup(
+            group["rows"], group["cost"], group["sub"]
+        )
+
+    def view(self, epoch: int) -> "ColumnarInstances":
+        """Rows ``[:n]`` as an immutable view tagged ``epoch``."""
+        rows = self._rows
+        return ColumnarInstances(
+            epoch=epoch,
+            entries=rows["entries"],
+            stored_sv=rows["sv"],
+            log_sv=rows["log_sv"],
+            sub=rows["sub"],
+            cost=rows["cost"],
+            plan_ids=rows["plan_ids"],
+            area=rows["area"],
+            plan_slots=(self._plans["ids"], rows["slot"]),
+            plan_groups=tuple(self._published),
+        )
 
 
 @dataclass(frozen=True)
 class ColumnarInstances:
-    """Immutable columnar view of one epoch of the instance list.
+    """Immutable view of one epoch of the instance list: rows ``[:N]``
+    of a :class:`ColumnStore`.
 
-    ``entries`` is the row-aligned tuple of the live
+    ``entries`` is the row-aligned ``(N,)`` object column of the live
     :class:`~repro.core.plan_cache.InstanceEntry` objects — index ``i``
     of every array's last axis describes ``entries[i]``, and decisions
     still reference the entry object (the anchor the certificate names).
-
-    Beside the row arrays a view carries its **plan layout**:
-    :attr:`plan_slots` (the distinct plan ids, ascending, and each
-    row's index into them) and :attr:`plan_groups` (per slot, the
-    plan's rows and their ``C`` / ``S``).  :meth:`extended` carries
-    both from the view it extends, so only the tail's plans are touched.
     """
 
     epoch: int
-    entries: tuple["InstanceEntry", ...]
-    sv: "np.ndarray"        # (d, N) raw selectivities, dimension-major
-    log_sv: "np.ndarray"    # (d, N) natural logs
-    sub: "np.ndarray"       # (N,) S column
-    cost: "np.ndarray"      # (N,) C column
-    plan_ids: "np.ndarray"  # (N,) PP column
-    area: "np.ndarray"      # (N,) Π_i s_i (AREA candidate-order key)
-    #: The cache lineage the rows were read at; ``PlanCache.columnar``
-    #: extends only views of its current lineage.  Views built outside
-    #: the cache (explicit row subsets in tests) keep -1 and are never
-    #: extended.
-    lineage: int = -1
-
-    @classmethod
-    def build(
-        cls, epoch: int, entries: Sequence["InstanceEntry"], lineage: int = -1
-    ) -> "ColumnarInstances":
-        entries = tuple(entries)
-        return cls(epoch=epoch, entries=entries, lineage=lineage, **_columns(entries))
-
-    def extended(
-        self, epoch: int, entries: tuple["InstanceEntry", ...]
-    ) -> "ColumnarInstances":
-        """A new view over ``entries``, of which this view's rows are a
-        prefix: only the tail is columnarised (per-row values identical
-        to a full :meth:`build`); this view's arrays are not written."""
-        tail = entries[len(self):]
-        columns = {name: getattr(self, name) for name in _ROW_FIELDS}
-        if tail:
-            # The anchor axis is the last axis of every array field.
-            for name, rows in _columns(tail).items():
-                columns[name] = np.concatenate((columns[name], rows), axis=-1)
-        view = ColumnarInstances(
-            epoch=epoch, entries=entries, lineage=self.lineage, **columns
-        )
-        self._carry_plans(view)
-        return view
-
-    def _carry_plans(self, view: "ColumnarInstances") -> None:
-        """Seed ``view``'s plan layout from this view's, its prefix.
-
-        Only the groups of the tail rows' plans are rebuilt.  Plan ids
-        only grow, so a tail row's plan is usually known or the newest;
-        a row can still be the first of a plan older than the newest
-        one in the view (two plans added, then an instance of the
-        older), and then every slot after that plan's shifts by one.
-        """
-        plans, slot = self.plan_slots
-        groups = list(self.plan_groups)
-        ids = plans.tolist()
-        tail = view.plan_ids[len(self):].tolist()
-        fresh = sorted(set(tail).difference(ids))
-        if fresh:
-            merged = sorted(ids + fresh)
-            at = {p: s for s, p in enumerate(merged)}
-            moved = [at[p] for p in ids]
-            placed = [_NO_ROWS] * len(merged)
-            for s, group in zip(moved, groups):
-                placed[s] = group
-            if fresh[0] < ids[-1]:
-                slot = np.array(moved, dtype=np.intp).take(slot)
-            plans, groups = np.array(merged, dtype=np.int64), placed
-        else:
-            at = {p: s for s, p in enumerate(ids)}
-        tail_slot = [at[p] for p in tail]
-        rows_of: dict[int, list[int]] = {}
-        for row, s in enumerate(tail_slot, start=len(self)):
-            rows_of.setdefault(s, []).append(row)
-        for s, rows in rows_of.items():
-            rows = np.array(rows, dtype=np.intp)
-            group = groups[s]
-            groups[s] = PlanGroup(
-                np.concatenate((group.rows, rows)),
-                np.concatenate((group.cost, view.cost.take(rows))),
-                np.concatenate((group.sub, view.sub.take(rows))),
-            )
-        view.__dict__["plan_slots"] = (
-            plans, np.concatenate((slot, np.array(tail_slot, dtype=np.intp))),
-        )
-        view.__dict__["plan_groups"] = tuple(groups)
+    entries: "np.ndarray"    # (N,) InstanceEntry objects
+    stored_sv: "np.ndarray"  # (d, N) raw selectivities, the store's slice
+    log_sv: "np.ndarray"     # (d, N) natural logs
+    sub: "np.ndarray"        # (N,) S column
+    cost: "np.ndarray"       # (N,) C column
+    plan_ids: "np.ndarray"   # (N,) PP column
+    area: "np.ndarray"       # (N,) Π_i s_i (AREA candidate-order key)
+    #: ``(plans, slot)``: the distinct plan ids in order of first row,
+    #: and each row's index into them — the cost check's dense plan axis
+    #: (``costs.take(slot)`` spreads one Recost per plan over its
+    #: anchors).
+    plan_slots: tuple["np.ndarray", "np.ndarray"]
+    #: Per plan slot, the plan's rows in ascending order with their
+    #: ``C`` and ``S``.
+    plan_groups: tuple[PlanGroup, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def dimensions(self) -> int:
-        return self.sv.shape[0]
+        return self.stored_sv.shape[0]
+
+    @cached_property
+    def sv(self) -> "np.ndarray":
+        """``stored_sv`` C-contiguous — the kernels' input, copied once
+        per view by its first probe: the store's slice strides by its
+        capacity, which slows the G·L kernel by about 5 % (DESIGN.md §12).
+        (``cached_property`` writes the instance ``__dict__`` directly,
+        so it coexists with the frozen dataclass.)"""
+        return np.ascontiguousarray(self.stored_sv)
 
     @cached_property
     def sv_sq(self) -> "np.ndarray":
         """``sv²`` broadcast-shaped ``(d, 1, N)`` — the anchor side of the
         robust corner predicate ``lo·hi ≥ e²``, shared across every probe
-        of the epoch instead of rebuilt per box.  (``cached_property``
-        writes the instance ``__dict__`` directly, so it coexists with
-        the frozen dataclass.)"""
+        of the epoch instead of rebuilt per box."""
         return (self.sv * self.sv)[:, None, :]
 
     @cached_property
@@ -233,7 +274,7 @@ class ColumnarInstances:
         row subset (taken in row order) by rank reproduces a stable
         ``list.sort(key=-usage)`` over that subset exactly.
         Usage mutates without an epoch bump, which is why the memo keys
-        on the cache's usage version rather than living in ``build``.
+        on the cache's usage version rather than living in the store.
         """
         memo = self.__dict__.get("_usage_rank")
         if memo is not None and memo[0] == version:
@@ -244,26 +285,6 @@ class ColumnarInstances:
         rank[order] = np.arange(len(order), dtype=np.int64)
         self.__dict__["_usage_rank"] = (version, rank)
         return rank
-
-    @cached_property
-    def plan_slots(self) -> tuple["np.ndarray", "np.ndarray"]:
-        """``(plans, slot)``: the distinct plan ids, ascending, and each
-        row's index into them — the cost check's dense plan axis
-        (``costs.take(slot)`` spreads one Recost per plan over its
-        anchors; plan ids themselves only grow over a cache's life)."""
-        return np.unique(self.plan_ids, return_inverse=True)
-
-    @cached_property
-    def plan_groups(self) -> tuple[PlanGroup, ...]:
-        """Per plan slot, the plan's rows in ascending order with their
-        ``C`` and ``S``."""
-        plans, slot = self.plan_slots
-        order = np.argsort(slot, kind="stable")
-        ends = np.cumsum(np.bincount(slot, minlength=len(plans)))[:-1]
-        return tuple(
-            PlanGroup(rows, self.cost.take(rows), self.sub.take(rows))
-            for rows in np.split(order, ends)
-        ) if len(plans) else ()
 
     def plan_heads(self, key: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
         """Per plan slot, the smallest ``key`` among the plan's rows and
@@ -276,13 +297,6 @@ class ColumnarInstances:
         head = np.full(len(plans), len(self), dtype=np.intp)
         np.minimum.at(head, slot.take(rows), rows)
         return low, head
-
-
-#: The row-array fields, in layout order.
-_ROW_FIELDS = tuple(
-    f.name for f in fields(ColumnarInstances)
-    if f.name not in ("epoch", "entries", "lineage")
-)
 
 
 # -- G/L kernels --------------------------------------------------------------

@@ -665,9 +665,7 @@ class GetPlan:
         return decision
 
     @staticmethod
-    def _live(
-        entries: tuple[InstanceEntry, ...], key: "np.ndarray"
-    ) -> "np.ndarray":
+    def _live(entries: "np.ndarray", key: "np.ndarray") -> "np.ndarray":
         """``key`` with every retired row's entry masked to ``+inf``."""
         return np.where([e.retired for e in entries], np.inf, key)
 

@@ -11,17 +11,22 @@ The cache stores two structures:
   plan), ``C`` is the optimizer-estimated optimal cost at the instance,
   ``S`` the sub-optimality of the pointed plan there, and ``U`` a usage
   counter feeding the LFU eviction policy.
+
+The instance list lives in one append-only
+:class:`~repro.core.columnar.ColumnStore`: each entry is a row of its
+columns, and every mutation publishes the next epoch's immutable view,
+which :meth:`PlanCache.columnar` hands to readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import SelectivityVector
-from .columnar import ColumnarInstances
+from .columnar import ColumnarInstances, ColumnStore
 
 
 @dataclass
@@ -81,24 +86,15 @@ class InstanceEntry:
 
 @dataclass
 class PlanCache:
-    """Plan list + instance list with the paper's maintenance operations."""
+    """Plan list + instance list with the paper's maintenance operations.
+    Mutations run under the owning shard's lock, or serially."""
 
     _plans: dict[int, CachedPlan] = field(default_factory=dict)
     _by_signature: dict[str, int] = field(default_factory=dict)
-    _instances: list[InstanceEntry] = field(default_factory=list)
     _next_plan_id: int = 0
     _tick: int = 0
     max_plans_seen: int = 0
     plans_dropped: int = 0
-    #: Monotonic mutation counter; bumped on every structural change
-    #: (plan added/dropped, instance added).  Lock-free readers compare
-    #: epochs to detect that a view went stale.
-    epoch: int = 0
-    #: Monotonic counter of every mutation that is *not* an append to the
-    #: instance list (``drop_plan``, ``adopt``, in-place cost rewrites via
-    #: ``invalidate_views``).  A columnar view may be extended with the
-    #: new tail rows only while the lineage it was built at is current.
-    lineage: int = 0
     #: Monotonic *usage* counter; bumped whenever any instance's ``U``
     #: changes.  Usage edits are advisory (they reorder LFU/USAGE scans
     #: but never move an anchor), so they deliberately do not bump
@@ -122,75 +118,43 @@ class PlanCache:
     adopted_hits_selectivity: int = 0
     adopted_hits_cost: int = 0
     adopted_recost_spend: int = 0
-    _columnar: Optional[ColumnarInstances] = field(default=None, repr=False)
+    _store: ColumnStore = field(
+        default_factory=ColumnStore, init=False, repr=False, compare=False
+    )
+    _view: ColumnarInstances = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._view = self._store.view(0)
+
+    @property
+    def epoch(self) -> int:
+        """Monotonic mutation counter, bumped by every structural change
+        (plan added or dropped, instance added, rows rebuilt): the
+        current view's epoch, so a reader that reads the epoch and then
+        the view never gets a view older than the epoch it read."""
+        return self._view.epoch
 
     def _mutated(self) -> None:
-        """Book an append-only mutation (plan or instance added).
+        """Publish the store's rows as the next epoch's view."""
+        self._view = self._store.view(self._view.epoch + 1)
 
-        The columnar view survives: its rows are still a valid prefix,
-        and :meth:`columnar` extends it instead of rebuilding.
-        """
-        self.epoch += 1
-
-    def invalidate_views(self) -> None:
-        """Book a mutation that removed, reordered or rewrote entries.
-
-        Call after anything other than an append — including in-place
-        edits of columnarised fields (``InstanceEntry.refresh_cost``) —
-        so no outstanding view is mistaken for a prefix of the new list.
-        """
-        self.lineage += 1
-        self._columnar = None
+    def _rebuild(self, entries: Iterable[InstanceEntry]) -> None:
+        """Replay ``entries`` into a fresh store and publish it; views
+        already handed out keep the old store's arrays."""
+        self._store = ColumnStore(entries)
         self._mutated()
 
+    def invalidate_views(self) -> None:
+        """Rebuild the store after an in-place edit of columnarised
+        fields (``InstanceEntry.refresh_cost``)."""
+        self._rebuild(self._view.entries)
+
     def columnar(self) -> ColumnarInstances:
-        """Copy-on-write columnar view of the instance list.
-
-        The one read view of the list: cached until the next structural
-        mutation and brought up to date lazily by the first reader after
-        one.  ``getPlan`` probes its arrays; decisions still point at the
-        shared :class:`InstanceEntry` objects.
-
-        The cached view is current iff its epoch is the cache's.  Epochs
-        only grow, every mutation bumps the epoch *after* it has edited
-        the list, and :meth:`_rows` reads the epoch *before* the rows: a
-        read torn by a concurrent mutation therefore carries an epoch
-        that is already stale, and never passes this test again.
-
-        After appends the previous view is *extended* with the tail rows
-        (a new view; the old one is untouched) instead of rebuilt from
-        all N entries.  An epoch change alone does not prove the history
-        was append-only — a lock-free reader can publish a view built
-        from pre-drop rows — so extension requires that the view was
-        built at the current :attr:`lineage` and that its last row is
-        still at the same index: entries are never reordered or
-        re-inserted, so a surviving last row proves the whole prefix.
-        The lineage is read on both sides of the rows: a reader that
-        stalls between the two reads holds a stale value that a view
-        published meanwhile (by another reader, from pre-rewrite rows)
-        may carry too, and only the second read tells them apart.
-        """
-        view = self._columnar
-        if view is not None and view.epoch == self.epoch:
-            return view
-        lineage = self.lineage
-        epoch, rows = self._rows()
-        view = self._columnar  # re-read: a newer view may have been published
-        n = 0 if view is None else len(view)
-        if (
-            0 < n <= len(rows)
-            and view.lineage == lineage == self.lineage
-            and rows[n - 1] is view.entries[n - 1]
-        ):
-            view = view.extended(epoch, rows)
-        else:
-            view = ColumnarInstances.build(epoch, rows, lineage)
-        self._columnar = view
-        return view
-
-    def _rows(self) -> tuple[int, tuple[InstanceEntry, ...]]:
-        """``(epoch, rows)``, the epoch read first (see :meth:`columnar`)."""
-        return self.epoch, tuple(self._instances)
+        """The current columnar view of the instance list: immutable,
+        published by the last mutation, and handed out unchanged until
+        the next.  ``getPlan`` probes its arrays; decisions still point
+        at the shared :class:`InstanceEntry` objects."""
+        return self._view
 
     def touch(self, plan_id: int) -> None:
         """Record a reuse of ``plan_id`` (advances the LRU clock)."""
@@ -206,7 +170,7 @@ class PlanCache:
         Warm-start installs a restored snapshot into a live SCR stack,
         where ``get_plan`` and ``manage_cache`` both hold references to
         *this* object — so the contents move, not the
-        identity.  The epoch advances past both caches' so every
+        identity.  The epoch advances past both caches', so every
         outstanding columnar view reads as stale.
         """
         # Hit totals carried by the adopted contents were earned against
@@ -218,7 +182,6 @@ class PlanCache:
         self.adopted_recost_spend += ospend + other.adopted_recost_spend
         self._plans = other._plans
         self._by_signature = other._by_signature
-        self._instances = other._instances
         self._next_plan_id = other._next_plan_id
         self._tick = max(self._tick, other._tick)
         self.max_plans_seen = max(self.max_plans_seen, other.max_plans_seen)
@@ -227,9 +190,9 @@ class PlanCache:
         self.evicted_hits_cost += other.evicted_hits_cost
         self.evicted_recost_spend += other.evicted_recost_spend
         self.evicted_never_hit += other.evicted_never_hit
-        self.epoch = max(self.epoch, other.epoch)
         self.usage_version = max(self.usage_version, other.usage_version)
-        self.invalidate_views()
+        self._store = ColumnStore(other.instances())
+        self._view = self._store.view(max(self.epoch, other.epoch) + 1)
 
     # -- plan list ---------------------------------------------------------
 
@@ -282,7 +245,8 @@ class PlanCache:
         if entry is None:
             raise KeyError(f"no cached plan with id {plan_id}")
         del self._by_signature[entry.signature]
-        for inst in self._instances:
+        entries = self._view.entries
+        for inst in entries:
             if inst.plan_id == plan_id:
                 # Fold the departing anchors' lifetime attribution into
                 # the evicted totals so the accounting identity holds.
@@ -291,9 +255,8 @@ class PlanCache:
                 self.evicted_recost_spend += inst.recost_spend
                 if inst.total_hits == 0:
                     self.evicted_never_hit += 1
-        self._instances = [i for i in self._instances if i.plan_id != plan_id]
         self.plans_dropped += 1
-        self.invalidate_views()
+        self._rebuild(i for i in entries if i.plan_id != plan_id)
 
     def plans(self) -> list[CachedPlan]:
         return list(self._plans.values())
@@ -307,29 +270,29 @@ class PlanCache:
     def add_instance(self, entry: InstanceEntry) -> None:
         if entry.plan_id not in self._plans:
             raise KeyError(f"instance points at unknown plan {entry.plan_id}")
-        self._instances.append(entry)
+        self._store.append(entry)
         self._mutated()
 
     def find_instance(self, sv: SelectivityVector) -> Optional[InstanceEntry]:
         """First live instance entry with exactly this selectivity vector."""
-        for entry in self._instances:
+        for entry in self._view.entries:
             if entry.sv.values == sv.values:
                 return entry
         return None
 
     def instances(self) -> Iterator[InstanceEntry]:
-        return iter(self._instances)
+        return iter(self._view.entries)
 
     def instances_for(self, plan_id: int) -> list[InstanceEntry]:
-        return [i for i in self._instances if i.plan_id == plan_id]
+        return [i for i in self._view.entries if i.plan_id == plan_id]
 
     @property
     def num_instances(self) -> int:
-        return len(self._instances)
+        return len(self._view)
 
     def aggregate_usage(self, plan_id: int) -> int:
         """Sum of U over the plan's instances (the LFU eviction key)."""
-        return sum(i.usage for i in self._instances if i.plan_id == plan_id)
+        return sum(i.usage for i in self._view.entries if i.plan_id == plan_id)
 
     def min_usage_plan(self) -> Optional[CachedPlan]:
         """The plan with minimum aggregate usage count (LFU victim)."""
@@ -360,7 +323,7 @@ class PlanCache:
         sel = self.evicted_hits_selectivity
         cost = self.evicted_hits_cost
         spend = self.evicted_recost_spend
-        for entry in self._instances:
+        for entry in self._view.entries:
             sel += entry.hits_selectivity
             cost += entry.hits_cost
             spend += entry.recost_spend

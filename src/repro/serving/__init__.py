@@ -2,7 +2,7 @@
 
 A thread-safe front-end over the core SCR machinery: per-template
 shards with a fine-grained lock discipline (lock-free probes against
-copy-on-write columnar views, optimistic epoch validation, write-locked
+immutable columnar views, optimistic epoch validation, write-locked
 manageCache), single-flight optimizer collapsing, batched admission
 with selectivity-vector dedup, per-shard serving statistics, and
 overload protection (bounded ingress, deadlines, optimizer gate and

@@ -10,7 +10,8 @@ its rows would:
 * every row is decided by
   :meth:`~repro.core.get_plan.GetPlan.probe_rows`, lock-free, against
   one immutable :class:`~repro.core.columnar.ColumnarInstances` view
-  (copy-on-write, so taking it is O(1) between mutations); a row's
+  (each cache mutation publishes one, so taking it is an attribute
+  read); a row's
   decision is taken only when the walk in input order reaches it.  Once
   a row changes what the later rows would see — a registration, an
   eviction, an Appendix G retirement, another thread's write — the

@@ -10,21 +10,19 @@ Four invariant families, driven by Hypothesis plus explicit edge cases:
   and 16, an N = 1 view and the empty view;
 * **plan heads** — per plan, the first row attaining the plan's
   smallest order key, ties and keyless plans included;
-* **view consistency** — after an arbitrary sequence of cache
-  operations (add plan / add instance / drop plan / retire / adopt /
-  recalibrate), the columnar view's arrays always mirror the snapshot's
-  entry tuple field for field and are byte-equal to a from-scratch
-  build, copy-on-write hands out the same view object between
-  mutations, appends *extend* the previous view without touching it,
-  and every non-append mutation forces a rebuild — including when a
-  racing reader publishes a view built from a pre-drop snapshot;
+* **the store** — after an arbitrary sequence of cache operations (add
+  plan / add instance / drop plan / retire / adopt / recost sweep), at
+  initial capacities that make the buffers double, the current view
+  mirrors the live entries field for field and is byte-equal to a fresh
+  store replaying them, plan layout included; every view taken earlier
+  is byte-equal to the copy made when it was taken; and an append
+  writes one row, reading only its own entry;
 * **batch ≡ sequential** — ``probe_batch`` returns exactly the
   decisions of a sequential ``probe`` loop over the same snapshot.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -34,8 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import adversarial_corner, compute_gl
+from repro.core import columnar
 from repro.core.columnar import (
     ColumnarInstances,
+    ColumnStore,
     corner_gl_matrix,
     cost_corner_gl,
     gl_matrix,
@@ -327,19 +327,19 @@ tied_keys = st.lists(
 
 
 def _view_over_plans(plan_ids: list[int]) -> ColumnarInstances:
-    return ColumnarInstances.build(-1, [
+    return ColumnStore([
         InstanceEntry(
             sv=SelectivityVector.of(0.5), plan_id=p,
             optimal_cost=1.0, suboptimality=1.0,
         )
         for p in plan_ids
-    ])
+    ]).view(-1)
 
 
 def _assert_plan_heads(keys, plan_ids, key):
     view = _view_over_plans(plan_ids)
     plans, slot = view.plan_slots
-    assert plans.tolist() == sorted(set(plan_ids))
+    assert plans.tolist() == list(dict.fromkeys(plan_ids))
     assert plans[slot].tolist() == plan_ids
     low, head = view.plan_heads(key)
     for s, plan in enumerate(plans.tolist()):
@@ -379,7 +379,7 @@ def test_plan_heads_explicit_tie_cases(keys, plan_ids):
     _assert_plan_heads(keys, plan_ids, np.array(keys, dtype=np.float64))
 
 
-# -- view consistency over arbitrary op sequences -----------------------------
+# -- the store: views over arbitrary op sequences ------------------------------
 
 
 cache_ops = st.lists(
@@ -388,7 +388,7 @@ cache_ops = st.lists(
         st.tuples(st.just("add_instance"), st.integers(0, 1_000_000)),
         st.tuples(st.just("drop_plan"), st.integers(0, 30)),
         st.tuples(st.just("retire"), st.integers(0, 200)),
-        st.tuples(st.just("adopt"), st.integers(0, 4)),
+        st.tuples(st.just("adopt"), st.integers(0, 9)),
         st.tuples(st.just("recalibrate"), st.integers(1, 50)),
         st.tuples(st.just("probe_view"), st.just(0)),
     ),
@@ -396,31 +396,39 @@ cache_ops = st.lists(
 )
 
 
-COLUMNS = tuple(
-    f.name for f in dataclasses.fields(ColumnarInstances)
-    if f.name not in ("epoch", "entries", "lineage")
-)
+def _frozen(view: ColumnarInstances) -> tuple:
+    """A copy of everything a view shows: its epoch, its entry objects,
+    and the dtype, shape and bytes of every array, plan layout included."""
+    arrays = [
+        view.stored_sv, view.sv, view.log_sv, view.sub, view.cost,
+        view.plan_ids, view.area, *view.plan_slots,
+    ]
+    for group in view.plan_groups:
+        arrays.extend(group)
+    return (
+        view.epoch,
+        tuple(view.entries),
+        [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+    )
 
 
-def _column_bytes(view: ColumnarInstances) -> dict[str, bytes]:
-    return {name: getattr(view, name).tobytes() for name in COLUMNS}
+def _assert_unchanged(view: ColumnarInstances, frozen: tuple) -> None:
+    epoch, entries, arrays = _frozen(view)
+    assert epoch == frozen[0]
+    assert len(entries) == len(frozen[1])
+    assert all(a is b for a, b in zip(entries, frozen[1]))
+    assert arrays == frozen[2]
 
 
 @contextmanager
-def _extension_tails():
-    """Record the tail length of every ``ColumnarInstances.extended``."""
-    tails: list[int] = []
-    original = ColumnarInstances.extended
-
-    def spy(self, epoch, entries):
-        tails.append(len(entries) - len(self))
-        return original(self, epoch, entries)
-
-    ColumnarInstances.extended = spy
+def _initial_capacity(rows: int):
+    """Stores made inside the block start with room for ``rows`` rows."""
+    saved = columnar.INITIAL_CAPACITY
+    columnar.INITIAL_CAPACITY = rows
     try:
-        yield tails
+        yield
     finally:
-        ColumnarInstances.extended = original
+        columnar.INITIAL_CAPACITY = saved
 
 
 def _sweep(cache: PlanCache, scale: float):
@@ -437,67 +445,65 @@ def _sweep(cache: PlanCache, scale: float):
     return recost_sweep(scr)
 
 
-def _assert_view_consistent(cache: PlanCache) -> None:
-    entries = tuple(cache.instances())
+def _assert_view_is_a_replay(cache: PlanCache) -> None:
+    """The current view mirrors the live entries field for field, and is
+    byte-equal to a fresh store replaying them, plan layout included."""
+    entries = list(cache.instances())
     view = cache.columnar()
     assert view.epoch == cache.epoch
-    assert len(view.entries) == len(entries)
-    assert all(a is b for a, b in zip(view.entries, entries))
     assert len(view) == len(entries)
     if len(view):
-        # Dimension-major and contiguous, extended or rebuilt.
+        # Dimension-major; the kernels' copy is contiguous.
         assert view.sv.shape == view.log_sv.shape == (
             len(entries[0].sv), len(view)
         )
-        assert view.sv.flags.c_contiguous and view.log_sv.flags.c_contiguous
+        assert view.sv.flags.c_contiguous
     for i, entry in enumerate(entries):
         assert tuple(view.sv[:, i]) == entry.sv.values
         assert view.sub[i] == entry.suboptimality
         assert view.cost[i] == entry.optimal_cost
         assert int(view.plan_ids[i]) == entry.plan_id
         assert view.area[i] == sv_product(entry)
-    # Extended or rebuilt, the view is byte-for-byte a from-scratch build.
-    fresh = ColumnarInstances.build(cache.epoch, tuple(cache.instances()))
-    assert _column_bytes(view) == _column_bytes(fresh)
-    for name in COLUMNS:
-        assert getattr(view, name).shape == getattr(fresh, name).shape
-        assert getattr(view, name).dtype == getattr(fresh, name).dtype
-    # So is its plan layout, carried across appends or built afresh.
-    _assert_same_arrays(view.plan_slots, fresh.plan_slots)
-    assert len(view.plan_groups) == len(fresh.plan_groups)
-    for carried, built in zip(view.plan_groups, fresh.plan_groups):
-        _assert_same_arrays(carried, built)
+    # Plan slots in order of each plan's first row; each group is its
+    # plan's rows, ascending, with their C and S.
+    plans, slot = view.plan_slots
+    plan_ids = [e.plan_id for e in entries]
+    assert plans.tolist() == list(dict.fromkeys(plan_ids))
+    assert plans[slot].tolist() == plan_ids
+    assert len(view.plan_groups) == len(plans)
+    for plan, (rows, cost, sub) in zip(plans.tolist(), view.plan_groups):
+        assert rows.tolist() == [i for i, p in enumerate(plan_ids) if p == plan]
+        assert cost.tolist() == [entries[i].optimal_cost for i in rows]
+        assert sub.tolist() == [entries[i].suboptimality for i in rows]
+    _assert_unchanged(view, _frozen(ColumnStore(entries).view(cache.epoch)))
 
 
-def _assert_same_arrays(a, b) -> None:
-    for x, y in zip(a, b, strict=True):
-        assert x.dtype == y.dtype and x.shape == y.shape
-        assert x.tobytes() == y.tobytes()
+def _add_stub_plan(cache: PlanCache, signature: str) -> int:
+    plan = CachedPlan(
+        plan_id=cache._next_plan_id, signature=signature, plan=None,
+        shrunken_memo=_StubMemo(),
+    )
+    cache._plans[plan.plan_id] = plan
+    cache._by_signature[signature] = plan.plan_id
+    cache._next_plan_id += 1
+    cache._mutated()
+    return plan.plan_id
 
 
 @settings(max_examples=100, deadline=None)
-@given(ops=cache_ops, seed=st.integers(0, 2**16))
-def test_columnar_view_tracks_cache_through_op_sequences(ops, seed):
+@given(
+    ops=cache_ops, seed=st.integers(0, 2**16),
+    capacity=st.sampled_from([1, 2, 64]),
+)
+def test_columnar_view_tracks_cache_through_op_sequences(ops, seed, capacity):
     import random
 
     rng = random.Random(seed)
-    cache = PlanCache()
     next_sig = [0]
 
-    def ensure_plan() -> int:
-        if not cache._plans:
-            plan = CachedPlan(
-                plan_id=cache._next_plan_id,
-                signature=f"s{next_sig[0]}",
-                plan=None,
-                shrunken_memo=_StubMemo(),
-            )
-            next_sig[0] += 1
-            cache._plans[plan.plan_id] = plan
-            cache._by_signature[plan.signature] = plan.plan_id
-            cache._next_plan_id += 1
-            cache._mutated()
-        return rng.choice(list(cache._plans))
+    def new_plan(cache: PlanCache) -> int:
+        next_sig[0] += 1
+        return _add_stub_plan(cache, f"s{next_sig[0]}")
 
     def random_entry(plan_id: int, arg: int) -> InstanceEntry:
         return InstanceEntry(
@@ -509,67 +515,52 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed):
             suboptimality=1.0 + (arg % 7) / 10.0,
         )
 
-    # Every view ever handed out, with its bytes at that moment: later
-    # appends extend *copies*, so none of them may change.
-    held: list[tuple[ColumnarInstances, dict[str, bytes]]] = []
-
-    for op, arg in ops:
-        before = cache.columnar()
-        held.append((before, _column_bytes(before)))
-        rewritten = False  # did the op do anything other than append?
-        if op == "add_plan":
-            plan = CachedPlan(
-                plan_id=cache._next_plan_id,
-                signature=f"s{next_sig[0]}",
-                plan=None,
-                shrunken_memo=_StubMemo(),
-            )
-            next_sig[0] += 1
-            cache._plans[plan.plan_id] = plan
-            cache._by_signature[plan.signature] = plan.plan_id
-            cache._next_plan_id += 1
-            cache._mutated()
-        elif op == "adopt":
-            other = PlanCache()
-            other._next_plan_id = cache._next_plan_id
-            plan = CachedPlan(
-                plan_id=other._next_plan_id,
-                signature=f"s{next_sig[0]}",
-                plan=None,
-                shrunken_memo=_StubMemo(),
-            )
-            next_sig[0] += 1
-            other._plans[plan.plan_id] = plan
-            other._by_signature[plan.signature] = plan.plan_id
-            other._next_plan_id += 1
-            for i in range(arg):
-                other.add_instance(random_entry(plan.plan_id, i))
-            cache.adopt(other)
-            rewritten = True
-        elif op == "recalibrate":
-            rewritten = _sweep(cache, scale=float(arg)).refreshed > 0
-        elif op == "add_instance":
-            cache.add_instance(random_entry(ensure_plan(), arg))
-        elif op == "drop_plan":
-            if cache._plans:
-                victim = sorted(cache._plans)[arg % len(cache._plans)]
-                cache.drop_plan(victim)
-                rewritten = True
-        elif op == "retire":
-            entries = list(cache.instances())
-            if entries:
-                entries[arg % len(entries)].retired = True
-        else:  # probe_view: exercise COW identity between mutations
-            assert cache.columnar() is before
-        with _extension_tails() as tails:
+    with _initial_capacity(capacity):
+        cache = PlanCache()
+        # The instance list as a plain list: what the cache must hold.
+        model: list[InstanceEntry] = []
+        # Every view ever handed out, copied when it was taken: nothing
+        # any later op does may change one.
+        held: list[tuple[ColumnarInstances, tuple]] = []
+        for op, arg in ops:
+            before = cache.columnar()
+            held.append((before, _frozen(before)))
+            if op == "add_plan":
+                new_plan(cache)
+            elif op == "adopt":
+                other = PlanCache()
+                other._next_plan_id = cache._next_plan_id
+                plan_id = new_plan(other)
+                model = [random_entry(plan_id, i) for i in range(arg)]
+                for entry in model:
+                    other.add_instance(entry)
+                cache.adopt(other)
+            elif op == "recalibrate":
+                _sweep(cache, scale=float(arg))
+            elif op == "add_instance":
+                plan_id = rng.choice(list(cache._plans) or [new_plan(cache)])
+                model.append(random_entry(plan_id, arg))
+                cache.add_instance(model[-1])
+            elif op == "drop_plan":
+                if cache._plans:
+                    victim = sorted(cache._plans)[arg % len(cache._plans)]
+                    cache.drop_plan(victim)
+                    model = [e for e in model if e.plan_id != victim]
+            elif op == "retire":
+                entries = list(cache.instances())
+                if entries:
+                    entries[arg % len(entries)].retired = True
             after = cache.columnar()
-        if rewritten:
-            # Not an append: the next view is rebuilt, never extended.
-            assert tails == [] and after is not before
-        _assert_view_consistent(cache)
-    _assert_view_consistent(cache)
-    for view, frozen in held:
-        assert _column_bytes(view) == frozen
+            # A view is handed out unchanged until the epoch moves.
+            assert (after is before) == (after.epoch == before.epoch)
+            if op in ("retire", "probe_view"):
+                assert after is before
+            live = list(cache.instances())
+            assert len(live) == len(model)
+            assert all(a is b for a, b in zip(live, model))
+            _assert_view_is_a_replay(cache)
+        for view, frozen in held:
+            _assert_unchanged(view, frozen)
 
 
 def test_columnar_view_identity_is_stable_between_mutations():
@@ -580,7 +571,7 @@ def test_columnar_view_identity_is_stable_between_mutations():
     # (the flag is read live off the entries, never from the arrays).
     next(iter(cache.instances())).retired = True
     assert cache.columnar() is view
-    # A structural mutation invalidates it.
+    # A structural mutation publishes a new one.
     cache.add_instance(
         InstanceEntry(
             sv=SelectivityVector.of(0.5, 0.5), plan_id=0,
@@ -588,7 +579,6 @@ def test_columnar_view_identity_is_stable_between_mutations():
         )
     )
     assert cache.columnar() is not view
-    _ = cache.columnar()
 
 
 def _entry(values, plan_id: int = 0) -> InstanceEntry:
@@ -601,168 +591,110 @@ def _entry(values, plan_id: int = 0) -> InstanceEntry:
 def test_appends_extend_the_view_and_leave_the_old_one_alone():
     cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
     old = cache.columnar()
-    frozen = _column_bytes(old)
-    with _extension_tails() as tails:
-        cache.add_instance(_entry([0.5, 0.5]))
-        mid = cache.columnar()
-        cache.add_instance(_entry([0.6, 0.1]))
-        cache.add_instance(_entry([0.7, 0.2]))
-        new = cache.columnar()
-    assert tails == [1, 2]
+    frozen = _frozen(old)
+    cache.add_instance(_entry([0.5, 0.5]))
+    mid = cache.columnar()
+    cache.add_instance(_entry([0.6, 0.1]))
+    cache.add_instance(_entry([0.7, 0.2]))
+    new = cache.columnar()
     assert len(old) == 2 and len(mid) == 3 and len(new) == 5
-    assert _column_bytes(old) == frozen
-    assert not np.shares_memory(old.sv, new.sv)
-    _assert_view_consistent(cache)
+    _assert_unchanged(old, frozen)
+    # The new rows were written past the old views' rows, into the same
+    # buffers: no row was copied.
+    for name in ("entries", "stored_sv", "cost", "plan_ids"):
+        assert np.shares_memory(getattr(old, name), getattr(new, name))
+    _assert_view_is_a_replay(cache)
 
 
-def test_extension_inserts_an_older_plans_first_row_mid_layout():
-    """Two plans added, then a row of the older one: its slot lands
-    between the plans the view already had and the shifted newer ones,
-    and every group still matches a fresh build's."""
+def test_an_older_plans_first_row_takes_the_next_slot():
+    """Two plans added, then a row of the older one: it takes the next
+    slot, so no slot handed out earlier moves."""
     cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])  # plan 0
     for plan_id in (1, 2):
-        cache._plans[plan_id] = CachedPlan(
-            plan_id=plan_id, signature=f"p{plan_id}", plan=None,
-            shrunken_memo=_StubMemo(),
-        )
-        cache._next_plan_id = plan_id + 1
-        cache._mutated()
+        assert _add_stub_plan(cache, f"p{plan_id}") == plan_id
     cache.add_instance(_entry([0.5, 0.5], plan_id=2))
     before = cache.columnar()
+    frozen = _frozen(before)
     assert before.plan_slots[0].tolist() == [0, 2]
     cache.add_instance(_entry([0.6, 0.1], plan_id=1))
     cache.add_instance(_entry([0.7, 0.2], plan_id=0))
-    with _extension_tails() as tails:
-        view = cache.columnar()
-    assert tails == [2]
+    view = cache.columnar()
     plans, slot = view.plan_slots
-    assert plans.tolist() == [0, 1, 2] and slot.tolist() == [0, 0, 2, 1, 0]
-    assert [g.rows.tolist() for g in view.plan_groups] == [[0, 1, 4], [3], [2]]
-    assert before.plan_slots[1].tolist() == [0, 0, 1]  # the old view's own
-    _assert_view_consistent(cache)
+    assert plans.tolist() == [0, 2, 1] and slot.tolist() == [0, 0, 1, 2, 0]
+    assert [g.rows.tolist() for g in view.plan_groups] == [[0, 1, 4], [2], [3]]
+    _assert_unchanged(before, frozen)
+    _assert_view_is_a_replay(cache)
 
 
-def test_extension_builds_rows_linear_in_misses(monkeypatch):
-    """500 misses columnarise ~500 rows in total, not ~500²/2."""
-    built: list[int] = []
-    original = ColumnarInstances.build.__func__
+def test_extension_builds_rows_linear_in_misses():
+    """500 misses write 500 rows.  Each append reads only its own entry
+    and publishes slices of the store's buffers; rows are copied only
+    when a buffer doubles."""
+    reads: list[InstanceEntry] = []
 
-    def counting_build(cls, epoch, entries, lineage=-1):
-        entries = tuple(entries)
-        built.append(len(entries))
-        return original(cls, epoch, entries, lineage)
+    class Watched(InstanceEntry):
+        def __getattribute__(self, name):
+            if name in ("sv", "plan_id", "optimal_cost", "suboptimality"):
+                reads.append(self)
+            return super().__getattribute__(name)
 
-    monkeypatch.setattr(ColumnarInstances, "build", classmethod(counting_build))
     cache = _cache_with([])
     get_plan = GetPlan(cache=cache, lam=1.2)
-    misses = 500
+    misses, copies = 500, 0
+    previous = cache.columnar()
     for i in range(misses):
         # A 25 x 20 grid with neighbours a factor 1.7 apart: no anchor
         # is ever within λ of a later point.
         point = SelectivityVector.of(1e-6 * 1.7 ** (i % 25), 1e-6 * 1.7 ** (i // 25))
         assert not get_plan.probe(point, lambda memo, sv: 1e12).hit
-        cache.add_instance(_entry(point.values))
+        entry = Watched(
+            sv=point, plan_id=0, optimal_cost=10.0, suboptimality=1.0
+        )
+        reads.clear()
+        cache.add_instance(entry)
+        assert reads and all(r is entry for r in reads)
+        view = cache.columnar()
+        copies += not np.shares_memory(view.cost, previous.cost)
+        previous = view
     assert len(cache.columnar()) == misses
-    assert sum(built) <= 2 * misses
+    # The first row sizes the buffers to d; then 64 -> 128 -> 256 -> 512.
+    assert columnar.INITIAL_CAPACITY == 64 and copies == 4
 
 
-def test_stale_view_published_by_a_racing_reader_is_rebuilt_not_extended():
-    """Epoch inequality is not evidence of append-only history.
-
-    A lock-free reader reads the lineage, snapshots, and is descheduled;
-    a writer drops a plan (removing a middle row); the reader then
-    finishes and publishes the view it built from the pre-drop snapshot.
-    The next ``columnar()`` must not extend that view.
-    """
+def test_a_view_held_across_a_drop_keeps_its_rows():
+    """A drop removes a middle row and replays the survivors into a
+    fresh store; an append then brings the list back to the held view's
+    length, in the fresh store's buffers."""
     cache = _cache_with([[0.1, 0.2]])
-    doomed = CachedPlan(plan_id=1, signature="p1", plan=None, shrunken_memo=_StubMemo())
-    cache._plans[1] = doomed
-    cache._by_signature["p1"] = 1
-    cache._next_plan_id = 2
-    cache._mutated()
+    _add_stub_plan(cache, "p1")
     cache.add_instance(_entry([0.2, 0.2], plan_id=1))
     cache.add_instance(_entry([0.3, 0.4]))
-
-    reader_lineage = cache.lineage          # reader: lineage first ...
-    reader_epoch, reader_rows = cache.epoch, tuple(cache.instances())
-    cache.drop_plan(1)                      # writer: middle row gone
-    cache._columnar = ColumnarInstances.build(   # reader publishes late
-        reader_epoch, reader_rows, reader_lineage
-    )
-    cache.add_instance(_entry([0.9, 0.9]))  # same length as the stale view
-
-    with _extension_tails() as tails:
-        view = cache.columnar()
-    assert tails == []
-    assert [e.plan_id for e in view.entries] == [0, 0, 0]
-    _assert_view_consistent(cache)
-
-    # The boundary check alone also catches it: forge the current
-    # lineage onto an equally stale view and the last-row identity test
-    # (entries[2] is now the new row, not the stale view's) still fails.
-    cache._columnar = ColumnarInstances.build(
-        reader_epoch, reader_rows, cache.lineage
-    )
-    cache.add_instance(_entry([0.8, 0.8]))
-    with _extension_tails() as tails:
-        cache.columnar()
-    assert tails == []
-    _assert_view_consistent(cache)
-
-
-def test_stale_view_published_across_a_recost_sweep_is_rebuilt():
-    """The case only the lineage rule catches: a sweep rewrites costs in
-    place, so every row of the late-published view is still the same
-    entry object at the same index — and its cost column is stale."""
-    cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
-    reader_lineage = cache.lineage
-    stale = ColumnarInstances.build(
-        cache.epoch, tuple(cache.instances()), reader_lineage
-    )
-    assert _sweep(cache, scale=3.0).refreshed == 2
-    cache._columnar = stale                 # reader publishes late
+    held = cache.columnar()
+    frozen = _frozen(held)
+    cache.drop_plan(1)
     cache.add_instance(_entry([0.9, 0.9]))
-    with _extension_tails() as tails:
-        view = cache.columnar()
-    assert tails == []
-    assert view.cost[0] != stale.cost[0]
-    _assert_view_consistent(cache)
+    view = cache.columnar()
+    assert [e.plan_id for e in view.entries] == [0, 0, 0]
+    assert [e.plan_id for e in held.entries] == [0, 1, 0]
+    assert not np.shares_memory(held.cost, view.cost)
+    _assert_unchanged(held, frozen)
+    _assert_view_is_a_replay(cache)
 
 
-def test_reader_stalled_inside_columnar_across_a_sweep_rebuilds(monkeypatch):
-    """Reader B reads the lineage inside ``columnar()`` and stalls before
-    its (epoch, rows) read.  Meanwhile a sweep rewrites costs, reader A
-    publishes its pre-sweep view (tagged with the lineage both readers
-    saw) and a miss appends.  B's first lineage read matches A's view
-    and every row is the same object at the same index; only the
-    lineage re-read after the rows shows the view is stale."""
+def test_a_view_held_across_a_sweep_keeps_its_costs():
+    """A recost sweep rewrites costs on the entry objects, in place:
+    every row is still the same entry at the same index, the rebuilt
+    view carries the new costs and the held view its own."""
     cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
-    stale = ColumnarInstances.build(
-        cache.epoch, tuple(cache.instances()), cache.lineage
-    )
-    rows = cache._rows
-
-    def stalled_rows():
-        # Runs after B's first lineage read, before B's (epoch, rows).
-        monkeypatch.setattr(cache, "_rows", rows)
-        assert _sweep(cache, scale=3.0).refreshed == 2
-        cache._columnar = stale             # reader A publishes late
-        cache.add_instance(_entry([0.9, 0.9]))
-        return rows()
-
-    monkeypatch.setattr(cache, "_rows", stalled_rows)
-    with _extension_tails() as tails:
-        view = cache.columnar()             # reader B
-    assert tails == []
-    assert len(view) == 3 and view.cost[0] != stale.cost[0]
-    # B's view carries the lineage it read first, so it is not extended
-    # later either; the cache rebuilds once more and is then current.
-    assert view.lineage < cache.lineage
-    cache.add_instance(_entry([0.8, 0.8]))
-    with _extension_tails() as tails:
-        cache.columnar()
-    assert tails == []
-    _assert_view_consistent(cache)
+    held = cache.columnar()
+    frozen = _frozen(held)
+    assert _sweep(cache, scale=3.0).refreshed == 2
+    cache.add_instance(_entry([0.9, 0.9]))
+    view = cache.columnar()
+    assert view.cost[0] != held.cost[0]
+    assert all(a is b for a, b in zip(held.entries, view.entries))
+    _assert_unchanged(held, frozen)
+    _assert_view_is_a_replay(cache)
 
 
 def test_recalibrate_rebuilds_the_view(toy_engine, toy_template):
@@ -773,14 +705,15 @@ def test_recalibrate_rebuilds_the_view(toy_engine, toy_template):
     for instance in instances_for_template(toy_template, 60, seed=3):
         scr.process(instance)
     before = scr.cache.columnar()
+    frozen = _frozen(before)
     assert len(before) > 1
-    with _extension_tails() as tails:
-        result = scr.recalibrate()
-        after = scr.cache.columnar()
+    result = scr.recalibrate()
+    after = scr.cache.columnar()
     assert result.refreshed > 0
-    assert tails == [] and after is not before
-    assert after.lineage == scr.cache.lineage > before.lineage
-    _assert_view_consistent(scr.cache)
+    assert after is not before and after.epoch > before.epoch
+    assert not np.shares_memory(after.cost, before.cost)
+    _assert_unchanged(before, frozen)
+    _assert_view_is_a_replay(scr.cache)
 
 
 def test_empty_cache_columnar_view():
@@ -788,6 +721,77 @@ def test_empty_cache_columnar_view():
     view = cache.columnar()
     assert len(view) == 0
     assert view.sv.shape[0] == 0
+
+
+def test_views_taken_beside_a_writer_are_whole_and_never_change():
+    """Lock-free readers take views while a writer appends, adds and
+    drops plans and sweeps costs under its lock.  Every view a reader
+    gets is at least as new as the epoch it read first, its columns
+    match its own entries' write-once fields, and it is unchanged after
+    the reader yields the interpreter."""
+    import random
+    import sys
+    import threading
+    import time
+
+    cache = _cache_with([])  # plan 0
+    lock, stop, errors = threading.Lock(), threading.Event(), []
+    appended = [0]
+
+    def writer():
+        rng = random.Random(5)
+        while not stop.is_set():
+            with lock:
+                if appended[0] % 40 == 39:
+                    _add_stub_plan(cache, f"w{appended[0]}")
+                    cache.drop_plan(min(cache._plans))
+                elif appended[0] % 97 == 96:
+                    _sweep(cache, scale=rng.uniform(1.0, 3.0))
+                cache.add_instance(InstanceEntry(
+                    sv=SelectivityVector.from_sequence(
+                        [10 ** rng.uniform(-4, 0) for _ in range(3)]
+                    ),
+                    plan_id=rng.choice(list(cache._plans)),
+                    optimal_cost=rng.uniform(1.0, 1e4), suboptimality=1.0,
+                ))
+                appended[0] += 1
+
+    def reader():
+        try:
+            while not stop.is_set():
+                epoch = cache.epoch
+                view = cache.columnar()
+                assert view.epoch >= epoch
+                frozen = _frozen(view)
+                n = len(view)
+                assert view.stored_sv.shape[1] == view.cost.shape[0] == n
+                plans, slot = view.plan_slots
+                assert (plans[slot] == view.plan_ids).all()
+                for i, entry in enumerate(view.entries):
+                    assert int(view.plan_ids[i]) == entry.plan_id
+                    assert tuple(view.stored_sv[:, i]) == entry.sv.values
+                time.sleep(0)
+                _assert_unchanged(view, frozen)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader) for _ in range(4)
+    ]
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(1.0)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert appended[0] > 100
 
 
 # -- probe_batch ≡ sequential probe loop --------------------------------------

@@ -71,7 +71,10 @@ class TestSelectivityCheck:
     def test_budget_shrinks_with_anchor_suboptimality(self, populated, toy_engine):
         cache, plan, result = populated
         entry = next(cache.instances())
-        entry.suboptimality = 1.8  # anchor plan itself 1.8-suboptimal
+        # The anchor's plan itself 1.8-suboptimal: an in-place edit of a
+        # columnarised field, so the cache's views are rebuilt after it.
+        entry.refresh_cost(entry.optimal_cost, 1.8)
+        cache.invalidate_views()
         # A second anchor of the same plan, farther from the query but
         # with its whole budget left.
         spare_sv = SelectivityVector.of(0.1, 0.125)

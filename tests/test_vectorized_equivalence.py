@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import LINEAR_BOUND, QUADRATIC_BOUND, compute_gl
-from repro.core.columnar import ColumnarInstances
+from repro.core.columnar import ColumnStore
 from repro.core.dynamic_lambda import DynamicLambda
 from repro.core.get_plan import CandidateOrder, GetPlan
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
@@ -208,9 +208,9 @@ def test_differential_explicit_entry_subsets():
     all_entries = list(cache.instances())
     points = []
     for t in range(60):
-        subset = ColumnarInstances.build(-1, tuple(
+        subset = ColumnStore(
             e for e in all_entries if rng.random() < 0.5
-        ))
+        ).view(-1)
         sv = random_input(rng, 3, False)
         ds = scalar.probe(sv, recost, view=subset)
         dv = vectorized.probe(sv, recost, view=subset)
