@@ -345,12 +345,12 @@ def _measure_costcheck() -> list[dict]:
                 continue
             fast.append((point, None, _cheap_recost, view, key, g[0], l[0],
                          budget, cap))
-            slow.append((point, None, _cheap_recost, view.entries,
-                         ref._scan(point, None, view.entries)[1], cap))
+            slow.append((point, None, _cheap_recost, view,
+                         ref._scan(point, None, ref.records(view))[1], cap))
         for a, b in zip(fast, slow):
             decision = gp._cost_phase(*a)
             assert decision.check.value == "cost" and decision.recost_calls == 1
-            assert decision.anchor is ref._cost_walk(*b).anchor
+            assert decision.row == ref._cost_walk(*b).row
         row = {"m": m, "d": COSTCHECK_D, "plans": COSTCHECK_PLANS}
         row["costcheck_us"] = round(_best_us(gp._cost_phase, fast), 2)
         row["reference_us"] = round(_best_us(ref._cost_walk, slow), 2)

@@ -27,27 +27,22 @@ cache epoch (``d`` = template dimensionality):
 
 The store
 ---------
-:class:`ColumnStore` holds those columns, anchor axis last, in
+:class:`ColumnStore` is the instance list, the only copy of it: the
+columns above and the per-row counters of :data:`MUTABLE_COLUMNS`, in
 capacity-doubling buffers, and each plan's rows the same way.
 :meth:`ColumnStore.append` writes row ``n`` — the one place a row's
 columns are computed — and :meth:`ColumnStore.view` publishes rows
-``[:n]`` as an immutable view of ``[:n]`` slices.  No row a view can
-see is ever written again: an append writes past every published
-``n``, a doubling copies into fresh buffers, and a mutation that is not
-an append (a dropped plan, an adopted snapshot, a recost sweep) replays
-the surviving entries into a fresh store.  A held view therefore never
-changes.  Only writers publish, under the shard lock or serially;
-readers take :meth:`~repro.core.plan_cache.PlanCache.columnar`, an
-attribute read, and a view's ``epoch`` tells a lock-free reader's
-commit whether the cache has moved on since.
-
-Only the *write-once* guarantee-bearing fields (``sv``, ``plan_id``,
-``optimal_cost``, ``suboptimality``) are columnarised.  The two advisory
-fields that mutate without an epoch bump — ``usage`` (bumped by commits)
-and ``retired`` (flipped by the Appendix G violation detector) — are
-deliberately **not** copied into arrays: the decision procedure
-reads them live from the entry objects, so a flag that flips between
-epochs takes effect on the next probe.
+``[:n]``.  No *write-once* column a view can see is ever written again:
+an append writes past every published ``n``, a doubling copies into
+fresh buffers, and a mutation that is not an append (a dropped plan, an
+adopted snapshot, a recost sweep) replays the surviving rows into a
+fresh store.  The *mutable* columns (usage, retirement, the hit
+counters) are written in place, without an epoch bump, by a getPlan
+commit, the Appendix G detector and coalescing, so a view reads them
+through its store when it reads them: a flag that flips between epochs
+takes effect on the next probe.  A decision names its anchor as a row
+of the view it was probed on, and a lock-free hit is committed only
+into the store it was probed against.
 
 Equivalence contract
 --------------------
@@ -91,6 +86,13 @@ class PlanGroup(NamedTuple):
 #: doubles.
 INITIAL_CAPACITY = 64
 
+#: The columns written in place after their row is appended, with their
+#: dtypes, in :class:`~repro.core.plan_cache.InstanceEntry` field order.
+MUTABLE_COLUMNS = {
+    "usage": np.int64, "retired": np.bool_, "hits_selectivity": np.int64,
+    "hits_cost": np.int64, "recost_spend": np.int64, "last_hit_tick": np.int64,
+}
+
 
 class _Buffers:
     """Named arrays, anchor axis last, filled one row at a time.  A full
@@ -101,6 +103,7 @@ class _Buffers:
         self.n = 0
         self.capacity = INITIAL_CAPACITY
         self.arrays = arrays
+        self.cells = _cells(arrays)
 
     def write(self, **row) -> None:
         n = self.n
@@ -111,6 +114,7 @@ class _Buffers:
                 name: np.concatenate((a, np.empty_like(a)), axis=-1)
                 for name, a in arrays.items()
             }
+            self.cells = _cells(arrays)
         for name, value in row.items():
             arrays[name][..., n] = value
         self.n = n + 1
@@ -120,10 +124,15 @@ class _Buffers:
         return self.arrays[name][..., :self.n]
 
 
+def _cells(arrays: dict) -> dict:
+    """A ``memoryview`` per 1-D array: a third of numpy's cost per element
+    write, and every committed hit makes several."""
+    return {name: memoryview(a) for name, a in arrays.items() if a.ndim == 1}
+
+
 def _row_buffers(d: int) -> _Buffers:
     cap = INITIAL_CAPACITY
     return _Buffers(
-        entries=np.empty(cap, dtype=object),
         sv=np.empty((d, cap)),
         log_sv=np.empty((d, cap)),
         sub=np.empty(cap),
@@ -131,6 +140,7 @@ def _row_buffers(d: int) -> _Buffers:
         plan_ids=np.empty(cap, dtype=np.int64),
         area=np.empty(cap),
         slot=np.empty(cap, dtype=np.intp),
+        **{name: np.empty(cap, dtype=t) for name, t in MUTABLE_COLUMNS.items()},
     )
 
 
@@ -142,13 +152,13 @@ def _group_buffers() -> _Buffers:
 
 
 class ColumnStore:
-    """The instance list's columns, append-only (see the module
-    docstring): one row per :class:`~repro.core.plan_cache.InstanceEntry`
-    and, per plan, its rows with their C and S.
+    """The instance list, as columns (see the module docstring): one row
+    per 5-tuple and, per plan, its rows with their C and S.
 
-    ``ColumnStore(entries)`` replays :meth:`append` over ``entries`` —
-    the one constructor, whether rows arrive one miss at a time or all
-    at once after a mutation that was not an append.  Plan slots are
+    ``ColumnStore(entries)`` appends each
+    :class:`~repro.core.plan_cache.InstanceEntry` record in turn — the
+    one constructor, whether rows arrive one miss at a time or all at
+    once after a mutation that was not an append.  Plan slots are
     numbered in order of each plan's first row, so a new plan is always
     the next slot and no earlier row's slot ever moves.
     """
@@ -177,13 +187,14 @@ class ColumnStore:
             self._published.append(None)
         row = self._rows.n
         self._rows.write(
-            entries=entry, sv=sv, log_sv=np.log(sv),
+            sv=sv, log_sv=np.log(sv),
             sub=entry.suboptimality, cost=entry.optimal_cost,
             plan_ids=entry.plan_id,
             # Folded left to right from 1.0: bit-identical to the scalar
             # loop in the test suite's reference_get_plan.sv_product.
             area=math.prod(values),
             slot=slot,
+            **{name: getattr(entry, name) for name in MUTABLE_COLUMNS},
         )
         group = self._groups[slot]
         group.write(rows=row, cost=entry.optimal_cost, sub=entry.suboptimality)
@@ -191,12 +202,29 @@ class ColumnStore:
             group["rows"], group["cost"], group["sub"]
         )
 
+    def hit(self, row: int, cost_check: bool, recost_calls: int, tick: int) -> None:
+        """Book one certified reuse through ``row`` (a getPlan commit)."""
+        cells = self._rows.cells
+        cells["usage"][row] += 1
+        if cost_check:
+            cells["hits_cost"][row] += 1
+            cells["recost_spend"][row] += recost_calls
+        else:
+            cells["hits_selectivity"][row] += 1
+        cells["last_hit_tick"][row] = tick
+
+    def retire(self, row: int) -> bool:
+        """Retire ``row`` (Appendix G); False if it already was."""
+        retired = self._rows.cells["retired"]
+        was, retired[row] = retired[row], True
+        return not was
+
     def view(self, epoch: int) -> "ColumnarInstances":
-        """Rows ``[:n]`` as an immutable view tagged ``epoch``."""
+        """Rows ``[:n]`` as a view tagged ``epoch``."""
         rows = self._rows
         return ColumnarInstances(
             epoch=epoch,
-            entries=rows["entries"],
+            store=self,
             stored_sv=rows["sv"],
             log_sv=rows["log_sv"],
             sub=rows["sub"],
@@ -208,19 +236,20 @@ class ColumnStore:
         )
 
 
+def _live_column(name: str) -> property:
+    """The view's rows of one mutable column, read through its store."""
+    return property(lambda view: view.store._rows.arrays[name][:len(view.plan_ids)])
+
+
 @dataclass(frozen=True)
 class ColumnarInstances:
-    """Immutable view of one epoch of the instance list: rows ``[:N]``
-    of a :class:`ColumnStore`.
-
-    ``entries`` is the row-aligned ``(N,)`` object column of the live
-    :class:`~repro.core.plan_cache.InstanceEntry` objects — index ``i``
-    of every array's last axis describes ``entries[i]``, and decisions
-    still reference the entry object (the anchor the certificate names).
-    """
+    """One epoch of the instance list: rows ``[:N]`` of a
+    :class:`ColumnStore`.  The write-once columns are the view's own
+    slices and never change; the mutable ones are read live through
+    ``store``."""
 
     epoch: int
-    entries: "np.ndarray"    # (N,) InstanceEntry objects
+    store: ColumnStore
     stored_sv: "np.ndarray"  # (d, N) raw selectivities, the store's slice
     log_sv: "np.ndarray"     # (d, N) natural logs
     sub: "np.ndarray"        # (N,) S column
@@ -236,8 +265,15 @@ class ColumnarInstances:
     #: ``C`` and ``S``.
     plan_groups: tuple[PlanGroup, ...]
 
+    usage = _live_column("usage")
+    retired = _live_column("retired")
+    hits_selectivity = _live_column("hits_selectivity")
+    hits_cost = _live_column("hits_cost")
+    recost_spend = _live_column("recost_spend")
+    last_hit_tick = _live_column("last_hit_tick")
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.plan_ids)
 
     @property
     def dimensions(self) -> int:
@@ -279,8 +315,7 @@ class ColumnarInstances:
         memo = self.__dict__.get("_usage_rank")
         if memo is not None and memo[0] == version:
             return memo[1]
-        usage = np.array([e.usage for e in self.entries], dtype=np.int64)
-        order = np.argsort(-usage, kind="stable")
+        order = np.argsort(-self.usage, kind="stable")
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order), dtype=np.int64)
         self.__dict__["_usage_rank"] = (version, rank)

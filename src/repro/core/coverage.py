@@ -71,7 +71,7 @@ def sample_coverage(
     """
     if lam < 1.0:
         raise ValueError("lambda must be >= 1")
-    if any(len(entry.sv) != dimensions for entry in cache.instances()):
+    if cache.num_instances and cache.columnar().dimensions != dimensions:
         raise ValueError("cache anchors and sample dimensions disagree")
     rng = np.random.default_rng(seed)
     points = np.exp(

@@ -33,7 +33,7 @@ from .columnar import (
     gl_matrix,
     np,
 )
-from .plan_cache import InstanceEntry, PlanCache
+from .plan_cache import PlanCache
 
 
 class CheckKind(Enum):
@@ -106,7 +106,9 @@ class GetPlanDecision:
 
     plan_id: Optional[int]
     check: CheckKind
-    anchor: Optional[InstanceEntry] = None
+    #: A hit's anchor: row ``row`` of ``view``, the view it was probed on.
+    row: Optional[int] = None
+    view: Optional[ColumnarInstances] = None
     recost_calls: int = 0
     # Data for Appendix G violation detection (g/l are always *point*
     # values, even under robust checks — the live detector compares them
@@ -126,9 +128,9 @@ class GetPlanDecision:
     #: request's memo, which spares manageCache's redundancy check the
     #: same engine calls.
     recost_memo: dict = field(default_factory=dict)
-    #: ``(entries, g, l, rows)``: what the cost phase scanned, the
-    #: probe's point ``G``/``L`` vectors and, aligned with
-    #: :attr:`recost_memo`, each re-costed plan's lowest-key live row.
+    #: ``(g, l, rows)``: the probe's point ``G``/``L`` vectors and,
+    #: aligned with :attr:`recost_memo`, each re-costed plan's
+    #: lowest-key live row — what the cost phase scanned of ``view``.
     cost_trail: Optional[tuple] = None
 
     @property
@@ -137,21 +139,18 @@ class GetPlanDecision:
 
     @property
     def recost_samples(self) -> tuple:
-        """One ``(anchor, r, g, l)`` per Recost call — the re-costed
-        plan's lowest-key live anchor — *including failed checks*.  The
-        calibration observatory feeds on these; a drifting cost model
-        inflates exactly the ratios that fail the check, so a hits-only
-        feed would censor its own evidence.  Built on demand: a request
-        nobody calibrates on pays for no tuples.
+        """One ``(row, r, g, l)`` per Recost call — ``row`` the re-costed
+        plan's lowest-key live anchor in ``view`` — *including failed
+        checks*.  The calibration observatory feeds on these; a drifting
+        cost model inflates exactly the ratios that fail the check, so a
+        hits-only feed would censor its own evidence.  Built on demand: a
+        request nobody calibrates on pays for no tuples.
         """
         if self.cost_trail is None:
             return ()
-        entries, g, l, rows = self.cost_trail
+        g, l, rows = self.cost_trail
         return tuple(
-            (
-                entries[row], cost / entries[row].optimal_cost,
-                float(g[row]), float(l[row]),
-            )
+            (row, cost / float(self.view.cost[row]), float(g[row]), float(l[row]))
             for row, cost in zip(rows, self.recost_memo.values())
         )
 
@@ -164,11 +163,12 @@ class GetPlanDecision:
         """
         if self.bound_value is not None:
             return self.bound_value
-        if self.anchor is None:
+        if self.row is None:
             return 1.0
+        sub = float(self.view.sub[self.row])
         if self.check is CheckKind.SELECTIVITY:
-            return self.anchor.suboptimality * self.g * self.l
-        return self.anchor.suboptimality * self.recost_ratio * self.l
+            return sub * self.g * self.l
+        return sub * self.recost_ratio * self.l
 
 
 @dataclass
@@ -238,20 +238,11 @@ class GetPlan:
         # group}); see _budget_vector and _group_budget.
         self._budget_memo: Optional[tuple] = None
 
-    def _effective_lambda(self, entry: InstanceEntry) -> float:
+    def _effective_lambda(self, optimal_cost: float) -> float:
+        """The λ an anchor of ``optimal_cost`` enforces."""
         if self.lambda_for is None:
             return self.lam
-        return self.lambda_for(entry.optimal_cost)
-
-    def __call__(
-        self,
-        sv: AnySelectivityVector,
-        recost: Callable[[ShrunkenMemo, SelectivityVector], float],
-    ) -> GetPlanDecision:
-        """Run both checks; ``recost`` is the engine's Recost API."""
-        decision = self.probe(sv, recost)
-        self.commit(decision)
-        return decision
+        return self.lambda_for(optimal_cost)
 
     def _resolve_box(
         self,
@@ -523,16 +514,16 @@ class GetPlan:
         hit = int(mask.argmax())
         if mask[hit]:
             self.entries_scanned += hit + 1
-            entry = view.entries[hit]
             robust = box is not None
             return GetPlanDecision(
-                plan_id=entry.plan_id,
+                plan_id=int(view.plan_ids[hit]),
                 check=CheckKind.SELECTIVITY,
-                anchor=entry,
+                row=hit,
+                view=view,
                 g=float(g[hit]),
                 l=float(l[hit]),
                 bound_value=(
-                    entry.suboptimality * float(check[hit]) if robust else None
+                    float(view.sub[hit]) * float(check[hit]) if robust else None
                 ),
                 certificate=certificate_kind(box),
                 coverage=box.coverage if robust else 1.0,
@@ -605,17 +596,18 @@ class GetPlan:
         A ``+inf`` Recost (the resilient engine failing closed) fails
         every row of its plan and stays out of the memo.
 
-        ``retired`` flips without an epoch bump, so no array carries
-        it: the flags are read live off the entries, and all N of them
-        only once a retired row turns up as a head.
+        ``retired`` flips without an epoch bump, so it is read live
+        through the view's store, and masks the key only once a retired
+        row turns up as a head.
         """
-        entries = view.entries
+        retired = view.retired
         decision = self._miss(box)
-        decision.cost_trail = (entries, g, l, [])
+        decision.view = view
+        decision.cost_trail = (g, l, [])
         head = int(key.argmin())
-        masked = entries[head].retired
+        masked = retired[head]
         if masked:
-            key = self._live(entries, key)
+            key = np.where(retired, np.inf, key)
             head = int(key.argmin())
         if key[head] == np.inf:
             return decision  # every anchor is retired
@@ -638,15 +630,15 @@ class GetPlan:
             check = r * factor[rows]
             ok = check <= self._group_budget(budget, first, rows)
             bound = np.where(ok, sub_p * check, np.inf)
-            if self._cost_hit(decision, box, r, bound, rows):
+            if self._cost_hit(decision, box, retired, r, bound, rows):
                 return decision
         if cap < 2 or len(plans) < 2:
             return decision
 
         # Step 2: the next cap - 1 plans, then one pass over all N rows.
         low, first_rows = view.plan_heads(key)
-        if not masked and any(entries[i].retired for i in first_rows.tolist()):
-            low, first_rows = view.plan_heads(self._live(entries, key))
+        if not masked and retired.take(first_rows).any():
+            low, first_rows = view.plan_heads(np.where(retired, np.inf, key))
         order = np.lexsort((first_rows, low))
         next_rows = first_rows[order[low[order] < np.inf][1:cap]]
         costs = np.full(len(plans), np.inf)
@@ -661,13 +653,8 @@ class GetPlan:
         check = r * factor
         ok = check <= budget
         if ok.any():
-            self._cost_hit(decision, box, r, np.where(ok, view.sub * check, np.inf))
+            self._cost_hit(decision, box, retired, r, np.where(ok, view.sub * check, np.inf))
         return decision
-
-    @staticmethod
-    def _live(entries: "np.ndarray", key: "np.ndarray") -> "np.ndarray":
-        """``key`` with every retired row's entry masked to ``+inf``."""
-        return np.where([e.retired for e in entries], np.inf, key)
 
     def _recost_row(
         self,
@@ -678,8 +665,7 @@ class GetPlan:
     ) -> float:
         """``Cost(P, q_c)`` of ``row``'s plan, booked on ``decision``;
         ``+inf`` when the plan is gone or the engine failed closed."""
-        entries, _, _, heads = decision.cost_trail
-        plan = self.cache.maybe_plan(entries[row].plan_id)
+        plan = self.cache.maybe_plan(int(decision.view.plan_ids[row]))
         if plan is None:
             return np.inf  # evicted under a concurrent probe; skip
         cost = recost(plan.shrunken_memo, point)
@@ -687,13 +673,14 @@ class GetPlan:
         if not cost < np.inf:
             return np.inf
         decision.recost_memo[plan.plan_id] = cost
-        heads.append(row)
+        decision.cost_trail[2].append(row)
         return cost
 
     @staticmethod
     def _cost_hit(
         decision: GetPlanDecision,
         box: Optional[UncertainSelectivityVector],
+        retired: "np.ndarray",
         r: "np.ndarray",
         bound: "np.ndarray",
         rows: Optional["np.ndarray"] = None,
@@ -702,17 +689,17 @@ class GetPlan:
         ``bound`` whose row is not retired; False when no finite bound
         is left.  ``rows`` maps indices of ``r``/``bound`` to view rows
         (the identity when ``None``); ``bound`` is written."""
-        entries, g, l, _ = decision.cost_trail
+        g, l, _ = decision.cost_trail
         i = int(bound.argmin())
         row = i if rows is None else int(rows[i])
-        while bound[i] < np.inf and entries[row].retired:
+        while bound[i] < np.inf and retired[row]:
             bound[i] = np.inf
             i = int(bound.argmin())
             row = i if rows is None else int(rows[i])
         if not bound[i] < np.inf:
             return False
-        decision.anchor = entries[row]
-        decision.plan_id = decision.anchor.plan_id
+        decision.row = row
+        decision.plan_id = int(decision.view.plan_ids[row])
         decision.check = CheckKind.COST
         decision.recost_ratio = float(r[i])
         decision.g, decision.l = float(g[row]), float(l[row])
@@ -722,26 +709,21 @@ class GetPlan:
         return True
 
     def commit(self, decision: GetPlanDecision) -> None:
-        """Apply the bookkeeping of a probed decision (usage counters,
-        LRU clock, hit/miss statistics).  Callers that probed a view they
-        took earlier must hold the cache's write lock and have
-        revalidated the decision before committing."""
-        if decision.check is CheckKind.SELECTIVITY:
-            anchor = decision.anchor
-            anchor.usage += 1
+        """Apply a probed decision's bookkeeping: a hit's row counters, in
+        the store it was probed on, the LRU clock and the statistics.
+        Callers that probed a view they took earlier must hold the write
+        lock and have checked that the cache still holds its store."""
+        if decision.hit:
+            cost = decision.check is CheckKind.COST
             self.cache.touch(decision.plan_id)
-            anchor.hits_selectivity += 1
-            anchor.last_hit_tick = self.cache.tick
-            self.selectivity_hits += 1
-        elif decision.check is CheckKind.COST:
-            anchor = decision.anchor
-            anchor.usage += 1
-            self.cache.touch(decision.plan_id)
-            anchor.hits_cost += 1
-            anchor.recost_spend += decision.recost_calls
-            anchor.last_hit_tick = self.cache.tick
-            self.cost_hits += 1
-            self._note_recosts(decision.recost_calls)
+            decision.view.store.hit(
+                decision.row, cost, decision.recost_calls, self.cache.tick
+            )
+            if cost:
+                self.cost_hits += 1
+                self._note_recosts(decision.recost_calls)
+            else:
+                self.selectivity_hits += 1
         else:
             self.misses += 1
             self._note_recosts(decision.recost_calls)

@@ -121,24 +121,18 @@ class ManageCache:
         optimal_cost = result.cost
 
         if self.coalesce_identical:
-            duplicate = self.cache.find_instance(sv)
-            if duplicate is not None and not duplicate.retired:
-                duplicate.usage += 1
+            row = self.cache.find_instance(sv)
+            view = self.cache.columnar()
+            if row is not None and not view.retired[row]:
+                view.usage[row] += 1  # in place, through the store
                 self.cache.usage_version += 1
                 self.stats.instances_coalesced += 1
-                return duplicate
+                return self.cache.instance(row)
 
         existing = self.cache.find_plan(signature)
         if existing is not None:
             self.stats.existing_plan_hits += 1
-            entry = InstanceEntry(
-                sv=sv,
-                plan_id=existing.plan_id,
-                optimal_cost=optimal_cost,
-                suboptimality=1.0,
-            )
-            self.cache.add_instance(entry)
-            return entry
+            return self._anchor(sv, existing.plan_id, optimal_cost, 1.0)
 
         redundant = self._redundancy_check(
             sv, optimal_cost, recost, known_costs or {}
@@ -146,14 +140,7 @@ class ManageCache:
         if redundant is not None:
             plan_entry, s_min = redundant
             self.stats.plans_rejected_redundant += 1
-            entry = InstanceEntry(
-                sv=sv,
-                plan_id=plan_entry.plan_id,
-                optimal_cost=optimal_cost,
-                suboptimality=s_min,
-            )
-            self.cache.add_instance(entry)
-            return entry
+            return self._anchor(sv, plan_entry.plan_id, optimal_cost, s_min)
 
         if (
             self.plan_budget is not None
@@ -162,11 +149,14 @@ class ManageCache:
             self._evict_one()
         plan_entry = self.cache.add_plan(result.plan, result.shrunken_memo)
         self.stats.plans_added += 1
+        return self._anchor(sv, plan_entry.plan_id, optimal_cost, 1.0)
+
+    def _anchor(
+        self, sv: SelectivityVector, plan_id: int, cost: float, sub: float
+    ) -> InstanceEntry:
+        """Append one 5-tuple and return its record."""
         entry = InstanceEntry(
-            sv=sv,
-            plan_id=plan_entry.plan_id,
-            optimal_cost=optimal_cost,
-            suboptimality=1.0,
+            sv=sv, plan_id=plan_id, optimal_cost=cost, suboptimality=sub
         )
         self.cache.add_instance(entry)
         return entry

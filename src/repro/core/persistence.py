@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from ..optimizer.operators import PhysicalOp
@@ -72,20 +72,9 @@ def dump_cache(cache: PlanCache) -> str:
             "full_memo_groups": sm.full_memo_groups,
             "full_memo_expressions": sm.full_memo_expressions,
         })
+    # One object per row, keys in InstanceEntry field order.
     instances = [
-        {
-            "sv": list(entry.sv),
-            "plan_id": entry.plan_id,
-            "optimal_cost": entry.optimal_cost,
-            "suboptimality": entry.suboptimality,
-            "usage": entry.usage,
-            "retired": entry.retired,
-            "hits_selectivity": entry.hits_selectivity,
-            "hits_cost": entry.hits_cost,
-            "recost_spend": entry.recost_spend,
-            "last_hit_tick": entry.last_hit_tick,
-        }
-        for entry in cache.instances()
+        {**asdict(entry), "sv": list(entry.sv)} for entry in cache.instances()
     ]
     payload = {
         "plans": plans,

@@ -12,21 +12,21 @@ The cache stores two structures:
   ``S`` the sub-optimality of the pointed plan there, and ``U`` a usage
   counter feeding the LFU eviction policy.
 
-The instance list lives in one append-only
-:class:`~repro.core.columnar.ColumnStore`: each entry is a row of its
-columns, and every mutation publishes the next epoch's immutable view,
-which :meth:`PlanCache.columnar` hands to readers.
+The instance list *is* one :class:`~repro.core.columnar.ColumnStore`:
+each 5-tuple is a row of its columns, counters included, and every
+structural mutation publishes the next epoch's view, which
+:meth:`PlanCache.columnar` hands to readers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..optimizer.plans import PhysicalPlan
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import SelectivityVector
-from .columnar import ColumnarInstances, ColumnStore
+from .columnar import MUTABLE_COLUMNS, ColumnarInstances, ColumnStore, np
 
 
 @dataclass
@@ -40,9 +40,11 @@ class CachedPlan:
     last_used_tick: int = 0  # logical time of last reuse (LRU eviction)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstanceEntry:
-    """One 5-tuple of the instance list."""
+    """One 5-tuple of the instance list as a record: what
+    :meth:`PlanCache.add_instance` appends and :meth:`PlanCache.instances`
+    reads back.  The cache stores rows, not records."""
 
     sv: SelectivityVector        # V
     plan_id: int                 # PP (pointer into the plan list)
@@ -68,21 +70,6 @@ class InstanceEntry:
         """``Cost(P(q_e), q_e) = C * S``."""
         return self.optimal_cost * self.suboptimality
 
-    @property
-    def total_hits(self) -> int:
-        return self.hits_selectivity + self.hits_cost
-
-    def refresh_cost(self, optimal_cost: float, suboptimality: float) -> None:
-        """Re-anchor the stored costs after a recost sweep re-measured
-        them.  Guarantee-bearing fields are otherwise write-once; a sweep
-        may only *raise* pessimism through the caller's discipline (the
-        caller passes the freshly measured optimal cost and the pointed
-        plan's measured sub-optimality there, both ≥ 1× reality).  Both
-        fields are columnarised, so the caller must follow up with
-        :meth:`PlanCache.invalidate_views`."""
-        self.optimal_cost = optimal_cost
-        self.suboptimality = suboptimality
-
 
 @dataclass
 class PlanCache:
@@ -94,14 +81,13 @@ class PlanCache:
     _next_plan_id: int = 0
     _tick: int = 0
     max_plans_seen: int = 0
-    plans_dropped: int = 0
     #: Monotonic *usage* counter; bumped whenever any instance's ``U``
     #: changes.  Usage edits are advisory (they reorder LFU/USAGE scans
     #: but never move an anchor), so they deliberately do not bump
     #: ``epoch`` — columnar views stay valid across them and memoize
     #: usage-derived orderings against this counter instead.
     usage_version: int = 0
-    #: Anchor-hit totals carried by entries that were evicted with their
+    #: Anchor-hit totals carried by rows that were evicted with their
     #: plan (``drop_plan``).  Keeping them makes the efficacy accounting
     #: identity — Σ per-anchor hits (+ evicted) = getPlan's hit counters
     #: — survive eviction and warm-start adoption.
@@ -138,23 +124,21 @@ class PlanCache:
         """Publish the store's rows as the next epoch's view."""
         self._view = self._store.view(self._view.epoch + 1)
 
-    def _rebuild(self, entries: Iterable[InstanceEntry]) -> None:
-        """Replay ``entries`` into a fresh store and publish it; views
-        already handed out keep the old store's arrays."""
-        self._store = ColumnStore(entries)
+    def _rebuild(self, records: Iterable[InstanceEntry]) -> None:
+        """Replay ``records`` into a fresh store and publish it; views
+        already handed out keep the old store."""
+        self._store = ColumnStore(records)
         self._mutated()
 
-    def invalidate_views(self) -> None:
-        """Rebuild the store after an in-place edit of columnarised
-        fields (``InstanceEntry.refresh_cost``)."""
-        self._rebuild(self._view.entries)
-
     def columnar(self) -> ColumnarInstances:
-        """The current columnar view of the instance list: immutable,
-        published by the last mutation, and handed out unchanged until
-        the next.  ``getPlan`` probes its arrays; decisions still point
-        at the shared :class:`InstanceEntry` objects."""
+        """The current view of the instance list, published by the last
+        mutation and handed out unchanged until the next."""
         return self._view
+
+    def holds(self, view: ColumnarInstances) -> bool:
+        """True while ``view`` is of the current store (only appends
+        since), so its rows are still this cache's rows."""
+        return view.store is self._store
 
     def touch(self, plan_id: int) -> None:
         """Record a reuse of ``plan_id`` (advances the LRU clock)."""
@@ -185,7 +169,6 @@ class PlanCache:
         self._next_plan_id = other._next_plan_id
         self._tick = max(self._tick, other._tick)
         self.max_plans_seen = max(self.max_plans_seen, other.max_plans_seen)
-        self.plans_dropped += other.plans_dropped
         self.evicted_hits_selectivity += other.evicted_hits_selectivity
         self.evicted_hits_cost += other.evicted_hits_cost
         self.evicted_recost_spend += other.evicted_recost_spend
@@ -202,11 +185,6 @@ class PlanCache:
 
     def plan(self, plan_id: int) -> CachedPlan:
         return self._plans[plan_id]
-
-    def has_plan(self, plan_id: int) -> bool:
-        """True while ``plan_id`` is live.  Plan ids are never reused,
-        so this is the revalidation test for an optimistic hit."""
-        return plan_id in self._plans
 
     def maybe_plan(self, plan_id: int) -> Optional[CachedPlan]:
         """Like :meth:`plan` but None when the plan has been dropped —
@@ -245,18 +223,17 @@ class PlanCache:
         if entry is None:
             raise KeyError(f"no cached plan with id {plan_id}")
         del self._by_signature[entry.signature]
-        entries = self._view.entries
-        for inst in entries:
-            if inst.plan_id == plan_id:
-                # Fold the departing anchors' lifetime attribution into
-                # the evicted totals so the accounting identity holds.
-                self.evicted_hits_selectivity += inst.hits_selectivity
-                self.evicted_hits_cost += inst.hits_cost
-                self.evicted_recost_spend += inst.recost_spend
-                if inst.total_hits == 0:
-                    self.evicted_never_hit += 1
-        self.plans_dropped += 1
-        self._rebuild(i for i in entries if i.plan_id != plan_id)
+        view = self._view
+        gone = view.plan_ids == plan_id
+        # Fold the departing anchors' lifetime attribution into the
+        # evicted totals so the accounting identity holds.
+        hits_sel = view.hits_selectivity[gone]
+        hits_cost = view.hits_cost[gone]
+        self.evicted_hits_selectivity += int(hits_sel.sum())
+        self.evicted_hits_cost += int(hits_cost.sum())
+        self.evicted_recost_spend += int(view.recost_spend[gone].sum())
+        self.evicted_never_hit += int(np.count_nonzero(hits_sel + hits_cost == 0))
+        self._rebuild(self._records(~gone))
 
     def plans(self) -> list[CachedPlan]:
         return list(self._plans.values())
@@ -273,18 +250,43 @@ class PlanCache:
         self._store.append(entry)
         self._mutated()
 
-    def find_instance(self, sv: SelectivityVector) -> Optional[InstanceEntry]:
-        """First live instance entry with exactly this selectivity vector."""
-        for entry in self._view.entries:
-            if entry.sv.values == sv.values:
-                return entry
-        return None
+    def refresh_costs(
+        self, rows: Sequence[int], cost: Sequence[float], sub: Sequence[float]
+    ) -> None:
+        """Re-anchor the C and S of ``rows`` after a recost sweep
+        re-measured them (both ≥ 1× reality), in one rebuild: the next
+        probe reads them, and views handed out keep the old ones."""
+        records = list(self.instances())
+        for row, c, s in zip(rows, cost, sub):
+            records[row] = replace(records[row], optimal_cost=c, suboptimality=s)
+        self._rebuild(records)
+
+    def find_instance(self, sv: SelectivityVector) -> Optional[int]:
+        """The first row with exactly this selectivity vector."""
+        view = self._view
+        if view.dimensions != len(sv):
+            return None
+        rows = np.flatnonzero((view.stored_sv == np.array(sv.values)[:, None]).all(axis=0))
+        return int(rows[0]) if len(rows) else None
+
+    def _records(self, rows) -> Iterator[InstanceEntry]:
+        view = self._view
+        columns = [
+            getattr(view, name)[rows].tolist()
+            for name in ("plan_ids", "cost", "sub", *MUTABLE_COLUMNS)
+        ]
+        for sv, *fields in zip(view.stored_sv[:, rows].T.tolist(), *columns):
+            yield InstanceEntry(SelectivityVector(tuple(sv)), *fields)
 
     def instances(self) -> Iterator[InstanceEntry]:
-        return iter(self._view.entries)
+        """Every row as a record, in row order."""
+        return self._records(slice(None))
+
+    def instance(self, row: int) -> InstanceEntry:
+        return next(self._records([row]))
 
     def instances_for(self, plan_id: int) -> list[InstanceEntry]:
-        return [i for i in self._view.entries if i.plan_id == plan_id]
+        return list(self._records(self._view.plan_ids == plan_id))
 
     @property
     def num_instances(self) -> int:
@@ -292,7 +294,8 @@ class PlanCache:
 
     def aggregate_usage(self, plan_id: int) -> int:
         """Sum of U over the plan's instances (the LFU eviction key)."""
-        return sum(i.usage for i in self._view.entries if i.plan_id == plan_id)
+        view = self._view
+        return int(view.usage[view.plan_ids == plan_id].sum())
 
     def min_usage_plan(self) -> Optional[CachedPlan]:
         """The plan with minimum aggregate usage count (LFU victim)."""
@@ -320,11 +323,9 @@ class PlanCache:
         *and* evicted ones — the left side of the accounting identity
         against :class:`~repro.core.get_plan.GetPlan`'s hit counters,
         once the ``adopted_*`` warm-start baseline is subtracted."""
-        sel = self.evicted_hits_selectivity
-        cost = self.evicted_hits_cost
-        spend = self.evicted_recost_spend
-        for entry in self._view.entries:
-            sel += entry.hits_selectivity
-            cost += entry.hits_cost
-            spend += entry.recost_spend
-        return sel, cost, spend
+        view = self._view
+        return (
+            self.evicted_hits_selectivity + int(view.hits_selectivity.sum()),
+            self.evicted_hits_cost + int(view.hits_cost.sum()),
+            self.evicted_recost_spend + int(view.recost_spend.sum()),
+        )

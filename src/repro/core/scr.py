@@ -73,8 +73,6 @@ class SCR(OnlinePQOTechnique):
     lambda_for:
         Optional dynamic-λ schedule (Appendix D); overrides ``lam`` per
         anchor according to its optimal cost.
-    detect_violations:
-        Enable the Appendix G violation detector.
     check_mode:
         ``"point"`` (the paper's checks), ``"robust"`` (checks at the
         adversarial corner of the instance's uncertainty box) or
@@ -92,7 +90,6 @@ class SCR(OnlinePQOTechnique):
         max_recost_candidates: int = 8,
         bound: BoundingFunction = LINEAR_BOUND,
         lambda_for: Optional[Callable[[float], float]] = None,
-        detect_violations: bool = True,
         eviction_policy: EvictionPolicy = EvictionPolicy.LFU,
         candidate_order: CandidateOrder = CandidateOrder.GL,
         obs: Optional[Observability] = None,
@@ -121,7 +118,7 @@ class SCR(OnlinePQOTechnique):
             plan_budget=plan_budget,
             eviction_policy=eviction_policy,
         )
-        self.detector = ViolationDetector(bound=bound) if detect_violations else None
+        self.detector = ViolationDetector(bound=bound)
         self.calibration = None
         if obs is not None:
             self.attach_observability(obs)
@@ -203,9 +200,9 @@ class SCR(OnlinePQOTechnique):
             choice = self._nearest_choice(sv, 0, denied, seq)
         else:
             self.get_plan.commit(decision)
-            if decision.check is CheckKind.COST and self.detector is not None:
+            if decision.check is CheckKind.COST:
                 self.detector.check(
-                    decision.anchor, decision.g, decision.l,
+                    decision.view, decision.row, decision.g, decision.l,
                     decision.recost_ratio,
                 )
             self._feed_recost_calibration(decision)
@@ -244,7 +241,7 @@ class SCR(OnlinePQOTechnique):
     def _hit_choice(self, decision: GetPlanDecision, seq: int) -> PlanChoice:
         plan = self.cache.plan(decision.plan_id)
         bound = decision.inferred_suboptimality
-        lam = self.get_plan._effective_lambda(decision.anchor)
+        lam = self.get_plan._effective_lambda(float(decision.view.cost[decision.row]))
         self._audit_bound(bound, lam, decision.certificate, seq)
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,
@@ -276,11 +273,12 @@ class SCR(OnlinePQOTechnique):
         if self.calibration is None:
             return
         degree = self.get_plan.bound.degree
-        for anchor, r, g, l in decision.recost_samples:
+        for row, r, g, l in decision.recost_samples:
+            cost = float(decision.view.cost[row])
             self.calibration.record_ratio(
                 "recost", decision.certificate,
-                predicted=anchor.pointed_plan_cost,
-                actual=r * anchor.optimal_cost,
+                predicted=cost * float(decision.view.sub[row]),
+                actual=r * cost,
                 log_slack_hi=degree * math.log(max(g, 1.0)),
                 log_slack_lo=degree * math.log(max(l, 1.0)),
             )
@@ -392,7 +390,7 @@ class SCR(OnlinePQOTechnique):
         distances = log_l1_distances(
             view.log_sv, np.array(as_point(sv).values, dtype=np.float64)
         )
-        plan = self.cache.plan(view.entries[int(np.argmin(distances))].plan_id)
+        plan = self.cache.plan(int(view.plan_ids[int(np.argmin(distances))]))
         if denied is None:
             self.engine.counters.resilience.optimize_fallbacks += 1
             instruments = getattr(base_engine(self.engine), "instruments", None)

@@ -95,7 +95,8 @@ def seed_cache(
     for sv in points:
         # Skip points already λ-covered by earlier seeds: this is what
         # keeps a dense grid from flooding the instance list.
-        decision = scr.get_plan(sv, engine.recost)
+        decision = scr.get_plan.probe(sv, engine.recost)
+        scr.get_plan.commit(decision)
         if decision.hit:
             continue
         result = engine.optimize(sv)

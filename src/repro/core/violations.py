@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import BoundingFunction, LINEAR_BOUND
-from .plan_cache import InstanceEntry
+from .columnar import ColumnarInstances
 
 
 @dataclass
@@ -53,12 +53,14 @@ class ViolationDetector:
 
     def check(
         self,
-        entry: InstanceEntry,
+        view: ColumnarInstances,
+        row: int,
         g: float,
         l: float,
         recost_ratio: float,
     ) -> ViolationReport:
-        """Check one cost-check observation against PCM and BCG.
+        """Check one cost-check observation through anchor ``row`` of
+        ``view`` against PCM and BCG; a violation retires the anchor.
 
         ``recost_ratio`` is ``R = Cost(P, q_c) / C`` where ``C`` is the
         anchor's optimal cost, so the plan's own cost ratio between the
@@ -66,7 +68,7 @@ class ViolationDetector:
         """
         report = ViolationReport()
         n = self.bound.degree
-        plan_growth = recost_ratio / entry.suboptimality  # Cost(P,qc)/Cost(P,qe)
+        plan_growth = recost_ratio / float(view.sub[row])  # Cost(P,qc)/Cost(P,qe)
 
         # BCG: growth must satisfy 1/L**n < plan_growth < G**n.
         upper = (g ** n) * self.tolerance
@@ -82,7 +84,6 @@ class ViolationDetector:
 
         if report.any:
             self.violations_detected += 1
-            if not entry.retired:
-                entry.retired = True
+            if view.store.retire(row):
                 self.anchors_retired += 1
         return report

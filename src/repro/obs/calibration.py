@@ -577,7 +577,7 @@ def recost_sweep(
     budget: Optional[int] = None,
     min_staleness: int = 0,
 ) -> SweepResult:
-    """Re-anchor stale instance entries' stored costs under a budget.
+    """Re-anchor stale anchors' stored costs under a budget.
 
     For each live anchor (stalest first, by ``last_hit_tick``), spends
     one Recost call measuring the pointed plan's *current* cost at the
@@ -590,14 +590,16 @@ def recost_sweep(
     ``budget`` caps the Recost calls; ``min_staleness`` skips anchors
     hit within that many LRU ticks (they are being revalidated by live
     traffic anyway).  Books the sweep with the tracker (resetting the
-    calibration alarm) and invalidates the cache's columnar views.
+    calibration alarm) and writes every refreshed row in one
+    :meth:`~repro.core.plan_cache.PlanCache.refresh_costs` call.
     """
     cache = scr.cache
     result = SweepResult()
     tick = cache.tick
-    entries = sorted(cache.instances(), key=lambda e: e.last_hit_tick)
+    rows, costs, subs = [], [], []
     corrections = 0.0
-    for entry in entries:
+    stalest_first = sorted(enumerate(cache.instances()), key=lambda r: r[1].last_hit_tick)
+    for row, entry in stalest_first:
         if budget is not None and result.recost_calls >= budget:
             result.skipped += 1
             continue
@@ -614,17 +616,14 @@ def recost_sweep(
             result.skipped += 1
             continue
         old_pointed = entry.pointed_plan_cost
-        entry.refresh_cost(
-            optimal_cost=fresh_pointed / entry.suboptimality,
-            suboptimality=entry.suboptimality,
-        )
+        rows.append(row)
+        costs.append(fresh_pointed / entry.suboptimality)
+        subs.append(entry.suboptimality)
         result.refreshed += 1
         if old_pointed > 0.0:
             corrections += abs(math.log(fresh_pointed / old_pointed))
     if result.refreshed:
-        # optimal_cost is columnarised and was rewritten in place: no
-        # outstanding view may survive or be extended.
-        cache.invalidate_views()
+        cache.refresh_costs(rows, costs, subs)
         result.mean_correction = corrections / result.refreshed
     obs = getattr(scr, "obs", None)
     if obs is not None and getattr(obs, "calibration", None) is not None:

@@ -71,14 +71,14 @@ def template_summary(scr, quarantined: bool = False) -> dict[str, int]:
     cache = scr.cache
     gp = scr.get_plan
     sel, cost, spend = cache.anchor_hit_totals()
-    entries = list(cache.instances())
+    view = cache.columnar()
     return {
-        "live_anchors": len(entries),
+        "live_anchors": len(view),
         "plans_cached": cache.num_plans,
         "hits_selectivity": sel,
         "hits_cost": cost,
         "recost_spend": spend,
-        "never_hit_live": sum(1 for e in entries if e.total_hits == 0),
+        "never_hit_live": int(((view.hits_selectivity + view.hits_cost) == 0).sum()),
         "evicted_never_hit": cache.evicted_never_hit,
         "selectivity_hits": gp.selectivity_hits,
         "cost_hits": gp.cost_hits,

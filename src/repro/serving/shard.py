@@ -17,9 +17,10 @@ its rows would:
   eviction, an Appendix G retirement, another thread's write — the
   remaining rows are probed again against the new view;
 * a probed **hit** is committed under the shard's write lock only after
-  **optimistic validation**: the anchor is still live (its plan cached,
-  and not retired for a cost-check hit).  The certified bound
-  ``S·G·L`` / ``S·R·L`` depends only on write-once anchor fields, so a
+  **optimistic validation**: the cache still holds the column store the
+  hit was probed against (no drop, adoption or sweep has replaced it),
+  and a cost-check hit's anchor is not retired.  The certified bound
+  ``S·G·L`` / ``S·R·L`` depends only on write-once columns, so a
   validated commit certifies exactly what a fully serial run would
   have.  A hit that fails validation is probed again at its own turn;
 * a **miss** makes the optimizer call *outside* the lock, collapsed
@@ -324,7 +325,7 @@ class TemplateShard:
         max_recost = 0 if selectivity_only else None
         scr = self.scr
         svs = [sv for sv, _ in fetched]
-        rows = view = state = None
+        rows = state = None
         lock_wait = 0.0
         for k, ((sv, degraded), i) in enumerate(zip(fetched, at)):
             seq = seqs[i]
@@ -346,9 +347,8 @@ class TemplateShard:
                             # landing in between re-probes, never
                             # commits a stale view.
                             state = current
-                            view = scr.cache.columnar()
                             rows = scr.get_plan.probe_rows(
-                                svs[k:], self._recost, view=view,
+                                svs[k:], self._recost, view=scr.cache.columnar(),
                                 max_recost=max_recost, coverage=coverage,
                             )
                         decision = next(rows)
@@ -361,7 +361,7 @@ class TemplateShard:
                             waited_from = self.clock.perf_counter()
                             with self.lock:  # _locked(), booked once a group
                                 lock_wait += self.clock.perf_counter() - waited_from
-                                if serial or self._commit_valid(decision, view):
+                                if serial or self._commit_valid(decision):
                                     choice = scr.apply(sv, decision, seq=seq)
                     if choice is None:
                         # Probe this row again at its own turn.
@@ -387,10 +387,7 @@ class TemplateShard:
         every hit advances.  All three only grow, so their sum changes
         exactly when one of them does."""
         scr = self.scr
-        detector = scr.detector
-        state = scr.cache.epoch
-        if detector is not None:
-            state += detector.anchors_retired
+        state = scr.cache.epoch + scr.detector.anchors_retired
         if scr.get_plan.candidate_order is CandidateOrder.USAGE:
             state += scr.cache.usage_version
         return state
@@ -505,25 +502,20 @@ class TemplateShard:
             self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
             yield
 
-    def _commit_valid(self, decision, view) -> bool:
+    def _commit_valid(self, decision) -> bool:
         """Optimistic validation of a probed hit; caller holds the lock.
 
-        Retiring an anchor (Appendix G) flips its flag *without* bumping
-        the cache epoch, so the retired bit must be re-read here even on
-        the epoch fast-path — otherwise a cost-check hit probed just
-        before a concurrent retirement would certify a bound the
-        violation detector already invalidated.  Retired anchors still
-        serve selectivity hits (serial semantics keep them in the
-        selectivity check); only cost-check certificates die with them.
+        A hit commits only into the store it was probed against: appends
+        keep the store (no row moves), while a drop, an adoption or a
+        recost sweep replaces it and the row is probed again.  Retiring
+        an anchor (Appendix G) replaces nothing, so a cost-check hit
+        re-reads the retired bit here; retired anchors still serve
+        selectivity hits, as in the serial run.
         """
-        anchor = decision.anchor
-        if anchor is None:
+        view = decision.view
+        if not self.scr.cache.holds(view):
             return False
-        if decision.check is CheckKind.COST and anchor.retired:
-            return False
-        if self.scr.cache.epoch == view.epoch:
-            return True
-        return self.scr.cache.has_plan(decision.plan_id)
+        return not (decision.check is CheckKind.COST and view.retired[decision.row])
 
     # -- miss path with single-flight -----------------------------------------
 

@@ -3,8 +3,9 @@
 Algorithm 1 written the obvious way — one Python loop over the instance
 list calling :func:`repro.core.bounds.compute_gl` per entry for the
 selectivity check, then the plan-major cost check as per-entry Python
-over :mod:`repro.core.bounds` — with no numpy: it reads the live list,
-or only the ``entries`` of a view passed in as ``view=``.  It
+over :mod:`repro.core.bounds` — with no numpy: it reads the rows of
+the cache's current view, or of a view passed in as ``view=``, as
+plain records, and their usage and retired flags as plain lists.  It
 is slow and obviously right, which is what the differential suite
 (``test_vectorized_equivalence.py``), the golden fixtures and the
 hot-path benchmark's baseline need: the production kernels in
@@ -111,17 +112,32 @@ def compute_cost_gl(
 class ReferenceGetPlan(GetPlan):
     """:class:`GetPlan` with both checks as scalar loops."""
 
+    def records(self, view) -> list[InstanceEntry]:
+        """The write-once fields of ``view``'s rows as records of plain
+        Python values, built once per view (a view's write-once columns
+        never change)."""
+        memo = getattr(self, "_records", None)
+        if memo is None or memo[0] is not view:
+            columns = [
+                view.plan_ids.tolist(), view.cost.tolist(), view.sub.tolist()
+            ]
+            memo = self._records = (view, [
+                InstanceEntry(SelectivityVector(tuple(sv)), *fields)
+                for sv, *fields in zip(view.stored_sv.T.tolist(), *columns)
+            ])
+        return memo[1]
+
     def probe(self, sv, recost, view=None, max_recost=None, coverage=None):
         point, box = self._resolve_box(sv, coverage)
-        entries = (
-            tuple(self.cache.instances()) if view is None else view.entries
-        )
-        decision, rows = self._scan(point, box, entries)
-        if decision is not None:
-            return decision
-        return self._cost_walk(
-            point, box, recost, entries, rows, self._effective_cap(max_recost)
-        )
+        if view is None:
+            view = self.cache.columnar()
+        decision, rows = self._scan(point, box, self.records(view))
+        if decision is None:
+            decision = self._cost_walk(
+                point, box, recost, view, rows, self._effective_cap(max_recost)
+            )
+        decision.view = view
+        return decision
 
     def probe_rows(
         self, svs, recost, view=None, max_recost=None, coverage=None
@@ -136,15 +152,15 @@ class ReferenceGetPlan(GetPlan):
     def _scan(
         self, point, box, entries: Sequence[InstanceEntry]
     ) -> tuple[Optional[GetPlanDecision], list[tuple[float, float, float]]]:
-        """A hit decision or, on a miss, every row's ``(corner G·L, G,
-        L)`` — G/L are point values.
+        """A hit decision (its ``view`` left to the caller) or, on a
+        miss, every row's ``(corner G·L, G, L)`` — G/L are point values.
 
         With a box the adversarial corner's G·L drives the check while
         the point G·L still feeds the decision.
         """
         robust = box is not None
         rows: list[tuple[float, float, float]] = []
-        for entry in entries:
+        for row, entry in enumerate(entries):
             self.entries_scanned += 1
             g, l = compute_gl(entry.sv, point)
             if robust:
@@ -153,12 +169,14 @@ class ReferenceGetPlan(GetPlan):
             else:
                 gc, lc = g, l
             check_value = self.bound.selectivity_bound(gc, lc)
-            budget = self._effective_lambda(entry) / entry.suboptimality
+            budget = (
+                self._effective_lambda(entry.optimal_cost) / entry.suboptimality
+            )
             if check_value <= budget:
                 return GetPlanDecision(
                     plan_id=entry.plan_id,
                     check=CheckKind.SELECTIVITY,
-                    anchor=entry,
+                    row=row,
                     g=g,
                     l=l,
                     bound_value=(
@@ -179,8 +197,9 @@ class ReferenceGetPlan(GetPlan):
             return -sv_product(entry)
         return ranks[row]  # USAGE: most-used anchors first.
 
-    def _cost_walk(self, point, box, recost, entries, rows, cap):
-        """The plan-major cost check, one entry at a time.
+    def _cost_walk(self, point, box, recost, view, rows, cap):
+        """The plan-major cost check over ``view``, one row at a time,
+        its usage and retired flags read as they are now.
 
         Plans are ordered by ``(smallest key among their live anchors,
         row of that anchor)``.  Step 1 re-costs the first plan and
@@ -191,17 +210,18 @@ class ReferenceGetPlan(GetPlan):
         """
         robust = box is not None
         cert = certificate_kind(box)
+        entries = self.records(view)
+        retired = view.retired.tolist()
         g = [row[1] for row in rows]
         l = [row[2] for row in rows]
         heads: dict[int, tuple[float, int]] = {}
         if cap > 0:
             # A stable descending-usage sort, as ranks (unique per row).
-            by_usage = sorted(
-                range(len(entries)), key=lambda i: -entries[i].usage
-            )
+            usage = view.usage.tolist()
+            by_usage = sorted(range(len(entries)), key=lambda i: -usage[i])
             ranks = {row: rank for rank, row in enumerate(by_usage)}
             for row, entry in enumerate(entries):
-                if entry.retired:
+                if retired[row]:
                     continue
                 head = (self._order_key(row, entry, rows[row][0], ranks), row)
                 if entry.plan_id not in heads or head < heads[entry.plan_id]:
@@ -223,7 +243,7 @@ class ReferenceGetPlan(GetPlan):
                     trail.append(heads[plan_id][1])
             best = None
             for row, entry in enumerate(entries):
-                if entry.retired or entry.plan_id not in costs:
+                if retired[row] or entry.plan_id not in costs:
                     continue
                 r = costs[entry.plan_id] / entry.optimal_cost
                 if robust:
@@ -232,7 +252,10 @@ class ReferenceGetPlan(GetPlan):
                     check_value = r * self.bound.selectivity_bound(gg, ll)
                 else:
                     check_value = self.bound.cost_bound(r, l[row])
-                budget = self._effective_lambda(entry) / entry.suboptimality
+                budget = (
+                    self._effective_lambda(entry.optimal_cost)
+                    / entry.suboptimality
+                )
                 if not check_value <= budget:
                     continue
                 certified = entry.suboptimality * check_value
@@ -243,7 +266,7 @@ class ReferenceGetPlan(GetPlan):
                 return GetPlanDecision(
                     plan_id=entries[row].plan_id,
                     check=CheckKind.COST,
-                    anchor=entries[row],
+                    row=row,
                     recost_calls=calls,
                     recost_ratio=r,
                     g=g[row],
@@ -252,12 +275,12 @@ class ReferenceGetPlan(GetPlan):
                     certificate=cert,
                     coverage=box.coverage if robust else 1.0,
                     recost_memo=memo,
-                    cost_trail=(entries, g, l, trail),
+                    cost_trail=(g, l, trail),
                 )
         return GetPlanDecision(
             plan_id=None, check=CheckKind.OPTIMIZER, recost_calls=calls,
             certificate=cert, recost_memo=memo,
-            cost_trail=(entries, g, l, trail),
+            cost_trail=(g, l, trail),
         )
 
 

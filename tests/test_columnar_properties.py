@@ -11,12 +11,14 @@ Four invariant families, driven by Hypothesis plus explicit edge cases:
 * **plan heads** — per plan, the first row attaining the plan's
   smallest order key, ties and keyless plans included;
 * **the store** — after an arbitrary sequence of cache operations (add
-  plan / add instance / drop plan / retire / adopt / recost sweep), at
-  initial capacities that make the buffers double, the current view
-  mirrors the live entries field for field and is byte-equal to a fresh
-  store replaying them, plan layout included; every view taken earlier
-  is byte-equal to the copy made when it was taken; and an append
-  writes one row, reading only its own entry;
+  plan / add instance / drop plan / retire / commit a hit / coalesce /
+  adopt / recost sweep), at initial capacities that make the buffers
+  double, every column of the current view, mutable ones included,
+  equals an independent per-row model and a fresh store replaying the
+  model's records, plan layout included; every view taken earlier has
+  write-once columns byte-equal to the copy made when it was taken, and
+  reads the mutable ones live from its store; and an append writes one
+  row, reading only its own record;
 * **batch ≡ sequential** — ``probe_batch`` returns exactly the
   decisions of a sequential ``probe`` loop over the same snapshot.
 """
@@ -24,6 +26,7 @@ Four invariant families, driven by Hypothesis plus explicit edge cases:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,13 +37,14 @@ from hypothesis import strategies as st
 from repro.core.bounds import adversarial_corner, compute_gl
 from repro.core import columnar
 from repro.core.columnar import (
+    MUTABLE_COLUMNS,
     ColumnarInstances,
     ColumnStore,
     corner_gl_matrix,
     cost_corner_gl,
     gl_matrix,
 )
-from repro.core.get_plan import GetPlan
+from repro.core.get_plan import CheckKind, GetPlan, GetPlanDecision
 from repro.core.plan_cache import CachedPlan, InstanceEntry, PlanCache
 from repro.obs.calibration import recost_sweep
 from repro.query.instance import (
@@ -388,6 +392,8 @@ cache_ops = st.lists(
         st.tuples(st.just("add_instance"), st.integers(0, 1_000_000)),
         st.tuples(st.just("drop_plan"), st.integers(0, 30)),
         st.tuples(st.just("retire"), st.integers(0, 200)),
+        st.tuples(st.just("hit"), st.integers(0, 200)),
+        st.tuples(st.just("use"), st.integers(0, 200)),
         st.tuples(st.just("adopt"), st.integers(0, 9)),
         st.tuples(st.just("recalibrate"), st.integers(1, 50)),
         st.tuples(st.just("probe_view"), st.just(0)),
@@ -396,28 +402,26 @@ cache_ops = st.lists(
 )
 
 
-def _frozen(view: ColumnarInstances) -> tuple:
-    """A copy of everything a view shows: its epoch, its entry objects,
-    and the dtype, shape and bytes of every array, plan layout included."""
+def _frozen(view: ColumnarInstances, mutable: bool = False) -> tuple:
+    """A copy of the write-once part of a view: its epoch and the dtype,
+    shape and bytes of every write-once array, plan layout included
+    (with ``mutable``, of the mutable columns as well)."""
     arrays = [
         view.stored_sv, view.sv, view.log_sv, view.sub, view.cost,
         view.plan_ids, view.area, *view.plan_slots,
     ]
     for group in view.plan_groups:
         arrays.extend(group)
+    if mutable:
+        arrays.extend(getattr(view, name) for name in MUTABLE_COLUMNS)
     return (
         view.epoch,
-        tuple(view.entries),
         [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
     )
 
 
 def _assert_unchanged(view: ColumnarInstances, frozen: tuple) -> None:
-    epoch, entries, arrays = _frozen(view)
-    assert epoch == frozen[0]
-    assert len(entries) == len(frozen[1])
-    assert all(a is b for a, b in zip(entries, frozen[1]))
-    assert arrays == frozen[2]
+    assert _frozen(view) == frozen
 
 
 @contextmanager
@@ -446,8 +450,9 @@ def _sweep(cache: PlanCache, scale: float):
 
 
 def _assert_view_is_a_replay(cache: PlanCache) -> None:
-    """The current view mirrors the live entries field for field, and is
-    byte-equal to a fresh store replaying them, plan layout included."""
+    """The current view mirrors the cache's records field for field, and
+    is byte-equal to a fresh store replaying them, plan layout and
+    mutable columns included."""
     entries = list(cache.instances())
     view = cache.columnar()
     assert view.epoch == cache.epoch
@@ -464,6 +469,8 @@ def _assert_view_is_a_replay(cache: PlanCache) -> None:
         assert view.cost[i] == entry.optimal_cost
         assert int(view.plan_ids[i]) == entry.plan_id
         assert view.area[i] == sv_product(entry)
+        for name in MUTABLE_COLUMNS:
+            assert getattr(view, name)[i] == getattr(entry, name)
     # Plan slots in order of each plan's first row; each group is its
     # plan's rows, ascending, with their C and S.
     plans, slot = view.plan_slots
@@ -475,7 +482,8 @@ def _assert_view_is_a_replay(cache: PlanCache) -> None:
         assert rows.tolist() == [i for i, p in enumerate(plan_ids) if p == plan]
         assert cost.tolist() == [entries[i].optimal_cost for i in rows]
         assert sub.tolist() == [entries[i].suboptimality for i in rows]
-    _assert_unchanged(view, _frozen(ColumnStore(entries).view(cache.epoch)))
+    replay = ColumnStore(entries).view(cache.epoch)
+    assert _frozen(view, mutable=True) == _frozen(replay, mutable=True)
 
 
 def _add_stub_plan(cache: PlanCache, signature: str) -> int:
@@ -513,14 +521,25 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed, capacity):
             plan_id=plan_id,
             optimal_cost=float(arg % 997 + 1),
             suboptimality=1.0 + (arg % 7) / 10.0,
+            usage=rng.randint(1, 9),
+            retired=rng.random() < 0.2,
+            hits_selectivity=rng.randint(0, 5),
+            hits_cost=rng.randint(0, 5),
+            recost_spend=rng.randint(0, 9),
+            last_hit_tick=rng.randint(-1, 50),
         )
+
+    def edit(row: int, **changes) -> None:
+        model[row] = replace(model[row], **changes)
 
     with _initial_capacity(capacity):
         cache = PlanCache()
-        # The instance list as a plain list: what the cache must hold.
+        get_plan = GetPlan(cache=cache, lam=2.0)
+        # The instance list as a plain list of records, each field
+        # written by this test alone: what the cache must hold.
         model: list[InstanceEntry] = []
         # Every view ever handed out, copied when it was taken: nothing
-        # any later op does may change one.
+        # any later op does may change its write-once columns.
         held: list[tuple[ColumnarInstances, tuple]] = []
         for op, arg in ops:
             before = cache.columnar()
@@ -537,6 +556,15 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed, capacity):
                 cache.adopt(other)
             elif op == "recalibrate":
                 _sweep(cache, scale=float(arg))
+                # The stand-in engine's fresh pointed cost over the kept
+                # S, for every anchor not hit "after" the cache's tick.
+                model = [
+                    e if cache.tick < e.last_hit_tick else replace(
+                        e, optimal_cost=float(arg) * (50.0 + 1000.0 * e.sv[0])
+                        / e.suboptimality,
+                    )
+                    for e in model
+                ]
             elif op == "add_instance":
                 plan_id = rng.choice(list(cache._plans) or [new_plan(cache)])
                 model.append(random_entry(plan_id, arg))
@@ -546,21 +574,52 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed, capacity):
                     victim = sorted(cache._plans)[arg % len(cache._plans)]
                     cache.drop_plan(victim)
                     model = [e for e in model if e.plan_id != victim]
-            elif op == "retire":
-                entries = list(cache.instances())
-                if entries:
-                    entries[arg % len(entries)].retired = True
+            elif model and op == "retire":
+                # The Appendix G detector's write.
+                row = arg % len(model)
+                assert before.store.retire(row) == (not model[row].retired)
+                edit(row, retired=True)
+            elif model and op == "hit":
+                # A getPlan commit into the probed view's store.
+                row, cost = arg % len(model), bool(arg % 2)
+                calls = arg % 3 if cost else 0
+                get_plan.commit(GetPlanDecision(
+                    plan_id=model[row].plan_id,
+                    check=CheckKind.COST if cost else CheckKind.SELECTIVITY,
+                    row=row, view=before, recost_calls=calls,
+                ))
+                e = model[row]
+                edit(
+                    row, usage=e.usage + 1, last_hit_tick=cache.tick,
+                    hits_cost=e.hits_cost + cost,
+                    hits_selectivity=e.hits_selectivity + (not cost),
+                    recost_spend=e.recost_spend + calls,
+                )
+            elif model and op == "use":
+                # Coalescing's write.
+                row = arg % len(model)
+                before.usage[row] += 1
+                cache.usage_version += 1
+                edit(row, usage=model[row].usage + 1)
             after = cache.columnar()
             # A view is handed out unchanged until the epoch moves.
             assert (after is before) == (after.epoch == before.epoch)
-            if op in ("retire", "probe_view"):
+            if op in ("retire", "hit", "use", "probe_view"):
                 assert after is before
-            live = list(cache.instances())
-            assert len(live) == len(model)
-            assert all(a is b for a, b in zip(live, model))
+            for name in MUTABLE_COLUMNS:
+                assert getattr(after, name).tolist() == [
+                    getattr(e, name) for e in model
+                ], name
+            assert list(cache.instances()) == model
             _assert_view_is_a_replay(cache)
         for view, frozen in held:
             _assert_unchanged(view, frozen)
+            if cache.holds(view):
+                # Appends only since: the mutable columns read live.
+                for name in MUTABLE_COLUMNS:
+                    assert getattr(view, name).tolist() == [
+                        getattr(e, name) for e in model[:len(view)]
+                    ], name
 
 
 def test_columnar_view_identity_is_stable_between_mutations():
@@ -568,9 +627,9 @@ def test_columnar_view_identity_is_stable_between_mutations():
     view = cache.columnar()
     assert cache.columnar() is view
     # Retiring flips a flag without an epoch bump: view object unchanged
-    # (the flag is read live off the entries, never from the arrays).
-    next(iter(cache.instances())).retired = True
-    assert cache.columnar() is view
+    # (the flag is read live through the view's store).
+    assert view.store.retire(0)
+    assert cache.columnar() is view and view.retired.tolist() == [True, False]
     # A structural mutation publishes a new one.
     cache.add_instance(
         InstanceEntry(
@@ -601,7 +660,7 @@ def test_appends_extend_the_view_and_leave_the_old_one_alone():
     _assert_unchanged(old, frozen)
     # The new rows were written past the old views' rows, into the same
     # buffers: no row was copied.
-    for name in ("entries", "stored_sv", "cost", "plan_ids"):
+    for name in ("stored_sv", "cost", "plan_ids", "usage", "retired"):
         assert np.shares_memory(getattr(old, name), getattr(new, name))
     _assert_view_is_a_replay(cache)
 
@@ -627,7 +686,7 @@ def test_an_older_plans_first_row_takes_the_next_slot():
 
 
 def test_extension_builds_rows_linear_in_misses():
-    """500 misses write 500 rows.  Each append reads only its own entry
+    """500 misses write 500 rows.  Each append reads only its own record
     and publishes slices of the store's buffers; rows are copied only
     when a buffer doubles."""
     reads: list[InstanceEntry] = []
@@ -674,17 +733,17 @@ def test_a_view_held_across_a_drop_keeps_its_rows():
     cache.drop_plan(1)
     cache.add_instance(_entry([0.9, 0.9]))
     view = cache.columnar()
-    assert [e.plan_id for e in view.entries] == [0, 0, 0]
-    assert [e.plan_id for e in held.entries] == [0, 1, 0]
+    assert view.plan_ids.tolist() == [0, 0, 0]
+    assert held.plan_ids.tolist() == [0, 1, 0]
     assert not np.shares_memory(held.cost, view.cost)
     _assert_unchanged(held, frozen)
     _assert_view_is_a_replay(cache)
 
 
 def test_a_view_held_across_a_sweep_keeps_its_costs():
-    """A recost sweep rewrites costs on the entry objects, in place:
-    every row is still the same entry at the same index, the rebuilt
-    view carries the new costs and the held view its own."""
+    """A recost sweep rebuilds the store with the new costs: every row
+    is still the same anchor at the same index, the rebuilt view carries
+    the new costs and the held view its own."""
     cache = _cache_with([[0.1, 0.2], [0.3, 0.4]])
     held = cache.columnar()
     frozen = _frozen(held)
@@ -692,7 +751,7 @@ def test_a_view_held_across_a_sweep_keeps_its_costs():
     cache.add_instance(_entry([0.9, 0.9]))
     view = cache.columnar()
     assert view.cost[0] != held.cost[0]
-    assert all(a is b for a, b in zip(held.entries, view.entries))
+    assert (view.stored_sv[:, :2] == held.stored_sv).all()
     _assert_unchanged(held, frozen)
     _assert_view_is_a_replay(cache)
 
@@ -716,6 +775,30 @@ def test_recalibrate_rebuilds_the_view(toy_engine, toy_template):
     _assert_view_is_a_replay(scr.cache)
 
 
+def test_persistence_and_adopt_round_trips_keep_every_column(
+    toy_engine, toy_template
+):
+    """A served cache — hit counters, usage and a retirement written in
+    place — comes back from ``dump_cache``/``load_cache`` and from
+    ``adopt`` with every column byte-equal, mutable ones included."""
+    from repro.core.persistence import dump_cache, load_cache
+    from repro.core.scr import SCR
+    from repro.workload.generator import instances_for_template
+
+    scr = SCR(toy_engine, lam=1.2)
+    for instance in instances_for_template(toy_template, 120, seed=3):
+        scr.process(instance)
+    view = scr.cache.columnar()
+    assert view.store.retire(1)
+    assert view.hits_selectivity.sum() and view.hits_cost.sum()
+    adopted = PlanCache()
+    adopted.adopt(scr.cache)
+    for other in (load_cache(dump_cache(scr.cache)), adopted):
+        assert _frozen(other.columnar(), mutable=True)[1] == (
+            _frozen(view, mutable=True)[1]
+        )
+
+
 def test_empty_cache_columnar_view():
     cache = PlanCache()
     view = cache.columnar()
@@ -727,8 +810,8 @@ def test_views_taken_beside_a_writer_are_whole_and_never_change():
     """Lock-free readers take views while a writer appends, adds and
     drops plans and sweeps costs under its lock.  Every view a reader
     gets is at least as new as the epoch it read first, its columns
-    match its own entries' write-once fields, and it is unchanged after
-    the reader yields the interpreter."""
+    agree with each other, and it is unchanged after the reader yields
+    the interpreter."""
     import random
     import sys
     import threading
@@ -767,9 +850,9 @@ def test_views_taken_beside_a_writer_are_whole_and_never_change():
                 assert view.stored_sv.shape[1] == view.cost.shape[0] == n
                 plans, slot = view.plan_slots
                 assert (plans[slot] == view.plan_ids).all()
-                for i, entry in enumerate(view.entries):
-                    assert int(view.plan_ids[i]) == entry.plan_id
-                    assert tuple(view.stored_sv[:, i]) == entry.sv.values
+                assert (view.area == np.prod(view.stored_sv, axis=0)).all()
+                for rows, cost, _ in view.plan_groups:
+                    assert (view.cost[rows] == cost).all()
                 time.sleep(0)
                 _assert_unchanged(view, frozen)
         except BaseException as exc:  # noqa: BLE001 - reported below
@@ -819,7 +902,7 @@ def test_probe_batch_equals_sequential_probes(data, dims):
     for db, ds in zip(batch, sequential):
         assert db.check == ds.check
         assert db.plan_id == ds.plan_id
-        assert db.anchor is ds.anchor
+        assert db.row == ds.row
         assert db.recost_calls == ds.recost_calls
         assert db.g == ds.g and db.l == ds.l
         assert db.bound_value == ds.bound_value
@@ -853,7 +936,7 @@ def test_probe_rows_taken_partway_spends_only_the_taken_rows(data, dims):
     sequential = [seq_gp.probe(sv, _recost) for sv in svs[:taken]]
     for dr, ds in zip(partial, sequential):
         assert dr.check == ds.check
-        assert dr.anchor is ds.anchor
+        assert dr.row == ds.row
         assert dr.recost_calls == ds.recost_calls
     assert len(calls) == sum(d.recost_calls for d in partial)
     assert rows_gp.entries_scanned == seq_gp.entries_scanned
@@ -884,6 +967,6 @@ def test_probe_batch_equals_sequential_probes_robust(data):
     for db, ds in zip(batch, sequential):
         assert db.check == ds.check
         assert db.plan_id == ds.plan_id
-        assert db.anchor is ds.anchor
+        assert db.row == ds.row
         assert db.bound_value == ds.bound_value
         assert db.certificate == ds.certificate

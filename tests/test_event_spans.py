@@ -342,11 +342,11 @@ class TestServingAndOverloadEventSites:
             valid = shard._commit_valid
             rejected = []
 
-            def reject_once(decision, snapshot):
+            def reject_once(decision):
                 if not rejected:
                     rejected.append(decision)
                     return False    # as if the anchor vanished mid-probe
-                return valid(decision, snapshot)
+                return valid(decision)
 
             shard._commit_valid = reject_once
             manager.process(QueryInstance(template.name, sv=NEAR))
@@ -382,11 +382,11 @@ class TestServingAndOverloadEventSites:
             valid = shard._commit_valid
             rejected = []
 
-            def reject_first(decision, snapshot):
+            def reject_first(decision):
                 if not rejected:
                     rejected.append(decision)
                     return False    # row 0 is probed again before row 1
-                return valid(decision, snapshot)
+                return valid(decision)
 
             shard._commit_valid = reject_first
             shard.process_batch([QueryInstance(template.name, sv=NEAR)] * 2)

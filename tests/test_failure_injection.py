@@ -128,7 +128,7 @@ class TestSpikyCosts:
 
     def test_retired_anchors_stop_bad_inferences(self, toy_db, toy_template):
         engine = engine_with(SpikyCostModel(), toy_db, toy_template)
-        scr = SCR(engine, lam=1.5, detect_violations=True)
+        scr = SCR(engine, lam=1.5)
         for inst in instances_for_template(toy_template, 250, seed=71):
             scr.process(inst)
         if scr.detector.anchors_retired:
@@ -146,15 +146,6 @@ class TestNonMonotoneCosts:
         # Detector statistics are consistent.
         det = scr.detector
         assert det.anchors_retired <= det.violations_detected
-
-
-class TestDetectorDisabled:
-    def test_runs_without_detector(self, toy_db, toy_template):
-        engine = engine_with(SpikyCostModel(), toy_db, toy_template)
-        scr = SCR(engine, lam=1.5, detect_violations=False)
-        for inst in instances_for_template(toy_template, 100, seed=79):
-            scr.process(inst)
-        assert scr.detector is None
 
 
 class TestDegenerateInputs:

@@ -222,7 +222,8 @@ class TestRedundancyTransitivity:
             )
             return 100.0 * best[0]
 
-        decision = get_plan(sv, bcg_consistent_recost)
+        decision = get_plan.probe(sv, bcg_consistent_recost)
+        get_plan.commit(decision)
         if decision.hit:
             assert decision.inferred_suboptimality <= lam * (1 + 1e-9)
 

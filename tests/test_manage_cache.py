@@ -122,7 +122,7 @@ class TestPlanBudget:
                                 toy_engine.recost)
         cold_entry = mc.register(sv_cold, toy_engine.optimize(sv_cold),
                                  toy_engine.recost)
-        hot_entry.usage = 50  # make the first plan clearly hot
+        cache.columnar().usage[0] = 50  # make the first plan clearly hot
         sv_new = SelectivityVector.of(0.003, 0.9)
         mc.register(sv_new, toy_engine.optimize(sv_new), toy_engine.recost)
         if mc.stats.plans_evicted:

@@ -45,12 +45,13 @@ class TestPlanList:
 
 
 class TestInstanceList:
-    def _entry(self, plan_id, sv=(0.1, 0.1), cost=100.0, s=1.0):
+    def _entry(self, plan_id, sv=(0.1, 0.1), cost=100.0, s=1.0, usage=1):
         return InstanceEntry(
             sv=SelectivityVector.of(*sv),
             plan_id=plan_id,
             optimal_cost=cost,
             suboptimality=s,
+            usage=usage,
         )
 
     def test_add_requires_known_plan(self, cache_with_plans):
@@ -82,12 +83,8 @@ class TestInstanceList:
 
     def test_aggregate_usage_and_lfu_victim(self, cache_with_plans):
         cache, plan_a, plan_b = cache_with_plans
-        hot = self._entry(plan_a.plan_id)
-        hot.usage = 10
-        cache.add_instance(hot)
-        cold = self._entry(plan_b.plan_id, sv=(0.6, 0.6))
-        cold.usage = 2
-        cache.add_instance(cold)
+        cache.add_instance(self._entry(plan_a.plan_id, usage=10))
+        cache.add_instance(self._entry(plan_b.plan_id, sv=(0.6, 0.6), usage=2))
         assert cache.aggregate_usage(plan_a.plan_id) == 10
         assert cache.min_usage_plan().plan_id == plan_b.plan_id
 

@@ -95,16 +95,15 @@ def synthetic_cache(rng: random.Random, plans: int, anchors: int, d: int):
         )
         plan = cache.plan(rng.randrange(plans))
         sub = rng.choice([1.0, 1.0, rng.uniform(1.0, 1.3)])
-        entry = InstanceEntry(
+        cache.add_instance(InstanceEntry(
             sv=sv, plan_id=plan.plan_id,
             # C is the optimal cost at the anchor: the pointed plan's
             # own cost there, divided by its sub-optimality.
             optimal_cost=plan_cost(plan.shrunken_memo, sv) / sub,
             suboptimality=sub,
             usage=rng.randint(1, 9),
-        )
-        entry.retired = rng.random() < 0.1
-        cache.add_instance(entry)
+            retired=rng.random() < 0.1,
+        ))
     return cache
 
 
@@ -181,7 +180,7 @@ def test_every_entry_major_hit_is_a_plan_major_hit(
         if decision.check is CheckKind.COST:
             # Whatever it hit through is live and within budget, and
             # its ratio is the scalar one for that anchor.
-            anchor = decision.anchor
+            anchor = cache.instance(decision.row)
             assert not anchor.retired
             memo = cache.plan(anchor.plan_id).shrunken_memo
             r = plan_cost(memo, point) / anchor.optimal_cost

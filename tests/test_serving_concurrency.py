@@ -164,7 +164,7 @@ class TestStressInvariants:
             assert len(set(plan_ids)) == len(plan_ids)
             assert len(set(signatures)) == len(signatures)
             for entry in cache.instances():
-                assert cache.has_plan(entry.plan_id), (
+                assert cache.maybe_plan(entry.plan_id) is not None, (
                     "instance entry points at a dropped plan"
                 )
 
@@ -466,11 +466,11 @@ class TestOneProbeLoop:
         valid = shard._commit_valid
         rejected: list = []
 
-        def reject_once(decision, view):
+        def reject_once(decision):
             if not rejected:
                 rejected.append(decision)
                 return False  # as if the anchor vanished mid-probe
-            return valid(decision, view)
+            return valid(decision)
 
         with manager:
             warm = [decision(shard.process(q)) for q in stream[:20]]
@@ -793,19 +793,20 @@ class TestSnapshotSemantics:
         view1 = scr.cache.columnar()
         assert view1 is not view0
         assert view1.epoch > view0.epoch
-        assert len(view1.entries) == 1
+        assert len(view1) == 1
         # The old view still reflects the pre-mutation state.
-        assert len(view0.entries) == 0
+        assert len(view0) == 0
 
 
 class TestCommitValidation:
     """Optimistic-commit validation of a hit probed on a held view.
 
-    The retired flag must be re-read under the lock: retiring an anchor
-    (Appendix G) does not bump the cache epoch, so the epoch fast-path
-    alone would certify a cost bound the violation detector just
-    invalidated.  Real mutations between probe and commit move the
-    epoch; the hit then stands iff its anchor's plan is still cached."""
+    A hit is committed only into the column store it was probed
+    against: appends keep the store, while a drop, an adoption or a
+    recost sweep replaces it and sends the row back to be probed.  The
+    retired flag must be re-read under the lock: retiring an anchor
+    (Appendix G) replaces nothing, so the store check alone would
+    certify a cost bound the violation detector just invalidated."""
 
     def _shard_with_anchor(self):
         from repro.workload.generator import generate_selectivity_vectors
@@ -822,12 +823,12 @@ class TestCommitValidation:
         return shard, entry
 
     @staticmethod
-    def _selectivity_hit(entry):
+    def _selectivity_hit(view):
         from repro.core.get_plan import CheckKind, GetPlanDecision
 
         return GetPlanDecision(
-            plan_id=entry.plan_id, check=CheckKind.SELECTIVITY, anchor=entry,
-            g=1.0, l=1.0,
+            plan_id=int(view.plan_ids[0]), check=CheckKind.SELECTIVITY,
+            row=0, view=view, g=1.0, l=1.0,
         )
 
     @staticmethod
@@ -845,8 +846,8 @@ class TestCommitValidation:
 
     @staticmethod
     def _frozen(view) -> tuple:
-        """The held view's rows and array bytes, to compare later."""
-        return view.entries, tuple(
+        """The held view's write-once array bytes, to compare later."""
+        return tuple(
             getattr(view, name).tobytes()
             for name in ("sv", "log_sv", "sub", "cost", "plan_ids", "area")
         )
@@ -874,23 +875,23 @@ class TestCommitValidation:
         cache = shard.scr.cache
         view = cache.columnar()
         cost_hit = GetPlanDecision(
-            plan_id=entry.plan_id, check=CheckKind.COST, anchor=entry,
+            plan_id=entry.plan_id, check=CheckKind.COST, row=0, view=view,
             recost_calls=1, recost_ratio=1.0, g=1.0, l=1.0,
         )
-        assert shard._commit_valid(cost_hit, view)
+        assert shard._commit_valid(cost_hit)
 
-        entry.retired = True
-        # Retirement leaves the epoch untouched -- exactly the hole the
-        # fast-path-only validation had.
-        assert cache.epoch == view.epoch
-        assert not shard._commit_valid(cost_hit, view)
+        assert view.store.retire(0)
+        # Retirement leaves the epoch and the store untouched -- exactly
+        # the hole a store-only validation would have.
+        assert cache.epoch == view.epoch and cache.holds(view)
+        assert not shard._commit_valid(cost_hit)
 
     def test_retired_anchor_still_serves_selectivity_hits(self):
         shard, entry = self._shard_with_anchor()
         view = shard.scr.cache.columnar()
-        entry.retired = True
+        assert view.store.retire(0)
         # Serial semantics keep retired anchors in the selectivity check.
-        assert shard._commit_valid(self._selectivity_hit(entry), view)
+        assert shard._commit_valid(self._selectivity_hit(view))
 
     def test_unrelated_append_after_probe_commits(self):
         shard, entry = self._shard_with_anchor()
@@ -898,9 +899,10 @@ class TestCommitValidation:
         view = cache.columnar()
         frozen = self._frozen(view)
         cache.add_instance(self._unrelated_entry(entry))
-        assert cache.epoch != view.epoch and cache.has_plan(entry.plan_id)
-        assert shard._commit_valid(self._selectivity_hit(entry), view)
-        assert self._frozen(view) == frozen and view.entries == (entry,)
+        # An append moves the epoch but keeps the store.
+        assert cache.epoch != view.epoch and cache.holds(view)
+        assert shard._commit_valid(self._selectivity_hit(view))
+        assert self._frozen(view) == frozen and len(view) == 1
 
         # The same interleaving through process(): the hit commits.
         self._mutate_after_first_probe(
@@ -909,7 +911,7 @@ class TestCommitValidation:
         hits = entry.hits_selectivity
         choice = shard.process(QueryInstance(shard.template.name, sv=entry.sv))
         assert not choice.used_optimizer
-        assert entry.hits_selectivity == hits + 1
+        assert cache.instance(0).hits_selectivity == hits + 1
         assert shard.stats.row()["epoch_retries"] == 0
 
     def test_dropped_anchor_plan_rejects_hit_and_reprobes(self):
@@ -917,13 +919,13 @@ class TestCommitValidation:
         cache = shard.scr.cache
         view = cache.columnar()
         frozen = self._frozen(view)
-        hit = self._selectivity_hit(entry)
-        assert shard._commit_valid(hit, view)
+        hit = self._selectivity_hit(view)
+        assert shard._commit_valid(hit)
         cache.drop_plan(entry.plan_id)
-        assert cache.epoch != view.epoch
-        assert not shard._commit_valid(hit, view)
+        assert cache.epoch != view.epoch and not cache.holds(view)
+        assert not shard._commit_valid(hit)
         assert cache.num_instances == 0
-        assert self._frozen(view) == frozen and view.entries == (entry,)
+        assert self._frozen(view) == frozen and len(view) == 1
 
         # The same interleaving through process(): the drop lands after
         # the probe hit, validation rejects it, and the re-probe misses
@@ -935,8 +937,59 @@ class TestCommitValidation:
         )
         choice = shard.process(QueryInstance(shard.template.name, sv=entry.sv))
         assert choice.used_optimizer
-        assert entry.hits_selectivity == 0
+        assert cache.num_instances == 1
+        assert cache.instance(0).hits_selectivity == 0
         assert shard.stats.row()["epoch_retries"] == 1
+
+    def test_another_plans_drop_sends_the_hit_back_to_be_probed(self):
+        """A lock-free hit through row 1 is probed; then another plan's
+        drop replaces the store, and row 1 no longer exists.  The hit is
+        not committed into the old store: the row is probed again, hits
+        the same anchor as row 0 of the new store and commits there, and
+        the accounting identity holds."""
+        from repro.core.plan_cache import InstanceEntry
+        from repro.query.instance import SelectivityVector
+
+        db = Database.create(build_toy_schema(), seed=11)
+        template = serving_templates()[0]
+        manager = ConcurrentPQOManager(database=db, max_workers=1)
+        shard = manager.register(template, lam=LAM)
+        cache, engine = shard.scr.cache, shard.scr.engine
+        rows = []
+        for values in ((0.9, 0.9), (0.001, 0.001)):  # anchors B, then A
+            sv = SelectivityVector.of(*values)
+            result = engine.optimize(sv)
+            plan = cache.add_plan(result.plan, result.shrunken_memo)
+            cache.add_instance(InstanceEntry(
+                sv=sv, plan_id=plan.plan_id, optimal_cost=result.cost,
+                suboptimality=1.0,
+            ))
+            rows.append((sv, plan.plan_id))
+        (_, plan_b), (sv_a, plan_a) = rows
+        assert plan_a != plan_b
+        held = cache.columnar()
+        self._mutate_after_first_probe(shard, lambda: cache.drop_plan(plan_b))
+        with manager:
+            choice = shard.process(QueryInstance(template.name, sv=sv_a))
+        assert choice.check == "selectivity" and not choice.used_optimizer
+        assert shard.stats.row()["epoch_retries"] == 1
+        # Committed once, into the new store's row 0; the old store's
+        # counters were not written.
+        assert not cache.holds(held)
+        assert held.hits_selectivity.tolist() == [0, 0]
+        assert held.usage.tolist() == [1, 1]
+        view = cache.columnar()
+        assert view.plan_ids.tolist() == [plan_a]
+        assert view.hits_selectivity.tolist() == [1]
+        assert view.usage.tolist() == [2]
+        # Σ per-anchor hits (+ evicted − adopted) == getPlan's counters.
+        gp = shard.scr.get_plan
+        sel, cost, spend = cache.anchor_hit_totals()
+        assert (
+            sel - cache.adopted_hits_selectivity,
+            cost - cache.adopted_hits_cost,
+        ) == (gp.selectivity_hits, gp.cost_hits) == (1, 0)
+        assert spend - cache.adopted_recost_spend <= gp.total_recost_calls
 
 
 class TestMissAccounting:

@@ -2,7 +2,7 @@
 
 ``repro.core.get_plan.GetPlan`` promises *identical decisions* to the
 per-entry loop in ``tests/reference_get_plan.py`` — same check kind,
-same chosen plan, same anchor object, same certificate kind, coverage
+same chosen plan, same anchor row, same certificate kind, coverage
 and bound value, same recost-call count, and the same scan accounting.
 This suite drives both over seeded random workloads in all three check
 modes (point / robust / probabilistic), including degraded (widened)
@@ -71,16 +71,14 @@ def build_cache(rng: random.Random, n: int, d: int,
         sv = SelectivityVector.from_sequence(
             [10 ** rng.uniform(-4, 0) for _ in range(d)]
         )
-        entry = InstanceEntry(
+        cache.add_instance(InstanceEntry(
             sv=sv,
             plan_id=rng.choice(plan_ids),
             optimal_cost=rng.uniform(10.0, 1e4),
             suboptimality=rng.uniform(1.0, 1.5),
             usage=rng.randint(1, 20),
-        )
-        if rng.random() < retire_fraction:
-            entry.retired = True
-        cache.add_instance(entry)
+            retired=rng.random() < retire_fraction,
+        ))
     return cache
 
 
@@ -124,7 +122,8 @@ def random_input(rng: random.Random, d: int, boxed: bool):
 def assert_decisions_identical(ds, dv, context: str) -> None:
     assert ds.check == dv.check, context
     assert ds.plan_id == dv.plan_id, context
-    assert ds.anchor is dv.anchor, context
+    assert ds.row == dv.row, context
+    assert ds.row is None or ds.view is dv.view, context
     assert ds.recost_calls == dv.recost_calls, context
     assert ds.recost_ratio == dv.recost_ratio, context
     assert ds.g == dv.g and ds.l == dv.l, context
@@ -135,11 +134,7 @@ def assert_decisions_identical(ds, dv, context: str) -> None:
     assert list(ds.recost_memo.items()) == list(dv.recost_memo.items()), context
     # The calibration feed's uncensored samples must match too: one per
     # re-costed plan (its lowest-key live anchor), identical (r, g, l).
-    assert len(ds.recost_samples) == len(dv.recost_samples), context
-    for (ea, ra, ga, la), (eb, rb, gb, lb) in zip(
-        ds.recost_samples, dv.recost_samples
-    ):
-        assert ea is eb and ra == rb and ga == gb and la == lb, context
+    assert ds.recost_samples == dv.recost_samples, context
 
 
 @pytest.mark.parametrize("check_mode", ["point", "robust", "probabilistic"])
@@ -173,8 +168,9 @@ def test_differential_random_workloads(check_mode, order):
                 # Flip a retired bit mid-stream (no epoch bump), the way
                 # the Appendix G detector does: both impls must read the
                 # flag live.
-                entry = rng.choice(list(cache.instances()))
-                entry.retired = not entry.retired
+                retired = cache.columnar().retired
+                row = rng.choice(range(cache.num_instances))
+                retired[row] = not retired[row]
         assert scalar.entries_scanned == vectorized.entries_scanned
 
 
@@ -370,20 +366,13 @@ def test_differential_full_scr_pipeline(check_mode):
 
 
 def _record_anchor_rows(scr: SCR, rows: list) -> None:
-    """Append each decision's anchor to ``rows`` as its instance-list
-    index (the two stacks hold different entry objects for the same
-    row), whether a serial ``probe`` or the shard's ``probe_rows`` took
-    it."""
+    """Append each decision's anchor row to ``rows``, whether a serial
+    ``probe`` or the shard's ``probe_rows`` took it."""
     get_plan = scr.get_plan
     probe, probe_rows = get_plan.probe, get_plan.probe_rows
 
     def record(decision):
-        rows.append(
-            None if decision.anchor is None else next(
-                i for i, entry in enumerate(scr.cache.instances())
-                if entry is decision.anchor
-            )
-        )
+        rows.append(decision.row)
         return decision
 
     def recording_probe(*args, **kwargs):
@@ -529,12 +518,12 @@ def test_differential_usage_order_under_live_mutation():
         ds = scalar.probe(sv, recost)
         dv = vectorized.probe(sv, recost)
         assert_decisions_identical(ds, dv, f"usage-mutation t={t}")
-        # Mutate usage the way live commits do: entry counter + version
-        # bump via touch() — never an epoch bump.
+        # Mutate usage the way live commits do: the row's counter +
+        # version bump via touch() — never an epoch bump.
         if rng.random() < 0.4:
-            entry = rng.choice(entries)
-            entry.usage += rng.randint(1, 5)
-            cache.touch(entry.plan_id)
+            row = rng.choice(range(len(entries)))
+            cache.columnar().usage[row] += rng.randint(1, 5)
+            cache.touch(entries[row].plan_id)
     assert cache.epoch == epoch_before  # usage edits must not invalidate views
     assert scalar.entries_scanned == vectorized.entries_scanned
 
@@ -562,25 +551,24 @@ def test_candidate_select_with_retired_rows_in_the_prefix(order):
     def never_passes(memo, point):
         return 1e12
 
+    view = cache.columnar()
     for t in range(40):
         sv = random_input(rng, 3, False)
         ahead = scalar.probe(sv, never_passes).recost_samples
         assert len(ahead) == 4
-        assert len({entry.plan_id for entry, *_ in ahead}) == 4
+        assert len({int(view.plan_ids[row]) for row, *_ in ahead}) == 4
         dv = vectorized.probe(sv, never_passes)
         assert_decisions_identical(scalar.probe(sv, never_passes), dv, "live")
         # Retire 1-3 of the heads the order puts first.
-        doomed = [entry for entry, *_ in ahead[:rng.randint(1, 3)]]
-        for entry in doomed:
-            entry.retired = True
+        doomed = [row for row, *_ in ahead[:rng.randint(1, 3)]]
+        view.retired[doomed] = True
         dv = vectorized.probe(sv, never_passes)
         assert_decisions_identical(
             scalar.probe(sv, never_passes), dv, f"{order.value} t={t}"
         )
         assert len(dv.recost_samples) == 4
-        assert not any(e.retired for e, *_ in dv.recost_samples)
-        for entry in doomed:
-            entry.retired = False
+        assert not any(view.retired[row] for row, *_ in dv.recost_samples)
+        view.retired[doomed] = False
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
@@ -627,8 +615,7 @@ def test_usage_rank_memo_reuses_until_version_changes():
     view = cache.columnar()
     r1 = view.usage_rank(cache.usage_version)
     assert view.usage_rank(cache.usage_version) is r1  # memo hit
-    first = next(cache.instances())
-    first.usage += 100
+    view.usage[0] += 100
     cache.usage_version += 1
     r2 = view.usage_rank(cache.usage_version)
     assert r2 is not r1
@@ -787,7 +774,7 @@ def _assert_boundary(kind, ulps, ds, dv, context):
     else:
         assert dv.check.value == "cost", context
         assert dv.recost_calls == (1 if kind == "step1" else 2), context
-        assert dv.anchor.plan_id == (0 if kind == "step1" else 1), context
+        assert dv.plan_id == (0 if kind == "step1" else 1), context
 
 
 #: (anchor, nearer anchor of the failing head plan, point): G·L of the

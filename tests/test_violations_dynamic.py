@@ -3,72 +3,74 @@
 import pytest
 
 from repro.core.dynamic_lambda import DynamicLambda
+from repro.core.columnar import ColumnStore
 from repro.core.plan_cache import InstanceEntry
 from repro.core.violations import ViolationDetector
 from repro.query.instance import SelectivityVector
 
 
-def entry(s: float = 1.0) -> InstanceEntry:
-    return InstanceEntry(
+def entry(s: float = 1.0):
+    """``(view, row)`` of one anchor with sub-optimality ``s``."""
+    return ColumnStore([InstanceEntry(
         sv=SelectivityVector.of(0.1, 0.1),
         plan_id=0,
         optimal_cost=100.0,
         suboptimality=s,
-    )
+    )]).view(0), 0
 
 
 class TestViolationDetector:
     def test_within_bounds_no_violation(self):
         det = ViolationDetector()
         # G = 2, L = 1: plan growth 1.5 is inside (1/1, 2).
-        report = det.check(entry(), g=2.0, l=1.0, recost_ratio=1.5)
+        report = det.check(*entry(), g=2.0, l=1.0, recost_ratio=1.5)
         assert not report.any
         assert det.violations_detected == 0
 
     def test_bcg_upper_violation_detected_and_retires(self):
         det = ViolationDetector()
-        e = entry()
+        view, row = entry()
         # G = 2 but the cost tripled: BCG upper bound broken.
-        report = det.check(e, g=2.0, l=1.0, recost_ratio=3.0)
+        report = det.check(view, row, g=2.0, l=1.0, recost_ratio=3.0)
         assert report.bcg_violated
-        assert e.retired
+        assert view.retired[row]
         assert det.anchors_retired == 1
 
     def test_bcg_lower_violation_detected(self):
         det = ViolationDetector()
         # L = 2 (all selectivities halved) but cost fell to a tenth.
-        report = det.check(entry(), g=1.0, l=2.0, recost_ratio=0.1)
+        report = det.check(*entry(), g=1.0, l=2.0, recost_ratio=0.1)
         assert report.bcg_violated
 
     def test_pcm_violation_on_dominating_growth(self):
         det = ViolationDetector()
         # Selectivities only grew (G > 1, L = 1) yet cost decreased.
-        report = det.check(entry(), g=1.5, l=1.0, recost_ratio=0.8)
+        report = det.check(*entry(), g=1.5, l=1.0, recost_ratio=0.8)
         assert report.pcm_violated
 
     def test_pcm_violation_on_dominated_shrink(self):
         det = ViolationDetector()
         # Selectivities only shrank yet cost increased.
-        report = det.check(entry(), g=1.0, l=1.5, recost_ratio=1.3)
+        report = det.check(*entry(), g=1.0, l=1.5, recost_ratio=1.3)
         assert report.pcm_violated
 
     def test_tolerance_absorbs_noise(self):
         det = ViolationDetector(tolerance=1.05)
         # 1% overshoot of the bound is ignored.
-        report = det.check(entry(), g=2.0, l=1.0, recost_ratio=2.02)
+        report = det.check(*entry(), g=2.0, l=1.0, recost_ratio=2.02)
         assert not report.any
 
     def test_suboptimal_anchor_normalized(self):
         det = ViolationDetector()
         # S = 2: recost_ratio 3 means plan growth 1.5, within G = 2.
-        report = det.check(entry(s=2.0), g=2.0, l=1.0, recost_ratio=3.0)
+        report = det.check(*entry(s=2.0), g=2.0, l=1.0, recost_ratio=3.0)
         assert not report.any
 
     def test_retire_counted_once(self):
         det = ViolationDetector()
         e = entry()
-        det.check(e, g=2.0, l=1.0, recost_ratio=5.0)
-        det.check(e, g=2.0, l=1.0, recost_ratio=5.0)
+        det.check(*e, g=2.0, l=1.0, recost_ratio=5.0)
+        det.check(*e, g=2.0, l=1.0, recost_ratio=5.0)
         assert det.violations_detected == 2
         assert det.anchors_retired == 1
 
