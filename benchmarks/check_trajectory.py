@@ -3,10 +3,11 @@
 The trajectory files are part of the repo contract: every run appended
 by the benchmark suites must carry the v2 envelope (schema_version,
 benchmark name, per-run metadata header) and the newest run must not
-silently regress against the one before it.  CI runs this after the
-benchmark step; it exits non-zero on the first malformed append or on
-any >20% drop in a gated throughput/speedup figure that nobody
-annotated.
+silently regress against the newest earlier run on the same host
+(``meta.platform``).  CI runs this after the benchmark step; it exits
+non-zero on the first malformed append or on any >20% drop in a gated
+throughput/speedup figure that nobody annotated, and prints a note when
+the newest run has no earlier run on its host to compare with.
 
 Usage::
 
@@ -21,6 +22,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 SCHEMA_VERSION = 2
 
@@ -42,6 +44,7 @@ REGRESSION_WATCH = {
     "getplan_hotpath": (("m", "d"), "speedup"),
     "getplan_costcheck": (("m",), "speedup"),
     "recost": (("template",), "speedup"),
+    "search": (("template",), "speedup"),
 }
 
 #: Runs kept per checked-in trajectory file.
@@ -108,12 +111,20 @@ def validate_document(doc, path: str) -> list[str]:
     return errors
 
 
-def check_regressions(doc, path: str) -> list[str]:
-    """Newest-vs-previous comparison on the watched figures.
+def check_regressions(
+    doc, path: str, notes: Optional[list[str]] = None
+) -> list[str]:
+    """Newest run vs the newest earlier run on the same host, on the
+    watched figures.
 
-    Only consecutive runs are compared: a slow decay across many runs
-    is the gate tests' job; this catches the single silent >20% cliff
-    that a gate set below current performance would wave through.
+    Only that one pair is compared: a slow decay across many runs is the
+    gate tests' job; this catches the single silent >20% cliff that a
+    gate set below current performance would wave through.  Hosts are
+    told apart by ``meta.platform``: a kernel ratio moves by more than
+    the budget between host types with no code change, so a run is
+    never gated against another host's.  When the newest run has no
+    earlier run on its host, a line saying so goes to ``notes`` (when
+    given) and nothing fails.
     """
     watch = REGRESSION_WATCH.get(doc.get("benchmark"))
     runs = doc.get("runs") or []
@@ -130,7 +141,20 @@ def check_regressions(doc, path: str) -> list[str]:
                 out[key] = float(row[metric])
         return out
 
-    previous, latest = series(runs[-2]), series(runs[-1])
+    def host(run) -> Optional[str]:
+        meta = run.get("meta")
+        return meta.get("platform") if isinstance(meta, dict) else None
+
+    newest = host(runs[-1])
+    earlier = [r for r in runs[:-1] if newest is not None and host(r) == newest]
+    if not earlier:
+        if notes is not None:
+            notes.append(
+                f"{path}: newest run's host {newest!r} has no earlier run; "
+                "not compared"
+            )
+        return []
+    previous, latest = series(earlier[-1]), series(runs[-1])
     for key, before in sorted(previous.items()):
         after = latest.get(key)
         if after is None or before <= 0:
@@ -175,14 +199,14 @@ def append_run(
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def check_file(path: Path) -> list[str]:
+def check_file(path: Path, notes: Optional[list[str]] = None) -> list[str]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         return [f"{path}: unreadable ({exc})"]
     errors = validate_document(doc, str(path))
     if not errors:
-        errors = check_regressions(doc, str(path))
+        errors = check_regressions(doc, str(path), notes)
     return errors
 
 
@@ -195,8 +219,9 @@ def main(argv: list[str]) -> int:
         print("check_trajectory: no BENCH_*.json files found")
         return 1
     failures = []
+    notes: list[str] = []
     for path in paths:
-        errors = check_file(path)
+        errors = check_file(path, notes)
         if errors:
             failures.extend(errors)
         else:
@@ -205,6 +230,8 @@ def main(argv: list[str]) -> int:
                 f"ok: {path} ({doc['benchmark']}, "
                 f"{len(doc['runs'])} run(s))"
             )
+    for note in notes:
+        print(f"note: {note}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

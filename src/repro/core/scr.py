@@ -29,6 +29,7 @@ from typing import Callable, Optional
 from ..engine.api import EngineAPI
 from ..engine.resilience import OptimizeUnavailableError
 from ..obs.handle import Observability, base_engine, instrument_engine
+from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
     AnySelectivityVector,
     QueryInstance,
@@ -157,13 +158,25 @@ class SCR(OnlinePQOTechnique):
         result = unavailable = None
         if not decision.hit:
             try:
-                result = self._optimize(sv)
+                result = self._optimize(sv, self.incumbent(decision))
             except OptimizeUnavailableError as exc:
                 unavailable = exc
         choice = self.apply(sv, decision, result)
         if choice is None:
             raise unavailable  # empty cache: nothing can be served
         return choice
+
+    def incumbent(self, decision: GetPlanDecision) -> Optional[ShrunkenMemo]:
+        """The cached plan a miss's cost phase re-costed cheapest: its
+        optimizer call's branch-and-bound incumbent (``None`` if there is
+        none).  Only the plan is passed; the raw optimizer re-costs it,
+        since a memo cost may come from a drifting or faulty engine layer
+        (DESIGN.md §7)."""
+        memo = decision.recost_memo
+        if not memo:
+            return None
+        plan = self.cache.maybe_plan(min(memo, key=memo.get))
+        return None if plan is None else plan.shrunken_memo
 
     def apply(
         self,

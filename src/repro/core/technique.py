@@ -101,10 +101,11 @@ class OnlinePQOTechnique(ABC):
         """Peak number of plans stored (defaults to the current count)."""
         return self.plans_cached
 
-    def _optimize(self, sv: AnySelectivityVector):
-        """Make a (counted) optimizer call through the engine.
+    def _optimize(self, sv: AnySelectivityVector, incumbent=None):
+        """Make a (counted) optimizer call through the engine, bounded
+        by the cached plan ``incumbent`` when one is given.
 
         Always optimizes at the *point* estimate — the optimizer's own
         cardinality model works from best guesses, not boxes.
         """
-        return self.engine.optimize(as_point(sv))
+        return self.engine.optimize(as_point(sv), incumbent)

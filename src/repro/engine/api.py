@@ -246,10 +246,14 @@ class EngineAPI:
         """The uncertain sVector alone, without its degradation status."""
         return self.selectivity_vector_with_error_ex(instance)[0]
 
-    def optimize(self, sv: SelectivityVector) -> OptimizationResult:
-        """Full optimizer call (the expensive operation PQO avoids)."""
+    def optimize(
+        self, sv: SelectivityVector, incumbent: Optional[ShrunkenMemo] = None
+    ) -> OptimizationResult:
+        """Full optimizer call (the expensive operation PQO avoids),
+        bounded by ``incumbent``'s cost when a cached plan is given
+        (:meth:`QueryOptimizer.optimize`)."""
         start = time.perf_counter()
-        result = self.optimizer.optimize(sv)
+        result = self.optimizer.optimize(sv, incumbent)
         elapsed = time.perf_counter() - start
         self.counters.optimize.record(elapsed)
         if self.instruments is not None:
@@ -312,8 +316,10 @@ class EngineWrapper(EngineAPI):
     ) -> tuple[UncertainSelectivityVector, bool]:
         return self.inner.selectivity_vector_with_error_ex(instance)
 
-    def optimize(self, sv: SelectivityVector) -> OptimizationResult:
-        return self.inner.optimize(sv)
+    def optimize(
+        self, sv: SelectivityVector, incumbent: Optional[ShrunkenMemo] = None
+    ) -> OptimizationResult:
+        return self.inner.optimize(sv, incumbent)
 
     def recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
         return self.inner.recost(shrunken, sv)

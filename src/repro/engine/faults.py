@@ -197,9 +197,11 @@ class FaultInjector(EngineWrapper):
         self._last_usv = usv
         return usv, degraded
 
-    def optimize(self, sv: SelectivityVector) -> OptimizationResult:
+    def optimize(
+        self, sv: SelectivityVector, incumbent: Optional[ShrunkenMemo] = None
+    ) -> OptimizationResult:
         self._pre_call("optimize", self.config.optimize)
-        return self.inner.optimize(sv)
+        return self.inner.optimize(sv, incumbent)
 
     def recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
         profile = self.config.recost
@@ -245,8 +247,10 @@ class DriftingCostEngine(EngineWrapper):
             raise ValueError(f"factor must be > 0, got {factor}")
         self.factor = factor
 
-    def optimize(self, sv: SelectivityVector) -> OptimizationResult:
-        result = self.inner.optimize(sv)
+    def optimize(
+        self, sv: SelectivityVector, incumbent: Optional[ShrunkenMemo] = None
+    ) -> OptimizationResult:
+        result = self.inner.optimize(sv, incumbent)
         if self.factor == 1.0:
             return result
         return OptimizationResult(

@@ -425,14 +425,16 @@ class ResilientEngineAPI(EngineWrapper):
             self._last_good_sv = usv.point
         return usv, degraded
 
-    def optimize(self, sv: SelectivityVector) -> OptimizationResult:
+    def optimize(
+        self, sv: SelectivityVector, incumbent: Optional[ShrunkenMemo] = None
+    ) -> OptimizationResult:
         """Optimize with retries; exhaustion raises
         :class:`OptimizeUnavailableError` for the technique to degrade
         (SCR serves its best cached plan, flagged uncertified)."""
         try:
             return self._call_with_retries(
                 "optimize",
-                lambda: self.inner.optimize(sv),
+                lambda: self.inner.optimize(sv, incumbent),
                 validate=lambda r: math.isfinite(r.cost) and r.cost > 0,
             )
         except FAILURE_TYPES as exc:

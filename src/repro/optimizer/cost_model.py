@@ -87,6 +87,18 @@ class CostModel:
             + out_rows * p.output_row
         )
 
+    def nested_loops_inner_limit(self, outer_rows: float, budget: float) -> float:
+        """The largest inner cost at which :meth:`nested_loops_join` over
+        at least ``outer_rows`` rows can stay within ``budget`` (``inf``
+        over an empty outer): its probe term alone must, widened by a
+        relative 1e-12 against the join's float rounding.  The bounded
+        plan search's threshold for a nested-loops inner (DESIGN.md §7).
+        """
+        rate = outer_rows * self.params.nlj_probe_row
+        if rate == 0.0:
+            return math.inf
+        return budget / rate * (1.0 + 1e-12)
+
     def index_nested_loops_join(
         self, outer_rows: float, inner_table_rows: float, out_rows: float
     ) -> float:

@@ -26,12 +26,17 @@ because the memo's tie-breaks are first-offer-wins: a reordered or
 re-associated sum can flip a tie, pick a different plan and move every
 paper figure.  ``tests/test_search_equivalence.py`` holds the two
 bit-identical over every template.
+
+Given a cost ``bound`` no lower than the optimum's, the pass is a sound
+branch-and-bound with the same answer: cardinalities, a per-group
+threshold τ propagated top-down from ``bound``, then costing that drops
+every alternative dearer than its group's τ (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import inf
+from math import inf, nextafter
 from typing import Optional
 
 from ..query.expressions import JoinEdge
@@ -51,6 +56,8 @@ _Role = tuple[int, int, str, str, Optional[tuple[BaseTableInfo, str]]]
 #: One partition of a join subset: ``(left group, right group, connecting
 #: edges, folded join selectivity, both roles)``.
 _Partition = tuple[int, int, list[JoinEdge], float, tuple[_Role, _Role]]
+#: The options of a group a bounded pass kept no plan of (joins on it cost inf).
+_NO_INPUT: _Option = (None, None, 0.0, inf)
 
 
 class PlanSearch:
@@ -66,24 +73,76 @@ class PlanSearch:
         self.schema = schema
         self._build_skeleton()
 
-    def optimize(self, sv: SelectivityVector) -> tuple[PhysicalPlan, Memo]:
-        """Find the cheapest plan for the instance with sVector ``sv``."""
+    def optimize(
+        self, sv: SelectivityVector, bound: float = inf
+    ) -> tuple[PhysicalPlan, Memo]:
+        """Find the cheapest plan for the instance with sVector ``sv``;
+        a ``bound`` below the winner's cost raises (a cost model that
+        breaks the pruning's contract)."""
         memo = Memo()
         # Index-aligned with the skeleton's group numbering.
-        groups: list[MemoGroup] = []
+        groups = [memo.group(subset) for subset in self._subsets]
+        for group, considered in zip(groups, self._considered):
+            group.expressions_considered = considered
+        for group, (_, info, _) in zip(groups, self._base):
+            group.cardinality = info.cardinality(sv)
+        # Each partition's output cardinality; the first is its group's.
+        nbase = len(self._base)
+        out_cards: list[list[float]] = []
+        for group, (_, partitions) in zip(groups[nbase:], self._joins):
+            cards = [
+                self.cards.join_cardinality(
+                    groups[left].cardinality, groups[right].cardinality, edges
+                )
+                for left, right, edges, _, _ in partitions
+            ]
+            group.cardinality = cards[0]
+            out_cards.append(cards)
+        tau = [inf] * len(groups)
+        if bound < inf:
+            tau = self._thresholds(groups, out_cards, bound)
         options: list[list[_Option]] = []
-        for subset, info, index_keys in self._base:
-            group = memo.group(subset)
-            self._seed_base_group(group, info, index_keys, sv)
-            groups.append(group)
+        for group, (_, info, index_keys) in zip(groups, self._base):
+            self._seed_base_group(group, info, index_keys)
             options.append(self._options(group))
-        for subset, partitions in self._joins:
-            group = memo.group(subset)
-            self._expand_group(group, partitions, groups, options)
-            groups.append(group)
-            options.append(self._options(group))
-        root = self._finalize(options[-1])
+        for i, ((_, partitions), cards) in enumerate(zip(self._joins, out_cards), nbase):
+            self._expand_group(
+                groups[i], partitions, cards, self._keys[i], options, tau[i]
+            )
+            options.append(self._options(groups[i]))
+        root = None if options[-1][0] is _NO_INPUT else self._finalize(options[-1])
+        if root is None or root.cost > bound:
+            raise RuntimeError(
+                f"{self.template.name}: no plan within the cost bound {bound!r}; "
+                "the cost model breaks the bounded search's contract"
+            )
         return PhysicalPlan(root=root, template_name=self.template.name), memo
+
+    def _thresholds(
+        self, groups: list[MemoGroup], out_cards: list[list[float]], bound: float
+    ) -> list[float]:
+        """τ per group: its dearest plan that can be part of a plan
+        costing at most ``bound``, the largest any of its uses allows.
+
+        Operators' own costs are ≥ 0, so an outer and a hash or merge
+        inner inherit their parent's τ.  A nested-loops inner can cost
+        more than its join, so it gets the cost model's inverse at the
+        outer's smallest cardinality over its partitions.
+        """
+        nbase = len(self._base)
+        floor = [g.cardinality for g in groups[:nbase]] + [min(c) for c in out_cards]
+        limit = self.costs.nested_loops_inner_limit
+        tau = [-inf] * len(groups)
+        tau[-1] = bound
+        for i in range(len(groups) - 1, nbase - 1, -1):
+            t = tau[i]
+            for outer, inner in self._uses[i - nbase]:
+                if t > tau[outer]:
+                    tau[outer] = t
+                inner_tau = max(t, limit(floor[outer], t))
+                if inner_tau > tau[inner]:
+                    tau[inner] = inner_tau
+        return tau
 
     # -- skeleton (once per template) --------------------------------------
 
@@ -117,6 +176,24 @@ class PlanSearch:
                 if self._connected(subset):
                     self._joins.append((subset, self._partitions(subset, group_of)))
                     group_of[subset] = len(group_of)
+        self._subsets = list(group_of)
+        # Structural, per group: its winner keys in first-offer order (a
+        # join group's are None, then each role's outer column, its merge
+        # join's order) and the expressions a search considers (a join
+        # role's unordered joins and every merge-input pair, including
+        # the reference's trailing (None, best) on each side).  Per join
+        # group, the (outer, inner) groups of its roles.
+        self._keys = [[None, *dict.fromkeys(k for _, k in keys)] for *_, keys in self._base]
+        self._considered = [1 + len(keys) for *_, keys in self._base]
+        self._uses: list[list[tuple[int, int]]] = []
+        for _, partitions in self._joins:
+            roles = [role for *_, both in partitions for role in both]
+            self._uses.append([(outer, inner) for outer, inner, *_ in roles])
+            self._keys.append([None, *dict.fromkeys(role[2] for role in roles)])
+            self._considered.append(sum(
+                (3 if inlj else 2) + (len(self._keys[o]) + 1) * (len(self._keys[i]) + 1)
+                for o, i, _, _, inlj in roles
+            ))
 
     def _partitions(
         self, subset: frozenset[str], group_of: dict[frozenset[str], int]
@@ -186,11 +263,9 @@ class PlanSearch:
 
     def _seed_base_group(
         self, group: MemoGroup, info: BaseTableInfo,
-        index_keys: list[tuple[str, str]], sv: SelectivityVector,
+        index_keys: list[tuple[str, str]],
     ) -> None:
-        card = info.cardinality(sv)
-        group.cardinality = card
-        group.expressions_considered = 1 + len(index_keys)
+        card = group.cardinality
         seq_cost = self.costs.seq_scan(info.rows, card)
         group.winners[None] = GroupWinner(
             self._scan(PhysicalOp.SEQ_SCAN, info, None, card, seq_cost), seq_cost
@@ -227,58 +302,66 @@ class PlanSearch:
 
     @staticmethod
     def _options(group: MemoGroup) -> list[_Option]:
-        """The finished group's winners as join inputs, in winner order.
+        """The finished group's winners as join inputs, in winner order
+        (``[_NO_INPUT]`` when a bounded pass kept none).
 
-        Entry 0 is the ``None`` order (always the first key: the seq scan
-        and the hash join are offered first) and carries the overall
-        cheapest plan — an ordered plan satisfies an unordered
-        requirement.  The reference's trailing ``(None, best)`` merge
-        input is that same plan with the same sortedness, so it can never
-        strictly beat entry 0; it is counted, not priced.
+        Entry 0 is the ``None`` order and carries the overall cheapest
+        plan — an ordered plan satisfies an unordered requirement.  The
+        reference's trailing ``(None, best)`` merge input is that same
+        plan with the same sortedness, so it can never strictly beat
+        entry 0; it is counted, not priced.
         """
         best = group.best(None)
+        if best is None:
+            return [_NO_INPUT]
         options = [
             (order, w.plan, w.plan.cardinality, w.cost)
             for order, w in group.winners.items()
         ]
-        options[0] = (None, best.plan, best.plan.cardinality, best.cost)
+        entry = (None, best.plan, best.plan.cardinality, best.cost)
+        if options[0][0] is None:
+            options[0] = entry
+        else:  # a bounded pass dropped the None order's winner
+            options.insert(0, entry)
         return options
 
     def _expand_group(
         self, group: MemoGroup, partitions: list[_Partition],
-        groups: list[MemoGroup], options: list[list[_Option]],
+        out_cards: list[float], keys: list[Optional[str]],
+        options: list[list[_Option]], tau: float,
     ) -> None:
-        """Price every join alternative of one group, then build winners.
+        """Price the join alternatives of one group, then build winners.
 
         ``found`` maps an order key to its cheapest alternative so far,
         ``(cost, op, outer plan, inner plan, role, out_card, join_sel,
-        left_sorted, right_sorted)``.  Keys enter it at their first
-        offer, which is the reference's winner-dict order.
+        left_sorted, right_sorted)``; only alternatives costing at most
+        ``tau`` enter it.  Winners are built in ``keys`` order, the
+        reference's winner-dict order.
         """
         costs = self.costs
         found: dict[Optional[str], tuple] = {}
-        none_cost = inf
-        considered = 0
-        for left, right, edges, join_sel, roles in partitions:
-            out_card = self.cards.join_cardinality(
-                groups[left].cardinality, groups[right].cardinality, edges
-            )
-            if group.cardinality == 0.0:
-                group.cardinality = out_card
+        # An alternative is kept iff its cost is below ``cap``: ≤ tau.
+        cap = none_cost = nextafter(tau, inf)
+        for (_, _, _, join_sel, roles), out_card in zip(partitions, out_cards):
             # merge_join is a pure function of five numbers that take a
             # handful of distinct values per partition.
             merge_costs: dict[tuple, float] = {}
             for role in roles:
                 outer, inner, outer_col, inner_col, inlj = role
                 louts, routs = options[outer], options[inner]
+                # Every alternative of the role costs at least its
+                # outer's cheapest plan.
+                if louts[0][3] > tau:
+                    continue
                 _, oplan, ocard, ocost = louts[0]
                 _, iplan, icard, icost = routs[0]
                 # Unordered alternatives: hash join (builds on the inner
-                # side), index nested loops, naive nested loops.
+                # side; it costs at least its inputs), index nested
+                # loops, naive nested loops.
                 unordered = [(
                     PhysicalOp.HASH_JOIN,
                     costs.hash_join(icard, ocard, out_card) + ocost + icost,
-                )]
+                )] if ocost + icost <= tau else []
                 if inlj is not None:
                     unordered.append((
                         PhysicalOp.INDEX_NESTED_LOOPS_JOIN,
@@ -294,12 +377,15 @@ class PlanSearch:
                         none_cost = cost
                         found[None] = (cost, op, oplan, iplan, role, out_card,
                                        join_sel, False, False)
-                considered += len(unordered) + (len(louts) + 1) * (len(routs) + 1)
+                if tau < inf:
+                    # A merge input pair costs at least its two inputs.
+                    louts = [o for o in louts if o[3] + icost <= tau]
+                    routs = [o for o in routs if ocost + o[3] <= tau]
 
                 # Merge join over every combination of available input
                 # orders; its output is ordered by the join columns.
                 current = found.get(outer_col)
-                best_cost = inf if current is None else current[0]
+                best_cost = cap if current is None else current[0]
                 best = None
                 for l_order, lplan, lcard, lcost in louts:
                     l_sorted = l_order == outer_col
@@ -320,9 +406,12 @@ class PlanSearch:
                         best_cost, PhysicalOp.MERGE_JOIN, best[0], best[1],
                         role, out_card, join_sel, best[2], best[3],
                     )
-        group.expressions_considered = considered
-        for order, alternative in found.items():
-            group.winners[order] = GroupWinner(self._join_node(alternative), alternative[0])
+        for order in keys:
+            alternative = found.get(order)
+            if alternative is not None:
+                group.winners[order] = GroupWinner(
+                    self._join_node(alternative), alternative[0]
+                )
 
     def _join_node(self, alternative: tuple) -> PlanNode:
         cost, op, outer, inner, role, out_card, join_sel, l_sorted, r_sorted = alternative
@@ -352,7 +441,7 @@ class PlanSearch:
 
     def _finalize(self, candidates: list[_Option]) -> PlanNode:
         """Apply aggregation / order-by on top of the full join group's
-        winners (never empty: every group has its ``None`` entry)."""
+        winners (never empty)."""
         template = self.template
         best_root: Optional[PlanNode] = None
         for order, node, _, _ in candidates:

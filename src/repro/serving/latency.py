@@ -12,6 +12,7 @@ the thread pool overlaps them.
 from __future__ import annotations
 
 import time
+from typing import Optional
 
 from ..engine.api import EngineAPI, EngineWrapper
 from ..optimizer.recost import ShrunkenMemo
@@ -51,10 +52,12 @@ class SimulatedLatencyEngine(EngineWrapper):
             time.sleep(self.selectivity_seconds)
         return self.inner.selectivity_vector_with_error_ex(instance)
 
-    def optimize(self, sv: SelectivityVector):
+    def optimize(
+        self, sv: SelectivityVector, incumbent: Optional[ShrunkenMemo] = None
+    ):
         if self.optimize_seconds:
             time.sleep(self.optimize_seconds)
-        return self.inner.optimize(sv)
+        return self.inner.optimize(sv, incumbent)
 
     def recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
         if self.recost_seconds:

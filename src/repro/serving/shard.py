@@ -554,7 +554,9 @@ class TemplateShard:
                 if reason is None:
                     try:
                         with self.stats.engine_calls.track():
-                            result = self.scr._optimize(sv)
+                            result = self.scr._optimize(
+                                sv, self.scr.incumbent(decision)
+                            )
                     except OptimizeUnavailableError as exc:
                         unavailable = exc
                 choice = self._apply(sv, seq, decision, result, reason)

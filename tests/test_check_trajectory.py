@@ -1,0 +1,67 @@
+"""The trajectory gate compares like hosts (``benchmarks/check_trajectory.py``).
+
+A kernel ratio moves by more than the 20 % budget between host types
+with no code change, so the newest run is gated against the newest
+earlier run on its own ``meta.platform`` and only reported when there is
+none.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "check_trajectory.py"
+_SPEC = importlib.util.spec_from_file_location("check_trajectory", _PATH)
+check_trajectory = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(check_trajectory)
+
+
+def _run(platform, speedup, hour):
+    return {
+        "timestamp": f"2026-10-19T{hour:02d}:00:00Z",
+        "meta": {"platform": platform},
+        "results": [{"m": 1024, "d": 10, "speedup": speedup}],
+    }
+
+
+def _doc(*runs):
+    return {"schema_version": 2, "benchmark": "getplan_hotpath", "runs": list(runs)}
+
+
+def test_a_same_host_drop_over_the_budget_fails():
+    doc = _doc(_run("host-a", 70.0, 1), _run("host-a", 52.5, 2))
+    assert check_trajectory.validate_document(doc, "f") == []
+    errors = check_trajectory.check_regressions(doc, "f")
+    assert len(errors) == 1 and "dropped 25%" in errors[0]
+
+
+def test_the_newest_earlier_run_on_the_host_is_the_baseline():
+    """Another host's run in between neither hides nor causes a drop."""
+    doc = _doc(
+        _run("host-a", 70.0, 1), _run("host-b", 200.0, 2), _run("host-a", 52.5, 3)
+    )
+    assert len(check_trajectory.check_regressions(doc, "f")) == 1
+    doc = _doc(
+        _run("host-a", 70.0, 1), _run("host-b", 20.0, 2), _run("host-a", 69.0, 3)
+    )
+    assert check_trajectory.check_regressions(doc, "f") == []
+
+
+def test_a_cross_host_difference_alone_is_reported_not_failed():
+    doc = _doc(_run("host-a", 70.35, 1), _run("host-b", 52.81, 2))
+    notes = []
+    assert check_trajectory.check_regressions(doc, "f", notes) == []
+    assert len(notes) == 1 and "'host-b' has no earlier run" in notes[0]
+
+
+def test_a_run_without_a_recorded_host_is_never_compared():
+    doc = _doc(
+        {"timestamp": "2026-10-19T01:00:00Z", "meta": {},
+         "results": [{"m": 1024, "d": 10, "speedup": 70.0}]},
+        {"timestamp": "2026-10-19T02:00:00Z", "meta": {},
+         "results": [{"m": 1024, "d": 10, "speedup": 10.0}]},
+    )
+    notes = []
+    assert check_trajectory.check_regressions(doc, "f", notes) == []
+    assert len(notes) == 1

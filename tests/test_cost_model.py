@@ -1,11 +1,16 @@
 """Tests for the operator cost model (section 5.4 cost shapes)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_recost import operator_cost
 from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.operators import PhysicalOp
 from repro.optimizer.recost import _OPCODES
+from test_failure_injection import NonMonotoneCostModel, SpikyCostModel
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +170,66 @@ def test_custom_parameters_respected():
     cm = CostModel(params)
     default = CostModel()
     assert cm.seq_scan(1_000, 10) > default.seq_scan(1_000, 10)
+
+
+# -- the bounded plan search's contract (DESIGN.md §7) -------------------
+
+#: Row counts over the legal domain: subnormals, the selectivity floor's
+#: cardinalities, up to far past any catalog.
+rows = st.one_of(
+    st.floats(min_value=0.0, max_value=1e12, allow_subnormal=True),
+    st.sampled_from((0.0, 5e-324, 1e-300, 1e-6, 2.0, 200_000.0, 200_001.0)),
+)
+#: Cumulative costs: every operator's cost is at least its startup.
+costs = st.floats(min_value=0.0, max_value=1e15, allow_subnormal=True)
+CONTRACT_MODELS = [CostModel(), SpikyCostModel(), NonMonotoneCostModel()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model=st.sampled_from(CONTRACT_MODELS), a=rows, b=rows, c=rows,
+    inner=costs, sorted_=st.booleans(),
+)
+def test_every_operator_own_cost_is_non_negative(model, a, b, c, inner, sorted_):
+    """Precondition 1: an operator never costs less than its inputs."""
+    own = (
+        model.seq_scan(a, b), model.index_scan(a, b),
+        model.nested_loops_join(a, inner, c),
+        model.index_nested_loops_join(a, b, c), model.hash_join(a, b, c),
+        model.merge_join(a, b, c, sorted_, not sorted_), model.sort(a),
+        model.hash_aggregate(a, b), model.stream_aggregate(a, b),
+        model.scalar_aggregate(a),
+    )
+    assert all(cost >= 0.0 for cost in own), own
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(CONTRACT_MODELS), outer=rows, out=rows,
+       low=costs, high=costs)
+def test_nested_loops_is_monotone_in_its_inner_cost(model, outer, out, low, high):
+    """Precondition 2: a dearer inner never makes nested loops cheaper."""
+    low, high = sorted((low, high))
+    assert model.nested_loops_join(outer, low, out) <= model.nested_loops_join(
+        outer, high, out
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(CONTRACT_MODELS), outer=rows, more=rows, out=rows,
+       budget=costs, excess=st.floats(min_value=1e-12, max_value=1e6))
+def test_nested_loops_inner_limit_bounds_every_affordable_inner(
+    model, outer, more, out, budget, excess
+):
+    """An inner dearer than the limit prices nested loops over at least
+    ``outer`` rows above the budget, whatever its output."""
+    limit = model.nested_loops_inner_limit(outer, budget)
+    inner = limit * (1.0 + excess)
+    if math.isinf(limit) or not inner > limit:
+        return
+    assert model.nested_loops_join(outer + more, inner, out) > budget
+
+
+@pytest.mark.parametrize("model", CONTRACT_MODELS, ids=lambda m: type(m).__name__)
+def test_nested_loops_inner_limit_is_unbounded_over_an_empty_outer(model):
+    assert model.nested_loops_inner_limit(0.0, 125.76) == math.inf
+    assert model.nested_loops_inner_limit(0.003, 125.76) > 159.37

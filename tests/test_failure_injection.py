@@ -217,9 +217,9 @@ class _NthCallFails(EngineWrapper):
         self._maybe_fail("selectivity")
         return self.inner.selectivity_vector_ex(instance)
 
-    def optimize(self, sv):
+    def optimize(self, sv, incumbent=None):
         self._maybe_fail("optimize")
-        return self.inner.optimize(sv)
+        return self.inner.optimize(sv, incumbent)
 
     def recost(self, shrunken, sv):
         self._maybe_fail("recost")

@@ -309,13 +309,13 @@ def test_memo_entry_of_a_plan_evicted_before_register_is_ignored(
     optimize, apply = scr._optimize, scr.apply
     seen = {}
 
-    def optimize_with_an_intruder(sv):
+    def optimize_with_an_intruder(sv, incumbent=None):
         if not seen:
             seen["intruder"] = None  # the nested request must not recurse
             seen["intruder"] = shard.process(intruder)
             seen["plans"] = {p.plan_id for p in scr.cache.plans()}
             seen["redundancy"] = scr.manage_cache.stats.redundancy_recost_calls
-        return optimize(sv)
+        return optimize(sv, incumbent)
 
     def apply_recording_the_memo(sv, decision, result=None, *args, **kwargs):
         if result is not None:

@@ -91,11 +91,11 @@ class ScriptedFailures(EngineWrapper):
         self._selectivity_call()
         return self.inner.selectivity_vector_with_error_ex(instance)
 
-    def optimize(self, sv):
+    def optimize(self, sv, incumbent=None):
         self.optimize_calls += 1
         if self.optimize_calls in self.fail_optimize:
             raise self.error("scripted optimize failure")
-        return self.inner.optimize(sv)
+        return self.inner.optimize(sv, incumbent)
 
     def recost(self, shrunken, sv):
         self.recost_calls += 1

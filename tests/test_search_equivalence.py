@@ -14,6 +14,14 @@ interpreted walk it replaced (``reference_recost.py``) on every winning
 plan, and bounds Recost(P*, q) against optimize(q).cost at 4 ulps: the
 two derive join cardinalities in different float association, so they
 agree to within about one ulp, not bit for bit.
+
+It also holds the bounded search (a cache miss's branch-and-bound from
+a re-costed incumbent) to the reference: from the vector's own optimum,
+three seeded optima of other vectors and the costliest winning plan
+seen, the winner tree, its cost, the group and expression counts and
+every group's cardinality and ``expressions_considered`` are the
+reference's.  The same differential runs under the two contract-keeping
+but assumption-breaking cost models of ``test_failure_injection.py``.
 """
 
 from __future__ import annotations
@@ -29,9 +37,12 @@ from hypothesis import strategies as st
 from reference_recost import recost_walk
 from reference_search import PlanSearch as ReferenceSearch
 from repro.catalog.registry import get_database
-from repro.optimizer.optimizer import QueryOptimizer
+from repro.optimizer.operators import PhysicalOp
+from repro.optimizer.optimizer import INCUMBENT_MARGIN, QueryOptimizer
 from repro.optimizer.recost import shrink
+from repro.optimizer.cost_model import CostModel
 from repro.query.instance import SELECTIVITY_FLOOR, SelectivityVector
+from test_failure_injection import NonMonotoneCostModel, SpikyCostModel
 from repro.workload.templates import (
     rd1_templates,
     rd2_templates,
@@ -46,6 +57,10 @@ RECOST_RANDOM_VECTORS = 20
 RECOST_ULP_BOUND = 4
 #: The smallest subnormal: legal in an sVector, below every floor.
 DENORMAL = 5e-324
+#: Optima of other vectors each vector's bounded search starts from.
+OTHER_INCUMBENTS = 3
+#: Seeded vectors per template under each test cost model.
+TEST_MODEL_VECTORS = 40
 
 
 def _vectors(d: int, seed: int) -> list[SelectivityVector]:
@@ -88,6 +103,41 @@ def _recost_vectors(d: int, seed: int) -> list[SelectivityVector]:
     return [SelectivityVector.from_sequence(v) for v in vectors]
 
 
+def _assert_memo_matches(plan, memo, ref_plan, ref_memo, sv):
+    """Winner tree and cost, group and expression counts, and every
+    group's cardinality and ``expressions_considered``: the reference's."""
+    assert plan == ref_plan, sv
+    assert plan.cost == ref_plan.cost, sv
+    assert list(memo.groups) == list(ref_memo.groups), sv
+    assert memo.expression_count == ref_memo.expression_count, sv
+    for tables, ref_group in ref_memo.groups.items():
+        group = memo.groups[tables]
+        assert group.cardinality == ref_group.cardinality, (sv, tables)
+        assert group.expressions_considered == ref_group.expressions_considered
+
+
+def _assert_bounded_matches(optimizer, searched, rng):
+    """Each vector's bounded search, from its own optimum, three seeded
+    optima of other vectors and the costliest winning plan seen, answers
+    as the reference did; so does ``QueryOptimizer.optimize`` from the
+    vector's own optimum.  ``searched`` is ``[(sv, result, ref_plan,
+    ref_memo)]`` over every vector."""
+    memos = {r.shrunken_memo.signature: r.shrunken_memo for _, r, _, _ in searched}
+    for sv, result, ref_plan, ref_memo in searched:
+        others = [r.shrunken_memo for _, r, _, _ in rng.sample(searched, OTHER_INCUMBENTS)]
+        costliest = max(memos.values(), key=lambda m: optimizer.recost(m, sv))
+        for incumbent in (result.shrunken_memo, *others, costliest):
+            bound = optimizer.recost(incumbent, sv) * INCUMBENT_MARGIN
+            plan, memo = optimizer._search.optimize(sv, bound)
+            _assert_memo_matches(plan, memo, ref_plan, ref_memo, sv)
+        bounded = optimizer.optimize(sv, result.shrunken_memo)
+        assert bounded.plan == ref_plan, sv
+        assert (bounded.cost, bounded.memo_groups, bounded.memo_expressions) == (
+            result.cost, result.memo_groups, result.memo_expressions,
+        ), sv
+        assert bounded.shrunken_memo.nodes == result.shrunken_memo.nodes, sv
+
+
 @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
 def test_search_matches_reference(template):
     db = get_database(template.database, scale=0.2, seed=5)
@@ -96,6 +146,7 @@ def test_search_matches_reference(template):
         template, optimizer.card_model, optimizer.cost_model, db.stats.schema
     )
     winners = {}
+    searched = []
     for sv in _vectors(template.dimensions, seed=len(template.name)):
         ref_plan, ref_memo = reference.optimize(sv)
         result = optimizer.optimize(sv)
@@ -131,6 +182,9 @@ def test_search_matches_reference(template):
             result.cost
         ), (sv, recosted, result.cost)
         winners.setdefault(result.shrunken_memo.signature, result.shrunken_memo)
+        searched.append((sv, result, ref_plan, ref_memo))
+
+    _assert_bounded_matches(optimizer, searched, random.Random(len(template.name)))
 
     # Production Recost == the interpreted walk, exactly, on every
     # winning plan at every recost vector.
@@ -189,3 +243,87 @@ def test_recost_matches_reference_walk_property(property_plans, data):
     )
     cost_model = optimizer.cost_model
     assert memo.recost(sv, cost_model) == recost_walk(memo, sv, cost_model)
+
+
+@pytest.mark.parametrize("model", [SpikyCostModel, NonMonotoneCostModel],
+                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
+def test_bounded_search_matches_reference_under_test_cost_models(template, model):
+    """Scan-cost cliffs and non-monotone scans break BCG and PCM, not
+    the bounded search's contract: the differential still holds."""
+    db = get_database(template.database, scale=0.2, seed=5)
+    optimizer = QueryOptimizer(template, db.stats, db.estimator, model())
+    reference = ReferenceSearch(
+        template, optimizer.card_model, optimizer.cost_model, db.stats.schema
+    )
+    vectors = _vectors(template.dimensions, seed=len(template.name))
+    searched = []
+    for sv in vectors[:len(vectors) - RANDOM_VECTORS + TEST_MODEL_VECTORS]:
+        ref_plan, ref_memo = reference.optimize(sv)
+        plan, memo = optimizer._search.optimize(sv)
+        _assert_memo_matches(plan, memo, ref_plan, ref_memo, sv)
+        searched.append((sv, optimizer.optimize(sv), ref_plan, ref_memo))
+    _assert_bounded_matches(optimizer, searched, random.Random(len(template.name)))
+
+
+def test_bounded_search_keeps_a_nested_loops_inner_dearer_than_the_plan():
+    """``tpch_shipping_priority`` at the floor, on the request-latency
+    benchmark's catalog: the optimum costs 125.76 and its naive
+    nested-loops inner 159.37 over a 0.003-row outer, so "prune any
+    subplan dearer than the incumbent" would lose the optimum.  The
+    inner's own threshold, the cost model's inverse, keeps it; the
+    naive threshold raises."""
+    template = next(t for t in TEMPLATES if t.name == "tpch_shipping_priority")
+    db = get_database(template.database, scale=1.0, seed=42)
+    optimizer = QueryOptimizer(template, db.stats, db.estimator)
+    sv = SelectivityVector.from_sequence([SELECTIVITY_FLOOR] * template.dimensions)
+    ref_plan, ref_memo = ReferenceSearch(
+        template, optimizer.card_model, optimizer.cost_model, db.stats.schema
+    ).optimize(sv)
+    root = ref_plan.root
+    assert root.op is PhysicalOp.NESTED_LOOPS_JOIN
+    assert (round(ref_plan.cost, 2), round(root.children[1].cost, 2)) == (125.76, 159.37)
+    assert root.children[0].cardinality == pytest.approx(0.003)
+    incumbent = optimizer.optimize(sv).shrunken_memo
+    bound = optimizer.recost(incumbent, sv) * INCUMBENT_MARGIN
+    plan, memo = optimizer._search.optimize(sv, bound)
+    _assert_memo_matches(plan, memo, ref_plan, ref_memo, sv)
+    # The bound did prune: some group kept fewer winners.
+    assert sum(map(len, (g.winners for g in memo.groups.values()))) < sum(
+        map(len, (g.winners for g in ref_memo.groups.values()))
+    )
+
+    naive = QueryOptimizer(template, db.stats, db.estimator, CostModel())
+    naive.cost_model.nested_loops_inner_limit = lambda outer_rows, budget: budget
+    with pytest.raises(RuntimeError, match="cost bound"):
+        naive._search.optimize(sv, bound)
+
+
+@pytest.fixture(scope="module")
+def bounded_property_optimizers():
+    return [
+        QueryOptimizer(t, db.stats, db.estimator)
+        for t in TEMPLATES
+        if t.name in PROPERTY_TEMPLATES + ("tpch_shipping_priority", "tpcds_six_dim")
+        for db in [get_database(t.database, scale=0.2, seed=5)]
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bounded_search_matches_unbounded_property(bounded_property_optimizers, data):
+    """Any legal sVector, the optimum of any other as the incumbent: the
+    bounded search answers as the unbounded one does."""
+    optimizer = data.draw(st.sampled_from(bounded_property_optimizers))
+    d = optimizer.template.dimensions
+    sv, other = (
+        SelectivityVector.from_sequence(
+            data.draw(st.lists(coordinate, min_size=d, max_size=d))
+        )
+        for _ in range(2)
+    )
+    incumbent = optimizer.optimize(other).shrunken_memo
+    plan, memo = optimizer._search.optimize(sv)
+    bound = optimizer.recost(incumbent, sv) * INCUMBENT_MARGIN
+    bounded_plan, bounded_memo = optimizer._search.optimize(sv, bound)
+    _assert_memo_matches(bounded_plan, bounded_memo, plan, memo, sv)

@@ -64,8 +64,8 @@ def build_golden_trace(reference: bool = False) -> list[dict]:
     seq = 0
     optimize, recost = engine.optimize, engine.recost
 
-    def recording_optimize(sv):
-        result = optimize(sv)
+    def recording_optimize(sv, incumbent=None):
+        result = optimize(sv, incumbent)
         rows.append({
             "kind": "optimize", "seq": seq,
             "detail": result.shrunken_memo.signature[:80],

@@ -102,6 +102,11 @@ ONE_INSTANCE_LIST = (
     "InstanceEntry object column, no in-place edit of a record followed "
     "by a view rebuild"
 )
+BOUNDED_SEARCH = (
+    "Bounded search: every engine layer's optimize passes the incumbent "
+    "plan on, and only the raw optimizer's own Recost of it caps the "
+    "search; no engine-level recost_memo cost reaches an optimize call"
+)
 
 GUARDS: tuple[Guard, ...] = (
     Guard(
@@ -226,6 +231,18 @@ GUARDS: tuple[Guard, ...] = (
     Guard(
         r"^\s*entries\s*[:=]|\bentries=", ("src/repro/core/columnar.py",),
         ONE_INSTANCE_LIST,
+    ),
+    Guard(
+        r"def optimize\(\s*self,\s*sv\b(?![^)]*\bincumbent\b)",
+        ("src/repro/", "!src/repro/optimizer/search.py"), BOUNDED_SEARCH,
+        whole_file=True,
+    ),
+    # recost_memo anywhere inside an optimize( call's parentheses, up
+    # to two nested calls deep.
+    Guard(
+        r"optimize\((?:[^()]|\((?:[^()]|\([^()]*\))*\))*"
+        r"(?:\((?:[^()]|\([^()]*\))*(?:\([^()]*)?)?\brecost_memo\b",
+        ("src/",), BOUNDED_SEARCH, whole_file=True,
     ),
 )
 
