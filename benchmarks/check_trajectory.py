@@ -45,6 +45,7 @@ REGRESSION_WATCH = {
     "getplan_costcheck": (("m",), "speedup"),
     "recost": (("template",), "speedup"),
     "search": (("template",), "speedup"),
+    "obs_gap": (("workload",), "off_over_on"),
 }
 
 #: Runs kept per checked-in trajectory file.

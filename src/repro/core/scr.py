@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 from ..engine.api import EngineAPI
 from ..engine.resilience import OptimizeUnavailableError
+from ..obs.group import GROUP_RECORD, GroupRecord, feed_group
 from ..obs.handle import Observability, base_engine, instrument_engine
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
@@ -121,6 +122,9 @@ class SCR(OnlinePQOTechnique):
         )
         self.detector = ViolationDetector(bound=bound)
         self.calibration = None
+        #: The engine's registry instruments once observability is
+        #: attached (``None``: a bare SCR, which records nothing).
+        self.instruments = None
         if obs is not None:
             self.attach_observability(obs)
 
@@ -133,7 +137,7 @@ class SCR(OnlinePQOTechnique):
         handle is resolved, not recreated).
         """
         self.obs = obs
-        instrument_engine(self.engine, obs)
+        self.instruments = instrument_engine(self.engine, obs)
         self.calibration = obs.calibration.template(self.engine.template.name)
 
     @property
@@ -141,19 +145,40 @@ class SCR(OnlinePQOTechnique):
         return f"SCR{self.lam:g}"
 
     def process(self, instance: QueryInstance) -> PlanChoice:
-        """Handle one arriving query instance (counted by :meth:`apply`)."""
+        """Handle one arriving instance (counted by :meth:`apply`).
+
+        With observability on, the request is a group of one: its
+        telemetry is collected in a :class:`GroupRecord` and fed once,
+        by :func:`feed_group`, when it is served.
+        """
+        instruments = self.instruments
+        if instruments is None:
+            return self._process(instance, None)
+        record = GroupRecord()
+        token = GROUP_RECORD.set(record)
+        try:
+            return self._process(instance, record)
+        finally:
+            GROUP_RECORD.reset(token)
+            feed_group(record, instruments)
+
+    def _process(
+        self, instance: QueryInstance, record: Optional[GroupRecord]
+    ) -> PlanChoice:
         self.engine.begin_instance(self.instances_processed)
         sv, degraded = fetch_selectivity(
             self.engine, instance, self.check_mode is not CheckMode.POINT
         )
-        choice = self._choose(sv)
+        choice = self._choose(sv, record)
         if degraded:
             # The sVector was a stale fallback: every check ran against
             # approximate selectivities, so no bound is certified.
             choice.certified = False
         return choice
 
-    def _choose(self, sv: AnySelectivityVector) -> PlanChoice:
+    def _choose(
+        self, sv: AnySelectivityVector, record: Optional[GroupRecord] = None
+    ) -> PlanChoice:
         decision = self.get_plan.probe(sv, self.engine.recost)
         result = unavailable = None
         if not decision.hit:
@@ -161,7 +186,7 @@ class SCR(OnlinePQOTechnique):
                 result = self._optimize(sv, self.incumbent(decision))
             except OptimizeUnavailableError as exc:
                 unavailable = exc
-        choice = self.apply(sv, decision, result)
+        choice = self.apply(sv, decision, result, record=record)
         if choice is None:
             raise unavailable  # empty cache: nothing can be served
         return choice
@@ -185,6 +210,7 @@ class SCR(OnlinePQOTechnique):
         result=None,
         denied: Optional[str] = None,
         seq: Optional[int] = None,
+        record: Optional[GroupRecord] = None,
     ) -> Optional[PlanChoice]:
         """Apply one request's probed decision — the only code that does.
 
@@ -200,13 +226,18 @@ class SCR(OnlinePQOTechnique):
 
         Once per request, in this order: the getPlan commit, the
         Appendix G detector (cost-check hits), the recost calibration
-        feed (hits *and* misses), the λ audit of the certified bound,
-        and the ``instances_processed`` / ``optimizer_calls`` counts.
-        ``seq`` is the request's sequence number (default: the next
-        serial one) and labels its audit entry and degraded event.  The
-        concurrent shard calls this under its write lock, after
+        samples (hits *and* misses), the certified bound with the λ it
+        is audited against, and the ``instances_processed`` /
+        ``optimizer_calls`` counts.  The samples and the bound go into
+        ``record``, the group's record, when observability is on;
+        :func:`~repro.obs.group.feed_group` feeds them at the group's
+        end.  ``seq`` is the request's sequence number (default: the
+        next serial one) and labels its audit entry and degraded event.
+        The concurrent shard calls this under its write lock, after
         validating the probe's view and optimizing outside the lock.
         """
+        if self.instruments is None:
+            record = None  # a bare SCR records nothing
         if seq is None:
             seq = self.instances_processed
         if decision is None:
@@ -218,11 +249,14 @@ class SCR(OnlinePQOTechnique):
                     decision.view, decision.row, decision.g, decision.l,
                     decision.recost_ratio,
                 )
-            self._feed_recost_calibration(decision)
+            if record is not None:
+                self._calibration_samples(decision, record.samples)
             if decision.hit:
-                choice = self._hit_choice(decision, seq)
+                choice = self._hit_choice(decision, seq, record)
             elif result is not None:
-                choice = self._register_optimized(sv, result, decision, seq)
+                choice = self._register_optimized(
+                    sv, result, decision, seq, record
+                )
             else:
                 choice = self._nearest_choice(
                     sv, decision.recost_calls, denied, seq
@@ -234,28 +268,20 @@ class SCR(OnlinePQOTechnique):
             self.optimizer_calls += 1
         return choice
 
-    def _audit_bound(
-        self, bound: float, lam: float, kind: str, seq: int
-    ) -> None:
-        """Feed one certified bound to the guarantee audit trail.
-
-        This is the live λ-violation check: the histogram records the
-        bound, and a bound above the λ in force flags a violation the
-        moment it is served instead of waiting for an offline oracle
-        pass.  Only :meth:`apply` reaches it, once per certified
-        choice; ``kind`` labels any flagged violation with the
-        certificate kind whose claim it broke, ``seq`` with the request.
-        """
-        if self.obs is not None:
-            self.obs.audit.certified_bound(
-                self.engine.template.name, bound, lam, seq=seq, kind=kind,
-            )
-
-    def _hit_choice(self, decision: GetPlanDecision, seq: int) -> PlanChoice:
+    def _hit_choice(
+        self, decision: GetPlanDecision, seq: int,
+        record: Optional[GroupRecord],
+    ) -> PlanChoice:
         plan = self.cache.plan(decision.plan_id)
         bound = decision.inferred_suboptimality
-        lam = self.get_plan._effective_lambda(float(decision.view.cost[decision.row]))
-        self._audit_bound(bound, lam, decision.certificate, seq)
+        if record is not None:
+            # The live λ-violation check: the bound against the λ in
+            # force for its anchor, labeled with the certificate kind
+            # whose claim it would break.
+            lam = self.get_plan._effective_lambda(
+                float(decision.view.cost[decision.row])
+            )
+            record.bounds.append((bound, lam, decision.certificate, seq))
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,
             plan_signature=plan.signature,
@@ -268,10 +294,12 @@ class SCR(OnlinePQOTechnique):
             coverage=decision.coverage,
         )
 
-    def _feed_recost_calibration(self, decision: GetPlanDecision) -> None:
-        """Feed the cost phase's Recost calls into the calibration
-        observatory: one sample per call, taken at the re-costed plan's
-        lowest-key live anchor (``GetPlanDecision.recost_samples``).
+    def _calibration_samples(
+        self, decision: GetPlanDecision, samples: list
+    ) -> None:
+        """Append the cost phase's Recost calls to the calibration
+        observatory's samples: one per call, taken at the re-costed
+        plan's lowest-key live anchor (``GetPlanDecision.recost_samples``).
 
         Free samples: each already paid its Recost call.  Predicted =
         the anchor's stored pointed cost ``C·S``; actual = the fresh
@@ -279,26 +307,31 @@ class SCR(OnlinePQOTechnique):
         ``[C·S/L^n, C·S·G^n]`` is the slack (legitimate selectivity
         movement), so only cost-model inconsistency lands in the error
         histogram — while a uniform model shift moves the raw-ratio
-        stream the drift detector watches.  Fed on hits *and* misses:
-        a drifting model inflates exactly the ratios that fail the
-        cost check, so a hits-only feed would censor its own evidence.
+        stream the drift detector watches.  Taken on hits *and* misses:
+        a drifting model inflates exactly the ratios that fail the cost
+        check, so a hits-only feed would censor its own evidence.
         """
-        if self.calibration is None:
+        trail = decision.cost_trail
+        if trail is None:
             return
+        g, l, rows = trail
         degree = self.get_plan.bound.degree
-        for row, r, g, l in decision.recost_samples:
-            cost = float(decision.view.cost[row])
-            self.calibration.record_ratio(
-                "recost", decision.certificate,
-                predicted=cost * float(decision.view.sub[row]),
-                actual=r * cost,
-                log_slack_hi=degree * math.log(max(g, 1.0)),
-                log_slack_lo=degree * math.log(max(l, 1.0)),
-            )
+        log = math.log
+        view, kind = decision.view, decision.certificate
+        cost_col, sub_col = view.cost, view.sub
+        for row, recosted in zip(rows, decision.recost_memo.values()):
+            # ``recost_samples``' (row, r, g, l) read once, without its
+            # tuples: this runs once per Recost call on the hot path.
+            cost = float(cost_col[row])
+            samples.append((
+                kind, cost * float(sub_col[row]), recosted / cost * cost,
+                degree * log(max(float(g[row]), 1.0)),
+                degree * log(max(float(l[row]), 1.0)),
+            ))
 
     def _register_optimized(
         self, sv: AnySelectivityVector, result, decision: GetPlanDecision,
-        seq: int,
+        seq: int, record: Optional[GroupRecord],
     ) -> PlanChoice:
         """Run manageCache on a fresh optimizer result and build the
         choice.  ``decision`` is the miss that led here: its recost
@@ -332,12 +365,16 @@ class SCR(OnlinePQOTechnique):
         bound_value, cert, coverage = self._fresh_certificate(
             point, sv, entry.suboptimality
         )
-        # A fresh-optimizer robust bound may legitimately exceed λ (wide
-        # boxes: nothing tighter is certifiable without more statistics);
-        # the response's claim *is* that bound, so the live audit checks
-        # it against max(λ, bound) rather than flagging a violation of a
-        # λ-claim the certificate never made (DESIGN.md §11).
-        self._audit_bound(bound_value, max(self.lam, bound_value), cert, seq)
+        if record is not None:
+            # A fresh-optimizer robust bound may legitimately exceed λ
+            # (wide boxes: nothing tighter is certifiable without more
+            # statistics); the response's claim *is* that bound, so the
+            # live audit checks it against max(λ, bound) rather than
+            # flagging a violation of a λ-claim the certificate never
+            # made (DESIGN.md §11).
+            record.bounds.append(
+                (bound_value, max(self.lam, bound_value), cert, seq)
+            )
         return PlanChoice(
             shrunken_memo=chosen.shrunken_memo,
             plan_signature=chosen.signature,

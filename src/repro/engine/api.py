@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import threading
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..obs.group import GROUP_RECORD, GroupRecord, feed_group
 from ..optimizer.optimizer import OptimizationResult, QueryOptimizer
 from ..optimizer.recost import ShrunkenMemo
 from ..query.instance import (
@@ -100,43 +100,6 @@ _SPAN_NAMES = {
 }
 
 
-class EngineRollup:
-    """The sVector and Recost calls made while one served group is
-    active, summed: the group's ``serving.batch`` span carries them as
-    ``engine_<api>_calls`` / ``engine_<api>_s`` instead of one
-    ``engine.*`` span per call.  Optimizer calls are never rolled up."""
-
-    __slots__ = ("calls", "seconds")
-
-    def __init__(self) -> None:
-        self.calls = {"selectivity": 0, "recost": 0}
-        self.seconds = {"selectivity": 0.0, "recost": 0.0}
-
-    def add(self, api: str, elapsed: float) -> bool:
-        """Count one call; False for an API that is not rolled up."""
-        calls = self.calls
-        if api not in calls:
-            return False
-        calls[api] += 1
-        self.seconds[api] += elapsed
-        return True
-
-    def attrs(self) -> dict:
-        """The span attributes: ``engine_<api>_calls`` and ``_s``."""
-        out: dict = {}
-        for api, calls in self.calls.items():
-            out[f"engine_{api}_calls"] = calls
-            out[f"engine_{api}_s"] = self.seconds[api]
-        return out
-
-
-#: The rollup of the group this thread is serving (set by the serving
-#: shard around every served group), or None: record per call.
-ENGINE_ROLLUP: ContextVar[Optional[EngineRollup]] = ContextVar(
-    "repro_engine_rollup", default=None
-)
-
-
 class EngineAPI:
     """Engine façade for one query template.
 
@@ -178,21 +141,28 @@ class EngineAPI:
         """
         self._index_tls.index = index
 
-    def _observe_call(self, api: str, start: float, elapsed: float) -> None:
-        """Feed one engine call into the attached observability handle."""
-        instruments = self.instruments
-        if instruments is None:
-            return
-        instruments.call_seconds[api].observe(elapsed)
+    def _observe_call(
+        self, api: str, start: float, elapsed: float, sv=None
+    ) -> None:
+        """Add one engine call (and a computed sVector) to the record of
+        the group this thread is serving; a call outside any group is
+        fed as a record of its own.  The call gets an ``engine.*`` span
+        unless the group's span sums it."""
+        record = GROUP_RECORD.get()
+        alone = record is None
+        if alone:
+            record = GroupRecord()
+        record.calls[api].append(elapsed)
+        if sv is not None:
+            record.svs.append(sv)
         spans = self.obs.spans
-        if spans.enabled:
-            rollup = ENGINE_ROLLUP.get()
-            if rollup is not None and rollup.add(api, elapsed):
-                return
+        if spans.enabled and (not record.rolls_up or api == "optimize"):
             spans.record(
                 _SPAN_NAMES[api], start, elapsed,
                 template=self.template.name, seq=self._instance_index,
             )
+        if alone:
+            feed_group(record, self.instruments)
 
     def selectivity_vector_ex(
         self, instance: QueryInstance
@@ -211,8 +181,7 @@ class EngineAPI:
         elapsed = time.perf_counter() - start
         self.counters.selectivity.record(elapsed)
         if self.instruments is not None:
-            self._observe_call("selectivity", start, elapsed)
-            self.instruments.calibration.record_sv(sv)
+            self._observe_call("selectivity", start, elapsed, sv.values)
         return sv, False
 
     def selectivity_vector_with_error_ex(
@@ -232,8 +201,7 @@ class EngineAPI:
         elapsed = time.perf_counter() - start
         self.counters.selectivity.record(elapsed)
         if self.instruments is not None:
-            self._observe_call("selectivity", start, elapsed)
-            self.instruments.calibration.record_sv(usv.point)
+            self._observe_call("selectivity", start, elapsed, usv.point.values)
         return usv, False
 
     def selectivity_vector(self, instance: QueryInstance) -> SelectivityVector:

@@ -285,68 +285,77 @@ class ResilientEngineAPI(EngineWrapper):
             instruments.feed_gaps[api].inc()
             instruments.event("degraded", api, self._index, detail)
 
-    def _attempt(
-        self,
-        api: str,
-        fn: Callable[[], T],
-        validate: Optional[Callable[[T], bool]] = None,
-    ) -> T:
-        """One guarded call: call-budget enforcement + result validation."""
-        budget = self._budget_deadline
-        if budget is not None and time.monotonic() >= budget:
-            raise EngineTimeoutError(
-                f"{api} call skipped: end-to-end budget exhausted"
-            )
-        result = fn()
-        if budget is not None and time.monotonic() > budget:
+    def _over_budget(self, api: str, budget: float, answered: bool) -> None:
+        """Raise when a call starts at or answers past its end-to-end
+        budget (an absolute monotonic time)."""
+        now = time.monotonic()
+        if answered and now > budget:
             raise EngineTimeoutError(
                 f"{api} call answered past its end-to-end budget"
             )
+        if not answered and now >= budget:
+            raise EngineTimeoutError(
+                f"{api} call skipped: end-to-end budget exhausted"
+            )
+
+    def _attempt(self, api: str, fn: Callable[..., T], args: tuple,
+                 validate: Optional[Callable[[T], bool]]) -> T:
+        """One guarded call: call-budget enforcement + result validation."""
+        budget = self._budget_deadline
+        if budget is not None:
+            self._over_budget(api, budget, answered=False)
+        result = fn(*args)
+        if budget is not None:
+            self._over_budget(api, budget, answered=True)
         if validate is not None and not validate(result):
             raise ValueError(f"{api} returned an invalid result: {result!r}")
         return result
 
-    def _call_with_retries(
+    def _retry(
         self,
         api: str,
-        fn: Callable[[], T],
+        failure: Exception,
+        fn: Callable[..., T],
+        args: tuple,
         validate: Optional[Callable[[T], bool]] = None,
         on_failure: Optional[Callable[[], None]] = None,
         on_success: Optional[Callable[[], None]] = None,
     ) -> T:
+        """The retry loop, entered once the first attempt (run inline by
+        each API) has raised ``failure``: count it, back off, and try
+        again until an attempt succeeds or the policy's attempts — or
+        the call budget — run out, then raise the last failure."""
         retry = self.policy.retry
-        last_error: Optional[Exception] = None
-        for attempt in range(1, retry.max_attempts + 1):
+        attempt = 1
+        while True:
+            self._count_fault(api, failure)
+            if on_failure is not None:
+                on_failure()
+            if attempt >= retry.max_attempts:
+                break
+            backoff = retry.backoff(attempt, self._rng)
+            budget = self._budget_deadline
+            if budget is not None and time.monotonic() + backoff >= budget:
+                break  # budget can't fund another attempt
+            self.counters.resilience.retries += 1
+            instruments = self._instruments
+            if instruments is not None:
+                instruments.retries.inc()
+                instruments.event(
+                    "retry", api, self._index, f"attempt {attempt}",
+                    backoff_s=backoff,
+                )
+            self._sleep(backoff)
+            attempt += 1
             try:
-                result = self._attempt(api, fn, validate)
+                result = self._attempt(api, fn, args, validate)
             except FAILURE_TYPES as exc:
-                last_error = exc
-                self._count_fault(api, exc)
-                if on_failure is not None:
-                    on_failure()
-                if attempt < retry.max_attempts:
-                    backoff = retry.backoff(attempt, self._rng)
-                    budget = self._budget_deadline
-                    if (
-                        budget is not None
-                        and time.monotonic() + backoff >= budget
-                    ):
-                        break  # budget can't fund another attempt
-                    self.counters.resilience.retries += 1
-                    instruments = self._instruments
-                    if instruments is not None:
-                        instruments.retries.inc()
-                        instruments.event(
-                            "retry", api, self._index, f"attempt {attempt}",
-                            backoff_s=backoff,
-                        )
-                    self._sleep(backoff)
+                failure = exc
                 continue
             if on_success is not None:
                 on_success()
             return result
-        assert last_error is not None
-        raise last_error
+        raise failure
 
     # -- the three APIs ------------------------------------------------------
 
@@ -364,10 +373,18 @@ class ResilientEngineAPI(EngineWrapper):
         last-known-good one.
         """
         try:
-            sv, degraded = self._call_with_retries(
-                "selectivity",
-                lambda: self.inner.selectivity_vector_ex(instance),
-            )
+            try:
+                budget = self._budget_deadline
+                if budget is not None:
+                    self._over_budget("selectivity", budget, answered=False)
+                sv, degraded = self.inner.selectivity_vector_ex(instance)
+                if budget is not None:
+                    self._over_budget("selectivity", budget, answered=True)
+            except FAILURE_TYPES as exc:
+                sv, degraded = self._retry(
+                    "selectivity", exc,
+                    self.inner.selectivity_vector_ex, (instance,),
+                )
         except FAILURE_TYPES as exc:
             if self._last_good_sv is None:
                 raise SelectivityUnavailableError(
@@ -401,10 +418,20 @@ class ResilientEngineAPI(EngineWrapper):
         the robust checks on the pessimistic side.
         """
         try:
-            usv, degraded = self._call_with_retries(
-                "selectivity",
-                lambda: self.inner.selectivity_vector_with_error_ex(instance),
-            )
+            try:
+                budget = self._budget_deadline
+                if budget is not None:
+                    self._over_budget("selectivity", budget, answered=False)
+                usv, degraded = self.inner.selectivity_vector_with_error_ex(
+                    instance
+                )
+                if budget is not None:
+                    self._over_budget("selectivity", budget, answered=True)
+            except FAILURE_TYPES as exc:
+                usv, degraded = self._retry(
+                    "selectivity", exc,
+                    self.inner.selectivity_vector_with_error_ex, (instance,),
+                )
         except FAILURE_TYPES as exc:
             stale = self._last_good_usv
             if stale is None and self._last_good_sv is not None:
@@ -432,11 +459,16 @@ class ResilientEngineAPI(EngineWrapper):
         :class:`OptimizeUnavailableError` for the technique to degrade
         (SCR serves its best cached plan, flagged uncertified)."""
         try:
-            return self._call_with_retries(
-                "optimize",
-                lambda: self.inner.optimize(sv, incumbent),
-                validate=lambda r: math.isfinite(r.cost) and r.cost > 0,
-            )
+            try:
+                return self._attempt(
+                    "optimize", self.inner.optimize, (sv, incumbent),
+                    _valid_result,
+                )
+            except FAILURE_TYPES as exc:
+                return self._retry(
+                    "optimize", exc, self.inner.optimize, (sv, incumbent),
+                    _valid_result,
+                )
         except FAILURE_TYPES as exc:
             raise OptimizeUnavailableError(
                 f"optimize failed after {self.policy.retry.max_attempts} attempts"
@@ -460,17 +492,28 @@ class ResilientEngineAPI(EngineWrapper):
             return math.inf
 
         try:
-            return self._call_with_retries(
-                "recost",
-                lambda: self.inner.recost(shrunken, sv),
-                validate=_valid_cost,
-                on_failure=self._recost_failed,
-                on_success=self._recost_succeeded,
-            )
+            try:
+                budget = self._budget_deadline
+                if budget is not None:
+                    self._over_budget("recost", budget, answered=False)
+                cost = self.inner.recost(shrunken, sv)
+                if budget is not None:
+                    self._over_budget("recost", budget, answered=True)
+                if not (math.isfinite(cost) and cost > 0):
+                    raise ValueError(
+                        f"recost returned an invalid result: {cost!r}"
+                    )
+            except FAILURE_TYPES as exc:
+                return self._retry(
+                    "recost", exc, self.inner.recost, (shrunken, sv),
+                    _valid_cost, self._recost_failed, self._recost_succeeded,
+                )
         except FAILURE_TYPES:
             self.counters.resilience.recost_failed_closed += 1
             self._count_degraded("recost", "failed closed (miss)")
             return math.inf
+        self._recost_succeeded()
+        return cost
 
     def _recost_failed(self) -> None:
         transition = self.recost_breaker.record_failure()
@@ -496,6 +539,10 @@ class ResilientEngineAPI(EngineWrapper):
 
 def _valid_cost(cost: float) -> bool:
     return math.isfinite(cost) and cost > 0
+
+
+def _valid_result(result: OptimizationResult) -> bool:
+    return _valid_cost(result.cost)
 
 
 def resilient_engine_factory(

@@ -21,6 +21,7 @@ makes the guarantee auditable live:
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Optional
 
 from .registry import BOUND_BUCKETS, MetricsRegistry
@@ -45,6 +46,9 @@ LAMBDA_VIOLATIONS = "repro_lambda_violations_total"
 DEGRADED_REASONS = "repro_degraded_total"
 CERTIFICATES_TOTAL = "repro_certificates_total"
 INTERVAL_LOG_WIDTH = "repro_interval_log_width"
+
+#: A certified-bound row's bound: ``(bound, λ, kind, seq)[0]``.
+_BOUND = itemgetter(0)
 
 #: Buckets for per-dimension-summed interval log widths; ``ln(hi/lo)``
 #: sums rarely exceed a few nats even for coarse histograms.
@@ -160,13 +164,38 @@ class GuaranteeAudit:
         labels any flagged violation with the certificate kind whose
         claim was broken.
         """
+        self._bound_child(template).observe(bound)
+        if bound <= lam * (1.0 + VIOLATION_EPSILON):
+            return False
+        self._flag(template, bound, lam, kind, seq)
+        return True
+
+    def certified_bounds(self, template: str, rows) -> int:
+        """Record a group's certified bounds — ``(bound, λ, kind, seq)``
+        rows in serving order — with one histogram write, flagging each
+        violating row exactly as :meth:`certified_bound` would.  Returns
+        how many rows were flagged."""
+        self._bound_child(template).observe_many(list(map(_BOUND, rows)))
+        flagged = 0
+        for bound, lam, kind, seq in rows:
+            if bound <= lam * (1.0 + VIOLATION_EPSILON):
+                continue
+            self._flag(template, bound, lam, kind, seq)
+            flagged += 1
+        return flagged
+
+    def _bound_child(self, template: str):
         child = self._bound_children.get(template)
         if child is None:
             child = self._bounds.labels(template=template)
             self._bound_children[template] = child
-        child.observe(bound)
-        if bound <= lam * (1.0 + VIOLATION_EPSILON):
-            return False
+        return child
+
+    def _flag(
+        self, template: str, bound: float, lam: float, kind: str,
+        seq: Optional[int],
+    ) -> None:
+        """Count one λ-violation and log it (bounded)."""
         self._violations.labels(template=template, kind=kind).inc()
         with self._lock:
             if len(self.violation_events) < self.max_violation_events:
@@ -177,7 +206,6 @@ class GuaranteeAudit:
                     "seq": seq,
                     "kind": kind,
                 })
-        return True
 
     # -- report-side reads ---------------------------------------------------
 

@@ -178,6 +178,12 @@ class BlockShiftDetector:
         self._buf.append(x)
         if len(self._buf) < self.block:
             return False
+        return self.close_block()
+
+    def close_block(self) -> bool:
+        """Run the rule on the full block in ``_buf``: what
+        :meth:`update` does once a sample completes a block (a caller
+        that appends to ``_buf`` and counts ``n`` itself calls this)."""
         bm = statistics.median(self._buf)
         self._buf.clear()
         self.blocks += 1
@@ -319,48 +325,96 @@ class TemplateCalibration:
         :class:`DriftEvent` if this sample crossed the detector's
         threshold.
         """
-        if predicted <= 0.0 or actual <= 0.0:
-            return None
-        log_ratio = math.log(actual / predicted)
-        excess = max(
-            0.0, log_ratio - log_slack_hi, -log_ratio - log_slack_lo
+        events = self._record(
+            feed, [(kind, predicted, actual, log_slack_hi, log_slack_lo)], ()
         )
-        with self._lock:
-            self.samples[feed] += 1
-            ewma = self._ewma[feed].update(log_ratio)
-            self._error_child(kind, feed).observe(excess)
-            self._bias[feed].set(ewma)
-            detector = self._detectors["calibration"]
-            fired = detector.update(log_ratio) and not self.alarms["calibration"]
-            if fired:
-                event = self._make_event("calibration", ewma, detector)
-        if fired:
-            return self.tracker._emit(self, event)
-        return None
+        return events[0] if events else None
 
-    def record_sv(self, sv) -> Optional[DriftEvent]:
-        """Feed one served instance's selectivity vector.
+    def record_group(self, samples=(), svs=()) -> list[DriftEvent]:
+        """Feed one served group: its recost-feed ``samples`` —
+        ``(kind, predicted, actual, log_slack_hi, log_slack_lo)`` per
+        Recost call, as :meth:`record_ratio` takes them — and its
+        sVectors, each projected to its log area ``Σ ln s_i`` (one float
+        per request; a region-mix change moves it by nats while a
+        stationary workload keeps it flat; a vector with a zero
+        selectivity is skipped).
 
-        Projects the vector to its log area ``Σ ln s_i`` — one float
-        per request, cheap enough for the hot path — and watches the
-        projection's mean for shifts (a region-mix change moves it by
-        nats; stationary workloads keep it flat).
+        One lock section: the sVector stream first, then the recost
+        stream, each sample by sample in serving order, so the EWMAs,
+        detectors and histograms end exactly as per-sample feeding
+        leaves them; the bias gauge is set once, to the final EWMA.  A
+        detector crossing latches its alarm at the sample that crossed
+        (``DriftEvent.samples``); the events are emitted after the lock,
+        at the group's end, and returned.
         """
-        area = 0.0
-        for s in sv:
-            if s <= 0.0:
-                return None
-            area += math.log(s)
+        return self._record("recost", samples, svs)
+
+    def _record(self, feed: str, samples, svs) -> list[DriftEvent]:
+        log = math.log
+        areas = []
+        for sv in svs:
+            area = 0.0
+            for s in sv:
+                if s <= 0.0:
+                    break
+                area += log(s)
+            else:
+                areas.append(area)
+        ratios = []
+        excess: dict[str, list[float]] = {}
+        for kind, predicted, actual, log_slack_hi, log_slack_lo in samples:
+            if predicted <= 0.0 or actual <= 0.0:
+                continue
+            log_ratio = log(actual / predicted)
+            ratios.append(log_ratio)
+            values = excess.get(kind)
+            if values is None:
+                values = excess[kind] = []
+            values.append(
+                max(0.0, log_ratio - log_slack_hi, -log_ratio - log_slack_lo)
+            )
+        if not areas and not ratios:
+            return []
+        fired: list[DriftEvent] = []
         with self._lock:
-            self.sv_samples += 1
-            ewma = self._sv_ewma.update(area)
-            detector = self._detectors["selectivity"]
-            fired = detector.update(area) and not self.alarms["selectivity"]
-            if fired:
-                event = self._make_event("selectivity", ewma, detector)
-        if fired:
-            return self.tracker._emit(self, event)
-        return None
+            if areas:
+                self.sv_samples += len(areas)
+                self._feed_detector("selectivity", self._sv_ewma, areas, fired)
+            if ratios:
+                self.samples[feed] += len(ratios)
+                ewma = self._ewma[feed]
+                self._feed_detector("calibration", ewma, ratios, fired)
+                for kind, values in excess.items():
+                    self._error_child(kind, feed).observe_many(values)
+                self._bias[feed].set(ewma.value)
+        if not fired:
+            return fired
+        return [self.tracker._emit(self, event) for event in fired]
+
+    def _feed_detector(
+        self, signal: str, ewma: Ewma, values: list, fired: list
+    ) -> None:
+        """Feed ``signal``'s EWMA and detector sample by sample — the
+        arithmetic of :meth:`Ewma.update` and of
+        :meth:`BlockShiftDetector.update` up to a full block, inlined —
+        latching the alarm (an event into ``fired``) at the first
+        crossing while it is unlatched (caller holds the lock)."""
+        detector = self._detectors[signal]
+        alpha, value = ewma.alpha, ewma.value
+        n, buf, block = detector.n, detector._buf, detector.block
+        for x in values:
+            value = x if value is None else value + alpha * (x - value)
+            n += 1
+            buf.append(x)
+            if len(buf) < block:
+                continue
+            detector.n = n
+            if detector.close_block() and not self.alarms[signal]:
+                ewma.value = value
+                fired.append(self._make_event(signal, value, detector))
+                n, buf = detector.n, detector._buf  # the event reset it
+        ewma.value = value
+        detector.n = n
 
     def _make_event(
         self, signal: str, ewma: float, detector: BlockShiftDetector

@@ -9,6 +9,7 @@ instances — only the ``d`` parameterized predicate selectivities vary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..catalog.datagen import fk_join_selectivity
 from ..catalog.statistics import DatabaseStatistics
@@ -80,12 +81,14 @@ class CardinalityModel:
         return self._join_sel[edge]
 
     def join_cardinality(
-        self, left_card: float, right_card: float, edges: list[JoinEdge]
+        self, left_card: float, right_card: float,
+        selectivities: Iterable[float],
     ) -> float:
-        """``|L| * |R| * prod(edge selectivities)`` for the connecting edges."""
+        """``|L| * |R| * prod(selectivities)``, the connecting edges'
+        :meth:`join_selectivity` values multiplied in edge order."""
         card = left_card * right_card
-        for edge in edges:
-            card *= self._join_sel[edge]
+        for sel in selectivities:
+            card *= sel
         return max(card, _MIN_CARD)
 
     def group_count(self, group_table: str, group_column: str, in_rows: float) -> float:

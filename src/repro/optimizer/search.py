@@ -53,9 +53,10 @@ _Option = tuple[Optional[str], PlanNode, float, float]
 #: One role assignment of a partition: ``(outer group, inner group,
 #: outer column, inner column, INLJ inner (table info, column) or None)``.
 _Role = tuple[int, int, str, str, Optional[tuple[BaseTableInfo, str]]]
-#: One partition of a join subset: ``(left group, right group, connecting
-#: edges, folded join selectivity, both roles)``.
-_Partition = tuple[int, int, list[JoinEdge], float, tuple[_Role, _Role]]
+#: One partition of a join subset: ``(left group, right group, the
+#: connecting edges' selectivities in edge order, folded join
+#: selectivity, both roles)``.
+_Partition = tuple[int, int, tuple[float, ...], float, tuple[_Role, _Role]]
 #: The options of a group a bounded pass kept no plan of (joins on it cost inf).
 _NO_INPUT: _Option = (None, None, 0.0, inf)
 
@@ -92,9 +93,9 @@ class PlanSearch:
         for group, (_, partitions) in zip(groups[nbase:], self._joins):
             cards = [
                 self.cards.join_cardinality(
-                    groups[left].cardinality, groups[right].cardinality, edges
+                    groups[left].cardinality, groups[right].cardinality, sels
                 )
-                for left, right, edges, _, _ in partitions
+                for left, right, sels, _, _ in partitions
             ]
             group.cardinality = cards[0]
             out_cards.append(cards)
@@ -215,15 +216,16 @@ class PlanSearch:
                 if not edges:
                     continue
                 # Residual edges multiply into the node's join selectivity.
+                sels = tuple(self.cards.join_selectivity(e) for e in edges)
                 join_sel = 1.0
-                for edge in edges:
-                    join_sel *= self.cards.join_selectivity(edge)
+                for sel in sels:
+                    join_sel *= sel
                 roles = (
                     self._role(edges[0], left, right, group_of),
                     self._role(edges[0], right, left, group_of),
                 )
                 partitions.append(
-                    (group_of[left], group_of[right], edges, join_sel, roles)
+                    (group_of[left], group_of[right], sels, join_sel, roles)
                 )
         return partitions
 

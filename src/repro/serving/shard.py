@@ -37,9 +37,11 @@ for denied work — the nearest cached plan served ``certified=False``
 with a reason code, or a :class:`ShedError` when the cache is empty.
 Without a coordinator no row is denied.
 
-With spans on, a group is one unit of telemetry whatever its size: one
-trace context and one ``serving.batch`` span whose per-row columns hold
-each row's outcome and certificate (DESIGN.md §10).
+A group is one unit of telemetry whatever its size: one
+:class:`~repro.obs.group.GroupRecord` fed to the registry at its end
+and, with spans on, one trace context and one ``serving.batch`` span
+whose per-row columns hold each row's outcome and certificate
+(DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ from typing import Optional, Sequence
 from ..core.get_plan import CandidateOrder, CheckKind, CheckMode
 from ..core.scr import SCR
 from ..core.technique import PlanChoice, fetch_selectivity
-from ..engine.api import ENGINE_ROLLUP, EngineRollup
 from ..engine.resilience import OptimizeUnavailableError
 from ..obs.audit import GuaranteeAudit
 from ..obs.clock import SYSTEM_CLOCK
+from ..obs.group import GROUP_RECORD, GroupRecord, feed_group
 from ..obs.handle import Observability
 from ..obs.registry import MetricsRegistry
 from ..obs.tracectx import activate, current_context, start_trace
@@ -184,44 +186,56 @@ class TemplateShard:
         deadline: Optional[Deadline] = None,
         overflow_reason: Optional[str] = None,
     ) -> list["PlanChoice | BaseException"]:
-        """Serve a group; with spans on, record it as one unit.
+        """Serve a group and feed its :class:`GroupRecord` to the
+        registry once, at its end (:func:`feed_group`); with spans on,
+        record the group as one unit.
 
         The group's span *is* the ambient trace context — the manager
         mints one per dispatched group, so queue wait and pool hand-off
         stay attributed — or a fresh root for a direct call outside any
         trace.  Everything recorded inside parents under it: optimizer
-        calls and events stamped with their row's ``seq``, and the
-        group's sVector / Recost engine calls summed onto the span
-        instead of one ``engine.*`` span each.
+        calls and events stamped with their row's ``seq``, drift events
+        the group's feed emits, and the group's sVector / Recost engine
+        calls summed onto the span instead of one ``engine.*`` span each.
         """
         if not instances:
             return []
         start = self.clock.perf_counter()
         obs = self._obs
-        if obs is None or not obs.spans.enabled:
-            return self._admit_group(
-                instances, start, deadline, overflow_reason
-            )[0]
-        spans = obs.spans
-        ctx = current_context() or start_trace(ids=spans.ids)
-        rollup = EngineRollup()
-        token = ENGINE_ROLLUP.set(rollup)
+        spans = obs.spans if obs is not None and obs.spans.enabled else None
+        instruments = self.scr.instruments
+        record = GroupRecord(rolls_up=spans is not None)
+        # The engine appends its calls to the record (only an
+        # instrumented engine records anything).
+        token = None if instruments is None else GROUP_RECORD.set(record)
+        ctx = fresh = None
+        if spans is not None:
+            ctx = current_context()
+            if ctx is None:
+                ctx = fresh = start_trace(ids=spans.ids)
         try:
-            # One activation for the whole group, completion bookkeeping
-            # included: a brownout move a row's completion tips is an
-            # event of that row.
-            with activate(ctx):
-                results, seqs, brownout = self._admit_group(
-                    instances, start, deadline, overflow_reason
-                )
-                spans.record(
-                    "serving.batch", start, self.clock.perf_counter() - start,
-                    span_id=ctx.span_id, template=self.template.name,
-                    **self._group_columns(seqs, results, brownout),
-                    **rollup.attrs(),
-                )
+            # One activation for the whole group (a fresh root's; the
+            # ambient context is active already), completion bookkeeping
+            # and the feed included: a brownout move a row's completion
+            # tips is an event of that row.
+            with nullcontext() if fresh is None else activate(fresh):
+                try:
+                    results, seqs, brownout = self._admit_group(
+                        instances, start, deadline, overflow_reason, record
+                    )
+                finally:
+                    feed_group(record, instruments, self.stats)
+                if spans is not None:
+                    spans.record(
+                        "serving.batch", start,
+                        self.clock.perf_counter() - start,
+                        span_id=ctx.span_id, template=self.template.name,
+                        **self._group_columns(seqs, results, brownout),
+                        **record.engine_attrs(),
+                    )
         finally:
-            ENGINE_ROLLUP.reset(token)
+            if token is not None:
+                GROUP_RECORD.reset(token)
         return results
 
     def _admit_group(
@@ -230,6 +244,7 @@ class TemplateShard:
         start: float,
         deadline: Optional[Deadline],
         overflow_reason: Optional[str],
+        record: GroupRecord,
     ) -> tuple[list, list[int], Optional[list[int]]]:
         """The group inside its admission scope: the deadline (the
         coordinator's default when None), the engine's per-call budget,
@@ -252,7 +267,7 @@ class TemplateShard:
         try:
             with self._engine_budget(deadline):
                 results = self._serve_rows(
-                    instances, seqs, start, deadline, overflow_reason
+                    instances, seqs, start, deadline, overflow_reason, record
                 )
         finally:
             missed = deadline is not None and deadline.expired(self._now())
@@ -273,6 +288,7 @@ class TemplateShard:
         start: float,
         deadline: Optional[Deadline],
         overflow_reason: Optional[str],
+        record: GroupRecord,
     ) -> list["PlanChoice | BaseException"]:
         """The one serving loop: every row decided in input order by
         :meth:`~repro.core.get_plan.GetPlan.probe_rows`.
@@ -302,7 +318,7 @@ class TemplateShard:
         for i, (instance, seq) in enumerate(zip(instances, seqs)):
             self.engine.begin_instance(seq)
             try:
-                fetched.append(self._fetch(instance))
+                fetched.append(self._fetch(instance, record))
                 at.append(i)
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 results[i] = exc
@@ -335,7 +351,7 @@ class TemplateShard:
                 if expired:
                     # The budget died in queue: no probe at all.
                     choice = self._apply(
-                        sv, seq, None, denied="deadline_expired"
+                        sv, seq, record, None, denied="deadline_expired"
                     )
                 depth = 0
                 while choice is None:
@@ -355,14 +371,16 @@ class TemplateShard:
                         if not decision.hit:
                             choice = self._miss(
                                 sv, seq, decision, serial, deadline,
-                                overflow_reason,
+                                overflow_reason, record,
                             )
                         else:
                             waited_from = self.clock.perf_counter()
                             with self.lock:  # _locked(), booked once a group
                                 lock_wait += self.clock.perf_counter() - waited_from
                                 if serial or self._commit_valid(decision):
-                                    choice = scr.apply(sv, decision, seq=seq)
+                                    choice = scr.apply(
+                                        sv, decision, seq=seq, record=record
+                                    )
                     if choice is None:
                         # Probe this row again at its own turn.
                         rows = None
@@ -372,7 +390,7 @@ class TemplateShard:
                             # commit: the certificate no longer stands.
                             self.stats.note_epoch_retry()
                             self.event("serving.epoch_retry", seq)
-                results[i] = self._finish(choice, degraded, start)
+                results[i] = self._finish(choice, degraded, start, record)
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 rows = None  # a raising probe cannot be resumed
                 results[i] = exc
@@ -392,25 +410,27 @@ class TemplateShard:
             state += scr.cache.usage_version
         return state
 
-    def _fetch(self, instance: QueryInstance) -> tuple[AnySelectivityVector, bool]:
-        """The row's sVector (its box on robust shards) and whether it
-        is a stale fallback."""
+    def _fetch(
+        self, instance: QueryInstance, record: GroupRecord
+    ) -> tuple[AnySelectivityVector, bool]:
+        """The row's sVector (its box on robust shards, whose total log
+        width goes into the record) and whether it is a stale fallback."""
         fetched = fetch_selectivity(self.engine, instance, self.robust)
         if self.robust and isinstance(fetched[0], UncertainSelectivityVector):
-            self.stats.note_interval_width(fetched[0].total_log_width)
+            record.widths.append(fetched[0].total_log_width)
         return fetched
 
     def _finish(
-        self, choice: PlanChoice, degraded: bool, start: float
+        self, choice: PlanChoice, degraded: bool, start: float,
+        record: GroupRecord,
     ) -> PlanChoice:
-        """Book a served row: a stale sVector fallback certifies nothing
-        (every check ran against approximate selectivities)."""
+        """Book a served row into the record: a stale sVector fallback
+        certifies nothing (every check ran against approximate
+        selectivities)."""
         if degraded:
             choice.certified = False
-        self.stats.observe(
-            self.clock.perf_counter() - start, choice.check, choice.certified,
-            certificate=choice.certificate,
-        )
+        record.latencies.append(self.clock.perf_counter() - start)
+        record.choices.append(choice)
         return choice
 
     @staticmethod
@@ -423,38 +443,50 @@ class TemplateShard:
         attribute, aligned with ``seqs``.  ``coverage`` and ``reason``
         appear only when some row has one, ``brownout`` only under an
         overload coordinator."""
-        rows = []
+        outcomes, checks, certificates, bounds, recosts = [], [], [], [], []
+        coverage: list = []
+        reason: list = []
+        shaded = False  # some row has a coverage or a reason
         for outcome in results:
             if isinstance(outcome, BaseException):
-                reason = outcome.reason if isinstance(outcome, ShedError) else None
-                rows.append(("shed", None, None, None, None, None, reason))
+                why = outcome.reason if isinstance(outcome, ShedError) else None
+                outcomes.append("shed")
+                checks.append(None)
+                certificates.append(None)
+                bounds.append(None)
+                recosts.append(None)
+                coverage.append(None)
+                reason.append(why)
+                shaded = shaded or why is not None
                 continue
-            bound, coverage = outcome.certified_bound, outcome.coverage
-            rows.append((
-                "certified" if outcome.certified else "uncertified",
-                getattr(outcome.check, "value", outcome.check),
-                outcome.certificate,
-                round(bound, 6)
-                if outcome.certified and bound is not None else None,
-                outcome.recost_calls,
-                coverage if coverage is not None and coverage != 1.0 else None,
-                None,
-            ))
-        outcomes, checks, certificates, bounds, recosts, coverage, reason = (
-            zip(*rows)
-        )
+            bound, cover = outcome.certified_bound, outcome.coverage
+            certified = outcome.certified
+            outcomes.append("certified" if certified else "uncertified")
+            checks.append(getattr(outcome.check, "value", outcome.check))
+            certificates.append(outcome.certificate)
+            bounds.append(
+                round(bound, 6) if certified and bound is not None else None
+            )
+            recosts.append(outcome.recost_calls)
+            if cover is not None and cover != 1.0:
+                shaded = True
+            else:
+                cover = None
+            coverage.append(cover)
+            reason.append(None)
         columns: dict = {
             "seqs": tuple(seqs),
-            "outcomes": outcomes,
-            "checks": checks,
-            "certificates": certificates,
-            "certified_bounds": bounds,
-            "recost_calls": recosts,
+            "outcomes": tuple(outcomes),
+            "checks": tuple(checks),
+            "certificates": tuple(certificates),
+            "certified_bounds": tuple(bounds),
+            "recost_calls": tuple(recosts),
         }
-        if any(c is not None for c in coverage):
-            columns["coverage"] = coverage
-        if any(r is not None for r in reason):
-            columns["reason"] = reason
+        if shaded:
+            if any(c is not None for c in coverage):
+                columns["coverage"] = tuple(coverage)
+            if any(r is not None for r in reason):
+                columns["reason"] = tuple(reason)
         if brownout is not None:
             columns["brownout"] = tuple(brownout)
         return columns
@@ -527,6 +559,7 @@ class TemplateShard:
         serial: bool,
         deadline: Optional[Deadline],
         deny: Optional[str],
+        record: GroupRecord,
     ) -> Optional[PlanChoice]:
         """Admission, then the optimizer call outside the lock, then
         :meth:`_apply`.  Concurrent misses on one vector collapse to one
@@ -559,7 +592,7 @@ class TemplateShard:
                             )
                     except OptimizeUnavailableError as exc:
                         unavailable = exc
-                choice = self._apply(sv, seq, decision, result, reason)
+                choice = self._apply(sv, seq, record, decision, result, reason)
             finally:
                 if holds_gate:
                     self._overload.release_optimize()
@@ -625,6 +658,7 @@ class TemplateShard:
         self,
         sv: AnySelectivityVector,
         seq: int,
+        record: GroupRecord,
         decision,
         result=None,
         denied: Optional[str] = None,
@@ -635,7 +669,7 @@ class TemplateShard:
         with nothing cached to serve — ``overload.shed`` and a
         :class:`ShedError`."""
         with self._locked():
-            choice = self.scr.apply(sv, decision, result, denied, seq)
+            choice = self.scr.apply(sv, decision, result, denied, seq, record)
         if denied is None:
             return choice
         if choice is None:

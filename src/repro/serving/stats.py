@@ -127,37 +127,50 @@ class ServingStats:
         self._started_at = time.perf_counter()
         self._last_at = 0.0
 
-    def observe(
-        self,
-        latency_seconds: float,
-        check: str,
-        certified: bool,
-        certificate: str = "exact",
-    ) -> None:
-        """Record one served instance.
+    def observe_group(self, choices, latencies, widths=()) -> None:
+        """Record a group's served rows: ``choices`` and their
+        ``latencies`` in serving order, and the robust rows' interval
+        log ``widths``.
 
         This is the single accounting point for every *served* response
-        (shed requests go through :meth:`note_shed` instead): the
+        (shed requests go through :meth:`note_shed` instead): each
         response's one outcome counter — certified or uncertified — and
-        its one certificate-kind counter are incremented here.
-        ``certificate`` is the kind the choice claims; an uncertified
-        response counts as kind ``uncertified`` regardless of it (a
-        degraded path may have invalidated the claim after the checks
-        ran).
+        its one certificate-kind counter.  A choice's kind is the one it
+        claims; an uncertified response counts as kind ``uncertified``
+        regardless of it (a degraded path may have invalidated the claim
+        after the checks ran).  One ``inc(n)`` per distinct label and one
+        histogram write per family, whatever the group's size.
         """
-        kind = certificate if certified else "uncertified"
-        self._m_outcome["certified" if certified else "uncertified"].inc()
-        self._m_cert[kind].inc()
-        self._m_latency.observe(latency_seconds)
-        # Benign race: a duplicate labels() resolves the same child.
-        check_child = self._m_check_children.get(check)
-        if check_child is None:
-            check_child = self._m_checks.labels(
-                template=self.template, check=check
-            )
-            self._m_check_children[check] = check_child
-        check_child.inc()
-        self._last_at = time.perf_counter()
+        kinds: dict[str, int] = {}
+        checks: dict[str, int] = {}
+        for choice in choices:
+            kind = choice.certificate if choice.certified else "uncertified"
+            kinds[kind] = kinds.get(kind, 0) + 1
+            check = choice.check
+            checks[check] = checks.get(check, 0) + 1
+        certified = len(choices)
+        for kind, n in kinds.items():
+            self._m_cert[kind].inc(n)
+            if kind == "uncertified":
+                self._m_outcome[kind].inc(n)
+                certified -= n
+        if certified:
+            self._m_outcome["certified"].inc(certified)
+        if latencies:
+            self._m_latency.observe_many(latencies)
+        if widths:
+            self._m_width.observe_many(widths)
+        for check, n in checks.items():
+            # Benign race: a duplicate labels() resolves the same child.
+            child = self._m_check_children.get(check)
+            if child is None:
+                child = self._m_checks.labels(
+                    template=self.template, check=check
+                )
+                self._m_check_children[check] = child
+            child.inc(n)
+        if choices:
+            self._last_at = time.perf_counter()
 
     def add_lock_wait(self, seconds: float) -> None:
         self._m_lock_wait.inc(seconds)
@@ -201,11 +214,6 @@ class ServingStats:
         self._m_outcome["shed"].inc()
         self._m_cert["shed"].inc()
         self.audit.degraded(self.template, "shed", reason)
-
-    def note_interval_width(self, log_width: float) -> None:
-        """Record one served instance's uncertainty-box total log width
-        (robust-mode shards only; point-mode shards never call this)."""
-        self._m_width.observe(log_width)
 
     def note_overload_serve(self, reason: str = "brownout") -> None:
         # Reason accounting only: the outcome counter for an overload

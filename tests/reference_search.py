@@ -157,7 +157,8 @@ class PlanSearch:
         lgroup = memo.group(left)
         rgroup = memo.group(right)
         out_card = self.cards.join_cardinality(
-            lgroup.cardinality, rgroup.cardinality, edges
+            lgroup.cardinality, rgroup.cardinality,
+            [self.cards.join_selectivity(edge) for edge in edges],
         )
         if group.cardinality == 0.0:
             group.cardinality = out_card

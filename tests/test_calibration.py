@@ -176,7 +176,7 @@ class TestGrades:
 
 
 # ---------------------------------------------------------------------------
-# unit: record_ratio / record_sv semantics on a bare tracker
+# unit: record_ratio / record_group semantics on a bare tracker
 
 
 @pytest.fixture
@@ -262,6 +262,68 @@ class TestRecordRatio:
         assert worst["headroom_factor_p90"] > math.exp(1.0)
 
 
+class TestRecordGroup:
+    def test_group_feed_equals_the_per_sample_reference(self, fast_detectors):
+        """``record_group`` feeds the EWMAs and detectors exactly as a
+        loop of :meth:`Ewma.update` / :meth:`BlockShiftDetector.update`
+        over the same samples, in groups of any size: bit-equal EWMAs,
+        the same detector state, and each alarm latched at the same
+        sample."""
+        import random
+
+        import repro.obs.calibration as calibration
+
+        rng = random.Random(5)
+        svs = [
+            tuple(rng.uniform(1e-4, 1.0) for _ in range(3)) for _ in range(300)
+        ]
+        # A calm stream, then a shift: both detectors alarm on the way.
+        svs[150:] = [tuple(s * 1e-3 for s in sv) for sv in svs[150:]]
+        ratios = [
+            ("exact", 100.0, 100.0 * rng.uniform(0.9, 1.1) * (1.6 if i > 150 else 1.0),
+             0.01, 0.01)
+            for i in range(300)
+        ]
+        cal = CalibrationTracker(MetricsRegistry()).template("t1")
+        events, i = [], 0
+        while i < 300:
+            n = rng.randint(1, 7)
+            events += cal.record_group(ratios[i:i + n], svs[i:i + n])
+            i += n
+
+        reference = {}
+        for signal, stream in (
+            ("selectivity", [sum(math.log(s) for s in sv) for sv in svs]),
+            ("calibration", [math.log(a / p) for _, p, a, _, _ in ratios]),
+        ):
+            config = (
+                calibration.CALIBRATION_DETECTOR if signal == "calibration"
+                else calibration.SELECTIVITY_DETECTOR
+            )
+            ewma = Ewma(alpha=0.15 if signal == "calibration" else 0.1)
+            detector, latched, fired = BlockShiftDetector(**config), False, []
+            for x in stream:
+                value = ewma.update(x)
+                if detector.update(x) and not latched:
+                    latched = True
+                    fired.append((detector.n, value))
+                    detector.reset()
+            reference[signal] = (ewma.value, detector.n, detector.blocks,
+                                 detector.reference, fired)
+
+        assert cal._ewma["recost"].value == reference["calibration"][0]
+        assert cal._sv_ewma.value == reference["selectivity"][0]
+        for signal, (_, n, blocks, ref, fired) in reference.items():
+            detector = cal._detectors[signal]
+            assert (detector.n, detector.blocks, detector.reference) == (
+                n, blocks, ref
+            ), signal
+            assert [
+                (e.samples, e.value) for e in events if e.signal == signal
+            ] == fired, signal
+        assert {e.signal for e in events} == {"calibration", "selectivity"}
+
+
 class TestDriftEvents:
     def test_shift_emits_one_latched_event(self, fast_detectors):
         registry = MetricsRegistry()
@@ -296,12 +358,12 @@ class TestDriftEvents:
     def test_selectivity_signal_watches_log_area(self, fast_detectors):
         tracker = CalibrationTracker(MetricsRegistry())
         cal = tracker.template("t1")
-        assert cal.record_sv((0.5, 0.0)) is None  # degenerate sv skipped
+        assert cal.record_group(svs=[(0.5, 0.0)]) == []  # degenerate: skipped
         assert cal.sv_samples == 0
         for _ in range(60):
-            cal.record_sv((0.1, 0.2))
+            cal.record_group(svs=[(0.1, 0.2)])
         for _ in range(60):  # region-mix change: log area moves ~9 nats
-            cal.record_sv((0.001, 0.0002))
+            cal.record_group(svs=[(0.001, 0.0002)])
         assert cal.alarms["selectivity"]
         assert tracker.events[0].signal == "selectivity"
         assert "seeding" in tracker.events[0].recommended_action
@@ -401,13 +463,16 @@ class TestCalmServing:
                 scr = manager.register(template, lam=LAM).scr
                 serve = manager.process
             pairs = []
-            record = scr.calibration.record_ratio
+            record = scr.calibration.record_group
 
-            def recording(feed, kind, predicted, actual, **slack):
-                pairs.append((feed, kind, predicted, actual))
-                return record(feed, kind, predicted, actual, **slack)
+            def recording(samples=(), svs=()):
+                pairs.extend(
+                    ("recost", kind, predicted, actual)
+                    for kind, predicted, actual, *_ in samples
+                )
+                return record(samples, svs)
 
-            scr.calibration.record_ratio = recording
+            scr.calibration.record_group = recording
             checks = [serve(q).check for q in instances]
             if impl == "served":
                 manager.close()

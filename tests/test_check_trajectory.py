@@ -65,3 +65,32 @@ def test_a_run_without_a_recorded_host_is_never_compared():
     notes = []
     assert check_trajectory.check_regressions(doc, "f", notes) == []
     assert len(notes) == 1
+
+
+def _obs_gap_doc(*ratios):
+    return {
+        "schema_version": 2,
+        "benchmark": "obs_gap",
+        "runs": [
+            {
+                "timestamp": f"2026-10-19T{hour:02d}:00:00Z",
+                "meta": {"platform": "host-a"},
+                "results": [
+                    {"workload": "serve_batch_obs", "off_over_on": ratio}
+                ],
+            }
+            for hour, ratio in enumerate(ratios, 1)
+        ],
+    }
+
+
+def test_obs_gap_watches_off_over_on_on_the_same_host():
+    """The observability gap's trajectory is gated on ``off_over_on``
+    (higher is better): a gain passes, a same-host drop over the budget
+    fails."""
+    gained = _obs_gap_doc(0.71, 0.86)
+    assert check_trajectory.validate_document(gained, "f") == []
+    assert check_trajectory.check_regressions(gained, "f") == []
+    errors = check_trajectory.check_regressions(_obs_gap_doc(0.86, 0.6), "f")
+    assert len(errors) == 1
+    assert "off_over_on at (workload=serve_batch_obs) dropped 30%" in errors[0]

@@ -26,6 +26,7 @@ from repro.obs import (
     write_spans_jsonl,
 )
 from repro.obs.spans import Span
+from repro.query.template import QueryTemplate, join, range_predicate
 from repro.serving import ConcurrentPQOManager, ShutdownError
 
 from conftest import build_toy_schema
@@ -366,3 +367,113 @@ def test_default_spans_do_not_share_attrs():
     assert two.attrs == {}
     with pytest.raises(AttributeError):
         one.name = "renamed"
+
+
+def six_templates():
+    """The four serving templates plus two more parameterizations."""
+    extra = [
+        QueryTemplate(
+            name=f"serve_t{i}",
+            database="toy",
+            tables=["orders", "cust"],
+            joins=[join("orders", "o_cust", "cust", "c_id")],
+            parameterized=[
+                range_predicate(table, column, op),
+                range_predicate("cust", "c_bal", ">="),
+            ],
+        )
+        for i, (table, column, op) in enumerate(
+            [("orders", "o_amount", ">="), ("orders", "o_date", "<=")], 4
+        )
+    ]
+    return serving_templates() + extra
+
+
+def calibration_state(obs) -> dict:
+    """Every template's calibration state, detectors included."""
+    state = {}
+    for cal in obs.calibration.templates():
+        detectors = {
+            signal: (det.n, det.blocks, det.reference, det.last_deviation)
+            for signal, det in cal._detectors.items()
+        }
+        state[cal.template] = (
+            dict(cal.samples), cal.sv_samples,
+            {feed: ewma.value for feed, ewma in cal._ewma.items()},
+            cal._sv_ewma.value, detectors, dict(cal.alarms),
+            sorted(
+                (e.signal, e.value, e.baseline, e.samples)
+                for e in obs.calibration.events if e.template == cal.template
+            ),
+        )
+    return state
+
+
+def untimed_registry(obs) -> dict:
+    """Every registry series; a timing family (``*_seconds*``) keeps only
+    its series' labels and counts."""
+    out = {}
+    for name, family in obs.registry.snapshot().items():
+        series = family["series"]
+        if "seconds" in name:
+            series = [
+                (row["labels"], row.get("count")) for row in series
+            ]
+        out[name] = series
+    return out
+
+
+@pytest.mark.parametrize("spans_enabled", [True, False])
+def test_group_feed_is_grouping_invariant(monkeypatch, spans_enabled):
+    """The group record feeds the registry, the audit and calibration
+    exactly what per-row feeding would: one seeded six-template stream
+    served as ``process_many`` template groups and as a ``process()``
+    loop leaves equal registry series (timings by count), bit-equal
+    calibration state (sample counts, EWMAs, detector state, alarms and
+    events) and the same λ-audit violation entries."""
+    import repro.obs.audit as audit_module
+    import repro.obs.calibration as calibration
+
+    # Small detector geometry, so the stream arms and moves both
+    # detectors; and an audit that flags every bound above 0.6·λ, so
+    # the violation entries are many rather than none.
+    fast = dict(tau=0.3, k=3, m=4, block=5, ref=4, lag=2, warm=3)
+    monkeypatch.setattr(calibration, "CALIBRATION_DETECTOR", fast)
+    monkeypatch.setattr(
+        calibration, "SELECTIVITY_DETECTOR", dict(fast, tau=0.5)
+    )
+    monkeypatch.setattr(audit_module, "VIOLATION_EPSILON", -0.4)
+    templates = six_templates()
+    workload = make_workload(templates, 60, seed=21)
+    runs = {}
+    for serve in ("process_many", "process"):
+        obs = Observability(spans_enabled=spans_enabled)
+        obs.audit.max_violation_events = 10 ** 6
+        manager, _ = make_manager(obs, templates=templates)
+        with manager:
+            if serve == "process_many":
+                for lo in range(0, len(workload), 16):
+                    manager.process_many(workload[lo:lo + 16], dedupe=False)
+            else:
+                for instance in workload:
+                    manager.process(instance)
+        runs[serve] = (
+            untimed_registry(obs),
+            calibration_state(obs),
+            sorted(
+                obs.audit.violation_events,
+                key=lambda e: (e["template"], e["seq"]),
+            ),
+        )
+    grouped, serial = runs["process_many"], runs["process"]
+    assert grouped[0].keys() == serial[0].keys()
+    for name, series in serial[0].items():
+        assert grouped[0][name] == series, name
+    assert grouped[1] == serial[1]
+    assert grouped[2] == serial[2]
+    # The stream exercised what it compares.
+    assert len(serial[2]) > 10
+    states = serial[1].values()
+    assert all(state[1] == 60 and state[0]["recost"] > 0 for state in states)
+    fired = {signal for state in states for signal, *_ in state[6]}
+    assert fired == {"calibration", "selectivity"}

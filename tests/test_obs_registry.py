@@ -8,9 +8,13 @@ guarantee audit trail's exactly-one-outcome / λ-violation accounting.
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     FakeClock,
@@ -23,6 +27,52 @@ from repro.obs import (
 )
 from repro.obs.clock import Clock
 from repro.obs.registry import Histogram
+
+
+#: Edges of the property test's histogram, and values that sit exactly
+#: on them, at 0, at +Inf and among the subnormals.
+EDGES = (0.0, 5e-324, 1e-300, 0.001, 0.5, 1.0, 2.5)
+SPECIAL = [*EDGES, -0.0, math.inf, sys.float_info.min, 5e-324 * 7]
+
+
+def _state(histogram: Histogram) -> tuple:
+    return histogram._counts, histogram.count, histogram.sum.hex()
+
+
+class TestObserveMany:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(SPECIAL),
+                st.floats(min_value=0.0, max_value=10.0),
+                st.floats(
+                    min_value=0.0, max_value=sys.float_info.min,
+                    allow_subnormal=True,
+                ),
+                st.floats(min_value=-1e6, max_value=1e300),
+            ),
+            max_size=40,
+        ),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_equals_a_loop_of_observe(self, values, split):
+        """Buckets, count and sum bit-equal to observing one at a time,
+        also when the values arrive as two batches."""
+        looped, batched = Histogram(EDGES), Histogram(EDGES)
+        for value in values:
+            looped.observe(value)
+        batched.observe_many(values[:split])
+        batched.observe_many(values[split:])
+        assert _state(batched) == _state(looped)
+        assert batched.bucket_counts() == looped.bucket_counts()
+
+    def test_empty_batch_changes_nothing(self):
+        histogram = Histogram(EDGES)
+        histogram.observe(0.5)
+        before = _state(histogram)
+        histogram.observe_many([])
+        assert _state(histogram) == before
 
 
 class TestFamilies:

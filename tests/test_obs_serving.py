@@ -11,6 +11,7 @@ the existing report shapes stay stable while sourcing from the registry.
 from __future__ import annotations
 
 from concurrent.futures import wait
+from types import SimpleNamespace
 
 import pytest
 
@@ -212,13 +213,12 @@ class TestNoPerRequestState:
 
         def serve(n: int) -> None:
             for i in range(n):
-                certified = i % 7 != 0
-                stats.observe(
-                    latencies[i % 5], checks[i % 4], certified,
+                choice = SimpleNamespace(
+                    certified=i % 7 != 0, check=checks[i % 4],
                     certificate="robust" if i % 3 else "exact",
                 )
+                stats.observe_group([choice], [latencies[i % 5]], [0.25])
                 stats.add_lock_wait(1e-6)
-                stats.note_interval_width(0.25)
 
         serve(50)
         small = graph_size(stats)

@@ -40,7 +40,9 @@ class TestCardinalityModel:
         sv = SelectivityVector.of(1.0, 1.0)
         left = model.base_info("orders").cardinality(sv)
         right = model.base_info("cust").cardinality(sv)
-        card = model.join_cardinality(left, right, [toy_template.joins[0]])
+        card = model.join_cardinality(
+            left, right, [model.join_selectivity(toy_template.joins[0])]
+        )
         assert card == pytest.approx(toy_db.stats.row_count("orders"), rel=0.01)
 
     def test_group_count_capped_by_input(self, model):

@@ -387,13 +387,16 @@ def _record_anchor_rows(scr: SCR, rows: list) -> None:
 
 def _record_calibration(scr: SCR, pairs: list) -> None:
     """Append every calibration sample the SCR records to ``pairs``."""
-    record = scr.calibration.record_ratio
+    record = scr.calibration.record_group
 
-    def recording(feed, kind, predicted, actual, **slack):
-        pairs.append((feed, kind, predicted, actual))
-        return record(feed, kind, predicted, actual, **slack)
+    def recording(samples=(), svs=()):
+        pairs.extend(
+            ("recost", kind, predicted, actual)
+            for kind, predicted, actual, *_ in samples
+        )
+        return record(samples, svs)
 
-    scr.calibration.record_ratio = recording
+    scr.calibration.record_group = recording
 
 
 def _registry(obs: Observability) -> dict:

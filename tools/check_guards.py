@@ -107,6 +107,13 @@ BOUNDED_SEARCH = (
     "plan on, and only the raw optimizer's own Recost of it caps the "
     "search; no engine-level recost_memo cost reaches an optimize call"
 )
+ONE_FEED_SITE = (
+    "One feed site: a served group's certified bounds, calibration samples "
+    "and engine-call timings reach the registry only through feed_group "
+    "(obs/group.py); exempt: the harness oracle's calibration feed "
+    "(harness/oracle.py) and the supervisor's response audit "
+    "(cluster/supervisor.py)"
+)
 
 GUARDS: tuple[Guard, ...] = (
     Guard(
@@ -231,6 +238,13 @@ GUARDS: tuple[Guard, ...] = (
     Guard(
         r"^\s*entries\s*[:=]|\bentries=", ("src/repro/core/columnar.py",),
         ONE_INSTANCE_LIST,
+    ),
+    Guard(
+        r"(?<!def )\b(record_ratio|record_sv|certified_bound)\("
+        r"|call_seconds\[[^\]]*\]\.observe\(",
+        ("src/repro/", "!src/repro/obs/group.py", "!src/repro/harness/oracle.py",
+         "!src/repro/cluster/supervisor.py"),
+        ONE_FEED_SITE, include="*.py",
     ),
     Guard(
         r"def optimize\(\s*self,\s*sv\b(?![^)]*\bincumbent\b)",
