@@ -16,7 +16,7 @@ larger on the deepest join graph" claim are asserted on that work ratio,
 which no change to the search's speed or to machine load can move.
 
 This module also hosts the Recost kernel gate: production
-``ShrunkenMemo.recost`` (a prebound per-plan program) against the
+``ShrunkenMemo.recost`` (one compiled function per plan) against the
 interpreted walk it replaced (``tests/reference_recost.py``), per call,
 over the plans the ``scr_hit`` and ``scr_miss`` request-latency
 workloads cache.  It must be at least 2x faster (best of three passes
@@ -210,7 +210,7 @@ def test_recost_kernel_speedup():
     run to the trajectory file (CI does; local runs stay read-only)."""
     rows = _measure_kernel()
     print()
-    print(format_table(rows, title="Recost kernel: prebound program vs walk"))
+    print(format_table(rows, title="Recost kernel: compiled function vs walk"))
     if os.environ.get("BENCH_RECOST_JSON"):
         append_run(BENCH_JSON, "recost", rows, _run_metadata())
         print(f"appended trajectory run to {BENCH_JSON}")

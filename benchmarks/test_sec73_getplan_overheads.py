@@ -337,13 +337,13 @@ def _measure_costcheck() -> list[dict]:
         fast, slow = [], []
         while len(fast) < PROBES:
             point = _loguniform_sv(rng, COSTCHECK_D)
-            g, l, gc, lc = gp._factor_rows(view, [(point, None)])
+            ((g, l, gc, lc),) = gp._factor_rows(view, [(point, None)])
             hit, key = gp._selectivity_check(
-                None, view, g[0], l[0], gc[0], lc[0], budget, cap
+                None, view, g, l, gc, lc, budget, cap
             )
             if hit is not None:
                 continue
-            fast.append((point, None, _cheap_recost, view, key, g[0], l[0],
+            fast.append((point, None, _cheap_recost, view, key, g, l,
                          budget, cap))
             slow.append((point, None, _cheap_recost, view,
                          ref._scan(point, None, ref.records(view))[1], cap))

@@ -213,6 +213,12 @@ class ColumnStore:
             cells["hits_selectivity"][row] += 1
         cells["last_hit_tick"][row] = tick
 
+    @property
+    def retired_flags(self) -> memoryview:
+        """The live ``retired`` column, for the cost check's reads of
+        single rows: a ``memoryview`` item is a plain ``bool``."""
+        return self._rows.cells["retired"]
+
     def retire(self, row: int) -> bool:
         """Retire ``row`` (Appendix G); False if it already was."""
         retired = self._rows.cells["retired"]
@@ -289,6 +295,17 @@ class ColumnarInstances:
         return np.ascontiguousarray(self.stored_sv)
 
     @cached_property
+    def cells(self) -> dict[str, memoryview]:
+        """The write-once ``(N,)`` columns a decision reads single rows
+        of, as ``memoryview`` s: an item is a plain Python scalar, read
+        in a third of a numpy scalar's time or less."""
+        return {
+            "sub": memoryview(self.sub), "cost": memoryview(self.cost),
+            "plan_ids": memoryview(self.plan_ids),
+            "slot": memoryview(self.plan_slots[1]),
+        }
+
+    @cached_property
     def sv_sq(self) -> "np.ndarray":
         """``sv²`` broadcast-shaped ``(d, 1, N)`` — the anchor side of the
         robust corner predicate ``lo·hi ≥ e²``, shared across every probe
@@ -337,14 +354,17 @@ class ColumnarInstances:
 # -- G/L kernels --------------------------------------------------------------
 #
 # All kernels take the (d, N) anchor matrix and an already-validated
-# (B, d) matrix of incoming points (B = 1 for a single probe) and return
-# (B, N) factor matrices; probe_batch chunks B to bound the ratio tensor.
+# (B, d) matrix of incoming points and return (B, N) factor matrices;
+# probe_batch chunks B to bound the ratio tensor.  gl_matrix also takes
+# a single (d,) point and returns (N,) vectors, the same fold over a
+# (d, N) ratio matrix.
 
 
 def _fold(alphas: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
-    """``(G, L)`` of a ``(d, B, N)`` ratio tensor, folded over the
-    leading axis in dimension order (the module docstring says why this
-    is :func:`repro.core.bounds.compute_gl`'s loop float for float)."""
+    """``(G, L)`` of a ``(d, B, N)`` ratio tensor or ``(d, N)`` matrix,
+    folded over the leading axis in dimension order (the module
+    docstring says why this is :func:`repro.core.bounds.compute_gl`'s
+    loop float for float)."""
     g = np.multiply.reduce(np.maximum(alphas, 1.0), axis=0)
     l = np.divide.reduce(np.minimum(alphas, 1.0), axis=0, initial=1.0)
     return g, l
@@ -358,7 +378,12 @@ def gl_matrix(
     Mirrors :func:`repro.core.bounds.compute_gl` exactly: per-dimension
     ratios ``alpha = point / anchor``, folded as ``g *= alpha`` where
     ``alpha > 1`` and ``l /= alpha`` (from 1.0) where ``alpha < 1``.
+    ``points`` is a ``(B, d)`` matrix, giving ``(B, N)`` factors, or one
+    ``(d,)`` point, giving ``(N,)`` vectors float for float equal to
+    its row of any chunk.
     """
+    if points.ndim == 1:
+        return _fold(points[:, None] / sv)
     return _fold(points.T[:, :, None] / sv[:, None, :])
 
 

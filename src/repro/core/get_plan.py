@@ -100,6 +100,15 @@ class CandidateOrder(Enum):
     USAGE = "usage"
 
 
+# The members the per-request path names, read as module globals: a
+# member read through its enum class costs about ten global reads on
+# CPython 3.11.
+_SELECTIVITY, _COST, _OPTIMIZER = (
+    CheckKind.SELECTIVITY, CheckKind.COST, CheckKind.OPTIMIZER
+)
+_POINT, _GL = CheckMode.POINT, CandidateOrder.GL
+
+
 @dataclass
 class GetPlanDecision:
     """Outcome of one getPlan invocation."""
@@ -165,8 +174,8 @@ class GetPlanDecision:
             return self.bound_value
         if self.row is None:
             return 1.0
-        sub = float(self.view.sub[self.row])
-        if self.check is CheckKind.SELECTIVITY:
+        sub = self.view.cells["sub"][self.row]
+        if self.check is _SELECTIVITY:
             return sub * self.g * self.l
         return sub * self.recost_ratio * self.l
 
@@ -259,7 +268,7 @@ class GetPlan:
         robust mode; it never widens one.
         """
         point = as_point(sv)
-        if self.check_mode is CheckMode.POINT:
+        if self.check_mode is _POINT:
             return point, None
         if isinstance(sv, UncertainSelectivityVector):
             box = sv
@@ -300,9 +309,9 @@ class GetPlan:
             view = self.cache.columnar()
         if not len(view):
             return self._miss(box)
-        g, l, gc, lc = self._factor_rows(view, [(point, box)])
+        (factors,) = self._factor_rows(view, [(point, box)])
         return self._decide(
-            point, box, recost, view, g[0], l[0], gc[0], lc[0],
+            point, box, recost, view, *factors,
             self._budget_vector(view), self._effective_cap(max_recost),
         )
 
@@ -356,16 +365,14 @@ class GetPlan:
         budget = self._budget_vector(view)
         cap = self._effective_cap(max_recost)
         step = view.chunk_rows
-        for i, (point, box) in enumerate(resolved):
-            j = i % step
-            if not j:  # the first row of a chunk
-                g_m, l_m, gc_m, lc_m = self._factor_rows(
-                    view, resolved[i:i + step]
+        for start in range(0, len(resolved), step):
+            chunk = resolved[start:start + step]
+            for (point, box), factors in zip(
+                chunk, self._factor_rows(view, chunk)
+            ):
+                yield self._decide(
+                    point, box, recost, view, *factors, budget, cap
                 )
-            yield self._decide(
-                point, box, recost, view, g_m[j], l_m[j], gc_m[j], lc_m[j],
-                budget, cap,
-            )
 
     def _effective_cap(self, max_recost: Optional[int]) -> int:
         """The number of cost-check candidates this probe can consume."""
@@ -424,10 +431,12 @@ class GetPlan:
         resolved: list[
             tuple[SelectivityVector, Optional[UncertainSelectivityVector]]
         ],
-    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-        """The ``(B, N)`` factor matrices of ``B`` resolved probes against
-        a non-empty view: point ``G``/``L``, then the ``G``/``L`` that
-        drive the selectivity check.
+    ) -> "Iterable[tuple[np.ndarray, ...]]":
+        """Per row of ``B`` resolved probes against a non-empty view, its
+        ``(N,)`` factor vectors: point ``G``/``L``, then the ``G``/``L``
+        that drive the selectivity check.  A chunk of one row runs the
+        kernel on its ``(d,)`` point and gets ``(N,)`` vectors outright;
+        a larger chunk gets ``(B, N)`` matrices and yields their rows.
 
         Without boxes the check runs on the point factors themselves.
         With boxes (the check mode fixes box-ness uniformly over the
@@ -441,10 +450,13 @@ class GetPlan:
         inverse index; each row's result stays a pure function of its
         own box.
         """
-        pts = np.array([p.values for p, _ in resolved], dtype=np.float64)
-        g, l = gl_matrix(view.sv, pts)
+        one = len(resolved) == 1
+        g, l = gl_matrix(view.sv, np.array(
+            resolved[0][0].values if one else [p.values for p, _ in resolved],
+            dtype=np.float64,
+        ))
         if resolved[0][1] is None:
-            return g, l, g, l
+            return ((g, l, g, l),) if one else zip(g, l, g, l)
         box_rows: dict[tuple, int] = {}
         inverse = [
             box_rows.setdefault((b.lo.values, b.hi.values), len(box_rows))
@@ -453,10 +465,12 @@ class GetPlan:
         lo = np.array([k[0] for k in box_rows], dtype=np.float64)
         hi = np.array([k[1] for k in box_rows], dtype=np.float64)
         gc, lc = corner_gl_matrix(view.sv, lo, hi, view.sv_sq)
+        if one:
+            return ((g, l, gc[0], lc[0]),)
         if len(box_rows) < len(resolved):
             inv = np.array(inverse, dtype=np.intp)
             gc, lc = gc[inv], lc[inv]
-        return g, l, gc, lc
+        return zip(g, l, gc, lc)
 
     def _decide(
         self,
@@ -516,14 +530,14 @@ class GetPlan:
             self.entries_scanned += hit + 1
             robust = box is not None
             return GetPlanDecision(
-                plan_id=int(view.plan_ids[hit]),
-                check=CheckKind.SELECTIVITY,
+                plan_id=view.cells["plan_ids"][hit],
+                check=_SELECTIVITY,
                 row=hit,
                 view=view,
                 g=float(g[hit]),
                 l=float(l[hit]),
                 bound_value=(
-                    float(view.sub[hit]) * float(check[hit]) if robust else None
+                    view.cells["sub"][hit] * float(check[hit]) if robust else None
                 ),
                 certificate=certificate_kind(box),
                 coverage=box.coverage if robust else 1.0,
@@ -531,7 +545,7 @@ class GetPlan:
         self.entries_scanned += len(view)
         if cap <= 0:
             return None, None  # selectivity-only probe: nothing to order
-        if self.candidate_order is CandidateOrder.GL:
+        if self.candidate_order is _GL:
             return None, glc
         if self.candidate_order is CandidateOrder.AREA:
             return None, -view.area
@@ -551,10 +565,12 @@ class GetPlan:
         return np.array([v ** degree for v in x.tolist()], dtype=np.float64)
 
     @staticmethod
-    def _miss(box: Optional[UncertainSelectivityVector]) -> GetPlanDecision:
+    def _miss(
+        box: Optional[UncertainSelectivityVector], **fields
+    ) -> GetPlanDecision:
         return GetPlanDecision(
-            plan_id=None, check=CheckKind.OPTIMIZER,
-            certificate=certificate_kind(box),
+            plan_id=None, check=_OPTIMIZER,
+            certificate=certificate_kind(box), **fields,
         )
 
     def _cost_phase(
@@ -581,13 +597,14 @@ class GetPlan:
         Step 1 re-costs the plan of the lowest-``key`` live row and
         checks that plan's group (:attr:`ColumnarInstances.plan_groups`)
         alone: a row of any other plan has ``R = +inf`` and cannot
-        pass, and the group's rows ascend, so ``argmin``'s first
-        minimum is the lowest row.  Step 2, only if nothing passed,
+        pass, and the group's rows ascend, so the first minimum over the
+        passing rows is the lowest row.  Step 2, only if nothing passed,
         re-costs the other plans in the ``(key, row)`` order of their
         lowest-key live rows, cut so the probe makes at most ``cap``
         calls, then checks all N rows in one pass with the un-costed
         plans at ``R = +inf`` (cheaper than a pass per group; DESIGN.md
-        §12).
+        §12).  Either step prices ``S·R·L^n`` only for the rows that
+        passed.
 
         Recost always runs at the *point* estimate; with a box, the
         Cost Bounding Lemma transports that cost to the corner
@@ -600,14 +617,12 @@ class GetPlan:
         through the view's store, and masks the key only once a retired
         row turns up as a head.
         """
-        retired = view.retired
-        decision = self._miss(box)
-        decision.view = view
-        decision.cost_trail = (g, l, [])
+        retired = view.store.retired_flags
+        decision = self._miss(box, view=view, cost_trail=(g, l, []))
         head = int(key.argmin())
         masked = retired[head]
         if masked:
-            key = np.where(retired, np.inf, key)
+            key = np.where(view.retired, np.inf, key)
             head = int(key.argmin())
         if key[head] == np.inf:
             return decision  # every anchor is retired
@@ -622,23 +637,27 @@ class GetPlan:
 
         # Step 1: the head row's plan, on that plan's group alone.
         plans, slot = view.plan_slots
-        first = int(slot[head])
+        first = view.cells["slot"][head]
         cost = self._recost_row(decision, recost, point, head)
         if cost < np.inf:
             rows, cost_p, sub_p = view.plan_groups[first]
             r = cost / cost_p
             check = r * factor[rows]
-            ok = check <= self._group_budget(budget, first, rows)
-            bound = np.where(ok, sub_p * check, np.inf)
-            if self._cost_hit(decision, box, retired, r, bound, rows):
+            passed = (
+                check <= self._group_budget(budget, first, rows)
+            ).nonzero()[0]
+            if len(passed) and self._cost_hit(
+                decision, box, retired, r, (sub_p * check)[passed], passed,
+                rows,
+            ):
                 return decision
         if cap < 2 or len(plans) < 2:
             return decision
 
         # Step 2: the next cap - 1 plans, then one pass over all N rows.
         low, first_rows = view.plan_heads(key)
-        if not masked and retired.take(first_rows).any():
-            low, first_rows = view.plan_heads(np.where(retired, np.inf, key))
+        if not masked and view.retired.take(first_rows).any():
+            low, first_rows = view.plan_heads(np.where(view.retired, np.inf, key))
         order = np.lexsort((first_rows, low))
         next_rows = first_rows[order[low[order] < np.inf][1:cap]]
         costs = np.full(len(plans), np.inf)
@@ -651,9 +670,11 @@ class GetPlan:
             return decision  # only step 1's plan is costed, and it failed
         r = costs.take(slot) / view.cost
         check = r * factor
-        ok = check <= budget
-        if ok.any():
-            self._cost_hit(decision, box, retired, r, np.where(ok, view.sub * check, np.inf))
+        passed = (check <= budget).nonzero()[0]
+        if len(passed):
+            self._cost_hit(
+                decision, box, retired, r, (view.sub * check)[passed], passed
+            )
         return decision
 
     def _recost_row(
@@ -665,14 +686,15 @@ class GetPlan:
     ) -> float:
         """``Cost(P, q_c)`` of ``row``'s plan, booked on ``decision``;
         ``+inf`` when the plan is gone or the engine failed closed."""
-        plan = self.cache.maybe_plan(int(decision.view.plan_ids[row]))
+        plan_id = decision.view.cells["plan_ids"][row]
+        plan = self.cache.maybe_plan(plan_id)
         if plan is None:
             return np.inf  # evicted under a concurrent probe; skip
         cost = recost(plan.shrunken_memo, point)
         decision.recost_calls += 1
         if not cost < np.inf:
             return np.inf
-        decision.recost_memo[plan.plan_id] = cost
+        decision.recost_memo[plan_id] = cost
         decision.cost_trail[2].append(row)
         return cost
 
@@ -680,31 +702,34 @@ class GetPlan:
     def _cost_hit(
         decision: GetPlanDecision,
         box: Optional[UncertainSelectivityVector],
-        retired: "np.ndarray",
+        retired: memoryview,
         r: "np.ndarray",
         bound: "np.ndarray",
+        passed: "np.ndarray",
         rows: Optional["np.ndarray"] = None,
     ) -> bool:
         """Make ``decision`` a cost hit through the first minimum of
-        ``bound`` whose row is not retired; False when no finite bound
-        is left.  ``rows`` maps indices of ``r``/``bound`` to view rows
-        (the identity when ``None``); ``bound`` is written."""
-        g, l, _ = decision.cost_trail
-        i = int(bound.argmin())
-        row = i if rows is None else int(rows[i])
-        while bound[i] < np.inf and retired[row]:
-            bound[i] = np.inf
-            i = int(bound.argmin())
+        ``bound`` whose row is not retired; False when every passing row
+        is.  ``bound`` holds the certified bounds of the passing indices
+        ``passed`` (ascending) of ``r``, and is written; ``rows`` maps
+        those indices to view rows (the identity when ``None``)."""
+        while True:
+            k = int(bound.argmin())
+            if not bound[k] < np.inf:
+                return False
+            i = int(passed[k])
             row = i if rows is None else int(rows[i])
-        if not bound[i] < np.inf:
-            return False
+            if not retired[row]:
+                break
+            bound[k] = np.inf
+        g, l, _ = decision.cost_trail
         decision.row = row
-        decision.plan_id = int(decision.view.plan_ids[row])
-        decision.check = CheckKind.COST
+        decision.plan_id = decision.view.cells["plan_ids"][row]
+        decision.check = _COST
         decision.recost_ratio = float(r[i])
         decision.g, decision.l = float(g[row]), float(l[row])
         if box is not None:
-            decision.bound_value = float(bound[i])
+            decision.bound_value = float(bound[k])
             decision.coverage = box.coverage
         return True
 
@@ -714,11 +739,9 @@ class GetPlan:
         Callers that probed a view they took earlier must hold the write
         lock and have checked that the cache still holds its store."""
         if decision.hit:
-            cost = decision.check is CheckKind.COST
-            self.cache.touch(decision.plan_id)
-            decision.view.store.hit(
-                decision.row, cost, decision.recost_calls, self.cache.tick
-            )
+            cost = decision.check is _COST
+            tick = self.cache.touch(decision.plan_id)
+            decision.view.store.hit(decision.row, cost, decision.recost_calls, tick)
             if cost:
                 self.cost_hits += 1
                 self._note_recosts(decision.recost_calls)

@@ -140,13 +140,15 @@ class PlanCache:
         since), so its rows are still this cache's rows."""
         return view.store is self._store
 
-    def touch(self, plan_id: int) -> None:
-        """Record a reuse of ``plan_id`` (advances the LRU clock)."""
-        self._tick += 1
+    def touch(self, plan_id: int) -> int:
+        """Record a reuse of ``plan_id``: advance the LRU clock and
+        return its new tick."""
+        tick = self._tick = self._tick + 1
         self.usage_version += 1
         plan = self._plans.get(plan_id)
         if plan is not None:
-            plan.last_used_tick = self._tick
+            plan.last_used_tick = tick
+        return tick
 
     def adopt(self, other: PlanCache) -> None:
         """Replace this cache's contents with ``other``'s, in place.

@@ -53,6 +53,9 @@ from .plan_cache import PlanCache
 from .technique import OnlinePQOTechnique, PlanChoice, fetch_selectivity
 from .violations import ViolationDetector
 
+# Module globals for the per-request path (see get_plan's).
+_COST, _POINT = CheckKind.COST, CheckMode.POINT
+
 
 class SCR(OnlinePQOTechnique):
     """The SCR technique with a configurable sub-optimality bound λ.
@@ -167,7 +170,7 @@ class SCR(OnlinePQOTechnique):
     ) -> PlanChoice:
         self.engine.begin_instance(self.instances_processed)
         sv, degraded = fetch_selectivity(
-            self.engine, instance, self.check_mode is not CheckMode.POINT
+            self.engine, instance, self.check_mode is not _POINT
         )
         choice = self._choose(sv, record)
         if degraded:
@@ -244,7 +247,7 @@ class SCR(OnlinePQOTechnique):
             choice = self._nearest_choice(sv, 0, denied, seq)
         else:
             self.get_plan.commit(decision)
-            if decision.check is CheckKind.COST:
+            if decision.check is _COST:
                 self.detector.check(
                     decision.view, decision.row, decision.g, decision.l,
                     decision.recost_ratio,
@@ -279,14 +282,14 @@ class SCR(OnlinePQOTechnique):
             # force for its anchor, labeled with the certificate kind
             # whose claim it would break.
             lam = self.get_plan._effective_lambda(
-                float(decision.view.cost[decision.row])
+                decision.view.cells["cost"][decision.row]
             )
             record.bounds.append((bound, lam, decision.certificate, seq))
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,
             plan_signature=plan.signature,
             used_optimizer=False,
-            check=decision.check.value,
+            check=decision.check._value_,
             recost_calls=decision.recost_calls,
             plan=plan.plan,
             certified_bound=bound,
@@ -318,13 +321,13 @@ class SCR(OnlinePQOTechnique):
         degree = self.get_plan.bound.degree
         log = math.log
         view, kind = decision.view, decision.certificate
-        cost_col, sub_col = view.cost, view.sub
+        cost_col, sub_col = view.cells["cost"], view.cells["sub"]
         for row, recosted in zip(rows, decision.recost_memo.values()):
             # ``recost_samples``' (row, r, g, l) read once, without its
             # tuples: this runs once per Recost call on the hot path.
-            cost = float(cost_col[row])
+            cost = cost_col[row]
             samples.append((
-                kind, cost * float(sub_col[row]), recosted / cost * cost,
+                kind, cost * sub_col[row], recosted / cost * cost,
                 degree * log(max(float(g[row]), 1.0)),
                 degree * log(max(float(l[row]), 1.0)),
             ))

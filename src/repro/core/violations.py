@@ -66,22 +66,20 @@ class ViolationDetector:
         anchor's optimal cost, so the plan's own cost ratio between the
         two instances is ``R / S``.
         """
-        report = ViolationReport()
         n = self.bound.degree
-        plan_growth = recost_ratio / float(view.sub[row])  # Cost(P,qc)/Cost(P,qe)
+        plan_growth = recost_ratio / view.cells["sub"][row]  # Cost(P,qc)/Cost(P,qe)
 
         # BCG: growth must satisfy 1/L**n < plan_growth < G**n.
         upper = (g ** n) * self.tolerance
         lower = 1.0 / ((l ** n) * self.tolerance)
-        if plan_growth > upper or plan_growth < lower:
-            report.bcg_violated = True
+        bcg = plan_growth > upper or plan_growth < lower
 
         # PCM: pure dominance cases have a definite direction.
-        if l == 1.0 and g > 1.0 and plan_growth < 1.0 / self.tolerance:
-            report.pcm_violated = True
-        if g == 1.0 and l > 1.0 and plan_growth > self.tolerance:
-            report.pcm_violated = True
+        pcm = (
+            l == 1.0 and g > 1.0 and plan_growth < 1.0 / self.tolerance
+        ) or (g == 1.0 and l > 1.0 and plan_growth > self.tolerance)
 
+        report = ViolationReport(bcg, pcm)
         if report.any:
             self.violations_detected += 1
             if view.store.retire(row):

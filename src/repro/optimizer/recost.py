@@ -10,8 +10,9 @@ Re-costing then replaces the parameterized predicate selectivities at
 the leaves and re-derives cardinalities and costs bottom-up with pure
 arithmetic — no plan search — which is why a recost call is one to two
 orders of magnitude cheaper than an optimizer call.  Everything about a
-plan that does not depend on the sVector is bound once per
-(memo, cost model) into a flat program; a call only runs it.
+plan that does not depend on the sVector is compiled once per
+(memo, cost model) into one straight-line function; a call only runs
+it.
 
 The recost of a plan ``P`` at instance ``q`` equals the cost the
 optimizer's search assigned to ``P`` at ``q`` to within about one ulp,
@@ -55,128 +56,93 @@ class _RecostNode:
     inner_param_indices: tuple[int, ...]
 
 
-#: Program opcodes, one per argument shape of the cost model's methods.
-_SCAN, _HASH, _INLJ, _MERGE, _NLJ, _SORT, _GROUP, _SCALAR = range(8)
-
-#: Operator -> (opcode, name of the ``CostModel`` method that prices it).
-_OPCODES = {
-    PhysicalOp.SEQ_SCAN: (_SCAN, "seq_scan"),
-    PhysicalOp.INDEX_SCAN: (_SCAN, "index_scan"),
-    PhysicalOp.HASH_JOIN: (_HASH, "hash_join"),
-    PhysicalOp.INDEX_NESTED_LOOPS_JOIN: (_INLJ, "index_nested_loops_join"),
-    PhysicalOp.MERGE_JOIN: (_MERGE, "merge_join"),
-    PhysicalOp.NESTED_LOOPS_JOIN: (_NLJ, "nested_loops_join"),
-    PhysicalOp.SORT: (_SORT, "sort"),
-    PhysicalOp.HASH_AGGREGATE: (_GROUP, "hash_aggregate"),
-    PhysicalOp.STREAM_AGGREGATE: (_GROUP, "stream_aggregate"),
-    PhysicalOp.SCALAR_AGGREGATE: (_SCALAR, "scalar_aggregate"),
+#: Operator -> name of the ``CostModel`` method that prices it.
+_METHODS = {
+    PhysicalOp.SEQ_SCAN: "seq_scan",
+    PhysicalOp.INDEX_SCAN: "index_scan",
+    PhysicalOp.HASH_JOIN: "hash_join",
+    PhysicalOp.INDEX_NESTED_LOOPS_JOIN: "index_nested_loops_join",
+    PhysicalOp.MERGE_JOIN: "merge_join",
+    PhysicalOp.NESTED_LOOPS_JOIN: "nested_loops_join",
+    PhysicalOp.SORT: "sort",
+    PhysicalOp.HASH_AGGREGATE: "hash_aggregate",
+    PhysicalOp.STREAM_AGGREGATE: "stream_aggregate",
+    PhysicalOp.SCALAR_AGGREGATE: "scalar_aggregate",
 }
 
 
-def _bind(nodes: tuple[_RecostNode, ...], cost_model: CostModel) -> tuple:
-    """The prebound program of ``nodes`` under ``cost_model``.
+def _compile(nodes: tuple[_RecostNode, ...], cost_model: CostModel):
+    """``nodes`` under ``cost_model`` as one straight-line function of
+    the sVector's values tuple, returning the root's cost.
 
-    One ``(opcode, method, k, params, a, b, x, y)`` entry per node, where
-    ``method`` is ``cost_model``'s *bound* method for the operator (so a
-    subclassed model prices Recost too) and everything that does not
-    depend on the sVector is folded in: ``k`` is a scan's
+    Node ``i`` becomes locals ``c{i}`` (cardinality) and ``t{i}``
+    (cumulative cost) in the interpreted walk's operand order and
+    association (``tests/reference_recost.py``), so the result is
+    bit-identical to it.  The source holds identifiers and integer
+    indices only: every float constant (``k{i}``, ``x{i}``, ``y{i}``)
+    and every *bound* method of ``cost_model`` (``m{i}``, so a
+    subclassed model prices Recost too, and is called, never inlined)
+    enters through the namespace.  ``k{i}`` is a scan's
     ``base_rows * fixed_selectivity`` (an index-nested-loops join's
-    inner one) or a join's selectivity; ``params`` the sVector indices
-    that multiply into ``k``; ``a``/``b`` the child slots; ``x``/``y``
-    the operator's remaining constants.
+    inner one) or a join's selectivity, and the sVector indices that
+    multiply into it are the only ones read.  ``if c < MIN: c = MIN`` is
+    ``max(c, _MIN_CARD)`` without the builtin call: both keep ``c``
+    unless ``_MIN_CARD > c``.
     """
-    program = []
-    for node in nodes:
-        opcode, name = _OPCODES[node.op]
-        method = getattr(cost_model, name)
-        a, b = node.child_a, node.child_b
-        if opcode == _SCAN:
-            entry = (opcode, method, node.base_rows * node.fixed_selectivity,
-                     node.param_indices, a, b, node.base_rows, None)
-        elif opcode == _INLJ:
-            entry = (opcode, method,
-                     node.inner_base_rows * node.inner_fixed_selectivity,
-                     node.inner_param_indices, a, b, node.join_selectivity,
-                     node.inner_base_rows)
-        elif opcode == _MERGE:
-            entry = (opcode, method, node.join_selectivity, (), a, b,
-                     node.left_sorted, node.right_sorted)
-        elif opcode == _GROUP:
-            entry = (opcode, method, 0.0, (), a, b, node.group_distinct, None)
-        else:
-            entry = (opcode, method, node.join_selectivity, (), a, b, None, None)
-        program.append(entry)
-    return tuple(program)
+    namespace = {"MIN": _MIN_CARD, "ONE": 1.0, "max": max, "min": min}
+    lines = ["def recost(v):"]
 
+    def card(i: int, expr: str) -> None:
+        lines.append(f" c{i} = {expr}")
+        lines.append(f" if c{i} < MIN: c{i} = MIN")
 
-def _run(program: tuple, vals: tuple[float, ...]) -> float:
-    """Execute a prebound program at the selectivities ``vals``.
+    def scaled(i: int, params: tuple[int, ...]) -> str:
+        return " * ".join([f"k{i}"] + [f"v[{p}]" for p in params])
 
-    Keeps the interpreted walk's operand order and association exactly
-    (``tests/reference_recost.py``), so the result is bit-identical.
-    ``if c < _MIN_CARD: c = _MIN_CARD`` is ``max(c, _MIN_CARD)`` without
-    the builtin call: both keep ``c`` unless ``_MIN_CARD > c``.
-    """
-    n = len(program)
-    cards = [0.0] * n
-    costs = [0.0] * n
-    i = 0
-    for opcode, method, k, params, a, b, x, y in program:
-        if opcode == _SCAN:
-            card = k
-            for p in params:
-                card *= vals[p]
-            if card < _MIN_CARD:
-                card = _MIN_CARD
-            cards[i] = card
-            costs[i] = method(x, card)
-        elif opcode == _HASH:
-            probe = cards[a]
-            build = cards[b]
-            out = probe * build * k
-            if out < _MIN_CARD:
-                out = _MIN_CARD
-            cards[i] = out
-            costs[i] = method(build, probe, out) + costs[a] + costs[b]
-        elif opcode == _INLJ:
-            outer = cards[a]
-            inner = k
-            for p in params:
-                inner *= vals[p]
-            if inner < _MIN_CARD:
-                inner = _MIN_CARD
-            out = outer * inner * x
-            if out < _MIN_CARD:
-                out = _MIN_CARD
-            cards[i] = out
-            costs[i] = method(outer, y, out) + costs[a]
-        elif opcode == _MERGE:
-            left = cards[a]
-            right = cards[b]
-            out = left * right * k
-            if out < _MIN_CARD:
-                out = _MIN_CARD
-            cards[i] = out
-            costs[i] = method(left, right, out, x, y) + costs[a] + costs[b]
-        elif opcode == _NLJ:
-            outer = cards[a]
-            out = outer * cards[b] * k
-            if out < _MIN_CARD:
-                out = _MIN_CARD
-            cards[i] = out
-            costs[i] = method(outer, costs[b], out) + costs[a]
-        elif opcode == _SORT:
-            card = cards[i] = cards[a]
-            costs[i] = method(card) + costs[a]
-        elif opcode == _GROUP:
-            in_card = cards[a]
-            groups = cards[i] = max(1.0, min(x, in_card))
-            costs[i] = method(in_card, groups) + costs[a]
-        else:  # _SCALAR
-            cards[i] = 1.0
-            costs[i] = method(cards[a]) + costs[a]
-        i += 1
-    return costs[-1]
+    for i, node in enumerate(nodes):
+        op, a, b = node.op, node.child_a, node.child_b
+        namespace[f"m{i}"] = getattr(cost_model, _METHODS[op])
+        if op.is_scan:
+            namespace[f"k{i}"] = node.base_rows * node.fixed_selectivity
+            namespace[f"x{i}"] = node.base_rows
+            card(i, scaled(i, node.param_indices))
+            cost = f"m{i}(x{i}, c{i})"
+        elif op is PhysicalOp.INDEX_NESTED_LOOPS_JOIN:
+            namespace[f"k{i}"] = node.inner_base_rows * node.inner_fixed_selectivity
+            namespace[f"x{i}"] = node.join_selectivity
+            namespace[f"y{i}"] = node.inner_base_rows
+            card(i, scaled(i, node.inner_param_indices))
+            card(i, f"c{a} * c{i} * x{i}")
+            cost = f"m{i}(c{a}, y{i}, c{i}) + t{a}"
+        elif op is PhysicalOp.HASH_JOIN:
+            namespace[f"k{i}"] = node.join_selectivity
+            card(i, f"c{a} * c{b} * k{i}")
+            cost = f"m{i}(c{b}, c{a}, c{i}) + t{a} + t{b}"
+        elif op is PhysicalOp.MERGE_JOIN:
+            namespace[f"k{i}"] = node.join_selectivity
+            namespace[f"x{i}"] = node.left_sorted
+            namespace[f"y{i}"] = node.right_sorted
+            card(i, f"c{a} * c{b} * k{i}")
+            cost = f"m{i}(c{a}, c{b}, c{i}, x{i}, y{i}) + t{a} + t{b}"
+        elif op is PhysicalOp.NESTED_LOOPS_JOIN:
+            namespace[f"k{i}"] = node.join_selectivity
+            card(i, f"c{a} * c{b} * k{i}")
+            cost = f"m{i}(c{a}, t{b}, c{i}) + t{a}"
+        elif op is PhysicalOp.SORT:
+            lines.append(f" c{i} = c{a}")
+            cost = f"m{i}(c{i}) + t{a}"
+        elif op is PhysicalOp.SCALAR_AGGREGATE:
+            lines.append(f" c{i} = ONE")
+            cost = f"m{i}(c{a}) + t{a}"
+        else:  # hash or stream aggregate
+            namespace[f"x{i}"] = node.group_distinct
+            lines.append(f" c{i} = max(ONE, min(x{i}, c{a}))")
+            cost = f"m{i}(c{a}, c{i}) + t{a}"
+        lines.append(f" t{i} = {cost}")
+    lines.append(f" return t{len(nodes) - 1}")
+    exec("\n".join(lines), namespace)
+    # Popped: a function in its own globals would be a reference cycle.
+    return namespace.pop("recost")
 
 
 @dataclass
@@ -188,12 +154,12 @@ class ShrunkenMemo:
     cache stores alongside the executable plan (section 6.1 notes this
     is the dominant per-plan memory overhead).
 
-    ``nodes`` is a tuple, so the prebound program derived from it
-    cannot go stale.  The program is built on the first ``recost`` and
-    rebuilt when a different cost model is passed; it is kept out of
-    ``==``, ``repr``, persistence and pickles.  Two threads racing to
-    build it build identical programs and the last single assignment
-    wins.
+    ``nodes`` is a tuple, so the compiled function derived from it
+    cannot go stale.  The function is compiled on the first ``recost``
+    and recompiled when a different cost model (by identity) is passed;
+    it is kept out of ``==``, ``repr``, persistence and pickles.  Two
+    threads racing to compile it compile equal functions and the last
+    single assignment wins.
     """
 
     template_name: str
@@ -201,7 +167,7 @@ class ShrunkenMemo:
     nodes: tuple[_RecostNode, ...]
     full_memo_groups: int = 0
     full_memo_expressions: int = 0
-    #: ``(cost_model, program)`` of the last ``recost``; derived state.
+    #: ``(cost_model, function)`` of the last ``recost``; derived state.
     _bound: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -214,8 +180,8 @@ class ShrunkenMemo:
         """Cost of this plan at the instance with selectivity vector ``sv``."""
         bound = self._bound
         if bound is None or bound[0] is not cost_model:
-            bound = self._bound = (cost_model, _bind(self.nodes, cost_model))
-        return _run(bound[1], sv.values)
+            bound = self._bound = (cost_model, _compile(self.nodes, cost_model))
+        return bound[1](sv.values)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -226,51 +192,7 @@ class ShrunkenMemo:
 def shrink(plan: PhysicalPlan, memo_groups: int = 0, memo_expressions: int = 0) -> ShrunkenMemo:
     """Flatten a plan tree into its :class:`ShrunkenMemo`."""
     nodes: list[_RecostNode] = []
-
-    def visit(node: PlanNode) -> int:
-        if node.op is PhysicalOp.INDEX_NESTED_LOOPS_JOIN:
-            # The inner index-scan leaf is folded into the join node.
-            outer_idx = visit(node.children[0])
-            inner = node.children[1]
-            nodes.append(
-                _RecostNode(
-                    op=node.op,
-                    child_a=outer_idx,
-                    child_b=-1,
-                    base_rows=0.0,
-                    fixed_selectivity=1.0,
-                    param_indices=(),
-                    join_selectivity=node.join_selectivity,
-                    left_sorted=False,
-                    right_sorted=False,
-                    group_distinct=0.0,
-                    inner_base_rows=inner.base_rows,
-                    inner_fixed_selectivity=inner.fixed_selectivity,
-                    inner_param_indices=inner.param_indices,
-                )
-            )
-            return len(nodes) - 1
-        child_idx = [visit(c) for c in node.children]
-        nodes.append(
-            _RecostNode(
-                op=node.op,
-                child_a=child_idx[0] if child_idx else -1,
-                child_b=child_idx[1] if len(child_idx) > 1 else -1,
-                base_rows=node.base_rows,
-                fixed_selectivity=node.fixed_selectivity,
-                param_indices=node.param_indices,
-                join_selectivity=node.join_selectivity,
-                left_sorted=node.left_sorted,
-                right_sorted=node.right_sorted,
-                group_distinct=node.group_distinct,
-                inner_base_rows=0.0,
-                inner_fixed_selectivity=1.0,
-                inner_param_indices=(),
-            )
-        )
-        return len(nodes) - 1
-
-    visit(plan.root)
+    _flatten(plan.root, nodes)
     return ShrunkenMemo(
         template_name=plan.template_name,
         signature=plan.signature(),
@@ -278,3 +200,51 @@ def shrink(plan: PhysicalPlan, memo_groups: int = 0, memo_expressions: int = 0) 
         full_memo_groups=memo_groups,
         full_memo_expressions=memo_expressions,
     )
+
+
+def _flatten(node: PlanNode, nodes: list[_RecostNode]) -> int:
+    """Append ``node``'s subtree to ``nodes``, children first, and return
+    its index.  A module function rather than a closure over ``nodes``:
+    a closure that calls itself is a reference cycle, which would leave
+    every optimizer call's node list to the cyclic collector."""
+    if node.op is PhysicalOp.INDEX_NESTED_LOOPS_JOIN:
+        # The inner index-scan leaf is folded into the join node.
+        outer_idx = _flatten(node.children[0], nodes)
+        inner = node.children[1]
+        nodes.append(
+            _RecostNode(
+                op=node.op,
+                child_a=outer_idx,
+                child_b=-1,
+                base_rows=0.0,
+                fixed_selectivity=1.0,
+                param_indices=(),
+                join_selectivity=node.join_selectivity,
+                left_sorted=False,
+                right_sorted=False,
+                group_distinct=0.0,
+                inner_base_rows=inner.base_rows,
+                inner_fixed_selectivity=inner.fixed_selectivity,
+                inner_param_indices=inner.param_indices,
+            )
+        )
+        return len(nodes) - 1
+    child_idx = [_flatten(c, nodes) for c in node.children]
+    nodes.append(
+        _RecostNode(
+            op=node.op,
+            child_a=child_idx[0] if child_idx else -1,
+            child_b=child_idx[1] if len(child_idx) > 1 else -1,
+            base_rows=node.base_rows,
+            fixed_selectivity=node.fixed_selectivity,
+            param_indices=node.param_indices,
+            join_selectivity=node.join_selectivity,
+            left_sorted=node.left_sorted,
+            right_sorted=node.right_sorted,
+            group_distinct=node.group_distinct,
+            inner_base_rows=0.0,
+            inner_fixed_selectivity=1.0,
+            inner_param_indices=(),
+        )
+    )
+    return len(nodes) - 1

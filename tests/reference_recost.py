@@ -1,11 +1,11 @@
 """Reference Recost: the interpreted per-node walk over a shrunken memo.
 
-``ShrunkenMemo.recost`` runs a prebound program built once per
+``ShrunkenMemo.recost`` runs one function compiled per
 (memo, cost model).  This module keeps the straight interpretation it
 replaced — an ``if`` chain on the operator per node, one
 ``SelectivityVector.__getitem__`` per parameter and a uniform
 ``operator_cost`` dispatch into the cost model — so the equivalence
-suites can hold the program to it bit for bit.
+suites can hold the compiled function to it bit for bit.
 """
 
 from __future__ import annotations

@@ -119,6 +119,25 @@ def test_gl_matrix_is_bit_identical_to_scalar(data, dims):
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
+    dims=st.integers(min_value=1, max_value=8),
+)
+def test_one_point_kernel_equals_its_row_of_a_chunk(data, dims):
+    """A chunk of one runs the kernel on its ``(d,)`` point: ``(N,)``
+    vectors, bit for bit that point's row of a larger chunk."""
+    anchors = data.draw(st.lists(sv_lists(dims), min_size=1, max_size=12))
+    points = data.draw(st.lists(sv_lists(dims), min_size=2, max_size=6))
+    sv_mat = _anchor_matrix(anchors)
+    g_m, l_m = gl_matrix(sv_mat, np.array(points, dtype=np.float64))
+    for b, point_vals in enumerate(points):
+        g, l = gl_matrix(sv_mat, np.array(point_vals, dtype=np.float64))
+        assert g.shape == l.shape == (len(anchors),)
+        assert g.tobytes() == g_m[b].tobytes()
+        assert l.tobytes() == l_m[b].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
     dims=st.integers(min_value=1, max_value=6),
 )
 def test_corner_gl_matrix_matches_adversarial_corner(data, dims):
@@ -289,6 +308,11 @@ def test_kernels_are_bit_identical_at_the_edges(case):
             g_m, l_m = gl_matrix(sv_mat, pts)
             gc_m, lc_m = corner_gl_matrix(sv_mat, lo, hi)
             assert g_m.shape == l_m.shape == gc_m.shape == (len(rows), len(anchors))
+            if len(rows) == 1:  # the (d,) form of a chunk of one
+                g_1, l_1 = gl_matrix(sv_mat, pts[0])
+                assert (g_1.tobytes(), l_1.tobytes()) == (
+                    g_m[0].tobytes(), l_m[0].tobytes()
+                ), case
             for b, i in enumerate(rows):
                 gg, ll = cost_corner_gl(sv_mat, pts[b], lo[b], hi[b])
                 for n in range(len(anchors)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference_recost import operator_cost
 from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.operators import PhysicalOp
-from repro.optimizer.recost import _OPCODES
+from repro.optimizer.recost import _METHODS
 from test_failure_injection import NonMonotoneCostModel, SpikyCostModel
 
 
@@ -96,7 +96,7 @@ class TestUnaryCosts:
 
 class TestDispatch:
     """The reference Recost walk's uniform dispatch (``tests/reference_recost.py``)
-    reaches the same per-operator method the prebound program binds."""
+    reaches the same per-operator method the compiled Recost binds."""
 
     def test_dispatch_matches_direct_seq_scan(self, cm):
         assert operator_cost(
@@ -123,10 +123,9 @@ class TestDispatch:
                 inner_rows=50, inner_cost=10.0, groups=5,
             )
             assert cost > 0
-            # The prebound program has an opcode and a bound method for
-            # every operator the walk can dispatch.
-            _, name = _OPCODES[op]
-            assert callable(getattr(cm, name))
+            # The compiled Recost binds a method for every operator the
+            # walk can dispatch.
+            assert callable(getattr(cm, _METHODS[op]))
 
 
 class TestBcgCompliance:

@@ -1,5 +1,7 @@
 """Tests for the Recost API and shrunken memo (Appendix B mechanism)."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,8 +91,38 @@ class TestShrunkenMemo:
 
 
 class TestPrebindingIsDerivedState:
-    """The prebound program is a cache: built on first use, never
-    compared, printed, persisted or pickled."""
+    """The compiled function is a cache: compiled on first use, once per
+    cost model, never compared, printed, persisted or pickled."""
+
+    def test_one_model_compiles_once(self, toy_engine, monkeypatch):
+        from repro.optimizer import recost
+        from repro.optimizer.cost_model import CostModel
+
+        compiled = []
+        compile_ = recost._compile
+
+        def counting(nodes, cost_model):
+            compiled.append(cost_model)
+            return compile_(nodes, cost_model)
+
+        monkeypatch.setattr(recost, "_compile", counting)
+        memo = toy_engine.optimize(SelectivityVector.of(0.3, 0.3)).shrunken_memo
+        model = toy_engine.optimizer.cost_model
+        for s in (0.1, 0.2, 0.5, 0.9):
+            toy_engine.recost(memo, SelectivityVector.of(s, 1.0 - s))
+            memo.recost(SelectivityVector.of(1.0 - s, s), model)
+        assert compiled == [model]
+        # A new model recompiles, and the replaced function is freed by
+        # reference counting: it is not in a cycle with its globals.
+        other = CostModel()
+        gc.collect()
+        gc.disable()
+        try:
+            memo.recost(SelectivityVector.of(0.4, 0.6), other)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert compiled == [model, other]
 
     def test_program_stays_out_of_eq_repr_pickle_and_dump(self, toy_engine):
         import pickle
@@ -104,7 +136,7 @@ class TestPrebindingIsDerivedState:
         fresh = pickle.loads(pickle.dumps(memo))
         sv = SelectivityVector.of(0.2, 0.7)
         cost = toy_engine.recost(memo, sv)
-        assert memo._bound is not None
+        assert callable(memo._bound[1])
         assert memo == fresh and repr(memo) == repr(fresh)
         assert pickle.loads(pickle.dumps(memo))._bound is None
         cache = PlanCache()

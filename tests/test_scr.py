@@ -133,6 +133,29 @@ class TestRecostAccounting:
         assert scr_engine.counters.recost.calls == before
 
 
+class TestNoCyclicGarbage:
+    def test_serving_a_window_with_misses_leaves_no_cycles(self, scr_engine, toy_template):
+        """Every optimizer call shrinks its winner: a window of requests
+        with misses in it must free all it allocates by reference
+        counting, leaving the cyclic collector nothing to find."""
+        import gc
+
+        scr = SCR(scr_engine, lam=1.1)
+        stream = instances_for_template(toy_template, 400, seed=19)
+        for inst in stream[:200]:
+            scr.process(inst)
+        misses = scr.optimizer_calls
+        gc.collect()
+        gc.disable()
+        try:
+            for inst in stream[200:]:
+                scr.process(inst)
+            assert scr.optimizer_calls > misses
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestAppendixFIntegration:
     def test_purge_callable_after_run(self, toy_db, toy_template):
         engine = fresh_engine(toy_db, toy_template)

@@ -9,9 +9,10 @@ same winning plan trees down to the last float, and therefore the same
 ``OptimizationResult`` — over every template of every catalog, seeded
 random sVectors plus the boundary vectors.
 
-The same loop holds Recost's prebound program bit-identical to the
+The same loop holds Recost's compiled function bit-identical to the
 interpreted walk it replaced (``reference_recost.py``) on every winning
-plan, and bounds Recost(P*, q) against optimize(q).cost at 4 ulps: the
+plan, under the default cost model and the two test models below, and
+bounds Recost(P*, q) against optimize(q).cost at 4 ulps: the
 two derive join cardinalities in different float association, so they
 agree to within about one ulp, not bit for bit.
 
@@ -186,11 +187,16 @@ def test_search_matches_reference(template):
 
     _assert_bounded_matches(optimizer, searched, random.Random(len(template.name)))
 
-    # Production Recost == the interpreted walk, exactly, on every
-    # winning plan at every recost vector.
-    cost_model = optimizer.cost_model
-    for memo in winners.values():
-        for sv in _recost_vectors(template.dimensions, seed=len(memo.signature)):
+    _assert_recost_matches_walk(
+        optimizer.cost_model, winners.values(), template.dimensions
+    )
+
+
+def _assert_recost_matches_walk(cost_model, memos, dims):
+    """Production Recost == the interpreted walk, exactly, on every
+    distinct winning plan at every recost vector."""
+    for memo in {memo.signature: memo for memo in memos}.values():
+        for sv in _recost_vectors(dims, seed=len(memo.signature)):
             assert memo.recost(sv, cost_model) == recost_walk(
                 memo, sv, cost_model
             ), (memo.signature, sv)
@@ -231,7 +237,7 @@ coordinate = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_recost_matches_reference_walk_property(property_plans, data):
-    """Any legal sVector, any winning plan: the prebound program returns
+    """Any legal sVector, any winning plan: the compiled function returns
     the walk's exact float."""
     template, optimizer, memos = data.draw(st.sampled_from(property_plans))
     memo = data.draw(st.sampled_from(memos))
@@ -250,7 +256,8 @@ def test_recost_matches_reference_walk_property(property_plans, data):
 @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
 def test_bounded_search_matches_reference_under_test_cost_models(template, model):
     """Scan-cost cliffs and non-monotone scans break BCG and PCM, not
-    the bounded search's contract: the differential still holds."""
+    the bounded search's contract or Recost's: both differentials still
+    hold."""
     db = get_database(template.database, scale=0.2, seed=5)
     optimizer = QueryOptimizer(template, db.stats, db.estimator, model())
     reference = ReferenceSearch(
@@ -264,6 +271,10 @@ def test_bounded_search_matches_reference_under_test_cost_models(template, model
         _assert_memo_matches(plan, memo, ref_plan, ref_memo, sv)
         searched.append((sv, optimizer.optimize(sv), ref_plan, ref_memo))
     _assert_bounded_matches(optimizer, searched, random.Random(len(template.name)))
+    _assert_recost_matches_walk(
+        optimizer.cost_model, (result.shrunken_memo for _, result, _, _ in searched),
+        template.dimensions,
+    )
 
 
 def test_bounded_search_keeps_a_nested_loops_inner_dearer_than_the_plan():

@@ -78,8 +78,9 @@ ONE_CACHE_VIEW = (
     "store"
 )
 ONE_RECOST = (
-    "One Recost: a prebound program per plan; no operator_cost dispatch, "
-    "no interpreted walk, no codegen in the optimizer"
+    "One Recost: one compiled function per (plan, cost model); no "
+    "operator_cost dispatch, no interpreted walk, no program interpreter, "
+    "and exec( only in recost.py's _compile (compile( nowhere)"
 )
 ONE_SERVING_PATH = (
     "One serving path: a request is a group of one; one serving loop, one "
@@ -177,7 +178,20 @@ GUARDS: tuple[Guard, ...] = (
     ),
     Guard(r"memory_bytes|SnapshotStore.serialize", ("src/",), ONE_CACHE_VIEW),
     Guard(r"operator_cost|recost_walk", ("src/",), ONE_RECOST),
-    Guard(r"\b(exec|compile)\(", ("src/repro/optimizer/",), ONE_RECOST),
+    Guard(r"def (_run|_bind)\(", ("src/repro/optimizer/",), ONE_RECOST),
+    # The builtins, not a method such as re.compile(.
+    Guard(r"(?<![\w.])compile\(", ("src/",), ONE_RECOST),
+    Guard(
+        r"(?<![\w.])exec\(", ("src/", "!src/repro/optimizer/recost.py"),
+        ONE_RECOST,
+    ),
+    # In recost.py: a second exec(, or one before or after _compile.
+    Guard(
+        r"(?<![\w.])exec\((?s:.*)(?<![\w.])exec\("
+        r"|(?<![\w.])exec\((?=(?s:.*)^def _compile\()"
+        r"|^def _compile\((?:(?!^\S)(?s:.))*^\S(?s:.)*(?<![\w.])exec\(",
+        ("src/repro/optimizer/recost.py",), ONE_RECOST, whole_file=True,
+    ),
     Guard(
         r"_process_inner|_choice_attrs|_process_batch_fast|_run_batch"
         r'|"serving\.process"',
