@@ -114,7 +114,8 @@ class _Buffers:
                 name: np.concatenate((a, np.empty_like(a)), axis=-1)
                 for name, a in arrays.items()
             }
-            self.cells = _cells(arrays)
+            # In place: a view holds this dict (ColumnarInstances.cells).
+            self.cells.update(_cells(arrays))
         for name, value in row.items():
             arrays[name][..., n] = value
         self.n = n + 1
@@ -213,12 +214,6 @@ class ColumnStore:
             cells["hits_selectivity"][row] += 1
         cells["last_hit_tick"][row] = tick
 
-    @property
-    def retired_flags(self) -> memoryview:
-        """The live ``retired`` column, for the cost check's reads of
-        single rows: a ``memoryview`` item is a plain ``bool``."""
-        return self._rows.cells["retired"]
-
     def retire(self, row: int) -> bool:
         """Retire ``row`` (Appendix G); False if it already was."""
         retired = self._rows.cells["retired"]
@@ -296,14 +291,14 @@ class ColumnarInstances:
 
     @cached_property
     def cells(self) -> dict[str, memoryview]:
-        """The write-once ``(N,)`` columns a decision reads single rows
-        of, as ``memoryview`` s: an item is a plain Python scalar, read
-        in a third of a numpy scalar's time or less."""
-        return {
-            "sub": memoryview(self.sub), "cost": memoryview(self.cost),
-            "plan_ids": memoryview(self.plan_ids),
-            "slot": memoryview(self.plan_slots[1]),
-        }
+        """Every ``(N,)`` column by name (``slot`` is ``plan_slots[1]``)
+        as a ``memoryview`` of the store's buffer: the one path for
+        reading or writing a single row, whose item is a plain Python
+        scalar, read in a third of a numpy scalar's time or less.
+        Whole-column arithmetic uses the arrays.  The dict is the
+        store's own, which a doubling updates in place, so the mutable
+        columns read live; rows past ``N`` are not the view's."""
+        return self.store._rows.cells
 
     @cached_property
     def sv_sq(self) -> "np.ndarray":

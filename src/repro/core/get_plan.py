@@ -100,13 +100,18 @@ class CandidateOrder(Enum):
     USAGE = "usage"
 
 
-# The members the per-request path names, read as module globals: a
-# member read through its enum class costs about ten global reads on
-# CPython 3.11.
+# The members a request tests, as module globals, read by this module,
+# ``scr`` and the serving shard in every method (only defaults name the
+# class).  A read through the class costs about 0.15 µs on CPython 3.11
+# against 0.02 for a global, and ``PlanChoice.check`` takes the member's
+# ``_value_``, not the 0.2 µs ``value`` property: about 0.7 µs of a cost
+# hit in process, and about 4 points of ``scr_hit``'s hit p50 end to end
+# (EXPERIMENTS.md, compiled Recost section).
 _SELECTIVITY, _COST, _OPTIMIZER = (
     CheckKind.SELECTIVITY, CheckKind.COST, CheckKind.OPTIMIZER
 )
-_POINT, _GL = CheckMode.POINT, CandidateOrder.GL
+_POINT, _PROBABILISTIC = CheckMode.POINT, CheckMode.PROBABILISTIC
+_GL, _AREA, _USAGE = CandidateOrder.GL, CandidateOrder.AREA, CandidateOrder.USAGE
 
 
 @dataclass
@@ -158,8 +163,9 @@ class GetPlanDecision:
         if self.cost_trail is None:
             return ()
         g, l, rows = self.cost_trail
+        cost_col = self.view.cells["cost"]
         return tuple(
-            (row, cost / float(self.view.cost[row]), float(g[row]), float(l[row]))
+            (row, cost / cost_col[row], float(g[row]), float(l[row]))
             for row, cost in zip(rows, self.recost_memo.values())
         )
 
@@ -274,7 +280,7 @@ class GetPlan:
             box = sv
         else:
             box = UncertainSelectivityVector.exact(sv)
-        if self.check_mode is CheckMode.PROBABILISTIC:
+        if self.check_mode is _PROBABILISTIC:
             box = box.for_coverage(self.target_coverage)
         if coverage is not None and coverage < box.coverage:
             box = box.for_coverage(coverage)
@@ -547,7 +553,7 @@ class GetPlan:
             return None, None  # selectivity-only probe: nothing to order
         if self.candidate_order is _GL:
             return None, glc
-        if self.candidate_order is CandidateOrder.AREA:
+        if self.candidate_order is _AREA:
             return None, -view.area
         # USAGE mutates without epoch bumps; the per-row rank is memoized
         # against the cache's usage_version instead.  Ranks are unique,
@@ -617,7 +623,8 @@ class GetPlan:
         through the view's store, and masks the key only once a retired
         row turns up as a head.
         """
-        retired = view.store.retired_flags
+        cells = view.cells
+        retired = cells["retired"]
         decision = self._miss(box, view=view, cost_trail=(g, l, []))
         head = int(key.argmin())
         masked = retired[head]
@@ -637,7 +644,7 @@ class GetPlan:
 
         # Step 1: the head row's plan, on that plan's group alone.
         plans, slot = view.plan_slots
-        first = view.cells["slot"][head]
+        first = cells["slot"][head]
         cost = self._recost_row(decision, recost, point, head)
         if cost < np.inf:
             rows, cost_p, sub_p = view.plan_groups[first]

@@ -122,9 +122,9 @@ class ManageCache:
 
         if self.coalesce_identical:
             row = self.cache.find_instance(sv)
-            view = self.cache.columnar()
-            if row is not None and not view.retired[row]:
-                view.usage[row] += 1  # in place, through the store
+            cells = self.cache.columnar().cells
+            if row is not None and not cells["retired"][row]:
+                cells["usage"][row] += 1  # in place, through the store
                 self.cache.usage_version += 1
                 self.stats.instances_coalesced += 1
                 return self.cache.instance(row)

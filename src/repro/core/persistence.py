@@ -51,11 +51,31 @@ def _node_to_dict(node: _RecostNode) -> dict:
     return data
 
 
-def _node_from_dict(data: dict) -> _RecostNode:
+#: Operators with two inputs; a scan has none and every other one.
+_BINARY = (PhysicalOp.HASH_JOIN, PhysicalOp.MERGE_JOIN, PhysicalOp.NESTED_LOOPS_JOIN)
+
+
+def _node_from_dict(data: dict, position: int) -> _RecostNode:
+    """Node ``position`` of a dumped plan.  Its indices become source
+    text of the compiled Recost function, so each must be a JSON
+    integer: a child an earlier node exactly where the operator has an
+    input (else ``-1``), a parameter index non-negative."""
     values = {f.name: data[f.name] for f in fields(_RecostNode)}
-    values["op"] = PhysicalOp(values["op"])
-    values["param_indices"] = tuple(values["param_indices"])
-    values["inner_param_indices"] = tuple(values["inner_param_indices"])
+    try:
+        op = values["op"] = PhysicalOp(values["op"])
+    except ValueError as exc:
+        raise CacheCorruptionError(f"plan node {position}: {exc}") from exc
+    inputs = 0 if op.is_scan else 2 if op in _BINARY else 1
+    children = (values["child_a"], values["child_b"])
+    params = values["param_indices"] = tuple(values["param_indices"])
+    inner = values["inner_param_indices"] = tuple(values["inner_param_indices"])
+    if (
+        any(type(i) is not int for i in (*children, *params, *inner))
+        or children[inputs:] != (-1,) * (2 - inputs)
+        or not all(0 <= c < position for c in children[:inputs])
+        or min(params + inner, default=0) < 0
+    ):
+        raise CacheCorruptionError(f"plan node {position}: bad index in {data!r}")
     return _RecostNode(**values)
 
 
@@ -155,7 +175,9 @@ def _cache_from_payload(data: dict) -> PlanCache:
         shrunken = ShrunkenMemo(
             template_name=plan_data["template_name"],
             signature=plan_data["signature"],
-            nodes=tuple(_node_from_dict(n) for n in plan_data["nodes"]),
+            nodes=tuple(
+                _node_from_dict(n, i) for i, n in enumerate(plan_data["nodes"])
+            ),
             full_memo_groups=plan_data["full_memo_groups"],
             full_memo_expressions=plan_data["full_memo_expressions"],
         )

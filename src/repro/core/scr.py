@@ -41,8 +41,9 @@ from ..query.instance import (
 from .bounds import BoundingFunction, LINEAR_BOUND, adversarial_corner, compute_gl
 from .columnar import log_l1_distances, np
 from .get_plan import (
+    _COST,
+    _POINT,
     CandidateOrder,
-    CheckKind,
     CheckMode,
     GetPlan,
     GetPlanDecision,
@@ -52,9 +53,6 @@ from .manage_cache import EvictionPolicy, ManageCache
 from .plan_cache import PlanCache
 from .technique import OnlinePQOTechnique, PlanChoice, fetch_selectivity
 from .violations import ViolationDetector
-
-# Module globals for the per-request path (see get_plan's).
-_COST, _POINT = CheckKind.COST, CheckMode.POINT
 
 
 class SCR(OnlinePQOTechnique):
@@ -405,7 +403,7 @@ class SCR(OnlinePQOTechnique):
         the adversarial corner against ``p`` itself.
         """
         if (
-            self.check_mode is CheckMode.POINT
+            self.check_mode is _POINT
             or not isinstance(sv, UncertainSelectivityVector)
         ):
             return suboptimality, "exact", 1.0
@@ -443,7 +441,7 @@ class SCR(OnlinePQOTechnique):
         distances = log_l1_distances(
             view.log_sv, np.array(as_point(sv).values, dtype=np.float64)
         )
-        plan = self.cache.plan(int(view.plan_ids[int(np.argmin(distances))]))
+        plan = self.cache.plan(view.cells["plan_ids"][int(np.argmin(distances))])
         if denied is None:
             self.engine.counters.resilience.optimize_fallbacks += 1
             instruments = getattr(base_engine(self.engine), "instruments", None)

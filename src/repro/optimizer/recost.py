@@ -26,6 +26,7 @@ index-nested-loops chains the two can differ in the last bits
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from ..query.instance import SelectivityVector
@@ -71,6 +72,12 @@ _METHODS = {
 }
 
 
+def _index(value) -> int:
+    """``value`` as a plain ``int``, or ``TypeError``: ``operator.index``
+    alone passes a ``bool`` or an ``IntEnum``, whose text is not digits."""
+    return int(operator.index(value))
+
+
 def _compile(nodes: tuple[_RecostNode, ...], cost_model: CostModel):
     """``nodes`` under ``cost_model`` as one straight-line function of
     the sVector's values tuple, returning the root's cost.
@@ -79,13 +86,14 @@ def _compile(nodes: tuple[_RecostNode, ...], cost_model: CostModel):
     (cumulative cost) in the interpreted walk's operand order and
     association (``tests/reference_recost.py``), so the result is
     bit-identical to it.  The source holds identifiers and integer
-    indices only: every float constant (``k{i}``, ``x{i}``, ``y{i}``)
-    and every *bound* method of ``cost_model`` (``m{i}``, so a
-    subclassed model prices Recost too, and is called, never inlined)
-    enters through the namespace.  ``k{i}`` is a scan's
-    ``base_rows * fixed_selectivity`` (an index-nested-loops join's
-    inner one) or a join's selectivity, and the sVector indices that
-    multiply into it are the only ones read.  ``if c < MIN: c = MIN`` is
+    indices only, each index forced through :func:`_index` so a corrupt
+    node fails here instead of reaching ``exec``: every float constant
+    (``k{i}``, ``x{i}``, ``y{i}``) and every *bound* method of
+    ``cost_model`` (``m{i}``, so a subclassed model prices Recost too,
+    and is called, never inlined) enters through the namespace.
+    ``k{i}`` is a scan's ``base_rows * fixed_selectivity`` (an
+    index-nested-loops join's inner one) or a join's selectivity, and
+    the sVector indices that multiply into it are the only ones read.  ``if c < MIN: c = MIN`` is
     ``max(c, _MIN_CARD)`` without the builtin call: both keep ``c``
     unless ``_MIN_CARD > c``.
     """
@@ -97,10 +105,10 @@ def _compile(nodes: tuple[_RecostNode, ...], cost_model: CostModel):
         lines.append(f" if c{i} < MIN: c{i} = MIN")
 
     def scaled(i: int, params: tuple[int, ...]) -> str:
-        return " * ".join([f"k{i}"] + [f"v[{p}]" for p in params])
+        return " * ".join([f"k{i}"] + [f"v[{_index(p)}]" for p in params])
 
     for i, node in enumerate(nodes):
-        op, a, b = node.op, node.child_a, node.child_b
+        op, a, b = node.op, _index(node.child_a), _index(node.child_b)
         namespace[f"m{i}"] = getattr(cost_model, _METHODS[op])
         if op.is_scan:
             namespace[f"k{i}"] = node.base_rows * node.fixed_selectivity

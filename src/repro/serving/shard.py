@@ -50,7 +50,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
-from ..core.get_plan import CandidateOrder, CheckKind, CheckMode
+from ..core.get_plan import _COST, _POINT, _USAGE
 from ..core.scr import SCR
 from ..core.technique import PlanChoice, fetch_selectivity
 from ..engine.resilience import OptimizeUnavailableError
@@ -112,7 +112,7 @@ class TemplateShard:
         self.quarantined = False
         # Robust/probabilistic shards probe with an uncertainty box; the
         # flag gates the usv fetch path and the brownout coverage step.
-        self.robust = scr.check_mode is not CheckMode.POINT
+        self.robust = scr.check_mode is not _POINT
         self.lock = threading.RLock()
         # One write path for the shard's accounting: the handle's
         # registry, or a private one when the manager has no handle.
@@ -406,7 +406,7 @@ class TemplateShard:
         exactly when one of them does."""
         scr = self.scr
         state = scr.cache.epoch + scr.detector.anchors_retired
-        if scr.get_plan.candidate_order is CandidateOrder.USAGE:
+        if scr.get_plan.candidate_order is _USAGE:
             state += scr.cache.usage_version
         return state
 
@@ -547,7 +547,7 @@ class TemplateShard:
         view = decision.view
         if not self.scr.cache.holds(view):
             return False
-        return not (decision.check is CheckKind.COST and view.retired[decision.row])
+        return not (decision.check is _COST and view.cells["retired"][decision.row])
 
     # -- miss path with single-flight -----------------------------------------
 

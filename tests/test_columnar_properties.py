@@ -562,12 +562,13 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed, capacity):
         # The instance list as a plain list of records, each field
         # written by this test alone: what the cache must hold.
         model: list[InstanceEntry] = []
-        # Every view ever handed out, copied when it was taken: nothing
-        # any later op does may change its write-once columns.
-        held: list[tuple[ColumnarInstances, tuple]] = []
+        # Every view ever handed out, copied when it was taken, with
+        # its ``cells`` taken then too: nothing any later op does may
+        # change its write-once columns.
+        held: list[tuple[ColumnarInstances, tuple, dict]] = []
         for op, arg in ops:
             before = cache.columnar()
-            held.append((before, _frozen(before)))
+            held.append((before, _frozen(before), before.cells))
             if op == "add_plan":
                 new_plan(cache)
             elif op == "adopt":
@@ -636,14 +637,20 @@ def test_columnar_view_tracks_cache_through_op_sequences(ops, seed, capacity):
                 ], name
             assert list(cache.instances()) == model
             _assert_view_is_a_replay(cache)
-        for view, frozen in held:
+        for view, frozen, cells in held:
             _assert_unchanged(view, frozen)
+            # Single rows read through ``cells`` what the arrays hold,
+            # across every doubling since the view was taken.
+            n = len(view)
+            for name in ("sub", "cost", "plan_ids", "slot"):
+                column = view.plan_slots[1] if name == "slot" else getattr(view, name)
+                assert cells[name][:n].tolist() == column.tolist(), name
             if cache.holds(view):
                 # Appends only since: the mutable columns read live.
                 for name in MUTABLE_COLUMNS:
-                    assert getattr(view, name).tolist() == [
-                        getattr(e, name) for e in model[:len(view)]
-                    ], name
+                    expected = [getattr(e, name) for e in model[:n]]
+                    assert getattr(view, name).tolist() == expected, name
+                    assert cells[name][:n].tolist() == expected, name
 
 
 def test_columnar_view_identity_is_stable_between_mutations():

@@ -6,6 +6,7 @@ surfaces as :class:`CacheCorruptionError` — and a crash mid-save must
 leave the previous snapshot intact (temp file + ``os.replace``).
 """
 
+import hashlib
 import json
 import os
 
@@ -96,6 +97,71 @@ class TestCorruptionDetection:
     def test_unsupported_version_stays_value_error(self):
         with pytest.raises(ValueError, match="version"):
             load_cache('{"version": 99}')
+
+
+#: An expression a tampered dump may put where an index belongs: if it
+#: reached the compiled Recost function's source, calling the function
+#: would raise this RuntimeError.
+_INJECTED = "(_ for _ in ()).throw(RuntimeError('injected'))"
+
+
+def _resealed(doc: dict) -> str:
+    """``doc`` with a recomputed checksum: an unkeyed hash is no defence
+    against a deliberate edit."""
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps(doc)
+
+
+class TestNodeIndexValidation:
+    """A dumped node's indices become source text of the compiled
+    Recost function, so a tampered or corrupt one is rejected at load,
+    before any plan is compiled."""
+
+    @staticmethod
+    def _node(doc: dict, field: str) -> dict:
+        for plan in doc["payload"]["plans"]:
+            for node in plan["nodes"]:
+                if node[field] not in (-1, []):
+                    return node
+        raise AssertionError(f"no dumped node has a {field}")
+
+    @pytest.mark.parametrize("field, value", [
+        ("child_a", f"0 or {_INJECTED}"),
+        ("child_a", 0.0),
+        ("child_a", True),
+        ("child_a", -1),       # a join without its outer input
+        ("child_a", 10 ** 6),  # a later node, not an earlier one
+        ("param_indices", [_INJECTED]),
+        ("param_indices", [1.0]),
+        ("param_indices", [-1]),
+        ("op", "Exec"),
+    ])
+    def test_rejected_at_load(self, populated_cache, tmp_path, field, value):
+        doc = json.loads(dump_cache(populated_cache))
+        self._node(doc, "param_indices" if field == "op" else field)[field] = value
+        text = _resealed(doc)
+        with pytest.raises(CacheCorruptionError, match="plan node"):
+            load_cache(text)
+        # The warm-start path degrades to a cold start.
+        path = tmp_path / "cache.json"
+        path.write_text(text)
+        assert CacheFile(str(path)).load_or_none() is None
+        # So does the legacy format, which has no checksum at all.
+        legacy = dict(json.loads(text)["payload"], version=1)
+        with pytest.raises(CacheCorruptionError, match="plan node"):
+            load_cache(json.dumps(legacy))
+
+    def test_compiler_formats_integers_only(self, populated_cache, toy_db):
+        from dataclasses import replace
+
+        memo = next(iter(populated_cache.plans())).shrunken_memo
+        sv = next(iter(populated_cache.instances())).sv
+        for bad in (f"0 or {_INJECTED}", 1.0):
+            node = replace(memo.nodes[0], param_indices=(bad,))
+            tampered = replace(memo, nodes=(node,) + memo.nodes[1:])
+            with pytest.raises(TypeError):
+                tampered.recost(sv, toy_db.cost_model)
 
 
 class TestSnapshotFileSafety:
