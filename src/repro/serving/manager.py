@@ -9,10 +9,10 @@ instance count and quarantine flag.  :meth:`~ConcurrentPQOManager.process`
 serves an instance on the calling thread (the serial path); ``submit``
 and ``process_many`` dispatch **groups** onto a thread pool, which
 starts its threads only on first use.  A group is the unit of serving
-and telemetry (one trace context); a batch is one group per template,
-or one group per instance under admission control, and ``submit`` is a
-group of one.  A dispatch is one **lane**: at most ``max_workers`` pool
-tasks that take its groups in order from one shared cursor.
+and telemetry (one trace context); a batch is one group per template
+and ``submit`` is a group of one.  A dispatch is one **lane**: at most
+``max_workers`` pool tasks that take its groups in order from one
+shared cursor.
 
 Independent templates never contend — each shard has its own lock, its
 own SCR state and its own single-flight table.  Global concerns are
@@ -38,6 +38,8 @@ overload protection (DESIGN.md §9): bounded per-template ingress queues
 with rejection-as-last-resort, end-to-end deadline budgets propagated
 into engine calls, an optimizer gate, and the brownout controller whose
 λ-relaxation hook is installed on every registered template's getPlan.
+Admission is per row (one queue slot each); a template's admitted rows
+are still one group, and its refused rows one overflow group.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 from ..core.dynamic_lambda import PressureRelaxedLambda
@@ -258,7 +259,9 @@ class ConcurrentPQOManager:
             except BaseException as exc:  # noqa: BLE001 - returned per row
                 outcomes = [exc]
         else:
-            outcomes = shard.process_batch(instances)
+            outcomes = shard.process_batch(
+                instances, deadline=deadline, overflow_reason=overflow_reason
+            )
         for outcome in outcomes:
             if not isinstance(outcome, BaseException):
                 self._note_processed(shard)
@@ -292,7 +295,7 @@ class ConcurrentPQOManager:
         one uniform interface.
         """
         fut: "Future[PlanChoice]" = Future()
-        lane = self._enqueue([(self._shard_for(instance), [instance])])
+        lane = self._enqueue([(self._shard_for(instance), [(0, instance)])], 1)
         resolve = partial(_resolve_row, fut, lane)
         if lane.tasks:
             lane.tasks[0].add_done_callback(resolve)
@@ -301,30 +304,38 @@ class ConcurrentPQOManager:
         return fut
 
     def _enqueue(
-        self, units: list[tuple[TemplateShard, list[QueryInstance]]]
+        self,
+        units: list[tuple[TemplateShard, list[tuple[int, QueryInstance]]]],
+        n: int,
     ) -> "_Lane":
-        """The one dispatch: serve ``units`` (``(shard, instances)``
-        groups, each with its own trace context) from one lane of
-        ``min(len(units), max_workers)`` pool tasks that take them in
-        order from a shared cursor.  Under overload protection a unit is
-        one instance with its own deadline and queue slot; a unit
-        refused a slot is served here, in the calling thread."""
-        lane = _Lane(len(units))
+        """The one dispatch: serve ``units`` (``(shard, items)`` groups,
+        each with its own trace context; an item is ``(row, instance)``,
+        ``row`` its index among the lane's ``n`` outcomes) from one lane
+        of ``min(len(units), max_workers)`` pool tasks that take them in
+        order from a shared cursor.
+
+        Under overload protection each row claims one slot of its
+        template's bounded queue, and a unit's deadline is minted here,
+        so queue wait drains it.  A unit's rows refused a slot are
+        served here, in the calling thread, as one overflow group."""
+        lane = _Lane(n)
         ov = self._overload_coordinator
-        for slot, (shard, instances) in enumerate(units):
-            ctx = self._mint_ctx()
+        for shard, items in units:
             deadline = None
             if ov is not None:
-                # Minted at enqueue, so queue wait drains the budget.
                 deadline = ov.new_deadline()
-                if not ov.try_enter_queue(shard.stats):
+                admitted = [ov.try_enter_queue(shard.stats) for _ in items]
+                if not all(admitted):
+                    refused = [it for it, ok in zip(items, admitted) if not ok]
+                    items = [it for it, ok in zip(items, admitted) if ok]
+                    ctx = self._mint_ctx()
                     with activate(ctx) if ctx is not None else nullcontext():
-                        lane.outcomes[slot] = self._serve_on(
-                            shard, instances, deadline,
+                        lane.fill(refused, self._serve_on(
+                            shard, [q for _, q in refused], deadline,
                             overflow_reason="queue_full",
-                        )
-                    continue
-            lane.pending.append((slot, shard, instances, deadline, ctx))
+                        ))
+            if items:
+                lane.pending.append((shard, items, deadline, self._mint_ctx()))
         if self.obs is not None:
             lane.submitted_at = self.obs.clock.perf_counter()
         for _ in range(min(len(lane.pending), self.max_workers)):
@@ -340,20 +351,22 @@ class ConcurrentPQOManager:
                 # Units no started task serves resolve to ShutdownError.
                 task.set_result(None)
                 if len(lane.tasks) == 1 and ov is not None:
-                    for unit in lane.pending:
-                        ov.exit_queue(unit[1].stats)
+                    for shard, items, _, _ in lane.pending:
+                        for _ in items:
+                            ov.exit_queue(shard.stats)
                 break
         return lane
 
     def _run(self, lane: "_Lane", task: Future) -> None:
         """The one pool task: serve the lane's next unstarted unit until
         none is left, then resolve ``task``.  A unit that raises fails
-        its own rows only; after ``close(wait=False)`` no unit starts."""
+        its own rows only; after ``close(wait=False)`` no unit starts.
+        A unit's queue slots, one per row, are released at its end."""
         ov = self._overload_coordinator
         try:
             while True:
                 try:
-                    slot, shard, instances, deadline, ctx = lane.pending.popleft()
+                    shard, items, deadline, ctx = lane.pending.popleft()
                 except IndexError:
                     return
                 try:
@@ -369,14 +382,15 @@ class ConcurrentPQOManager:
                                 now - lane.submitted_at,
                                 template=shard.template.name,
                             )
-                        lane.outcomes[slot] = self._serve_on(
-                            shard, instances, deadline
-                        )
+                        lane.fill(items, self._serve_on(
+                            shard, [q for _, q in items], deadline
+                        ))
                 except BaseException as exc:  # noqa: BLE001 - fails this unit
-                    lane.outcomes[slot] = [exc] * len(instances)
+                    lane.fill(items, [exc] * len(items))
                 finally:
                     if ov is not None:
-                        ov.exit_queue(shard.stats)
+                        for _ in items:
+                            ov.exit_queue(shard.stats)
         finally:
             with suppress(InvalidStateError):
                 task.set_result(None)
@@ -393,15 +407,12 @@ class ConcurrentPQOManager:
         Waits on the lane's pool tasks, at most ``max_workers``; the
         first failing row, in input order, raises its exception.
         """
-        results: list = [None] * len(instances)
-        batches, lane, duplicate_of = self._dispatch(instances, dedupe)
+        lane, duplicate_of = self._dispatch(instances, dedupe)
         for task in lane.tasks:
             task.exception()  # waits; the rows' outcomes are in the lane
-        for slot, items in enumerate(batches):
-            for (i, _), outcome in zip(items, lane.rows(slot, len(items))):
-                results[i] = outcome
         for i, first in duplicate_of.items():
-            results[i] = results[first]
+            lane.outcomes[i] = lane.outcomes[first]
+        results = lane.rows()
         for outcome in results:
             if isinstance(outcome, BaseException):
                 raise outcome
@@ -409,19 +420,16 @@ class ConcurrentPQOManager:
 
     def _dispatch(
         self, instances: Sequence[QueryInstance], dedupe: bool
-    ) -> tuple[list, "_Lane", dict[int, int]]:
+    ) -> tuple["_Lane", dict[int, int]]:
         """Coalesce a batch by template, dedupe it, and dispatch it.
 
-        Returns ``(batches, lane, duplicate_of)``: each unit's
-        ``(index, instance)`` items, in the order of the lane's units
-        (:meth:`_enqueue`), and each duplicate's first occurrence.
+        Returns ``(lane, duplicate_of)``: the lane (:meth:`_enqueue`),
+        whose outcomes are in input order, and each duplicate's first
+        occurrence, whose outcome it shares.
 
-        Without overload protection, each template's unique instances
-        are **one** unit, probed against the cache in a single
-        broadcast pass.  Under admission control (per-instance
-        decisions) every instance is a unit of one, ordered round-robin
-        across templates so independent shards fill the pool instead of
-        convoying on one shard's lock.
+        Each template's unique instances are **one** unit, probed
+        against the cache in a single broadcast pass; units are in
+        template-name order.
         """
         per_template: dict[str, list[tuple[int, QueryInstance]]] = {}
         first_seen: dict[tuple, int] = {}
@@ -441,17 +449,11 @@ class ConcurrentPQOManager:
             per_template.setdefault(instance.template_name, []).append(
                 (i, instance)
             )
-        batches = [items for _, items in sorted(per_template.items())]
-        if self._overload_coordinator is not None:
-            batches = [
-                [item] for rank in zip_longest(*batches)
-                for item in rank if item is not None
-            ]
         units = [
-            (self._shard_for(items[0][1]), [q for _, q in items])
-            for items in batches
+            (self._shard_for(items[0][1]), items)
+            for _, items in sorted(per_template.items())
         ]
-        return batches, self._enqueue(units), duplicate_of
+        return self._enqueue(units, len(instances)), duplicate_of
 
     @staticmethod
     def _dedupe_key(instance: QueryInstance) -> tuple:
@@ -713,7 +715,8 @@ class _Lane:
     """One dispatch's units, served by its pool tasks (``tasks``, one
     future each, resolved once the task finds no unit left) in input
     order from one shared cursor: ``pending``, whose ``popleft`` is
-    atomic, so each unit is taken exactly once."""
+    atomic, so each unit is taken exactly once.  ``outcomes`` holds one
+    outcome per row, None until the row is served."""
 
     __slots__ = ("pending", "outcomes", "tasks", "submitted_at")
 
@@ -723,20 +726,25 @@ class _Lane:
         self.tasks: list[Future] = []
         self.submitted_at = 0.0
 
-    def rows(self, slot: int, n: int) -> list:
-        """Unit ``slot``'s per-row outcomes; ``ShutdownError`` rows when
-        ``close(wait=False)`` came before it was served."""
-        outcomes = self.outcomes[slot]
-        if outcomes is None:
-            return [ShutdownError(
+    def fill(self, items: list, outcomes: list) -> None:
+        """Store each ``(row, instance)`` item's outcome at its row."""
+        for (row, _), outcome in zip(items, outcomes):
+            self.outcomes[row] = outcome
+
+    def rows(self) -> list:
+        """The per-row outcomes; ``ShutdownError`` for a row that
+        ``close(wait=False)`` came before."""
+        return [
+            ShutdownError(
                 "manager closed before this queued submission was served"
-            )] * n
-        return outcomes
+            ) if outcome is None else outcome
+            for outcome in self.outcomes
+        ]
 
 
 def _resolve_row(row: Future, lane: _Lane, _task: Optional[Future]) -> None:
     """Resolve a submission's future from its lane of one unit."""
-    (outcome,) = lane.rows(0, 1)
+    (outcome,) = lane.rows()
     with suppress(InvalidStateError):
         if isinstance(outcome, BaseException):
             row.set_exception(outcome)

@@ -29,13 +29,13 @@ its rows would:
   probes its row again once the leader is done.  Only ``manageCache``
   mutations (register / evict / retire) hold the write lock.
 
-Overload protection (DESIGN.md §9) is a scope around a group, and under
-an :class:`OverloadCoordinator` every group is one row: the row's
-end-to-end :class:`Deadline`, its selectivity-only and brownout-coverage
-probes, the optimizer-gate admission of its miss, and the degraded path
-for denied work — the nearest cached plan served ``certified=False``
-with a reason code, or a :class:`ShedError` when the cache is empty.
-Without a coordinator no row is denied.
+Overload protection (DESIGN.md §9) is a scope around a group — its
+end-to-end :class:`Deadline` — read per row: whether the row's budget
+already expired, its selectivity-only and brownout-coverage probes, the
+optimizer-gate admission of its miss, and the degraded path for denied
+work — the nearest cached plan served ``certified=False`` with a reason
+code, or a :class:`ShedError` when the cache is empty.  Each row counts
+as one completion.  Without a coordinator no row is denied.
 
 A group is one unit of telemetry whatever its size: one
 :class:`~repro.obs.group.GroupRecord` fed to the registry at its end
@@ -162,21 +162,20 @@ class TemplateShard:
         return outcome
 
     def process_batch(
-        self, instances: Sequence[QueryInstance]
+        self,
+        instances: Sequence[QueryInstance],
+        deadline: Optional[Deadline] = None,
+        overflow_reason: Optional[str] = None,
     ) -> list["PlanChoice | BaseException"]:
         """Serve a group of instances in input order.
 
         Decision-identical to a :meth:`process` loop over the rows.
         Failures are isolated per item: the returned list holds, in
         input order, a :class:`PlanChoice` or the exception that
-        instance raised.  Under an overload coordinator admission is
-        per submission, so a group is one row.
+        instance raised.  ``deadline`` and ``overflow_reason`` are
+        :meth:`process`'s, shared by every row of the group.
         """
-        if self._overload is not None and len(instances) > 1:
-            raise ValueError(
-                "under an overload coordinator every group is one row"
-            )
-        return self._serve_group(instances)
+        return self._serve_group(instances, deadline, overflow_reason)
 
     # -- the serving loop -----------------------------------------------------
 
@@ -188,7 +187,9 @@ class TemplateShard:
     ) -> list["PlanChoice | BaseException"]:
         """Serve a group and feed its :class:`GroupRecord` to the
         registry once, at its end (:func:`feed_group`); with spans on,
-        record the group as one unit.
+        record the group as one unit.  The rows are served inside the
+        group's admission scope: its deadline (the coordinator's default
+        when None) and the engine's per-call budget.
 
         The group's span *is* the ambient trace context — the manager
         mints one per dispatched group, so queue wait and pool hand-off
@@ -201,6 +202,17 @@ class TemplateShard:
         if not instances:
             return []
         start = self.clock.perf_counter()
+        # Sequence numbers for span attribution are allocated atomically
+        # here and passed explicitly: reading the SCR's lock-protected
+        # counter lock-free would hand the same index to concurrent
+        # threads.
+        with self._seq_lock:
+            first = self._next_seq
+            self._next_seq += len(instances)
+        seqs = list(range(first, first + len(instances)))
+        ov = self._overload
+        if deadline is None and ov is not None:
+            deadline = ov.new_deadline()
         obs = self._obs
         spans = obs.spans if obs is not None and obs.spans.enabled else None
         instruments = self.scr.instruments
@@ -220,9 +232,11 @@ class TemplateShard:
             # tips is an event of that row.
             with nullcontext() if fresh is None else activate(fresh):
                 try:
-                    results, seqs, brownout = self._admit_group(
-                        instances, start, deadline, overflow_reason, record
-                    )
+                    with self._engine_budget(deadline):
+                        results = self._serve_rows(
+                            instances, seqs, start, deadline,
+                            overflow_reason, record,
+                        )
                 finally:
                     feed_group(record, instruments, self.stats)
                 if spans is not None:
@@ -230,56 +244,15 @@ class TemplateShard:
                         "serving.batch", start,
                         self.clock.perf_counter() - start,
                         span_id=ctx.span_id, template=self.template.name,
-                        **self._group_columns(seqs, results, brownout),
+                        **self._group_columns(
+                            seqs, results, None if ov is None else int(ov.level)
+                        ),
                         **record.engine_attrs(),
                     )
         finally:
             if token is not None:
                 GROUP_RECORD.reset(token)
         return results
-
-    def _admit_group(
-        self,
-        instances: Sequence[QueryInstance],
-        start: float,
-        deadline: Optional[Deadline],
-        overflow_reason: Optional[str],
-        record: GroupRecord,
-    ) -> tuple[list, list[int], Optional[list[int]]]:
-        """The group inside its admission scope: the deadline (the
-        coordinator's default when None), the engine's per-call budget,
-        then deadline-miss and completion accounting.  Returns the rows'
-        outcomes (a :class:`PlanChoice` or the exception that row
-        raised), their sequence ids, and the brownout level after the
-        group (None without a coordinator)."""
-        # Sequence numbers for span attribution are allocated atomically
-        # here and passed explicitly: reading the SCR's lock-protected
-        # counter lock-free would hand the same index to concurrent
-        # threads.
-        with self._seq_lock:
-            first = self._next_seq
-            self._next_seq += len(instances)
-        seqs = list(range(first, first + len(instances)))
-        ov = self._overload
-        if deadline is None and ov is not None:
-            deadline = ov.new_deadline()
-        results: list = []
-        try:
-            with self._engine_budget(deadline):
-                results = self._serve_rows(
-                    instances, seqs, start, deadline, overflow_reason, record
-                )
-        finally:
-            missed = deadline is not None and deadline.expired(self._now())
-            if missed:
-                self.stats.note_deadline_miss()
-            if ov is not None:
-                ov.note_completed(
-                    missed,
-                    shed=any(isinstance(r, ShedError) for r in results),
-                )
-        brownout = None if ov is None else [int(ov.level)] * len(results)
-        return results, seqs, brownout
 
     def _serve_rows(
         self,
@@ -294,16 +267,15 @@ class TemplateShard:
         :meth:`~repro.core.get_plan.GetPlan.probe_rows`.
 
         The rows' sVectors are fetched first (a failed fetch fails its
-        row only), then the group's admission is read once: an expired
-        deadline skips the probe and resolves through the degraded path;
-        an overflow, brownout SHED or a budget too small to fund engine
-        work probes selectivity-only (its recosts must not count as
-        engine faults); brownout may shrink the robust box.
+        row only); each row's admission is read when the row is reached
+        (:meth:`_probe_admission`), and each row is one completion
+        (:meth:`_complete`).
 
         ``probe_rows`` computes the rows' factor matrices together and
         each row's checks when the row is reached; once a row changes
-        what the later rows' probes depend on (:meth:`_probe_state`),
-        the remaining rows are probed again against the new view.  A
+        what the later rows' probes depend on (:meth:`_probe_state`), or
+        a row's admission differs from the row before it, the remaining
+        rows are probed again against the new view.  A
         probed hit that fails validation, or a miss that followed a
         single-flight leader, probes its row again; once ``depth``
         reaches ``MAX_OPTIMISTIC_RETRIES`` the probe and commit run
@@ -311,7 +283,8 @@ class TemplateShard:
         terminate.
         """
         if overflow_reason is not None:
-            self.event("overload.queue_reject", seqs[0], reason=overflow_reason)
+            for seq in seqs:
+                self.event("overload.queue_reject", seq, reason=overflow_reason)
         results: list = [None] * len(instances)
         fetched: list[tuple[AnySelectivityVector, bool]] = []
         at: list[int] = []
@@ -322,34 +295,23 @@ class TemplateShard:
                 at.append(i)
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 results[i] = exc
-        ov = self._overload
-        coverage = self._brownout_coverage()
-        now = self._now()
-        expired = (
-            overflow_reason is None
-            and deadline is not None
-            and deadline.expired(now)
-        )
-        selectivity_only = (
-            overflow_reason is not None
-            or (ov is not None and ov.level >= BrownoutLevel.SHED)
-            or (
-                deadline is not None
-                and deadline.remaining(now) <= self._min_optimize_budget()
-            )
-        )
-        max_recost = 0 if selectivity_only else None
+                self._complete(deadline, exc)
         scr = self.scr
         svs = [sv for sv, _ in fetched]
-        rows = state = None
+        rows = state = admitted = None
         lock_wait = 0.0
         for k, ((sv, degraded), i) in enumerate(zip(fetched, at)):
             seq = seqs[i]
             self.engine.begin_instance(seq)
             try:
+                admission = self._probe_admission(deadline, overflow_reason)
+                if admission != admitted:
+                    admitted, rows = admission, None
+                expired, max_recost, coverage = admission
                 choice = None
                 if expired:
-                    # The budget died in queue: no probe at all.
+                    # The budget ran out, in queue or at an earlier
+                    # row of the group: no probe at all.
                     choice = self._apply(
                         sv, seq, record, None, denied="deadline_expired"
                     )
@@ -394,6 +356,7 @@ class TemplateShard:
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 rows = None  # a raising probe cannot be resumed
                 results[i] = exc
+            self._complete(deadline, results[i])
         self.stats.add_lock_wait(lock_wait)
         return results
 
@@ -437,12 +400,12 @@ class TemplateShard:
     def _group_columns(
         seqs: list[int],
         results: list["PlanChoice | BaseException"],
-        brownout: Optional[list[int]],
+        brownout: Optional[int],
     ) -> dict:
         """The ``serving.batch`` span's per-row columns: one tuple per
         attribute, aligned with ``seqs``.  ``coverage`` and ``reason``
-        appear only when some row has one, ``brownout`` only under an
-        overload coordinator."""
+        appear only when some row has one, ``brownout`` (the level after
+        the group) only under an overload coordinator."""
         outcomes, checks, certificates, bounds, recosts = [], [], [], [], []
         coverage: list = []
         reason: list = []
@@ -488,32 +451,59 @@ class TemplateShard:
             if any(r is not None for r in reason):
                 columns["reason"] = tuple(reason)
         if brownout is not None:
-            columns["brownout"] = tuple(brownout)
+            columns["brownout"] = (brownout,) * len(seqs)
         return columns
-
-    def _brownout_coverage(self) -> Optional[float]:
-        """COVERAGE_RELAXED step: robust shards tolerate more estimation
-        risk under pressure by probing a box shrunk to the brownout
-        coverage — more hits, certificates honestly downgraded to
-        ``probabilistic``.  Point-mode shards have no box to shrink."""
-        ov = self._overload
-        if (
-            self.robust
-            and ov is not None
-            and ov.level >= BrownoutLevel.COVERAGE_RELAXED
-        ):
-            return BROWNOUT_COVERAGE
-        return None
 
     # -- overload plumbing ----------------------------------------------------
 
     def _now(self) -> float:
         return self.clock.monotonic()
 
-    def _min_optimize_budget(self) -> float:
+    def _probe_admission(
+        self, deadline: Optional[Deadline], overflow_reason: Optional[str]
+    ) -> tuple[bool, Optional[int], Optional[float]]:
+        """A row's admission, read when the row is reached:
+
+        * whether its budget already expired — no probe at all, the
+          degraded path;
+        * the probe's Recost cap: 0 (selectivity-only) under an
+          overflow, brownout SHED or a budget too small to fund engine
+          work, whose recosts must not count as engine faults;
+        * the coverage of the robust box: from COVERAGE_RELAXED, robust
+          shards probe a box shrunk to the brownout coverage — more
+          hits, certificates honestly downgraded to ``probabilistic``.
+        """
+        ov = self._overload
+        level = BrownoutLevel.NORMAL if ov is None else ov.level
+        remaining = (
+            float("inf") if deadline is None
+            else deadline.remaining(self._now())
+        )
+        floor = 0.0 if ov is None else ov.policy.min_optimize_budget
+        selectivity_only = (
+            overflow_reason is not None
+            or level >= BrownoutLevel.SHED
+            or remaining <= floor
+        )
+        coverage = None
+        if self.robust and level >= BrownoutLevel.COVERAGE_RELAXED:
+            coverage = BROWNOUT_COVERAGE
+        return (
+            overflow_reason is None and remaining <= 0.0,
+            0 if selectivity_only else None,
+            coverage,
+        )
+
+    def _complete(self, deadline: Optional[Deadline], outcome) -> None:
+        """Count one finished row: a deadline miss when its budget ran
+        out, and one completion in the coordinator's brownout window."""
+        missed = deadline is not None and deadline.expired(self._now())
+        if missed:
+            self.stats.note_deadline_miss()
         if self._overload is not None:
-            return self._overload.policy.min_optimize_budget
-        return 0.0
+            self._overload.note_completed(
+                missed, shed=isinstance(outcome, ShedError)
+            )
 
     def _engine_budget(self, deadline: Optional[Deadline]):
         """Scope the engine's per-call budget to the remaining deadline."""

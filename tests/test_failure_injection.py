@@ -113,8 +113,9 @@ class TestSpikyCosts:
     ):
         """One memo re-costed under ``CostModel()``, ``SpikyCostModel()``
         and ``CostModel()`` again prices each call with the model passed:
-        the prebound program is rebuilt per model and binds the model's
-        own (overridden) methods, never ``CostModel``'s."""
+        the compiled per-plan recost function is recompiled per model and
+        binds the model's own (overridden) methods, never
+        ``CostModel``'s."""
         plain = engine_with(CostModel(), toy_db, toy_template)
         memo = plain.optimize(SelectivityVector.of(0.9, 0.9)).shrunken_memo
         sv = SelectivityVector.of(0.8, 0.95)

@@ -265,8 +265,8 @@ def failing_rows(shard, bad: set):
     instance whose id is in ``bad`` (the others are served)."""
     serve = shard.process_batch
 
-    def process_batch(instances):
-        out = serve(instances)
+    def process_batch(instances, **kwargs):
+        out = serve(instances, **kwargs)
         return [
             RuntimeError(f"row {id(q)}") if id(q) in bad else o
             for q, o in zip(instances, out)
@@ -309,8 +309,8 @@ class TestGroupFutures:
         for name in (a, b):
             shard = manager.shard(name)
 
-            def tagged(instances, serve=shard.process_batch):
-                served = serve(instances)
+            def tagged(instances, serve=shard.process_batch, **kwargs):
+                served = serve(instances, **kwargs)
                 return [(q, o) for q, o in zip(instances, served)]
 
             shard.process_batch = tagged

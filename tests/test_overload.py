@@ -12,7 +12,10 @@ DESIGN.md §9:
   reason code;
 * bounded ingress resolves overflow in the submitting thread
   (rejection as last resort), and ``close(wait=False)`` resolves queued
-  futures with :class:`ShutdownError` instead of dropping them.
+  futures with :class:`ShutdownError` instead of dropping them;
+* admission is per row inside a group: each row claims its own queue
+  slot, is checked against the group's deadline when reached, and
+  counts as one completion.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 from repro.core.dynamic_lambda import PressureRelaxedLambda
 from repro.engine.database import Database
 from repro.harness.metrics import ServiceLevelSummary
-from repro.obs import Observability
+from repro.obs import FakeClock, Observability
 from repro.query.instance import QueryInstance, SelectivityVector
 from repro.query.template import QueryTemplate, join, range_predicate
 from repro.serving import (
@@ -541,6 +544,103 @@ class TestBoundedIngress:
             assert manager._overload_coordinator.pending == 0
         finally:
             manager.close()
+
+
+# ---------------------------------------------------------------------------
+# Per-row admission inside a group
+
+
+def ladder(n: int) -> list[SelectivityVector]:
+    """``n`` distinct vectors, each far from NEAR and from each other."""
+    return [SelectivityVector.of(0.5 ** k, 0.5 ** k) for k in range(1, n + 1)]
+
+
+class TestRowAdmission:
+    """``process_many`` under a coordinator serves each template's rows
+    as one group, while the queue slot, the deadline check and the
+    completion count stay per row."""
+
+    def test_a_deadline_expiring_after_the_first_row_degrades_the_rest(self):
+        fake = FakeClock()
+        obs = Observability(clock=fake.clock)
+        manager, template = make_manager(
+            policy=OverloadPolicy(
+                evaluate_every=10**6, default_deadline_seconds=1.0
+            ),
+            obs=obs,
+        )
+        shard = manager.shard(template.name)
+        optimize = shard.scr._optimize
+
+        def slow_optimize(*args, **kwargs):
+            fake.advance(2.0)  # the group's budget dies in its first row
+            return optimize(*args, **kwargs)
+
+        shard.scr._optimize = slow_optimize
+        # The second NEAR would be a certified selectivity hit if probed.
+        rows = [
+            QueryInstance(template.name, sv=sv)
+            for sv in [NEAR, NEAR] + ladder(2)
+        ]
+        with manager:
+            choices = manager.process_many(rows, dedupe=False)
+        assert choices[0].certified and choices[0].used_optimizer
+        assert [c.check for c in choices[1:]] == ["overload"] * 3
+        assert not any(c.certified for c in choices[1:])
+        assert shard.engine.counters.optimize.calls == 1
+        events = event_spans(obs, "overload.uncertified_serve")
+        assert [e.attrs["reason"] for e in events] == ["deadline_expired"] * 3
+        assert shard.stats.deadline_misses == len(rows)
+        assert manager._overload_coordinator._window_served == len(rows)
+
+    def test_rows_refused_a_slot_are_one_overflow_group(self):
+        obs = Observability(clock=FakeClock().clock)
+        manager, template = make_manager(
+            policy=OverloadPolicy(queue_limit=2, evaluate_every=10**6),
+            obs=obs,
+        )
+        shard = manager.shard(template.name)
+        serve = shard.process_batch
+        served: list = []
+
+        def recording(instances, **kwargs):
+            served.append((
+                threading.current_thread(), len(instances),
+                kwargs["overflow_reason"],
+            ))
+            return serve(instances, **kwargs)
+
+        shard.process_batch = recording
+        rows = [QueryInstance(template.name, sv=sv) for sv in ladder(5)]
+        with manager:
+            # A cached plan for the overflow rows to be served from.
+            manager.process(QueryInstance(template.name, sv=NEAR))
+            obs.spans.clear()
+            choices = manager.process_many(rows, dedupe=False)
+            assert manager._overload_coordinator.pending == 0
+        caller = threading.current_thread()
+        assert served[0] == (caller, 3, "queue_full")
+        assert served[1][0] is not caller and served[1][1:] == (2, None)
+        assert all(c.certified for c in choices[:2])
+        assert [c.check for c in choices[2:]] == ["overload"] * 3
+        rejects = event_spans(obs, "overload.queue_reject")
+        assert [e.attrs["reason"] for e in rejects] == ["queue_full"] * 3
+        assert len({e.attrs["seq"] for e in rejects}) == 3
+        assert shard.stats.queue_rejects == 3
+        groups = [s for s in obs.spans.spans() if s.name == "serving.batch"]
+        assert sorted(len(g.attrs["seqs"]) for g in groups) == [2, 3]
+
+    def test_a_refused_dispatch_releases_every_rows_slot(self):
+        manager, template = make_manager(
+            policy=OverloadPolicy(queue_limit=8, evaluate_every=10**6)
+        )
+        manager.process(QueryInstance(template.name, sv=NEAR))
+        manager.close(wait=False)  # the executor now refuses every task
+        rows = [QueryInstance(template.name, sv=sv) for sv in ladder(3)]
+        with pytest.raises(ShutdownError):
+            manager.process_many(rows, dedupe=False)
+        assert manager._overload_coordinator.pending == 0
+        assert manager.shard(template.name).stats.queue_depth == 0
 
 
 # ---------------------------------------------------------------------------

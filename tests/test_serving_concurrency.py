@@ -33,7 +33,11 @@ from repro.engine.database import Database
 from repro.obs import RESPONSES_TOTAL, Observability
 from repro.query.instance import QueryInstance
 from repro.query.template import QueryTemplate, join, range_predicate
-from repro.serving import ConcurrentPQOManager, simulated_latency_wrapper
+from repro.serving import (
+    ConcurrentPQOManager,
+    OverloadPolicy,
+    simulated_latency_wrapper,
+)
 from repro.workload.generator import (
     generate_selectivity_vectors,
     instances_for_template,
@@ -312,11 +316,11 @@ def tpch_stream(per_template: int, seed: int = 1) -> list[QueryInstance]:
     return stream
 
 
-def tpch_manager() -> ConcurrentPQOManager:
+def tpch_manager(overload=None) -> ConcurrentPQOManager:
     """No global budget; templates alternate point and robust checks."""
     manager = ConcurrentPQOManager(
         database=Database.create(tpch_schema(1.0), seed=42),
-        default_lambda=1.5, max_workers=2,
+        default_lambda=1.5, max_workers=2, overload=overload,
     )
     for i, template in enumerate(tpch_templates()[:6]):
         manager.register(template, check_mode="robust" if i % 2 else "point")
@@ -339,10 +343,10 @@ def loop_decisions(stream: list[QueryInstance]) -> tuple[list, int]:
         )
 
 
-def grouped_decisions(stream, cuts) -> tuple[list, int]:
+def grouped_decisions(stream, cuts, overload=None) -> tuple[list, int]:
     """``process_many`` over ``stream`` split at ``cuts``."""
     out: list = []
-    with tpch_manager() as manager:
+    with tpch_manager(overload) as manager:
         for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
             out.extend(
                 decision(c)
@@ -367,11 +371,18 @@ class TestGroupEquivalence:
         stream = tpch_stream(333)
         loop, loop_calls = loop_decisions(stream)
         cuts = list(range(16, len(stream), 16))
-        grouped, grouped_calls = grouped_decisions(stream, cuts)
-        differing = [i for i, (a, b) in enumerate(zip(loop, grouped)) if a != b]
-        assert len(grouped) == len(loop) == len(stream)
-        assert differing == []
-        assert grouped_calls == loop_calls
+        # The second arm admits every row through an ample overload
+        # policy: no deadline, a queue that never fills, no brownout
+        # evaluation.  Its groups decide as the plain manager's do.
+        ample = OverloadPolicy(queue_limit=10**6, evaluate_every=10**6)
+        for overload in (None, ample):
+            grouped, grouped_calls = grouped_decisions(stream, cuts, overload)
+            differing = [
+                i for i, (a, b) in enumerate(zip(loop, grouped)) if a != b
+            ]
+            assert len(grouped) == len(loop) == len(stream)
+            assert differing == [], overload
+            assert grouped_calls == loop_calls, overload
         # The stream exercises every kind of decision.
         checks = {d[1] for d in loop}
         assert {"selectivity", "cost", "optimizer"} <= checks, checks
@@ -510,27 +521,25 @@ class TestOneProbeLoop:
             == loop_scr.get_plan.total_recost_calls
         )
 
-    def test_under_a_coordinator_every_group_is_one_row(self):
-        from repro.serving import OverloadPolicy
-
+    def test_under_a_coordinator_a_group_is_many_rows(self):
+        """A coordinator admits and counts every row, and the rows are
+        still served as one group: one ``serving.batch`` span."""
         obs = Observability()
         db = Database.create(build_toy_schema(), seed=11)
-        templates = serving_templates()[:2]
+        (template,) = serving_templates()[:1]
         manager = ConcurrentPQOManager(
             database=db, max_workers=2, obs=obs,
             overload=OverloadPolicy(evaluate_every=10**6),
         )
-        for t in templates:
-            manager.register(t, lam=LAM)
-        workload = make_workload(templates, 6, SEED)
+        shard = manager.register(template, lam=LAM)
+        rows = make_workload([template], 6, SEED)
         with manager:
-            shard = manager.shard(templates[0].name)
-            with pytest.raises(ValueError, match="one row"):
-                shard.process_batch(workload[:2])
-            manager.process_many(workload, dedupe=False)
-        groups = [s for s in obs.spans.spans() if s.name == "serving.batch"]
-        assert len(groups) == len(workload)
-        assert all(len(g.attrs["seqs"]) == 1 for g in groups)
+            results = shard.process_batch(rows)
+        assert all(r.plan_signature for r in results)
+        (group,) = [s for s in obs.spans.spans() if s.name == "serving.batch"]
+        assert len(group.attrs["seqs"]) == len(rows)
+        assert group.attrs["brownout"] == (0,) * len(rows)
+        assert manager._overload_coordinator._window_served == len(rows)
 
 
 def lane_templates() -> list[QueryTemplate]:
@@ -553,9 +562,9 @@ def lane_templates() -> list[QueryTemplate]:
 
 class TestLaneDispatch:
     """A dispatch is one lane: ``min(units, max_workers)`` pool tasks
-    take the batch's units (template groups, or rows under an overload
-    policy) in input order from one shared cursor.  Each unit keeps its
-    own trace context, its failure isolation and its shutdown
+    take the batch's units (one group per template, with or without an
+    overload policy) in order from one shared cursor.  Each unit keeps
+    its own trace context, its failure isolation and its shutdown
     semantics."""
 
     @staticmethod
@@ -596,11 +605,9 @@ class TestLaneDispatch:
             manager.shard(t.name).instances_seen == 3 for t in templates
         )
 
-    def test_under_an_overload_policy_every_row_is_a_unit(self):
-        from repro.serving import OverloadPolicy
-
+    def test_under_an_overload_policy_each_template_is_one_unit(self):
         obs = Observability()
-        manager, _, workload = self.lane_manager(
+        manager, templates, workload = self.lane_manager(
             8, obs=obs, overload=OverloadPolicy(evaluate_every=10**6),
         )
         calls = self.count_submissions(manager)
@@ -608,29 +615,29 @@ class TestLaneDispatch:
             manager.process_many(workload, dedupe=False)
             assert manager._overload_coordinator.pending == 0
         groups = [s for s in obs.spans.spans() if s.name == "serving.batch"]
-        assert len(groups) == len(workload)
-        assert len(calls) == 8
+        assert sorted(g.attrs["template"] for g in groups) == [
+            t.name for t in templates
+        ]
+        assert all(len(g.attrs["seqs"]) == 3 for g in groups)
+        assert len(calls) == len(templates)
 
     def test_a_raising_group_fails_only_its_own_rows(self):
         manager, templates, workload = self.lane_manager(1)
         broken = manager.shard(templates[1].name)
 
-        def boom(instances):
+        def boom(instances, **kwargs):
             raise RuntimeError("shard failed")
 
         broken.process_batch = boom
         with manager:
             with pytest.raises(RuntimeError, match="shard failed"):
                 manager.process_many(workload, dedupe=False)
-            batches, lane, _ = manager._dispatch(workload, False)
+            lane, _ = manager._dispatch(workload, False)
             for task in lane.tasks:
                 task.result(timeout=10)
-        for slot, items in enumerate(batches):
-            rows = lane.rows(slot, len(items))
-            failed = items[0][1].template_name == broken.template.name
-            assert all(
-                isinstance(r, RuntimeError) == failed for r in rows
-            )
+        for q, row in zip(workload, lane.rows()):
+            failed = q.template_name == broken.template.name
+            assert isinstance(row, RuntimeError) == failed
         assert broken.instances_seen == 0
         assert all(
             manager.shard(t.name).instances_seen == 6
@@ -645,26 +652,27 @@ class TestLaneDispatch:
         blocked = manager.shard(templates[1].name)
         serve = blocked.process_batch
 
-        def blocking(instances):
+        def blocking(instances, **kwargs):
             started.set()
             release.wait(timeout=10)
-            return serve(instances)
+            return serve(instances, **kwargs)
 
         blocked.process_batch = blocking
         try:
-            batches, lane, _ = manager._dispatch(workload, False)
+            lane, _ = manager._dispatch(workload, False)
             assert started.wait(timeout=10)
             manager.close(wait=False)
             for task in lane.tasks:
                 assert isinstance(task.exception(timeout=10), ShutdownError)
-            rows = [lane.rows(slot, len(b)) for slot, b in enumerate(batches)]
+            rows = lane.rows()
         finally:
             release.set()
         manager._executor.shutdown(wait=True)
-        assert all(r.plan_signature for r in rows[0])
-        assert all(
-            isinstance(r, ShutdownError) for unit in rows[1:] for r in unit
-        )
+        for q, row in zip(workload, rows):
+            if q.template_name == templates[0].name:
+                assert row.plan_signature
+            else:
+                assert isinstance(row, ShutdownError)
         # The started unit finished; no later unit started.
         assert [
             manager.shard(t.name).instances_seen for t in templates

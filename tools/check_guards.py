@@ -91,8 +91,9 @@ ONE_PROBE_LOOP = (
     "and single-flight re-probes included; no per-probe phase spans"
 )
 ONE_DISPATCH = (
-    "One dispatch: a batch is one lane of at most max_workers pool tasks; "
-    "_run is the only pool task"
+    "One dispatch: a batch is one lane of at most max_workers pool tasks "
+    "and one unit per template, overload policy or not; _run is the only "
+    "pool task"
 )
 EVERY_NAME_HAS_A_CALLER = (
     "Every name has a caller: no test-only entry points, span context "
@@ -219,6 +220,13 @@ GUARDS: tuple[Guard, ...] = (
         r"def _run_[A-Za-z0-9_]", ("src/repro/serving/manager.py",),
         ONE_DISPATCH,
     ),
+    # Admission is per row, the unit a template group: no round-robin
+    # units of one row.
+    Guard(
+        r"zip_longest|every group is one row",
+        ("src/repro/serving/manager.py", "src/repro/serving/shard.py"),
+        ONE_DISPATCH,
+    ),
     Guard(
         r"\bdef (submit_batch|obs_report|span)\(|\b(efficacy_advisor"
         r"|anorexic_reduction|RecostRegion|template_to_sql"
@@ -235,16 +243,11 @@ GUARDS: tuple[Guard, ...] = (
         r"\btarget_coverage\b", ("src/repro/serving/",),
         EVERY_NAME_HAS_A_CALLER, include="*.py",
     ),
-    # deadline within a def process/submit/process_batch line or the
-    # three lines after it.
+    # deadline within a def process/submit line or the three lines
+    # after it.
     Guard(
         r"def (process|submit)\([^\n]*(?:\n[^\n]*){0,3}?(?<!\w)deadline(?!\w)",
         ("src/repro/serving/manager.py",), EVERY_NAME_HAS_A_CALLER,
-        whole_file=True,
-    ),
-    Guard(
-        r"def process_batch\([^\n]*(?:\n[^\n]*){0,3}?(?<!\w)deadline(?!\w)",
-        ("src/repro/serving/shard.py",), EVERY_NAME_HAS_A_CALLER,
         whole_file=True,
     ),
     Guard(r"\brefresh_cost\b|\binvalidate_views\b", ("src/",), ONE_INSTANCE_LIST),
