@@ -9,7 +9,7 @@ instance count and quarantine flag.  :meth:`~ConcurrentPQOManager.process`
 serves an instance on the calling thread (the serial path); ``submit``
 and ``process_many`` dispatch **groups** onto a thread pool, which
 starts its threads only on first use.  A group is the unit of serving
-and telemetry (one trace context); a batch is one group per template
+and telemetry (one trace context); a batch is one unit per template
 and ``submit`` is a group of one.  A dispatch is one **lane**: at most
 ``max_workers`` pool tasks that take its groups in order from one
 shared cursor.
@@ -38,8 +38,9 @@ overload protection (DESIGN.md §9): bounded per-template ingress queues
 with rejection-as-last-resort, end-to-end deadline budgets propagated
 into engine calls, an optimizer gate, and the brownout controller whose
 λ-relaxation hook is installed on every registered template's getPlan.
-Admission is per row (one queue slot each); a template's admitted rows
-are still one group, and its refused rows one overflow group.
+Admission is per row (one queue slot each): a unit's refused rows are
+one overflow group, and its admitted rows are split over the workers a
+batch of fewer templates would leave idle.
 """
 
 from __future__ import annotations
@@ -247,21 +248,21 @@ class ConcurrentPQOManager:
         overflow_reason: Optional[str] = None,
     ) -> list["PlanChoice | BaseException"]:
         """Serve a group on ``shard`` and count each served row; returns
-        the per-row outcomes.  A group of one is the shard's
-        :meth:`~TemplateShard.process`, larger groups its
+        the per-row outcomes, never raises (a group that raises fails
+        each of its rows with that exception).  A group of one is the
+        shard's :meth:`~TemplateShard.process`, larger groups its
         :meth:`~TemplateShard.process_batch` — the same serving loop."""
-        if len(instances) == 1:
-            try:
+        try:
+            if len(instances) == 1:
                 outcomes = [shard.process(
-                    instances[0], deadline=deadline,
-                    overflow_reason=overflow_reason,
+                    instances[0], deadline=deadline, overflow_reason=overflow_reason
                 )]
-            except BaseException as exc:  # noqa: BLE001 - returned per row
-                outcomes = [exc]
-        else:
-            outcomes = shard.process_batch(
-                instances, deadline=deadline, overflow_reason=overflow_reason
-            )
+            else:
+                outcomes = shard.process_batch(
+                    instances, deadline=deadline, overflow_reason=overflow_reason
+                )
+        except BaseException as exc:  # noqa: BLE001 - returned per row
+            outcomes = [exc] * len(instances)
         for outcome in outcomes:
             if not isinstance(outcome, BaseException):
                 self._note_processed(shard)
@@ -308,34 +309,44 @@ class ConcurrentPQOManager:
         units: list[tuple[TemplateShard, list[tuple[int, QueryInstance]]]],
         n: int,
     ) -> "_Lane":
-        """The one dispatch: serve ``units`` (``(shard, items)`` groups,
-        each with its own trace context; an item is ``(row, instance)``,
-        ``row`` its index among the lane's ``n`` outcomes) from one lane
-        of ``min(len(units), max_workers)`` pool tasks that take them in
-        order from a shared cursor.
+        """The one dispatch: serve ``units`` (``(shard, items)``; an item
+        is ``(row, instance)``, ``row`` its index among the lane's ``n``
+        outcomes) as groups, each with its own trace context, from one
+        lane of at most ``max_workers`` pool tasks sharing one cursor.
 
-        Under overload protection each row claims one slot of its
+        Under overload protection each row claims a slot of its
         template's bounded queue, and a unit's deadline is minted here,
-        so queue wait drains it.  A unit's rows refused a slot are
-        served here, in the calling thread, as one overflow group."""
+        so queue wait drains it.  A unit's rows refused a slot are one
+        overflow group served here, in the calling thread.  Its admitted
+        rows are split into up to ``max_workers // len(units)`` groups,
+        queued rank-major across units, so the workers a batch of few
+        templates would leave idle serve rows whose budgets are running.
+        """
         lane = _Lane(n)
         ov = self._overload_coordinator
+        parts = 1 if ov is None else max(1, self.max_workers // max(1, len(units)))
+        groups: list = []
         for shard, items in units:
             deadline = None
             if ov is not None:
                 deadline = ov.new_deadline()
-                admitted = [ov.try_enter_queue(shard.stats) for _ in items]
-                if not all(admitted):
-                    refused = [it for it, ok in zip(items, admitted) if not ok]
-                    items = [it for it, ok in zip(items, admitted) if ok]
+                entered = ov.try_enter_queue(shard.stats, len(items))
+                if entered < len(items):
+                    refused, items = items[entered:], items[:entered]
                     ctx = self._mint_ctx()
                     with activate(ctx) if ctx is not None else nullcontext():
                         lane.fill(refused, self._serve_on(
                             shard, [q for _, q in refused], deadline,
                             overflow_reason="queue_full",
                         ))
-            if items:
-                lane.pending.append((shard, items, deadline, self._mint_ctx()))
+            size = max(1, -(-len(items) // parts))  # at most ``parts`` groups
+            groups += [
+                (at // size, (shard, items[at:at + size], deadline, self._mint_ctx()))
+                for at in range(0, len(items), size)
+            ]
+        # Rank-major: each template's first group starts before any second
+        # one, so a cold batch reaches the optimizer gate with every template.
+        lane.pending.extend(g for _, g in sorted(groups, key=lambda g: g[0]))
         if self.obs is not None:
             lane.submitted_at = self.obs.clock.perf_counter()
         for _ in range(min(len(lane.pending), self.max_workers)):
@@ -352,8 +363,7 @@ class ConcurrentPQOManager:
                 task.set_result(None)
                 if len(lane.tasks) == 1 and ov is not None:
                     for shard, items, _, _ in lane.pending:
-                        for _ in items:
-                            ov.exit_queue(shard.stats)
+                        ov.exit_queue(shard.stats, len(items))
                 break
         return lane
 
@@ -389,8 +399,7 @@ class ConcurrentPQOManager:
                     lane.fill(items, [exc] * len(items))
                 finally:
                     if ov is not None:
-                        for _ in items:
-                            ov.exit_queue(shard.stats)
+                        ov.exit_queue(shard.stats, len(items))
         finally:
             with suppress(InvalidStateError):
                 task.set_result(None)
@@ -427,9 +436,9 @@ class ConcurrentPQOManager:
         whose outcomes are in input order, and each duplicate's first
         occurrence, whose outcome it shares.
 
-        Each template's unique instances are **one** unit, probed
-        against the cache in a single broadcast pass; units are in
-        template-name order.
+        Each template's unique instances are **one** unit, in
+        template-name order; it is one group, probed in a single
+        broadcast pass, unless admission splits it (:meth:`_enqueue`).
         """
         per_template: dict[str, list[tuple[int, QueryInstance]]] = {}
         first_seen: dict[tuple, int] = {}

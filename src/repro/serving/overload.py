@@ -465,21 +465,23 @@ class OverloadCoordinator:
     def pending(self) -> int:
         return self._pending
 
-    def try_enter_queue(self, stats) -> bool:
-        """Admit one submission against the shard's bounded queue."""
-        if not stats.try_enqueue(self.policy.queue_limit):
-            return False
+    def try_enter_queue(self, stats, rows: int = 1) -> int:
+        """Admit up to ``rows`` submissions against the shard's bounded
+        queue, one slot each; returns how many were admitted."""
+        entered = stats.try_enqueue(self.policy.queue_limit, rows)
+        if not entered:
+            return 0
         with self._lock:
-            self._pending += 1
+            self._pending += entered
             pending = self._pending
         if self._m_pending is not None:
             self._m_pending.set(pending)
-        return True
+        return entered
 
-    def exit_queue(self, stats) -> None:
-        stats.note_dequeued()
+    def exit_queue(self, stats, rows: int = 1) -> None:
+        stats.note_dequeued(rows)
         with self._lock:
-            self._pending = max(0, self._pending - 1)
+            self._pending = max(0, self._pending - rows)
             pending = self._pending
         if self._m_pending is not None:
             self._m_pending.set(pending)

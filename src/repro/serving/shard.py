@@ -32,10 +32,11 @@ its rows would:
 Overload protection (DESIGN.md §9) is a scope around a group — its
 end-to-end :class:`Deadline` — read per row: whether the row's budget
 already expired, its selectivity-only and brownout-coverage probes, the
-optimizer-gate admission of its miss, and the degraded path for denied
-work — the nearest cached plan served ``certified=False`` with a reason
-code, or a :class:`ShedError` when the cache is empty.  Each row counts
-as one completion.  Without a coordinator no row is denied.
+brownout level its λ follows, the optimizer-gate admission of its miss,
+and the degraded path for denied work — the nearest cached plan served
+``certified=False`` with a reason code, or a :class:`ShedError` when the
+cache is empty.  Each row counts as one completion.  Without a
+coordinator no row is denied.
 
 A group is one unit of telemetry whatever its size: one
 :class:`~repro.obs.group.GroupRecord` fed to the registry at its end
@@ -187,9 +188,8 @@ class TemplateShard:
     ) -> list["PlanChoice | BaseException"]:
         """Serve a group and feed its :class:`GroupRecord` to the
         registry once, at its end (:func:`feed_group`); with spans on,
-        record the group as one unit.  The rows are served inside the
-        group's admission scope: its deadline (the coordinator's default
-        when None) and the engine's per-call budget.
+        record the group as one unit.  The rows are served within its
+        deadline (the coordinator's default when None).
 
         The group's span *is* the ambient trace context — the manager
         mints one per dispatched group, so queue wait and pool hand-off
@@ -275,12 +275,11 @@ class TemplateShard:
         each row's checks when the row is reached; once a row changes
         what the later rows' probes depend on (:meth:`_probe_state`), or
         a row's admission differs from the row before it, the remaining
-        rows are probed again against the new view.  A
-        probed hit that fails validation, or a miss that followed a
-        single-flight leader, probes its row again; once ``depth``
-        reaches ``MAX_OPTIMISTIC_RETRIES`` the probe and commit run
-        under the shard lock — the serial semantics, which always
-        terminate.
+        rows are probed again against the new view.  A probed hit that
+        fails validation, or a miss that followed a single-flight
+        leader, probes its row again; once ``depth`` reaches
+        ``MAX_OPTIMISTIC_RETRIES`` the probe and commit run under the
+        shard lock — the serial semantics, which always terminate.
         """
         if overflow_reason is not None:
             for seq in seqs:
@@ -307,7 +306,7 @@ class TemplateShard:
                 admission = self._probe_admission(deadline, overflow_reason)
                 if admission != admitted:
                     admitted, rows = admission, None
-                expired, max_recost, coverage = admission
+                expired, max_recost, coverage, _ = admission
                 choice = None
                 if expired:
                     # The budget ran out, in queue or at an earlier
@@ -461,37 +460,28 @@ class TemplateShard:
 
     def _probe_admission(
         self, deadline: Optional[Deadline], overflow_reason: Optional[str]
-    ) -> tuple[bool, Optional[int], Optional[float]]:
-        """A row's admission, read when the row is reached:
-
-        * whether its budget already expired — no probe at all, the
-          degraded path;
-        * the probe's Recost cap: 0 (selectivity-only) under an
-          overflow, brownout SHED or a budget too small to fund engine
-          work, whose recosts must not count as engine faults;
-        * the coverage of the robust box: from COVERAGE_RELAXED, robust
-          shards probe a box shrunk to the brownout coverage — more
-          hits, certificates honestly downgraded to ``probabilistic``.
-        """
+    ) -> tuple[bool, Optional[int], Optional[float], int]:
+        """A row's admission, read when the row is reached: whether its
+        budget already expired (no probe, the degraded path); the
+        probe's Recost cap, 0 (selectivity-only) under an overflow,
+        brownout SHED or a budget too small to fund engine work, whose
+        recosts must not count as engine faults; the robust box's
+        coverage, shrunk from COVERAGE_RELAXED (more hits, certificates
+        honestly ``probabilistic``); and the brownout level, which the
+        λ of a probe's budget vector follows (the pressure hook)."""
         ov = self._overload
         level = BrownoutLevel.NORMAL if ov is None else ov.level
-        remaining = (
-            float("inf") if deadline is None
-            else deadline.remaining(self._now())
-        )
+        remaining = float("inf") if deadline is None else deadline.remaining(self._now())
         floor = 0.0 if ov is None else ov.policy.min_optimize_budget
         selectivity_only = (
-            overflow_reason is not None
-            or level >= BrownoutLevel.SHED
-            or remaining <= floor
+            overflow_reason is not None or level >= BrownoutLevel.SHED or remaining <= floor
         )
-        coverage = None
-        if self.robust and level >= BrownoutLevel.COVERAGE_RELAXED:
-            coverage = BROWNOUT_COVERAGE
+        relaxed = self.robust and level >= BrownoutLevel.COVERAGE_RELAXED
         return (
             overflow_reason is None and remaining <= 0.0,
             0 if selectivity_only else None,
-            coverage,
+            BROWNOUT_COVERAGE if relaxed else None,
+            level,
         )
 
     def _complete(self, deadline: Optional[Deadline], outcome) -> None:

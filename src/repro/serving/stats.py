@@ -186,26 +186,24 @@ class ServingStats:
 
     # -- overload accounting -------------------------------------------------
 
-    def try_enqueue(self, limit: int) -> bool:
-        """Atomically claim one bounded-queue slot; False when full.
-
-        The lock-guarded depth is authoritative (the check-and-inc must
-        be atomic); the registry gauges mirror it for exporters.
-        """
+    def try_enqueue(self, limit: int, rows: int = 1) -> int:
+        """Atomically claim up to ``rows`` bounded-queue slots and return
+        how many were claimed (the rest are refused).  The lock-guarded
+        depth is authoritative; the registry gauges mirror it."""
         with self._lock:
-            entered = self._depth < limit
+            entered = max(0, min(rows, limit - self._depth))
             if entered:
-                self._depth += 1
+                self._depth += entered
                 self._m_queue.set(self._depth)
                 if self._depth > self._m_queue_hw.value:
                     self._m_queue_hw.set(self._depth)
-        if not entered:
-            self._m_queue_rejects.inc()
+        if entered < rows:
+            self._m_queue_rejects.inc(rows - entered)
         return entered
 
-    def note_dequeued(self) -> None:
+    def note_dequeued(self, rows: int = 1) -> None:
         with self._lock:
-            self._depth = max(0, self._depth - 1)
+            self._depth = max(0, self._depth - rows)
             self._m_queue.set(self._depth)
 
     def note_shed(self, reason: str = "unknown") -> None:

@@ -568,6 +568,7 @@ class TestRowAdmission:
                 evaluate_every=10**6, default_deadline_seconds=1.0
             ),
             obs=obs,
+            max_workers=1,  # one worker: the template's rows are one group
         )
         shard = manager.shard(template.name)
         optimize = shard.scr._optimize
@@ -598,6 +599,7 @@ class TestRowAdmission:
         manager, template = make_manager(
             policy=OverloadPolicy(queue_limit=2, evaluate_every=10**6),
             obs=obs,
+            max_workers=1,
         )
         shard = manager.shard(template.name)
         serve = shard.process_batch
@@ -629,6 +631,120 @@ class TestRowAdmission:
         assert shard.stats.queue_rejects == 3
         groups = [s for s in obs.spans.spans() if s.name == "serving.batch"]
         assert sorted(len(g.attrs["seqs"]) for g in groups) == [2, 3]
+
+    @pytest.mark.parametrize("policy, sizes", [
+        (OverloadPolicy(evaluate_every=10**6), [2, 2, 2, 2]),
+        (None, [8]),
+    ])
+    def test_idle_workers_split_a_templates_admitted_rows(self, policy, sizes):
+        """Under a policy the rows' budgets run from enqueue, so one
+        template's admitted rows are split over the workers fewer
+        templates would leave idle; the plain path keeps one group."""
+        obs = Observability()
+        manager, template = make_manager(
+            policy=policy, obs=obs, max_workers=4
+        )
+        rows = [QueryInstance(template.name, sv=sv) for sv in ladder(8)]
+        with manager:
+            choices = manager.process_many(rows, dedupe=False)
+            if policy is not None:
+                assert manager._overload_coordinator.pending == 0
+        assert all(c.plan_signature for c in choices)
+        groups = [s for s in obs.spans.spans() if s.name == "serving.batch"]
+        assert sorted(len(g.attrs["seqs"]) for g in groups) == sizes
+        assert manager.shard(template.name).instances_seen == len(rows)
+
+    def test_split_groups_are_queued_rank_major_across_templates(self):
+        """Every template's first group is queued before any second
+        one, so a cold batch reaches the optimizer gate with each
+        template, as rows of their own did round-robin."""
+        manager = ConcurrentPQOManager(
+            database=Database.create(build_toy_schema(), seed=7),
+            max_workers=4, overload=OverloadPolicy(evaluate_every=10**6),
+        )
+        names = ["ov_a", "ov_b"]
+        for name in names:
+            manager.register(
+                overload_template(name), lam=LAM, max_recost_candidates=0
+            )
+        rows = [QueryInstance(name, sv=sv) for name in names for sv in ladder(4)]
+        held: list = []
+        manager._executor.submit = lambda _fn, *args: held.append(args)
+        lane, _ = manager._dispatch(rows, False)
+        assert [
+            (shard.template.name, [row for row, _ in items])
+            for shard, items, _, _ in lane.pending
+        ] == [("ov_a", [0, 1]), ("ov_b", [4, 5]), ("ov_a", [2, 3]), ("ov_b", [6, 7])]
+        for args in held:
+            manager._run(*args)  # the held pool tasks, in this thread
+        assert all(row.plan_signature for row in lane.rows())
+        assert manager._overload_coordinator.pending == 0
+        manager.close()
+
+    def test_a_raising_overflow_group_releases_every_rows_slot(self):
+        manager, template = make_manager(
+            policy=OverloadPolicy(queue_limit=2, evaluate_every=10**6)
+        )
+        shard = manager.shard(template.name)
+        serve = shard.process_batch
+
+        def failing_overflow(instances, **kwargs):
+            if kwargs["overflow_reason"] is not None:
+                raise RuntimeError("overflow group failed")
+            return serve(instances, **kwargs)
+
+        shard.process_batch = failing_overflow
+        rows = [QueryInstance(template.name, sv=sv) for sv in ladder(5)]
+        with manager:
+            manager.process(QueryInstance(template.name, sv=NEAR))
+            with pytest.raises(RuntimeError, match="overflow group failed"):
+                manager.process_many(rows, dedupe=False)
+            assert manager._overload_coordinator.pending == 0
+            assert shard.stats.queue_depth == 0
+
+    def test_a_level_change_between_rows_reprobes_under_the_new_lambda(self):
+        """A recovery out of LAMBDA_RELAXED after a group's first row:
+        the second row, a hit only under the relaxed λ, is probed
+        against the base λ, as in a ``process()`` loop."""
+        relaxed_hit = SelectivityVector.of(0.9 / 2.5, 0.9)  # S·G·L = 2.5
+
+        def serve(as_group: bool):
+            obs = Observability(clock=FakeClock().clock)
+            manager, template = make_manager(
+                policy=OverloadPolicy(evaluate_every=1, recover_ticks=1),
+                obs=obs,
+            )
+            shard = manager.shard(template.name)
+            rows = [
+                QueryInstance(template.name, sv=sv)
+                for sv in (NEAR, relaxed_hit)
+            ]
+            with manager:
+                manager.process(QueryInstance(template.name, sv=NEAR))
+                controller = manager._overload_coordinator.controller
+                controller.level = BrownoutLevel.LAMBDA_RELAXED
+                if as_group:
+                    choices = shard.process_batch(rows)
+                else:
+                    choices = [shard.process(row) for row in rows]
+            moves = [(t.previous, t.current) for t in controller.transitions]
+            return choices, moves, obs
+
+        group, group_moves, obs = serve(as_group=True)
+        loop, loop_moves, _ = serve(as_group=False)
+        assert group_moves == loop_moves
+        assert group_moves[0] == (
+            BrownoutLevel.LAMBDA_RELAXED, BrownoutLevel.COVERAGE_RELAXED
+        )
+        assert group[1].used_optimizer
+        assert [
+            (c.check, c.certified, c.certified_bound, c.used_optimizer)
+            for c in group
+        ] == [
+            (c.check, c.certified, c.certified_bound, c.used_optimizer)
+            for c in loop
+        ]
+        assert obs.audit.zero_violations
 
     def test_a_refused_dispatch_releases_every_rows_slot(self):
         manager, template = make_manager(
