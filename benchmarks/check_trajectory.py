@@ -46,6 +46,7 @@ REGRESSION_WATCH = {
     "recost": (("template",), "speedup"),
     "search": (("template",), "speedup"),
     "obs_gap": (("workload",), "off_over_on"),
+    "serving_overhead": (("workload", "obs"), "scr_over_one"),
 }
 
 #: Runs kept per checked-in trajectory file.

@@ -250,7 +250,7 @@ class GetPlan:
                 f"target_coverage must be in (0, 1], got {self.target_coverage}"
             )
         # Memoized (view, state token, λ/S, {slot: λ/S of the plan's
-        # group}); see _budget_vector and _group_budget.
+        # group}, λ per row or None); see _budget_vector and its users.
         self._budget_memo: Optional[tuple] = None
 
     def _effective_lambda(self, optimal_cost: float) -> float:
@@ -258,6 +258,18 @@ class GetPlan:
         if self.lambda_for is None:
             return self.lam
         return self.lambda_for(optimal_cost)
+
+    def anchor_lambda(self, view: ColumnarInstances, row: int) -> float:
+        """The λ in force for anchor ``row`` of ``view``: read from the
+        λ vector memoized with the last probed view when ``view`` is it
+        and the hook's state token is still the memo's, else the hook's
+        own answer (the λ can move between a probe and its commit)."""
+        memo = self._budget_memo
+        if memo is not None and memo[0] is view and memo[4] is not None:
+            token_fn = getattr(self.lambda_for, "state_token", None)
+            if token_fn is not None and memo[1] == token_fn():
+                return memo[4][row]
+        return self._effective_lambda(view.cells["cost"][row])
 
     def _resolve_box(
         self,
@@ -404,17 +416,20 @@ class GetPlan:
             token = token_fn() if token_fn is not None else None
         memoize = self.lambda_for is None or token is not None
         memo = self._budget_memo
-        if memoize and memo is not None and memo[0] is view and memo[1] == token:
+        fresh = memo is None or not memoize or memo[1] != token
+        if not fresh and memo[0] is view:
             return memo[2]
+        lams = None
         if self.lambda_for is None:
             budget = self.lam / view.sub
         else:
-            budget = np.array(
-                [self.lambda_for(c) for c in view.cost.tolist()],
-                dtype=np.float64,
-            ) / view.sub
+            # Appends keep the store's rows: reuse the λ of those shared.
+            same = not fresh and memo[0].store is view.store
+            lams = memo[4][:len(view)] if same else []
+            lams += [self.lambda_for(c) for c in view.cost[len(lams):].tolist()]
+            budget = np.array(lams, dtype=np.float64) / view.sub
         if memoize:
-            self._budget_memo = (view, token, budget, {})
+            self._budget_memo = (view, token, budget, {}, lams)
         return budget
 
     def _group_budget(
@@ -444,7 +459,9 @@ class GetPlan:
         kernel on its ``(d,)`` point and gets ``(N,)`` vectors outright;
         a larger chunk gets ``(B, N)`` matrices and yields their rows.
 
-        Without boxes the check runs on the point factors themselves.
+        Without boxes, or when every box is a point (whose corner
+        factors are its point factors, bit for bit; DESIGN.md §12), the
+        check runs on the point factors themselves.
         With boxes (the check mode fixes box-ness uniformly over the
         rows) each row costs one extra kernel: the adversarial corner's
         G·L drives the check while the point G·L still feeds the
@@ -461,7 +478,7 @@ class GetPlan:
             resolved[0][0].values if one else [p.values for p, _ in resolved],
             dtype=np.float64,
         ))
-        if resolved[0][1] is None:
+        if resolved[0][1] is None or all(b.is_point for _, b in resolved):
             return ((g, l, g, l),) if one else zip(g, l, g, l)
         box_rows: dict[tuple, int] = {}
         inverse = [

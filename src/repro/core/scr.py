@@ -279,9 +279,7 @@ class SCR(OnlinePQOTechnique):
             # The live λ-violation check: the bound against the λ in
             # force for its anchor, labeled with the certificate kind
             # whose claim it would break.
-            lam = self.get_plan._effective_lambda(
-                decision.view.cells["cost"][decision.row]
-            )
+            lam = self.get_plan.anchor_lambda(decision.view, decision.row)
             record.bounds.append((bound, lam, decision.certificate, seq))
         return PlanChoice(
             shrunken_memo=plan.shrunken_memo,

@@ -50,7 +50,8 @@ class GroupRecord:
     ``choices`` and ``latencies`` are the served rows and ``widths`` the
     robust rows' interval log widths (serving shards only).
     ``rolls_up`` is True when the group's span sums its sVector and
-    Recost calls, so the engine records no span of their own.
+    Recost calls, so the engine records no span of their own; an
+    unobserved group (no observability) has only the serving lists.
     """
 
     __slots__ = (
@@ -58,13 +59,12 @@ class GroupRecord:
         "widths", "rolls_up",
     )
 
-    def __init__(self, rolls_up: bool = False) -> None:
-        self.calls: dict[str, list[float]] = {
-            "optimize": [], "recost": [], "selectivity": [],
-        }
-        self.svs: list = []
-        self.bounds: list[tuple] = []
-        self.samples: list[tuple] = []
+    def __init__(self, rolls_up: bool = False, observed: bool = True) -> None:
+        if observed:
+            self.calls: dict = {"optimize": [], "recost": [], "selectivity": []}
+            self.svs: list = []
+            self.bounds: list[tuple] = []
+            self.samples: list[tuple] = []
         self.choices: list = []
         self.latencies: list[float] = []
         self.widths: list[float] = []

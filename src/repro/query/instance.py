@@ -147,7 +147,7 @@ class UncertainSelectivityVector:
     @property
     def total_log_width(self) -> float:
         """Sum of the per-dimension log widths (0 for a point)."""
-        return sum(self.log_widths)
+        return 0.0 if self.is_point else sum(self.log_widths)
 
     def scaled(self, t: float) -> "UncertainSelectivityVector":
         """Scale every interval's log-width by ``t`` around the point.

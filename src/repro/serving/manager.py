@@ -247,7 +247,7 @@ class ConcurrentPQOManager:
         deadline: Optional[Deadline] = None,
         overflow_reason: Optional[str] = None,
     ) -> list["PlanChoice | BaseException"]:
-        """Serve a group on ``shard`` and count each served row; returns
+        """Serve a group on ``shard`` and count its served rows; returns
         the per-row outcomes, never raises (a group that raises fails
         each of its rows with that exception).  A group of one is the
         shard's :meth:`~TemplateShard.process`, larger groups its
@@ -263,9 +263,9 @@ class ConcurrentPQOManager:
                 )
         except BaseException as exc:  # noqa: BLE001 - returned per row
             outcomes = [exc] * len(instances)
-        for outcome in outcomes:
-            if not isinstance(outcome, BaseException):
-                self._note_processed(shard)
+        served = len([o for o in outcomes if not isinstance(o, BaseException)])
+        if served:
+            self._note_processed(shard, served)
         return outcomes
 
     def _mint_ctx(self) -> Optional[TraceContext]:
@@ -472,10 +472,12 @@ class ConcurrentPQOManager:
 
     # -- global budget / quarantine at rebalance points -----------------------
 
-    def _note_processed(self, shard: TemplateShard) -> None:
+    def _note_processed(self, shard: TemplateShard, served: int) -> None:
+        """Count a group's ``served`` rows; those past a due rebalance
+        point count toward the next, as counting row by row did."""
         with self._counter_lock:
-            shard.instances_seen += 1
-            self._since_rebalance += 1
+            shard.instances_seen += served
+            self._since_rebalance += served
             # Rebalance points also run the quarantine sweep, so they
             # are due on schedule even without a global plan budget
             # (where _apply_budgets is a no-op but breaker-open
@@ -491,7 +493,7 @@ class ConcurrentPQOManager:
             return
         try:
             with self._counter_lock:
-                self._since_rebalance = 0
+                self._since_rebalance %= self.rebalance_every
             with self._all_shard_locks():
                 for shard in self._templates.values():
                     breaker = getattr(shard.engine, "recost_breaker", None)

@@ -467,24 +467,23 @@ class OverloadCoordinator:
 
     def try_enter_queue(self, stats, rows: int = 1) -> int:
         """Admit up to ``rows`` submissions against the shard's bounded
-        queue, one slot each; returns how many were admitted."""
-        entered = stats.try_enqueue(self.policy.queue_limit, rows)
-        if not entered:
-            return 0
+        queue, one slot each; returns how many were admitted.  One lock
+        section covers the shard's depth, the global pending count and
+        their gauges, so each gauge equals its locked counter."""
         with self._lock:
-            self._pending += entered
-            pending = self._pending
-        if self._m_pending is not None:
-            self._m_pending.set(pending)
+            entered = stats.try_enqueue(self.policy.queue_limit, rows)
+            if entered:
+                self._pending += entered
+                if self._m_pending is not None:
+                    self._m_pending.set(self._pending)
         return entered
 
     def exit_queue(self, stats, rows: int = 1) -> None:
-        stats.note_dequeued(rows)
         with self._lock:
+            stats.note_dequeued(rows)
             self._pending = max(0, self._pending - rows)
-            pending = self._pending
-        if self._m_pending is not None:
-            self._m_pending.set(pending)
+            if self._m_pending is not None:
+                self._m_pending.set(self._pending)
 
     # -- miss-path admission -------------------------------------------------
 

@@ -48,7 +48,7 @@ whose per-row columns hold each row's outcome and certificate
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from ..core.get_plan import _COST, _POINT, _USAGE
@@ -87,6 +87,11 @@ MAX_OPTIMISTIC_RETRIES = 3
 #: Longest a single-flight follower waits for its leader's optimizer
 #: call (further capped by the request's remaining deadline).
 FLIGHT_TIMEOUT_SECONDS = 30.0
+
+#: A group's scope without a fresh trace root or a deadline, and its
+#: rows' admission without a coordinator, a deadline or an overflow.
+_NO_SCOPE = nullcontext()
+_ADMITTED = (False, None, None, BrownoutLevel.NORMAL)
 
 
 class TemplateShard:
@@ -208,56 +213,58 @@ class TemplateShard:
         # threads.
         with self._seq_lock:
             first = self._next_seq
-            self._next_seq += len(instances)
-        seqs = list(range(first, first + len(instances)))
+            self._next_seq = first + len(instances)
+        seqs = range(first, first + len(instances))
         ov = self._overload
         if deadline is None and ov is not None:
             deadline = ov.new_deadline()
         obs = self._obs
         spans = obs.spans if obs is not None and obs.spans.enabled else None
         instruments = self.scr.instruments
-        record = GroupRecord(rolls_up=spans is not None)
+        record = GroupRecord(spans is not None, instruments is not None)
         # The engine appends its calls to the record (only an
         # instrumented engine records anything).
         token = None if instruments is None else GROUP_RECORD.set(record)
-        ctx = fresh = None
+        # One activation for the whole group (a fresh root's; the
+        # ambient context is active already), the feed included.
+        activation, ctx = _NO_SCOPE, None
         if spans is not None:
             ctx = current_context()
             if ctx is None:
-                ctx = fresh = start_trace(ids=spans.ids)
-        try:
-            # One activation for the whole group (a fresh root's; the
-            # ambient context is active already), completion bookkeeping
-            # and the feed included: a brownout move a row's completion
-            # tips is an event of that row.
-            with nullcontext() if fresh is None else activate(fresh):
-                try:
-                    with self._engine_budget(deadline):
-                        results = self._serve_rows(
-                            instances, seqs, start, deadline,
-                            overflow_reason, record,
-                        )
-                finally:
-                    feed_group(record, instruments, self.stats)
-                if spans is not None:
-                    spans.record(
-                        "serving.batch", start,
-                        self.clock.perf_counter() - start,
-                        span_id=ctx.span_id, template=self.template.name,
-                        **self._group_columns(
-                            seqs, results, None if ov is None else int(ov.level)
-                        ),
-                        **record.engine_attrs(),
+                ctx = start_trace(ids=spans.ids)
+                activation = activate(ctx)
+        # The engine's per-call budget follows the remaining deadline.
+        budget = _NO_SCOPE
+        if deadline is not None:
+            scope = getattr(self.engine, "call_budget", None)
+            if scope is not None:
+                budget = scope(deadline.expires_at)
+        with activation:
+            try:
+                with budget:
+                    results = self._serve_rows(
+                        instances, seqs, start, deadline, overflow_reason,
+                        record,
                     )
-        finally:
-            if token is not None:
-                GROUP_RECORD.reset(token)
+            finally:
+                if token is not None:
+                    GROUP_RECORD.reset(token)
+                feed_group(record, instruments, self.stats)
+            if spans is not None:
+                spans.record(
+                    "serving.batch", start, self.clock.perf_counter() - start,
+                    span_id=ctx.span_id, template=self.template.name,
+                    **self._group_columns(
+                        seqs, results, None if ov is None else int(ov.level)
+                    ),
+                    **record.engine_attrs(),
+                )
         return results
 
     def _serve_rows(
         self,
         instances: Sequence[QueryInstance],
-        seqs: list[int],
+        seqs: range,
         start: float,
         deadline: Optional[Deadline],
         overflow_reason: Optional[str],
@@ -266,14 +273,15 @@ class TemplateShard:
         """The one serving loop: every row decided in input order by
         :meth:`~repro.core.get_plan.GetPlan.probe_rows`.
 
-        The rows' sVectors are fetched first (a failed fetch fails its
-        row only); each row's admission is read when the row is reached
-        (:meth:`_probe_admission`), and each row is one completion
-        (:meth:`_complete`).
+        The rows' sVectors (a robust row's box, its log width recorded)
+        are fetched first; a failed fetch fails its row only.  Admission
+        is read once per group without a coordinator and a deadline,
+        else per row when the row is reached (:meth:`_probe_admission`),
+        and each row is then one completion (:meth:`_complete`).
 
         ``probe_rows`` computes the rows' factor matrices together and
         each row's checks when the row is reached; once a row changes
-        what the later rows' probes depend on (:meth:`_probe_state`), or
+        what the later rows' probes depend on (the probe state), or
         a row's admission differs from the row before it, the remaining
         rows are probed again against the new view.  A probed hit that
         fails validation, or a miss that followed a single-flight
@@ -284,28 +292,44 @@ class TemplateShard:
         if overflow_reason is not None:
             for seq in seqs:
                 self.event("overload.queue_reject", seq, reason=overflow_reason)
+        per_row = deadline is not None or self._overload is not None
+        engine, robust = self.engine, self.robust
         results: list = [None] * len(instances)
         fetched: list[tuple[AnySelectivityVector, bool]] = []
         at: list[int] = []
         for i, (instance, seq) in enumerate(zip(instances, seqs)):
-            self.engine.begin_instance(seq)
+            engine.begin_instance(seq)
             try:
-                fetched.append(self._fetch(instance, record))
+                sv = fetch_selectivity(engine, instance, robust)
+                if robust and isinstance(sv[0], UncertainSelectivityVector):
+                    record.widths.append(sv[0].total_log_width)
+                fetched.append(sv)
                 at.append(i)
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 results[i] = exc
-                self._complete(deadline, exc)
+                if per_row:
+                    self._complete(deadline, exc)
         scr = self.scr
+        cache, detector, get_plan = scr.cache, scr.detector, scr.get_plan
+        usage = get_plan.candidate_order is _USAGE
+        lock = self.lock
         svs = [sv for sv, _ in fetched]
-        rows = state = admitted = None
+        admission = _ADMITTED
+        if per_row or overflow_reason is not None:
+            admission = self._probe_admission(deadline, overflow_reason)
+        tagged = seqs[-1]  # the row the engine's calls are attributed to
+        rows = state = None
         lock_wait = 0.0
         for k, ((sv, degraded), i) in enumerate(zip(fetched, at)):
             seq = seqs[i]
-            self.engine.begin_instance(seq)
+            if seq != tagged:
+                engine.begin_instance(seq)
+                tagged = seq
             try:
-                admission = self._probe_admission(deadline, overflow_reason)
-                if admission != admitted:
-                    admitted, rows = admission, None
+                if per_row and k:
+                    current = self._probe_admission(deadline, overflow_reason)
+                    if current != admission:
+                        admission, rows = current, None
                 expired, max_recost, coverage, _ = admission
                 choice = None
                 if expired:
@@ -317,15 +341,21 @@ class TemplateShard:
                 depth = 0
                 while choice is None:
                     serial = depth >= MAX_OPTIMISTIC_RETRIES
-                    with self._locked() if serial else nullcontext():
-                        current = self._probe_state()
+                    if serial:
+                        lock_wait += self._acquire()
+                    try:
+                        # The probe state (DESIGN.md §8): monotone, so the
+                        # sum changes exactly when one of its terms does.
+                        current = cache.epoch + detector.anchors_retired
+                        if usage:
+                            current += cache.usage_version
                         if rows is None or current != state:
                             # The state is read before the view: a write
                             # landing in between re-probes, never
                             # commits a stale view.
                             state = current
-                            rows = scr.get_plan.probe_rows(
-                                svs[k:], self._recost, view=scr.cache.columnar(),
+                            rows = get_plan.probe_rows(
+                                svs[k:], self._recost, view=cache.columnar(),
                                 max_recost=max_recost, coverage=coverage,
                             )
                         decision = next(rows)
@@ -335,13 +365,17 @@ class TemplateShard:
                                 overflow_reason, record,
                             )
                         else:
-                            waited_from = self.clock.perf_counter()
-                            with self.lock:  # _locked(), booked once a group
-                                lock_wait += self.clock.perf_counter() - waited_from
+                            lock_wait += self._acquire()
+                            try:
                                 if serial or self._commit_valid(decision):
                                     choice = scr.apply(
                                         sv, decision, seq=seq, record=record
                                     )
+                            finally:
+                                lock.release()
+                    finally:
+                        if serial:
+                            lock.release()
                     if choice is None:
                         # Probe this row again at its own turn.
                         rows = None
@@ -351,53 +385,25 @@ class TemplateShard:
                             # commit: the certificate no longer stands.
                             self.stats.note_epoch_retry()
                             self.event("serving.epoch_retry", seq)
-                results[i] = self._finish(choice, degraded, start, record)
+                # A stale sVector fallback certifies nothing: every
+                # check ran against approximate selectivities.
+                if degraded:
+                    choice.certified = False
+                record.latencies.append(self.clock.perf_counter() - start)
+                record.choices.append(choice)
+                results[i] = choice
             except BaseException as exc:  # noqa: BLE001 - per-item isolation
                 rows = None  # a raising probe cannot be resumed
                 results[i] = exc
-            self._complete(deadline, results[i])
-        self.stats.add_lock_wait(lock_wait)
+            if per_row:
+                self._complete(deadline, results[i])
+        if lock_wait:
+            self.stats.add_lock_wait(lock_wait)
         return results
-
-    def _probe_state(self) -> int:
-        """What a probed decision depends on besides its view's rows:
-        the cache epoch (registrations, evictions), the Appendix G
-        detector's retirements (which flip an anchor without bumping the
-        epoch) and, under the usage candidate order, the usage counter
-        every hit advances.  All three only grow, so their sum changes
-        exactly when one of them does."""
-        scr = self.scr
-        state = scr.cache.epoch + scr.detector.anchors_retired
-        if scr.get_plan.candidate_order is _USAGE:
-            state += scr.cache.usage_version
-        return state
-
-    def _fetch(
-        self, instance: QueryInstance, record: GroupRecord
-    ) -> tuple[AnySelectivityVector, bool]:
-        """The row's sVector (its box on robust shards, whose total log
-        width goes into the record) and whether it is a stale fallback."""
-        fetched = fetch_selectivity(self.engine, instance, self.robust)
-        if self.robust and isinstance(fetched[0], UncertainSelectivityVector):
-            record.widths.append(fetched[0].total_log_width)
-        return fetched
-
-    def _finish(
-        self, choice: PlanChoice, degraded: bool, start: float,
-        record: GroupRecord,
-    ) -> PlanChoice:
-        """Book a served row into the record: a stale sVector fallback
-        certifies nothing (every check ran against approximate
-        selectivities)."""
-        if degraded:
-            choice.certified = False
-        record.latencies.append(self.clock.perf_counter() - start)
-        record.choices.append(choice)
-        return choice
 
     @staticmethod
     def _group_columns(
-        seqs: list[int],
+        seqs: range,
         results: list["PlanChoice | BaseException"],
         brownout: Optional[int],
     ) -> dict:
@@ -422,9 +428,9 @@ class TemplateShard:
                 shaded = shaded or why is not None
                 continue
             bound, cover = outcome.certified_bound, outcome.coverage
-            certified = outcome.certified
+            certified, check = outcome.certified, outcome.check
             outcomes.append("certified" if certified else "uncertified")
-            checks.append(getattr(outcome.check, "value", outcome.check))
+            checks.append(check)
             certificates.append(outcome.certificate)
             bounds.append(
                 round(bound, 6) if certified and bound is not None else None
@@ -495,24 +501,16 @@ class TemplateShard:
                 missed, shed=isinstance(outcome, ShedError)
             )
 
-    def _engine_budget(self, deadline: Optional[Deadline]):
-        """Scope the engine's per-call budget to the remaining deadline."""
-        if deadline is None:
-            return nullcontext()
-        budget = getattr(self.engine, "call_budget", None)
-        if budget is None:
-            return nullcontext()
-        return budget(deadline.expires_at)
-
     # -- probe → validate → apply -------------------------------------------
 
-    @contextmanager
-    def _locked(self):
-        """The shard's write lock, with the wait booked to the stats."""
-        acquired_at = self.clock.perf_counter()
-        with self.lock:
-            self.stats.add_lock_wait(self.clock.perf_counter() - acquired_at)
-            yield
+    def _acquire(self) -> float:
+        """Take the shard's write lock; returns the seconds spent
+        waiting for it (0.0 when it was free)."""
+        if self.lock.acquire(False):
+            return 0.0
+        waited_from = self.clock.perf_counter()
+        self.lock.acquire()
+        return self.clock.perf_counter() - waited_from
 
     def _commit_valid(self, decision) -> bool:
         """Optimistic validation of a probed hit; caller holds the lock.
@@ -565,13 +563,15 @@ class TemplateShard:
             result = unavailable = None
             try:
                 if reason is None:
+                    left = self.stats.engine_calls.enter()
                     try:
-                        with self.stats.engine_calls.track():
-                            result = self.scr._optimize(
-                                sv, self.scr.incumbent(decision)
-                            )
+                        result = self.scr._optimize(
+                            sv, self.scr.incumbent(decision)
+                        )
                     except OptimizeUnavailableError as exc:
                         unavailable = exc
+                    finally:
+                        left.append(None)
                 choice = self._apply(sv, seq, record, decision, result, reason)
             finally:
                 if holds_gate:
@@ -648,8 +648,13 @@ class TemplateShard:
         ``overload.uncertified_serve`` event with the reason code, or —
         with nothing cached to serve — ``overload.shed`` and a
         :class:`ShedError`."""
-        with self._locked():
+        waited = self._acquire()
+        try:
             choice = self.scr.apply(sv, decision, result, denied, seq, record)
+        finally:
+            self.lock.release()
+        if waited:
+            self.stats.add_lock_wait(waited)
         if denied is None:
             return choice
         if choice is None:
@@ -673,5 +678,8 @@ class TemplateShard:
             self._obs.spans.event(name, **head, **attrs)
 
     def _recost(self, shrunken: ShrunkenMemo, sv: SelectivityVector) -> float:
-        with self.stats.engine_calls.track():
+        left = self.stats.engine_calls.enter()
+        try:
             return self.engine.recost(shrunken, sv)
+        finally:
+            left.append(None)

@@ -11,8 +11,9 @@ the exactly-one-outcome identity (certified + uncertified + shed ==
 responses) is kept by the same audit counters either way.
 
 What stays outside the registry is what synchronisation or arithmetic
-needs: the lock-guarded queue depth (``try_enqueue``'s check-and-
-increment must be atomic; the gauge mirrors it), the two timestamps
+needs: the queue depth and its high-water mark, guarded by the overload
+coordinator's lock (``try_enqueue``'s check-and-increment must be
+atomic; the gauges mirror them), the two timestamps
 behind ``throughput_s``, and the :class:`ConcurrencyGauge` of engine
 calls in flight.
 """
@@ -41,31 +42,28 @@ LOCK_WAIT_SECONDS_TOTAL = "repro_shard_lock_wait_seconds_total"
 
 
 class ConcurrencyGauge:
-    """Tracks how many engine calls are in flight and the peak seen."""
+    """Tracks how many engine calls are in flight and the peak seen.
+
+    A call enters in one lock section, which counts it and reads how
+    many calls have left, so the peak is exact; it leaves by a lock-free
+    (atomic) append to the list :meth:`enter` returned."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._active = 0
+        self._left: list = []
+        self._entered = 0
         self.peak = 0
-        self.total = 0
 
-    def track(self) -> "ConcurrencyGauge":
-        """``with gauge.track():`` counts one call in flight for the
-        block.  The gauge is its own context manager: all its state is
-        the shared counters, so nesting and threads need no per-call
-        object."""
-        return self
-
-    def __enter__(self) -> None:
+    def enter(self) -> list:
         with self._lock:
-            self._active += 1
-            self.total += 1
-            if self._active > self.peak:
-                self.peak = self._active
-
-    def __exit__(self, *exc: object) -> None:
-        with self._lock:
-            self._active -= 1
+            left = self._left
+            if len(left) > 1024:  # keep it short; racing appends land after
+                gone = len(left)
+                del left[:gone]
+                self._entered -= gone
+            self._entered += 1
+            self.peak = max(self.peak, self._entered - len(left))
+        return left
 
 
 #: The per-template families a shard writes besides the audit's own
@@ -121,9 +119,9 @@ class ServingStats:
             "Served responses by deciding check",
             labels=("template", "check"),
         )
-        self._m_check_children: dict = {}
-        self._lock = threading.Lock()
+        self._m_row_children: dict = {}
         self._depth = 0
+        self._high_water = 0
         self._started_at = time.perf_counter()
         self._last_at = 0.0
 
@@ -134,41 +132,40 @@ class ServingStats:
 
         This is the single accounting point for every *served* response
         (shed requests go through :meth:`note_shed` instead): each
-        response's one outcome counter — certified or uncertified — and
-        its one certificate-kind counter.  A choice's kind is the one it
-        claims; an uncertified response counts as kind ``uncertified``
-        regardless of it (a degraded path may have invalidated the claim
-        after the checks ran).  One ``inc(n)`` per distinct label and one
-        histogram write per family, whatever the group's size.
+        response's one outcome counter — certified or uncertified — its
+        one certificate-kind counter and its deciding-check counter.  A
+        choice's kind is the one it claims; an uncertified response
+        counts as kind ``uncertified`` regardless of it (a degraded path
+        may have invalidated the claim after the checks ran).  The rows
+        are counted per ``(kind, check)`` and each pair's three counters,
+        resolved once per shard, get one ``inc(n)``; one histogram write
+        per family, whatever the group's size.
         """
-        kinds: dict[str, int] = {}
-        checks: dict[str, int] = {}
+        tally: dict[tuple, int] = {}
         for choice in choices:
-            kind = choice.certificate if choice.certified else "uncertified"
-            kinds[kind] = kinds.get(kind, 0) + 1
-            check = choice.check
-            checks[check] = checks.get(check, 0) + 1
-        certified = len(choices)
-        for kind, n in kinds.items():
-            self._m_cert[kind].inc(n)
-            if kind == "uncertified":
-                self._m_outcome[kind].inc(n)
-                certified -= n
-        if certified:
-            self._m_outcome["certified"].inc(certified)
+            key = (
+                choice.certificate if choice.certified else "uncertified",
+                choice.check,
+            )
+            tally[key] = tally.get(key, 0) + 1
+        for key, n in tally.items():
+            # Benign race: a duplicate resolution finds the same children.
+            children = self._m_row_children.get(key)
+            if children is None:
+                kind, check = key
+                children = self._m_row_children[key] = (
+                    self._m_cert[kind],
+                    self._m_outcome[
+                        "uncertified" if kind == "uncertified" else "certified"
+                    ],
+                    self._m_checks.labels(template=self.template, check=check),
+                )
+            for child in children:
+                child.inc(n)
         if latencies:
             self._m_latency.observe_many(latencies)
         if widths:
             self._m_width.observe_many(widths)
-        for check, n in checks.items():
-            # Benign race: a duplicate labels() resolves the same child.
-            child = self._m_check_children.get(check)
-            if child is None:
-                child = self._m_checks.labels(
-                    template=self.template, check=check
-                )
-                self._m_check_children[check] = child
-            child.inc(n)
         if choices:
             self._last_at = time.perf_counter()
 
@@ -187,24 +184,27 @@ class ServingStats:
     # -- overload accounting -------------------------------------------------
 
     def try_enqueue(self, limit: int, rows: int = 1) -> int:
-        """Atomically claim up to ``rows`` bounded-queue slots and return
-        how many were claimed (the rest are refused).  The lock-guarded
-        depth is authoritative; the registry gauges mirror it."""
-        with self._lock:
-            entered = max(0, min(rows, limit - self._depth))
-            if entered:
-                self._depth += entered
-                self._m_queue.set(self._depth)
-                if self._depth > self._m_queue_hw.value:
-                    self._m_queue_hw.set(self._depth)
+        """Claim up to ``rows`` bounded-queue slots and return how many
+        were claimed (the rest are refused).  The caller holds the
+        coordinator's lock, which guards every shard's depth: the depth
+        and high-water gauges are written in that one lock section, the
+        high-water mark compared against the locked depth."""
+        entered = max(0, min(rows, limit - self._depth))
+        if entered:
+            self._depth += entered
+            self._m_queue.set(self._depth)
+            if self._depth > self._high_water:
+                self._high_water = self._depth
+                self._m_queue_hw.set(self._depth)
         if entered < rows:
             self._m_queue_rejects.inc(rows - entered)
         return entered
 
     def note_dequeued(self, rows: int = 1) -> None:
-        with self._lock:
-            self._depth = max(0, self._depth - rows)
-            self._m_queue.set(self._depth)
+        """Release ``rows`` slots; the caller holds the coordinator's
+        lock (:meth:`try_enqueue`)."""
+        self._depth = max(0, self._depth - rows)
+        self._m_queue.set(self._depth)
 
     def note_shed(self, reason: str = "unknown") -> None:
         """Record one refused request — the response's single outcome
@@ -236,8 +236,7 @@ class ServingStats:
 
     @property
     def queue_depth(self) -> int:
-        with self._lock:
-            return self._depth
+        return self._depth
 
     @property
     def shed(self) -> int:

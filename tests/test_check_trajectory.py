@@ -94,3 +94,38 @@ def test_obs_gap_watches_off_over_on_on_the_same_host():
     errors = check_trajectory.check_regressions(_obs_gap_doc(0.86, 0.6), "f")
     assert len(errors) == 1
     assert "off_over_on at (workload=serve_batch_obs) dropped 30%" in errors[0]
+
+
+def _serving_overhead_doc(*ratios):
+    return {
+        "schema_version": 2,
+        "benchmark": "serving_overhead",
+        "runs": [
+            {
+                "timestamp": f"2026-10-20T{hour:02d}:00:00Z",
+                "meta": {"platform": "host-a"},
+                "results": [
+                    {"workload": "serve_batch_obs", "obs": side,
+                     "scr_over_one": ratio}
+                    for side in ("off", "on")
+                ],
+            }
+            for hour, ratio in enumerate(ratios, 1)
+        ],
+    }
+
+
+def test_serving_overhead_watches_scr_over_one_per_observability_side():
+    """The serving-overhead trajectory is gated on ``scr_over_one`` (the
+    ``SCR.process`` loop's cost over a group of one's; higher is
+    better), one series per observability side."""
+    gained = _serving_overhead_doc(0.70, 0.79)
+    assert check_trajectory.validate_document(gained, "f") == []
+    assert check_trajectory.check_regressions(gained, "f") == []
+    errors = check_trajectory.check_regressions(
+        _serving_overhead_doc(0.80, 0.60), "f"
+    )
+    assert len(errors) == 2
+    assert "scr_over_one at (workload=serve_batch_obs, obs=off) dropped 25%" in (
+        errors[0]
+    )

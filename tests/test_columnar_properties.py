@@ -174,6 +174,45 @@ def test_corner_gl_matrix_matches_adversarial_corner(data, dims):
         assert lc_m[0, row] == lc
 
 
+#: Raw kernel inputs: ordinary selectivities, exactly 1.0 and subnormals
+#: (whose ratios against 1.0 overflow to ``inf``).
+edge_selectivities = st.one_of(
+    selectivities,
+    st.just(1.0),
+    st.floats(min_value=5e-324, max_value=2.2e-308),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    dims=st.integers(min_value=1, max_value=8),
+    chunk=st.integers(min_value=1, max_value=6),
+)
+def test_zero_width_corner_factors_are_the_point_factors(data, dims, chunk):
+    """A zero-width box's adversarial corner is its point, so its corner
+    ``G``/``L`` are its point ``G``/``L`` bit for bit, over ``(d,)``
+    points and ``(B, d)`` chunks: why a probe of exact boxes reuses its
+    point factors (``GetPlan._factor_rows``)."""
+    vectors = st.lists(edge_selectivities, min_size=dims, max_size=dims)
+    anchors = data.draw(st.lists(vectors, min_size=1, max_size=10))
+    points = np.array(
+        data.draw(st.lists(vectors, min_size=chunk, max_size=chunk)),
+        dtype=np.float64,
+    )
+    sv_mat = _anchor_matrix(anchors)
+    sv_sq = (sv_mat * sv_mat)[:, None, :]
+    with np.errstate(over="ignore", under="ignore"):  # inf is bit-equal too
+        for sq in (None, sv_sq):
+            gc, lc = corner_gl_matrix(sv_mat, points, points, sq)
+            g, l = gl_matrix(sv_mat, points)
+            assert gc.tobytes() == g.tobytes() and lc.tobytes() == l.tobytes()
+            for b, point in enumerate(points):
+                g, l = gl_matrix(sv_mat, point)
+                assert gc[b].tobytes() == g.tobytes()
+                assert lc[b].tobytes() == l.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),

@@ -20,6 +20,7 @@ DESIGN.md §9:
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -296,6 +297,119 @@ class TestPressureRelaxedLambda:
             manager.close()
 
 
+    def test_normal_level_makes_no_hook_call_per_hit(self):
+        """At NORMAL the hook's λ vector is memoized per anchor: each
+        anchor costs one hook call when its row first joins a view, and
+        a hit's λ audit reads the vector by row.  The audited λ and the
+        violation count are the ones a per-hit hook call gives."""
+        rng = random.Random(3)
+        stream = [
+            SelectivityVector.of(rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0))
+            for _ in range(120)
+        ]
+
+        class Counting(PressureRelaxedLambda):
+            calls = 0
+
+            def __call__(self, cost):
+                Counting.calls += 1
+                return super().__call__(cost)
+
+        def serve(per_hit_hook: bool):
+            obs = Observability()
+            manager, template = make_manager(
+                policy=OverloadPolicy(queue_limit=10**6, evaluate_every=10**6),
+                obs=obs, max_workers=1,
+            )
+            get_plan = manager.shard(template.name).scr.get_plan
+            hook = get_plan.lambda_for
+            get_plan.lambda_for = Counting(
+                hook.base, hook.level_provider, hook.relax_factor,
+                hook.ceiling, hook.relax_at_level,
+            )
+            if per_hit_hook:  # the λ audit calls the hook on every hit
+                get_plan.anchor_lambda = lambda view, row: (
+                    get_plan._effective_lambda(view.cells["cost"][row])
+                )
+            audited: list = []
+            record = obs.audit.certified_bounds
+            obs.audit.certified_bounds = lambda t, rows: (
+                audited.extend(rows) or record(t, rows)
+            )
+            Counting.calls = 0
+            with manager:
+                checks = [
+                    manager.process(QueryInstance(template.name, sv=sv)).check
+                    for sv in stream
+                ]
+                anchors = get_plan.cache.num_instances
+            return checks, audited, Counting.calls, anchors, obs.audit
+
+        checks, audited, calls, anchors, audit = serve(per_hit_hook=False)
+        hits = checks.count("selectivity")
+        assert hits > 0 and "optimizer" in checks
+        assert calls == anchors  # one per anchor, none per hit
+        loop_checks, loop_audited, loop_calls, _, loop_audit = serve(True)
+        assert loop_calls == anchors + hits
+        assert (checks, audited) == (loop_checks, loop_audited)
+        assert audit.total_violations == loop_audit.total_violations
+
+    def test_a_level_drop_between_probe_and_commit_audits_the_new_lambda(self):
+        """Every row is probed at LAMBDA_RELAXED and committed after the
+        level has dropped to NORMAL (as another shard's completion can
+        move the shared coordinator).  The λ audit checks each hit
+        against the base λ now in force, not the relaxed one its probe
+        used, so the hits the relaxation certified count as violations,
+        exactly as a per-hit hook call counts them."""
+        rng = random.Random(5)
+        stream = [
+            SelectivityVector.of(rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0))
+            for _ in range(150)
+        ]
+
+        def serve(per_hit_hook: bool):
+            obs = Observability()
+            manager, template = make_manager(
+                policy=OverloadPolicy(queue_limit=10**6, evaluate_every=10**6),
+                obs=obs, max_workers=1,
+            )
+            scr = manager.shard(template.name).scr
+            get_plan = scr.get_plan
+            level = [BrownoutLevel.LAMBDA_RELAXED]
+            hook = get_plan.lambda_for
+            get_plan.lambda_for = PressureRelaxedLambda(
+                hook.base, lambda: level[0], hook.relax_factor,
+                hook.ceiling, hook.relax_at_level,
+            )
+            if per_hit_hook:
+                get_plan.anchor_lambda = lambda view, row: (
+                    get_plan._effective_lambda(view.cells["cost"][row])
+                )
+            apply = scr.apply
+
+            def commit_after_the_drop(*args, **kwargs):
+                level[0] = BrownoutLevel.NORMAL
+                return apply(*args, **kwargs)
+
+            scr.apply = commit_after_the_drop
+            audited: list = []
+            record = obs.audit.certified_bounds
+            obs.audit.certified_bounds = lambda t, rows: (
+                audited.extend(rows) or record(t, rows)
+            )
+            with manager:
+                for sv in stream:
+                    level[0] = BrownoutLevel.LAMBDA_RELAXED
+                    manager.process(QueryInstance(template.name, sv=sv))
+            return audited, obs.audit.total_violations
+
+        audited, violations = serve(per_hit_hook=False)
+        assert audited and {lam for _, lam, _, _ in audited} == {LAM}
+        assert any(bound > LAM for bound, _, _, _ in audited)
+        assert violations > 0
+        assert (audited, violations) == serve(per_hit_hook=True)
+
+
 # ---------------------------------------------------------------------------
 # Deadline propagation through the serving path
 
@@ -542,6 +656,48 @@ class TestBoundedIngress:
             assert shard.stats.queue_depth == 0  # every slot released
             assert shard.stats.queue_high_water >= 1
             assert manager._overload_coordinator.pending == 0
+        finally:
+            manager.close()
+
+
+    def test_queue_gauges_equal_the_locked_counters_after_a_burst(self):
+        """Entry and exit each update the shard's depth, its high-water
+        mark, the global pending count and their gauges in one lock
+        section, so after a concurrent ``submit`` burst every gauge
+        equals its locked counter."""
+        obs = Observability()
+        manager, template = make_manager(
+            policy=OverloadPolicy(queue_limit=6, evaluate_every=10**6),
+            obs=obs, max_workers=4,
+        )
+        try:
+            manager.process(QueryInstance(template.name, sv=NEAR))
+            start = threading.Barrier(8)
+            futures: list = []
+
+            def burst():
+                start.wait()
+                futures.extend(
+                    manager.submit(QueryInstance(template.name, sv=NEAR))
+                    for _ in range(25)
+                )
+
+            threads = [threading.Thread(target=burst) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for f in futures:
+                f.result(timeout=10)
+            shard = manager.shard(template.name)
+            ov = manager._overload_coordinator
+            stats = shard.stats
+            assert stats.queue_depth == 0 and ov.pending == 0
+            assert 1 <= stats._high_water <= 6
+            assert stats._m_queue.value == stats.queue_depth
+            assert stats.queue_high_water == stats._high_water
+            assert ov._m_pending.value == ov.pending
         finally:
             manager.close()
 

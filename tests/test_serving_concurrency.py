@@ -407,6 +407,42 @@ class TestGroupEquivalence:
         assert grouped_calls == loop_calls
 
 
+    def test_a_robust_shard_fed_exact_boxes_decides_as_an_scr_loop(self):
+        """Instances that carry their selectivities are zero-width boxes
+        on a robust shard, whose probe reuses the point factors as the
+        corner ones.  Served as groups of one and as groups of 16, every
+        row is decided as a bare ``SCR.process`` loop decides it."""
+        template = tpch_templates()[1]  # robust under tpch_manager
+        stream = instances_for_template(template, 400, seed=11)
+
+        def serve(arm: str) -> tuple[list, int]:
+            with tpch_manager() as manager:
+                shard = manager.shard(template.name)
+                assert shard.robust
+                if arm == "scr":
+                    out = [shard.scr.process(q) for q in stream]
+                elif arm == "one":
+                    out = [manager.process(q) for q in stream]
+                else:
+                    out = [
+                        c for lo in range(0, len(stream), 16)
+                        for c in manager.process_many(
+                            stream[lo:lo + 16], dedupe=False
+                        )
+                    ]
+                boxes = [
+                    shard.engine.selectivity_vector_with_error_ex(q)[0]
+                    for q in stream[:20]
+                ]
+                assert all(box.is_point for box in boxes)
+                return [decision(c) for c in out], shard.scr.optimizer_calls
+
+        loop, loop_calls = serve("scr")
+        assert {d[1] for d in loop} >= {"selectivity", "cost", "optimizer"}
+        for arm in ("one", "many"):
+            assert serve(arm) == (loop, loop_calls), arm
+
+
 def shipping_priority_manager(obs=None) -> tuple:
     """A one-worker manager serving ``tpch_shipping_priority`` (point
     checks, λ = 1.5), its shard, and that template's seeded stream,
@@ -1047,3 +1083,39 @@ class TestQuarantineWithoutGlobalBudget:
         # The quarantine sweep must run at rebalance points even with no
         # global plan budget configured.
         assert manager.quarantined_templates == [template.name]
+
+
+def test_concurrency_gauge_peak_is_exact_under_a_short_switch_interval():
+    """A call enters the gauge in one lock section and leaves by a
+    lock-free append: with every thread inside at once the peak is
+    exactly the thread count, and after thousands of racing calls (the
+    left list trimmed many times) nothing is left in flight."""
+    import sys
+
+    from repro.serving import ConcurrencyGauge
+
+    gauge, threads_n, calls = ConcurrencyGauge(), 12, 400
+    inside = threading.Barrier(threads_n)
+
+    def work():
+        left = gauge.enter()
+        inside.wait(timeout=10)  # every thread is in flight here
+        left.append(None)
+        for _ in range(calls):
+            left = gauge.enter()
+            left.append(None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert gauge.peak == threads_n
+    assert gauge._entered - len(gauge._left) == 0
+

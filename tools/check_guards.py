@@ -95,6 +95,11 @@ ONE_DISPATCH = (
     "and one unit per template, overload policy or not; _run is the only "
     "pool task"
 )
+ONE_SERVING_LOOP = (
+    "One serving loop: TemplateShard._serve_rows decides every row of "
+    "every group; no group-of-one, no-coordinator or no-deadline fast "
+    "path beside it"
+)
 EVERY_NAME_HAS_A_CALLER = (
     "Every name has a caller: no test-only entry points, span context "
     "manager, advisor eviction or never-set settings"
@@ -226,6 +231,18 @@ GUARDS: tuple[Guard, ...] = (
         r"zip_longest|every group is one row",
         ("src/repro/serving/manager.py", "src/repro/serving/shard.py"),
         ONE_DISPATCH,
+    ),
+    # A second call site of probe_rows (every row loop probes through
+    # it), a branch on a group of one or a fast-path method is a second
+    # per-row loop.
+    Guard(
+        r"probe_rows\((?s:.*)probe_rows\(",
+        ("src/repro/serving/shard.py",), ONE_SERVING_LOOP, whole_file=True,
+    ),
+    Guard(
+        r"len\((instances|fetched|svs|seqs|at)\)\s*[=<]=\s*1\b"
+        r"|def _serve_(one|single|fast|plain|uncoordinated|simple)\w*\(",
+        ("src/repro/serving/shard.py",), ONE_SERVING_LOOP,
     ),
     Guard(
         r"\bdef (submit_batch|obs_report|span)\(|\b(efficacy_advisor"
