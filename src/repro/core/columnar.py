@@ -63,6 +63,7 @@ break the decision equivalence the differential suite
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -92,6 +93,7 @@ MUTABLE_COLUMNS = {
     "usage": np.int64, "retired": np.bool_, "hits_selectivity": np.int64,
     "hits_cost": np.int64, "recost_spend": np.int64, "last_hit_tick": np.int64,
 }
+_mutable_fields = operator.attrgetter(*MUTABLE_COLUMNS)
 
 
 class _Buffers:
@@ -105,33 +107,32 @@ class _Buffers:
         self.arrays = arrays
         self.cells = _cells(arrays)
 
-    def write(self, **row) -> None:
+    def write(self, *row) -> None:
+        """Write row ``n``: one value per array, in the arrays' order."""
         n = self.n
-        arrays = self.arrays
         if n == self.capacity:
             self.capacity *= 2
             arrays = self.arrays = {
                 name: np.concatenate((a, np.empty_like(a)), axis=-1)
-                for name, a in arrays.items()
+                for name, a in self.arrays.items()
             }
             # In place: a view holds this dict (ColumnarInstances.cells).
             self.cells.update(_cells(arrays))
-        for name, value in row.items():
-            arrays[name][..., n] = value
+        for cell, value in zip(self.cells.values(), row, strict=True):
+            cell[n] = value
         self.n = n + 1
-
-    def __getitem__(self, name: str) -> "np.ndarray":
-        """Rows ``[:n]`` of one array."""
-        return self.arrays[name][..., :self.n]
 
 
 def _cells(arrays: dict) -> dict:
-    """A ``memoryview`` per 1-D array: a third of numpy's cost per element
-    write, and every committed hit makes several."""
-    return {name: memoryview(a) for name, a in arrays.items() if a.ndim == 1}
+    """Per array, in order, what ``cell[n] = value`` writes row ``n``
+    through: a 1-D array's ``memoryview`` (a third of numpy's cost per
+    element write, and every committed hit makes several), a 2-D array's
+    transpose."""
+    return {name: memoryview(a) if a.ndim == 1 else a.T for name, a in arrays.items()}
 
 
 def _row_buffers(d: int) -> _Buffers:
+    """A store's rows, in the order :meth:`ColumnStore.append` writes them."""
     cap = INITIAL_CAPACITY
     return _Buffers(
         sv=np.empty((d, cap)),
@@ -177,30 +178,32 @@ class ColumnStore:
         """Write ``entry`` as row ``n``, and as the next row of its
         plan's group."""
         values = entry.sv.values
+        # ``np.log`` of a contiguous array, never of a strided column:
+        # numpy may round the two loops differently.
         sv = np.array(values, dtype=np.float64)
-        if not self._rows.n:
-            self._rows = _row_buffers(len(sv))
-        slot = self._slot_of.get(entry.plan_id)
+        rows = self._rows
+        if not rows.n:
+            rows = self._rows = _row_buffers(len(sv))
+        plan_id = entry.plan_id
+        slot = self._slot_of.get(plan_id)
         if slot is None:
-            slot = self._slot_of[entry.plan_id] = len(self._groups)
-            self._plans.write(ids=entry.plan_id)
+            slot = self._slot_of[plan_id] = len(self._groups)
+            self._plans.write(plan_id)
             self._groups.append(_group_buffers())
             self._published.append(None)
-        row = self._rows.n
-        self._rows.write(
-            sv=sv, log_sv=np.log(sv),
-            sub=entry.suboptimality, cost=entry.optimal_cost,
-            plan_ids=entry.plan_id,
-            # Folded left to right from 1.0: bit-identical to the scalar
-            # loop in the test suite's reference_get_plan.sv_product.
-            area=math.prod(values),
-            slot=slot,
-            **{name: getattr(entry, name) for name in MUTABLE_COLUMNS},
+        row = rows.n
+        cost, sub = entry.optimal_cost, entry.suboptimality
+        # Folded left to right from 1.0: bit-identical to the scalar
+        # loop in the test suite's reference_get_plan.sv_product.
+        area = math.prod(values)
+        rows.write(
+            sv, np.log(sv), sub, cost, plan_id, area, slot, *_mutable_fields(entry)
         )
         group = self._groups[slot]
-        group.write(rows=row, cost=entry.optimal_cost, sub=entry.suboptimality)
+        group.write(row, cost, sub)
+        arrays, n = group.arrays, group.n
         self._published[slot] = PlanGroup(
-            group["rows"], group["cost"], group["sub"]
+            arrays["rows"][:n], arrays["cost"][:n], arrays["sub"][:n]
         )
 
     def hit(self, row: int, cost_check: bool, recost_calls: int, tick: int) -> None:
@@ -222,17 +225,17 @@ class ColumnStore:
 
     def view(self, epoch: int) -> "ColumnarInstances":
         """Rows ``[:n]`` as a view tagged ``epoch``."""
-        rows = self._rows
+        rows, n = self._rows.arrays, self._rows.n
         return ColumnarInstances(
             epoch=epoch,
             store=self,
-            stored_sv=rows["sv"],
-            log_sv=rows["log_sv"],
-            sub=rows["sub"],
-            cost=rows["cost"],
-            plan_ids=rows["plan_ids"],
-            area=rows["area"],
-            plan_slots=(self._plans["ids"], rows["slot"]),
+            stored_sv=rows["sv"][:, :n],
+            log_sv=rows["log_sv"][:, :n],
+            sub=rows["sub"][:n],
+            cost=rows["cost"][:n],
+            plan_ids=rows["plan_ids"][:n],
+            area=rows["area"][:n],
+            plan_slots=(self._plans.arrays["ids"][:self._plans.n], rows["slot"][:n]),
             plan_groups=tuple(self._published),
         )
 
@@ -292,12 +295,13 @@ class ColumnarInstances:
     @cached_property
     def cells(self) -> dict[str, memoryview]:
         """Every ``(N,)`` column by name (``slot`` is ``plan_slots[1]``)
-        as a ``memoryview`` of the store's buffer: the one path for
-        reading or writing a single row, whose item is a plain Python
-        scalar, read in a third of a numpy scalar's time or less.
-        Whole-column arithmetic uses the arrays.  The dict is the
-        store's own, which a doubling updates in place, so the mutable
-        columns read live; rows past ``N`` are not the view's."""
+        as a ``memoryview`` of the store's buffer (``sv`` and ``log_sv``
+        as its transposed arrays): the one path for reading or writing a
+        single row, whose item is a plain Python scalar, read in a third
+        of a numpy scalar's time or less.  Whole-column arithmetic uses
+        the arrays.  The dict is the store's own, which a doubling updates
+        in place, so the mutable columns read live; rows past ``N`` are
+        not the view's."""
         return self.store._rows.cells
 
     @cached_property

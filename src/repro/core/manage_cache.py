@@ -117,7 +117,7 @@ class ManageCache:
         memo (``GetPlanDecision.recost_memo``): what getPlan's cost
         phase already paid the engine for at this very ``sv``.
         """
-        signature = result.shrunken_memo.signature
+        signature = result.signature
         optimal_cost = result.cost
 
         if self.coalesce_identical:

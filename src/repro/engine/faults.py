@@ -256,7 +256,7 @@ class DriftingCostEngine(EngineWrapper):
         return OptimizationResult(
             plan=result.plan,
             cost=result.cost * self.factor,
-            shrunken_memo=result.shrunken_memo,
+            signature=result.signature,
             memo_groups=result.memo_groups,
             memo_expressions=result.memo_expressions,
         )

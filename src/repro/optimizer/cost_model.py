@@ -58,8 +58,23 @@ class CostModel:
     cumulative costs.  Cardinalities are floats (estimated rows).
     """
 
+    #: ``(params, {table rows: cost})`` of :meth:`_index_lookup`, keyed by
+    #: the ``params`` object: replacing ``params`` recomputes the costs.
+    _lookups: tuple = (None, None)
+
     def __init__(self, params: CostParameters = DEFAULT_COST_PARAMETERS) -> None:
         self.params = params
+
+    def _index_lookup(self, table_rows: float) -> float:
+        """One B-tree descent into a table of ``table_rows`` rows, once per count."""
+        p = self.params
+        known, lookups = self._lookups
+        if known is not p:
+            self._lookups = (p, lookups := {})
+        cost = lookups.get(table_rows)
+        if cost is None:
+            cost = lookups[table_rows] = p.index_lookup * max(1.0, math.log2(max(table_rows, 2.0)))
+        return cost
 
     # -- scans ---------------------------------------------------------
 
@@ -71,7 +86,7 @@ class CostModel:
     def index_scan(self, table_rows: float, out_rows: float) -> float:
         """B-tree range scan: traverse + fetch only qualifying rows."""
         p = self.params
-        lookup = p.index_lookup * max(1.0, math.log2(max(table_rows, 2.0)))
+        lookup = self._index_lookup(table_rows)
         return p.startup + lookup + out_rows * p.index_row + out_rows * p.output_row
 
     # -- joins ---------------------------------------------------------
@@ -104,7 +119,7 @@ class CostModel:
     ) -> float:
         """Index nested loops: one index probe per outer row."""
         p = self.params
-        probe = p.index_lookup * max(1.0, math.log2(max(inner_table_rows, 2.0)))
+        probe = self._index_lookup(inner_table_rows)
         matches_fetch = out_rows * p.index_row
         return (
             p.startup

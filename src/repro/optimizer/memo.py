@@ -16,12 +16,22 @@ from typing import Optional
 from .plans import PlanNode
 
 
-@dataclass
 class GroupWinner:
-    """Best plan found for a (group, order) combination."""
+    """Best plan found for a (group, order) combination: its cost, its
+    cardinality and ``build``, a function and its arguments that make its
+    ``PlanNode`` on the first read of ``plan`` (DESIGN.md §7)."""
 
-    plan: PlanNode
-    cost: float
+    __slots__ = ("cost", "cardinality", "build", "_plan")
+
+    def __init__(self, cost: float, cardinality: float, build: tuple, plan=None) -> None:
+        self.cost, self.cardinality, self.build, self._plan = cost, cardinality, build, plan
+
+    @property
+    def plan(self) -> PlanNode:
+        if self._plan is None:
+            build, *args = self.build
+            self._plan = build(*args)
+        return self._plan
 
 
 @dataclass
@@ -46,7 +56,7 @@ class MemoGroup:
         self.expressions_considered += 1
         current = self.winners.get(order)
         if current is None or plan.cost < current.cost:
-            self.winners[order] = GroupWinner(plan=plan, cost=plan.cost)
+            self.winners[order] = GroupWinner(plan.cost, plan.cardinality, (), plan)
             return True
         return False
 

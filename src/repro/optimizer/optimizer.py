@@ -8,6 +8,7 @@ needs (section 4.2): a full optimizer call and the cheap Recost call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
 from ..catalog.statistics import DatabaseStatistics
@@ -31,15 +32,21 @@ class OptimizationResult:
     """Everything an optimizer call produces.
 
     ``plan`` carries derived cardinalities/costs for the optimized
-    instance; ``shrunken_memo`` is the cacheable re-costing structure;
-    the memo statistics quantify the search work that recost avoids.
+    instance and ``signature`` its structure; the memo statistics
+    quantify the search work that recost avoids.
     """
 
     plan: PhysicalPlan
     cost: float
-    shrunken_memo: ShrunkenMemo
+    signature: str
     memo_groups: int
     memo_expressions: int
+
+    @cached_property
+    def shrunken_memo(self) -> ShrunkenMemo:
+        """The cacheable re-costing structure, built on first read: a miss
+        whose plan the cache holds or rejects never builds it (DESIGN.md §7)."""
+        return shrink(self.plan, self.memo_groups, self.memo_expressions)
 
 
 class QueryOptimizer:
@@ -76,11 +83,10 @@ class QueryOptimizer:
             # have wrapped: this Recost is part of the optimizer call.
             bound = QueryOptimizer.recost(self, incumbent, sv) * INCUMBENT_MARGIN
         plan, memo = self._search.optimize(sv, bound)
-        shrunken = shrink(plan, memo.group_count, memo.expression_count)
         return OptimizationResult(
             plan=plan,
             cost=plan.cost,
-            shrunken_memo=shrunken,
+            signature=plan.signature(),
             memo_groups=memo.group_count,
             memo_expressions=memo.expression_count,
         )

@@ -17,8 +17,8 @@ differ.  The search is therefore split in two:
   and index-nested-loops eligibility;
 * the **per-instance pass** (:meth:`PlanSearch.optimize`), which only
   propagates cardinalities and costs through the skeleton.  It prices
-  every alternative first and builds a ``PlanNode`` for the winner of
-  each (group, order) only.
+  every alternative first, records the winner of each (group, order)
+  and builds ``PlanNode`` objects only for the plan it returns.
 
 The pass replays the offer sequence of the straight-line enumeration
 (``tests/reference_search.py``) with the same IEEE-754 operation order,
@@ -48,8 +48,8 @@ from .memo import GroupWinner, Memo, MemoGroup
 from .operators import PhysicalOp
 from .plans import PhysicalPlan, PlanNode
 
-#: One input alternative of a join: ``(order, plan, cardinality, cost)``.
-_Option = tuple[Optional[str], PlanNode, float, float]
+#: One input alternative of a join: ``(order, winner, cardinality, cost)``.
+_Option = tuple[Optional[str], GroupWinner, float, float]
 #: One role assignment of a partition: ``(outer group, inner group,
 #: outer column, inner column, INLJ inner (table info, column) or None)``.
 _Role = tuple[int, int, str, str, Optional[tuple[BaseTableInfo, str]]]
@@ -270,7 +270,7 @@ class PlanSearch:
         card = group.cardinality
         seq_cost = self.costs.seq_scan(info.rows, card)
         group.winners[None] = GroupWinner(
-            self._scan(PhysicalOp.SEQ_SCAN, info, None, card, seq_cost), seq_cost
+            seq_cost, card, (_scan, PhysicalOp.SEQ_SCAN, info, None, card, seq_cost)
         )
         if index_keys:
             # Every index scan of the table costs the same, so the first
@@ -279,28 +279,9 @@ class PlanSearch:
             index_cost = self.costs.index_scan(info.rows, card)
             for column, key in index_keys:
                 if key not in group.winners:
-                    group.winners[key] = GroupWinner(
-                        self._scan(
-                            PhysicalOp.INDEX_SCAN, info, column, card, index_cost
-                        ),
-                        index_cost,
-                    )
-
-    @staticmethod
-    def _scan(
-        op: PhysicalOp, info: BaseTableInfo, column: Optional[str],
-        card: float, cost: float,
-    ) -> PlanNode:
-        return PlanNode(
-            op=op,
-            table=info.table,
-            index_column=column,
-            param_indices=info.param_indices,
-            fixed_selectivity=info.fixed_selectivity,
-            base_rows=info.rows,
-            cardinality=card,
-            cost=cost,
-        )
+                    group.winners[key] = GroupWinner(index_cost, card, (
+                        _scan, PhysicalOp.INDEX_SCAN, info, column, card, index_cost
+                    ))
 
     @staticmethod
     def _options(group: MemoGroup) -> list[_Option]:
@@ -317,10 +298,9 @@ class PlanSearch:
         if best is None:
             return [_NO_INPUT]
         options = [
-            (order, w.plan, w.plan.cardinality, w.cost)
-            for order, w in group.winners.items()
+            (order, w, w.cardinality, w.cost) for order, w in group.winners.items()
         ]
-        entry = (None, best.plan, best.plan.cardinality, best.cost)
+        entry = (None, best, best.cardinality, best.cost)
         if options[0][0] is None:
             options[0] = entry
         else:  # a bounded pass dropped the None order's winner
@@ -332,13 +312,13 @@ class PlanSearch:
         out_cards: list[float], keys: list[Optional[str]],
         options: list[list[_Option]], tau: float,
     ) -> None:
-        """Price the join alternatives of one group, then build winners.
+        """Price the join alternatives of one group, then record winners.
 
         ``found`` maps an order key to its cheapest alternative so far,
-        ``(cost, op, outer plan, inner plan, role, out_card, join_sel,
-        left_sorted, right_sorted)``; only alternatives costing at most
-        ``tau`` enter it.  Winners are built in ``keys`` order, the
-        reference's winner-dict order.
+        ``(cost, op, outer winner, inner winner, role, out_card,
+        join_sel, left_sorted, right_sorted)``; only alternatives costing
+        at most ``tau`` enter it.  Winners are recorded in ``keys`` order,
+        the reference's winner-dict order, as their alternatives.
         """
         costs = self.costs
         found: dict[Optional[str], tuple] = {}
@@ -355,8 +335,8 @@ class PlanSearch:
                 # outer's cheapest plan.
                 if louts[0][3] > tau:
                     continue
-                _, oplan, ocard, ocost = louts[0]
-                _, iplan, icard, icost = routs[0]
+                _, owin, ocard, ocost = louts[0]
+                _, iwin, icard, icost = routs[0]
                 # Unordered alternatives: hash join (builds on the inner
                 # side; it costs at least its inputs), index nested
                 # loops, naive nested loops.
@@ -377,7 +357,7 @@ class PlanSearch:
                 for op, cost in unordered:
                     if cost < none_cost:
                         none_cost = cost
-                        found[None] = (cost, op, oplan, iplan, role, out_card,
+                        found[None] = (cost, op, owin, iwin, role, out_card,
                                        join_sel, False, False)
                 if tau < inf:
                     # A merge input pair costs at least its two inputs.
@@ -389,9 +369,9 @@ class PlanSearch:
                 current = found.get(outer_col)
                 best_cost = cap if current is None else current[0]
                 best = None
-                for l_order, lplan, lcard, lcost in louts:
+                for l_order, lwin, lcard, lcost in louts:
                     l_sorted = l_order == outer_col
-                    for r_order, rplan, rcard, rcost in routs:
+                    for r_order, rwin, rcard, rcost in routs:
                         r_sorted = r_order == inner_col
                         key = (lcard, l_sorted, rcard, r_sorted)
                         cost = merge_costs.get(key)
@@ -402,7 +382,7 @@ class PlanSearch:
                         cost = cost + lcost + rcost
                         if cost < best_cost:
                             best_cost = cost
-                            best = (lplan, rplan, l_sorted, r_sorted)
+                            best = (lwin, rwin, l_sorted, r_sorted)
                 if best is not None:
                     found[outer_col] = (
                         best_cost, PhysicalOp.MERGE_JOIN, best[0], best[1],
@@ -412,82 +392,107 @@ class PlanSearch:
             alternative = found.get(order)
             if alternative is not None:
                 group.winners[order] = GroupWinner(
-                    self._join_node(alternative), alternative[0]
+                    alternative[0], alternative[5], (_join_node, alternative)
                 )
-
-    def _join_node(self, alternative: tuple) -> PlanNode:
-        cost, op, outer, inner, role, out_card, join_sel, l_sorted, r_sorted = alternative
-        _, _, outer_col, inner_col, inlj = role
-        node = PlanNode(
-            op=op,
-            children=[outer, inner],
-            join_left_column=outer_col,
-            join_right_column=inner_col,
-            join_selectivity=join_sel,
-            left_sorted=l_sorted,
-            right_sorted=r_sorted,
-            cardinality=out_card,
-            cost=cost,
-        )
-        if op is PhysicalOp.INDEX_NESTED_LOOPS_JOIN:
-            # The inner side of an INLJ is probed, not scanned: its
-            # cardinality/cost are folded into the join cost function, so
-            # the leaf node carries zero cumulative cost of its own.
-            info, column = inlj
-            node.children[1] = self._scan(PhysicalOp.INDEX_SCAN, info, column, 0.0, 0.0)
-            node.table = info.table
-            node.index_column = column
-        return node
 
     # -- root operators ---------------------------------------------------
 
     def _finalize(self, candidates: list[_Option]) -> PlanNode:
         """Apply aggregation / order-by on top of the full join group's
-        winners (never empty)."""
+        winners (never empty), and build the cheapest result's nodes."""
         template = self.template
-        best_root: Optional[PlanNode] = None
-        for order, node, _, _ in candidates:
+        best: Optional[GroupWinner] = None
+        for order, winner, _, _ in candidates:
             if template.aggregation is AggregationKind.GROUP_BY:
-                node = self._aggregate(node, order)
+                winner = self._aggregate(winner, order)
             elif template.aggregation is AggregationKind.COUNT:
-                node = PlanNode(
+                winner = _over(
+                    winner, 1.0,
+                    self.costs.scalar_aggregate(winner.cardinality) + winner.cost,
                     op=PhysicalOp.SCALAR_AGGREGATE,
-                    children=[node],
-                    cardinality=1.0,
-                    cost=self.costs.scalar_aggregate(node.cardinality) + node.cost,
                 )
             if template.order_by is not None:
                 want = f"{template.order_by.table}.{template.order_by.column}"
                 produced = order if template.aggregation is AggregationKind.NONE else None
                 if produced != want:
-                    node = PlanNode(
-                        op=PhysicalOp.SORT,
-                        children=[node],
-                        sort_column=want,
-                        cardinality=node.cardinality,
-                        cost=self.costs.sort(node.cardinality) + node.cost,
+                    winner = _over(
+                        winner, winner.cardinality,
+                        self.costs.sort(winner.cardinality) + winner.cost,
+                        op=PhysicalOp.SORT, sort_column=want,
                     )
-            if best_root is None or node.cost < best_root.cost:
-                best_root = node
-        return best_root
+            if best is None or winner.cost < best.cost:
+                best = winner
+        return best.plan
 
-    def _aggregate(self, plan: PlanNode, order: Optional[str]) -> PlanNode:
+    def _aggregate(self, winner: GroupWinner, order: Optional[str]) -> GroupWinner:
         template = self.template
         gb = template.group_by
         group_key = f"{gb.table}.{gb.column}"
-        groups = self.cards.group_count(gb.table, gb.column, plan.cardinality)
+        groups = self.cards.group_count(gb.table, gb.column, winner.cardinality)
         if order == group_key:
-            cost = self.costs.stream_aggregate(plan.cardinality, groups)
+            cost = self.costs.stream_aggregate(winner.cardinality, groups)
             op = PhysicalOp.STREAM_AGGREGATE
         else:
-            cost = self.costs.hash_aggregate(plan.cardinality, groups)
+            cost = self.costs.hash_aggregate(winner.cardinality, groups)
             op = PhysicalOp.HASH_AGGREGATE
         distinct = float(self.cards.stats.column(gb.table, gb.column).distinct_count)
-        return PlanNode(
-            op=op,
-            children=[plan],
-            group_column=group_key,
-            group_distinct=distinct,
-            cardinality=groups,
-            cost=cost + plan.cost,
+        return _over(
+            winner, groups, cost + winner.cost,
+            op=op, group_column=group_key, group_distinct=distinct,
         )
+
+
+def _over(child: GroupWinner, card: float, cost: float, **fields) -> GroupWinner:
+    """A root operator over ``child``, as a winner: its node is built
+    on the first read of its ``plan``."""
+    return GroupWinner(cost, card, (_node_over, child, dict(fields, cardinality=card, cost=cost)))
+
+
+def _node_over(child: GroupWinner, fields: dict) -> PlanNode:
+    return PlanNode(children=[child.plan], **fields)
+
+
+def _scan(
+    op: PhysicalOp, info: BaseTableInfo, column: Optional[str],
+    card: float, cost: float,
+) -> PlanNode:
+    return PlanNode(
+        op=op,
+        table=info.table,
+        index_column=column,
+        param_indices=info.param_indices,
+        fixed_selectivity=info.fixed_selectivity,
+        base_rows=info.rows,
+        cardinality=card,
+        cost=cost,
+    )
+
+
+def _join_node(alternative: tuple) -> PlanNode:
+    """The node of a join winner's ``alternative``, over its inputs'
+    nodes (built by their first read)."""
+    cost, op, outer, inner, role, out_card, join_sel, l_sorted, r_sorted = alternative
+    _, _, outer_col, inner_col, inlj = role
+    table = column = None
+    if op is PhysicalOp.INDEX_NESTED_LOOPS_JOIN:
+        # The inner side of an INLJ is probed, not scanned: its
+        # cardinality/cost are folded into the join cost function, so
+        # the leaf node carries zero cumulative cost of its own.
+        info, column = inlj
+        table = info.table
+        inner_node = _scan(PhysicalOp.INDEX_SCAN, info, column, 0.0, 0.0)
+    else:
+        inner_node = inner.plan
+    return PlanNode(
+        op=op,
+        children=[outer.plan, inner_node],
+        table=table,
+        index_column=column,
+        join_left_column=outer_col,
+        join_right_column=inner_col,
+        join_selectivity=join_sel,
+        left_sorted=l_sorted,
+        right_sorted=r_sorted,
+        cardinality=out_card,
+        cost=cost,
+    )

@@ -7,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_recost import operator_cost
+from reference_search import PlanSearch as ReferenceSearch
+from repro.catalog.registry import get_database
 from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.operators import PhysicalOp
+from repro.optimizer.optimizer import QueryOptimizer
 from repro.optimizer.recost import _METHODS
 from test_failure_injection import NonMonotoneCostModel, SpikyCostModel
+from test_search_equivalence import (
+    TEMPLATES, _assert_memo_matches, _assert_recost_matches_walk, _vectors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +175,75 @@ def test_custom_parameters_respected():
     cm = CostModel(params)
     default = CostModel()
     assert cm.seq_scan(1_000, 10) > default.seq_scan(1_000, 10)
+
+
+# -- the index descent term, computed once per table size -----------------
+
+def _descent(p: CostParameters, table_rows: float) -> float:
+    """The descent term computed directly: what the stored one must equal."""
+    return p.index_lookup * max(1.0, math.log2(max(table_rows, 2.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_rows=st.one_of(
+    st.floats(min_value=0.0, max_value=1e12, allow_subnormal=True),
+    st.sampled_from((0.0, 1.0, 2.0, 3.0, 1_000_000.0)),
+), outer=st.floats(min_value=0.0, max_value=1e9), out=st.floats(min_value=0.0, max_value=1e9))
+def test_stored_descent_is_the_formula_bit_for_bit(table_rows, outer, out):
+    cm = CostModel()
+    p = cm.params
+    for _ in range(2):  # the first call stores the term, the second reads it
+        assert cm.index_scan(table_rows, out) == (
+            p.startup + _descent(p, table_rows) + out * p.index_row + out * p.output_row
+        )
+        assert cm.index_nested_loops_join(outer, table_rows, out) == (
+            p.startup + outer * _descent(p, table_rows) * 0.1
+            + outer * p.nlj_probe_row + out * p.index_row + out * p.output_row
+        )
+
+
+def test_replacing_params_recomputes_the_descent():
+    cm = CostModel()
+    before = (cm.index_scan(100_000, 10), cm.index_nested_loops_join(5, 100_000, 10))
+    cm.params = CostParameters(index_lookup=25.0)
+    fresh = CostModel(cm.params)
+    after = (cm.index_scan(100_000, 10), cm.index_nested_loops_join(5, 100_000, 10))
+    assert after == (
+        fresh.index_scan(100_000, 10), fresh.index_nested_loops_join(5, 100_000, 10)
+    )
+    assert after[0] > before[0] and after[1] > before[1]
+    # Models do not share their stored terms.
+    assert CostModel().index_scan(100_000, 10) == before[0]
+
+
+class CheapProbeCostModel(CostModel):
+    """Overrides index nested loops, the method :class:`SpikyCostModel`
+    leaves alone, with a descent-free probe."""
+
+    def index_nested_loops_join(self, outer_rows, inner_table_rows, out_rows):
+        return super().index_nested_loops_join(outer_rows, 2.0, out_rows) * 0.5
+
+
+@pytest.mark.parametrize("model", [SpikyCostModel, CheapProbeCostModel],
+                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", ["tpch_shipping_priority", "tpcds_six_dim"])
+def test_overriding_models_keep_search_and_recost_bit_identical(name, model):
+    """A subclass that overrides either method that reads the stored
+    descent: the search still matches the reference enumeration and the
+    compiled Recost the interpreted walk, both calling the override."""
+    template = next(t for t in TEMPLATES if t.name == name)
+    db = get_database(template.database, scale=0.2, seed=5)
+    optimizer = QueryOptimizer(template, db.stats, db.estimator, model())
+    reference = ReferenceSearch(
+        template, optimizer.card_model, optimizer.cost_model, db.stats.schema
+    )
+    memos = []
+    for sv in _vectors(template.dimensions, seed=3)[:40]:
+        ref_plan, ref_memo = reference.optimize(sv)
+        plan, memo = optimizer._search.optimize(sv)
+        _assert_memo_matches(plan, memo, ref_plan, ref_memo, sv)
+        memos.append(optimizer.optimize(sv).shrunken_memo)
+    _assert_recost_matches_walk(optimizer.cost_model, memos, template.dimensions)
 
 
 # -- the bounded plan search's contract (DESIGN.md §7) -------------------

@@ -122,6 +122,12 @@ ONE_FEED_SITE = (
     "(cluster/supervisor.py)"
 )
 
+ONE_MEMO_BUILD = (
+    "One memo build: an optimizer result's ShrunkenMemo is built where it "
+    "is first read, OptimizationResult.shrunken_memo; no other shrink( call "
+    "in src/, so a miss that keeps no new plan builds none"
+)
+
 GUARDS: tuple[Guard, ...] = (
     Guard(
         r"check_impl|CHECK_IMPLS|HAVE_NUMPY|spatial_index|IndexedGetPlan"
@@ -291,6 +297,17 @@ GUARDS: tuple[Guard, ...] = (
         r"optimize\((?:[^()]|\((?:[^()]|\([^()]*\))*\))*"
         r"(?:\((?:[^()]|\([^()]*\))*(?:\([^()]*)?)?\brecost_memo\b",
         ("src/",), BOUNDED_SEARCH, whole_file=True,
+    ),
+    Guard(
+        r"(?<![\w.])(?<!def )shrink\(",
+        ("src/", "!src/repro/optimizer/optimizer.py"),
+        ONE_MEMO_BUILD, include="*.py",
+    ),
+    # In optimizer.py: a call in any function but the shrunken_memo
+    # property (the first match line is that function's def).
+    Guard(
+        r"^[ \t]*def (?!shrunken_memo\()\w+\((?:(?!^[ \t]*def )(?s:.))*?(?<![\w.])shrink\(",
+        ("src/repro/optimizer/optimizer.py",), ONE_MEMO_BUILD, whole_file=True,
     ),
 )
 
