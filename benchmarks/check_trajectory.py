@@ -47,6 +47,7 @@ REGRESSION_WATCH = {
     "search": (("template",), "speedup"),
     "obs_gap": (("workload",), "off_over_on"),
     "serving_overhead": (("workload", "obs"), "scr_over_one"),
+    "cluster_frames": (("workers",), "round_trips_per_s"),
 }
 
 #: Runs kept per checked-in trajectory file.

@@ -65,38 +65,27 @@ class ProcessFaultInjector:
         if not victims and kind != "corrupt_snapshot":
             return "noop:no-victims"
         sup = self.supervisor
-        if kind == "kill":
-            wid = self.rng.choice(victims)
-            handle = sup.workers[wid]
-            kill = getattr(handle.process, "kill", None) or getattr(
-                handle.process, "terminate", None
-            )
-            if kill is not None:
-                kill()
-            target = wid
-        elif kind == "stall":
-            wid = self.rng.choice(victims)
-            sup._send(sup.workers[wid], Control("stall_heartbeats"))
-            target = wid
-        elif kind == "corrupt_snapshot":
+        if kind == "corrupt_snapshot":
             published = self.store.published_templates()
             if not published:
                 return "noop:no-snapshots"
-            template = self.rng.choice(published)
-            self.store.corrupt(template)
-            target = template
-        else:  # slow_start: arm the victim's *next* respawn.
-            wid = self.rng.choice(victims)
-            handle = sup.workers[wid]
-            handle.respawn_overrides["slow_start_seconds"] = self.rng.uniform(
-                0.2, 0.8
-            )
+            target = self.rng.choice(published)
+            self.store.corrupt(target)
+        elif kind == "stall":
+            target = self.rng.choice(victims)
+            sup._send(sup.workers[target], Control("stall_heartbeats"))
+        else:  # kill, or slow_start: kill after arming the *next* respawn
+            target = self.rng.choice(victims)
+            handle = sup.workers[target]
+            if kind == "slow_start":
+                handle.respawn_overrides["slow_start_seconds"] = (
+                    self.rng.uniform(0.2, 0.8)
+                )
             kill = getattr(handle.process, "kill", None) or getattr(
                 handle.process, "terminate", None
             )
             if kill is not None:
                 kill()
-            target = wid
         event = f"{kind}:{target}"
         self.injected.append(event)
         return event

@@ -28,9 +28,10 @@ import multiprocessing
 import select
 import threading
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from multiprocessing.connection import wait
+from functools import partial
 from typing import Optional
 
 from ..obs import Observability
@@ -51,6 +52,8 @@ from .transport import (
     Request,
     Response,
     WorkerLostError,
+    decode_frame,
+    encode_frame,
 )
 from .worker import WorkerSpec, worker_main
 
@@ -59,6 +62,9 @@ DEATHS_TOTAL = "repro_cluster_deaths_total"
 RETRIES_TOTAL = "repro_cluster_retries_total"
 WORKER_LOST_TOTAL = "repro_cluster_worker_lost_total"
 WORKERS_GAUGE = "repro_cluster_workers"
+#: Death reason of a worker whose connection carried a frame that does
+#: not decode to a frame type the supervisor reads.
+BAD_FRAME = "bad_frame"
 
 
 class WorkerState(Enum):
@@ -129,8 +135,25 @@ class ProcessLauncher:
         return conn, process
 
 
-def _writable(conn) -> bool:
-    return bool(select.select((), (conn,), (), 0)[1])
+def _probe(conn, event: int):
+    """A zero-timeout readiness check of ``conn`` for ``event``: one
+    ``poll`` call on a poll object registered once; truthy when ready."""
+    poller = select.poll()
+    poller.register(conn.fileno(), event)
+    return partial(poller.poll, 0)
+
+
+class _Link:
+    """One open supervisor-side connection, the worker slot it serves and
+    its probes, which live and die with it: another frame is waiting
+    (``readable``), a frame fits the socket now (``writable``)."""
+
+    __slots__ = ("conn", "handle", "readable", "writable")
+
+    def __init__(self, conn, handle: "WorkerHandle") -> None:
+        self.conn, self.handle = conn, handle
+        self.readable = _probe(conn, select.POLLIN)
+        self.writable = _probe(conn, select.POLLOUT)
 
 
 def _violations(snapshots: list) -> int:
@@ -160,7 +183,7 @@ class WorkerHandle:
 
     spec: WorkerSpec
     #: Supervisor end of this incarnation's pipe; None once it hung up.
-    conn: object = None
+    link: Optional[_Link] = None
     #: Frames waiting for room in the socket, oldest first.
     outbox: deque = field(default_factory=deque)
     process: object = None
@@ -223,7 +246,11 @@ class ClusterSupervisor:
         self.obs = obs if obs is not None else Observability(
             clock=clock, spans_enabled=self._trace
         )
-        self._spec_kwargs = spec_kwargs
+        self._lam = float(spec_kwargs.get("lam", 2.0))
+        # With in-worker brownout the effective λ can legitimately float
+        # above the configured one; the worker-side audit (which sees
+        # the relaxed λ in force) remains the violation authority then.
+        self._check_bounds = not spec_kwargs.get("overload")
         self.snapshot_dir = snapshot_dir
         self.workers: dict[str, WorkerHandle] = {}
         for i in range(num_workers):
@@ -237,9 +264,17 @@ class ClusterSupervisor:
             ))
         self.ring = HashRing(sorted(self.workers), vnodes=self.policy.vnodes)
         self._routable: frozenset = frozenset()
-        #: Every open supervisor-side connection → its worker slot; a
-        #: dead incarnation's stays until EOF so its late replies land.
-        self._conns: dict = {}
+        #: Every open supervisor-side connection; a dead incarnation's
+        #: stays until EOF so its late replies land.
+        self._links: set[_Link] = set()
+        #: The one readiness check over ``_links``: a ``select.poll`` set
+        #: and its fd → link map, rebuilt by the first pump after
+        #: ``_links`` changed (None until then).
+        self._poll_set: Optional[tuple] = None
+        self._handlers = {Response: self._on_response, Ready: self._on_ready,
+                          Heartbeat: self._on_heartbeat, Bye: self._on_bye}
+        #: Template → its ledger's (outcome, certificate) counter children.
+        self._ledgers: dict[str, tuple[dict, dict]] = {}
         self._pump_lock = threading.RLock()  # one reader per connection
         self._lock = threading.RLock()
         self._pending: dict[int, _Pending] = {}
@@ -297,8 +332,10 @@ class ClusterSupervisor:
         return self
 
     def _launch(self, handle: WorkerHandle, now: float) -> None:
-        handle.conn, handle.process = self.launcher.launch(handle.spec)
-        self._conns[handle.conn] = handle
+        conn, handle.process = self.launcher.launch(handle.spec)
+        handle.link = _Link(conn, handle)
+        self._links.add(handle.link)
+        self._poll_set = None
         handle.outbox.clear()
         handle.state = WorkerState.STARTING
         handle.started_at = now
@@ -325,33 +362,48 @@ class ClusterSupervisor:
         with self._pump_lock:
             with self._lock:
                 self._flush()
-                conns = list(self._conns)
-            return sum(self._drain(conn) for conn in wait(conns, timeout))
+                if self._poll_set is None:
+                    poller, by_fd = select.poll(), {}
+                    for link in self._links:
+                        poller.register(link.conn.fileno(), select.POLLIN)
+                        by_fd[link.conn.fileno()] = link
+                    self._poll_set = (poller, by_fd)
+                poller, by_fd = self._poll_set
+            ready = poller.poll(timeout * 1000.0)
+            return sum(self._drain(by_fd[fd]) for fd, _ in ready)
 
-    def _drain(self, conn) -> int:
+    def _drain(self, link: _Link) -> int:
+        """Handle every frame waiting on ``link``; a closed connection or
+        a frame that is not one the supervisor reads hangs it up."""
         handled = 0
         while True:
             try:
-                message = conn.recv()
+                message, reason = decode_frame(link.conn.recv_bytes()), BAD_FRAME
             except (EOFError, OSError):
-                with self._lock:
-                    self._hang_up(conn)
-                return handled
-            self._handle_message(message)
+                message, reason = None, "exited"
+            handler = self._handlers.get(type(message))
+            with self._lock:
+                if handler is None:
+                    self._hang_up(link, reason)
+                    return handled
+                handler(message)
             handled += 1
-            if not conn.poll():
+            if not link.readable():
                 return handled
 
-    def _hang_up(self, conn) -> None:
-        """Forget a connection whose worker end closed (or, at close(),
-        every connection): a routable worker that hangs up died."""
-        handle = self._conns.pop(conn)
-        conn.close()
-        if handle.conn is conn:
-            handle.conn = None
+    def _hang_up(self, link: _Link, reason: str = "exited") -> None:
+        """Forget a connection whose worker end closed or sent a frame
+        that does not decode (or, at close(), every connection): a
+        routable worker that hangs up died."""
+        self._links.discard(link)
+        self._poll_set = None
+        link.conn.close()
+        handle = link.handle
+        if handle.link is link:
+            handle.link = None
             handle.outbox.clear()
             if handle.routable:
-                self._declare_dead(handle, reason="exited")
+                self._declare_dead(handle, reason=reason)
 
     def _send(self, handle: WorkerHandle, message) -> None:
         """Send ``message`` to the worker without ever blocking.
@@ -363,21 +415,21 @@ class ClusterSupervisor:
         :meth:`pump` flushes.
         """
         with self._lock:
-            if handle.conn is None:
+            if handle.link is None:
                 return  # hung up; its requests were re-routed
-            if handle.outbox or not _writable(handle.conn):
+            if handle.outbox or not handle.link.writable():
                 handle.outbox.append(message)
                 return
             self._write(handle, message)
 
     def _flush(self) -> None:
         for handle in self.workers.values():
-            while handle.outbox and _writable(handle.conn):
+            while handle.outbox and handle.link.writable():
                 self._write(handle, handle.outbox.popleft())
 
     def _write(self, handle: WorkerHandle, message) -> None:
         try:
-            handle.conn.send(message)
+            handle.link.conn.send_bytes(encode_frame(message))
         except OSError:
             # The worker is gone; EOF follows on the read side, which
             # keeps its last replies readable until then.
@@ -400,8 +452,6 @@ class ClusterSupervisor:
         ``error_kind``), or exceptionally with :class:`WorkerLostError`
         when the owning worker and every retry peer died under it.
         """
-        from concurrent.futures import Future
-
         if template_name not in self.templates:
             raise KeyError(f"template {template_name!r} is not registered")
         fut: Future = Future()
@@ -412,7 +462,7 @@ class ClusterSupervisor:
             request = Request(
                 request_id=self._next_request_id,
                 template_name=template_name,
-                sv=tuple(float(s) for s in sv),
+                sv=tuple(map(float, sv)),
                 sequence_id=sequence_id,
             )
             self._next_request_id += 1
@@ -452,8 +502,7 @@ class ClusterSupervisor:
             # a death grows a *sibling* subtree in the same trace.
             dispatch_ctx = ctx.child(self.obs.spans.ids)
             dispatched_at = self.clock.monotonic()
-            request = replace(
-                request,
+            request = request._replace(
                 trace_id=ctx.trace_id,
                 parent_span_id=dispatch_ctx.span_id,
             )
@@ -520,10 +569,7 @@ class ClusterSupervisor:
         ctx=None, submitted_at: float = 0.0,
     ) -> None:
         self._lost.inc()
-        audit = self.obs.audit
-        audit.response(request.template_name, "shed")
-        audit.certificate(request.template_name, "shed")
-        audit.degraded(request.template_name, "shed", "worker_lost")
+        self._count(request.template_name, "shed", "shed", "worker_lost")
         self._record_root(
             ctx, submitted_at, request, "shed",
             reason="worker_lost", detail=detail,
@@ -532,17 +578,6 @@ class ClusterSupervisor:
             fut.set_exception(WorkerLostError("-", detail))
 
     # -- message handling -----------------------------------------------------
-
-    def _handle_message(self, message) -> None:
-        with self._lock:
-            if isinstance(message, Response):
-                self._on_response(message)
-            elif isinstance(message, Heartbeat):
-                self._on_heartbeat(message)
-            elif isinstance(message, Ready):
-                self._on_ready(message)
-            elif isinstance(message, Bye):
-                self._on_bye(message)
 
     @staticmethod
     def _stale(handle: Optional[WorkerHandle], incarnation: int) -> bool:
@@ -597,15 +632,9 @@ class ClusterSupervisor:
         pending = self._pending.pop(message.request_id, None)
         if pending is None:
             return  # late duplicate after a re-route already resolved it
-        self._account_response(message)
+        outcome = self._account_response(message)
         if pending.ctx is not None:
             self._ingest_worker_spans(message)
-            if message.ok and message.certified:
-                outcome = "certified"
-            elif message.ok:
-                outcome = "uncertified"
-            else:
-                outcome = "shed"
             self._record_dispatch(
                 pending, message.worker_id, message.incarnation, "response"
             )
@@ -616,39 +645,40 @@ class ClusterSupervisor:
         if not pending.future.done():
             pending.future.set_result(message)
 
-    def _account_response(self, message: Response) -> None:
-        """The exactly-one-outcome ledger entry for one resolution."""
-        audit = self.obs.audit
+    def _account_response(self, message: Response) -> str:
+        """The exactly-one-outcome ledger entry for one resolution;
+        returns the outcome counted."""
         template = message.template_name
-        if message.ok and message.certified:
-            audit.response(template, "certified")
-            audit.certificate(template, message.certificate)
-            if message.certified_bound is not None and not self._lambda_relaxed:
-                audit.certified_bound(
-                    template, message.certified_bound,
-                    self._lambda_for_template(),
-                    kind=message.certificate,
-                )
-        elif message.ok:
-            audit.response(template, "uncertified")
-            audit.certificate(template, "uncertified")
-            audit.degraded(template, "uncertified", message.check or "degraded")
-        else:
-            audit.response(template, "shed")
-            audit.certificate(template, "shed")
-            audit.degraded(
-                template, "shed", message.error_reason or message.error_kind
+        if not message.ok:
+            return self._count(template, "shed", "shed",
+                               message.error_reason or message.error_kind)
+        if not message.certified:
+            return self._count(template, "uncertified", "uncertified",
+                               message.check or "degraded")
+        if message.certified_bound is not None and self._check_bounds:
+            self.obs.audit.certified_bound(
+                template, message.certified_bound, self._lam,
+                kind=message.certificate,
             )
+        return self._count(template, "certified", message.certificate)
 
-    @property
-    def _lambda_relaxed(self) -> bool:
-        # With in-worker brownout the effective λ can legitimately float
-        # above the configured one; the worker-side audit (which sees
-        # the relaxed λ in force) remains the violation authority then.
-        return bool(self._spec_kwargs.get("overload"))
-
-    def _lambda_for_template(self) -> float:
-        return float(self._spec_kwargs.get("lam", 2.0))
+    def _count(self, template: str, outcome: str, kind: str,
+               reason: Optional[str] = None) -> str:
+        """Count one ``outcome`` and certificate ``kind`` (and a degraded
+        outcome's reason) through the template's counter children,
+        resolved on its first resolution; returns ``outcome``."""
+        ledger = self._ledgers.get(template)
+        if ledger is None:
+            audit = self.obs.audit
+            ledger = self._ledgers[template] = (
+                audit.outcome_children(template),
+                audit.certificate_children(template),
+            )
+        ledger[0][outcome].inc()
+        ledger[1][kind].inc()
+        if reason is not None:
+            self.obs.audit.degraded(template, outcome, reason)
+        return outcome
 
     # -- liveness / recovery --------------------------------------------------
 
@@ -752,7 +782,7 @@ class ClusterSupervisor:
                 pending, dead_worker, dead_incarnation, "worker_died"
             )
             if request.attempt < self.policy.max_retries:
-                retry = replace(request, attempt=request.attempt + 1)
+                retry = request._replace(attempt=request.attempt + 1)
                 if self._dispatch(pending.future, retry, ctx=pending.ctx,
                                   submitted_at=pending.submitted_at):
                     self._retries.inc()
@@ -961,7 +991,7 @@ class ClusterSupervisor:
         while self.clock.monotonic() < deadline:
             self.pump(timeout=0.05)
             with self._lock:
-                if all(h.bye_received or h.conn is None for h in draining):
+                if all(h.bye_received or h.link is None for h in draining):
                     break
         for handle in draining:
             terminate = getattr(handle.process, "terminate", None)
@@ -985,8 +1015,8 @@ class ClusterSupervisor:
                     pending.future, pending.request, "supervisor shutdown",
                     ctx=pending.ctx, submitted_at=pending.submitted_at,
                 )
-            for conn in list(self._conns):
-                self._hang_up(conn)
+            for link in list(self._links):
+                self._hang_up(link)
             self._fleet_changed()
 
     def __enter__(self) -> "ClusterSupervisor":

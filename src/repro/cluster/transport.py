@@ -1,21 +1,22 @@
-"""Wire types between the supervisor and its worker processes.
+"""Wire frames between the supervisor and its worker processes.
 
-Everything here crosses a ``multiprocessing`` pipe, so it must pickle
-under the spawn start method: plain module-level dataclasses carrying
-primitives only.  Notably a worker response carries a *flattened*
-outcome — plan signature, certificate fields, counters — rather than
-the full :class:`~repro.core.technique.PlanChoice`: plan trees and
-shrunken memos are per-worker state and never leave the process.  When
-worker-side verification is on, the response additionally ships the
-chosen plan's recosted cost at the served sVector, so a benchmark can
-check the λ-certificate against its own oracle without access to the
-worker's cache.
+Everything here crosses a ``multiprocessing`` pipe under the spawn start
+method.  A frame is a module-level :class:`typing.NamedTuple` of
+primitives: it pickles as its class and a tuple of values, with no field
+names and no instance dict.  :func:`encode_frame` / :func:`decode_frame`
+are the one wire format: ``pickle`` at the highest protocol, one
+``Connection.send_bytes`` message per frame.  A response carries a
+*flattened* outcome — plan signature, certificate fields, counters —
+rather than the :class:`~repro.core.technique.PlanChoice`: plan trees and
+shrunken memos never leave the worker.  With worker-side verification on
+it also ships the chosen plan's recosted cost at the served sVector, so
+a benchmark can check the λ-certificate against its own oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import pickle
+from typing import NamedTuple, Optional
 
 
 class WorkerLostError(RuntimeError):
@@ -33,8 +34,7 @@ class WorkerLostError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One query instance bound for a worker."""
 
     request_id: int
@@ -51,8 +51,7 @@ class Request:
     parent_span_id: str = ""
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """A served (or failed) request coming back from a worker."""
 
     request_id: int
@@ -86,8 +85,7 @@ class Response:
     spans: tuple = ()
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(NamedTuple):
     """Periodic liveness + stats beacon from a worker.
 
     Registry facts travel once, inside ``registry``: the worker audit's
@@ -104,17 +102,17 @@ class Heartbeat:
     requests_served: int
     optimizer_calls: int
     #: Full metrics-registry snapshot (merged into the cluster-wide
-    #: Prometheus exposition, labeled by worker identity).
-    registry: dict = field(default_factory=dict)
+    #: Prometheus exposition, labeled by worker identity).  Both dict
+    #: defaults are shared, never mutated: a received frame has its own.
+    registry: dict = {}
     #: Per-template summaries — anchor attribution, getPlan counters,
     #: warm-start baselines, quarantine
     #: (:meth:`~repro.serving.manager.ConcurrentPQOManager.anchor_summaries`)
     #: — flat int dicts the cluster doctor view checks and sums.
-    anchor_summary: dict = field(default_factory=dict)
+    anchor_summary: dict = {}
 
 
-@dataclass(frozen=True)
-class Ready:
+class Ready(NamedTuple):
     """Worker finished booting (and warm-starting) and is serving."""
 
     worker_id: str
@@ -126,8 +124,7 @@ class Ready:
     warm_instances: int = 0
 
 
-@dataclass(frozen=True)
-class Bye:
+class Bye(NamedTuple):
     """Worker acknowledging a graceful stop (final snapshots published)."""
 
     worker_id: str
@@ -135,8 +132,7 @@ class Bye:
     requests_served: int = 0
 
 
-@dataclass(frozen=True)
-class Control:
+class Control(NamedTuple):
     """Supervisor → worker control message.
 
     ``kind`` is one of ``"stop"`` (graceful drain + final snapshot),
@@ -145,3 +141,17 @@ class Control:
     """
 
     kind: str
+
+
+def encode_frame(frame) -> bytes:
+    """The bytes one ``Connection.send_bytes`` message carries for ``frame``."""
+    return pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+
+
+def decode_frame(data: bytes):
+    """The frame in ``data``, or None when the bytes do not unpickle —
+    a broken peer, which the reader treats as a hang-up."""
+    try:
+        return pickle.loads(data)
+    except Exception:  # truncated, garbled, or a class that does not import
+        return None

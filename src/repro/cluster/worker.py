@@ -38,6 +38,7 @@ from ..serving.manager import ConcurrentPQOManager
 from ..serving.overload import OverloadPolicy, ShedError, ShutdownError
 from .snapshots import SnapshotStore
 from .transport import Bye, Control, Heartbeat, Ready, Request, Response
+from .transport import decode_frame, encode_frame
 
 #: Exit code a chaos-killed worker dies with (mirrors SIGKILL's 128+9).
 CHAOS_EXIT_CODE = 137
@@ -349,16 +350,18 @@ class ClusterWorker:
 
 class _PipeSender:
     """The worker's side of the pipe for writing: one lock serialises
-    every frame — responses from any thread, heartbeats, Ready, Bye."""
+    every frame — responses from any thread, heartbeats, Ready, Bye —
+    and each frame is encoded before it takes the lock."""
 
     def __init__(self, conn) -> None:
         self._conn = conn
         self._lock = threading.Lock()
 
     def put(self, message) -> None:
+        data = encode_frame(message)
         with self._lock:
             try:
-                self._conn.send(message)
+                self._conn.send_bytes(data)
             except OSError:
                 pass  # the supervisor is gone; the readers see EOF
 
@@ -374,7 +377,8 @@ def worker_main(spec: WorkerSpec, conn) -> None:
     next frame under a receive lock and serve it themselves; with it one
     thread reads and hands requests to the manager's pool (see
     :meth:`ClusterWorker.serve`).  A stop frame — or EOF, the supervisor
-    gone — ends every reader once the frames read before it are served;
+    gone, or a frame that is not a request or control frame — ends every
+    reader once the frames read before it are served;
     the worker then drains, publishes snapshots and says Bye.
     """
     if spec.slow_start_seconds > 0:
@@ -400,9 +404,11 @@ def worker_main(spec: WorkerSpec, conn) -> None:
                 if stopping.is_set():
                     return
                 try:
-                    message = conn.recv()
+                    message = decode_frame(conn.recv_bytes())
                 except (EOFError, OSError):  # the supervisor is gone
-                    message = Control("stop")
+                    message = None
+                if not isinstance(message, (Request, Control)):
+                    message = Control("stop")  # gone, or not speaking frames
                 if isinstance(message, Control) and message.kind == "stop":
                     stopping.set()
                     return

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..optimizer.operators import PhysicalOp
@@ -92,9 +92,11 @@ def dump_cache(cache: PlanCache) -> str:
             "full_memo_groups": sm.full_memo_groups,
             "full_memo_expressions": sm.full_memo_expressions,
         })
-    # One object per row, keys in InstanceEntry field order.
+    # One object per row, keys in InstanceEntry field order.  The fields
+    # are read as they are: ``asdict`` would deep-copy each row's
+    # SelectivityVector only for "sv" to replace the copy.
     instances = [
-        {**asdict(entry), "sv": list(entry.sv)} for entry in cache.instances()
+        {**vars(entry), "sv": list(entry.sv)} for entry in cache.instances()
     ]
     payload = {
         "plans": plans,

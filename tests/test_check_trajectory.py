@@ -129,3 +129,31 @@ def test_serving_overhead_watches_scr_over_one_per_observability_side():
     assert "scr_over_one at (workload=serve_batch_obs, obs=off) dropped 25%" in (
         errors[0]
     )
+
+
+def _cluster_frames_doc(*rates):
+    return {
+        "schema_version": 2,
+        "benchmark": "cluster_frames",
+        "runs": [
+            {
+                "timestamp": f"2026-10-21T{hour:02d}:00:00Z",
+                "meta": {"platform": "host-a"},
+                "results": [{"workers": 2, "round_trips_per_s": rate}],
+            }
+            for hour, rate in enumerate(rates, 1)
+        ],
+    }
+
+
+def test_cluster_frames_watches_round_trips_per_second():
+    """The supervisor frame path's trajectory is gated on
+    ``round_trips_per_s`` (higher is better)."""
+    gained = _cluster_frames_doc(10_000.0, 17_500.0)
+    assert check_trajectory.validate_document(gained, "f") == []
+    assert check_trajectory.check_regressions(gained, "f") == []
+    errors = check_trajectory.check_regressions(
+        _cluster_frames_doc(17_500.0, 12_250.0), "f"
+    )
+    assert len(errors) == 1
+    assert "round_trips_per_s at (workers=2) dropped 30%" in errors[0]

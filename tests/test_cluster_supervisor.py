@@ -7,7 +7,11 @@ explicit :meth:`tick` calls at fake-clock times — every edge case here
 is exact, not timing-dependent: restart-backoff growth and cap, flap
 quarantine, graceful drain during shutdown, the double-death of a
 partition's owner and its retry peer, and the transport's own rules
-(writes never block, EOF means dead, one liveness pass per interval).
+(writes never block, EOF means dead, one liveness pass per interval,
+the poll set follows the open connections, every frame field survives
+the wire, and a frame that does not decode is a death, not a dead
+monitor thread).  One test runs the real monitor thread, to show it
+survives such a frame.
 """
 
 from __future__ import annotations
@@ -25,8 +29,21 @@ from repro.cluster import (
     WorkerLostError,
     WorkerState,
 )
-from repro.cluster.supervisor import DEATHS_TOTAL, RETRIES_TOTAL, WORKER_LOST_TOTAL
-from repro.cluster.transport import Bye, Control, Heartbeat, Ready, Response
+from repro.cluster.supervisor import (
+    BAD_FRAME,
+    DEATHS_TOTAL,
+    RETRIES_TOTAL,
+    WORKER_LOST_TOTAL,
+)
+from repro.cluster.transport import (
+    Bye,
+    Control,
+    Heartbeat,
+    Ready,
+    Request,
+    Response,
+    encode_frame,
+)
 from repro.obs.clock import FakeClock
 
 
@@ -86,7 +103,8 @@ class FakeLauncher:
         return frames
 
 
-def make_cluster(num_workers=2, num_templates=12, **policy_kwargs):
+def make_cluster(num_workers=2, num_templates=12, monitor=False, trace=False,
+                 **policy_kwargs):
     clock = FakeClock()
     supervisor = ClusterSupervisor(
         [FakeTemplate(f"t{i}") for i in range(num_templates)],
@@ -95,8 +113,9 @@ def make_cluster(num_workers=2, num_templates=12, **policy_kwargs):
         policy=SupervisorPolicy(**policy_kwargs),
         launcher=FakeLauncher(),
         clock=clock.clock,
+        trace=trace,
     )
-    supervisor.start(monitor=False)
+    supervisor.start(monitor=monitor)
     return supervisor, clock
 
 
@@ -439,6 +458,7 @@ class TestDrainDuringShutdown:
         report = sup.cluster_report()
         assert report["resolved"] == report["submitted"] == 1
         assert report["in_flight"] == 0
+        assert not sup._links  # every connection left the poll set
 
     def test_exhausted_drain_budget_sheds_leftovers(self):
         sup, clock = make_cluster(num_workers=1, heartbeat_timeout=60.0)
@@ -673,7 +693,7 @@ class TestTransport:
         sup.launcher.ends["w0"].close()  # the worker process is gone
         sup.pump()  # no tick(): the hang-up alone is the death signal
         assert sup.workers["w0"].state is WorkerState.DEAD
-        assert sup.workers["w0"].conn is None
+        assert sup.workers["w0"].link is None
         assert sup.obs.registry.total(DEATHS_TOTAL, reason="exited") == 1
         assert sup._pending[rid].worker_id == "w1"  # re-routed at once
         respond(sup, rid, name, worker="w1")
@@ -703,3 +723,183 @@ class TestTransport:
         assert handled == [1] * 1001
         assert ticks == [0.0, 0.05]
         assert sup.workers["w0"].requests_served == 1001
+
+
+def poll_set_links(sup) -> set:
+    """The links the poll set covers once every waiting frame and
+    hang-up is handled (a pump after a change rebuilds the set)."""
+    while sup.pump() or sup._poll_set is None:
+        pass
+    return set(sup._poll_set[1].values())
+
+
+class TestPollSet:
+    def test_a_hung_up_connection_leaves_the_poll_set(self):
+        sup, _ = make_cluster(num_workers=2, heartbeat_timeout=60.0)
+        mark_live(sup, "w0", "w1")
+        w0, w1 = sup.workers["w0"].link, sup.workers["w1"].link
+        assert poll_set_links(sup) == {w0, w1}
+        sup.launcher.ends["w0"].close()
+        assert poll_set_links(sup) == {w1}
+        assert w0.conn.closed and sup._links == {w1}
+
+    def test_a_restarted_incarnation_joins_the_poll_set(self):
+        sup, _ = make_cluster(
+            num_workers=2, restart_backoff_base=0.0, heartbeat_timeout=60.0,
+        )
+        mark_live(sup, "w0", "w1")
+        sup.launcher.ends["w0"].close()
+        sup.pump()  # EOF: w0 is dead and its connection gone
+        sup.tick()  # zero backoff: incarnation 1 launches
+        handle = sup.workers["w0"]
+        assert handle.incarnation == 1
+        assert poll_set_links(sup) == {handle.link, sup.workers["w1"].link}
+        mark_live(sup, "w0")  # its Ready arrives through the new set
+        assert handle.state is WorkerState.LIVE
+
+    def test_a_dead_incarnations_late_reply_resolves_first_wins(self):
+        sup, _ = make_cluster(
+            num_workers=2, restart_backoff_base=0.0, heartbeat_timeout=60.0,
+        )
+        mark_live(sup, "w0", "w1")
+        name = template_owned_by(sup, "w0")
+        fut = sup.submit(name, (0.5,))
+        rid = pending_id(sup)
+        old_end, old_link = sup.launcher.ends["w0"], sup.workers["w0"].link
+        sup.workers["w0"].process.alive = False
+        sup.tick()  # dead; the request is re-routed to w1
+        sup.tick()  # restarted as incarnation 1 on a new pipe
+        assert sup._pending[rid].worker_id == "w1"
+        # The dead incarnation's connection stays in the set until EOF,
+        # so the reply already on its way still resolves the future.
+        assert old_link in poll_set_links(sup)
+        old_end.send(Response(
+            request_id=rid, worker_id="w0", incarnation=0,
+            template_name=name, ok=True, certified=True,
+            certificate="exact", certified_bound=1.1,
+        ))
+        sup.pump()
+        assert fut.result(timeout=0).worker_id == "w0"
+        respond(sup, rid, name, worker="w1")  # the duplicate is dropped
+        assert fut.result(timeout=0).worker_id == "w0"
+        assert sup.cluster_report()["outcomes"]["certified"] == 1
+        old_end.close()
+        assert old_link not in poll_set_links(sup)
+        # That EOF belongs to a written-off incarnation: no new death.
+        assert sup.workers["w0"].state is WorkerState.STARTING
+        assert sup.obs.registry.total(DEATHS_TOTAL) == 1
+
+
+class TestFrames:
+    def test_every_request_field_survives_the_wire(self):
+        sup, _ = make_cluster(num_workers=1, heartbeat_timeout=60.0, trace=True)
+        mark_live(sup, "w0")
+        fut = sup.submit("t3", [0.25, 0.5], sequence_id=17)
+        sent = sup._pending[pending_id(sup)].request
+        (received,) = sup.launcher.sent_to("w0")
+        assert type(received) is Request
+        assert received._asdict() == sent._asdict()
+        assert received.sv == (0.25, 0.5) and received.sequence_id == 17
+        assert received.trace_id == fut.trace_id != ""
+        assert received.parent_span_id != ""
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_every_response_field_survives_the_wire(self, ok):
+        sup, _ = make_cluster(num_workers=1, heartbeat_timeout=60.0)
+        mark_live(sup, "w0")
+        fut = sup.submit("t1", (0.5,), sequence_id=4)
+        reply = Response(
+            request_id=pending_id(sup), worker_id="w0", incarnation=0,
+            template_name="t1", ok=ok, sequence_id=4, check="cost",
+            plan_signature="HJ(a,b)", certified=ok, certificate="robust",
+            certified_bound=1.75, coverage=0.95, used_optimizer=True,
+            recost_calls=3, plan_cost_at_sv=812.5,
+            error_kind="" if ok else "shed",
+            error_reason="" if ok else "queue_full",
+            spans=({"name": "serving.batch", "trace_id": "ab", "attrs": {}},),
+        )
+        sup.launcher.deliver("w0", reply)
+        sup.pump()
+        got = fut.result(timeout=0)
+        assert type(got) is Response
+        assert got._asdict() == reply._asdict()
+
+    def test_a_retry_bumps_attempt_and_keeps_the_trace(self):
+        sup, _ = make_cluster(num_workers=2, heartbeat_timeout=60.0, trace=True)
+        mark_live(sup, "w0", "w1")
+        name = template_owned_by(sup, "w0")
+        fut = sup.submit(name, (0.5,), sequence_id=9)
+        (first,) = sup.launcher.sent_to("w0")
+        sup.workers["w0"].process.alive = False
+        sup.tick()
+        (retry,) = sup.launcher.sent_to("w1")
+        assert retry.attempt == first.attempt + 1 == 1
+        assert retry.trace_id == first.trace_id == fut.trace_id
+        # A new dispatch span in the same trace parents the retry.
+        assert retry.parent_span_id not in ("", first.parent_span_id)
+        assert retry._replace(attempt=0, parent_span_id="") == first._replace(
+            parent_span_id=""
+        )
+
+
+BAD_FRAMES = {
+    "garbled": b"\x80\x05garbage",
+    "truncated": b"\x80\x05",
+    "unknown type": encode_frame(Control("stop")),
+    "not a frame": encode_frame({"request_id": 0}),
+}
+
+
+class TestUndecodableFrame:
+    @pytest.mark.parametrize("data", BAD_FRAMES.values(), ids=BAD_FRAMES)
+    def test_hangs_up_declares_death_and_reroutes(self, data):
+        sup, _ = make_cluster(num_workers=2, heartbeat_timeout=60.0)
+        mark_live(sup, "w0", "w1")
+        name = template_owned_by(sup, "w0")
+        fut = sup.submit(name, (0.5,))
+        rid = pending_id(sup)
+        link = sup.workers["w0"].link
+        sup.launcher.ends["w0"].send_bytes(data)
+        sup.pump()
+        handle = sup.workers["w0"]
+        assert handle.state is WorkerState.DEAD and handle.link is None
+        assert link.conn.closed and link not in sup._links
+        assert handle.process.kills == 1
+        assert sup.obs.registry.total(DEATHS_TOTAL, reason=BAD_FRAME) == 1
+        assert sup._pending[rid].worker_id == "w1"
+        respond(sup, rid, name, worker="w1")
+        assert fut.result(timeout=0).worker_id == "w1"
+
+    def test_the_monitor_thread_keeps_pumping(self):
+        sup, _ = make_cluster(num_workers=2, heartbeat_timeout=60.0,
+                              monitor=True)
+        try:
+            for wid in ("w0", "w1"):
+                sup.launcher.deliver(wid, Ready(worker_id=wid, incarnation=0))
+            deadline = time.monotonic() + 10.0
+            while sup._routable != {"w0", "w1"} or any(
+                h.state is not WorkerState.LIVE for h in sup.workers.values()
+            ):
+                assert time.monotonic() < deadline, "workers never went live"
+                time.sleep(0.005)
+            name = template_owned_by(sup, "w0")
+            fut = sup.submit(name, (0.5,))
+            assert sup.launcher.ends["w0"].poll(10.0)
+            sup.launcher.ends["w0"].send_bytes(BAD_FRAMES["garbled"])
+            # The monitor hangs w0 up and re-routes the request to w1,
+            # whose end answers it; the future resolves, never hangs.
+            w1 = sup.launcher.ends["w1"]
+            assert w1.poll(10.0), "the request was not re-routed"
+            request = w1.recv()
+            w1.send(Response(
+                request_id=request.request_id, worker_id="w1",
+                incarnation=0, template_name=name, ok=True,
+                certified=True, certificate="exact", certified_bound=1.2,
+            ))
+            assert fut.result(timeout=10.0).worker_id == "w1"
+            assert sup._monitor.is_alive()
+            assert sup.workers["w0"].state is WorkerState.DEAD
+            assert sup.obs.registry.total(DEATHS_TOTAL, reason=BAD_FRAME) == 1
+        finally:
+            sup.close(timeout=0)
+        assert not sup._monitor.is_alive()

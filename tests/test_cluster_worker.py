@@ -15,9 +15,13 @@ import multiprocessing
 import threading
 from contextlib import contextmanager
 
+import pytest
+
 from repro.cluster import (
+    Bye,
     ClusterSupervisor,
     Control,
+    Heartbeat,
     Request,
     Response,
     SupervisorPolicy,
@@ -25,6 +29,7 @@ from repro.cluster import (
     WorkerSpec,
     worker_main,
 )
+from repro.cluster.transport import encode_frame
 from repro.obs.spans import Span
 from repro.workload.generator import instances_for_template
 from repro.workload.templates import tpch_templates
@@ -133,6 +138,37 @@ def test_overload_protected_worker_resolves_a_flood_with_queue_full(tmp_path):
     # to fall back on.
     rejected = [r for r in got if r.error_reason.startswith("queue_full")]
     assert rejected and all(r.error_kind == "shed" for r in rejected)
+
+
+@pytest.mark.parametrize("data", [
+    b"\x80\x05garbage",
+    encode_frame(Heartbeat(worker_id="w9", incarnation=0, seq=1,
+                           requests_served=0, optimizer_calls=0)),
+], ids=["garbled", "unknown type"])
+def test_an_undecodable_frame_stops_the_worker_as_eof_does(tmp_path, data):
+    conn, end = multiprocessing.Pipe()
+    thread = threading.Thread(
+        target=worker_main, args=(spec_for(tmp_path), end), daemon=True
+    )
+    thread.start()
+    try:
+        template = TEMPLATES[0]
+        conn.send(Request(
+            request_id=3, template_name=template.name, sv=sv_of(template),
+        ))
+        conn.send_bytes(data)
+        # The request read before the bad frame is served, then the
+        # worker drains and says Bye instead of losing a reader thread.
+        (response,) = responses(conn, 1)
+        assert response.ok and response.request_id == 3
+        frames = []
+        while not any(isinstance(f, Bye) for f in frames):
+            assert conn.poll(30.0), "no Bye after the undecodable frame"
+            frames.append(conn.recv())
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+    finally:
+        conn.close()
 
 
 class _ThreadProcess:

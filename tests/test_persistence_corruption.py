@@ -9,12 +9,14 @@ leave the previous snapshot intact (temp file + ``os.replace``).
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
 from repro.core.persistence import (
     CacheCorruptionError,
     CacheFile,
+    _payload_checksum,
     dump_cache,
     load_cache,
 )
@@ -47,6 +49,25 @@ class TestChecksummedFormat:
         restored = load_cache(dump_cache(populated_cache))
         assert restored.num_plans == populated_cache.num_plans
         assert restored.num_instances == populated_cache.num_instances
+
+    def test_instance_rows_are_byte_identical_to_the_asdict_form(
+        self, populated_cache
+    ):
+        """Rows read field by field dump exactly as ``dataclasses.asdict``
+        rows did, so a snapshot's text and checksum do not move."""
+        text = dump_cache(populated_cache)
+        entries = list(populated_cache.instances())
+        assert any(e.usage > 1 for e in entries)
+        assert any(e.hits_selectivity or e.hits_cost for e in entries)
+        payload = json.loads(text)["payload"]
+        payload["instances"] = [
+            {**asdict(entry), "sv": list(entry.sv)} for entry in entries
+        ]
+        assert text == json.dumps({
+            "version": 2,
+            "checksum": _payload_checksum(payload),
+            "payload": payload,
+        })
 
     def test_legacy_v1_document_still_loads(self, populated_cache):
         doc = json.loads(dump_cache(populated_cache))

@@ -122,6 +122,13 @@ ONE_FEED_SITE = (
     "(cluster/supervisor.py)"
 )
 
+ONE_POLL_SET = (
+    "One poll set: the supervisor's select.poll set over every open "
+    "connection, and each link's own probes, are the cluster tier's only "
+    "readiness checks; no multiprocessing.connection.wait, select.select( "
+    "or per-call Connection.poll()"
+)
+
 ONE_MEMO_BUILD = (
     "One memo build: an optimizer result's ShrunkenMemo is built where it "
     "is first read, OptimizationResult.shrunken_memo; no other shrink( call "
@@ -140,6 +147,11 @@ GUARDS: tuple[Guard, ...] = (
     ),
     Guard(r"attach_obs|latencies_s", ("src/repro/serving/stats.py",), ONE_RECORDER),
     Guard(r"Queue\(|make_response_queue", ("src/repro/cluster/",), ONE_TRANSPORT),
+    Guard(
+        r"multiprocessing\.connection\b|connection\.wait\(|select\.select\("
+        r"|conn\.poll\(",
+        ("src/repro/cluster/",), ONE_POLL_SET, include="*.py",
+    ),
     Guard(
         r"scr\._(choose|hit_choice|miss_choice|register_optimized"
         r"|fallback_choice|overload_choice)|get_plan\.commit",
